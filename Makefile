@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain go tooling underneath.
 
-.PHONY: build test vet depcheck bench bench-gate bench-throughput scenario-smoke loadtest-smoke fleet-smoke
+.PHONY: build test vet depcheck bench bench-gate bench-throughput bench-smoke scenario-smoke loadtest-smoke fleet-smoke
 
 build:
 	go build ./...
@@ -52,6 +52,12 @@ bench:
 # both a scaling demo and a correctness smoke for Options.Throughput.
 bench-throughput:
 	go test -run '^$$' -bench SweepManyJobs -benchtime 1x -benchmem .
+
+# Vet and test cmd/pdpabench, the end-to-end benchmark. It is a module of its
+# own, so the root module's go build ./... and go test ./... never see it
+# break when the server, fleet, or runqueue APIs it calls change.
+bench-smoke:
+	cd cmd/pdpabench && go vet . && go test .
 
 # Compare a fresh run against the most recent committed trajectory point.
 # Fails on significant regression (loose on ns/op, tight on allocs/op and B/op).

@@ -103,15 +103,6 @@ func (e *ContractError) Error() string {
 	return fmt.Sprintf("pdpad: response outside the v1 contract (status %d): %s", e.Status, e.Detail)
 }
 
-// errorEnvelope is the wire form of every non-2xx v1 response.
-type errorEnvelope struct {
-	Error struct {
-		Code              string `json:"code"`
-		Message           string `json:"message"`
-		RetryAfterSeconds int    `json:"retry_after_seconds"`
-	} `json:"error"`
-}
-
 // Do performs one JSON round trip against the v1 surface: method and path
 // (e.g. "GET", "/v1/runs/run-000001"), an optional request body in, an
 // optional response destination out. Non-2xx responses become *APIError or
@@ -198,7 +189,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 // decodeAPIError turns a non-2xx response into *APIError, or *ContractError
 // when the response violates the envelope contract.
 func decodeAPIError(resp *http.Response, data []byte) error {
-	var env errorEnvelope
+	var env ErrorResponse
 	if err := json.Unmarshal(data, &env); err != nil || env.Error.Code == "" {
 		return &ContractError{Status: resp.StatusCode,
 			Detail: "non-2xx without a well-formed error envelope", Body: data}

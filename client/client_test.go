@@ -1,12 +1,14 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,138 +30,181 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestWireDrift pins the client mirrors to the daemon's wire types: the
-// same values must marshal to the same JSON, field for field. A failure
-// here means a daemon type changed without its client mirror.
-func TestWireDrift(t *testing.T) {
-	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	later := at.Add(3 * time.Second)
-
-	serverRun := server.RunView{
-		ID: "run-000001", State: "done", Error: "boom",
-		SubmittedAt: at, StartedAt: &at, FinishedAt: &later,
-		WallSeconds: 3, CacheKey: "k",
-		Spec: runqueue.Spec{
-			Workload: runqueue.WorkloadSpec{Mix: "w1", Load: 0.6, NCPU: 32, WindowS: 60, Seed: 7, UniformRequest: 4},
-			Options: runqueue.RunOptions{Policy: "pdpa", TargetEff: 0.7, HighEff: 0.9, Step: 2, BaseMPL: 3,
-				MaxStableTransitions: 5, FixedMPL: 8, NoiseSigma: 0.01, Seed: 9, NUMANodeSize: 4},
-		},
-		Result: json.RawMessage(`{"ok":true}`),
+// strictDecode decodes a response body into its client type, refusing any
+// field the type lacks, and fails unless the type marshals back to the same
+// JSON value. A failure means the daemon answered with a shape the client
+// schema does not describe.
+func strictDecode[T any](t *testing.T, name string, body []byte) T {
+	t.Helper()
+	var v T
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("%s: %s does not decode into %T: %v", name, body, v, err)
 	}
-	clientRun := client.RunView{
-		ID: "run-000001", State: "done", Error: "boom",
-		SubmittedAt: at, StartedAt: &at, FinishedAt: &later,
-		WallSeconds: 3, CacheKey: "k",
-		Spec: client.Spec{
-			Workload: client.Workload{Mix: "w1", Load: 0.6, NCPU: 32, WindowS: 60, Seed: 7, UniformRequest: 4},
-			Options: client.RunOptions{Policy: "pdpa", TargetEff: 0.7, HighEff: 0.9, Step: 2, BaseMPL: 3,
-				MaxStableTransitions: 5, FixedMPL: 8, NoiseSigma: 0.01, Seed: 9, NUMANodeSize: 4},
-		},
-		Result: json.RawMessage(`{"ok":true}`),
+	var want, got any
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
 	}
-	if a, b := mustJSON(t, serverRun), mustJSON(t, clientRun); a != b {
-		t.Errorf("RunView drift:\nserver %s\nclient %s", a, b)
+	if err := json.Unmarshal([]byte(mustJSON(t, v)), &got); err != nil {
+		t.Fatal(err)
 	}
-
-	serverSubmit := server.SubmitRequest{
-		Workload:  serverRun.Spec.Workload,
-		Options:   serverRun.Spec.Options,
-		DeadlineS: 5,
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s drift:\nwire   %s\nclient %s", name, body, mustJSON(t, v))
 	}
-	clientSubmit := client.SubmitRunRequest{
-		Workload:  clientRun.Spec.Workload,
-		Options:   clientRun.Spec.Options,
-		DeadlineS: 5,
-	}
-	if a, b := mustJSON(t, serverSubmit), mustJSON(t, clientSubmit); a != b {
-		t.Errorf("SubmitRequest drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverSweep := server.SweepSubmitRequest{
-		SweepSpec: runqueue.SweepSpec{
-			Policies: []string{"equip"}, Mixes: []string{"w1"}, Loads: []float64{0.5},
-			Seeds: []int64{1, 2}, NCPU: 32, WindowS: 30, UniformRequest: 2,
-			Options: serverRun.Spec.Options,
-		},
-		DeadlineS: 5,
-	}
-	clientSweep := client.SubmitSweepRequest{
-		SweepSpec: client.SweepSpec{
-			Policies: []string{"equip"}, Mixes: []string{"w1"}, Loads: []float64{0.5},
-			Seeds: []int64{1, 2}, NCPU: 32, WindowS: 30, UniformRequest: 2,
-			Options: clientRun.Spec.Options,
-		},
-		DeadlineS: 5,
-	}
-	if a, b := mustJSON(t, serverSweep), mustJSON(t, clientSweep); a != b {
-		t.Errorf("SweepSubmitRequest drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverEvent := runqueue.Event{RunID: "run-000001", State: runqueue.Running, At: at, Message: "m"}
-	clientEvent := client.Event{RunID: "run-000001", State: "running", At: at, Message: "m"}
-	if a, b := mustJSON(t, serverEvent), mustJSON(t, clientEvent); a != b {
-		t.Errorf("Event drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverVersion := server.VersionInfo{Service: "pdpad", Version: "v1", GoVersion: "go", APIRevision: 1, Role: "node"}
-	clientVersion := client.VersionInfo{Service: "pdpad", Version: "v1", GoVersion: "go", APIRevision: 1, Role: "node"}
-	if a, b := mustJSON(t, serverVersion), mustJSON(t, clientVersion); a != b {
-		t.Errorf("VersionInfo drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverReconcileReq := server.ReconcileRequest{IDs: []string{"run-000001", "run-000002"}}
-	clientReconcileReq := client.ReconcileRequest{IDs: []string{"run-000001", "run-000002"}}
-	if a, b := mustJSON(t, serverReconcileReq), mustJSON(t, clientReconcileReq); a != b {
-		t.Errorf("ReconcileRequest drift:\nserver %s\nclient %s", a, b)
-	}
-
-	serverReconcile := server.ReconcileResponse{Runs: []server.RunView{serverRun}, Missing: []string{"run-000009"}}
-	clientReconcile := client.ReconcileResult{Runs: []client.RunView{clientRun}, Missing: []string{"run-000009"}}
-	if a, b := mustJSON(t, serverReconcile), mustJSON(t, clientReconcile); a != b {
-		t.Errorf("ReconcileResponse drift:\nserver %s\nclient %s", a, b)
-	}
+	return v
 }
 
-// TestNodePlaneWireDrift pins the node-plane wire shapes — register and
-// heartbeat in both directions — to their client mirrors, the same way
-// TestWireDrift pins the run plane.
-func TestNodePlaneWireDrift(t *testing.T) {
-	fleetRegister := fleet.RegisterRequest{
-		Name: "n1", Addr: "http://127.0.0.1:1", APIRevision: 2,
-		CPUs: 32, BaseWorkers: 2, MaxWorkers: 4,
+// rawCall performs one v1 call and returns the response body undecoded.
+func rawCall(ctx context.Context, t *testing.T, cli *client.Client, method, path string, in any) []byte {
+	t.Helper()
+	var raw json.RawMessage
+	if err := cli.Do(ctx, method, path, in, &raw); err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
 	}
-	clientRegister := client.NodeRegisterRequest{
-		Name: "n1", Addr: "http://127.0.0.1:1", APIRevision: 2,
-		CPUs: 32, BaseWorkers: 2, MaxWorkers: 4,
+	return raw
+}
+
+// TestWireDrift pins the run plane's wire to the client types. The runqueue
+// types that carry simulator methods are built from the client types and
+// must marshal to the same JSON for the same values; runqueue.Event, still
+// a struct of its own, must match client.Event field for field in every
+// state; and every body a standalone daemon answers with must decode into
+// its client type with no field left over.
+func TestWireDrift(t *testing.T) {
+	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+
+	spec := client.Spec{
+		Workload: client.Workload{Mix: "w1", Load: 0.6, NCPU: 32, WindowS: 60, Seed: 7, UniformRequest: 4},
+		Options: client.RunOptions{Policy: "pdpa", TargetEff: 0.7, HighEff: 0.9, Step: 2, BaseMPL: 3,
+			MaxStableTransitions: 5, FixedMPL: 8, NoiseSigma: 0.01, Seed: 9, NUMANodeSize: 4},
 	}
-	if a, b := mustJSON(t, fleetRegister), mustJSON(t, clientRegister); a != b {
-		t.Errorf("RegisterRequest drift:\nfleet %s\nclient %s", a, b)
+	if a, b := mustJSON(t, runqueue.Spec(spec)), mustJSON(t, spec); a != b {
+		t.Errorf("Spec drift:\nrunqueue %s\nclient   %s", a, b)
 	}
 	// The zero-value shapes must agree too: omitempty mismatches only show
 	// up on zero fields.
-	if a, b := mustJSON(t, fleet.RegisterRequest{}), mustJSON(t, client.NodeRegisterRequest{}); a != b {
-		t.Errorf("RegisterRequest zero drift:\nfleet %s\nclient %s", a, b)
+	if a, b := mustJSON(t, runqueue.Spec{}), mustJSON(t, client.Spec{}); a != b {
+		t.Errorf("Spec zero drift:\nrunqueue %s\nclient   %s", a, b)
 	}
 
-	fleetRegResp := fleet.RegisterResponse{ID: "node-001", HeartbeatIntervalS: 2.5}
-	clientRegResp := client.NodeRegisterResponse{ID: "node-001", HeartbeatIntervalS: 2.5}
-	if a, b := mustJSON(t, fleetRegResp), mustJSON(t, clientRegResp); a != b {
-		t.Errorf("RegisterResponse drift:\nfleet %s\nclient %s", a, b)
+	sweep := client.SweepSpec{
+		Policies: []string{"equip"}, Mixes: []string{"w1"}, Loads: []float64{0.5},
+		Seeds: []int64{1, 2}, NCPU: 32, WindowS: 30, UniformRequest: 2,
+		Options: spec.Options,
+	}
+	if a, b := mustJSON(t, runqueue.SweepSpec(sweep)), mustJSON(t, sweep); a != b {
+		t.Errorf("SweepSpec drift:\nrunqueue %s\nclient   %s", a, b)
+	}
+	if a, b := mustJSON(t, runqueue.SweepSpec{}), mustJSON(t, client.SweepSpec{}); a != b {
+		t.Errorf("SweepSpec zero drift:\nrunqueue %s\nclient   %s", a, b)
 	}
 
-	fleetBeat := fleet.HeartbeatRequest{QueueDepth: 3, Inflight: 2, Draining: true}
-	clientBeat := client.NodeHeartbeatRequest{QueueDepth: 3, Inflight: 2, Draining: true}
-	if a, b := mustJSON(t, fleetBeat), mustJSON(t, clientBeat); a != b {
-		t.Errorf("HeartbeatRequest drift:\nfleet %s\nclient %s", a, b)
+	for _, st := range []runqueue.State{runqueue.Queued, runqueue.Running, runqueue.Done, runqueue.Failed, runqueue.Canceled} {
+		rq := runqueue.Event{RunID: "run-000001", State: st, At: at, Message: "m"}
+		cl := client.Event{RunID: "run-000001", State: string(st), At: at, Message: "m"}
+		if a, b := mustJSON(t, rq), mustJSON(t, cl); a != b {
+			t.Errorf("Event drift in state %s:\nrunqueue %s\nclient   %s", st, a, b)
+		}
 	}
-	if a, b := mustJSON(t, fleet.HeartbeatRequest{}), mustJSON(t, client.NodeHeartbeatRequest{}); a != b {
-		t.Errorf("HeartbeatRequest zero drift:\nfleet %s\nclient %s", a, b)
+	if a, b := mustJSON(t, runqueue.Event{}), mustJSON(t, client.Event{}); a != b {
+		t.Errorf("Event zero drift:\nrunqueue %s\nclient   %s", a, b)
 	}
 
-	fleetBeatResp := fleet.HeartbeatResponse{State: fleet.StateDrained}
-	clientBeatResp := client.NodeHeartbeatResponse{State: "drained"}
-	if a, b := mustJSON(t, fleetBeatResp), mustJSON(t, clientBeatResp); a != b {
-		t.Errorf("HeartbeatResponse drift:\nfleet %s\nclient %s", a, b)
+	cli, _ := newDaemon(t, runqueue.Config{Warmup: time.Millisecond, Simulate: instantSim})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	strictDecode[client.VersionInfo](t, "VersionInfo", rawCall(ctx, t, cli, http.MethodGet, "/v1/version", nil))
+	strictDecode[client.Health](t, "Health", rawCall(ctx, t, cli, http.MethodGet, "/healthz", nil))
+
+	sub := strictDecode[client.SubmitResult](t, "SubmitResult", rawCall(ctx, t, cli, http.MethodPost, "/v1/runs",
+		client.SubmitRunRequest{Workload: client.Workload{Mix: "w1", Seed: 1}, Options: client.RunOptions{Policy: "equip"}}))
+	if _, err := cli.WaitRun(ctx, sub.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	strictDecode[client.RunView](t, "RunView", rawCall(ctx, t, cli, http.MethodGet, "/v1/runs/"+sub.ID, nil))
+	strictDecode[client.RunPage](t, "RunPage", rawCall(ctx, t, cli, http.MethodGet, "/v1/runs", nil))
+	rec := strictDecode[client.ReconcileResult](t, "ReconcileResult", rawCall(ctx, t, cli, http.MethodPost, "/v1/runs/reconcile",
+		client.ReconcileRequest{IDs: []string{sub.ID, "run-999999"}}))
+	if len(rec.Runs) != 1 || len(rec.Missing) != 1 {
+		t.Errorf("reconcile = %+v, want one run and one missing", rec)
+	}
+
+	ssub := strictDecode[client.SweepSubmitResult](t, "SweepSubmitResult", rawCall(ctx, t, cli, http.MethodPost, "/v1/sweeps",
+		client.SubmitSweepRequest{SweepSpec: client.SweepSpec{
+			Policies: []string{"equip"}, Mixes: []string{"w1"}, Loads: []float64{0.5}, Seeds: []int64{1, 2}, NCPU: 32, WindowS: 30,
+		}}))
+	if _, err := cli.WaitSweep(ctx, ssub.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	strictDecode[client.SweepView](t, "SweepView", rawCall(ctx, t, cli, http.MethodGet, "/v1/sweeps/"+ssub.ID, nil))
+	strictDecode[client.SweepPage](t, "SweepPage", rawCall(ctx, t, cli, http.MethodGet, "/v1/sweeps", nil))
+}
+
+// TestNodePlaneWireDrift pins the node plane the same way TestWireDrift pins
+// the run plane: register, heartbeat, the node list and the node actions
+// answer in the client's Node* shapes, and every fleet.NodeState the
+// coordinator reports is the string the client types document.
+func TestNodePlaneWireDrift(t *testing.T) {
+	coord, err := fleet.NewCoordinator(fleet.Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord)
+	cli := client.New(ts.URL)
+	t.Cleanup(func() {
+		coord.Close()
+		ts.Close()
+		cli.CloseIdleConnections()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// A registration with every optional field left out must be accepted:
+	// the zero-value shape is what omitempty puts on the wire.
+	reg := strictDecode[client.NodeRegisterResponse](t, "NodeRegisterResponse", rawCall(ctx, t, cli, http.MethodPost,
+		"/v1/nodes/register", client.NodeRegisterRequest{Addr: "http://127.0.0.1:1", APIRevision: server.APIRevision}))
+	if reg.ID == "" || reg.HeartbeatIntervalS <= 0 {
+		t.Fatalf("register = %+v", reg)
+	}
+	beat := func(req client.NodeHeartbeatRequest, want fleet.NodeState) {
+		t.Helper()
+		resp := strictDecode[client.NodeHeartbeatResponse](t, "NodeHeartbeatResponse",
+			rawCall(ctx, t, cli, http.MethodPost, "/v1/nodes/"+reg.ID+"/heartbeat", req))
+		if resp.State != string(want) {
+			t.Errorf("heartbeat state = %q, want %q", resp.State, want)
+		}
+	}
+	beat(client.NodeHeartbeatRequest{}, fleet.StateHealthy)
+	beat(client.NodeHeartbeatRequest{QueueDepth: 3, Inflight: 2, Draining: true}, fleet.StateHealthy)
+
+	page := strictDecode[client.NodePage](t, "NodePage", rawCall(ctx, t, cli, http.MethodGet, "/v1/nodes", nil))
+	if len(page.Nodes) != 1 || page.Nodes[0].State != string(fleet.StateHealthy) || page.Nodes[0].QueueDepth != 3 || !page.Nodes[0].Draining {
+		t.Fatalf("nodes = %+v", page)
+	}
+	health := strictDecode[client.Health](t, "Health", rawCall(ctx, t, cli, http.MethodGet, "/healthz", nil))
+	if health.Nodes == nil || *health.Nodes != 1 || health.Healthy == nil || *health.Healthy != 1 {
+		t.Errorf("coordinator health = %+v, want node counts of 1", health)
+	}
+
+	v := strictDecode[client.NodeView](t, "NodeView", rawCall(ctx, t, cli, http.MethodPost, "/v1/nodes/"+reg.ID+"/cordon", nil))
+	if v.State != string(fleet.StateCordoned) || !v.Cordoned {
+		t.Errorf("cordoned view = %+v", v)
+	}
+	beat(client.NodeHeartbeatRequest{}, fleet.StateCordoned)
+
+	v = strictDecode[client.NodeView](t, "NodeView", rawCall(ctx, t, cli, http.MethodPost, "/v1/nodes/"+reg.ID+"/drain", nil))
+	if v.State != string(fleet.StateDrained) {
+		t.Errorf("drained view = %+v", v)
+	}
+	// A node drained by hand is out of the fleet: its next heartbeat is
+	// told to re-register. Only a scale-down drain answers "drained".
+	var resp client.NodeHeartbeatResponse
+	err = cli.Do(ctx, http.MethodPost, "/v1/nodes/"+reg.ID+"/heartbeat", client.NodeHeartbeatRequest{}, &resp)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != server.CodeNotFound {
+		t.Errorf("heartbeat after drain: resp %+v, err %v, want 404 %s", resp, err, server.CodeNotFound)
 	}
 }
 
@@ -296,7 +341,7 @@ func TestRetriesShed(t *testing.T) {
 				fmt.Errorf("shed"), 1)
 			return
 		}
-		server.WriteJSON(w, http.StatusAccepted, server.SubmitResponse{ID: "run-000001", State: "queued"})
+		server.WriteJSON(w, http.StatusAccepted, client.SubmitResult{ID: "run-000001", State: "queued"})
 	}))
 	defer ts.Close()
 	cli := client.New(ts.URL, client.WithRetries(3), client.WithRetryWaitCap(time.Millisecond))
@@ -342,7 +387,7 @@ func TestContractErrors(t *testing.T) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Retry-After", "99")
 			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(server.ErrorResponse{Error: server.ErrorBody{
+			json.NewEncoder(w).Encode(client.ErrorResponse{Error: client.ErrorBody{
 				Code: server.CodeOverloaded, Message: "shed", RetryAfterSeconds: 1,
 			}})
 		}},

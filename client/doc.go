@@ -35,9 +35,13 @@
 //   - /metrics scrapes               →  Metrics, which sums each family's
 //     series by base name.
 //
-// Wire types here deliberately mirror the server's JSON shapes rather than
-// importing them, keeping the package importable outside this module; the
-// client_test drift tests pin the two sets of shapes to each other.
+// The wire types here are the v1 schema itself, not mirrors of it: the
+// daemon's HTTP surface (internal/server), the fleet coordinator, and the
+// runqueue pool build every request and response body from them, so there
+// is no second definition to drift from. The server's wire-contract test
+// replays one request script against a standalone daemon and a coordinator
+// and pins the resulting bytes. The package imports nothing from the daemon
+// internals, keeping it importable outside this module.
 //
 // # Coordinator restarts and retries
 //

@@ -1,19 +1,21 @@
 package client
 
-// Wire-type mirrors of the v1 API. JSON tags match the server's types
-// field for field (the drift tests in client_test.go enforce it); the
-// mirrors exist so this package imports nothing from the daemon internals.
+// The v1 wire schema. These types are the one definition of every v1 JSON
+// body: the daemon's HTTP surface (internal/server), the fleet coordinator,
+// and the runqueue pool all build their requests and responses from them,
+// and the pool's spec types are these types with simulator methods added.
+// The package still imports nothing from the daemon internals, so it stays
+// importable outside this module.
 
 import (
 	"encoding/json"
 	"time"
 )
 
-// Workload mirrors the server's workload spec: what workload to generate.
-// Zero fields take the simulator's defaults (load 1.0, 60 CPUs, 300 s
-// window).
+// Workload is what workload to generate. Zero fields take the simulator's
+// defaults (load 1.0, 60 CPUs, 300 s window).
 type Workload struct {
-	// Mix is "w1", "w2", "w3", or "w4".
+	// Mix is "w1", "w2", "w3", or "w4" (Table 1 of the paper).
 	Mix string `json:"mix"`
 	// Load is the estimated processor demand fraction; 0 means 1.0.
 	Load float64 `json:"load,omitempty"`
@@ -23,26 +25,34 @@ type Workload struct {
 	WindowS float64 `json:"window_s,omitempty"`
 	// Seed drives the arrival process.
 	Seed int64 `json:"seed,omitempty"`
-	// UniformRequest forces every job's processor request; 0 keeps tuned
-	// requests.
+	// UniformRequest forces every job's processor request (the paper's
+	// "not tuned" experiments use 30); 0 keeps tuned requests.
 	UniformRequest int `json:"uniform_request,omitempty"`
 }
 
-// RunOptions mirrors the server's scheduling options. PDPA parameters left
-// zero take the paper's defaults.
+// RunOptions is how to schedule the workload. PDPA parameters left zero
+// take the paper's defaults.
 type RunOptions struct {
 	// Policy is the scheduling regime: irix, gang, equip, equal_eff,
 	// dynamic, pdpa, or pdpa_adaptive.
-	Policy               string  `json:"policy"`
+	Policy string `json:"policy"`
+	// TargetEff, HighEff, Step, BaseMPL, and MaxStableTransitions override
+	// individual PDPA parameters; zero fields keep the paper's values.
 	TargetEff            float64 `json:"target_eff,omitempty"`
 	HighEff              float64 `json:"high_eff,omitempty"`
 	Step                 int     `json:"step,omitempty"`
 	BaseMPL              int     `json:"base_mpl,omitempty"`
 	MaxStableTransitions int     `json:"max_stable_transitions,omitempty"`
-	FixedMPL             int     `json:"fixed_mpl,omitempty"`
-	NoiseSigma           float64 `json:"noise_sigma,omitempty"`
-	Seed                 int64   `json:"seed,omitempty"`
-	NUMANodeSize         int     `json:"numa_node_size,omitempty"`
+	// FixedMPL is the fixed multiprogramming level for the non-PDPA
+	// regimes; 0 means 4.
+	FixedMPL int `json:"fixed_mpl,omitempty"`
+	// NoiseSigma is the SelfAnalyzer measurement noise; 0 means the default
+	// 1%, negative disables noise.
+	NoiseSigma float64 `json:"noise_sigma,omitempty"`
+	// Seed drives measurement noise.
+	Seed int64 `json:"seed,omitempty"`
+	// NUMANodeSize groups CPUs into NUMA nodes; 0 or 1 keeps a flat SMP.
+	NUMANodeSize int `json:"numa_node_size,omitempty"`
 }
 
 // Spec is a workload plus its scheduling options — one unit of work.
@@ -128,18 +138,22 @@ type Event struct {
 	Message string    `json:"message,omitempty"`
 }
 
-// SweepSpec mirrors the server's sweep grid: policies × mixes × loads ×
-// seeds, sharing workload parameters and scheduling options.
+// SweepSpec is a sweep grid: policies × mixes × loads × seeds, sharing
+// workload parameters and scheduling options. Each member run uses its seed
+// for both the workload and the measurement noise.
 type SweepSpec struct {
-	Policies []string  `json:"policies"`
-	Mixes    []string  `json:"mixes"`
-	Loads    []float64 `json:"loads,omitempty"`
-	Seeds    []int64   `json:"seeds,omitempty"`
-	NCPU     int       `json:"ncpu,omitempty"`
-	WindowS  float64   `json:"window_s,omitempty"`
-	// UniformRequest forces every job's processor request; 0 keeps tuned
-	// requests.
-	UniformRequest int `json:"uniform_request,omitempty"`
+	// Policies and Mixes span the grid (required, at least one each).
+	Policies []string `json:"policies"`
+	Mixes    []string `json:"mixes"`
+	// Loads are the demand levels; empty means {1.0}.
+	Loads []float64 `json:"loads,omitempty"`
+	// Seeds are the replicate seeds aggregated per cell; empty means {0}.
+	Seeds []int64 `json:"seeds,omitempty"`
+	// NCPU, WindowS, and UniformRequest parameterize workload generation
+	// exactly as Workload does.
+	NCPU           int     `json:"ncpu,omitempty"`
+	WindowS        float64 `json:"window_s,omitempty"`
+	UniformRequest int     `json:"uniform_request,omitempty"`
 	// Options carries the scheduling knobs shared by every member; its
 	// Policy and Seed fields are ignored (the grid supplies them).
 	Options RunOptions `json:"options,omitempty"`
@@ -198,19 +212,24 @@ type VersionInfo struct {
 }
 
 // Health is the GET /healthz payload. The coordinator role adds the node
-// counts; the standalone and node roles leave them zero.
+// counts; the standalone and node roles leave them nil. Fields are declared
+// in key order, which is the order the body has always been rendered in.
 type Health struct {
-	Status   string  `json:"status"`
-	UptimeS  float64 `json:"uptime_s"`
-	Queue    int     `json:"queue"`
-	Inflight int     `json:"inflight"`
-	Nodes    int     `json:"nodes,omitempty"`
-	Healthy  int     `json:"healthy,omitempty"`
+	// Healthy counts the nodes currently eligible for placements.
+	Healthy *int `json:"healthy,omitempty"`
+	// Inflight and Queue are the runs executing and waiting (fleet-wide on
+	// a coordinator, from the nodes' last heartbeats).
+	Inflight int `json:"inflight"`
+	// Nodes counts the registered nodes not yet drained.
+	Nodes *int `json:"nodes,omitempty"`
+	Queue int  `json:"queue"`
+	// Status is "ok", or "draining" once shutdown has begun.
+	Status  string  `json:"status"`
+	UptimeS float64 `json:"uptime_s"`
 }
 
 // NodeView is one fleet node as the coordinator reports it on GET
-// /v1/nodes. The coordinator itself uses this type to render the
-// endpoint, so client and server cannot drift.
+// /v1/nodes.
 type NodeView struct {
 	ID   string `json:"id"`
 	Name string `json:"name,omitempty"`
@@ -220,10 +239,10 @@ type NodeView struct {
 	State string `json:"state"`
 	// Cordoned is the manual placement stop, reported separately because
 	// it persists underneath the liveness states.
-	Cordoned    bool      `json:"cordoned,omitempty"`
-	CPUs        int       `json:"cpus,omitempty"`
-	BaseWorkers int       `json:"base_workers,omitempty"`
-	MaxWorkers  int       `json:"max_workers,omitempty"`
+	Cordoned     bool      `json:"cordoned,omitempty"`
+	CPUs         int       `json:"cpus,omitempty"`
+	BaseWorkers  int       `json:"base_workers,omitempty"`
+	MaxWorkers   int       `json:"max_workers,omitempty"`
 	RegisteredAt time.Time `json:"registered_at"`
 	// LastHeartbeatAt and Heartbeats describe the heartbeat stream;
 	// QueueDepth, Inflight, and Draining are the node's last snapshot.
@@ -243,29 +262,34 @@ type NodePage struct {
 	NextCursor string     `json:"next_cursor,omitempty"`
 }
 
-// NodeRegisterRequest mirrors the fleet's POST /v1/nodes/register payload:
-// a node announces its address, wire revision, and capacity.
+// NodeRegisterRequest is the fleet's POST /v1/nodes/register payload: a
+// node announces its address, wire revision, and capacity.
 type NodeRegisterRequest struct {
+	// Name is an optional human label; the coordinator assigns the ID.
 	Name string `json:"name,omitempty"`
-	// Addr is the node's advertised base URL.
+	// Addr is the node's advertised base URL (how the coordinator reaches
+	// its v1 surface).
 	Addr string `json:"addr"`
 	// APIRevision is the wire revision the node speaks; a mismatch with the
 	// coordinator's is refused with code incompatible_revision.
 	APIRevision int `json:"api_revision"`
+	// CPUs, BaseWorkers, and MaxWorkers describe capacity: the machine size
+	// its simulations model and the pool's MPL bounds.
 	CPUs        int `json:"cpus,omitempty"`
 	BaseWorkers int `json:"base_workers,omitempty"`
 	MaxWorkers  int `json:"max_workers,omitempty"`
 }
 
 // NodeRegisterResponse acknowledges a registration: the coordinator-assigned
-// node ID and the directed heartbeat cadence.
+// node ID (used in the heartbeat path and the node-plane endpoints) and the
+// directed heartbeat cadence.
 type NodeRegisterResponse struct {
 	ID                 string  `json:"id"`
 	HeartbeatIntervalS float64 `json:"heartbeat_interval_s"`
 }
 
-// NodeHeartbeatRequest mirrors the periodic node → coordinator liveness
-// report: the node's current queue-depth/MPL snapshot.
+// NodeHeartbeatRequest is the periodic node → coordinator liveness report:
+// the node's current queue-depth/MPL snapshot.
 type NodeHeartbeatRequest struct {
 	QueueDepth int  `json:"queue_depth"`
 	Inflight   int  `json:"inflight"`
@@ -276,4 +300,20 @@ type NodeHeartbeatRequest struct {
 // it. A "drained" answer is an instruction to leave the fleet.
 type NodeHeartbeatResponse struct {
 	State string `json:"state"`
+}
+
+// ErrorBody is the v1 error envelope's payload. Code is a stable
+// machine-readable discriminator; Message is free-form.
+type ErrorBody struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+	// RetryAfterSeconds suggests a pause before retrying; 0 (omitted) means
+	// the error is not retryable-after-a-wait. It mirrors the Retry-After
+	// header on the same response.
+	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
+}
+
+// ErrorResponse is the wire form of every non-2xx v1 JSON response.
+type ErrorResponse struct {
+	Error ErrorBody `json:"error"`
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,19 +9,13 @@ import (
 	"sync"
 	"time"
 
-	"pdpasim"
 	"pdpasim/client"
 	"pdpasim/internal/faults"
-	"pdpasim/internal/metrics"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/runqueue"
 	"pdpasim/internal/server"
 	"pdpasim/internal/store"
-	"pdpasim/internal/sweep"
 )
-
-// maxRequestBody mirrors the node daemon's submission size cap.
-const maxRequestBody = 1 << 20
 
 // Config parameterizes a Coordinator. The zero value works: round-robin
 // placement, default heartbeat timing, three requeues per run.
@@ -150,11 +143,12 @@ type csweep struct {
 	submitted time.Time
 }
 
-// Coordinator owns fleet admission and routing: it speaks the same v1 run
-// and sweep surface as a standalone daemon, plus the node plane. Create
-// with NewCoordinator; it implements http.Handler.
+// Coordinator owns fleet admission and routing. It is a server.Backend —
+// the v1 run and sweep surface is internal/server's, serving the
+// coordinator's routing table — plus the node plane mounted beside it.
+// Create with NewCoordinator; it implements http.Handler.
 type Coordinator struct {
-	mux       *http.ServeMux
+	srv       *server.Server
 	placement Placement
 	health    HealthConfig
 	maxReq    int
@@ -162,7 +156,6 @@ type Coordinator struct {
 	hc        *http.Client
 	now       func() time.Time
 	logf      func(string, ...any)
-	started   time.Time
 
 	mu       sync.Mutex
 	draining bool
@@ -198,7 +191,6 @@ type coordMetrics struct {
 	requeues         *obs.Counter
 	requeueFailures  *obs.Counter
 	nodeDeaths       *obs.Counter
-	recovered        *obs.Counter
 	storeErrors      *obs.Counter
 	recoveredNodes   *obs.Counter
 	recoveredRuns    *obs.Counter
@@ -235,7 +227,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.StoreCompactBytes = defaultStoreCompactBytes
 	}
 	c := &Coordinator{
-		mux:               http.NewServeMux(),
 		placement:         pl,
 		health:            cfg.Health.withDefaults(),
 		maxReq:            cfg.MaxRequeues,
@@ -243,7 +234,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		hc:                cfg.HTTPClient,
 		now:               cfg.Now,
 		logf:              cfg.Logf,
-		started:           cfg.Now(),
 		nodes:             map[string]*node{},
 		runs:              map[string]*crun{},
 		affinity:          map[string]*crun{},
@@ -263,16 +253,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		requeues:         c.reg.Counter("pdpad_fleet_requeues_total", "Runs re-placed after a node death or drain."),
 		requeueFailures:  c.reg.Counter("pdpad_fleet_requeue_failures_total", "Runs failed because re-placement was impossible or exhausted."),
 		nodeDeaths:       c.reg.Counter("pdpad_fleet_node_deaths_total", "Nodes declared dead after missed heartbeats."),
-		recovered: c.reg.LabeledCounter("pdpad_recovered_panics_total",
-			"Panics recovered without taking the daemon down, by origin.", "where", "http"),
-		storeErrors:     c.reg.Counter("pdpad_fleet_store_errors_total", "Coordinator store appends, compactions, or recovered records that failed (never fatal)."),
-		recoveredNodes:  c.reg.Counter("pdpad_fleet_recovered_nodes_total", "Node-ledger entries rehydrated from the store at startup."),
-		recoveredRuns:   c.reg.Counter("pdpad_fleet_recovered_runs_total", "Run-registry entries rehydrated from the store at startup."),
-		recoveredSweeps: c.reg.Counter("pdpad_fleet_recovered_sweeps_total", "Sweep shard maps rehydrated from the store at startup."),
-		reconciled:      c.reg.Counter("pdpad_fleet_reconciled_runs_total", "Runs whose state was settled with a returning node after a coordinator restart."),
-		adopted:         c.reg.Counter("pdpad_fleet_adopted_results_total", "Terminal results returning nodes reported during reconcile."),
-		scaleDown:       c.reg.Counter("pdpad_fleet_scale_down_signals_total", "Nodes scale-drained by the drain-on-idle elasticity hook."),
-		scaleUp:         c.reg.Counter("pdpad_fleet_scale_up_signals_total", "Backlog episodes that signalled the join-on-backlog elasticity hook."),
+		storeErrors:      c.reg.Counter("pdpad_fleet_store_errors_total", "Coordinator store appends, compactions, or recovered records that failed (never fatal)."),
+		recoveredNodes:   c.reg.Counter("pdpad_fleet_recovered_nodes_total", "Node-ledger entries rehydrated from the store at startup."),
+		recoveredRuns:    c.reg.Counter("pdpad_fleet_recovered_runs_total", "Run-registry entries rehydrated from the store at startup."),
+		recoveredSweeps:  c.reg.Counter("pdpad_fleet_recovered_sweeps_total", "Sweep shard maps rehydrated from the store at startup."),
+		reconciled:       c.reg.Counter("pdpad_fleet_reconciled_runs_total", "Runs whose state was settled with a returning node after a coordinator restart."),
+		adopted:          c.reg.Counter("pdpad_fleet_adopted_results_total", "Terminal results returning nodes reported during reconcile."),
+		scaleDown:        c.reg.Counter("pdpad_fleet_scale_down_signals_total", "Nodes scale-drained by the drain-on-idle elasticity hook."),
+		scaleUp:          c.reg.Counter("pdpad_fleet_scale_up_signals_total", "Backlog episodes that signalled the join-on-backlog elasticity hook."),
 	}
 	c.reg.GaugeFunc("pdpad_goroutines", "Live goroutines in the serving process (leak smoke-checks read this).",
 		func() float64 { return float64(runtime.NumGoroutine()) })
@@ -293,25 +281,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return float64(len(c.eligibleLocked(nil)))
 	})
 
-	c.mux.HandleFunc("POST /v1/runs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/runs", c.handleListRuns)
-	c.mux.HandleFunc("GET /v1/runs/{id}", c.handleGetRun)
-	c.mux.HandleFunc("DELETE /v1/runs/{id}", c.handleCancelRun)
-	c.mux.HandleFunc("GET /v1/runs/{id}/events", c.handleEvents)
-	c.mux.HandleFunc("GET /v1/runs/{id}/trace", c.handleTrace)
-	c.mux.HandleFunc("POST /v1/sweeps", c.handleSubmitSweep)
-	c.mux.HandleFunc("GET /v1/sweeps", c.handleListSweeps)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleGetSweep)
-	c.mux.HandleFunc("DELETE /v1/sweeps/{id}", c.handleCancelSweep)
-	c.mux.HandleFunc("POST /v1/nodes/register", c.handleRegister)
-	c.mux.HandleFunc("POST /v1/nodes/{id}/heartbeat", c.handleHeartbeat)
-	c.mux.HandleFunc("GET /v1/nodes", c.handleListNodes)
-	c.mux.HandleFunc("POST /v1/nodes/{id}/cordon", c.handleCordon)
-	c.mux.HandleFunc("POST /v1/nodes/{id}/uncordon", c.handleUncordon)
-	c.mux.HandleFunc("POST /v1/nodes/{id}/drain", c.handleDrainNode)
-	c.mux.HandleFunc("GET /v1/version", c.handleVersion)
-	c.mux.HandleFunc("GET /healthz", c.handleHealth)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
+	c.srv = server.New(c, server.WithRole(server.RoleCoordinator), server.WithFaults(cfg.Faults))
+	c.srv.HandleFunc("POST /v1/nodes/register", c.handleRegister)
+	c.srv.HandleFunc("POST /v1/nodes/{id}/heartbeat", c.handleHeartbeat)
+	c.srv.HandleFunc("GET /v1/nodes", c.handleListNodes)
+	c.srv.HandleFunc("POST /v1/nodes/{id}/cordon", c.handleCordon)
+	c.srv.HandleFunc("POST /v1/nodes/{id}/uncordon", c.handleUncordon)
+	c.srv.HandleFunc("POST /v1/nodes/{id}/drain", c.handleDrainNode)
 
 	// Rehydrate the routing table from the store before serving a single
 	// request and before the monitor can rule on liveness.
@@ -323,25 +299,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// ServeHTTP implements http.Handler with the same panic-recovery and
-// fault-injection front door as the node daemon.
+// ServeHTTP implements http.Handler: every route, node plane included,
+// passes through the server's front door (panic recovery and the
+// SiteHTTPRequest fault point).
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel, compared by identity
-			panic(rec)
-		}
-		c.met.recovered.Inc()
-		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, fmt.Errorf("internal error: %v", rec))
-	}()
-	if err := c.flts.Hit(r.Context(), faults.SiteHTTPRequest); err != nil {
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable, fmt.Errorf("injected fault: %w", err))
-		return
-	}
-	c.mux.ServeHTTP(w, r)
+	c.srv.ServeHTTP(w, r)
 }
 
 // Metrics exposes the coordinator's metric registry — the same numbers
@@ -602,8 +564,8 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 		exclude = map[string]bool{}
 	}
 	body := client.SubmitRunRequest{
-		Workload:  mirrorSpec(cr.spec).Workload,
-		Options:   mirrorSpec(cr.spec).Options,
+		Workload:  cr.spec.Workload,
+		Options:   cr.spec.Options,
 		DeadlineS: cr.deadlineS,
 	}
 	var lastErr error
@@ -717,7 +679,7 @@ func (c *Coordinator) failLocked(cr *crun, msg string) {
 		SubmittedAt: cr.submitted,
 		FinishedAt:  &now,
 		CacheKey:    cr.key,
-		Spec:        mirrorSpec(cr.spec),
+		Spec:        client.Spec(cr.spec),
 	}
 	cr.final = &v
 	cr.lastView = &v
@@ -725,22 +687,44 @@ func (c *Coordinator) failLocked(cr *crun, msg string) {
 	c.logf("fleet: run %s failed: %s", cr.id, msg)
 }
 
+// placementLocked resolves where a run lives: its node and the node-side
+// run ID. Every coordinator → node call about an existing run goes through
+// it. The node is nil when the run has no placement yet, or when its node
+// has not re-registered since a coordinator restart: that old address may
+// now answer for a different incarnation that reused the remote ID, so
+// nothing may be sent there.
+func (c *Coordinator) placementLocked(cr *crun) (*node, string) {
+	n := c.nodes[cr.nodeID]
+	if n == nil || n.pendingReconcile || cr.remoteID == "" {
+		return nil, ""
+	}
+	return n, cr.remoteID
+}
+
+// cancelOnNode asks a run's node to cancel it, best effort unless the
+// caller inspects the error.
+func (c *Coordinator) cancelOnNode(ctx context.Context, cr *crun) error {
+	c.mu.Lock()
+	n, remoteID := c.placementLocked(cr)
+	c.mu.Unlock()
+	if n == nil {
+		return nil
+	}
+	_, err := n.cli.CancelRun(ctx, remoteID)
+	return err
+}
+
 // refresh pulls a run's current view from its node, committing it unless
 // the run was re-placed meanwhile. Fetch errors leave the run as-is (the
 // monitor decides the node's fate, not a read path).
 func (c *Coordinator) refresh(ctx context.Context, cr *crun) {
 	c.mu.Lock()
-	if cr.final != nil || cr.remoteID == "" {
+	if cr.final != nil {
 		c.mu.Unlock()
 		return
 	}
-	n := c.nodes[cr.nodeID]
-	if n != nil && n.pendingReconcile {
-		// The node has not re-registered since the coordinator restart;
-		// its old address may answer for a different incarnation.
-		n = nil
-	}
-	remoteID, gen := cr.remoteID, cr.gen
+	n, remoteID := c.placementLocked(cr)
+	gen := cr.gen
 	c.mu.Unlock()
 	if n == nil {
 		return
@@ -843,73 +827,32 @@ func (c *Coordinator) remove(cr *crun) {
 }
 
 // ---------------------------------------------------------------------------
-// HTTP plumbing shared by the handlers.
+// The v1 run and sweep surface: the server.Backend methods.
 
-// decodeBody mirrors the node daemon's request decoding: 1 MiB cap (413),
-// unknown fields rejected (400).
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			server.WriteError(w, http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
-// writeSubmitError maps an admission or dispatch error onto the envelope.
-// Envelope errors from nodes are relayed verbatim — status, code, and retry
-// hint — so a fleet client sees exactly what a standalone client would.
-func writeSubmitError(w http.ResponseWriter, err error) {
+// wireError classifies a coordinator failure for the v1 envelope: its own
+// admission rejections, node envelopes relayed verbatim — status, code, and
+// retry hint, so a fleet client sees exactly what a standalone client would
+// — and anything else (a node that did not answer) as 502 node_unreachable.
+func wireError(err error) error {
+	var api *client.APIError
 	switch {
 	case errors.Is(err, errDraining):
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeDraining, err)
+		return &client.APIError{Status: http.StatusServiceUnavailable, Code: server.CodeDraining, Message: err.Error()}
 	case errors.Is(err, errNoHealthy):
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeNoHealthyNodes, err)
-	default:
-		relayError(w, err)
+		return &client.APIError{Status: http.StatusServiceUnavailable, Code: server.CodeNoHealthyNodes, Message: err.Error()}
+	case errors.As(err, &api):
+		return api
 	}
+	return &client.APIError{Status: http.StatusBadGateway, Code: server.CodeNodeUnreachable, Message: err.Error()}
 }
 
-// relayError forwards a node's envelope error as-is, or wraps transport
-// failures as 502 node_unreachable.
-func relayError(w http.ResponseWriter, err error) {
-	var api *client.APIError
-	if errors.As(err, &api) {
-		if api.RetryAfterSeconds > 0 {
-			server.WriteRetryError(w, api.Status, api.Code, errors.New(api.Message), api.RetryAfterSeconds)
-		} else {
-			server.WriteError(w, api.Status, api.Code, errors.New(api.Message))
-		}
-		return
-	}
-	server.WriteError(w, http.StatusBadGateway, server.CodeNodeUnreachable, err)
+func notFound(format string, args ...any) error {
+	return &client.APIError{Status: http.StatusNotFound, Code: server.CodeNotFound, Message: fmt.Sprintf(format, args...)}
 }
 
-// mirrorSpec converts the runqueue spec to the client mirror via JSON: the
-// tags match field for field, so the round trip is lossless.
-func mirrorSpec(s runqueue.Spec) client.Spec {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return client.Spec{}
-	}
-	var out client.Spec
-	if err := json.Unmarshal(b, &out); err != nil {
-		return client.Spec{}
-	}
-	return out
-}
-
-// viewLocked renders a run for the wire. client.RunView's tags mirror the
-// node daemon's RunView exactly, so coordinator responses are shaped
-// identically to standalone ones.
+// viewLocked renders a run for the wire: the serving node's latest view
+// with the run ID rewritten, so coordinator responses are shaped exactly
+// like standalone ones.
 func (c *Coordinator) viewLocked(cr *crun, includeResult bool) client.RunView {
 	var v client.RunView
 	switch {
@@ -920,7 +863,7 @@ func (c *Coordinator) viewLocked(cr *crun, includeResult bool) client.RunView {
 	default:
 		v = client.RunView{
 			ID: cr.id, State: cr.state, SubmittedAt: cr.submitted,
-			CacheKey: cr.key, Spec: mirrorSpec(cr.spec),
+			CacheKey: cr.key, Spec: client.Spec(cr.spec),
 		}
 	}
 	if !includeResult {
@@ -929,146 +872,94 @@ func (c *Coordinator) viewLocked(cr *crun, includeResult bool) client.RunView {
 	return v
 }
 
-// ---------------------------------------------------------------------------
-// Run plane.
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req server.SubmitRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.DeadlineS < 0 {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest,
-			fmt.Errorf("negative deadline_s %v", req.DeadlineS))
-		return
-	}
-	spec := runqueue.Spec{Workload: req.Workload, Options: req.Options}
-	if err := spec.Validate(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
-		return
-	}
-	out, _, err := c.submitOne(r.Context(), spec, req.DeadlineS)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	status := http.StatusAccepted
-	if out.cacheHit {
-		status = http.StatusOK
-	}
-	server.WriteJSON(w, status, server.SubmitResponse{
-		ID: out.id, State: out.state, CacheHit: out.cacheHit, Deduped: out.deduped,
-	})
-}
-
-func (c *Coordinator) lookupRun(w http.ResponseWriter, id string) *crun {
+func (c *Coordinator) lookupRun(id string) (*crun, error) {
 	c.mu.Lock()
 	cr := c.runs[id]
 	c.mu.Unlock()
 	if cr == nil {
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
-			fmt.Errorf("fleet: no run %q", id))
+		return nil, notFound("fleet: no run %q", id)
 	}
-	return cr
+	return cr, nil
 }
 
-func (c *Coordinator) handleGetRun(w http.ResponseWriter, r *http.Request) {
-	cr := c.lookupRun(w, r.PathValue("id"))
-	if cr == nil {
-		return
+// SubmitRun admits one run: deduplicated against the fleet-wide affinity
+// index, or placed on a node with failover.
+func (c *Coordinator) SubmitRun(ctx context.Context, req client.SubmitRunRequest) (client.SubmitResult, error) {
+	spec := runqueue.Spec{Workload: req.Workload, Options: req.Options}
+	if err := spec.Validate(); err != nil {
+		return client.SubmitResult{}, err
 	}
-	c.refresh(r.Context(), cr)
+	out, _, err := c.submitOne(ctx, spec, req.DeadlineS)
+	if err != nil {
+		return client.SubmitResult{}, wireError(err)
+	}
+	return client.SubmitResult{ID: out.id, State: out.state, CacheHit: out.cacheHit, Deduped: out.deduped}, nil
+}
+
+// Run refreshes a run from its node and returns its view.
+func (c *Coordinator) Run(ctx context.Context, id string) (client.RunView, error) {
+	cr, err := c.lookupRun(id)
+	if err != nil {
+		return client.RunView{}, err
+	}
+	c.refresh(ctx, cr)
 	c.mu.Lock()
-	v := c.viewLocked(cr, true)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, v)
+	defer c.mu.Unlock()
+	return c.viewLocked(cr, true), nil
 }
 
-func (c *Coordinator) handleCancelRun(w http.ResponseWriter, r *http.Request) {
-	cr := c.lookupRun(w, r.PathValue("id"))
-	if cr == nil {
-		return
+// CancelRun cancels a run on its node and returns the refreshed view. A
+// node that does not answer fails the call; a node envelope (the run is
+// already gone there) does not.
+func (c *Coordinator) CancelRun(ctx context.Context, id string) (client.RunView, error) {
+	cr, err := c.lookupRun(id)
+	if err != nil {
+		return client.RunView{}, err
 	}
 	c.mu.Lock()
 	final := cr.final
-	n := c.nodes[cr.nodeID]
-	if n != nil && n.pendingReconcile {
-		n = nil
-	}
-	remoteID := cr.remoteID
 	c.mu.Unlock()
-	if final == nil && n != nil && remoteID != "" {
-		if _, err := n.cli.CancelRun(r.Context(), remoteID); err != nil {
+	if final == nil {
+		if err := c.cancelOnNode(ctx, cr); err != nil {
 			var api *client.APIError
 			if !errors.As(err, &api) {
-				relayError(w, err)
-				return
+				return client.RunView{}, wireError(err)
 			}
 		}
-		c.refresh(r.Context(), cr)
+		c.refresh(ctx, cr)
 	}
 	c.mu.Lock()
-	v := c.viewLocked(cr, false)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, v)
+	defer c.mu.Unlock()
+	return c.viewLocked(cr, false), nil
 }
 
-func (c *Coordinator) handleListRuns(w http.ResponseWriter, r *http.Request) {
-	p, err := server.ParsePageParams(r, "queued", "running", "done", "failed", "canceled")
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
-		return
-	}
+// ListRuns refreshes every pending run and returns all views, newest first.
+func (c *Coordinator) ListRuns(ctx context.Context) []client.RunView {
 	for _, cr := range c.pendingRuns() {
-		c.refresh(r.Context(), cr)
+		c.refresh(ctx, cr)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	views := make([]client.RunView, 0, len(c.runOrder))
 	for i := len(c.runOrder) - 1; i >= 0; i-- { // newest first
 		views = append(views, c.viewLocked(c.runOrder[i], false))
 	}
-	c.mu.Unlock()
-	page, next := server.Paginate(views, p,
-		func(v client.RunView) string { return v.ID },
-		func(v client.RunView) bool { return p.State == "" || v.State == p.State })
-	server.WriteJSON(w, http.StatusOK, client.RunPage{Runs: page, NextCursor: next})
+	return views
 }
 
-// handleEvents streams a run's lifecycle as SSE, proxying the serving
-// node's stream with the run ID rewritten. If the serving node dies
-// mid-stream, the proxy follows the run to its requeued placement (or its
-// deterministic failure) instead of going silent.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, errors.New("streaming unsupported"))
-		return
-	}
-	cr := c.lookupRun(w, r.PathValue("id"))
-	if cr == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	emit := func(ev client.Event) {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "event: state\ndata: %s\n\n", data)
-		flusher.Flush()
+// FollowRun proxies the serving node's event stream with the run ID
+// rewritten. If the serving node dies mid-stream, it follows the run to its
+// requeued placement (or its deterministic failure) instead of going
+// silent.
+func (c *Coordinator) FollowRun(ctx context.Context, id string, emit func(client.Event)) error {
+	cr, err := c.lookupRun(id)
+	if err != nil {
+		return err
 	}
 	for {
 		c.mu.Lock()
 		final := cr.final
-		n := c.nodes[cr.nodeID]
-		if n != nil && n.pendingReconcile {
-			n = nil
-		}
-		remoteID := cr.remoteID
+		n, remoteID := c.placementLocked(cr)
 		c.mu.Unlock()
 		if final != nil {
 			at := c.now()
@@ -1076,102 +967,76 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 				at = *final.FinishedAt
 			}
 			emit(client.Event{RunID: cr.id, State: final.State, At: at, Message: final.Error})
-			return
+			return nil
 		}
 		sawTerminal := false
-		if n != nil && remoteID != "" {
-			err := n.cli.FollowRun(r.Context(), remoteID, func(ev client.Event) bool {
+		if n != nil {
+			err := n.cli.FollowRun(ctx, remoteID, func(ev client.Event) bool {
 				ev.RunID = cr.id
 				emit(ev)
 				sawTerminal = client.Terminal(ev.State)
 				return true
 			})
-			if err != nil && r.Context().Err() != nil {
-				return
+			if err != nil && ctx.Err() != nil {
+				return ctx.Err()
 			}
 			if sawTerminal {
-				c.refresh(r.Context(), cr)
-				return
+				c.refresh(ctx, cr)
+				return nil
 			}
 		}
 		// Stream ended without a terminal state: the node is gone or the
 		// run moved. Wait for the monitor to settle the run's fate, then
 		// loop to follow its new placement (or emit its final state).
 		select {
-		case <-r.Context().Done():
-			return
+		case <-ctx.Done():
+			return ctx.Err()
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
 }
 
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	cr := c.lookupRun(w, r.PathValue("id"))
-	if cr == nil {
-		return
+// Trace fetches a run's decision trace from its node.
+func (c *Coordinator) Trace(ctx context.Context, id string) ([]byte, error) {
+	cr, err := c.lookupRun(id)
+	if err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
-	n := c.nodes[cr.nodeID]
-	if n != nil && n.pendingReconcile {
-		n = nil
-	}
-	remoteID := cr.remoteID
+	n, remoteID := c.placementLocked(cr)
 	c.mu.Unlock()
-	if n == nil || remoteID == "" {
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
-			fmt.Errorf("fleet: run %s has no reachable decision trace", cr.id))
-		return
+	if n == nil {
+		return nil, notFound("fleet: run %s has no reachable decision trace", cr.id)
 	}
-	raw, err := n.cli.Trace(r.Context(), remoteID)
+	raw, err := n.cli.Trace(ctx, remoteID)
 	if err != nil {
-		relayError(w, err)
-		return
+		return nil, wireError(err)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
+	return raw, nil
 }
 
-// ---------------------------------------------------------------------------
-// Sweep plane.
-
-func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req server.SweepSubmitRequest
-	if !decodeBody(w, r, &req) {
-		return
+// SubmitSweep shards a grid across the fleet member by member. Members
+// dispatch in placement order (LPT sorts by cost) but run IDs keep grid
+// order, which is what reassembly indexes by. Batch admission is atomic: a
+// member that cannot be placed unwinds the members already placed.
+func (c *Coordinator) SubmitSweep(ctx context.Context, req client.SubmitSweepRequest) (client.SweepSubmitResult, error) {
+	spec := runqueue.SweepSpec(req.SweepSpec)
+	if err := spec.Validate(); err != nil {
+		return client.SweepSubmitResult{}, err
 	}
-	if req.DeadlineS < 0 {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest,
-			fmt.Errorf("negative deadline_s %v", req.DeadlineS))
-		return
-	}
-	if err := req.SweepSpec.Validate(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
-		return
-	}
-	resolved := req.SweepSpec.WithDefaults()
+	resolved := spec.WithDefaults()
 	members := resolved.Members()
 
-	// Shard: members dispatch in placement order (LPT sorts by cost) but
-	// runIDs keep grid order, which is what reassembly indexes by.
 	outcomes := make([]submitOutcome, len(members))
 	var created []*crun
 	for _, idx := range c.lptOrder(members) {
-		out, cr, err := c.submitOne(r.Context(), members[idx], req.DeadlineS)
+		out, cr, err := c.submitOne(ctx, members[idx], req.DeadlineS)
 		if err != nil {
-			// Batch admission is atomic: unwind the members already placed.
 			for _, u := range created {
-				c.mu.Lock()
-				n := c.nodes[u.nodeID]
-				remoteID := u.remoteID
-				c.mu.Unlock()
-				if n != nil && remoteID != "" {
-					n.cli.CancelRun(r.Context(), remoteID)
-				}
+				c.cancelOnNode(ctx, u)
 				c.remove(u)
 			}
-			writeSubmitError(w, err)
-			return
+			return client.SweepSubmitResult{}, wireError(err)
 		}
 		outcomes[idx] = out
 		if cr != nil {
@@ -1180,42 +1045,43 @@ func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) 
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.swSeq++
 	cs := &csweep{
 		id:        fmt.Sprintf("sweep-%06d", c.swSeq),
 		spec:      resolved,
 		submitted: c.now(),
 	}
-	resp := server.SweepSubmitResponse{ID: cs.id}
+	res := client.SweepSubmitResult{ID: cs.id}
 	for _, out := range outcomes {
 		cs.runIDs = append(cs.runIDs, out.id)
-		resp.RunIDs = append(resp.RunIDs, out.id)
+		res.RunIDs = append(res.RunIDs, out.id)
 		if out.cacheHit {
-			resp.CacheHits++
+			res.CacheHits++
 		}
 		if out.deduped {
-			resp.Deduped++
+			res.Deduped++
 		}
 	}
 	c.sweeps[cs.id] = cs
 	c.swOrder = append(c.swOrder, cs)
 	c.persistSweepLocked(cs)
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusAccepted, resp)
+	return res, nil
 }
 
-// sweepStatus aggregates a sweep exactly as a single pool does: the same
-// member state machine, and — once every member is done — the same
-// per-cell Summarize over the members' exports in grid order. That is the
-// byte-identity contract: fleet cells equal standalone cells.
-func (c *Coordinator) sweepStatus(ctx context.Context, cs *csweep) server.SweepView {
+// sweepView refreshes a sweep's members and aggregates them exactly as a
+// single pool does (runqueue.SweepSpec.View): the same member state
+// machine and, once every member is done, the same per-cell Summarize over
+// the members' results in grid order. That is the byte-identity contract:
+// fleet cells equal standalone cells.
+func (c *Coordinator) sweepView(ctx context.Context, cs *csweep, detail bool) client.SweepView {
 	c.mu.Lock()
-	members := make([]*crun, len(cs.runIDs))
+	runs := make([]*crun, len(cs.runIDs))
 	for i, id := range cs.runIDs {
-		members[i] = c.runs[id]
+		runs[i] = c.runs[id]
 	}
 	c.mu.Unlock()
-	for _, cr := range members {
+	for _, cr := range runs {
 		if cr != nil {
 			c.refresh(ctx, cr)
 		}
@@ -1223,135 +1089,61 @@ func (c *Coordinator) sweepStatus(ctx context.Context, cs *csweep) server.SweepV
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v := server.SweepView{
-		ID:          cs.id,
-		State:       string(runqueue.Queued),
-		Total:       len(cs.runIDs),
-		SubmittedAt: cs.submitted,
-		Spec:        cs.spec,
-		RunIDs:      cs.runIDs,
-	}
-	allDone := true
-	anyStarted := false
-	var exports []metrics.Export
-	for i, cr := range members {
-		if cr == nil {
-			v.Errors = append(v.Errors, fmt.Sprintf("%s: evicted from history", cs.runIDs[i]))
-			v.State = string(runqueue.Failed)
-			return v
-		}
-		state := cr.state
-		if cr.final != nil {
-			state = cr.final.State
-		}
-		if state != string(runqueue.Queued) {
-			anyStarted = true
-		}
-		if cr.final != nil {
-			v.Done++
-		}
-		switch state {
-		case string(runqueue.Done):
-			if allDone {
-				var ex metrics.Export
-				if err := json.Unmarshal(cr.final.Result, &ex); err != nil {
-					v.Errors = append(v.Errors, fmt.Sprintf("%s: decoding result: %v", cr.id, err))
-					v.State = string(runqueue.Failed)
-					return v
-				}
-				exports = append(exports, ex)
-			}
-		case string(runqueue.Failed):
-			allDone = false
-			v.State = string(runqueue.Failed)
-			if cr.final != nil && cr.final.Error != "" {
-				v.Errors = append(v.Errors, fmt.Sprintf("%s: %s", cr.id, cr.final.Error))
-			}
-		case string(runqueue.Canceled):
-			allDone = false
-			if v.State != string(runqueue.Failed) {
-				v.State = string(runqueue.Canceled)
-			}
+	members := make([]runqueue.SweepMember, len(runs))
+	for i, cr := range runs {
+		switch {
+		case cr == nil:
+			members[i] = runqueue.SweepMember{ID: cs.runIDs[i], Missing: true}
+		case cr.final != nil:
+			members[i] = runqueue.SweepMember{ID: cr.id, State: runqueue.State(cr.final.State),
+				Err: cr.final.Error, Result: cr.final.Result}
+		case client.Terminal(cr.state):
+			// Terminal on the node but not yet fetched: still in flight here.
+			members[i] = runqueue.SweepMember{ID: cr.id, State: runqueue.Running}
 		default:
-			allDone = false
+			members[i] = runqueue.SweepMember{ID: cr.id, State: runqueue.State(cr.state)}
 		}
 	}
-	if v.State == string(runqueue.Queued) && anyStarted {
-		v.State = string(runqueue.Running)
-	}
-	if !allDone {
-		return v
-	}
-	v.State = string(runqueue.Done)
-	nseeds := len(cs.spec.Seeds)
-	i := 0
-	for _, mix := range cs.spec.Mixes {
-		for _, load := range cs.spec.Loads {
-			for _, pol := range cs.spec.Policies {
-				v.Cells = append(v.Cells, sweep.Summarize(
-					canonicalPolicy(pol), mix, load, cs.spec.Seeds, exports[i:i+nseeds]))
-				i += nseeds
-			}
-		}
-	}
-	return v
+	return cs.spec.View(cs.id, cs.submitted, members, detail)
 }
 
-// canonicalPolicy matches the pool's: cells carry the simulator's name for
-// the policy, not the submitter's spelling.
-func canonicalPolicy(pol string) string {
-	if p, err := pdpasim.ParsePolicy(pol); err == nil {
-		return string(p)
-	}
-	return pol
-}
-
-func (c *Coordinator) lookupSweep(w http.ResponseWriter, id string) *csweep {
+func (c *Coordinator) lookupSweep(id string) (*csweep, error) {
 	c.mu.Lock()
 	cs := c.sweeps[id]
 	c.mu.Unlock()
 	if cs == nil {
-		server.WriteError(w, http.StatusNotFound, server.CodeNotFound,
-			fmt.Errorf("fleet: no sweep %q", id))
+		return nil, notFound("fleet: no sweep %q", id)
 	}
-	return cs
+	return cs, nil
 }
 
-func (c *Coordinator) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	cs := c.lookupSweep(w, r.PathValue("id"))
-	if cs == nil {
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, c.sweepStatus(r.Context(), cs))
-}
-
-func (c *Coordinator) handleListSweeps(w http.ResponseWriter, r *http.Request) {
-	p, err := server.ParsePageParams(r, "queued", "running", "done", "failed", "canceled")
+// Sweep returns a sweep's refreshed view.
+func (c *Coordinator) Sweep(ctx context.Context, id string) (client.SweepView, error) {
+	cs, err := c.lookupSweep(id)
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidRequest, err)
-		return
+		return client.SweepView{}, err
 	}
+	return c.sweepView(ctx, cs, true), nil
+}
+
+// Sweeps returns every sweep's refreshed view, newest first.
+func (c *Coordinator) Sweeps(ctx context.Context) []client.SweepView {
 	c.mu.Lock()
 	sweeps := make([]*csweep, len(c.swOrder))
 	copy(sweeps, c.swOrder)
 	c.mu.Unlock()
-	views := make([]server.SweepView, 0, len(sweeps))
+	views := make([]client.SweepView, 0, len(sweeps))
 	for i := len(sweeps) - 1; i >= 0; i-- { // newest first
-		v := c.sweepStatus(r.Context(), sweeps[i])
-		v.RunIDs = nil
-		v.Cells = nil
-		views = append(views, v)
+		views = append(views, c.sweepView(ctx, sweeps[i], false))
 	}
-	page, next := server.Paginate(views, p,
-		func(v server.SweepView) string { return v.ID },
-		func(v server.SweepView) bool { return p.State == "" || v.State == p.State })
-	server.WriteJSON(w, http.StatusOK, server.SweepListResponse{Sweeps: page, NextCursor: next})
+	return views
 }
 
-func (c *Coordinator) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
-	cs := c.lookupSweep(w, r.PathValue("id"))
-	if cs == nil {
-		return
+// CancelSweep cancels every non-terminal member on its node, best effort.
+func (c *Coordinator) CancelSweep(ctx context.Context, id string) (client.SweepView, error) {
+	cs, err := c.lookupSweep(id)
+	if err != nil {
+		return client.SweepView{}, err
 	}
 	c.mu.Lock()
 	members := make([]*crun, 0, len(cs.runIDs))
@@ -1362,27 +1154,45 @@ func (c *Coordinator) handleCancelSweep(w http.ResponseWriter, r *http.Request) 
 	}
 	c.mu.Unlock()
 	for _, cr := range members {
-		c.mu.Lock()
-		n := c.nodes[cr.nodeID]
-		remoteID := cr.remoteID
-		c.mu.Unlock()
-		if n != nil && remoteID != "" {
-			n.cli.CancelRun(r.Context(), remoteID) // best effort
-		}
-		c.refresh(r.Context(), cr)
+		c.cancelOnNode(ctx, cr)
+		c.refresh(ctx, cr)
 	}
-	v := c.sweepStatus(r.Context(), cs)
-	v.RunIDs = nil
-	v.Cells = nil
-	server.WriteJSON(w, http.StatusOK, v)
+	return c.sweepView(ctx, cs, false), nil
+}
+
+// Health reports admission state and the fleet-wide queue from the nodes'
+// last heartbeats, with the node counts.
+func (c *Coordinator) Health() client.Health {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h := client.Health{Status: "ok"}
+	if c.draining {
+		h.Status = "draining"
+	}
+	total, healthy := 0, 0
+	now := c.now()
+	for _, n := range c.order {
+		if n.drained {
+			continue
+		}
+		total++
+		h.Queue += n.queueDepth
+		h.Inflight += n.inflight
+		if !n.pendingReconcile &&
+			CombineState(c.health.Liveness(now.Sub(n.lastBeat)), n.cordoned, n.drained) == StateHealthy {
+			healthy++
+		}
+	}
+	h.Nodes, h.Healthy = &total, &healthy
+	return h
 }
 
 // ---------------------------------------------------------------------------
 // Node plane.
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !decodeBody(w, r, &req) {
+	var req client.NodeRegisterRequest
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.APIRevision != server.APIRevision {
@@ -1456,15 +1266,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.requeue(r.Context(), cr, "node restarted")
 	}
 	c.reconcile(r.Context(), n, adoptees)
-	server.WriteJSON(w, http.StatusOK, RegisterResponse{
+	server.WriteJSON(w, http.StatusOK, client.NodeRegisterResponse{
 		ID:                 n.id,
 		HeartbeatIntervalS: c.health.HeartbeatInterval.Seconds(),
 	})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !decodeBody(w, r, &req) {
+	var req client.NodeHeartbeatRequest
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	id := r.PathValue("id")
@@ -1475,7 +1285,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		// A scale-drain is an instruction, not an amnesia: answering
 		// "drained" makes the agent leave the fleet instead of the 404 that
 		// would make it re-register.
-		server.WriteJSON(w, http.StatusOK, HeartbeatResponse{State: StateDrained})
+		server.WriteJSON(w, http.StatusOK, client.NodeHeartbeatResponse{State: string(StateDrained)})
 		return
 	}
 	if n == nil || n.drained || n.pendingReconcile {
@@ -1495,11 +1305,10 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	state := CombineState(StateHealthy, n.cordoned, n.drained)
 	c.mu.Unlock()
 	c.met.heartbeats.Inc()
-	server.WriteJSON(w, http.StatusOK, HeartbeatResponse{State: state})
+	server.WriteJSON(w, http.StatusOK, client.NodeHeartbeatResponse{State: string(state)})
 }
 
-// nodeViewLocked renders a node for the wire using the client mirror type,
-// so coordinator and client literally share the schema.
+// nodeViewLocked renders a node in its wire form.
 func (c *Coordinator) nodeViewLocked(n *node) client.NodeView {
 	live := c.health.Liveness(c.now().Sub(n.lastBeat))
 	if n.pendingReconcile {
@@ -1603,61 +1412,15 @@ func (c *Coordinator) handleDrainNode(w http.ResponseWriter, r *http.Request) {
 		c.refresh(r.Context(), cr)
 		c.mu.Lock()
 		final := cr.final
-		remoteID := cr.remoteID
 		c.mu.Unlock()
 		if final != nil {
 			continue // finished before eviction: keep the result
 		}
-		if remoteID != "" {
-			n.cli.CancelRun(r.Context(), remoteID) // best effort: free the node
-		}
+		c.cancelOnNode(r.Context(), cr) // best effort: free the node
 		c.requeue(r.Context(), cr, "node drained")
 	}
 	c.mu.Lock()
 	v := c.nodeViewLocked(n)
 	c.mu.Unlock()
 	server.WriteJSON(w, http.StatusOK, v)
-}
-
-// ---------------------------------------------------------------------------
-// Introspection.
-
-func (c *Coordinator) handleVersion(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, server.Version(server.RoleCoordinator))
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	status := "ok"
-	if c.draining {
-		status = "draining"
-	}
-	queue, inflight, total, healthy := 0, 0, 0, 0
-	now := c.now()
-	for _, n := range c.order {
-		if n.drained {
-			continue
-		}
-		total++
-		queue += n.queueDepth
-		inflight += n.inflight
-		if !n.pendingReconcile &&
-			CombineState(c.health.Liveness(now.Sub(n.lastBeat)), n.cordoned, n.drained) == StateHealthy {
-			healthy++
-		}
-	}
-	c.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"status":   status,
-		"uptime_s": time.Since(c.started).Seconds(),
-		"queue":    queue,
-		"inflight": inflight,
-		"nodes":    total,
-		"healthy":  healthy,
-	})
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.reg.WritePrometheus(w)
 }

@@ -6,15 +6,19 @@
 // runs), and the coordinator only balances load across nodes, the way
 // PDPA's upper level only decides how many things may run at once.
 //
-// Nodes register over HTTP (POST /v1/nodes/register), then send periodic
-// heartbeats carrying capacity and queue-depth/MPL snapshots; a node whose
-// heartbeats stop is marked unhealthy (no new placements) and then drained
-// (its placed runs requeue onto surviving nodes, or fail deterministically
-// when no healthy node remains). The coordinator serves the same v1 run and
-// sweep surface as a standalone daemon — existing clients work unchanged —
-// plus the coordinator-facing node plane (GET /v1/nodes, POST
-// /v1/nodes/{id}/cordon|uncordon|drain), all speaking the v1 error envelope
-// and pagination conventions.
+// The Coordinator is a server.Backend plus the node plane. internal/server
+// serves its v1 run and sweep surface — the same code path, envelope, and
+// pagination a standalone daemon's pool is served with, so existing clients
+// work unchanged — while the coordinator answers those calls from its
+// routing table: affinity dedup, placement with failover, refresh-on-read,
+// requeue, and sweep reassembly. Beside it, behind the same front door,
+// sits the node plane: nodes register over HTTP (POST /v1/nodes/register),
+// then send periodic heartbeats carrying capacity and queue-depth/MPL
+// snapshots; a node whose heartbeats stop is marked unhealthy (no new
+// placements) and then drained (its placed runs requeue onto surviving
+// nodes, or fail deterministically when no healthy node remains); operators
+// list and steer nodes with GET /v1/nodes and POST
+// /v1/nodes/{id}/cordon|uncordon|drain. Every body is a client wire type.
 //
 // Sweep grids are sharded across healthy nodes member by member and the
 // per-cell aggregates are reassembled in grid order by index, so a fleet
@@ -106,45 +110,4 @@ func CombineState(live NodeState, cordoned, drained bool) NodeState {
 	default:
 		return StateHealthy
 	}
-}
-
-// RegisterRequest is the node-facing POST /v1/nodes/register payload: a
-// node announces its address, wire revision, and capacity.
-type RegisterRequest struct {
-	// Name is an optional human label; the coordinator assigns the ID.
-	Name string `json:"name,omitempty"`
-	// Addr is the node's advertised base URL (how the coordinator reaches
-	// its v1 surface).
-	Addr string `json:"addr"`
-	// APIRevision is the wire revision the node speaks; a mismatch with
-	// the coordinator's is refused with code incompatible_revision.
-	APIRevision int `json:"api_revision"`
-	// CPUs, BaseWorkers, and MaxWorkers describe capacity: the machine
-	// size its simulations model and the pool's MPL bounds.
-	CPUs        int `json:"cpus,omitempty"`
-	BaseWorkers int `json:"base_workers,omitempty"`
-	MaxWorkers  int `json:"max_workers,omitempty"`
-}
-
-// RegisterResponse acknowledges a registration.
-type RegisterResponse struct {
-	// ID is the coordinator-assigned node ID, used in the heartbeat path
-	// and the node-plane endpoints.
-	ID string `json:"id"`
-	// HeartbeatIntervalS directs the node's heartbeat cadence.
-	HeartbeatIntervalS float64 `json:"heartbeat_interval_s"`
-}
-
-// HeartbeatRequest is the periodic node → coordinator liveness report with
-// the node's current queue-depth/MPL snapshot.
-type HeartbeatRequest struct {
-	QueueDepth int  `json:"queue_depth"`
-	Inflight   int  `json:"inflight"`
-	Draining   bool `json:"draining,omitempty"`
-}
-
-// HeartbeatResponse tells the node how the coordinator currently sees it,
-// so a cordoned or drained node can log the fact.
-type HeartbeatResponse struct {
-	State NodeState `json:"state"`
 }

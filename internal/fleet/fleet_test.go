@@ -542,8 +542,8 @@ func TestRegisterRevisionMismatch(t *testing.T) {
 	f := startFleet(t, 0, PlaceRoundRobin, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	var resp RegisterResponse
-	err := f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", RegisterRequest{
+	var resp client.NodeRegisterResponse
+	err := f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", client.NodeRegisterRequest{
 		Addr:        "http://127.0.0.1:1",
 		APIRevision: server.APIRevision + 1,
 	}, &resp)

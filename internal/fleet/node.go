@@ -131,7 +131,7 @@ func (a *Agent) loop(ctx context.Context) {
 // interval. ok is false when the context ended or the revision mismatch
 // made registration permanently hopeless.
 func (a *Agent) register(ctx context.Context) (time.Duration, bool) {
-	req := RegisterRequest{
+	req := client.NodeRegisterRequest{
 		Name:        a.cfg.Name,
 		Addr:        a.cfg.Advertise,
 		APIRevision: server.APIRevision,
@@ -140,7 +140,7 @@ func (a *Agent) register(ctx context.Context) (time.Duration, bool) {
 		MaxWorkers:  a.cfg.MaxWorkers,
 	}
 	for {
-		var resp RegisterResponse
+		var resp client.NodeRegisterResponse
 		err := a.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", req, &resp)
 		if err == nil {
 			a.mu.Lock()
@@ -185,12 +185,12 @@ func (a *Agent) heartbeatLoop(ctx context.Context, interval time.Duration) bool 
 			a.cfg.Logf("fleet: heartbeat swallowed by injected fault: %v", err)
 			continue
 		}
-		st := a.pool.Stats()
-		req := HeartbeatRequest{QueueDepth: st.QueueDepth, Inflight: st.Inflight, Draining: st.Draining}
-		var resp HeartbeatResponse
+		h := a.pool.Health()
+		req := client.NodeHeartbeatRequest{QueueDepth: h.Queue, Inflight: h.Inflight, Draining: h.Status == "draining"}
+		var resp client.NodeHeartbeatResponse
 		err := a.cli.Do(ctx, http.MethodPost, "/v1/nodes/"+a.ID()+"/heartbeat", req, &resp)
 		if err == nil {
-			if resp.State == StateDrained {
+			if resp.State == string(StateDrained) {
 				// The coordinator scale-drained this node: leave the fleet
 				// for good (the pool keeps running; Stop still works).
 				a.cfg.Logf("fleet: coordinator drained node %s; leaving the fleet", a.ID())

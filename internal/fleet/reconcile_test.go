@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,8 +271,8 @@ func TestReconcileStaleRevision(t *testing.T) {
 	f.nodes[0].agent.Stop()
 	f.restartCoordinator()
 
-	var resp RegisterResponse
-	err = f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", RegisterRequest{
+	var resp client.NodeRegisterResponse
+	err = f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", client.NodeRegisterRequest{
 		Addr:        f.nodes[0].ts.URL,
 		APIRevision: server.APIRevision + 1,
 	}, &resp)
@@ -288,5 +290,52 @@ func TestReconcileStaleRevision(t *testing.T) {
 	}
 	if got := f.metric(ctx, "pdpad_fleet_requeues_total"); got < 1 {
 		t.Errorf("requeues_total = %v, want >= 1", got)
+	}
+}
+
+// TestRestartedCoordinatorLeavesUnreturnedNodesAlone: after a restart, a
+// node that has not re-registered may have come back as a new process that
+// reuses the old run IDs for different runs. Cancelling a recovered sweep
+// or run, or draining that node, must therefore send nothing to its old
+// address until the node re-registers and reconciles.
+func TestRestartedCoordinatorLeavesUnreturnedNodesAlone(t *testing.T) {
+	slow := HealthConfig{HeartbeatInterval: 30 * time.Millisecond, UnhealthyAfter: 10 * time.Second, DeadAfter: 20 * time.Second}
+	f := startDurableFleetH(t, 1, slow, stalledFirstNodeConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	sub, err := f.cli.SubmitSweep(ctx, testSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The coordinator dies; the node stops heartbeating, and whatever now
+	// answers at its address counts every request it gets.
+	f.killCoordinator()
+	old := f.nodes[0]
+	old.agent.Stop()
+	old.agent = nil
+	nodeAddr := old.ts.Listener.Addr().String()
+	old.ts.CloseClientConnections()
+	old.ts.Close()
+	var hits atomic.Int64
+	old.ts = serveAt(t, nodeAddr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		t.Logf("old node address got %s %s", r.Method, r.URL.Path)
+		server.WriteError(w, http.StatusNotFound, server.CodeNotFound, errors.New("no such run"))
+	}))
+	f.restartCoordinator()
+
+	if _, err := f.cli.CancelSweep(ctx, sub.ID); err != nil {
+		t.Fatalf("cancel recovered sweep: %v", err)
+	}
+	if _, err := f.cli.CancelRun(ctx, sub.RunIDs[0]); err != nil {
+		t.Fatalf("cancel recovered run: %v", err)
+	}
+	if _, err := f.cli.DrainNode(ctx, "node-001"); err != nil {
+		t.Fatalf("drain unreturned node: %v", err)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("old node address received %d requests, want 0", n)
 	}
 }

@@ -1,0 +1,155 @@
+package runqueue
+
+// The pool's v1 face: the run calls internal/server's Backend interface
+// makes, in the client wire types. They are thin renderings of the
+// snapshot-level API in runqueue.go (Submit, Get, Cancel, Subscribe); the
+// sweep calls live in sweep.go.
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"pdpasim/client"
+)
+
+// notFoundError is a lookup failure with its own message; errors.Is matches
+// ErrNotFound.
+type notFoundError struct{ msg string }
+
+func (e *notFoundError) Error() string        { return e.msg }
+func (e *notFoundError) Is(target error) bool { return target == ErrNotFound }
+
+// seconds converts a wire duration in seconds.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+
+// view renders the snapshot in its wire form; the result rides along only
+// with withResult.
+func (s Snapshot) view(withResult bool) client.RunView {
+	v := client.RunView{
+		ID:          s.ID,
+		State:       string(s.State),
+		SubmittedAt: s.Submitted,
+		CacheKey:    s.Key,
+		Spec:        client.Spec(s.Spec),
+	}
+	if s.Err != nil {
+		v.Error = s.Err.Error()
+	}
+	if !s.Started.IsZero() {
+		t := s.Started
+		v.StartedAt = &t
+	}
+	if !s.Finished.IsZero() {
+		t := s.Finished
+		v.FinishedAt = &t
+		if !s.Started.IsZero() {
+			v.WallSeconds = s.Finished.Sub(s.Started).Seconds()
+		}
+	}
+	if withResult {
+		v.Result = s.ResultJSON
+	}
+	return v
+}
+
+// SubmitRun submits one run from its wire request (see Submit).
+func (p *Pool) SubmitRun(ctx context.Context, req client.SubmitRunRequest) (client.SubmitResult, error) {
+	res, err := p.Submit(Spec{Workload: req.Workload, Options: req.Options}, seconds(req.DeadlineS))
+	if err != nil {
+		return client.SubmitResult{}, err
+	}
+	return client.SubmitResult{ID: res.ID, State: string(res.State), CacheHit: res.CacheHit, Deduped: res.Deduped}, nil
+}
+
+// Run returns a run's view, its result included once done.
+func (p *Pool) Run(ctx context.Context, id string) (client.RunView, error) {
+	snap, err := p.Get(id)
+	if err != nil {
+		return client.RunView{}, err
+	}
+	return snap.view(true), nil
+}
+
+// CancelRun cancels a run (see Cancel) and returns its view at return.
+func (p *Pool) CancelRun(ctx context.Context, id string) (client.RunView, error) {
+	snap, err := p.Cancel(id)
+	if err != nil {
+		return client.RunView{}, err
+	}
+	return snap.view(false), nil
+}
+
+// ListRuns returns every known run's view, newest first, without results.
+func (p *Pool) ListRuns(ctx context.Context) []client.RunView {
+	runs := p.Runs()
+	views := make([]client.RunView, len(runs))
+	for i, snap := range runs {
+		views[i] = snap.view(false)
+	}
+	return views
+}
+
+// FollowRun calls emit with each lifecycle event of a run, from its current
+// state through the terminal one; it returns before emitting anything when
+// the run is unknown, and early with ctx's error when ctx ends.
+func (p *Pool) FollowRun(ctx context.Context, id string, emit func(client.Event)) error {
+	events, unsub, err := p.Subscribe(id)
+	if err != nil {
+		return err
+	}
+	defer unsub()
+	send := func(ev Event) bool {
+		emit(client.Event{RunID: ev.RunID, State: string(ev.State), At: ev.At, Message: ev.Message})
+		return !ev.State.Terminal()
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case ev, ok := <-events:
+			if !ok {
+				// Channel closed: make sure the follower saw the terminal
+				// state even if an intermediate send was dropped.
+				if snap, err := p.Get(id); err == nil && snap.State.Terminal() {
+					msg := ""
+					if snap.Err != nil {
+						msg = snap.Err.Error()
+					}
+					send(Event{RunID: id, State: snap.State, At: snap.Finished, Message: msg})
+				}
+				return nil
+			}
+			if !send(ev) {
+				return nil
+			}
+		}
+	}
+}
+
+// Trace returns a run's recorded decision trace ({"events": [...],
+// "dropped": n}, the pdpasim.DecisionTrace JSON schema). It is available
+// once the run is done, unless the pool was configured with tracing
+// disabled.
+func (p *Pool) Trace(ctx context.Context, id string) ([]byte, error) {
+	snap, err := p.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	if len(snap.TraceJSON) == 0 {
+		return nil, &notFoundError{fmt.Sprintf("run %s has no decision trace (state %s; tracing may be disabled)", snap.ID, snap.State)}
+	}
+	return snap.TraceJSON, nil
+}
+
+// Health reports the pool's admission state: draining or ok, plus its
+// queue depth and running simulations.
+func (p *Pool) Health() client.Health {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	h := client.Health{Status: "ok", Queue: len(p.queue), Inflight: len(p.running)}
+	if p.draining {
+		h.Status = "draining"
+	}
+	return h
+}

@@ -61,8 +61,8 @@ func TestChaosHangTimesOut(t *testing.T) {
 	if !errors.Is(snap.Err, ErrRunTimeout) {
 		t.Fatalf("err %v, want ErrRunTimeout", snap.Err)
 	}
-	if got := p.Stats().Timeouts; got != 1 {
-		t.Fatalf("timeouts %d, want 1", got)
+	if got := metric(p, "pdpad_run_timeouts_total", ""); got != 1 {
+		t.Fatalf("timeouts %v, want 1", got)
 	}
 	// The pool survived: the next run (fault window passed) completes.
 	r2, err := p.Submit(tinySpec(2), 0)
@@ -88,8 +88,8 @@ func TestChaosWorkerPanicContained(t *testing.T) {
 	if !strings.Contains(snap.Err.Error(), "injected panic") {
 		t.Fatalf("err %v, want recovered injected panic", snap.Err)
 	}
-	if got := p.Stats().RecoveredPanics; got != 1 {
-		t.Fatalf("recovered panics %d, want 1", got)
+	if got := metric(p, "pdpad_recovered_panics_total", "worker"); got != 1 {
+		t.Fatalf("recovered panics %v, want 1", got)
 	}
 	// Resubmitting the same spec re-simulates — a failed run must not be
 	// served from the cache — and now succeeds.
@@ -128,8 +128,8 @@ func TestChaosTransientRetriedToSuccess(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitState(t, p, r.ID, Done)
-			if got := p.Stats().Retries; got != 2 {
-				t.Fatalf("retries %d, want 2", got)
+			if got := metric(p, "pdpad_run_retries_total", ""); got != 2 {
+				t.Fatalf("retries %v, want 2", got)
 			}
 			// The faults fired before the simulator was reached: only the
 			// successful attempt simulated.
@@ -157,8 +157,8 @@ func TestChaosTransientExhaustsRetries(t *testing.T) {
 	if !errors.Is(snap.Err, faults.ErrInjected) {
 		t.Fatalf("err %v, want ErrInjected", snap.Err)
 	}
-	if got := p.Stats().Retries; got != 2 {
-		t.Fatalf("retries %d, want 2 (MaxRetries exhausted)", got)
+	if got := metric(p, "pdpad_run_retries_total", ""); got != 2 {
+		t.Fatalf("retries %v, want 2 (MaxRetries exhausted)", got)
 	}
 	if got := inj.Seen(faults.SiteWorkerStart); got != 3 {
 		t.Fatalf("attempts %d, want 3", got)
@@ -180,8 +180,8 @@ func TestChaosNonTransientNotRetried(t *testing.T) {
 	if !errors.Is(snap.Err, faults.ErrInjected) {
 		t.Fatalf("err %v, want ErrInjected", snap.Err)
 	}
-	if got := p.Stats().Retries; got != 0 {
-		t.Fatalf("retries %d, want 0", got)
+	if got := metric(p, "pdpad_run_retries_total", ""); got != 0 {
+		t.Fatalf("retries %v, want 0", got)
 	}
 	drainPool(t, p)
 }
@@ -258,8 +258,8 @@ func TestChaosBurstOverloadSheds(t *testing.T) {
 			t.Fatal("OverloadError must satisfy errors.Is(err, ErrQueueFull)")
 		}
 	}
-	if got := p.Stats().Shed; got != 2 {
-		t.Fatalf("shed %d submissions, want 2", got)
+	if got := metric(p, "pdpad_sheds_total", ""); got != 2 {
+		t.Fatalf("shed %v submissions, want 2", got)
 	}
 	close(release)
 	waitState(t, p, running.ID, Done)
@@ -314,8 +314,8 @@ func TestChaosPanicMidDrain(t *testing.T) {
 	if surv.State != Done {
 		t.Fatalf("survivor ended %s (err %v), want done", surv.State, surv.Err)
 	}
-	if got := p.Stats().RecoveredPanics; got != 1 {
-		t.Fatalf("recovered panics %d, want 1", got)
+	if got := metric(p, "pdpad_recovered_panics_total", "worker"); got != 1 {
+		t.Fatalf("recovered panics %v, want 1", got)
 	}
 }
 
@@ -409,8 +409,8 @@ func TestChaosInvariantsHoldUnderRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, p, r.ID, Done)
-	if got := p.Stats().Retries; got != 1 {
-		t.Fatalf("retries %d, want 1", got)
+	if got := metric(p, "pdpad_run_retries_total", ""); got != 1 {
+		t.Fatalf("retries %v, want 1", got)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -504,8 +504,8 @@ func TestChaosDeterministicAcrossReplays(t *testing.T) {
 	leakcheck.Check(t)
 	type outcome struct {
 		states  []State
-		retries uint64
-		panics  uint64
+		retries float64
+		panics  float64
 	}
 	replay := func() outcome {
 		inj := faults.New(42,
@@ -535,8 +535,8 @@ func TestChaosDeterministicAcrossReplays(t *testing.T) {
 			out.states = append(out.states, snap.State)
 			_ = snap
 		}
-		st := p.Stats()
-		out.retries, out.panics = st.Retries, st.RecoveredPanics
+		out.retries = metric(p, "pdpad_run_retries_total", "")
+		out.panics = metric(p, "pdpad_recovered_panics_total", "worker")
 		drainPool(t, p)
 		return out
 	}

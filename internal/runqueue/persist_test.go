@@ -153,14 +153,14 @@ func TestRestartRecoversSweeps(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	p := New(Config{Store: st})
-	res, err := p.SubmitSweep(tinySweepSpec(), 0)
+	res, err := p.SubmitSweep(context.Background(), tinySweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range res.RunIDs {
 		waitState(t, p, id, Done)
 	}
-	want, err := p.GetSweep(res.ID)
+	want, err := p.Sweep(context.Background(), res.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,21 +171,21 @@ func TestRestartRecoversSweeps(t *testing.T) {
 	p2 := New(Config{Store: st2})
 	defer p2.Drain(context.Background())
 
-	got, err := p2.GetSweep(res.ID)
+	got, err := p2.Sweep(context.Background(), res.ID)
 	if err != nil {
 		t.Fatalf("sweep %s lost across restart: %v", res.ID, err)
 	}
-	if got.State != Done || got.Done != want.Done || got.Total != want.Total {
+	if got.State != string(Done) || got.Done != want.Done || got.Total != want.Total {
 		t.Fatalf("recovered sweep %s: %s %d/%d, want %s %d/%d",
 			res.ID, got.State, got.Done, got.Total, want.State, want.Done, want.Total)
 	}
-	if len(got.Cells) != len(want.Cells) {
-		t.Fatalf("recovered sweep has %d cells, want %d", len(got.Cells), len(want.Cells))
+	if !bytes.Equal(got.Cells, want.Cells) {
+		t.Fatalf("recovered sweep cells differ:\n%s\nwant\n%s", got.Cells, want.Cells)
 	}
-	if n := len(p2.Sweeps()); n != 1 {
+	if n := len(p2.Sweeps(context.Background())); n != 1 {
 		t.Fatalf("recovered pool lists %d sweeps, want 1", n)
 	}
-	res2, err := p2.SubmitSweep(tinySweepSpec(), 0)
+	res2, err := p2.SubmitSweep(context.Background(), tinySweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,31 +265,6 @@ type SubmitResult struct {
 // simulation wall time.
 var wallBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
-// WallHistogram is a Prometheus-style cumulative histogram of per-run
-// simulation wall time.
-type WallHistogram struct {
-	// Counts[i] counts runs with wall time ≤ wallBuckets[i]; the implicit
-	// +Inf bucket is Count.
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
-
-// BucketBounds returns the bucket upper bounds in seconds.
-func (WallHistogram) BucketBounds() []float64 { return wallBuckets }
-
-// wallFromSnapshot converts an obs histogram snapshot (non-cumulative
-// counts) to the cumulative WallHistogram wire form.
-func wallFromSnapshot(s obs.HistogramSnapshot) WallHistogram {
-	counts := make([]uint64, len(s.Buckets))
-	var cum uint64
-	for i := range s.Buckets {
-		cum += s.Counts[i]
-		counts[i] = cum
-	}
-	return WallHistogram{Counts: counts, Sum: s.Sum, Count: s.Count}
-}
-
 // traceEventBuckets bucket per-run decision-trace event totals;
 // allocBuckets bucket per-job time-averaged processor allocations;
 // attemptBuckets bucket simulation attempts per run (1 = no retry).
@@ -436,13 +411,9 @@ func (p *Pool) initMetrics() {
 	p.met = m
 }
 
-// Stats is a consistent snapshot of the pool's counters, the source for the
-// daemon's /metrics endpoint.
-type Stats struct {
-	QueueDepth  int
-	Inflight    int
-	CachedRuns  int
-	Draining    bool
+// lifecycle counts runs through the pool's states; the registry's counter
+// funcs read it under the pool lock.
+type lifecycle struct {
 	Submitted   uint64
 	Started     uint64
 	Done        uint64
@@ -451,17 +422,6 @@ type Stats struct {
 	CacheHits   uint64
 	CacheMisses uint64
 	DedupHits   uint64
-	// Robustness counters: attempts retried after transient failures, runs
-	// failed on the wall-clock timeout, worker panics contained, and
-	// submissions shed under overload.
-	Retries         uint64
-	Timeouts        uint64
-	RecoveredPanics uint64
-	Shed            uint64
-	// CacheEvictions counts completed results displaced from the LRU cache
-	// by Config.CacheSize.
-	CacheEvictions uint64
-	Wall           WallHistogram
 }
 
 // Pool is the simulation worker pool. Create with New; all methods are safe
@@ -483,7 +443,7 @@ type Pool struct {
 	idle     chan struct{} // closed when draining and no work remains
 	recheck  *time.Timer   // pending warm-up re-evaluation
 
-	stats Stats
+	stats lifecycle
 	met   *poolMetrics
 
 	// observerCh decouples Config.Observer from the pool lock: lifecycle
@@ -1138,22 +1098,4 @@ func (p *Pool) stopBackground() {
 		p.observerClosed = true
 		close(p.observerCh)
 	}
-}
-
-// Stats returns a consistent snapshot of the pool's counters.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stats
-	s.QueueDepth = len(p.queue)
-	s.Inflight = len(p.running)
-	s.CachedRuns = len(p.cacheLRU)
-	s.Draining = p.draining
-	s.Retries = p.met.retries.Value()
-	s.Timeouts = p.met.timeouts.Value()
-	s.RecoveredPanics = p.met.panics.Value()
-	s.Shed = p.met.sheds.Value()
-	s.CacheEvictions = p.met.cacheEvictions.Value()
-	s.Wall = wallFromSnapshot(p.met.wall.Snapshot())
-	return s
 }

@@ -46,6 +46,12 @@ func blockingSim(t *testing.T, calls *atomic.Int64, release <-chan struct{}) Sim
 }
 
 // waitState polls until the run reaches want or the deadline passes.
+// metric reads one series from the pool's registry (see obs.Registry.Value).
+func metric(p *Pool, name, label string) float64 {
+	v, _ := p.Metrics().Value(name, label)
+	return v
+}
+
 func waitState(t *testing.T, p *Pool, id string, want State) Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -154,9 +160,9 @@ func TestCacheHitIdenticalSpec(t *testing.T) {
 	if len(snap.ResultJSON) == 0 {
 		t.Fatal("cached run has no result")
 	}
-	s := p.Stats()
-	if s.CacheHits != 1 || s.CacheMisses != 1 {
-		t.Fatalf("stats: hits %d misses %d, want 1/1", s.CacheHits, s.CacheMisses)
+	hits, misses := metric(p, "pdpad_cache_hits_total", ""), metric(p, "pdpad_cache_misses_total", "")
+	if hits != 1 || misses != 1 {
+		t.Fatalf("cache hits %v misses %v, want 1/1", hits, misses)
 	}
 }
 
@@ -356,14 +362,14 @@ func TestAdmissionHoldsDuringWarmup(t *testing.T) {
 	if snap, err := p.Get(second.ID); err != nil || snap.State != Queued {
 		t.Fatalf("run admitted during warm-up: state %v err %v", snap.State, err)
 	}
-	if d := p.Stats().QueueDepth; d != 1 {
-		t.Fatalf("queue depth %d, want 1", d)
+	if d := metric(p, "pdpad_queue_depth", ""); d != 1 {
+		t.Fatalf("queue depth %v, want 1", d)
 	}
 	// Once the first run is past warm-up the free slot may be handed out —
 	// with no new submission or completion to trigger it.
 	waitState(t, p, second.ID, Running)
-	if got := p.Stats().Inflight; got != 2 {
-		t.Fatalf("inflight %d, want 2", got)
+	if got := metric(p, "pdpad_inflight_runs", ""); got != 2 {
+		t.Fatalf("inflight %v, want 2", got)
 	}
 }
 
@@ -561,8 +567,8 @@ func TestCacheEviction(t *testing.T) {
 		}
 		<-done
 	}
-	if got := p.Stats().CachedRuns; got != 2 {
-		t.Fatalf("cache holds %d entries, want 2", got)
+	if got := metric(p, "pdpad_cached_results", ""); got != 2 {
+		t.Fatalf("cache holds %v entries, want 2", got)
 	}
 	// Seed 1 was evicted (oldest): resubmitting simulates again.
 	r, err := p.Submit(tinySpec(1), 0)
@@ -591,7 +597,7 @@ func TestQueueLimit(t *testing.T) {
 	// Give the first submission time to be admitted so the second occupies
 	// the queue slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Inflight == 0 && time.Now().Before(deadline) {
+	for metric(p, "pdpad_inflight_runs", "") == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := p.Submit(tinySpec(2), 0); err != nil {
@@ -699,11 +705,8 @@ func TestStatsWallHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	s := p.Stats()
-	if s.Wall.Count != 1 || s.Wall.Sum <= 0 {
-		t.Fatalf("wall histogram count %d sum %v", s.Wall.Count, s.Wall.Sum)
-	}
-	if len(s.Wall.Counts) != len(s.Wall.BucketBounds()) {
-		t.Fatalf("bucket mismatch: %d counts, %d bounds", len(s.Wall.Counts), len(s.Wall.BucketBounds()))
+	count, sum := metric(p, "pdpad_run_wall_seconds_count", ""), metric(p, "pdpad_run_wall_seconds_sum", "")
+	if count != 1 || sum <= 0 {
+		t.Fatalf("wall histogram count %v sum %v", count, sum)
 	}
 }

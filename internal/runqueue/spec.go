@@ -20,61 +20,26 @@ import (
 	"time"
 
 	"pdpasim"
+	"pdpasim/client"
 )
 
-// WorkloadSpec is the wire form of pdpasim.WorkloadSpec: what workload to
-// generate. Field semantics and defaults match the facade (load 1.0, 60
-// CPUs, 300 s window).
-type WorkloadSpec struct {
-	// Mix is "w1", "w2", "w3", or "w4" (Table 1 of the paper).
-	Mix string `json:"mix"`
-	// Load is the estimated processor demand fraction; 0 means 1.0.
-	Load float64 `json:"load,omitempty"`
-	// NCPU is the machine size; 0 means 60.
-	NCPU int `json:"ncpu,omitempty"`
-	// WindowS is the submission window in seconds; 0 means 300.
-	WindowS float64 `json:"window_s,omitempty"`
-	// Seed drives the arrival process.
-	Seed int64 `json:"seed,omitempty"`
-	// UniformRequest forces every job's processor request (the paper's
-	// "not tuned" experiments use 30); 0 keeps tuned requests.
-	UniformRequest int `json:"uniform_request,omitempty"`
-}
+// WorkloadSpec is what workload to generate: the v1 wire type itself, so a
+// request body converts to a spec without copying. Field semantics and
+// defaults match pdpasim.WorkloadSpec (load 1.0, 60 CPUs, 300 s window).
+type WorkloadSpec = client.Workload
 
-// RunOptions is the wire form of pdpasim.Options: how to schedule the
-// workload. PDPA parameters left zero take the paper's defaults.
-type RunOptions struct {
-	// Policy is the scheduling regime: irix, gang, equip, equal_eff,
-	// dynamic, pdpa, or pdpa_adaptive.
-	Policy string `json:"policy"`
-	// TargetEff, HighEff, Step, BaseMPL, and MaxStableTransitions override
-	// individual PDPA parameters; zero fields keep the paper's values.
-	TargetEff            float64 `json:"target_eff,omitempty"`
-	HighEff              float64 `json:"high_eff,omitempty"`
-	Step                 int     `json:"step,omitempty"`
-	BaseMPL              int     `json:"base_mpl,omitempty"`
-	MaxStableTransitions int     `json:"max_stable_transitions,omitempty"`
-	// FixedMPL is the fixed multiprogramming level for the non-PDPA
-	// regimes; 0 means 4.
-	FixedMPL int `json:"fixed_mpl,omitempty"`
-	// NoiseSigma is the SelfAnalyzer measurement noise; 0 means the default
-	// 1%, negative disables noise.
-	NoiseSigma float64 `json:"noise_sigma,omitempty"`
-	// Seed drives measurement noise.
-	Seed int64 `json:"seed,omitempty"`
-	// NUMANodeSize groups CPUs into NUMA nodes; 0 or 1 keeps a flat SMP.
-	NUMANodeSize int `json:"numa_node_size,omitempty"`
-}
+// RunOptions is how to schedule the workload: the v1 wire type itself.
+// PDPA parameters left zero take the paper's defaults.
+type RunOptions = client.RunOptions
 
-// Spec is one unit of servable work: a workload plus scheduling options.
-type Spec struct {
-	Workload WorkloadSpec `json:"workload"`
-	Options  RunOptions   `json:"options"`
-}
+// Spec is one unit of servable work: a workload plus scheduling options. It
+// is the wire spec (client.Spec) with the simulator methods attached, so
+// converting between the two is a cast.
+type Spec client.Spec
 
 // isPDPA reports whether the options select a PDPA regime (whose parameters
 // therefore matter for identity).
-func (o RunOptions) isPDPA() bool {
+func isPDPA(o RunOptions) bool {
 	p := pdpasim.Policy(o.Policy)
 	return p == pdpasim.PDPA || p == pdpasim.AdaptivePDPA
 }
@@ -98,7 +63,7 @@ func (s Spec) Facade() (pdpasim.WorkloadSpec, pdpasim.Options) {
 		Seed:         s.Options.Seed,
 		NUMANodeSize: s.Options.NUMANodeSize,
 	}
-	if s.Options.isPDPA() {
+	if isPDPA(s.Options) {
 		p := pdpasim.DefaultPDPAParams()
 		if s.Options.TargetEff != 0 {
 			p.TargetEff = s.Options.TargetEff
@@ -156,7 +121,7 @@ func (s Spec) canonical() Spec {
 	if c.Options.NUMANodeSize == 1 {
 		c.Options.NUMANodeSize = 0
 	}
-	if c.Options.isPDPA() {
+	if isPDPA(c.Options) {
 		// PDPA ignores the fixed level: its own admission governs.
 		c.Options.FixedMPL = 0
 		p := pdpasim.DefaultPDPAParams()

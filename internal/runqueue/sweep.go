@@ -1,42 +1,26 @@
 package runqueue
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
 
 	"pdpasim"
+	"pdpasim/client"
 	"pdpasim/internal/metrics"
 	"pdpasim/internal/sweep"
 )
 
-// SweepSpec is the wire form of a sweep submission: the policy × mix × load
-// × seed grid pdpasim.Sweep runs in process, expressed as a batch of member
-// runs. Every member flows through the pool's ordinary machinery — the
-// PDPA-style MPL admission rule, the canonical-config result cache, and
-// singleflight deduplication — so overlapping sweeps share simulations
-// instead of repeating them.
-type SweepSpec struct {
-	// Policies and Mixes span the grid (required, at least one each).
-	Policies []string `json:"policies"`
-	Mixes    []string `json:"mixes"`
-	// Loads are the demand levels; empty means {1.0}.
-	Loads []float64 `json:"loads,omitempty"`
-	// Seeds are the replicate seeds aggregated per cell; empty means {0}.
-	// Each member run uses its seed for both the workload and the
-	// measurement noise, matching the in-process engine.
-	Seeds []int64 `json:"seeds,omitempty"`
-	// NCPU, WindowS, and UniformRequest parameterize workload generation
-	// exactly as WorkloadSpec does.
-	NCPU           int     `json:"ncpu,omitempty"`
-	WindowS        float64 `json:"window_s,omitempty"`
-	UniformRequest int     `json:"uniform_request,omitempty"`
-	// Options carries the scheduling knobs shared by every member (PDPA
-	// parameter overrides, fixed MPL, noise, NUMA). Its Policy and Seed
-	// fields are ignored: the grid supplies them per member.
-	Options RunOptions `json:"options,omitempty"`
-}
+// SweepSpec is a sweep submission: the policy × mix × load × seed grid
+// pdpasim.Sweep runs in process, expressed as a batch of member runs. It is
+// the wire grid (client.SweepSpec) with the expansion methods attached.
+// Every member flows through the pool's ordinary machinery — the PDPA-style
+// MPL admission rule, the canonical-config result cache, and singleflight
+// deduplication — so overlapping sweeps share simulations instead of
+// repeating them.
+type SweepSpec client.SweepSpec
 
 func (s SweepSpec) withDefaults() SweepSpec {
 	if len(s.Loads) == 0 {
@@ -106,60 +90,27 @@ type sweepRec struct {
 	submitted time.Time
 }
 
-// SweepSubmitResult reports how a sweep submission was resolved.
-type SweepSubmitResult struct {
-	ID string
-	// RunIDs are the member run IDs in grid order (cells in mixes → loads →
-	// policies order, seeds contiguous).
-	RunIDs []string
-	// CacheHits and Deduped count members resolved without new simulation.
-	CacheHits int
-	Deduped   int
-}
-
 // SweepCell is one aggregated grid cell in a sweep's status.
 type SweepCell = sweep.Cell
-
-// SweepStatus is a consistent snapshot of a sweep's progress and, once every
-// member is done, its per-cell aggregates.
-type SweepStatus struct {
-	ID        string
-	Spec      SweepSpec
-	Submitted time.Time
-	// State summarizes the members: "failed" or "canceled" if any member
-	// ended that way, "done" when all succeeded, else "running" ("queued"
-	// until the first member starts).
-	State State
-	// Done counts members in a terminal state; Total is the grid size.
-	Done  int
-	Total int
-	// RunIDs are the member run IDs in grid order.
-	RunIDs []string
-	// Errors collects distinct member failure messages (at most one per
-	// member, grid order).
-	Errors []string
-	// Cells holds the per-cell aggregates (mean, stddev, 95% CI over the
-	// seed replicates), present only when State is Done. Every member result
-	// uses the same Outcome JSON schema as GET /v1/runs/{id}.
-	Cells []SweepCell
-}
 
 // SubmitSweep atomically submits every member of the grid: either the whole
 // batch is accepted (members resolved against the cache and singleflight
 // index count as accepted) or nothing is enqueued. The admission controller
 // then starts members under the same PDPA-MPL rule as individually submitted
-// runs. deadline applies to each member individually.
-func (p *Pool) SubmitSweep(spec SweepSpec, deadline time.Duration) (SweepSubmitResult, error) {
+// runs. The request's deadline applies to each member individually.
+func (p *Pool) SubmitSweep(ctx context.Context, req client.SubmitSweepRequest) (client.SweepSubmitResult, error) {
+	spec := SweepSpec(req.SweepSpec)
 	if err := spec.Validate(); err != nil {
-		return SweepSubmitResult{}, err
+		return client.SweepSubmitResult{}, err
 	}
 	resolved := spec.withDefaults()
 	members := resolved.Members()
+	deadline := seconds(req.DeadlineS)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.draining {
-		return SweepSubmitResult{}, ErrDraining
+		return client.SweepSubmitResult{}, ErrDraining
 	}
 	// Capacity pre-check so a too-large sweep fails atomically instead of
 	// enqueueing a truncated grid. Members already cached, deduplicated, or
@@ -178,17 +129,17 @@ func (p *Pool) SubmitSweep(spec SweepSpec, deadline time.Duration) (SweepSubmitR
 		}
 	}
 	if len(p.queue)+fresh > p.cfg.QueueLimit {
-		return SweepSubmitResult{}, ErrQueueFull
+		return client.SweepSubmitResult{}, ErrQueueFull
 	}
 	// Load shedding applies to the batch as a whole: were any member going
 	// to land past the shed depth, submitLocked would reject it mid-batch —
 	// shed the sweep up front instead, keeping batch admission atomic.
 	if p.cfg.ShedDepth > 0 && len(p.queue)+fresh > p.cfg.ShedDepth {
 		p.met.sheds.Inc()
-		return SweepSubmitResult{}, &OverloadError{Depth: len(p.queue), RetryAfter: p.retryAfterLocked()}
+		return client.SweepSubmitResult{}, &OverloadError{Depth: len(p.queue), RetryAfter: p.retryAfterLocked()}
 	}
 
-	res := SweepSubmitResult{RunIDs: make([]string, 0, len(members))}
+	res := client.SweepSubmitResult{RunIDs: make([]string, 0, len(members))}
 	for _, m := range members {
 		sub, err := p.submitLocked(m, deadline)
 		if err != nil {
@@ -220,29 +171,26 @@ func (p *Pool) SubmitSweep(spec SweepSpec, deadline time.Duration) (SweepSubmitR
 	return res, nil
 }
 
-// GetSweep returns a sweep's aggregated status. Cells are computed from the
-// members' cached result JSON once every member is done.
-func (p *Pool) GetSweep(id string) (SweepStatus, error) {
+// Sweep returns a sweep's status, with its member run IDs and — once every
+// member is done — its per-cell aggregates.
+func (p *Pool) Sweep(ctx context.Context, id string) (client.SweepView, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rec, ok := p.sweeps[id]
 	if !ok {
-		return SweepStatus{}, ErrNotFound
+		return client.SweepView{}, ErrNotFound
 	}
-	return p.sweepStatusLocked(rec)
+	return p.sweepViewLocked(rec, true), nil
 }
 
-// Sweeps lists every known sweep's status, newest first.
-func (p *Pool) Sweeps() []SweepStatus {
+// Sweeps lists every known sweep's status, newest first, without member
+// IDs or cells.
+func (p *Pool) Sweeps(ctx context.Context) []client.SweepView {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]SweepStatus, 0, len(p.sweeps))
+	out := make([]client.SweepView, 0, len(p.sweeps))
 	for _, rec := range p.sweeps {
-		st, err := p.sweepStatusLocked(rec)
-		if err != nil {
-			continue
-		}
-		out = append(out, st)
+		out = append(out, p.sweepViewLocked(rec, false))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
 	return out
@@ -251,12 +199,12 @@ func (p *Pool) Sweeps() []SweepStatus {
 // CancelSweep cancels every non-terminal member. Members shared with other
 // submissions (deduplicated runs) are cancelled too — the pool has no
 // per-subscriber reference counting.
-func (p *Pool) CancelSweep(id string) (SweepStatus, error) {
+func (p *Pool) CancelSweep(ctx context.Context, id string) (client.SweepView, error) {
 	p.mu.Lock()
 	rec, ok := p.sweeps[id]
 	if !ok {
 		p.mu.Unlock()
-		return SweepStatus{}, ErrNotFound
+		return client.SweepView{}, ErrNotFound
 	}
 	ids := append([]string(nil), rec.runIDs...)
 	p.mu.Unlock()
@@ -265,83 +213,133 @@ func (p *Pool) CancelSweep(id string) (SweepStatus, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.sweepStatusLocked(rec)
+	return p.sweepViewLocked(rec, false), nil
 }
 
-func (p *Pool) sweepStatusLocked(rec *sweepRec) (SweepStatus, error) {
-	st := SweepStatus{
-		ID:        rec.id,
-		Spec:      rec.spec,
-		Submitted: rec.submitted,
-		Total:     len(rec.runIDs),
-		RunIDs:    rec.runIDs,
-		State:     Queued,
+func (p *Pool) sweepViewLocked(rec *sweepRec, detail bool) client.SweepView {
+	members := make([]SweepMember, len(rec.runIDs))
+	for i, runID := range rec.runIDs {
+		r, ok := p.runs[runID]
+		if !ok {
+			members[i] = SweepMember{ID: runID, Missing: true}
+			continue
+		}
+		members[i] = SweepMember{ID: runID, State: r.state, Result: r.resultJSON}
+		if r.err != nil {
+			members[i].Err = r.err.Error()
+		}
+	}
+	return rec.spec.View(rec.id, rec.submitted, members, detail)
+}
+
+// SweepMember is one member run as a sweep's status sees it.
+type SweepMember struct {
+	ID    string
+	State State
+	// Err is the member's failure message, if any.
+	Err string
+	// Result is the member's Outcome JSON once Done.
+	Result []byte
+	// Missing marks a member whose record is gone (evicted from history):
+	// its result is lost and the sweep can no longer be aggregated.
+	Missing bool
+}
+
+// View aggregates a sweep's status from its members, given in grid order —
+// the one state machine every backend reports sweeps with. State is
+// "failed" or "canceled" if any member ended that way, "done" when all
+// succeeded, else "running" ("queued" until the first member starts).
+// Errors collects member failure messages in grid order. With detail the
+// view carries the member run IDs and, once every member is done, the
+// per-cell aggregates (mean, stddev, 95% CI over the seed replicates),
+// computed exactly as the in-process engine computes them. The spec must
+// have its defaults resolved.
+func (s SweepSpec) View(id string, submitted time.Time, members []SweepMember, detail bool) client.SweepView {
+	v := client.SweepView{
+		ID:          id,
+		State:       string(Queued),
+		Total:       len(members),
+		SubmittedAt: submitted,
+		Spec:        client.SweepSpec(s),
+	}
+	if detail {
+		for _, m := range members {
+			v.RunIDs = append(v.RunIDs, m.ID)
+		}
 	}
 	allDone := true
 	anyStarted := false
 	var exports []metrics.Export
-	for _, runID := range rec.runIDs {
-		r, ok := p.runs[runID]
-		if !ok {
-			// Member evicted from history: its result is gone; the sweep can
-			// no longer be aggregated.
-			st.Errors = append(st.Errors, fmt.Sprintf("%s: evicted from history", runID))
-			st.State = Failed
-			return st, nil
+	for _, m := range members {
+		if m.Missing {
+			v.Errors = append(v.Errors, fmt.Sprintf("%s: evicted from history", m.ID))
+			v.State = string(Failed)
+			return v
 		}
-		if r.state != Queued {
+		if m.State != Queued {
 			anyStarted = true
 		}
-		if r.state.Terminal() {
-			st.Done++
+		if m.State.Terminal() {
+			v.Done++
 		}
-		switch r.state {
+		switch m.State {
 		case Done:
 			if allDone {
 				var ex metrics.Export
-				if err := json.Unmarshal(r.resultJSON, &ex); err != nil {
-					st.Errors = append(st.Errors, fmt.Sprintf("%s: decoding result: %v", runID, err))
-					st.State = Failed
-					return st, nil
+				if err := json.Unmarshal(m.Result, &ex); err != nil {
+					v.Errors = append(v.Errors, fmt.Sprintf("%s: decoding result: %v", m.ID, err))
+					v.State = string(Failed)
+					return v
 				}
 				exports = append(exports, ex)
 			}
 		case Failed:
 			allDone = false
-			st.State = Failed
-			if r.err != nil {
-				st.Errors = append(st.Errors, fmt.Sprintf("%s: %v", runID, r.err))
+			v.State = string(Failed)
+			if m.Err != "" {
+				v.Errors = append(v.Errors, fmt.Sprintf("%s: %s", m.ID, m.Err))
 			}
 		case Canceled:
 			allDone = false
-			if st.State != Failed {
-				st.State = Canceled
+			if v.State != string(Failed) {
+				v.State = string(Canceled)
 			}
 		default:
 			allDone = false
 		}
 	}
-	if st.State == Queued && anyStarted {
-		st.State = Running
+	if v.State == string(Queued) && anyStarted {
+		v.State = string(Running)
 	}
 	if !allDone {
-		return st, nil
+		return v
 	}
-	st.State = Done
+	v.State = string(Done)
+	if !detail {
+		return v
+	}
 	// Aggregate exactly as the in-process engine does: cells in grid order,
 	// each over its contiguous block of seed replicates.
-	nseeds := len(rec.spec.Seeds)
+	var cells []SweepCell
+	nseeds := len(s.Seeds)
 	i := 0
-	for _, mix := range rec.spec.Mixes {
-		for _, load := range rec.spec.Loads {
-			for _, pol := range rec.spec.Policies {
-				st.Cells = append(st.Cells, sweep.Summarize(
-					canonicalPolicy(pol), mix, load, rec.spec.Seeds, exports[i:i+nseeds]))
+	for _, mix := range s.Mixes {
+		for _, load := range s.Loads {
+			for _, pol := range s.Policies {
+				cells = append(cells, sweep.Summarize(
+					canonicalPolicy(pol), mix, load, s.Seeds, exports[i:i+nseeds]))
 				i += nseeds
 			}
 		}
 	}
-	return st, nil
+	raw, err := json.Marshal(cells)
+	if err != nil {
+		v.Errors = append(v.Errors, fmt.Sprintf("encoding cells: %v", err))
+		v.State = string(Failed)
+		return v
+	}
+	v.Cells = raw
+	return v
 }
 
 // canonicalPolicy renders the policy name as the simulator reports it, so

@@ -1,49 +1,69 @@
 package runqueue
 
 import (
+	"context"
+	"encoding/json"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pdpasim/client"
 	"pdpasim/internal/leakcheck"
 )
 
-func tinySweepSpec() SweepSpec {
-	return SweepSpec{
+func tinySweepSpec() client.SubmitSweepRequest {
+	return sweepRequest(SweepSpec{
 		Policies: []string{"equip", "pdpa"},
 		Mixes:    []string{"w1"},
 		Loads:    []float64{0.6},
 		Seeds:    []int64{1, 2},
 		WindowS:  60,
-	}
+	})
+}
+
+func sweepRequest(s SweepSpec) client.SubmitSweepRequest {
+	return client.SubmitSweepRequest{SweepSpec: client.SweepSpec(s)}
 }
 
 // waitSweepState polls until the sweep reaches want or the deadline passes.
-func waitSweepState(t *testing.T, p *Pool, id string, want State) SweepStatus {
+func waitSweepState(t *testing.T, p *Pool, id string, want State) client.SweepView {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		st, err := p.GetSweep(id)
+		st, err := p.Sweep(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State == want {
+		if State(st.State) == want {
 			return st
 		}
-		if st.State.Terminal() && st.State != want {
+		if State(st.State).Terminal() {
 			t.Fatalf("sweep %s reached %s (errors %v), want %s", id, st.State, st.Errors, want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("sweep %s never reached %s", id, want)
-	return SweepStatus{}
+	return client.SweepView{}
+}
+
+// sweepCells decodes a sweep view's cells.
+func sweepCells(t *testing.T, v client.SweepView) []SweepCell {
+	t.Helper()
+	if len(v.Cells) == 0 {
+		return nil
+	}
+	var cells []SweepCell
+	if err := json.Unmarshal(v.Cells, &cells); err != nil {
+		t.Fatal(err)
+	}
+	return cells
 }
 
 // TestSweepSubmitAndAggregate runs a real 2-policy × 2-seed grid through the
 // pool and checks the aggregated cells.
 func TestSweepSubmitAndAggregate(t *testing.T) {
 	p := New(Config{})
-	res, err := p.SubmitSweep(tinySweepSpec(), 0)
+	res, err := p.SubmitSweep(context.Background(), tinySweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +74,11 @@ func TestSweepSubmitAndAggregate(t *testing.T) {
 	if st.Done != 4 || st.Total != 4 {
 		t.Fatalf("done %d/%d, want 4/4", st.Done, st.Total)
 	}
-	if len(st.Cells) != 2 {
-		t.Fatalf("expected 2 cells, got %d", len(st.Cells))
+	cells := sweepCells(t, st)
+	if len(cells) != 2 {
+		t.Fatalf("expected 2 cells, got %d", len(cells))
 	}
-	for _, c := range st.Cells {
+	for _, c := range cells {
 		if c.Mix != "w1" || c.Load != 0.6 {
 			t.Fatalf("cell mislabeled: %+v", c)
 		}
@@ -69,8 +90,8 @@ func TestSweepSubmitAndAggregate(t *testing.T) {
 		}
 	}
 	// Cells follow grid order: policies as submitted.
-	if st.Cells[0].Policy != "equip" || st.Cells[1].Policy != "pdpa" {
-		t.Fatalf("cell order wrong: %s, %s", st.Cells[0].Policy, st.Cells[1].Policy)
+	if cells[0].Policy != "equip" || cells[1].Policy != "pdpa" {
+		t.Fatalf("cell order wrong: %s, %s", cells[0].Policy, cells[1].Policy)
 	}
 }
 
@@ -88,7 +109,7 @@ func TestSweepSharesCacheWithRuns(t *testing.T) {
 	}
 	<-mustDone(t, p, sub.ID)
 
-	res, err := p.SubmitSweep(tinySweepSpec(), 0)
+	res, err := p.SubmitSweep(context.Background(), tinySweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +120,8 @@ func TestSweepSharesCacheWithRuns(t *testing.T) {
 		t.Fatalf("cached member should reuse run %s, got %s", sub.ID, res.RunIDs[0])
 	}
 	st := waitSweepState(t, p, res.ID, Done)
-	if len(st.Cells) != 2 {
-		t.Fatalf("expected 2 cells, got %d", len(st.Cells))
+	if n := len(sweepCells(t, st)); n != 2 {
+		t.Fatalf("expected 2 cells, got %d", n)
 	}
 }
 
@@ -117,22 +138,23 @@ func mustDone(t *testing.T, p *Pool, id string) <-chan struct{} {
 // untouched.
 func TestSweepAtomicRejection(t *testing.T) {
 	p := New(Config{QueueLimit: 3})
-	if _, err := p.SubmitSweep(SweepSpec{Policies: []string{"equip"}}, 0); err == nil {
+	ctx := context.Background()
+	if _, err := p.SubmitSweep(ctx, sweepRequest(SweepSpec{Policies: []string{"equip"}})); err == nil {
 		t.Fatal("sweep without mixes accepted")
 	}
-	if _, err := p.SubmitSweep(SweepSpec{
+	if _, err := p.SubmitSweep(ctx, sweepRequest(SweepSpec{
 		Policies: []string{"bogus"}, Mixes: []string{"w1"},
-	}, 0); err == nil {
+	})); err == nil {
 		t.Fatal("sweep with unknown policy accepted")
 	}
 	// 4 distinct members > QueueLimit 3: rejected atomically.
-	if _, err := p.SubmitSweep(tinySweepSpec(), 0); err != ErrQueueFull {
+	if _, err := p.SubmitSweep(ctx, tinySweepSpec()); err != ErrQueueFull {
 		t.Fatalf("oversized sweep: got %v, want ErrQueueFull", err)
 	}
 	if got := len(p.Runs()); got != 0 {
 		t.Fatalf("rejected sweep leaked %d runs into the pool", got)
 	}
-	if got := len(p.Sweeps()); got != 0 {
+	if got := len(p.Sweeps(ctx)); got != 0 {
 		t.Fatalf("rejected sweep left %d sweep records", got)
 	}
 }
@@ -145,18 +167,18 @@ func TestSweepCancel(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	p := New(Config{Simulate: blockingSim(t, &calls, release)})
-	res, err := p.SubmitSweep(tinySweepSpec(), 0)
+	res, err := p.SubmitSweep(context.Background(), tinySweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CancelSweep(res.ID); err != nil {
+	if _, err := p.CancelSweep(context.Background(), res.ID); err != nil {
 		t.Fatal(err)
 	}
 	st := waitSweepState(t, p, res.ID, Canceled)
 	if len(st.Cells) != 0 {
 		t.Fatal("cancelled sweep produced cells")
 	}
-	if _, err := p.CancelSweep("sweep-999999"); err != ErrNotFound {
+	if _, err := p.CancelSweep(context.Background(), "sweep-999999"); err != ErrNotFound {
 		t.Fatalf("unknown sweep cancel: got %v, want ErrNotFound", err)
 	}
 }

@@ -159,8 +159,7 @@ func newFleetTarget(s *Scenario, sim func(context.Context, runqueue.Spec) (*pdpa
 }
 
 func (t *fleetTarget) submit(spec runqueue.Spec) (admitResult, error) {
-	wire := specWire(spec)
-	req := client.SubmitRunRequest{Workload: wire.Workload, Options: wire.Options}
+	req := client.SubmitRunRequest{Workload: spec.Workload, Options: spec.Options}
 	res, err := t.cli.SubmitRun(context.Background(), req)
 	if err == nil {
 		switch {
@@ -182,33 +181,6 @@ func (t *fleetTarget) submit(spec runqueue.Spec) (admitResult, error) {
 		}
 	}
 	return admitResult{}, err
-}
-
-// specWire converts the runner's internal spec to the client mirror. The
-// JSON tags of both sides name the same fields, so the mapping is direct.
-func specWire(spec runqueue.Spec) client.Spec {
-	return client.Spec{
-		Workload: client.Workload{
-			Mix:            spec.Workload.Mix,
-			Load:           spec.Workload.Load,
-			NCPU:           spec.Workload.NCPU,
-			WindowS:        spec.Workload.WindowS,
-			Seed:           spec.Workload.Seed,
-			UniformRequest: spec.Workload.UniformRequest,
-		},
-		Options: client.RunOptions{
-			Policy:               spec.Options.Policy,
-			TargetEff:            spec.Options.TargetEff,
-			HighEff:              spec.Options.HighEff,
-			Step:                 spec.Options.Step,
-			BaseMPL:              spec.Options.BaseMPL,
-			MaxStableTransitions: spec.Options.MaxStableTransitions,
-			FixedMPL:             spec.Options.FixedMPL,
-			NoiseSigma:           spec.Options.NoiseSigma,
-			Seed:                 spec.Options.Seed,
-			NUMANodeSize:         spec.Options.NUMANodeSize,
-		},
-	}
 }
 
 func runStatusOf(v client.RunView) runStatus {

@@ -18,20 +18,21 @@ import (
 	"time"
 
 	"pdpasim"
+	"pdpasim/client"
 	"pdpasim/internal/faults"
 	"pdpasim/internal/runqueue"
 )
 
 // decodeEnvelope strictly decodes the error envelope — unknown or missing
 // fields fail the test, so the wire shape cannot drift silently.
-func decodeEnvelope(t *testing.T, resp *http.Response) ErrorBody {
+func decodeEnvelope(t *testing.T, resp *http.Response) client.ErrorBody {
 	t.Helper()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("error response content type %q, want application/json", ct)
 	}
 	dec := json.NewDecoder(resp.Body)
 	dec.DisallowUnknownFields()
-	var env ErrorResponse
+	var env client.ErrorResponse
 	if err := dec.Decode(&env); err != nil {
 		t.Fatalf("error response is not the envelope: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 		})
 		postRun(t, ts, submitBody("w1", 1, "equip"))
 		deadline := time.Now().Add(5 * time.Second)
-		for pool.Stats().Inflight == 0 && time.Now().Before(deadline) {
+		for inflight(pool) == 0 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		postRun(t, ts, submitBody("w1", 2, "equip")) // occupies the queue
@@ -179,7 +180,7 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 		})
 		postRun(t, ts, submitBody("w1", 1, "equip"))
 		deadline := time.Now().Add(5 * time.Second)
-		for pool.Stats().Inflight == 0 && time.Now().Before(deadline) {
+		for inflight(pool) == 0 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		postRun(t, ts, submitBody("w1", 2, "equip"))
@@ -235,13 +236,13 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 }
 
 // listRuns fetches one page of GET /v1/runs with the given query string.
-func listRuns(t *testing.T, ts *httptest.Server, query string) RunListResponse {
+func listRuns(t *testing.T, ts *httptest.Server, query string) client.RunPage {
 	t.Helper()
 	resp := get(t, ts.URL+"/v1/runs"+query)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/runs%s: status %d", query, resp.StatusCode)
 	}
-	var page RunListResponse
+	var page client.RunPage
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +383,7 @@ func TestListSweepsPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("sweep submit %d: status %d", i, resp.StatusCode)
 		}
-		var sr SweepSubmitResponse
+		var sr client.SweepSubmitResult
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +400,7 @@ func TestListSweepsPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /v1/sweeps%s: status %d", query, resp.StatusCode)
 		}
-		var page SweepListResponse
+		var page client.SweepPage
 		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+
+	"pdpasim/client"
 )
 
 // Stable error codes, one per way a v1 request can fail.
@@ -48,25 +50,11 @@ const (
 	CodeNodeUnreachable = "node_unreachable"
 )
 
-// ErrorBody is the envelope's payload.
-type ErrorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	// RetryAfterSeconds suggests a pause before retrying; 0 (omitted) means
-	// the error is not retryable-after-a-wait.
-	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
-}
-
-// ErrorResponse is the wire form of every non-2xx JSON response.
-type ErrorResponse struct {
-	Error ErrorBody `json:"error"`
-}
-
-// WriteError answers with the error envelope. It is exported so sibling
-// packages serving v1-shaped endpoints (the fleet coordinator) emit the
-// exact same envelope as this package.
+// WriteError answers with the error envelope (client.ErrorResponse). It is
+// exported for routes mounted with HandleFunc (the fleet coordinator's node
+// plane), so they emit the exact same envelope as the v1 routes.
 func WriteError(w http.ResponseWriter, status int, code string, err error) {
-	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: err.Error()}})
+	WriteJSON(w, status, client.ErrorResponse{Error: client.ErrorBody{Code: code, Message: err.Error()}})
 }
 
 // WriteRetryError answers with the error envelope plus a retry hint, in
@@ -76,7 +64,7 @@ func WriteRetryError(w http.ResponseWriter, status int, code string, err error, 
 		retryAfterSeconds = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{
+	WriteJSON(w, status, client.ErrorResponse{Error: client.ErrorBody{
 		Code: code, Message: err.Error(), RetryAfterSeconds: retryAfterSeconds,
 	}})
 }

@@ -8,9 +8,9 @@ package server
 // so the ordering scheme can change without breaking them.
 //
 // The exported half of this file is the v1 pagination convention itself:
-// sibling packages serving v1-shaped collections (the fleet coordinator's
-// /v1/nodes and proxied lists) parse and paginate with the same helpers so
-// every list endpoint behaves identically.
+// routes mounted with HandleFunc that serve v1-shaped collections (the fleet
+// coordinator's /v1/nodes) parse and paginate with the same helpers so every
+// list endpoint behaves identically.
 
 import (
 	"encoding/base64"

@@ -35,6 +35,12 @@ func failFastSim(ctx context.Context, spec runqueue.Spec) (*pdpasim.Outcome, err
 	return nil, errors.New("stub: simulation disabled")
 }
 
+// inflight reads the pool's running-simulation gauge.
+func inflight(pool *runqueue.Pool) float64 {
+	v, _ := pool.Metrics().Value("pdpad_inflight_runs", "")
+	return v
+}
+
 func postRaw(t *testing.T, url, body string) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -190,7 +196,7 @@ func TestQueueFullRetryAfterHeader(t *testing.T) {
 		t.Fatalf("first submit: status %d", status)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for pool.Stats().Inflight == 0 && time.Now().Before(deadline) {
+	for inflight(pool) == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if _, status := postRun(t, ts, submitBody("w1", 2, "equip")); status != http.StatusAccepted {

@@ -1,7 +1,10 @@
-// Package server exposes the runqueue pool as a JSON-over-HTTP service —
-// the pdpad daemon's API surface. Endpoints:
+// Package server is pdpad's v1 HTTP surface. It serves a Backend — a
+// standalone or node daemon's runqueue.Pool, or the fleet coordinator — and
+// is the only code that decodes v1 request bodies, maps failures onto the
+// error envelope, paginates, streams server-sent events, recovers handler
+// panics, and evaluates the SiteHTTPRequest fault point. Endpoints:
 //
-//	POST   /v1/runs             submit a WorkloadSpec+Options payload
+//	POST   /v1/runs             submit a workload + options payload
 //	GET    /v1/runs             list runs, newest first (limit=, cursor=, state=)
 //	POST   /v1/runs/reconcile   bulk-report authoritative run states (fleet recovery)
 //	GET    /v1/runs/{id}        status, and the full result once done
@@ -16,27 +19,27 @@
 //	GET    /healthz             liveness probe
 //	GET    /metrics             Prometheus text exposition
 //
-// The list endpoints paginate with an opaque cursor: pass limit= (default
-// 100, capped at 1000) and follow the response's next_cursor until it is
-// absent; state= filters to one lifecycle state. Every non-2xx response
-// carries the unified error envelope documented in errors.go.
-//
-// A sweep expands into member runs that share the pool's PDPA-style
-// admission, result cache, and singleflight index with individually
-// submitted runs; each member's result uses the same Outcome JSON schema as
-// GET /v1/runs/{id}.
+// Every backend serves every route; request and response bodies are the
+// client package's wire types. The list endpoints paginate with an opaque
+// cursor: pass limit= (default 100, capped at 1000) and follow the
+// response's next_cursor until it is absent; state= filters to one
+// lifecycle state. Every non-2xx response carries the unified error
+// envelope documented in errors.go. Extra routes (the coordinator's node
+// plane) mount behind the same front door with HandleFunc.
 //
 // Everything is stdlib net/http; the package has no third-party
 // dependencies.
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
+	"pdpasim/client"
 	"pdpasim/internal/faults"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/runqueue"
@@ -46,10 +49,52 @@ import (
 // sweep grid serializes well under a megabyte.
 const maxRequestBody = 1 << 20
 
-// Server routes HTTP traffic to a runqueue.Pool. Create with New; it
-// implements http.Handler.
+// Backend is what the server serves. Request bodies arrive decoded and
+// validated for shape (known fields, non-negative deadline); views come
+// back in wire form. Lookups of unknown IDs fail with an error matching
+// runqueue.ErrNotFound or a *client.APIError with status 404.
+//
+// Errors map onto the envelope by type: a *client.APIError is written
+// verbatim (status, code, message, retry hint) — the coordinator's own
+// rejections and the node envelopes it relays take this form; the pool's
+// sentinels map to their codes (OverloadError → 429 overloaded,
+// ErrQueueFull → 429 queue_full, ErrDraining → 503 draining, ErrNotFound
+// → 404); anything else is the caller's fault, 400 invalid_request.
+type Backend interface {
+	SubmitRun(ctx context.Context, req client.SubmitRunRequest) (client.SubmitResult, error)
+	// Run returns a run's view, its result included once done.
+	Run(ctx context.Context, id string) (client.RunView, error)
+	// CancelRun cancels a run and returns its view without the result.
+	CancelRun(ctx context.Context, id string) (client.RunView, error)
+	// ListRuns returns every run's view, newest first, without results.
+	ListRuns(ctx context.Context) []client.RunView
+	// FollowRun emits a run's lifecycle events through its terminal one.
+	// It fails before emitting anything when the run is unknown.
+	FollowRun(ctx context.Context, id string, emit func(client.Event)) error
+	// Trace returns a run's decision-trace JSON.
+	Trace(ctx context.Context, id string) ([]byte, error)
+
+	SubmitSweep(ctx context.Context, req client.SubmitSweepRequest) (client.SweepSubmitResult, error)
+	// Sweep returns a sweep's view with its run IDs and, once done, cells.
+	Sweep(ctx context.Context, id string) (client.SweepView, error)
+	// Sweeps returns every sweep's view, newest first, without run IDs or
+	// cells.
+	Sweeps(ctx context.Context) []client.SweepView
+	// CancelSweep cancels a sweep's remaining members and returns its view
+	// without run IDs or cells.
+	CancelSweep(ctx context.Context, id string) (client.SweepView, error)
+
+	// Health reports the admission state; the server adds the uptime.
+	Health() client.Health
+	// Metrics is the registry GET /metrics renders; the server registers
+	// its own recovered-panics series on it.
+	Metrics() *obs.Registry
+}
+
+// Server routes HTTP traffic to a Backend. Create with New; it implements
+// http.Handler.
 type Server struct {
-	pool    *runqueue.Pool
+	b       Backend
 	mux     *http.ServeMux
 	started time.Time
 	role    string
@@ -67,14 +112,14 @@ func WithFaults(inj *faults.Injector) Option {
 	return func(s *Server) { s.faults = inj }
 }
 
-// New returns a server backed by pool.
-func New(pool *runqueue.Pool, opts ...Option) *Server {
-	s := &Server{pool: pool, mux: http.NewServeMux(), started: time.Now(), role: RoleStandalone}
+// New returns a server backed by b.
+func New(b Backend, opts ...Option) *Server {
+	s := &Server{b: b, mux: http.NewServeMux(), started: time.Now(), role: RoleStandalone}
 	for _, o := range opts {
 		o(s)
 	}
 	// The "http" series of the family whose "worker" series the pool owns.
-	s.recovered = pool.Metrics().LabeledCounter("pdpad_recovered_panics_total",
+	s.recovered = b.Metrics().LabeledCounter("pdpad_recovered_panics_total",
 		"Panics recovered without taking the daemon down, by origin.", "where", "http")
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/runs", s.handleList)
@@ -91,6 +136,12 @@ func New(pool *runqueue.Pool, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
+}
+
+// HandleFunc mounts an extra route behind the server's front door, so it
+// gets the same panic recovery and fault injection as the v1 routes.
+func (s *Server) HandleFunc(pattern string, handler http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, handler)
 }
 
 // ServeHTTP implements http.Handler. Every request passes through panic
@@ -118,15 +169,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// submitError maps a pool submission error to an HTTP response. Overload
-// sheds carry the pool's backlog estimate as a retry hint (header and
-// envelope body); plain queue-full rejections suggest retrying in a second.
-func (s *Server) submitError(w http.ResponseWriter, err error) {
+// writeBackendError maps a backend failure onto the envelope (see Backend).
+// Overload sheds carry the pool's backlog estimate as a retry hint (header
+// and envelope body); plain queue-full rejections suggest retrying in a
+// second.
+func writeBackendError(w http.ResponseWriter, err error) {
+	var api *client.APIError
 	var overload *runqueue.OverloadError
 	switch {
+	case errors.As(err, &api):
+		if api.RetryAfterSeconds > 0 {
+			WriteRetryError(w, api.Status, api.Code, errors.New(api.Message), api.RetryAfterSeconds)
+		} else {
+			WriteError(w, api.Status, api.Code, errors.New(api.Message))
+		}
 	case errors.As(err, &overload): // before ErrQueueFull: OverloadError matches both
 		WriteRetryError(w, http.StatusTooManyRequests, CodeOverloaded, err,
 			int(overload.RetryAfter/time.Second))
+	case errors.Is(err, runqueue.ErrNotFound):
+		WriteError(w, http.StatusNotFound, CodeNotFound, err)
 	case errors.Is(err, runqueue.ErrDraining):
 		WriteError(w, http.StatusServiceUnavailable, CodeDraining, err)
 	case errors.Is(err, runqueue.ErrQueueFull):
@@ -136,10 +197,11 @@ func (s *Server) submitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeBody decodes a JSON request body into v, capped at maxRequestBody.
-// The error it writes distinguishes oversized payloads (413) from malformed
-// ones (400).
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody decodes a JSON request body into v, capped at 1 MiB, with
+// unknown fields rejected. The error it writes distinguishes oversized
+// payloads (413) from malformed ones (400). Routes mounted with HandleFunc
+// decode through it too.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -156,104 +218,30 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// SubmitRequest is the POST /v1/runs payload: the spec plus an optional
-// per-run deadline in seconds (queue wait included).
-type SubmitRequest struct {
-	Workload runqueue.WorkloadSpec `json:"workload"`
-	Options  runqueue.RunOptions   `json:"options"`
-	// DeadlineS bounds the run's total latency in seconds; 0 uses the
-	// pool's default.
-	DeadlineS float64 `json:"deadline_s,omitempty"`
-}
-
-// SubmitResponse reports how the submission was resolved.
-type SubmitResponse struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	// CacheHit: an identical spec had already completed; fetch the result
-	// immediately from GET /v1/runs/{id}.
-	CacheHit bool `json:"cache_hit,omitempty"`
-	// Deduped: an identical spec was already queued or running; this
-	// submission joined it.
-	Deduped bool `json:"deduped,omitempty"`
-}
-
-// RunView is the wire form of a run's status.
-type RunView struct {
-	ID          string          `json:"id"`
-	State       string          `json:"state"`
-	Error       string          `json:"error,omitempty"`
-	SubmittedAt time.Time       `json:"submitted_at"`
-	StartedAt   *time.Time      `json:"started_at,omitempty"`
-	FinishedAt  *time.Time      `json:"finished_at,omitempty"`
-	WallSeconds float64         `json:"wall_seconds,omitempty"`
-	CacheKey    string          `json:"cache_key"`
-	Spec        runqueue.Spec   `json:"spec"`
-	Result      json.RawMessage `json:"result,omitempty"`
-}
-
-func viewOf(snap runqueue.Snapshot, includeResult bool) RunView {
-	v := RunView{
-		ID:          snap.ID,
-		State:       string(snap.State),
-		SubmittedAt: snap.Submitted,
-		CacheKey:    snap.Key,
-		Spec:        snap.Spec,
+// validDeadline rejects a negative deadline_s with 400.
+func validDeadline(w http.ResponseWriter, deadlineS float64) bool {
+	if deadlineS < 0 {
+		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("negative deadline_s %v", deadlineS))
+		return false
 	}
-	if snap.Err != nil {
-		v.Error = snap.Err.Error()
-	}
-	if !snap.Started.IsZero() {
-		t := snap.Started
-		v.StartedAt = &t
-	}
-	if !snap.Finished.IsZero() {
-		t := snap.Finished
-		v.FinishedAt = &t
-		if !snap.Started.IsZero() {
-			v.WallSeconds = snap.Finished.Sub(snap.Started).Seconds()
-		}
-	}
-	if includeResult {
-		v.Result = snap.ResultJSON
-	}
-	return v
+	return true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !decodeBody(w, r, &req) {
+	var req client.SubmitRunRequest
+	if !DecodeBody(w, r, &req) || !validDeadline(w, req.DeadlineS) {
 		return
 	}
-	if req.DeadlineS < 0 {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("negative deadline_s %v", req.DeadlineS))
-		return
-	}
-	spec := runqueue.Spec{Workload: req.Workload, Options: req.Options}
-	deadline := time.Duration(req.DeadlineS * float64(time.Second))
-	res, err := s.pool.Submit(spec, deadline)
+	res, err := s.b.SubmitRun(r.Context(), req)
 	if err != nil {
-		s.submitError(w, err)
+		writeBackendError(w, err)
 		return
 	}
 	status := http.StatusAccepted
 	if res.CacheHit {
 		status = http.StatusOK
 	}
-	WriteJSON(w, status, SubmitResponse{
-		ID:       res.ID,
-		State:    string(res.State),
-		CacheHit: res.CacheHit,
-		Deduped:  res.Deduped,
-	})
-}
-
-// RunListResponse is one page of GET /v1/runs, newest first. NextCursor,
-// when present, fetches the next page via ?cursor=; its absence marks the
-// last page.
-type RunListResponse struct {
-	Runs       []RunView `json:"runs"`
-	NextCursor string    `json:"next_cursor,omitempty"`
+	WriteJSON(w, status, res)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -262,220 +250,108 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-	page, next := Paginate(s.pool.Runs(), p,
-		func(snap runqueue.Snapshot) string { return snap.ID },
-		func(snap runqueue.Snapshot) bool { return p.State == "" || string(snap.State) == p.State })
-	views := make([]RunView, len(page))
-	for i, snap := range page {
-		views[i] = viewOf(snap, false)
-	}
-	WriteJSON(w, http.StatusOK, RunListResponse{Runs: views, NextCursor: next})
+	page, next := Paginate(s.b.ListRuns(r.Context()), p,
+		func(v client.RunView) string { return v.ID },
+		func(v client.RunView) bool { return p.State == "" || v.State == p.State })
+	WriteJSON(w, http.StatusOK, client.RunPage{Runs: page, NextCursor: next})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.pool.Get(r.PathValue("id"))
+	v, err := s.b.Run(r.Context(), r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
+		writeBackendError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, viewOf(snap, true))
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.pool.Cancel(r.PathValue("id"))
+	v, err := s.b.CancelRun(r.Context(), r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
+		writeBackendError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, viewOf(snap, false))
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // handleEvents streams the run's lifecycle as server-sent events: one
 // `event: state` message per transition, ending after the terminal state.
+// The 200 header goes out with the first event, so an unknown run can
+// still answer 404.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		WriteError(w, http.StatusInternalServerError, CodeInternal, errors.New("streaming unsupported"))
 		return
 	}
-	id := r.PathValue("id")
-	events, unsub, err := s.pool.Subscribe(id)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	defer unsub()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	emit := func(ev runqueue.Event) bool {
+	started := false
+	err := s.b.FollowRun(r.Context(), r.PathValue("id"), func(ev client.Event) {
+		if !started {
+			started = true
+			w.Header().Set("Content-Type", "text/event-stream")
+			w.Header().Set("Cache-Control", "no-cache")
+			w.WriteHeader(http.StatusOK)
+		}
 		data, err := json.Marshal(ev)
 		if err != nil {
-			return false
+			return
 		}
 		fmt.Fprintf(w, "event: state\ndata: %s\n\n", data)
 		flusher.Flush()
-		return !ev.State.Terminal()
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-events:
-			if !ok {
-				// Channel closed: make sure the client saw the terminal
-				// state even if an intermediate send was dropped.
-				if snap, err := s.pool.Get(id); err == nil && snap.State.Terminal() {
-					msg := ""
-					if snap.Err != nil {
-						msg = snap.Err.Error()
-					}
-					emit(runqueue.Event{RunID: id, State: snap.State, At: snap.Finished, Message: msg})
-				}
-				return
-			}
-			if !emit(ev) {
-				return
-			}
-		}
+	})
+	if err != nil && !started && r.Context().Err() == nil {
+		writeBackendError(w, err)
 	}
 }
 
 // handleTrace serves the run's recorded decision trace: the ordered event
 // stream explaining every scheduling decision ({"events": [...], "dropped":
-// n}, the pdpasim.DecisionTrace JSON schema). Available once the run is
-// done, unless the pool was configured with tracing disabled.
+// n}, the pdpasim.DecisionTrace JSON schema).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.pool.Get(r.PathValue("id"))
+	raw, err := s.b.Trace(r.Context(), r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	if len(snap.TraceJSON) == 0 {
-		WriteError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Errorf("run %s has no decision trace (state %s; tracing may be disabled)", snap.ID, snap.State))
+		writeBackendError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(snap.TraceJSON)
+	w.Write(raw)
 }
 
-// ReconcileRequest is the POST /v1/runs/reconcile payload: the run IDs a
-// restarted coordinator believes this node owns and needs authoritative
-// states for.
-type ReconcileRequest struct {
-	IDs []string `json:"ids"`
-}
-
-// ReconcileResponse answers a reconcile probe: a full view (result
-// included) for every asked-about run this pool has a record of, and the
-// IDs it knows nothing about — which the coordinator requeues elsewhere.
-type ReconcileResponse struct {
-	Runs    []RunView `json:"runs,omitempty"`
-	Missing []string  `json:"missing,omitempty"`
-}
-
-// handleReconcile bulk-reports run states for a recovering coordinator.
-// The node is the authority: a run it finished while the coordinator was
-// down comes back terminal with its exact result bytes, which is what
-// keeps resumed fleet sweeps byte-identical.
+// handleReconcile bulk-reports run states for a recovering coordinator: a
+// full view (result included) for every asked-about run the backend has a
+// record of, and the IDs it knows nothing about — which the coordinator
+// requeues elsewhere. The node is the authority: a run it finished while
+// the coordinator was down comes back terminal with its exact result bytes,
+// which is what keeps resumed fleet sweeps byte-identical.
 func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
-	var req ReconcileRequest
-	if !decodeBody(w, r, &req) {
+	var req client.ReconcileRequest
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	var resp ReconcileResponse
+	var resp client.ReconcileResult
 	for _, id := range req.IDs {
-		snap, err := s.pool.Get(id)
+		v, err := s.b.Run(r.Context(), id)
 		if err != nil {
 			resp.Missing = append(resp.Missing, id)
 			continue
 		}
-		resp.Runs = append(resp.Runs, viewOf(snap, true))
+		resp.Runs = append(resp.Runs, v)
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// SweepSubmitRequest is the POST /v1/sweeps payload: the grid plus an
-// optional per-member deadline in seconds.
-type SweepSubmitRequest struct {
-	runqueue.SweepSpec
-	// DeadlineS bounds each member run's total latency in seconds; 0 uses
-	// the pool's default.
-	DeadlineS float64 `json:"deadline_s,omitempty"`
-}
-
-// SweepSubmitResponse reports how the sweep was resolved.
-type SweepSubmitResponse struct {
-	ID     string   `json:"id"`
-	RunIDs []string `json:"run_ids"`
-	// CacheHits and Deduped count members served from the result cache or
-	// joined to in-flight identical runs instead of re-simulated.
-	CacheHits int `json:"cache_hits,omitempty"`
-	Deduped   int `json:"deduped,omitempty"`
-}
-
-// SweepView is the wire form of a sweep's status.
-type SweepView struct {
-	ID          string             `json:"id"`
-	State       string             `json:"state"`
-	Done        int                `json:"done"`
-	Total       int                `json:"total"`
-	SubmittedAt time.Time          `json:"submitted_at"`
-	Spec        runqueue.SweepSpec `json:"spec"`
-	RunIDs      []string           `json:"run_ids,omitempty"`
-	Errors      []string           `json:"errors,omitempty"`
-	// Cells holds per-cell aggregates (mean/stddev/95% CI over seed
-	// replicates) once every member is done.
-	Cells []runqueue.SweepCell `json:"cells,omitempty"`
-}
-
-func sweepViewOf(st runqueue.SweepStatus, includeDetail bool) SweepView {
-	v := SweepView{
-		ID:          st.ID,
-		State:       string(st.State),
-		Done:        st.Done,
-		Total:       st.Total,
-		SubmittedAt: st.Submitted,
-		Spec:        st.Spec,
-		Errors:      st.Errors,
-	}
-	if includeDetail {
-		v.RunIDs = st.RunIDs
-		v.Cells = st.Cells
-	}
-	return v
-}
-
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepSubmitRequest
-	if !decodeBody(w, r, &req) {
+	var req client.SubmitSweepRequest
+	if !DecodeBody(w, r, &req) || !validDeadline(w, req.DeadlineS) {
 		return
 	}
-	if req.DeadlineS < 0 {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("negative deadline_s %v", req.DeadlineS))
-		return
-	}
-	res, err := s.pool.SubmitSweep(req.SweepSpec, time.Duration(req.DeadlineS*float64(time.Second)))
+	res, err := s.b.SubmitSweep(r.Context(), req)
 	if err != nil {
-		s.submitError(w, err)
+		writeBackendError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, SweepSubmitResponse{
-		ID:        res.ID,
-		RunIDs:    res.RunIDs,
-		CacheHits: res.CacheHits,
-		Deduped:   res.Deduped,
-	})
-}
-
-// SweepListResponse is one page of GET /v1/sweeps, newest first.
-type SweepListResponse struct {
-	Sweeps     []SweepView `json:"sweeps"`
-	NextCursor string      `json:"next_cursor,omitempty"`
+	WriteJSON(w, http.StatusAccepted, res)
 }
 
 func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
@@ -484,44 +360,32 @@ func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-	page, next := Paginate(s.pool.Sweeps(), p,
-		func(st runqueue.SweepStatus) string { return st.ID },
-		func(st runqueue.SweepStatus) bool { return p.State == "" || string(st.State) == p.State })
-	views := make([]SweepView, len(page))
-	for i, st := range page {
-		views[i] = sweepViewOf(st, false)
-	}
-	WriteJSON(w, http.StatusOK, SweepListResponse{Sweeps: views, NextCursor: next})
+	page, next := Paginate(s.b.Sweeps(r.Context()), p,
+		func(v client.SweepView) string { return v.ID },
+		func(v client.SweepView) bool { return p.State == "" || v.State == p.State })
+	WriteJSON(w, http.StatusOK, client.SweepPage{Sweeps: page, NextCursor: next})
 }
 
 func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := s.pool.GetSweep(r.PathValue("id"))
+	v, err := s.b.Sweep(r.Context(), r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
+		writeBackendError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, sweepViewOf(st, true))
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := s.pool.CancelSweep(r.PathValue("id"))
+	v, err := s.b.CancelSweep(r.Context(), r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, err)
+		writeBackendError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, sweepViewOf(st, false))
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	st := s.pool.Stats()
-	status := "ok"
-	if st.Draining {
-		status = "draining"
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"status":   status,
-		"uptime_s": time.Since(s.started).Seconds(),
-		"queue":    st.QueueDepth,
-		"inflight": st.Inflight,
-	})
+	h := s.b.Health()
+	h.UptimeS = time.Since(s.started).Seconds()
+	WriteJSON(w, http.StatusOK, h)
 }

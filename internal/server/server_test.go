@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pdpasim"
+	"pdpasim/client"
 	"pdpasim/internal/runqueue"
 )
 
@@ -31,14 +32,14 @@ func submitBody(mix string, seed int64, policy string) string {
 		mix, seed, policy)
 }
 
-func postRun(t *testing.T, ts *httptest.Server, body string) (SubmitResponse, int) {
+func postRun(t *testing.T, ts *httptest.Server, body string) (client.SubmitResult, int) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr SubmitResponse
+	var sr client.SubmitResult
 	if resp.StatusCode/100 == 2 {
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)
@@ -47,7 +48,7 @@ func postRun(t *testing.T, ts *httptest.Server, body string) (SubmitResponse, in
 	return sr, resp.StatusCode
 }
 
-func getRun(t *testing.T, ts *httptest.Server, id string) RunView {
+func getRun(t *testing.T, ts *httptest.Server, id string) client.RunView {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id)
 	if err != nil {
@@ -57,14 +58,14 @@ func getRun(t *testing.T, ts *httptest.Server, id string) RunView {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET run %s: status %d", id, resp.StatusCode)
 	}
-	var v RunView
+	var v client.RunView
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
 	return v
 }
 
-func waitRunState(t *testing.T, ts *httptest.Server, id, want string) RunView {
+func waitRunState(t *testing.T, ts *httptest.Server, id, want string) client.RunView {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
@@ -78,7 +79,7 @@ func waitRunState(t *testing.T, ts *httptest.Server, id, want string) RunView {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("run %s never reached %s", id, want)
-	return RunView{}
+	return client.RunView{}
 }
 
 // TestSubmitStatusResult drives a real simulation through the full HTTP
@@ -502,7 +503,7 @@ func TestListRuns(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var list struct {
-		Runs []RunView `json:"runs"`
+		Runs []client.RunView `json:"runs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)

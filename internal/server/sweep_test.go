@@ -10,17 +10,18 @@ import (
 	"time"
 
 	"pdpasim"
+	"pdpasim/client"
 	"pdpasim/internal/runqueue"
 )
 
-func postSweep(t *testing.T, ts *httptest.Server, body string) (SweepSubmitResponse, int) {
+func postSweep(t *testing.T, ts *httptest.Server, body string) (client.SweepSubmitResult, int) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr SweepSubmitResponse
+	var sr client.SweepSubmitResult
 	if resp.StatusCode/100 == 2 {
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)
@@ -29,7 +30,7 @@ func postSweep(t *testing.T, ts *httptest.Server, body string) (SweepSubmitRespo
 	return sr, resp.StatusCode
 }
 
-func getSweep(t *testing.T, ts *httptest.Server, id string) SweepView {
+func getSweep(t *testing.T, ts *httptest.Server, id string) client.SweepView {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
 	if err != nil {
@@ -39,14 +40,14 @@ func getSweep(t *testing.T, ts *httptest.Server, id string) SweepView {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET sweep %s: status %d", id, resp.StatusCode)
 	}
-	var v SweepView
+	var v client.SweepView
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
 	return v
 }
 
-func waitSweepState(t *testing.T, ts *httptest.Server, id, want string) SweepView {
+func waitSweepState(t *testing.T, ts *httptest.Server, id, want string) client.SweepView {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
@@ -60,7 +61,7 @@ func waitSweepState(t *testing.T, ts *httptest.Server, id, want string) SweepVie
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("sweep %s never reached %s", id, want)
-	return SweepView{}
+	return client.SweepView{}
 }
 
 const sweepBody = `{"policies":["equip","pdpa"],"mixes":["w1"],"loads":[0.6],"seeds":[1,2],"window_s":60}`
@@ -80,10 +81,14 @@ func TestSweepSubmitAndStatus(t *testing.T) {
 	if v.Done != 4 || v.Total != 4 {
 		t.Fatalf("done %d/%d, want 4/4", v.Done, v.Total)
 	}
-	if len(v.Cells) != 2 {
-		t.Fatalf("expected 2 cells, got %d", len(v.Cells))
+	var cells []runqueue.SweepCell
+	if err := json.Unmarshal(v.Cells, &cells); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range v.Cells {
+	if len(cells) != 2 {
+		t.Fatalf("expected 2 cells, got %d", len(cells))
+	}
+	for _, c := range cells {
 		if c.Makespan.N != 2 || c.Makespan.Mean <= 0 {
 			t.Fatalf("bad cell aggregates: %+v", c)
 		}
@@ -136,7 +141,7 @@ func TestSweepListAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var list struct {
-		Sweeps []SweepView `json:"sweeps"`
+		Sweeps []client.SweepView `json:"sweeps"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)

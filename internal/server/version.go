@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+
+	"pdpasim/client"
 )
 
 // APIRevision is the revision of the v1 wire surface this build speaks.
@@ -26,22 +28,10 @@ const (
 	RoleNode        = "node"
 )
 
-// VersionInfo is the GET /v1/version payload.
-type VersionInfo struct {
-	Service string `json:"service"`
-	// Version is the main module's build version ("(devel)" for plain
-	// go-build trees).
-	Version   string `json:"version"`
-	GoVersion string `json:"go_version"`
-	// APIRevision is the wire-surface revision; see the package constant.
-	APIRevision int `json:"api_revision"`
-	// Role is standalone, coordinator, or node.
-	Role string `json:"role"`
-}
-
-// Version describes this build serving in the given role.
-func Version(role string) VersionInfo {
-	v := VersionInfo{
+// Version describes this build serving in the given role. Version is the
+// main module's build version ("(devel)" for plain go-build trees).
+func Version(role string) client.VersionInfo {
+	v := client.VersionInfo{
 		Service:     "pdpad",
 		Version:     "(devel)",
 		GoVersion:   runtime.Version(),
