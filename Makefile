@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain go tooling underneath.
 
-.PHONY: build test vet depcheck bench bench-gate bench-throughput bench-smoke scenario-smoke loadtest-smoke fleet-smoke
+.PHONY: build test vet depcheck bench bench-gate bench-throughput bench-smoke scenario-smoke loadtest-smoke fleet-smoke fuzz-smoke
 
 build:
 	go build ./...
@@ -24,6 +24,18 @@ scenario-smoke:
 	go run ./cmd/scenario run -json -seed 1 -o /tmp/scenario-report-b.json scenarios/*.yaml
 	cmp /tmp/scenario-report-a.json /tmp/scenario-report-b.json
 	@echo "scenario reports byte-identical across replays"
+
+# Run every fuzz target as a fuzzer for 10 s each, not just over its seed
+# corpus: the parsers' "never panic, always a typed error" contracts (the
+# scenario DSL's now rests on reflection) get fresh inputs. A crasher is
+# written under the package's testdata/fuzz/ for replay.
+fuzz-smoke:
+	go test ./internal/scenario -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime 10s
+	go test ./internal/server -run '^$$' -fuzz '^FuzzSubmitDecode$$' -fuzztime 10s
+	go test ./internal/fleet -run '^$$' -fuzz '^FuzzRecoverState$$' -fuzztime 10s
+	go test ./internal/store -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 10s
+	go test ./internal/workload -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime 10s
+	go test ./internal/periodicity -run '^$$' -fuzz '^FuzzDetector$$' -fuzztime 10s
 
 # End-to-end durability + sustained-load smoke against a real pdpad process:
 # kill -9 recovery with byte-identical run bodies, a pdpaload soak that must

@@ -70,6 +70,16 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"frobnicate"}, &out, &errOut); code != 2 {
 		t.Fatalf("unknown command exit %d, want 2", code)
 	}
+
+	// A spec the daemon would reject is bad input, not a failing scenario.
+	errOut.Reset()
+	badSpec := write(t, "badspec.yaml", strings.Replace(passing, "mix: w1", "mix: w9", 1))
+	if code := run([]string{"run", badSpec}, &out, &errOut); code != 2 {
+		t.Fatalf("scenario with mix w9 exit %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), `unknown mix "w9"`) {
+		t.Fatalf("stderr %q does not name the bad mix", errOut.String())
+	}
 }
 
 func TestRunJSONDeterministic(t *testing.T) {
@@ -112,6 +122,10 @@ func TestValidate(t *testing.T) {
 	bad := write(t, "bad.yaml", "events: {not: a, list: here}")
 	if code := run([]string{"validate", bad}, &out, &errOut); code != 2 {
 		t.Fatalf("validate bad exit %d, want 2", code)
+	}
+	badSpec := write(t, "badspec.yaml", strings.Replace(passing, "mix: w1", "mix: w9", 1))
+	if code := run([]string{"validate", badSpec}, &out, &errOut); code != 2 {
+		t.Fatalf("validate of a scenario with mix w9 exit %d, want 2", code)
 	}
 }
 

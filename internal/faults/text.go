@@ -46,6 +46,16 @@ func ParseSite(s string) (Site, error) {
 	return 0, fmt.Errorf("faults: unknown site %q (valid: %s)", s, strings.Join(siteNames[:], ", "))
 }
 
+// UnmarshalText parses a site name, so a Site decodes from its text form.
+func (s *Site) UnmarshalText(text []byte) error {
+	v, err := ParseSite(string(text))
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
+}
+
 // ParseKind converts a kind name back to the Kind.
 func ParseKind(s string) (Kind, error) {
 	for k, n := range kindNames {
@@ -160,6 +170,17 @@ func ParseRule(s string) (Rule, error) {
 		return Rule{}, fmt.Errorf("faults: transient only applies to error rules, not %s", r.Kind)
 	}
 	return r, nil
+}
+
+// UnmarshalText parses the rule's text form (see ParseRule), so a Rule
+// decodes from a string.
+func (r *Rule) UnmarshalText(text []byte) error {
+	v, err := ParseRule(string(text))
+	if err != nil {
+		return err
+	}
+	*r = v
+	return nil
 }
 
 // ParseRules parses a list of rules separated by semicolons or newlines,

@@ -34,8 +34,6 @@ type Config struct {
 	// HTTPClient carries coordinator → node traffic (default a fresh
 	// client; tests inject one wired to httptest servers).
 	HTTPClient *http.Client
-	// Now is the clock (default time.Now; tests freeze it).
-	Now func() time.Time
 	// Logf receives operational log lines (default: discarded).
 	Logf func(format string, args ...any)
 	// Store, when non-nil, journals the node ledger, run registry, and
@@ -43,9 +41,6 @@ type Config struct {
 	// table before serving (see persist.go). The caller owns the store's
 	// lifecycle; Close does not close it.
 	Store *store.Store
-	// StoreCompactBytes bounds journal growth between compactions
-	// (default 4 MiB).
-	StoreCompactBytes int64
 	// Elastic configures the queue-depth-driven autoscaling hooks.
 	Elastic ElasticConfig
 }
@@ -154,7 +149,6 @@ type Coordinator struct {
 	maxReq    int
 	flts      *faults.Injector
 	hc        *http.Client
-	now       func() time.Time
 	logf      func(string, ...any)
 
 	mu       sync.Mutex
@@ -171,11 +165,10 @@ type Coordinator struct {
 	swOrder  []*csweep
 	swSeq    int
 
-	store             *store.Store
-	storeCompactBytes int64
-	elastic           ElasticConfig
-	idleSince         map[string]time.Time // node ID → first tick observed idle
-	backlogActive     bool                 // one scale-up signal per backlog episode
+	store         *store.Store
+	elastic       ElasticConfig
+	idleSince     map[string]time.Time // node ID → first tick observed idle
+	backlogActive bool                 // one scale-up signal per backlog episode
 
 	reg *obs.Registry
 	met coordMetrics
@@ -217,34 +210,26 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = &http.Client{}
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.StoreCompactBytes <= 0 {
-		cfg.StoreCompactBytes = defaultStoreCompactBytes
-	}
 	c := &Coordinator{
-		placement:         pl,
-		health:            cfg.Health.withDefaults(),
-		maxReq:            cfg.MaxRequeues,
-		flts:              cfg.Faults,
-		hc:                cfg.HTTPClient,
-		now:               cfg.Now,
-		logf:              cfg.Logf,
-		nodes:             map[string]*node{},
-		runs:              map[string]*crun{},
-		affinity:          map[string]*crun{},
-		sweeps:            map[string]*csweep{},
-		store:             cfg.Store,
-		storeCompactBytes: cfg.StoreCompactBytes,
-		elastic:           cfg.Elastic,
-		idleSince:         map[string]time.Time{},
-		reg:               obs.NewRegistry(),
-		stopMonitor:       make(chan struct{}),
-		monitorDone:       make(chan struct{}),
+		placement:   pl,
+		health:      cfg.Health.withDefaults(),
+		maxReq:      cfg.MaxRequeues,
+		flts:        cfg.Faults,
+		hc:          cfg.HTTPClient,
+		logf:        cfg.Logf,
+		nodes:       map[string]*node{},
+		runs:        map[string]*crun{},
+		affinity:    map[string]*crun{},
+		sweeps:      map[string]*csweep{},
+		store:       cfg.Store,
+		elastic:     cfg.Elastic,
+		idleSince:   map[string]time.Time{},
+		reg:         obs.NewRegistry(),
+		stopMonitor: make(chan struct{}),
+		monitorDone: make(chan struct{}),
 	}
 	c.met = coordMetrics{
 		heartbeats:       c.reg.Counter("pdpad_fleet_heartbeats_total", "Heartbeats accepted from registered nodes."),
@@ -381,7 +366,7 @@ func (c *Coordinator) monitor() {
 // tick is one monitor pass: declare dead nodes drained, requeue their
 // non-terminal runs, and evaluate the elasticity hooks.
 func (c *Coordinator) tick() {
-	now := c.now()
+	now := time.Now()
 	var orphans []*crun
 	c.mu.Lock()
 	for _, n := range c.order {
@@ -500,7 +485,7 @@ func (c *Coordinator) runsOnLocked(nodeID string) []*crun {
 // order: live heartbeats, not cordoned, not drained, not self-draining,
 // and not awaiting post-restart reconciliation.
 func (c *Coordinator) eligibleLocked(exclude map[string]bool) []*node {
-	now := c.now()
+	now := time.Now()
 	var out []*node
 	for _, n := range c.order {
 		if n.drained || n.cordoned || n.nodeDraining || n.pendingReconcile || exclude[n.id] {
@@ -671,7 +656,7 @@ func (c *Coordinator) failLocked(cr *crun, msg string) {
 	}
 	c.releaseLocked(cr)
 	cr.state = "failed"
-	now := c.now()
+	now := time.Now()
 	v := client.RunView{
 		ID:          cr.id,
 		State:       "failed",
@@ -791,7 +776,7 @@ func (c *Coordinator) submitOne(ctx context.Context, spec runqueue.Spec, deadlin
 		key:       key,
 		spec:      spec,
 		deadlineS: deadlineS,
-		submitted: c.now(),
+		submitted: time.Now(),
 		state:     "queued",
 	}
 	c.runs[cr.id] = cr
@@ -962,7 +947,7 @@ func (c *Coordinator) FollowRun(ctx context.Context, id string, emit func(client
 		n, remoteID := c.placementLocked(cr)
 		c.mu.Unlock()
 		if final != nil {
-			at := c.now()
+			at := time.Now()
 			if final.FinishedAt != nil {
 				at = *final.FinishedAt
 			}
@@ -1050,7 +1035,7 @@ func (c *Coordinator) SubmitSweep(ctx context.Context, req client.SubmitSweepReq
 	cs := &csweep{
 		id:        fmt.Sprintf("sweep-%06d", c.swSeq),
 		spec:      resolved,
-		submitted: c.now(),
+		submitted: time.Now(),
 	}
 	res := client.SweepSubmitResult{ID: cs.id}
 	for _, out := range outcomes {
@@ -1170,7 +1155,7 @@ func (c *Coordinator) Health() client.Health {
 		h.Status = "draining"
 	}
 	total, healthy := 0, 0
-	now := c.now()
+	now := time.Now()
 	for _, n := range c.order {
 		if n.drained {
 			continue
@@ -1206,7 +1191,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 			errors.New("fleet: registration needs a non-empty addr"))
 		return
 	}
-	now := c.now()
+	now := time.Now()
 	var orphans, adoptees []*crun
 	inheritCordon := false
 	c.mu.Lock()
@@ -1297,7 +1282,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("fleet: no live node %q (re-register)", id))
 		return
 	}
-	n.lastBeat = c.now()
+	n.lastBeat = time.Now()
 	n.beats++
 	n.queueDepth = req.QueueDepth
 	n.inflight = req.Inflight
@@ -1310,7 +1295,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // nodeViewLocked renders a node in its wire form.
 func (c *Coordinator) nodeViewLocked(n *node) client.NodeView {
-	live := c.health.Liveness(c.now().Sub(n.lastBeat))
+	live := c.health.Liveness(time.Now().Sub(n.lastBeat))
 	if n.pendingReconcile {
 		// Recovered from the store but not yet re-registered: never report
 		// it healthy, whatever the rehydrated heartbeat clock says.

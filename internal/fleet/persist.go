@@ -34,9 +34,8 @@ const (
 	kindCoordDel   = "cdel"
 )
 
-// defaultStoreCompactBytes bounds journal growth between compactions when
-// the caller leaves Config.StoreCompactBytes zero.
-const defaultStoreCompactBytes = 4 << 20
+// storeCompactBytes bounds journal growth between compactions.
+const storeCompactBytes = 4 << 20
 
 // nodeRecord is the durable form of one node-ledger entry. The latest
 // record for an ID wins, so state flips (cordon, drain, death) are plain
@@ -248,7 +247,7 @@ func (c *Coordinator) persistDeleteLocked(id string) {
 // journal exceeds the configured bound — the same trigger discipline as the
 // pool's store.
 func (c *Coordinator) maybeCompactLocked() {
-	if c.store.JournalBytes() < c.storeCompactBytes {
+	if c.store.JournalBytes() < storeCompactBytes {
 		return
 	}
 	if err := c.store.Compact(c.liveRecordsLocked()); err != nil {
@@ -299,7 +298,7 @@ func (c *Coordinator) liveRecordsLocked() []store.Record {
 // restarts at recovery time, so a node that never returns is requeued after
 // DeadAfter, respecting the requeue budget).
 func (c *Coordinator) rehydrate(rec fleetRecovery) {
-	now := c.now()
+	now := time.Now()
 	for _, nr := range rec.nodes {
 		if c.nodes[nr.ID] != nil {
 			continue

@@ -1,19 +1,22 @@
 package scenario
 
-// Strict schema decoding: the generic YAML tree is walked field by field,
-// every unknown key is an error naming its path and the valid alternatives,
-// and every value is type-checked at decode time. A scenario that parses is
-// therefore a scenario the runner fully understands.
+// Strict schema decoding. parseYAML yields a generic tree; decode walks it
+// into the scenario's Go types, keyed by their `json` struct tags. The
+// workload:, options:, and submit_sweep: stanzas decode straight into the v1
+// wire types (client.Workload, client.RunOptions, client.SweepSpec), so a
+// field the wire gains is a key the DSL accepts with no edit here. Every
+// unknown key is an error naming its path and the valid keys (read from the
+// tags), and every value is type-checked. Rules about values and across
+// fields live in Scenario.Validate; a scenario that parses is a scenario the
+// runner fully understands.
 
 import (
+	"encoding"
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
 	"strings"
 	"time"
-
-	"pdpasim/internal/faults"
-	"pdpasim/internal/fleet"
-	"pdpasim/internal/runqueue"
 )
 
 // Parse parses and validates a scenario document.
@@ -22,38 +25,9 @@ func Parse(src []byte) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := asMap(root, "document")
-	if err != nil {
-		return nil, err
-	}
-	d := &decoder{}
 	s := &Scenario{Seed: 1}
-	s.Name = d.str(m, "name", "")
-	s.Description = d.str(m, "description", "")
-	if v, ok := m["seed"]; ok {
-		s.Seed = d.int64Val(v, "seed")
-	}
-	if v, ok := m["pool"]; ok {
-		s.Pool = d.pool(v)
-	}
-	if v, ok := m["fleet"]; ok {
-		s.Fleet = d.fleet(v)
-	}
-	if v, ok := m["defaults"]; ok {
-		s.Defaults = d.spec(v, "defaults", runqueue.Spec{})
-	}
-	if v, ok := m["faults"]; ok {
-		s.Faults = d.faults(v)
-	}
-	if v, ok := m["events"]; ok {
-		s.Events = d.events(v)
-	}
-	if v, ok := m["assertions"]; ok {
-		s.Assertions = d.assertions(v)
-	}
-	d.unknown(m, "document", "name", "description", "seed", "pool", "fleet", "defaults", "faults", "events", "assertions")
-	if d.err != nil {
-		return nil, d.err
+	if err := decode(root, "", reflect.ValueOf(s).Elem()); err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -61,708 +35,195 @@ func Parse(src []byte) (*Scenario, error) {
 	return s, nil
 }
 
-// decoder accumulates the first schema error; accessors after a failure are
-// no-ops so decode code reads straight-line.
-type decoder struct {
-	err error
+// oneOf marks a struct written as a single-key mapping — an event or an
+// assertion. The key selects the member; bool members are flags written
+// bare (wait_all:) that take no parameters. oneOf names the entry kind for
+// error messages.
+type oneOf interface{ oneOf() string }
+
+func (Event) oneOf() string     { return "event" }
+func (Assertion) oneOf() string { return "assertion" }
+
+var (
+	durationType  = reflect.TypeOf(time.Duration(0))
+	unmarshalType = reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem()
+	oneOfType     = reflect.TypeOf((*oneOf)(nil)).Elem()
+)
+
+func failf(format string, args ...any) error {
+	return &ParseError{Msg: fmt.Sprintf(format, args...)}
 }
 
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = &ParseError{Msg: fmt.Sprintf(format, args...)}
-	}
-}
-
-func asMap(v any, path string) (map[string]any, error) {
-	if v == nil {
-		return map[string]any{}, nil
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, &ParseError{Msg: fmt.Sprintf("%s must be a mapping", path)}
-	}
-	return m, nil
-}
-
-func (d *decoder) mapAt(v any, path string) map[string]any {
-	m, err := asMap(v, path)
-	if err != nil {
-		d.fail("%s must be a mapping", path)
-		return map[string]any{}
-	}
-	return m
-}
-
-func (d *decoder) seqAt(v any, path string) []any {
-	if v == nil {
+// decode stores the YAML value v, found at path, into dst.
+func decode(v any, path string, dst reflect.Value) error {
+	t := dst.Type()
+	switch {
+	case t == durationType:
+		s, ok := v.(string)
+		if !ok {
+			return failf("%s must be a duration string like 250ms", path)
+		}
+		d, err := time.ParseDuration(s)
+		if err != nil || d < 0 {
+			return failf("%s: bad duration %q", path, s)
+		}
+		dst.SetInt(int64(d))
+		return nil
+	case reflect.PointerTo(t).Implements(unmarshalType):
+		s, ok := v.(string)
+		if !ok {
+			return failf("%s must be a %s string", path, strings.ToLower(t.Name()))
+		}
+		if err := dst.Addr().Interface().(encoding.TextUnmarshaler).UnmarshalText([]byte(s)); err != nil {
+			return failf("%s: %v", path, err)
+		}
 		return nil
 	}
-	s, ok := v.([]any)
-	if !ok {
-		d.fail("%s must be a sequence", path)
-		return nil
-	}
-	return s
-}
-
-func (d *decoder) unknown(m map[string]any, path string, known ...string) {
-	var extra []string
-	for k := range m {
-		found := false
-		for _, valid := range known {
-			if k == valid {
-				found = true
-				break
+	switch t.Kind() {
+	case reflect.Pointer:
+		p := reflect.New(t.Elem())
+		if err := decode(v, path, p.Elem()); err != nil {
+			return err
+		}
+		dst.Set(p)
+	case reflect.Struct:
+		return decodeStruct(v, path, dst)
+	case reflect.Slice:
+		if v == nil {
+			return nil
+		}
+		seq, ok := v.([]any)
+		if !ok {
+			return failf("%s must be a sequence", path)
+		}
+		out := reflect.MakeSlice(t, len(seq), len(seq))
+		for i, ev := range seq {
+			if err := decode(ev, fmt.Sprintf("%s[%d]", path, i), out.Index(i)); err != nil {
+				return err
 			}
 		}
-		if !found {
+		dst.Set(out)
+	case reflect.String:
+		s, ok := v.(string)
+		if !ok {
+			return failf("%s must be a string", path)
+		}
+		dst.SetString(s)
+	case reflect.Int, reflect.Int64:
+		n, ok := v.(int64)
+		if !ok {
+			return failf("%s must be an integer", path)
+		}
+		dst.SetInt(n)
+	case reflect.Float64:
+		switch n := v.(type) {
+		case int64:
+			dst.SetFloat(float64(n))
+		case float64:
+			dst.SetFloat(n)
+		default:
+			return failf("%s must be a number", path)
+		}
+	case reflect.Bool:
+		b, ok := v.(bool)
+		if !ok {
+			return failf("%s must be true or false", path)
+		}
+		dst.SetBool(b)
+	default:
+		return failf("%s: the schema has no decoding for %s", path, t)
+	}
+	return nil
+}
+
+// decodeStruct decodes a mapping into dst's tagged fields.
+func decodeStruct(v any, path string, dst reflect.Value) error {
+	where := path
+	if where == "" {
+		where = "document"
+	}
+	m, ok := v.(map[string]any)
+	if !ok && v != nil {
+		return failf("%s must be a mapping", where)
+	}
+	fields := keysOf(dst.Type())
+	valid := make([]string, len(fields))
+	for i, f := range fields {
+		valid[i] = f.name
+	}
+	var kind string
+	if dst.Type().Implements(oneOfType) {
+		kind = dst.Interface().(oneOf).oneOf()
+		if len(m) != 1 {
+			return failf("%s must have exactly one %s key (%s)", where, kind, strings.Join(valid, ", "))
+		}
+	}
+	var extra []string
+	for k := range m {
+		if !slices.Contains(valid, k) {
 			extra = append(extra, k)
 		}
 	}
 	if len(extra) > 0 {
-		sort.Strings(extra)
-		d.fail("%s: unknown key %q (valid: %s)", path, extra[0], strings.Join(known, ", "))
+		noun := "key"
+		if kind != "" {
+			noun = kind
+		}
+		return failf("%s: unknown %s %q (valid: %s)", where, noun, slices.Min(extra), strings.Join(valid, ", "))
 	}
-}
-
-func (d *decoder) str(m map[string]any, key, path string) string {
-	v, ok := m[key]
-	if !ok {
-		return ""
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.fail("%s%s must be a string", dot(path), key)
-		return ""
-	}
-	return s
-}
-
-func (d *decoder) int64Val(v any, path string) int64 {
-	n, ok := v.(int64)
-	if !ok {
-		d.fail("%s must be an integer", path)
-		return 0
-	}
-	return n
-}
-
-func (d *decoder) intField(m map[string]any, key, path string, dst *int) {
-	if v, ok := m[key]; ok {
-		*dst = int(d.int64Val(v, dot(path)+key))
-	}
-}
-
-func (d *decoder) int64Field(m map[string]any, key, path string, dst *int64) {
-	if v, ok := m[key]; ok {
-		*dst = d.int64Val(v, dot(path)+key)
-	}
-}
-
-func (d *decoder) floatVal(v any, path string) float64 {
-	switch n := v.(type) {
-	case int64:
-		return float64(n)
-	case float64:
-		return n
-	}
-	d.fail("%s must be a number", path)
-	return 0
-}
-
-func (d *decoder) floatField(m map[string]any, key, path string, dst *float64) {
-	if v, ok := m[key]; ok {
-		*dst = d.floatVal(v, dot(path)+key)
-	}
-}
-
-func (d *decoder) boolField(m map[string]any, key, path string, dst *bool) {
-	if v, ok := m[key]; ok {
-		b, ok := v.(bool)
+	for _, f := range fields {
+		fv, ok := m[f.name]
+		if !ok && !f.hasDefault {
+			continue
+		}
 		if !ok {
-			d.fail("%s%s must be true or false", dot(path), key)
-			return
+			fv = plainScalar(f.def)
 		}
-		*dst = b
-	}
-}
-
-func (d *decoder) durField(m map[string]any, key, path string, dst *time.Duration) {
-	v, ok := m[key]
-	if !ok {
-		return
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.fail("%s%s must be a duration string like 250ms", dot(path), key)
-		return
-	}
-	dur, err := time.ParseDuration(s)
-	if err != nil || dur < 0 {
-		d.fail("%s%s: bad duration %q", dot(path), key, s)
-		return
-	}
-	*dst = dur
-}
-
-func dot(path string) string {
-	if path == "" {
-		return ""
-	}
-	return path + "."
-}
-
-func (d *decoder) pool(v any) PoolParams {
-	m := d.mapAt(v, "pool")
-	var p PoolParams
-	d.intField(m, "base_workers", "pool", &p.BaseWorkers)
-	d.intField(m, "max_workers", "pool", &p.MaxWorkers)
-	d.durField(m, "warmup", "pool", &p.Warmup)
-	d.intField(m, "queue_limit", "pool", &p.QueueLimit)
-	d.intField(m, "cache_size", "pool", &p.CacheSize)
-	d.intField(m, "shed_depth", "pool", &p.ShedDepth)
-	d.durField(m, "run_timeout", "pool", &p.RunTimeout)
-	d.intField(m, "max_retries", "pool", &p.MaxRetries)
-	d.durField(m, "retry_backoff", "pool", &p.RetryBackoff)
-	d.unknown(m, "pool", "base_workers", "max_workers", "warmup", "queue_limit",
-		"cache_size", "shed_depth", "run_timeout", "max_retries", "retry_backoff")
-	return p
-}
-
-func (d *decoder) fleet(v any) *FleetParams {
-	m := d.mapAt(v, "fleet")
-	f := &FleetParams{}
-	d.intField(m, "nodes", "fleet", &f.Nodes)
-	if f.Nodes < 1 {
-		d.fail("fleet needs a positive nodes count")
-	}
-	f.Placement = d.str(m, "placement", "fleet")
-	if _, err := fleet.ParsePlacement(f.Placement); err != nil {
-		d.fail("fleet.placement: %v", err)
-	}
-	d.durField(m, "heartbeat", "fleet", &f.Heartbeat)
-	d.durField(m, "unhealthy_after", "fleet", &f.UnhealthyAfter)
-	d.durField(m, "dead_after", "fleet", &f.DeadAfter)
-	d.boolField(m, "durable", "fleet", &f.Durable)
-	d.durField(m, "drain_idle_after", "fleet", &f.DrainIdleAfter)
-	d.intField(m, "min_nodes", "fleet", &f.MinNodes)
-	d.intField(m, "join_backlog", "fleet", &f.JoinBacklog)
-	for i, nv := range d.seqAt(m["node_faults"], "fleet.node_faults") {
-		path := fmt.Sprintf("fleet.node_faults[%d]", i)
-		nm := d.mapAt(nv, path)
-		nf := NodeFault{Node: -1}
-		d.intField(nm, "node", path, &nf.Node)
-		rule := d.str(nm, "rule", path)
-		if rule == "" {
-			d.fail("%s needs a rule string (\"<site>:<kind> [options]\")", path)
-		} else if r, err := faults.ParseRule(rule); err != nil {
-			d.fail("%s: %v", path, err)
-		} else {
-			nf.Rule = r
+		fpath := f.name
+		if path != "" {
+			fpath = path + "." + f.name
 		}
-		d.unknown(nm, path, "node", "rule")
-		f.NodeFaults = append(f.NodeFaults, nf)
-	}
-	d.unknown(m, "fleet", "nodes", "placement", "heartbeat", "unhealthy_after", "dead_after",
-		"durable", "drain_idle_after", "min_nodes", "join_backlog", "node_faults")
-	return f
-}
-
-// spec decodes a workload/options pair as overrides onto base — the same
-// shape serves the defaults template and per-submit overrides.
-func (d *decoder) spec(v any, path string, base runqueue.Spec) runqueue.Spec {
-	m := d.mapAt(v, path)
-	out := base
-	if wv, ok := m["workload"]; ok {
-		out.Workload = d.workload(wv, path+".workload", base.Workload)
-	}
-	if ov, ok := m["options"]; ok {
-		out.Options = d.options(ov, path+".options", base.Options)
-	}
-	d.unknown(m, path, "workload", "options")
-	return out
-}
-
-func (d *decoder) workload(v any, path string, base runqueue.WorkloadSpec) runqueue.WorkloadSpec {
-	m := d.mapAt(v, path)
-	out := base
-	if s := d.str(m, "mix", path); s != "" {
-		out.Mix = s
-	}
-	d.floatField(m, "load", path, &out.Load)
-	d.intField(m, "ncpu", path, &out.NCPU)
-	d.floatField(m, "window_s", path, &out.WindowS)
-	d.int64Field(m, "seed", path, &out.Seed)
-	d.intField(m, "uniform_request", path, &out.UniformRequest)
-	d.unknown(m, path, "mix", "load", "ncpu", "window_s", "seed", "uniform_request")
-	return out
-}
-
-func (d *decoder) options(v any, path string, base runqueue.RunOptions) runqueue.RunOptions {
-	m := d.mapAt(v, path)
-	out := base
-	if s := d.str(m, "policy", path); s != "" {
-		out.Policy = s
-	}
-	d.floatField(m, "target_eff", path, &out.TargetEff)
-	d.floatField(m, "high_eff", path, &out.HighEff)
-	d.intField(m, "step", path, &out.Step)
-	d.intField(m, "base_mpl", path, &out.BaseMPL)
-	d.intField(m, "max_stable_transitions", path, &out.MaxStableTransitions)
-	d.intField(m, "fixed_mpl", path, &out.FixedMPL)
-	d.floatField(m, "noise_sigma", path, &out.NoiseSigma)
-	d.int64Field(m, "seed", path, &out.Seed)
-	d.intField(m, "numa_node_size", path, &out.NUMANodeSize)
-	d.unknown(m, path, "policy", "target_eff", "high_eff", "step", "base_mpl",
-		"max_stable_transitions", "fixed_mpl", "noise_sigma", "seed", "numa_node_size")
-	return out
-}
-
-func (d *decoder) faults(v any) []faults.Rule {
-	var rules []faults.Rule
-	for i, rv := range d.seqAt(v, "faults") {
-		s, ok := rv.(string)
-		if !ok {
-			d.fail("faults[%d] must be a rule string (\"<site>:<kind> [options]\")", i)
-			return nil
-		}
-		r, err := faults.ParseRule(s)
-		if err != nil {
-			d.fail("faults[%d]: %v", i, err)
-			return nil
-		}
-		rules = append(rules, r)
-	}
-	return rules
-}
-
-func (d *decoder) events(v any) []Event {
-	var events []Event
-	for i, ev := range d.seqAt(v, "events") {
-		path := fmt.Sprintf("events[%d]", i)
-		m := d.mapAt(ev, path)
-		if len(m) != 1 {
-			d.fail("%s must have exactly one event key (submit, submit_sweep, arrivals, set_policy, wait, wait_sweep, wait_node, wait_all, cancel)", path)
-			return nil
-		}
-		var e Event
-		for key, body := range m {
-			switch key {
-			case "submit":
-				e.Submit = d.submit(body, path+".submit")
-			case "arrivals":
-				e.Arrivals = d.arrivals(body, path+".arrivals")
-			case "set_policy":
-				bm := d.mapAt(body, path+".set_policy")
-				policy := d.str(bm, "policy", path+".set_policy")
-				if policy == "" {
-					d.fail("%s.set_policy needs a policy", path)
-				}
-				d.unknown(bm, path+".set_policy", "policy")
-				e.SetPolicy = &SetPolicyEvent{Policy: policy}
-			case "wait":
-				bm := d.mapAt(body, path+".wait")
-				w := &WaitEvent{Run: d.str(bm, "run", path+".wait"), State: d.str(bm, "state", path+".wait")}
-				if w.State == "" {
-					w.State = "terminal"
-				}
-				switch w.State {
-				case "terminal", "running", string(runqueue.Done), string(runqueue.Failed), string(runqueue.Canceled):
-				default:
-					d.fail("%s.wait.state %q invalid (terminal, running, done, failed, canceled)", path, w.State)
-				}
-				d.unknown(bm, path+".wait", "run", "state")
-				e.Wait = w
-			case "wait_all":
-				if body != nil {
-					if bm, ok := body.(map[string]any); !ok || len(bm) != 0 {
-						d.fail("%s.wait_all takes no parameters", path)
-					}
-				}
-				e.WaitAll = true
-			case "cancel":
-				bm := d.mapAt(body, path+".cancel")
-				e.Cancel = &CancelEvent{Run: d.str(bm, "run", path+".cancel")}
-				d.unknown(bm, path+".cancel", "run")
-			case "kill_node", "cordon_node", "drain_node":
-				bm := d.mapAt(body, path+"."+key)
-				ne := &NodeEvent{Node: -1}
-				d.intField(bm, "node", path+"."+key, &ne.Node)
-				d.unknown(bm, path+"."+key, "node")
-				switch key {
-				case "kill_node":
-					e.KillNode = ne
-				case "cordon_node":
-					e.CordonNode = ne
-				default:
-					e.DrainNode = ne
-				}
-			case "submit_sweep":
-				e.SubmitSweep = d.submitSweep(body, path+".submit_sweep")
-			case "wait_sweep":
-				bm := d.mapAt(body, path+".wait_sweep")
-				w := &WaitSweepEvent{
-					Sweep: d.str(bm, "sweep", path+".wait_sweep"),
-					State: d.str(bm, "state", path+".wait_sweep"),
-				}
-				d.intField(bm, "done", path+".wait_sweep", &w.Done)
-				if (w.State == "") == (w.Done == 0) {
-					d.fail("%s.wait_sweep needs exactly one of state: <terminal> or done: <n>", path)
-				}
-				if w.Done < 0 {
-					d.fail("%s.wait_sweep.done must be positive", path)
-				}
-				switch w.State {
-				case "", "done", "failed", "canceled":
-				default:
-					d.fail("%s.wait_sweep.state %q invalid (done, failed, canceled)", path, w.State)
-				}
-				d.unknown(bm, path+".wait_sweep", "sweep", "state", "done")
-				e.WaitSweep = w
-			case "wait_node":
-				bm := d.mapAt(body, path+".wait_node")
-				wn := &WaitNodeEvent{Node: -1}
-				d.intField(bm, "node", path+".wait_node", &wn.Node)
-				wn.State = d.str(bm, "state", path+".wait_node")
-				switch wn.State {
-				case string(fleet.StateHealthy), string(fleet.StateCordoned),
-					string(fleet.StateUnhealthy), string(fleet.StateDrained):
-				default:
-					d.fail("%s.wait_node.state %q invalid (healthy, cordoned, unhealthy, drained)", path, wn.State)
-				}
-				d.unknown(bm, path+".wait_node", "node", "state")
-				e.WaitNode = wn
-			case "kill_coordinator", "restart_coordinator":
-				if body != nil {
-					if bm, ok := body.(map[string]any); !ok || len(bm) != 0 {
-						d.fail("%s.%s takes no parameters", path, key)
-					}
-				}
-				if key == "kill_coordinator" {
-					e.KillCoordinator = true
-				} else {
-					e.RestartCoordinator = true
-				}
-			default:
-				d.fail("%s: unknown event %q (valid: submit, submit_sweep, arrivals, set_policy, wait, wait_sweep, wait_node, wait_all, cancel, kill_node, cordon_node, drain_node, kill_coordinator, restart_coordinator)", path, key)
+		field := dst.FieldByIndex(f.index)
+		if kind != "" && field.Kind() == reflect.Bool {
+			if body, isMap := fv.(map[string]any); fv != nil && (!isMap || len(body) != 0) {
+				return failf("%s takes no parameters", fpath)
 			}
+			field.SetBool(true)
+			continue
 		}
-		events = append(events, e)
-		if d.err != nil {
-			return nil
+		if err := decode(fv, fpath, field); err != nil {
+			return err
 		}
 	}
-	return events
+	return nil
 }
 
-func (d *decoder) submit(v any, path string) *SubmitEvent {
-	m := d.mapAt(v, path)
-	e := &SubmitEvent{Name: d.str(m, "name", path)}
-	if e.Name == "" {
-		d.fail("%s needs a name", path)
-	}
-	if wv, ok := m["workload"]; ok {
-		w := d.workload(wv, path+".workload", runqueue.WorkloadSpec{})
-		e.Workload = &w
-	}
-	if ov, ok := m["options"]; ok {
-		o := d.options(ov, path+".options", runqueue.RunOptions{})
-		e.Options = &o
-	}
-	d.unknown(m, path, "name", "workload", "options")
-	return e
+// key is one schema key: a json-tagged field, found by index so fields of
+// embedded structs (submit_sweep's client.SweepSpec) decode in place. A
+// `default` tag is decoded, as if written in the file, when the key is
+// absent.
+type key struct {
+	name       string
+	index      []int
+	def        string
+	hasDefault bool
 }
 
-func (d *decoder) submitSweep(v any, path string) *SubmitSweepEvent {
-	m := d.mapAt(v, path)
-	e := &SubmitSweepEvent{Name: d.str(m, "name", path)}
-	if e.Name == "" {
-		d.fail("%s needs a name", path)
-	}
-	for i, pv := range d.seqAt(m["policies"], path+".policies") {
-		s, ok := pv.(string)
-		if !ok {
-			d.fail("%s.policies[%d] must be a policy name", path, i)
-			break
-		}
-		e.Policies = append(e.Policies, s)
-	}
-	for i, mv := range d.seqAt(m["mixes"], path+".mixes") {
-		s, ok := mv.(string)
-		if !ok {
-			d.fail("%s.mixes[%d] must be a mix name", path, i)
-			break
-		}
-		e.Mixes = append(e.Mixes, s)
-	}
-	for i, lv := range d.seqAt(m["loads"], path+".loads") {
-		e.Loads = append(e.Loads, d.floatVal(lv, fmt.Sprintf("%s.loads[%d]", path, i)))
-	}
-	for i, sv := range d.seqAt(m["seeds"], path+".seeds") {
-		e.Seeds = append(e.Seeds, d.int64Val(sv, fmt.Sprintf("%s.seeds[%d]", path, i)))
-	}
-	d.intField(m, "ncpu", path, &e.NCPU)
-	d.floatField(m, "window_s", path, &e.WindowS)
-	if len(e.Policies) == 0 || len(e.Mixes) == 0 {
-		d.fail("%s needs at least one policy and one mix", path)
-	}
-	d.unknown(m, path, "name", "policies", "mixes", "loads", "seeds", "ncpu", "window_s")
-	return e
-}
-
-func (d *decoder) arrivals(v any, path string) *ArrivalsEvent {
-	m := d.mapAt(v, path)
-	e := &ArrivalsEvent{
-		Prefix:  d.str(m, "prefix", path),
-		Pattern: d.str(m, "pattern", path),
-	}
-	d.intField(m, "count", path, &e.Count)
-	d.floatField(m, "load_min", path, &e.LoadMin)
-	d.floatField(m, "load_max", path, &e.LoadMax)
-	d.intField(m, "period", path, &e.Period)
-	d.unknown(m, path, "prefix", "pattern", "count", "load_min", "load_max", "period")
-	if e.Prefix == "" {
-		d.fail("%s needs a prefix", path)
-	}
-	if e.Count <= 0 {
-		d.fail("%s needs a positive count", path)
-	}
-	switch e.Pattern {
-	case "", "burst":
-		e.Pattern = "burst"
-	case "uniform":
-	case "diurnal":
-		if e.LoadMin <= 0 || e.LoadMax < e.LoadMin {
-			d.fail("%s: diurnal needs 0 < load_min <= load_max", path)
-		}
-		if e.Period <= 0 {
-			e.Period = e.Count
-		}
-	default:
-		d.fail("%s.pattern %q invalid (burst, uniform, diurnal)", path, e.Pattern)
-	}
-	return e
-}
-
-func (d *decoder) assertions(v any) []Assertion {
-	var asserts []Assertion
-	for i, av := range d.seqAt(v, "assertions") {
-		path := fmt.Sprintf("assertions[%d]", i)
-		m := d.mapAt(av, path)
-		if len(m) != 1 {
-			d.fail("%s must have exactly one assertion key", path)
-			return nil
-		}
-		var a Assertion
-		for key, body := range m {
-			switch key {
-			case "state":
-				bm := d.mapAt(body, path+".state")
-				a.State = &StateAssertion{Run: d.str(bm, "run", path+".state"), Is: d.str(bm, "is", path+".state")}
-				d.terminalState(a.State.Is, path+".state.is")
-				d.unknown(bm, path+".state", "run", "is")
-			case "states":
-				bm := d.mapAt(body, path+".states")
-				st := &StatesAssertion{Prefix: d.str(bm, "prefix", path+".states"), All: d.str(bm, "all", path+".states")}
-				for j, sv := range d.seqAt(bm["are"], path+".states.are") {
-					s, ok := sv.(string)
-					if !ok {
-						d.fail("%s.states.are[%d] must be a state string", path, j)
-						break
-					}
-					// Rejected submissions never reach a run state; they report
-					// their rejection verdict in the state's place.
-					if s != admShed && s != admQueueFull {
-						d.terminalState(s, fmt.Sprintf("%s.states.are[%d]", path, j))
-					}
-					st.Are = append(st.Are, s)
-				}
-				if st.All != "" {
-					d.terminalState(st.All, path+".states.all")
-				}
-				if (len(st.Are) == 0) == (st.All == "") {
-					d.fail("%s.states needs exactly one of are: [...] or all: <state>", path)
-				}
-				d.unknown(bm, path+".states", "prefix", "are", "all")
-				a.States = st
-			case "admission":
-				bm := d.mapAt(body, path+".admission")
-				adm := &AdmissionAssertion{Run: d.str(bm, "run", path+".admission"), Is: d.str(bm, "is", path+".admission")}
-				switch adm.Is {
-				case admFresh, admCacheHit, admDedup, admShed, admQueueFull:
-				default:
-					d.fail("%s.admission.is %q invalid (fresh, cache_hit, dedup, shed, queue_full)", path, adm.Is)
-				}
-				d.unknown(bm, path+".admission", "run", "is")
-				a.Admission = adm
-			case "error_contains":
-				bm := d.mapAt(body, path+".error_contains")
-				a.ErrorContains = &ErrorContainsAssertion{
-					Run:    d.str(bm, "run", path+".error_contains"),
-					Substr: d.str(bm, "substr", path+".error_contains"),
-				}
-				if a.ErrorContains.Substr == "" {
-					d.fail("%s.error_contains needs a substr", path)
-				}
-				d.unknown(bm, path+".error_contains", "run", "substr")
-			case "metric":
-				bm := d.mapAt(body, path+".metric")
-				ma := &MetricAssertion{Name: d.str(bm, "name", path+".metric"), Label: d.str(bm, "label", path+".metric")}
-				if ma.Name == "" {
-					d.fail("%s.metric needs a name", path)
-				}
-				ma.Min, ma.Max = d.bounds(bm, path+".metric")
-				if ma.Min == nil && ma.Max == nil {
-					d.fail("%s.metric needs equals, min, or max", path)
-				}
-				d.unknown(bm, path+".metric", "name", "label", "min", "max", "equals")
-				a.Metric = ma
-			case "outcome":
-				bm := d.mapAt(body, path+".outcome")
-				oa := &OutcomeAssertion{
-					Run:      d.str(bm, "run", path+".outcome"),
-					Policy:   d.str(bm, "policy", path+".outcome"),
-					Workload: d.str(bm, "workload", path+".outcome"),
-				}
-				if v, ok := bm["jobs"]; ok {
-					n := int(d.int64Val(v, path+".outcome.jobs"))
-					oa.Jobs = &n
-				}
-				if v, ok := bm["makespan_min_s"]; ok {
-					f := d.floatVal(v, path+".outcome.makespan_min_s")
-					oa.MakespanSMin = &f
-				}
-				if v, ok := bm["makespan_max_s"]; ok {
-					f := d.floatVal(v, path+".outcome.makespan_max_s")
-					oa.MakespanSMax = &f
-				}
-				d.unknown(bm, path+".outcome", "run", "policy", "workload", "jobs", "makespan_min_s", "makespan_max_s")
-				a.Outcome = oa
-			case "same_result":
-				bm := d.mapAt(body, path+".same_result")
-				sr := &SameResultAssertion{}
-				for j, rv := range d.seqAt(bm["runs"], path+".same_result.runs") {
-					s, ok := rv.(string)
-					if !ok {
-						d.fail("%s.same_result.runs[%d] must be a run name", path, j)
-						break
-					}
-					sr.Runs = append(sr.Runs, s)
-				}
-				if len(sr.Runs) < 2 {
-					d.fail("%s.same_result needs at least two runs", path)
-				}
-				d.unknown(bm, path+".same_result", "runs")
-				a.SameResult = sr
-			case "injected":
-				bm := d.mapAt(body, path+".injected")
-				site, err := faults.ParseSite(d.str(bm, "site", path+".injected"))
-				if err != nil {
-					d.fail("%s.injected: %v", path, err)
-				}
-				ia := &InjectedAssertion{Site: site}
-				d.intField(bm, "count", path+".injected", &ia.Count)
-				d.unknown(bm, path+".injected", "site", "count")
-				a.Injected = ia
-			case "node_states":
-				bm := d.mapAt(body, path+".node_states")
-				ns := &NodeStatesAssertion{}
-				for j, sv := range d.seqAt(bm["are"], path+".node_states.are") {
-					s, ok := sv.(string)
-					if !ok {
-						d.fail("%s.node_states.are[%d] must be a node state string", path, j)
-						break
-					}
-					switch s {
-					case string(fleet.StateHealthy), string(fleet.StateCordoned),
-						string(fleet.StateUnhealthy), string(fleet.StateDrained):
-					default:
-						d.fail("%s.node_states.are[%d]: %q is not a node state (healthy, cordoned, unhealthy, drained)", path, j, s)
-					}
-					ns.Are = append(ns.Are, s)
-				}
-				if len(ns.Are) == 0 {
-					d.fail("%s.node_states needs are: [...]", path)
-				}
-				d.unknown(bm, path+".node_states", "are")
-				a.NodeStates = ns
-			case "sweep_state":
-				bm := d.mapAt(body, path+".sweep_state")
-				ss := &SweepStateAssertion{
-					Sweep: d.str(bm, "sweep", path+".sweep_state"),
-					Is:    d.str(bm, "is", path+".sweep_state"),
-				}
-				switch ss.Is {
-				case "done", "failed", "canceled":
-				default:
-					d.fail("%s.sweep_state.is %q invalid (done, failed, canceled)", path, ss.Is)
-				}
-				d.unknown(bm, path+".sweep_state", "sweep", "is")
-				a.SweepState = ss
-			case "sweep_cells_match_oracle":
-				bm := d.mapAt(body, path+".sweep_cells_match_oracle")
-				a.SweepOracle = &SweepOracleAssertion{Sweep: d.str(bm, "sweep", path+".sweep_cells_match_oracle")}
-				d.unknown(bm, path+".sweep_cells_match_oracle", "sweep")
-			case "reconciled_runs", "adopted_results":
-				bm := d.mapAt(body, path+"."+key)
-				cb := &CounterBoundAssertion{}
-				cb.Min, cb.Max = d.bounds(bm, path+"."+key)
-				if cb.Min == nil && cb.Max == nil {
-					d.fail("%s.%s needs equals, min, or max", path, key)
-				}
-				d.unknown(bm, path+"."+key, "min", "max", "equals")
-				if key == "reconciled_runs" {
-					a.ReconciledRuns = cb
-				} else {
-					a.AdoptedResults = cb
-				}
-			case "invariants", "no_leaks":
-				if body != nil {
-					if bm, ok := body.(map[string]any); !ok || len(bm) != 0 {
-						d.fail("%s.%s takes no parameters", path, key)
-					}
-				}
-				if key == "invariants" {
-					a.Invariants = true
-				} else {
-					a.NoLeaks = true
-				}
-			default:
-				d.fail("%s: unknown assertion %q (valid: state, states, admission, error_contains, metric, outcome, same_result, injected, node_states, sweep_state, sweep_cells_match_oracle, reconciled_runs, adopted_results, invariants, no_leaks)", path, key)
+func keysOf(t reflect.Type) []key {
+	var keys []key
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case f.Anonymous && name == "" && f.Type.Kind() == reflect.Struct:
+			for _, k := range keysOf(f.Type) {
+				k.index = append([]int{i}, k.index...)
+				keys = append(keys, k)
 			}
+		case f.IsExported() && name != "" && name != "-":
+			def, ok := f.Tag.Lookup("default")
+			keys = append(keys, key{name, f.Index, def, ok})
 		}
-		asserts = append(asserts, a)
-		if d.err != nil {
-			return nil
-		}
 	}
-	return asserts
-}
-
-// bounds decodes the shared min/max/equals trio of a bounded assertion.
-func (d *decoder) bounds(bm map[string]any, path string) (mn, mx *float64) {
-	if v, ok := bm["min"]; ok {
-		f := d.floatVal(v, path+".min")
-		mn = &f
-	}
-	if v, ok := bm["max"]; ok {
-		f := d.floatVal(v, path+".max")
-		mx = &f
-	}
-	if v, ok := bm["equals"]; ok {
-		if mn != nil || mx != nil {
-			d.fail("%s: equals excludes min/max", path)
-		}
-		f := d.floatVal(v, path+".equals")
-		mn, mx = &f, &f
-	}
-	return mn, mx
-}
-
-func (d *decoder) terminalState(s, path string) {
-	switch runqueue.State(s) {
-	case runqueue.Done, runqueue.Failed, runqueue.Canceled:
-	default:
-		d.fail("%s: %q is not a terminal state (done, failed, canceled)", path, s)
-	}
+	return keys
 }

@@ -134,6 +134,7 @@ func TestParseFleetSchema(t *testing.T) {
 func TestParseFleetSchemaErrors(t *testing.T) {
 	base := "name: x\nevents:\n  - submit: {name: a}\n"
 	withFleet := "name: x\nfleet: {nodes: 2}\nevents:\n  - submit: {name: a}\n"
+	fleetSpec := "name: x\nfleet: {nodes: 2}\ndefaults:\n  workload: {mix: w1}\n  options: {policy: equip}\nevents:\n  - submit: {name: a}\n"
 	cases := map[string]string{
 		base + "fleet: {}\n":                              "positive nodes",
 		base + "fleet: {nodes: 2, placement: psychic}\n":  "placement",
@@ -148,6 +149,13 @@ func TestParseFleetSchemaErrors(t *testing.T) {
 		withFleet + "  - kill_node: {node: 5}\n":          "out of range",
 		withFleet + "  - cordon_node: {}\n":               "out of range",
 		withFleet + "  - drain_node: {node: -1}\n":        "out of range",
+		// Specs the daemon would reject fail at parse time, not at run time.
+		fleetSpec + "  - submit_sweep: {name: s, policies: [pdpa], mixes: [w9]}\n":              "unknown mix",
+		fleetSpec + "  - submit_sweep: {name: s, policies: [psychic], mixes: [w1]}\n":           "unknown policy",
+		fleetSpec + "  - submit_sweep: {name: s, policies: [pdpa], mixes: [w1], loads: [-1]}\n": "negative load",
+		strings.Replace(fleetSpec, "nodes: 2", "nodes: 2, min_nodes: -1", 1):                    "must not be negative",
+		strings.Replace(fleetSpec, "nodes: 2", "nodes: 2, join_backlog: -3", 1):                 "must not be negative",
+		fleetSpec + "assertions:\n  - reconciled_runs: {min: 2, max: 1}\n":                      "min 2 > max 1",
 	}
 	for src, wantSub := range cases {
 		_, err := Parse([]byte(src))
@@ -163,6 +171,7 @@ func TestParseFleetSchemaErrors(t *testing.T) {
 
 func TestParseSchemaErrors(t *testing.T) {
 	base := "name: x\nevents:\n  - submit: {name: a}\n"
+	spec := "name: x\ndefaults:\n  workload: {mix: w1}\n  options: {policy: equip}\nevents:\n  - submit: {name: a}\n"
 	cases := map[string]string{
 		"events:\n  - submit: {name: a}\n":        "needs a name",
 		"name: x\n":                               "no events",
@@ -186,6 +195,16 @@ func TestParseSchemaErrors(t *testing.T) {
 		base + "assertions:\n  - state: {run: ghost, is: done}\n":                        "before any event names it",
 		base + "assertions:\n  - haunted: {}\n":                                          "unknown assertion",
 		base + "assertions:\n  - states: {prefix: a, are: [done], all: done}\n":          "exactly one of",
+		// Specs the daemon would reject fail at parse time, not at run time.
+		"name: x\nevents:\n  - submit: {name: a, workload: {mix: w9}}\n":                           "unknown mix",
+		spec + "  - submit: {name: b, workload: {load: -1}}\n":                                     "negative load",
+		spec + "  - set_policy: {policy: psychic}\n  - submit: {name: b}\n":                        "unknown policy",
+		spec + "  - submit: {name: b, options: {policy: pdpa, target_eff: 2}}\n":                   "target_eff 2 out of range",
+		"name: x\ndefaults: {workload: {mix: w1}}\nevents:\n  - arrivals: {prefix: p, count: 2}\n": "unknown policy",
+		spec + "pool: {base_workers: -1}\n":                                                        "pool.base_workers must not be negative",
+		spec + "pool: {cache_size: -4}\n":                                                          "pool.cache_size must not be negative",
+		spec + "assertions:\n  - metric: {name: m, min: 3, max: 1}\n":                              "min 3 > max 1",
+		spec + "assertions:\n  - outcome: {run: a, makespan_min_s: 9, makespan_max_s: 1}\n":        "makespan_min_s 9 > makespan_max_s 1",
 	}
 	for src, wantSub := range cases {
 		_, err := Parse([]byte(src))

@@ -327,7 +327,7 @@ func listenAt(addr string) (net.Listener, error) {
 }
 
 func (t *fleetTarget) submitSweep(spec *SubmitSweepEvent) (string, error) {
-	res, err := t.cli.SubmitSweep(context.Background(), sweepWire(spec))
+	res, err := t.cli.SubmitSweep(context.Background(), client.SubmitSweepRequest{SweepSpec: spec.SweepSpec})
 	if err != nil {
 		return "", err
 	}

@@ -238,7 +238,7 @@ func (r *runner) events() error {
 		var err error
 		switch {
 		case e.Submit != nil:
-			err = r.submit(e.Submit.Name, r.merged(e.Submit))
+			err = r.submit(e.Submit.Name, e.Submit.spec(r.template))
 		case e.Arrivals != nil:
 			err = r.arrivals(e.Arrivals)
 		case e.SetPolicy != nil:
@@ -271,66 +271,6 @@ func (r *runner) events() error {
 		}
 	}
 	return nil
-}
-
-// merged applies a submit event's overrides onto the current template.
-// Override fields left zero keep the template value — the same convention the
-// facade uses for defaulting, so an explicit zero and "unset" coincide.
-func (r *runner) merged(e *SubmitEvent) runqueue.Spec {
-	spec := r.template
-	if w := e.Workload; w != nil {
-		if w.Mix != "" {
-			spec.Workload.Mix = w.Mix
-		}
-		if w.Load != 0 {
-			spec.Workload.Load = w.Load
-		}
-		if w.NCPU != 0 {
-			spec.Workload.NCPU = w.NCPU
-		}
-		if w.WindowS != 0 {
-			spec.Workload.WindowS = w.WindowS
-		}
-		if w.Seed != 0 {
-			spec.Workload.Seed = w.Seed
-		}
-		if w.UniformRequest != 0 {
-			spec.Workload.UniformRequest = w.UniformRequest
-		}
-	}
-	if o := e.Options; o != nil {
-		if o.Policy != "" {
-			spec.Options.Policy = o.Policy
-		}
-		if o.TargetEff != 0 {
-			spec.Options.TargetEff = o.TargetEff
-		}
-		if o.HighEff != 0 {
-			spec.Options.HighEff = o.HighEff
-		}
-		if o.Step != 0 {
-			spec.Options.Step = o.Step
-		}
-		if o.BaseMPL != 0 {
-			spec.Options.BaseMPL = o.BaseMPL
-		}
-		if o.MaxStableTransitions != 0 {
-			spec.Options.MaxStableTransitions = o.MaxStableTransitions
-		}
-		if o.FixedMPL != 0 {
-			spec.Options.FixedMPL = o.FixedMPL
-		}
-		if o.NoiseSigma != 0 {
-			spec.Options.NoiseSigma = o.NoiseSigma
-		}
-		if o.Seed != 0 {
-			spec.Options.Seed = o.Seed
-		}
-		if o.NUMANodeSize != 0 {
-			spec.Options.NUMANodeSize = o.NUMANodeSize
-		}
-	}
-	return spec
 }
 
 func (r *runner) submit(name string, spec runqueue.Spec) error {
@@ -532,10 +472,10 @@ func (r *runner) evaluate(a Assertion, baseline leakcheck.Baseline) AssertReport
 	case a.SameResult != nil:
 		return r.checkSameResult(a.SameResult)
 	case a.Injected != nil:
-		got := r.tgt.injected(a.Injected.Site)
+		got := r.tgt.injected(*a.Injected.Site)
 		return AssertReport{
 			Kind:     "injected",
-			Detail:   fmt.Sprintf("site=%s count=%d", a.Injected.Site, a.Injected.Count),
+			Detail:   fmt.Sprintf("site=%s count=%d", *a.Injected.Site, a.Injected.Count),
 			Observed: fmt.Sprintf("%d", got),
 			Pass:     got == a.Injected.Count,
 		}
@@ -861,7 +801,7 @@ func (r *runner) oracleCells(spec *SubmitSweepEvent) ([]byte, error) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
 	defer cancel()
-	sub, err := cli.SubmitSweep(ctx, sweepWire(spec))
+	sub, err := cli.SubmitSweep(ctx, client.SubmitSweepRequest{SweepSpec: spec.SweepSpec})
 	if err != nil {
 		return nil, err
 	}
@@ -875,22 +815,10 @@ func (r *runner) oracleCells(spec *SubmitSweepEvent) ([]byte, error) {
 	return v.Cells, nil
 }
 
-// sweepWire converts a submit_sweep event to the client's wire shape.
-func sweepWire(e *SubmitSweepEvent) client.SubmitSweepRequest {
-	return client.SubmitSweepRequest{SweepSpec: client.SweepSpec{
-		Policies: e.Policies,
-		Mixes:    e.Mixes,
-		Loads:    e.Loads,
-		Seeds:    e.Seeds,
-		NCPU:     e.NCPU,
-		WindowS:  e.WindowS,
-	}}
-}
-
 // checkCounter evaluates a recovery-counter assertion by bounding its metric
 // series under the assertion's own kind.
-func (r *runner) checkCounter(kind, series string, a *CounterBoundAssertion) AssertReport {
-	ar := r.checkMetric(&MetricAssertion{Name: series, Min: a.Min, Max: a.Max})
+func (r *runner) checkCounter(kind, series string, b *Bounds) AssertReport {
+	ar := r.checkMetric(&MetricAssertion{Name: series, Bounds: *b})
 	ar.Kind = kind
 	return ar
 }
