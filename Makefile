@@ -1,12 +1,16 @@
 # Convenience targets; everything is plain go tooling underneath.
 
-.PHONY: build test vet depcheck bench bench-gate bench-throughput bench-smoke scenario-smoke loadtest-smoke fleet-smoke fuzz-smoke
+.PHONY: build test vet fmt-check depcheck bench bench-gate bench-throughput bench-smoke scenario-smoke loadtest-smoke fleet-smoke fuzz-smoke
 
 build:
 	go build ./...
 
 vet:
 	go vet ./...
+
+# Fail when any Go file is not gofmt-formatted (lists the offenders).
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Keep the removed facade APIs removed (Run/RunSWF, SweepSpec.Progress)
 # and reject stray Deprecated: markers.

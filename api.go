@@ -359,23 +359,7 @@ func (o *Outcome) DecisionTrace() *DecisionTrace {
 // A run that completes is byte-identical to the same run without a context:
 // cancellation checks never perturb the event order.
 func RunContext(ctx context.Context, spec WorkloadSpec, opts Options) (*Outcome, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	w, err := spec.build()
-	if err != nil {
-		return nil, err
-	}
-	cfg := opts.config(w)
-	tr := newRunTrace(opts.DecisionTrace, opts.Observer)
-	cfg.Trace = tr
-	res, err := system.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := newOutcome(res)
-	out.trace = tr
-	return out, nil
+	return NewRunner().RunContext(ctx, spec, opts)
 }
 
 // RunSWFContext replays a Standard Workload Format trace (as produced by
@@ -383,23 +367,7 @@ func RunContext(ctx context.Context, spec WorkloadSpec, opts Options) (*Outcome,
 // conventions) under the given options, with the same cancellation contract
 // as RunContext.
 func RunSWFContext(ctx context.Context, in io.Reader, opts Options) (*Outcome, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	w, err := workload.ParseSWF(in)
-	if err != nil {
-		return nil, err
-	}
-	cfg := opts.config(w)
-	tr := newRunTrace(opts.DecisionTrace, opts.Observer)
-	cfg.Trace = tr
-	res, err := system.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := newOutcome(res)
-	out.trace = tr
-	return out, nil
+	return NewRunner().RunSWFContext(ctx, in, opts)
 }
 
 // Runner executes runs back to back while recycling the simulation's

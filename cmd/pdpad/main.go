@@ -143,25 +143,6 @@ func main() {
 		log.Printf("pdpad: fault injection armed: %d rule(s), seed %d", len(injectRules), *injectSeed)
 	}
 
-	if *coordinator {
-		runCoordinator(coordFlags{
-			addr:         *addr,
-			placement:    *placement,
-			heartbeat:    *heartbeat,
-			unhealthy:    *unhealthy,
-			deadAfter:    *deadAfter,
-			maxRequeues:  *maxRequeues,
-			drainTimeout: *drainTimeout,
-			storeDir:     *storeDir,
-			storeSync:    *storeSync,
-			drainIdle:    *drainIdle,
-			minNodes:     *minNodes,
-			joinBacklog:  *joinBacklog,
-			inj:          inj,
-		})
-		return
-	}
-
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
@@ -174,169 +155,105 @@ func main() {
 			*storeDir, stats.RecoveredEntries, stats.TruncatedTails, stats.CorruptFrames)
 	}
 
-	pool := runqueue.New(runqueue.Config{
-		BaseWorkers:     *base,
-		MaxWorkers:      *max,
-		Warmup:          *warmup,
-		QueueLimit:      *queueLimit,
-		CacheSize:       *cacheSize,
-		DefaultDeadline: *deadline,
-		TraceLimit:      *traceLimit,
-		RunTimeout:      *runTimeout,
-		MaxRetries:      *maxRetries,
-		ShedDepth:       *maxQueue,
-		Faults:          inj,
-		Store:           st,
-	})
-	serverOpts := []server.Option{}
-	if inj != nil {
-		serverOpts = append(serverOpts, server.WithFaults(inj))
+	// Every role runs the same lifecycle; only the backend differs — a
+	// coordinator, or a pool (with an agent when it is a fleet node).
+	var (
+		handler http.Handler
+		drain   func(context.Context) error
+		stop    = func() {}
+		role    string
+	)
+	if *coordinator {
+		coord, err := fleet.NewCoordinator(fleet.Config{
+			Placement: fleet.Placement(*placement),
+			Health: fleet.HealthConfig{
+				HeartbeatInterval: *heartbeat,
+				UnhealthyAfter:    *unhealthy,
+				DeadAfter:         *deadAfter,
+			},
+			MaxRequeues: *maxRequeues,
+			Store:       st,
+			Elastic: fleet.ElasticConfig{
+				DrainIdleAfter:   *drainIdle,
+				MinNodes:         *minNodes,
+				JoinBacklogDepth: *joinBacklog,
+			},
+			Faults: inj,
+			Logf:   log.Printf,
+		})
+		if err != nil {
+			log.Fatalf("pdpad: %v", err)
+		}
+		handler, drain, stop = coord, coord.Drain, coord.Close
+		role = fmt.Sprintf("coordinator (placement %s, heartbeat %v)", *placement, *heartbeat)
+	} else {
+		pool := runqueue.New(runqueue.Config{
+			BaseWorkers:     *base,
+			MaxWorkers:      *max,
+			Warmup:          *warmup,
+			QueueLimit:      *queueLimit,
+			CacheSize:       *cacheSize,
+			DefaultDeadline: *deadline,
+			TraceLimit:      *traceLimit,
+			RunTimeout:      *runTimeout,
+			MaxRetries:      *maxRetries,
+			ShedDepth:       *maxQueue,
+			Faults:          inj,
+			Store:           st,
+		})
+		serverOpts := []server.Option{server.WithFaults(inj)}
+		if *nodeMode {
+			serverOpts = append(serverOpts, server.WithRole(server.RoleNode))
+			agent := fleet.StartAgent(fleet.AgentConfig{
+				Coordinator: strings.TrimRight(*join, "/"),
+				Advertise:   deriveAdvertise(*advertise, *addr),
+				Name:        *nodeName,
+				CPUs:        *base, // capacity hint: the pool's admission floor
+				BaseWorkers: *base,
+				MaxWorkers:  *max,
+				Faults:      inj,
+				Logf:        log.Printf,
+			}, pool)
+			stop = agent.Stop
+			log.Printf("pdpad: joining fleet at %s as %s", *join, deriveAdvertise(*advertise, *addr))
+		}
+		handler, drain = server.New(pool, serverOpts...), pool.Drain
+		role = fmt.Sprintf("pool (base %d, max %d, warmup %v)", *base, *max, *warmup)
 	}
 
-	var agent *fleet.Agent
-	if *nodeMode {
-		serverOpts = append(serverOpts, server.WithRole(server.RoleNode))
-		agent = fleet.StartAgent(fleet.AgentConfig{
-			Coordinator: strings.TrimRight(*join, "/"),
-			Advertise:   deriveAdvertise(*advertise, *addr),
-			Name:        *nodeName,
-			CPUs:        *base, // capacity hint: the pool's admission floor
-			BaseWorkers: *base,
-			MaxWorkers:  *max,
-			Faults:      inj,
-			Logf:        log.Printf,
-		}, pool)
-		log.Printf("pdpad: joining fleet at %s as %s", *join, deriveAdvertise(*advertise, *addr))
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: server.New(pool, serverOpts...)}
-
+	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	log.Printf("pdpad: serving on %s (base %d, max %d, warmup %v)", *addr, *base, *max, *warmup)
+	log.Printf("pdpad: serving on %s as %s", *addr, role)
 
 	select {
 	case err := <-serveErr:
 		log.Fatalf("pdpad: serve: %v", err)
 	case sig := <-sigs:
-		log.Printf("pdpad: %v: draining (in-flight and queued runs complete; again to force)", sig)
+		log.Printf("pdpad: %v: draining (accepted runs complete; again to force)", sig)
 	}
 
-	// Drain with the agent still heartbeating: the pool's draining flag
-	// rides the heartbeats, so the coordinator stops placing here first.
+	// Drain before stopping the role's background work: a node's agent keeps
+	// heartbeating while its pool drains, and the pool's draining flag rides
+	// the heartbeats, so the coordinator stops placing there first.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	go func() {
 		<-sigs
-		log.Print("pdpad: second signal: cancelling remaining runs")
+		log.Print("pdpad: second signal: cutting the drain short")
 		cancel()
 	}()
-	if err := pool.Drain(drainCtx); err != nil {
+	if err := drain(drainCtx); err != nil {
 		log.Printf("pdpad: drain cut short: %v", err)
 	}
 	cancel()
-	if agent != nil {
-		agent.Stop()
-	}
+	stop()
 	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelShutdown()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("pdpad: http shutdown: %v", err)
 	}
-	if st != nil {
-		if err := st.Close(); err != nil {
-			log.Printf("pdpad: store close: %v", err)
-		}
-	}
-	log.Print("pdpad: bye")
-}
-
-type coordFlags struct {
-	addr         string
-	placement    string
-	heartbeat    time.Duration
-	unhealthy    time.Duration
-	deadAfter    time.Duration
-	maxRequeues  int
-	drainTimeout time.Duration
-	storeDir     string
-	storeSync    time.Duration
-	drainIdle    time.Duration
-	minNodes     int
-	joinBacklog  int
-	inj          *faults.Injector
-}
-
-func runCoordinator(f coordFlags) {
-	var st *store.Store
-	if f.storeDir != "" {
-		var err error
-		st, err = store.Open(f.storeDir, store.Options{SyncInterval: f.storeSync})
-		if err != nil {
-			log.Fatalf("pdpad: open store %s: %v", f.storeDir, err)
-		}
-		stats := st.Stats()
-		log.Printf("pdpad: coordinator store %s: recovered %d record(s) (%d truncated tail(s), %d corrupt frame(s))",
-			f.storeDir, stats.RecoveredEntries, stats.TruncatedTails, stats.CorruptFrames)
-	}
-	coord, err := fleet.NewCoordinator(fleet.Config{
-		Placement: fleet.Placement(f.placement),
-		Health: fleet.HealthConfig{
-			HeartbeatInterval: f.heartbeat,
-			UnhealthyAfter:    f.unhealthy,
-			DeadAfter:         f.deadAfter,
-		},
-		MaxRequeues: f.maxRequeues,
-		Store:       st,
-		Elastic: fleet.ElasticConfig{
-			DrainIdleAfter:   f.drainIdle,
-			MinNodes:         f.minNodes,
-			JoinBacklogDepth: f.joinBacklog,
-			OnScaleDown: func(nodeID string) {
-				log.Printf("pdpad: scale-down: drained idle node %s", nodeID)
-			},
-			OnScaleUp: func(depth int) {
-				log.Printf("pdpad: scale-up: queue backlog at %d, fleet wants another node", depth)
-			},
-		},
-		Faults: f.inj,
-		Logf:   log.Printf,
-	})
-	if err != nil {
-		log.Fatalf("pdpad: %v", err)
-	}
-	httpSrv := &http.Server{Addr: f.addr, Handler: coord}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	log.Printf("pdpad: coordinating on %s (placement %s, heartbeat %v)", f.addr, f.placement, f.heartbeat)
-
-	select {
-	case err := <-serveErr:
-		log.Fatalf("pdpad: serve: %v", err)
-	case sig := <-sigs:
-		log.Printf("pdpad: %v: draining fleet (placed runs complete; again to force)", sig)
-	}
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), f.drainTimeout)
-	go func() {
-		<-sigs
-		log.Print("pdpad: second signal: abandoning remaining runs")
-		cancel()
-	}()
-	if err := coord.Drain(drainCtx); err != nil {
-		log.Printf("pdpad: drain cut short: %v", err)
-	}
-	cancel()
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("pdpad: http shutdown: %v", err)
-	}
-	coord.Close()
 	if st != nil {
 		if err := st.Close(); err != nil {
 			log.Printf("pdpad: store close: %v", err)

@@ -20,9 +20,12 @@
 // list and steer nodes with GET /v1/nodes and POST
 // /v1/nodes/{id}/cordon|uncordon|drain. Every body is a client wire type.
 //
-// Sweep grids are sharded across healthy nodes member by member and the
-// per-cell aggregates are reassembled in grid order by index, so a fleet
-// sweep's cells are byte-identical to the same sweep on a single node —
+// Sweeps live in runqueue.SweepIndex, the same index a pool serves its
+// sweeps from: the coordinator supplies only the fleet-specific steps —
+// sharding a grid's members across healthy nodes as one atomic batch,
+// refreshing member states, and cancelling a member on its node. Cells
+// aggregate in grid order by index exactly as on a single node, so a fleet
+// sweep's cells are byte-identical to the same sweep on one daemon —
 // including after a node dies mid-sweep and survivors absorb its members.
 package fleet
 

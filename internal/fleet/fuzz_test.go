@@ -25,7 +25,7 @@ func seedJournal(f *testing.F) []byte {
 	}{
 		{kindCoordNode, nodeRecord{ID: "node-001", Addr: "http://127.0.0.1:1", CPUs: 60}},
 		{kindCoordRun, crunRecord{ID: "run-000001", Key: "k", State: "running", NodeID: "node-001", RemoteID: "run-000007"}},
-		{kindCoordSweep, csweepRecord{ID: "sweep-000001", RunIDs: []string{"run-000001"}}},
+		{kindCoordSweep, sweepRecord("sweep-000001", "run-000001")},
 		{kindCoordDel, delRecord{ID: "run-000001"}},
 	} {
 		payload, err := json.Marshal(rec.v)
@@ -49,7 +49,7 @@ func seedJournal(f *testing.F) []byte {
 // FuzzRecoverState drives coordinator recovery with arbitrary store
 // wreckage: the bytes are laid down both as a bare journal and as a
 // mixed-generation snapshot+journal pair, opened through the real store,
-// and folded by recoverState. Whatever the input: no panic, no error from
+// and folded by the sweep index and recoverState. Whatever the input: no panic, no error from
 // Open (corruption is truncated and counted, never fatal), and every
 // recovered entity carries a usable ID.
 func FuzzRecoverState(f *testing.F) {
@@ -63,7 +63,7 @@ func FuzzRecoverState(f *testing.F) {
 	f.Add([]byte("not a journal at all"))
 
 	check := func(t *testing.T, st *store.Store) {
-		rec := recoverState(st.TakeRecovered())
+		rec, sweeps := recoverAll(st.TakeRecovered())
 		if rec.dropped < 0 {
 			t.Fatalf("negative drop count %d", rec.dropped)
 		}
@@ -77,8 +77,8 @@ func FuzzRecoverState(f *testing.F) {
 				t.Fatal("recovered run with empty ID")
 			}
 		}
-		for _, sw := range rec.sweeps {
-			if sw.ID == "" {
+		for _, id := range sweeps {
+			if id == "" {
 				t.Fatal("recovered sweep with empty ID")
 			}
 		}

@@ -119,11 +119,7 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 			adopted++
 			v := *view
 			v.ID = cr.id
-			cr.lastView = &v
-			cr.state = v.State
-			cr.final = &v
-			c.releaseLocked(cr)
-			c.persistRunLocked(cr)
+			c.settleLocked(cr, &v)
 		case verdictResume:
 			resumed++
 			v := *view

@@ -6,6 +6,11 @@
 // singleflight deduplication so identical specs never simulate twice, a FIFO
 // queue with per-run deadlines, and graceful drain for shutdown.
 //
+// Sweeps live here for every backend: SweepIndex (sweep.go) expands a grid,
+// allocates sweep IDs, journals and recovers sweeps, and serves their views
+// for the pool and the fleet coordinator alike; each backend supplies only
+// batch admission, member states, and member cancel as SweepHooks.
+//
 // The admission rule is the paper's Section 4.3 insight applied to the
 // service itself: starting new work while the running set is still settling
 // (here: warming up, hot caches being built, memory being touched) degrades

@@ -136,19 +136,19 @@ func TestParseFleetSchemaErrors(t *testing.T) {
 	withFleet := "name: x\nfleet: {nodes: 2}\nevents:\n  - submit: {name: a}\n"
 	fleetSpec := "name: x\nfleet: {nodes: 2}\ndefaults:\n  workload: {mix: w1}\n  options: {policy: equip}\nevents:\n  - submit: {name: a}\n"
 	cases := map[string]string{
-		base + "fleet: {}\n":                              "positive nodes",
-		base + "fleet: {nodes: 2, placement: psychic}\n":  "placement",
-		base + "fleet: {nodes: 2, pets: 1}\n":             "unknown key",
-		base + "fleet: {nodes: 2, heartbeat: soon}\n":     "bad duration",
-		base + "fleet: {nodes: 2, node_faults: [{rule: \"worker_start:panic\"}]}\n": "out of range",
+		base + "fleet: {}\n":                                                            "positive nodes",
+		base + "fleet: {nodes: 2, placement: psychic}\n":                                "placement",
+		base + "fleet: {nodes: 2, pets: 1}\n":                                           "unknown key",
+		base + "fleet: {nodes: 2, heartbeat: soon}\n":                                   "bad duration",
+		base + "fleet: {nodes: 2, node_faults: [{rule: \"worker_start:panic\"}]}\n":     "out of range",
 		base + "fleet: {nodes: 2, node_faults: [{node: 0, rule: \"nowhere:panic\"}]}\n": "unknown site",
-		base + "assertions:\n  - node_states: {are: [healthy]}\n":                  "needs a fleet",
-		withFleet + "assertions:\n  - node_states: {are: [confused]}\n":            "not a node state",
-		withFleet + "assertions:\n  - node_states: {}\n":                           "needs are",
-		base + "  - kill_node: {node: 0}\n":               "needs a fleet",
-		withFleet + "  - kill_node: {node: 5}\n":          "out of range",
-		withFleet + "  - cordon_node: {}\n":               "out of range",
-		withFleet + "  - drain_node: {node: -1}\n":        "out of range",
+		base + "assertions:\n  - node_states: {are: [healthy]}\n":                       "needs a fleet",
+		withFleet + "assertions:\n  - node_states: {are: [confused]}\n":                 "not a node state",
+		withFleet + "assertions:\n  - node_states: {}\n":                                "needs are",
+		base + "  - kill_node: {node: 0}\n":                                             "needs a fleet",
+		withFleet + "  - kill_node: {node: 5}\n":                                        "out of range",
+		withFleet + "  - cordon_node: {}\n":                                             "out of range",
+		withFleet + "  - drain_node: {node: -1}\n":                                      "out of range",
 		// Specs the daemon would reject fail at parse time, not at run time.
 		fleetSpec + "  - submit_sweep: {name: s, policies: [pdpa], mixes: [w9]}\n":              "unknown mix",
 		fleetSpec + "  - submit_sweep: {name: s, policies: [psychic], mixes: [w1]}\n":           "unknown policy",

@@ -22,7 +22,7 @@ type Report struct {
 	// Error is set when the scenario itself failed to run (a wait that never
 	// settled, a submit the runner could not place); assertions are then not
 	// evaluated.
-	Error       string         `json:"error,omitempty"`
+	Error       string      `json:"error,omitempty"`
 	Submissions []SubReport `json:"submissions"`
 	// Sweeps records named submit_sweep events (fleet scenarios only).
 	Sweeps     []SweepReport  `json:"sweeps,omitempty"`

@@ -74,6 +74,10 @@ type Backend interface {
 	// Trace returns a run's decision-trace JSON.
 	Trace(ctx context.Context, id string) ([]byte, error)
 
+	// The sweep calls. Both backends serve them from one
+	// runqueue.SweepIndex, which owns grid expansion, sweep IDs, the sweep
+	// journal, lookups, listings and views; a backend supplies only batch
+	// admission, member states and member cancel.
 	SubmitSweep(ctx context.Context, req client.SubmitSweepRequest) (client.SweepSubmitResult, error)
 	// Sweep returns a sweep's view with its run IDs and, once done, cells.
 	Sweep(ctx context.Context, id string) (client.SweepView, error)
