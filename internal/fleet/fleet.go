@@ -20,8 +20,11 @@
 // list and steer nodes with GET /v1/nodes and POST
 // /v1/nodes/{id}/cordon|uncordon|drain. Every body is a client wire type.
 //
-// Sweeps live in runqueue.SweepIndex, the same index a pool serves its
-// sweeps from: the coordinator supplies only the fleet-specific steps —
+// Run bookkeeping — run IDs, the affinity (spec-key) index, the bounded
+// registry of finished runs, the crun/cdel journal and its recovery — lives
+// in a runqueue.Ledger, the same one a pool keeps its runs in; the
+// coordinator adds placement, requeue, refresh and reconcile. Sweeps live
+// in runqueue.SweepIndex, the same index a pool serves its sweeps from: the coordinator supplies only the fleet-specific steps —
 // sharding a grid's members across healthy nodes as one atomic batch,
 // refreshing member states, and cancelling a member on its node. Cells
 // aggregate in grid order by index exactly as on a single node, so a fleet

@@ -49,7 +49,7 @@ func seedJournal(f *testing.F) []byte {
 // FuzzRecoverState drives coordinator recovery with arbitrary store
 // wreckage: the bytes are laid down both as a bare journal and as a
 // mixed-generation snapshot+journal pair, opened through the real store,
-// and folded by the sweep index and recoverState. Whatever the input: no panic, no error from
+// and folded by the sweep index and the run ledger. Whatever the input: no panic, no error from
 // Open (corruption is truncated and counted, never fatal), and every
 // recovered entity carries a usable ID.
 func FuzzRecoverState(f *testing.F) {

@@ -1,9 +1,11 @@
 package fleet
 
 // The coordinator's persistence schema over internal/store: the node ledger
-// and run registry are journaled as they change, and the sweep index
-// (runqueue.SweepIndex) journals sweeps beside them as "csweep" records, so
-// a restarted coordinator rehydrates its full routing table before serving.
+// and the run registry are journaled as they change — runs, with their
+// cdel erasures, by the run ledger (runqueue.Ledger), which also compacts
+// and recovers them — and the sweep index (runqueue.SweepIndex) journals
+// sweeps beside them as "csweep" records, so a restarted coordinator
+// rehydrates its full routing table before serving.
 // Nodes come back as pending-reconcile records — excluded from placement
 // until their daemons re-register, at which point the reconcile protocol
 // (reconcile.go) adopts whatever the nodes finished while the coordinator
@@ -17,8 +19,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
-	"slices"
 	"time"
 
 	"pdpasim/client"
@@ -53,7 +53,10 @@ type nodeRecord struct {
 	RegisteredAt time.Time `json:"registered_at"`
 	Cordoned     bool      `json:"cordoned,omitempty"`
 	Drained      bool      `json:"drained,omitempty"`
-	ScaleDrained bool      `json:"scale_drained,omitempty"`
+	// ScaleDrained marks a drain decided by the elasticity hooks; its
+	// heartbeats answer "drained" (the agent leaves the fleet) instead of
+	// the 404 that would make it re-register.
+	ScaleDrained bool `json:"scale_drained,omitempty"`
 }
 
 // crunRecord is the durable form of one coordinated run. NodeAddr lets
@@ -76,325 +79,178 @@ type crunRecord struct {
 	Final     *client.RunView `json:"final,omitempty"`
 }
 
-// delRecord marks a run ID as erased (sweep-unwind removal or eviction from
-// the bounded registry), so recovery does not resurrect it from earlier
-// journal entries.
-type delRecord struct {
-	ID string `json:"id"`
+// newRunLedger returns the coordinator's run ledger: crun records, cdel
+// erasures, the node ledger compacted beside the runs.
+func newRunLedger(c *Coordinator) *runqueue.Ledger[*crun] {
+	return runqueue.NewLedger(runqueue.LedgerConfig[*crun]{
+		Kind:         kindCoordRun,
+		DelKind:      kindCoordDel,
+		Store:        c.store,
+		Sweeps:       c.SweepIndex,
+		CompactBytes: storeCompactBytes,
+		StoreErrors:  c.met.storeErrors,
+		Record:       func(cr *crun) any { return c.runRecordLocked(cr) },
+		Decode:       decodeRun,
+		Settled: func(cr *crun) (time.Time, bool) {
+			if cr.Final == nil || cr.Final.FinishedAt == nil {
+				return cr.Submitted, cr.Final != nil // a record written without a finish time
+			}
+			return *cr.Final.FinishedAt, true
+		},
+		Extra: c.nodeRecordsLocked,
+	})
 }
 
-// fleetRecovery is recoverState's result: the last surviving record per ID
-// in first-seen order, plus how many records had to be dropped.
+// decodeRun rebuilds a coordinated run from its journal record. Placement
+// reservations are re-attached by rehydrate, once the nodes are back.
+func decodeRun(payload []byte) (id, key string, cr *crun, err error) {
+	cr = &crun{}
+	if err := json.Unmarshal(payload, &cr.crunRecord); err != nil {
+		return "", "", nil, err
+	}
+	if cr.Final != nil {
+		cr.lastView = cr.Final
+		cr.State = cr.Final.State
+	}
+	return cr.ID, cr.Key, cr, nil
+}
+
+// fleetRecovery is recoverFleet's result: the last surviving record per
+// node ID in first-seen order, and the counts of recovered runs and sweeps
+// and of records that had to be dropped.
 type fleetRecovery struct {
-	nodes   []nodeRecord
-	runs    []crunRecord
-	dropped int
+	nodes                 []nodeRecord
+	runs, sweeps, dropped int
 }
 
 // recoverFleet folds a recovered record stream as NewCoordinator does: the
-// sweep index takes the csweep records, recoverState the rest. Undecodable
-// records of either kind count in dropped; the second result is how many
-// sweeps were recovered.
-func recoverFleet(sweeps *runqueue.SweepIndex, recs []store.Record) (fleetRecovery, int) {
-	rest, recovered, dropped := runqueue.RecoverSweeps(sweeps, recs)
-	rec := recoverState(rest)
-	rec.dropped += dropped
-	return rec, recovered
-}
-
-// recoverState folds a recovered record stream into the coordinator's
-// durable state: later records for an ID supersede earlier ones, cdel
-// erases a run, and anything undecodable or unrecognized is dropped and
-// counted, never fatal. It is a pure function of the record slice — the
-// fuzz target drives it with arbitrary journal wreckage.
-func recoverState(recs []store.Record) fleetRecovery {
+// sweep index takes the csweep records, the run ledger the crun and cdel
+// records, and the node ledger the cnode records; later records for an ID
+// supersede earlier ones, and anything undecodable or unrecognized is
+// dropped and counted, never fatal. It touches nothing but the index and
+// the ledger — the fuzz target drives it with arbitrary journal wreckage.
+func recoverFleet(sweeps *runqueue.SweepIndex, runs *runqueue.Ledger[*crun], recs []store.Record) fleetRecovery {
 	var out fleetRecovery
-	nodes := map[string]*nodeRecord{}
-	runs := map[string]*crunRecord{}
-	var nodeOrder, runOrder []string
+	recs, out.sweeps, out.dropped = runqueue.RecoverSweeps(sweeps, recs)
+	var dropped int
+	recs, out.runs, dropped, _ = runs.Recover(recs)
+	out.dropped += dropped
+	at := map[string]int{} // node ID → index in out.nodes
 	for _, rec := range recs {
-		switch rec.Kind {
-		case kindCoordNode:
-			var nr nodeRecord
-			if err := json.Unmarshal(rec.Payload, &nr); err != nil || nr.ID == "" {
-				out.dropped++
-				continue
-			}
-			if _, seen := nodes[nr.ID]; !seen {
-				nodeOrder = append(nodeOrder, nr.ID)
-			}
-			nodes[nr.ID] = &nr
-		case kindCoordRun:
-			var rr crunRecord
-			if err := json.Unmarshal(rec.Payload, &rr); err != nil || rr.ID == "" {
-				out.dropped++
-				continue
-			}
-			if _, seen := runs[rr.ID]; !seen {
-				runOrder = append(runOrder, rr.ID)
-			}
-			runs[rr.ID] = &rr
-		case kindCoordDel:
-			var dr delRecord
-			if err := json.Unmarshal(rec.Payload, &dr); err != nil || dr.ID == "" {
-				out.dropped++
-				continue
-			}
-			delete(runs, dr.ID)
-		default:
+		var nr nodeRecord
+		if rec.Kind != kindCoordNode || json.Unmarshal(rec.Payload, &nr) != nil || nr.ID == "" {
 			out.dropped++
-		}
-	}
-	for _, id := range nodeOrder {
-		out.nodes = append(out.nodes, *nodes[id])
-	}
-	seen := map[string]bool{} // an erased-then-recreated ID appears twice in runOrder
-	for _, id := range runOrder {
-		if rr, ok := runs[id]; ok && !seen[id] {
-			seen[id] = true
-			out.runs = append(out.runs, *rr)
+		} else if i, seen := at[nr.ID]; seen {
+			out.nodes[i] = nr
+		} else {
+			at[nr.ID] = len(out.nodes)
+			out.nodes = append(out.nodes, nr)
 		}
 	}
 	return out
 }
 
-// nodeRecordLocked snapshots a node for the journal.
-func nodeRecordLocked(n *node) nodeRecord {
-	return nodeRecord{
-		ID:           n.id,
-		Name:         n.name,
-		Addr:         n.addr,
-		CPUs:         n.cpus,
-		BaseWorkers:  n.baseWorkers,
-		MaxWorkers:   n.maxWorkers,
-		RegisteredAt: n.registeredAt,
-		Cordoned:     n.cordoned,
-		Drained:      n.drained,
-		ScaleDrained: n.scaleDrained,
-	}
-}
-
-// runRecordLocked snapshots a run for the journal.
+// runRecordLocked snapshots a run for the journal, with its node's
+// address.
 func (c *Coordinator) runRecordLocked(cr *crun) crunRecord {
-	rec := crunRecord{
-		ID:        cr.id,
-		Key:       cr.key,
-		Spec:      cr.spec,
-		DeadlineS: cr.deadlineS,
-		Submitted: cr.submitted,
-		NodeID:    cr.nodeID,
-		RemoteID:  cr.remoteID,
-		State:     cr.state,
-		CacheHit:  cr.cacheHit,
-		Deduped:   cr.deduped,
-		Requeues:  cr.requeues,
-		Final:     cr.final,
-	}
-	if n := c.nodes[cr.nodeID]; n != nil {
-		rec.NodeAddr = n.addr
+	rec := cr.crunRecord
+	rec.NodeAddr = ""
+	if n := c.nodes[cr.NodeID]; n != nil {
+		rec.NodeAddr = n.Addr
 	}
 	return rec
 }
 
-// appendLocked journals one record; failures are counted, never fatal.
-func (c *Coordinator) appendLocked(kind string, v any) {
-	if c.store == nil {
-		return
-	}
-	payload, err := json.Marshal(v)
-	if err != nil {
-		c.met.storeErrors.Inc()
-		return
-	}
-	if err := c.store.Append(store.Record{Kind: kind, Payload: payload}); err != nil {
-		c.met.storeErrors.Inc()
-	}
-}
-
 func (c *Coordinator) persistNodeLocked(n *node) {
-	c.appendLocked(kindCoordNode, nodeRecordLocked(n))
+	c.runs.Append(kindCoordNode, n.nodeRecord)
 }
 
-func (c *Coordinator) persistRunLocked(cr *crun) {
-	if c.store == nil {
-		return
-	}
-	c.appendLocked(kindCoordRun, c.runRecordLocked(cr))
-	c.maybeCompactLocked()
-}
-
-func (c *Coordinator) persistDeleteLocked(id string) {
-	c.appendLocked(kindCoordDel, delRecord{ID: id})
-}
-
-// maybeCompactLocked rewrites the store from the live record set once the
-// journal exceeds the configured bound — the same trigger discipline as the
-// pool's store.
-func (c *Coordinator) maybeCompactLocked() {
-	if c.store.JournalBytes() < storeCompactBytes {
-		return
-	}
-	if err := runqueue.CompactStore(c.SweepIndex, c.liveRecordsLocked()); err != nil {
-		c.met.storeErrors.Inc()
-	}
-}
-
-// liveRecordsLocked serializes the coordinator's durable state: every node
-// still in the fleet (or still owed pending runs) and every run in
-// submission order; the sweep index adds its own records in Compact.
-// Drained tombstones with nothing pending are
-// dropped here — that is how old incarnations expire from disk.
-func (c *Coordinator) liveRecordsLocked() []store.Record {
+// nodeRecordsLocked serializes the node ledger for compaction: every node
+// still in the fleet or still owed pending runs. Drained tombstones with
+// nothing pending are dropped here — that is how old incarnations expire
+// from disk.
+func (c *Coordinator) nodeRecordsLocked() []store.Record {
 	pendingOn := map[string]bool{}
-	for _, cr := range c.runOrder {
-		if cr.final == nil {
-			pendingOn[cr.nodeID] = true
+	c.runs.Each(false, func(cr *crun) {
+		if cr.Final == nil {
+			pendingOn[cr.NodeID] = true
 		}
-	}
+	})
 	var out []store.Record
 	for _, n := range c.order {
-		if n.drained && !pendingOn[n.id] {
+		if n.Drained && !pendingOn[n.ID] {
 			continue
 		}
-		if payload, err := json.Marshal(nodeRecordLocked(n)); err == nil {
+		if payload, err := json.Marshal(n.nodeRecord); err == nil {
 			out = append(out, store.Record{Kind: kindCoordNode, Payload: payload})
-		}
-	}
-	for _, cr := range c.runOrder {
-		if payload, err := json.Marshal(c.runRecordLocked(cr)); err == nil {
-			out = append(out, store.Record{Kind: kindCoordRun, Payload: payload})
 		}
 	}
 	return out
 }
 
-// rehydrate rebuilds the routing table from recovered records. It runs
-// inside NewCoordinator before the monitor starts and before any request is
-// served, so no locking is needed. Recovered non-drained nodes come back
-// pending-reconcile: unplaceable and unrefreshable until their daemon
-// re-registers (or liveness declares them dead — their heartbeat clock
-// restarts at recovery time, so a node that never returns is requeued after
-// DeadAfter, respecting the requeue budget).
+// rehydrate rebuilds the routing table from recovered records once the run
+// ledger has its runs back. It runs inside NewCoordinator before the
+// monitor starts and before any request is served, so no locking is
+// needed. Recovered non-drained nodes come back pending-reconcile:
+// unplaceable and unrefreshable until their daemon re-registers (or
+// liveness declares them dead — their heartbeat clock restarts at recovery
+// time, so a node that never returns is requeued after DeadAfter,
+// respecting the requeue budget).
 func (c *Coordinator) rehydrate(rec fleetRecovery) {
 	now := time.Now()
-	var orphans []*crun
+	addNode := func(n *node) {
+		c.nodes[n.ID] = n
+		c.order = append(c.order, n)
+		if seq, ok := runqueue.SeqOf(n.ID, "node-"); ok && int(seq) > c.nodeSeq {
+			c.nodeSeq = int(seq)
+		}
+	}
 	for _, nr := range rec.nodes {
 		if c.nodes[nr.ID] != nil {
 			continue
 		}
-		n := &node{
-			id:           nr.ID,
-			name:         nr.Name,
-			addr:         nr.Addr,
-			cli:          client.New(nr.Addr, client.WithHTTPClient(c.hc)),
-			cpus:         nr.CPUs,
-			baseWorkers:  nr.BaseWorkers,
-			maxWorkers:   nr.MaxWorkers,
-			registeredAt: nr.RegisteredAt,
-			lastBeat:     now,
-			cordoned:     nr.Cordoned,
-			drained:      nr.Drained,
-			scaleDrained: nr.ScaleDrained,
-		}
-		n.pendingReconcile = !n.drained
-		c.nodes[n.id] = n
-		c.order = append(c.order, n)
-		if seq, ok := seqOfID(n.id, "node-"); ok && seq > c.nodeSeq {
-			c.nodeSeq = seq
-		}
+		addNode(&node{
+			nodeRecord:       nr,
+			cli:              client.New(nr.Addr, client.WithHTTPClient(c.hc)),
+			lastBeat:         now,
+			pendingReconcile: !nr.Drained,
+		})
 		c.met.recoveredNodes.Inc()
 	}
-	for i := range rec.runs {
-		rr := &rec.runs[i]
-		if c.runs[rr.ID] != nil {
-			continue
+	// A pending run re-attaches to its node with full reservation
+	// accounting; a missing node record becomes a pending-reconcile
+	// placeholder so the daemon at that address can still return and be
+	// reconciled.
+	var orphans []*crun
+	c.runs.Each(false, func(cr *crun) {
+		if cr.Final != nil {
+			return
 		}
-		cr := &crun{
-			id:        rr.ID,
-			key:       rr.Key,
-			spec:      rr.Spec,
-			deadlineS: rr.DeadlineS,
-			submitted: rr.Submitted,
-			nodeID:    rr.NodeID,
-			remoteID:  rr.RemoteID,
-			state:     rr.State,
-			cacheHit:  rr.CacheHit,
-			deduped:   rr.Deduped,
-			requeues:  rr.Requeues,
-		}
-		if rr.Final != nil {
-			f := *rr.Final
-			cr.final = &f
-			cr.lastView = &f
-			cr.state = f.State
-		}
-		c.runs[cr.id] = cr
-		c.runOrder = append(c.runOrder, cr)
-		c.affinity[cr.key] = cr // records replay in submission order: last wins
-		if seq, ok := seqOfID(cr.id, "run-"); ok && seq > c.runSeq {
-			c.runSeq = seq
-		}
-		c.met.recoveredRuns.Inc()
-		if cr.final != nil {
-			c.finished = append(c.finished, cr)
-			continue
-		}
-		// A pending run re-attaches to its node with full reservation
-		// accounting; a missing node record becomes a pending-reconcile
-		// placeholder so the daemon at that address can still return and be
-		// reconciled.
-		n := c.nodes[cr.nodeID]
-		if n == nil && cr.nodeID != "" && rr.NodeAddr != "" {
+		n := c.nodes[cr.NodeID]
+		if n == nil && cr.NodeID != "" && cr.NodeAddr != "" {
 			n = &node{
-				id:               cr.nodeID,
-				addr:             rr.NodeAddr,
-				cli:              client.New(rr.NodeAddr, client.WithHTTPClient(c.hc)),
-				registeredAt:     now,
+				nodeRecord:       nodeRecord{ID: cr.NodeID, Addr: cr.NodeAddr, RegisteredAt: now},
+				cli:              client.New(cr.NodeAddr, client.WithHTTPClient(c.hc)),
 				lastBeat:         now,
 				pendingReconcile: true,
 			}
-			c.nodes[n.id] = n
-			c.order = append(c.order, n)
-			if seq, ok := seqOfID(n.id, "node-"); ok && seq > c.nodeSeq {
-				c.nodeSeq = seq
-			}
+			addNode(n)
 		}
 		if n != nil {
 			n.assigned++
-			n.costSum += estCost(cr.spec)
+			n.costSum += estCost(cr.Spec)
 			cr.reserved = true
 		} else {
 			// No node and no address to wait for: the placement is
 			// unrecoverable, so fail deterministically rather than hang.
 			orphans = append(orphans, cr)
 		}
-	}
-	// The recovered registry obeys the same bound, in the same order, as a
-	// live one: terminal runs rejoin finished in finish order (cache-hit
-	// renewals are not journaled), then the orphans fail after them.
-	at := func(cr *crun) time.Time {
-		if f := cr.final.FinishedAt; f != nil {
-			return *f
-		}
-		return cr.submitted // a record written without a finish time
-	}
-	slices.SortStableFunc(c.finished, func(a, b *crun) int { return at(a).Compare(at(b)) })
+	})
 	for _, cr := range orphans {
 		c.failLocked(cr, "recovered without a reachable placement")
 	}
-	c.evictLocked()
 	if rec.dropped > 0 {
 		c.met.storeErrors.Add(uint64(rec.dropped))
 		c.logf("fleet: dropped %d undecodable store records during recovery", rec.dropped)
 	}
-}
-
-// seqOfID parses the numeric suffix of a "node-%03d" / "run-%06d" ID so
-// recovered sequences continue instead of colliding.
-func seqOfID(id, prefix string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(id, prefix+"%d", &n); err != nil {
-		return 0, false
-	}
-	return n, true
 }

@@ -32,21 +32,39 @@ func mustRecord(t *testing.T, kind string, v any) store.Record {
 	return store.Record{Kind: kind, Payload: payload}
 }
 
-// recoverAll folds a recovered record stream through recoverFleet, as
-// NewCoordinator does, and also returns the recovered sweeps' IDs, oldest
-// first.
-func recoverAll(recs []store.Record) (fleetRecovery, []string) {
+// recovered is what a coordinator restarted on a record stream rehydrates:
+// its nodes, its runs in their journal form, and how many records it
+// dropped.
+type recovered struct {
+	nodes   []nodeRecord
+	runs    []crunRecord
+	dropped int
+}
+
+// recoverAll folds a recovered record stream through recoverFleet, into a
+// sweep index and the coordinator's run ledger as NewCoordinator does, and
+// also returns the recovered sweeps' IDs, oldest first.
+func recoverAll(recs []store.Record) (recovered, []string) {
 	x := runqueue.NewSweepIndex(kindCoordSweep, nil, &obs.Counter{}, runqueue.SweepHooks{
 		Members: func(_ context.Context, ids []string) []runqueue.SweepMember {
 			return make([]runqueue.SweepMember, len(ids))
 		},
 	})
-	rec, _ := recoverFleet(x, recs)
+	c := &Coordinator{}
+	runs := newRunLedger(c)
+	fr := recoverFleet(x, runs, recs)
+	rec := recovered{nodes: fr.nodes, dropped: fr.dropped}
+	runs.Each(false, func(cr *crun) { rec.runs = append(rec.runs, c.runRecordLocked(cr)) })
 	var ids []string
 	for _, v := range x.Sweeps(context.Background()) {
 		ids = append([]string{v.ID}, ids...)
 	}
 	return rec, ids
+}
+
+// delRecord is the JSON of a cdel record.
+type delRecord struct {
+	ID string `json:"id"`
 }
 
 // sweepRecord is the JSON of a csweep record, written by hand so the tests
@@ -88,7 +106,7 @@ func TestRecoverStateDeletes(t *testing.T) {
 		mustRecord(t, kindCoordRun, crunRecord{ID: "run-000002", State: "queued"}),
 		mustRecord(t, kindCoordDel, delRecord{ID: "run-000001"}),
 	}
-	rec := recoverState(recs)
+	rec, _ := recoverAll(recs)
 	if len(rec.runs) != 1 || rec.runs[0].ID != "run-000002" {
 		t.Fatalf("runs = %+v, want run-000001 erased", rec.runs)
 	}
@@ -96,7 +114,7 @@ func TestRecoverStateDeletes(t *testing.T) {
 	// Erased then recreated: the ID appears twice in first-seen order but
 	// must come back exactly once, in its latest state.
 	recs = append(recs, mustRecord(t, kindCoordRun, crunRecord{ID: "run-000001", State: "running"}))
-	rec = recoverState(recs)
+	rec, _ = recoverAll(recs)
 	if len(rec.runs) != 2 {
 		t.Fatalf("runs = %+v, want exactly two", rec.runs)
 	}
@@ -167,7 +185,7 @@ func TestRecoverStateAcrossCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rec := recoverState(st2.TakeRecovered())
+	rec, _ := recoverAll(st2.TakeRecovered())
 	if len(rec.nodes) != 1 || !rec.nodes[0].Cordoned {
 		t.Fatalf("nodes = %+v, want the snapshot's cordoned node", rec.nodes)
 	}
@@ -584,7 +602,7 @@ func TestSweepAdmissionUnwindsOnDispatchFailure(t *testing.T) {
 func TestRegistryEvictsOldestTerminalRuns(t *testing.T) {
 	f := startDurableFleet(t, 1, fastNodeConfig)
 	f.coord.mu.Lock()
-	f.coord.historyLimit = 2
+	f.coord.runs.Limit = 2
 	f.coord.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -671,7 +689,7 @@ func TestRegistryEvictsLeastRecentlyUsed(t *testing.T) {
 	})
 	setLimit := func() {
 		f.coord.mu.Lock()
-		f.coord.historyLimit = 2
+		f.coord.runs.Limit = 2
 		f.coord.mu.Unlock()
 	}
 	setLimit()

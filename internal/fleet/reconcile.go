@@ -70,15 +70,15 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 	c.mu.Lock()
 	for _, cr := range runs {
 		c.met.reconciled.Inc()
-		if cr.remoteID == "" {
-			if cr.final == nil {
+		if cr.RemoteID == "" {
+			if cr.Final == nil {
 				unplaced = append(unplaced, cr)
 			}
 			continue
 		}
-		ids = append(ids, cr.remoteID)
-		byRemote[cr.remoteID] = cr
-		gens[cr.remoteID] = cr.gen
+		ids = append(ids, cr.RemoteID)
+		byRemote[cr.RemoteID] = cr
+		gens[cr.RemoteID] = cr.gen
 	}
 	c.mu.Unlock()
 
@@ -87,7 +87,7 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 		var err error
 		res, err = n.cli.ReconcileRuns(ctx, ids)
 		if err != nil {
-			c.logf("fleet: reconcile with node %s failed: %v", n.id, err)
+			c.logf("fleet: reconcile with node %s failed: %v", n.ID, err)
 			return
 		}
 	}
@@ -106,7 +106,7 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 			view = &v
 		}
 		verdict := reconcileVerdictFor(view)
-		if cr.gen != gens[remoteID] || cr.final != nil {
+		if cr.gen != gens[remoteID] || cr.Final != nil {
 			if verdict == verdictAdopt {
 				c.met.adopted.Inc()
 				adopted++
@@ -118,14 +118,14 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 			c.met.adopted.Inc()
 			adopted++
 			v := *view
-			v.ID = cr.id
+			v.ID = cr.ID
 			c.settleLocked(cr, &v)
 		case verdictResume:
 			resumed++
 			v := *view
-			v.ID = cr.id
+			v.ID = cr.ID
 			cr.lastView = &v
-			cr.state = v.State
+			cr.State = v.State
 		case verdictRequeue:
 			requeues = append(requeues, cr)
 		}
@@ -136,5 +136,5 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 		c.requeueEx(ctx, cr, "lost across coordinator restart", false)
 	}
 	c.logf("fleet: reconciled %d runs with node %s (%d adopted, %d resumed, %d requeued)",
-		len(runs), n.id, adopted, resumed, len(requeues))
+		len(runs), n.ID, adopted, resumed, len(requeues))
 }

@@ -1,0 +1,156 @@
+package runqueue
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"testing"
+
+	"pdpasim"
+)
+
+// evictionScript is the bounded-history script both backends replay: the
+// pool here, a one-node fleet coordinator in internal/fleet. Each step
+// lists the run IDs the backend must list afterwards, newest first, so the
+// two backends agree run for run.
+type evictionScript struct {
+	Limit    int   `json:"limit"`
+	LongSeed int64 `json:"long_seed"`
+	Steps    []struct {
+		// Do is submit (a fresh spec, waited for), resubmit (a cache hit on
+		// an earlier seed), start_long (the long run, not waited for),
+		// finish_long (release it and wait), or restart (on the same store).
+		Do   string   `json:"do"`
+		Seed int64    `json:"seed"`
+		Want []string `json:"want"`
+	} `json:"steps"`
+}
+
+func loadEvictionScript(t *testing.T) evictionScript {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/eviction-script.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s evictionScript
+	if err := json.Unmarshal(raw, &s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestHistoryEvictionScript replays the shared eviction script against a
+// pool: past the bound the least recently used terminal run is forgotten,
+// a cache hit renews a run, a long run settling last outlives shorter ones,
+// and a restart rebuilds the same history in finish order.
+func TestHistoryEvictionScript(t *testing.T) {
+	script := loadEvictionScript(t)
+	release := make(chan struct{})
+	sim := func(ctx context.Context, spec Spec) (*pdpasim.Outcome, error) {
+		if spec.Workload.Seed == script.LongSeed {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return instantSim(ctx, spec)
+	}
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	p := New(Config{Store: st, Simulate: sim, historyLimit: script.Limit})
+	defer func() { drainClose(t, p, st) }()
+
+	var long string
+	for i, step := range script.Steps {
+		switch step.Do {
+		case "submit", "resubmit":
+			res, err := p.Submit(tinySpec(step.Seed), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHit != (step.Do == "resubmit") {
+				t.Fatalf("step %d: %s seed %d got %+v", i, step.Do, step.Seed, res)
+			}
+			waitState(t, p, res.ID, Done)
+		case "start_long":
+			res, err := p.Submit(tinySpec(script.LongSeed), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			long = res.ID
+		case "finish_long":
+			close(release)
+			waitState(t, p, long, Done)
+		case "restart":
+			drainClose(t, p, st)
+			st = openStore(t, dir)
+			p = New(Config{Store: st, Simulate: sim, historyLimit: script.Limit})
+		default:
+			t.Fatalf("step %d: unknown op %q", i, step.Do)
+		}
+		var listed []string
+		terminal := 0
+		for _, snap := range p.Runs() {
+			listed = append(listed, snap.ID)
+			if snap.State.Terminal() {
+				terminal++
+			}
+		}
+		if fmt.Sprint(listed) != fmt.Sprint(step.Want) {
+			t.Fatalf("step %d (%s %d): pool lists %v, want %v", i, step.Do, step.Seed, listed, step.Want)
+		}
+		if terminal > script.Limit {
+			t.Fatalf("step %d: %d terminal runs listed, limit %d", i, terminal, script.Limit)
+		}
+	}
+}
+
+// BenchmarkPoolSubmitAtFullHistory measures a submission against a pool
+// whose history is full (DefaultHistoryLimit finished runs): "fresh" submits
+// a new spec and waits for it, so every op settles a run and evicts one;
+// "hit" resubmits a cached spec, so every op serves a cache hit and renews
+// its run.
+func BenchmarkPoolSubmitAtFullHistory(b *testing.B) {
+	wait := func(p *Pool, seed int64) SubmitResult {
+		res, err := p.Submit(tinySpec(seed), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		done, err := p.Done(res.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-done
+		return res
+	}
+	full := func() *Pool {
+		p := New(Config{Simulate: instantSim})
+		for seed := int64(1); seed <= DefaultHistoryLimit; seed++ {
+			wait(p, seed)
+		}
+		return p
+	}
+	b.Run("fresh", func(b *testing.B) {
+		p := full()
+		defer p.Drain(context.Background())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			wait(p, int64(DefaultHistoryLimit+1+i))
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		p := full()
+		defer p.Drain(context.Background())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// The newest 64 runs stay within the default 128-entry cache.
+			if res := wait(p, DefaultHistoryLimit-int64(i%64)); !res.CacheHit {
+				b.Fatalf("op %d: %+v, want a cache hit", i, res)
+			}
+		}
+	})
+}

@@ -218,7 +218,7 @@ func TestRehydrateRespectsHistoryLimit(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	p2 := New(Config{Store: st2, HistoryLimit: 2, CacheSize: 1})
+	p2 := New(Config{Store: st2, historyLimit: 2, CacheSize: 1})
 	defer p2.Drain(context.Background())
 	if got := len(p2.Runs()); got != 2 {
 		t.Fatalf("recovered pool lists %d runs, want HistoryLimit 2", got)
@@ -245,7 +245,7 @@ func TestRehydrateRespectsHistoryLimit(t *testing.T) {
 func TestCompactionUnderPool(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	p := New(Config{Store: st, StoreCompactBytes: 1})
+	p := New(Config{Store: st, storeCompactBytes: 1})
 	var ids []string
 	for seed := int64(1); seed <= 3; seed++ {
 		res, err := p.Submit(tinySpec(seed), 0)

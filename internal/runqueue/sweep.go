@@ -229,7 +229,7 @@ func RecoverSweeps(x *SweepIndex, recs []store.Record) (rest []store.Record, rec
 		}
 		x.byID[sr.ID] = &sr
 		x.order = append(x.order, &sr)
-		if n, ok := seqOf(sr.ID, "sweep-"); ok && n > x.seq {
+		if n, ok := SeqOf(sr.ID, "sweep-"); ok && n > x.seq {
 			x.seq = n
 		}
 	}
@@ -285,7 +285,7 @@ func (p *Pool) admitSweep(ctx context.Context, members []Spec, deadlineS float64
 			continue
 		}
 		seen[key] = true
-		if _, ok := p.byKey[key]; !ok {
+		if p.runs.Owner(key) == nil {
 			fresh++
 		}
 	}
@@ -325,12 +325,12 @@ func (p *Pool) sweepMembers(ctx context.Context, runIDs []string) []SweepMember 
 	defer p.mu.Unlock()
 	members := make([]SweepMember, len(runIDs))
 	for i, runID := range runIDs {
-		r, ok := p.runs[runID]
-		if !ok {
+		r := p.runs.Get(runID)
+		if r == nil {
 			members[i] = SweepMember{ID: runID, Missing: true}
 			continue
 		}
-		members[i] = SweepMember{ID: runID, State: r.state, Result: r.resultJSON}
+		members[i] = SweepMember{ID: runID, State: r.State, Result: r.Result}
 		if r.err != nil {
 			members[i].Err = r.err.Error()
 		}

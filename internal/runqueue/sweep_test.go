@@ -271,7 +271,7 @@ func TestSweepIndexRecoverAndCompact(t *testing.T) {
 func TestConcurrentSweepsSurviveCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	p := New(Config{Store: st, StoreCompactBytes: 1, Simulate: instantSim})
+	p := New(Config{Store: st, storeCompactBytes: 1, Simulate: instantSim})
 	ctx := context.Background()
 	const workers, perWorker = 4, 5
 	ids := make(chan string, workers*perWorker)
