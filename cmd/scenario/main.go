@@ -1,5 +1,6 @@
-// Command scenario runs YAML stress/chaos scenarios against an in-process
-// runqueue stack and reports pass/fail.
+// Command scenario runs YAML stress/chaos scenarios over the v1 wire against
+// an in-process pool (or, with a fleet: stanza, a coordinator and its
+// nodes) and reports pass/fail.
 //
 // Usage:
 //
@@ -31,8 +32,9 @@ const usage = `usage:
   scenario run [-seed N] [-json] [-o FILE] scenario.yaml...
   scenario validate scenario.yaml...
 
-run executes scenarios against an in-process run queue and reports
-pass/fail; validate only parses and schema-checks them.
+run executes scenarios over the v1 wire against an in-process pool, or
+a coordinator and its nodes for a fleet: stanza, and reports pass/fail;
+validate only parses and schema-checks them.
 
 exit status: 0 all scenarios pass, 1 a scenario failed, 2 bad input.
 `

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -187,14 +188,18 @@ func TestParseSchemaErrors(t *testing.T) {
 		"name: x\nevents:\n  - submit: {name: a, nonsense: 1}\n":                         "unknown key",
 		"name: x\nevents:\n  - arrivals: {prefix: p}\n":                                  "positive count",
 		"name: x\nevents:\n  - arrivals: {prefix: p, count: 2, pattern: tidal}\n":        "invalid",
-		base + "assertions:\n  - state: {run: a, is: paused}\n":                          "not a terminal state",
-		base + "assertions:\n  - admission: {run: a, is: teleported}\n":                  "invalid",
-		base + "assertions:\n  - metric: {name: m}\n":                                    "needs equals, min, or max",
-		base + "assertions:\n  - metric: {name: m, equals: 1, min: 0}\n":                 "excludes",
-		base + "assertions:\n  - same_result: {runs: [a]}\n":                             "at least two",
-		base + "assertions:\n  - state: {run: ghost, is: done}\n":                        "before any event names it",
-		base + "assertions:\n  - haunted: {}\n":                                          "unknown assertion",
-		base + "assertions:\n  - states: {prefix: a, are: [done], all: done}\n":          "exactly one of",
+		// Arrivals are bounded before their names are enumerated, so this
+		// fails in microseconds rather than after building 1e8 names.
+		"name: x\nevents:\n  - arrivals: {prefix: p, count: 100000000}\n":                                    "past 10000 generated arrivals",
+		"name: x\nevents:\n  - arrivals: {prefix: p, count: 6000}\n  - arrivals: {prefix: q, count: 6000}\n": "past 10000 generated arrivals",
+		base + "assertions:\n  - state: {run: a, is: paused}\n":                                              "not a terminal state",
+		base + "assertions:\n  - admission: {run: a, is: teleported}\n":                                      "invalid",
+		base + "assertions:\n  - metric: {name: m}\n":                                                        "needs equals, min, or max",
+		base + "assertions:\n  - metric: {name: m, equals: 1, min: 0}\n":                                     "excludes",
+		base + "assertions:\n  - same_result: {runs: [a]}\n":                                                 "at least two",
+		base + "assertions:\n  - state: {run: ghost, is: done}\n":                                            "before any event names it",
+		base + "assertions:\n  - haunted: {}\n":                                                              "unknown assertion",
+		base + "assertions:\n  - states: {prefix: a, are: [done], all: done}\n":                              "exactly one of",
 		// Specs the daemon would reject fail at parse time, not at run time.
 		"name: x\nevents:\n  - submit: {name: a, workload: {mix: w9}}\n":                           "unknown mix",
 		spec + "  - submit: {name: b, workload: {load: -1}}\n":                                     "negative load",
@@ -211,6 +216,10 @@ func TestParseSchemaErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("%q: parsed, want error containing %q", src, wantSub)
 			continue
+		}
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("%q: error %T, want *ParseError", src, err)
 		}
 		if !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("%q: error %q, want substring %q", src, err.Error(), wantSub)

@@ -20,6 +20,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add("events:\n- submit:\n   name: \"xé\"\n")
 	f.Add("{a: 1, a: 2}")
 	f.Add("seed: 99999999999999999999999999")
+	f.Add("name: x\nevents:\n  - arrivals: {prefix: p, count: 100000000}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := Parse([]byte(src))
 		if err != nil {

@@ -24,7 +24,7 @@ type Report struct {
 	// evaluated.
 	Error       string      `json:"error,omitempty"`
 	Submissions []SubReport `json:"submissions"`
-	// Sweeps records named submit_sweep events (fleet scenarios only).
+	// Sweeps records named submit_sweep events.
 	Sweeps     []SweepReport  `json:"sweeps,omitempty"`
 	Assertions []AssertReport `json:"assertions,omitempty"`
 }

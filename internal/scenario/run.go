@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -30,6 +32,13 @@ const (
 	admQueueFull = "queue_full"
 )
 
+// rejections maps the error codes of the submissions admission turns away
+// onto their verdicts; any other failed submit aborts the scenario.
+var rejections = map[string]string{
+	server.CodeOverloaded: admShed,
+	server.CodeQueueFull:  admQueueFull,
+}
+
 // waitTimeout bounds each wait event and the final drain. Scenarios run
 // in-process simulations that finish in milliseconds; a scenario that needs
 // half a minute for one step is wedged, not slow.
@@ -40,7 +49,9 @@ type submission struct {
 	name      string
 	id        string
 	admission string
-	submitErr error
+	// reject is the error envelope's message when admission turned the
+	// submission away; empty when it was admitted.
+	reject string
 }
 
 // sweepSub is the runner's record of one named sweep submission; the spec is
@@ -51,68 +62,30 @@ type sweepSub struct {
 	spec *SubmitSweepEvent
 }
 
-// admitResult is how a target resolved one submission. A rejection (shed,
-// queue full) is a recorded verdict, not a fatal error.
-type admitResult struct {
-	id        string
-	admission string
-	reject    error
+// backend is what the runner's server serves: the scenario's pool, or the
+// fleet's coordinator.
+type backend interface {
+	server.Backend
+	Drain(ctx context.Context) error
 }
 
-// runStatus is a run's state as a target reports it.
-type runStatus struct {
-	state  string
-	errMsg string
-	result []byte
-}
-
-func (s runStatus) terminal() bool { return runqueue.State(s.state).Terminal() }
-
-// sweepStatus is a sweep's progress as a target reports it; cells carries
-// the reassembled per-cell JSON once every member is done.
-type sweepStatus struct {
-	state string
-	done  int
-	total int
-	cells []byte
-}
-
-func (s sweepStatus) terminal() bool {
-	return s.state == "done" || s.state == "failed" || s.state == "canceled"
-}
-
-// target abstracts where a scenario executes: an in-process pool (the
-// default), or an in-process coordinator + node fleet driven through the v1
-// HTTP surface. The runner's timeline and assertions are target-agnostic.
-type target interface {
-	submit(spec runqueue.Spec) (admitResult, error)
-	status(id string) (runStatus, error)
-	cancel(id string) error
-	// nodeEvent applies kill_node / cordon_node / drain_node (fleet only).
-	nodeEvent(kind string, node int) error
-	// coordEvent applies kill_coordinator / restart_coordinator (durable
-	// fleets only).
-	coordEvent(kind string) error
-	// submitSweep submits one sweep grid and returns its ID (fleet only).
-	submitSweep(spec *SubmitSweepEvent) (string, error)
-	// sweepStatus reports a sweep's progress (frozen after settle).
-	sweepStatus(id string) (sweepStatus, error)
-	// nodeState reports one node's live state by registration index.
-	nodeState(node int) (string, error)
-	// settle waits until every admitted run (ids) is terminal, freezes the
-	// state assertions read, and releases everything the target started —
-	// so a no_leaks assertion evaluated afterwards sees a quiet process.
-	settle(ctx context.Context, ids []string) error
-	metric(name, label string) (float64, bool)
-	injected(site faults.Site) int
-	// nodeStates lists fleet node states in node-ID order (nil for a pool).
-	nodeStates() []string
-}
-
-// runner holds one scenario execution's mutable state.
+// runner holds one scenario execution's mutable state. Every run and sweep
+// goes through cli, over the v1 wire, to srv serving backend; fleet (nil
+// without a fleet: stanza) adds the nodes and the node and coordinator
+// events.
 type runner struct {
-	s   *Scenario
-	tgt target
+	s *Scenario
+
+	hc      *http.Client
+	cli     *client.Client
+	srv     *httptest.Server
+	backend backend
+	// pools are the pools that simulate (the scenario's pool, or each
+	// node's) and injs every armed injector (the pool's, or the
+	// coordinator's and each node's).
+	pools []*runqueue.Pool
+	injs  []*faults.Injector
+	fleet *fleetRig
 
 	mu       sync.Mutex
 	checkers []*invariant.Checker
@@ -128,10 +101,17 @@ type runner struct {
 	// arrivalIdx numbers generated submissions across all arrival phases, so
 	// derived workload seeds never repeat within a scenario.
 	arrivalIdx int
+
+	// settled is set once settle has frozen every run's and sweep's final
+	// view and torn the backend down; status reads come from the frozen
+	// views after it.
+	settled      bool
+	frozenRuns   map[string]client.RunView
+	frozenSweeps map[string]client.SweepView
 }
 
-// simulate is the Simulate hook every target's pool runs: each simulation
-// attempt streams its decision trace through a fresh invariant checker; the
+// simulate is the Simulate hook every pool runs: each simulation attempt
+// streams its decision trace through a fresh invariant checker; the
 // "invariants" assertion reads their verdicts after the drain. Attaching an
 // observer never changes the outcome.
 func (r *runner) simulate(ctx context.Context, spec runqueue.Spec) (*pdpasim.Outcome, error) {
@@ -144,10 +124,38 @@ func (r *runner) simulate(ctx context.Context, spec runqueue.Spec) (*pdpasim.Out
 	return pdpasim.RunContext(ctx, ws, opts)
 }
 
+// servePool starts a pool sized by p behind the v1 server, with inj armed
+// at the pool's fault sites and at http_request.
+func (r *runner) servePool(p PoolParams, inj *faults.Injector, opts ...server.Option) (*runqueue.Pool, *httptest.Server) {
+	cfg := p.config()
+	cfg.Faults = inj
+	cfg.Simulate = r.simulate
+	pool := runqueue.New(cfg)
+	return pool, httptest.NewServer(server.New(pool, append(opts, server.WithFaults(inj))...))
+}
+
+// start serves the scenario's backend — its pool, or a coordinator with its
+// nodes — and points the client at it.
+func (r *runner) start() error {
+	r.hc = &http.Client{}
+	if r.s.Fleet != nil {
+		if err := r.startFleet(); err != nil {
+			return err
+		}
+	} else {
+		inj := faults.New(r.s.Seed, r.s.Faults...)
+		pool, srv := r.servePool(r.s.Pool, inj)
+		r.backend, r.srv = pool, srv
+		r.pools, r.injs = []*runqueue.Pool{pool}, []*faults.Injector{inj}
+	}
+	r.cli = client.New(r.srv.URL, client.WithHTTPClient(r.hc))
+	return nil
+}
+
 // Run executes the scenario and returns its report. Runtime failures (a wait
 // that never settles, a drain that times out) are reported in Report.Error
-// with Pass=false; Run itself only errs on input that Parse should have
-// rejected.
+// with Pass=false. s must have passed Validate (Parse runs it): Run relies
+// on it, for one, to hold node and coordinator events to fleet scenarios.
 func Run(s *Scenario) *Report {
 	rep := &Report{
 		Scenario:    s.Name,
@@ -167,50 +175,34 @@ func Run(s *Scenario) *Report {
 	}
 
 	r := &runner{
-		s:           s,
-		byName:      map[string]*submission{},
-		byNameSweep: map[string]*sweepSub{},
-		template:    s.Defaults,
+		s:            s,
+		byName:       map[string]*submission{},
+		byNameSweep:  map[string]*sweepSub{},
+		template:     s.Defaults,
+		frozenRuns:   map[string]client.RunView{},
+		frozenSweeps: map[string]client.SweepView{},
 	}
-	if s.Fleet != nil {
-		tgt, err := newFleetTarget(s, r.simulate)
-		if err != nil {
-			rep.Error = err.Error()
-			return rep
-		}
-		r.tgt = tgt
-	} else {
-		r.tgt = newPoolTarget(s, r.simulate)
+	if err := r.start(); err != nil {
+		rep.Error = err.Error()
+		return rep
 	}
 
 	err := r.events()
-	var ids []string
-	for _, sub := range r.subs {
-		if sub.submitErr == nil {
-			ids = append(ids, sub.id)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
-	settleErr := r.tgt.settle(ctx, ids)
-	cancel()
-	if err == nil && settleErr != nil {
+	if settleErr := r.settle(); err == nil && settleErr != nil {
 		err = fmt.Errorf("drain: %w", settleErr)
 	}
 
 	for _, sub := range r.subs {
-		sr := SubReport{Name: sub.name, ID: sub.id, Admission: sub.admission}
-		if sub.submitErr != nil {
-			sr.Error = sub.submitErr.Error()
-		} else if st, gerr := r.tgt.status(sub.id); gerr == nil {
-			sr.State = st.state
-			sr.Error = st.errMsg
+		sr := SubReport{Name: sub.name, ID: sub.id, Admission: sub.admission, Error: sub.reject}
+		if v, err := r.status(sub.id); err == nil && sub.reject == "" {
+			sr.State, sr.Error = v.State, v.Error
 		}
 		rep.Submissions = append(rep.Submissions, sr)
 	}
 	for _, sw := range r.sweeps {
 		sr := SweepReport{Name: sw.name, ID: sw.id}
-		if st, gerr := r.tgt.sweepStatus(sw.id); gerr == nil {
-			sr.State, sr.Done, sr.Total = st.state, st.done, st.total
+		if v, err := r.sweepStatus(sw.id); err == nil {
+			sr.State, sr.Done, sr.Total = v.State, v.Done, v.Total
 		}
 		rep.Sweeps = append(rep.Sweeps, sr)
 	}
@@ -229,6 +221,63 @@ func Run(s *Scenario) *Report {
 		rep.Assertions = append(rep.Assertions, ar)
 	}
 	return rep
+}
+
+// settle drains the backend, freezes every admitted run's and every sweep's
+// final view over the wire (and a fleet's node states), and tears down
+// everything start-up started, so a no_leaks assertion evaluated afterwards
+// sees a quiet process. The views are frozen even after a failed drain,
+// which cancels what it could not finish.
+func (r *runner) settle() error {
+	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
+	err := r.backend.Drain(ctx)
+	cancel()
+	ctx, cancel = context.WithTimeout(context.Background(), waitTimeout)
+	defer cancel()
+	freeze := func() error {
+		for _, sub := range r.subs {
+			if sub.reject != "" {
+				continue
+			}
+			v, err := r.cli.Run(ctx, sub.id)
+			if err != nil {
+				return fmt.Errorf("freeze run %s: %w", sub.id, err)
+			}
+			r.frozenRuns[sub.id] = v
+		}
+		for _, sw := range r.sweeps {
+			v, err := r.cli.Sweep(ctx, sw.id)
+			if err != nil {
+				return fmt.Errorf("freeze sweep %s: %w", sw.id, err)
+			}
+			r.frozenSweeps[sw.id] = v
+		}
+		if r.fleet != nil {
+			return r.freezeNodes(ctx)
+		}
+		return nil
+	}
+	if ferr := freeze(); err == nil {
+		err = ferr
+	}
+	r.teardown(ctx)
+	r.settled = true
+	return err
+}
+
+// teardown releases everything start-up started: a fleet's agents,
+// coordinator and node servers first (the traffic sources), or the pool's
+// server; then every pool, where a killed node's abandoned work finishes.
+func (r *runner) teardown(ctx context.Context) {
+	if r.fleet != nil {
+		r.stopFleet()
+	} else {
+		r.srv.Close()
+	}
+	for _, p := range r.pools {
+		p.Drain(ctx)
+	}
+	r.hc.CloseIdleConnections()
 }
 
 // events walks the timeline in order; the first failing event aborts the
@@ -250,11 +299,11 @@ func (r *runner) events() error {
 		case e.Cancel != nil:
 			err = r.cancel(e.Cancel.Run)
 		case e.KillNode != nil:
-			err = r.tgt.nodeEvent("kill", e.KillNode.Node)
+			r.killNode(e.KillNode.Node)
 		case e.CordonNode != nil:
-			err = r.tgt.nodeEvent("cordon", e.CordonNode.Node)
+			err = r.cordonNode(e.CordonNode.Node)
 		case e.DrainNode != nil:
-			err = r.tgt.nodeEvent("drain", e.DrainNode.Node)
+			err = r.drainNode(e.DrainNode.Node)
 		case e.SubmitSweep != nil:
 			err = r.submitSweep(e.SubmitSweep)
 		case e.WaitSweep != nil:
@@ -262,9 +311,9 @@ func (r *runner) events() error {
 		case e.WaitNode != nil:
 			err = r.waitNode(e.WaitNode)
 		case e.KillCoordinator:
-			err = r.tgt.coordEvent("kill")
+			err = r.killCoordinator()
 		case e.RestartCoordinator:
-			err = r.tgt.coordEvent("restart")
+			err = r.restartCoordinator()
 		}
 		if err != nil {
 			return fmt.Errorf("events[%d]: %w", i, err)
@@ -273,12 +322,25 @@ func (r *runner) events() error {
 	return nil
 }
 
+// submit posts one run and records how admission resolved it. A rejection
+// (shed, queue full) is a recorded verdict carrying the envelope's message,
+// not a fatal error.
 func (r *runner) submit(name string, spec runqueue.Spec) error {
-	res, err := r.tgt.submit(spec)
-	if err != nil {
+	res, err := r.cli.SubmitRun(context.Background(),
+		client.SubmitRunRequest{Workload: spec.Workload, Options: spec.Options})
+	sub := &submission{name: name, id: res.ID, admission: admFresh}
+	var ae *client.APIError
+	switch {
+	case err == nil && res.CacheHit:
+		sub.admission = admCacheHit
+	case err == nil && res.Deduped:
+		sub.admission = admDedup
+	case err == nil:
+	case errors.As(err, &ae) && rejections[ae.Code] != "":
+		sub.admission, sub.reject = rejections[ae.Code], ae.Message
+	default:
 		return fmt.Errorf("submit %q: %w", name, err)
 	}
-	sub := &submission{name: name, id: res.id, admission: res.admission, submitErr: res.reject}
 	r.subs = append(r.subs, sub)
 	r.byName[name] = sub
 	return nil
@@ -321,10 +383,34 @@ func (r *runner) admitted(name string) (*submission, error) {
 	if !ok {
 		return nil, fmt.Errorf("run %q was never submitted", name)
 	}
-	if sub.submitErr != nil {
+	if sub.reject != "" {
 		return nil, fmt.Errorf("run %q was not admitted (%s)", name, sub.admission)
 	}
 	return sub, nil
+}
+
+// status is a run's view: live before settle, frozen after it.
+func (r *runner) status(id string) (client.RunView, error) {
+	if r.settled {
+		v, ok := r.frozenRuns[id]
+		if !ok {
+			return v, fmt.Errorf("run %s was not frozen at settle", id)
+		}
+		return v, nil
+	}
+	return r.cli.Run(context.Background(), id)
+}
+
+// sweepStatus is a sweep's view: live before settle, frozen after it.
+func (r *runner) sweepStatus(id string) (client.SweepView, error) {
+	if r.settled {
+		v, ok := r.frozenSweeps[id]
+		if !ok {
+			return v, fmt.Errorf("sweep %s was not frozen at settle", id)
+		}
+		return v, nil
+	}
+	return r.cli.Sweep(context.Background(), id)
 }
 
 func (r *runner) wait(name, state string) error {
@@ -332,24 +418,24 @@ func (r *runner) wait(name, state string) error {
 	if err != nil {
 		return err
 	}
-	wantTerminal := state == "terminal" || runqueue.State(state).Terminal()
+	wantTerminal := state == "terminal" || client.Terminal(state)
 	deadline := time.Now().Add(waitTimeout)
 	for {
-		st, err := r.tgt.status(sub.id)
+		v, err := r.status(sub.id)
 		if err != nil {
 			return fmt.Errorf("wait %q: %w", name, err)
 		}
-		if st.state == state || (state == "terminal" && st.terminal()) {
+		if v.State == state || (state == "terminal" && v.Terminal()) {
 			return nil
 		}
-		if st.terminal() {
-			return fmt.Errorf("wait %q: wanted %s, run settled as %s", name, state, st.state)
+		if v.Terminal() {
+			return fmt.Errorf("wait %q: wanted %s, run settled as %s", name, state, v.State)
 		}
 		if time.Now().After(deadline) {
 			if wantTerminal {
 				return fmt.Errorf("wait %q: still not terminal after %v", name, waitTimeout)
 			}
-			return fmt.Errorf("wait %q: not %s after %v (still %s)", name, state, waitTimeout, st.state)
+			return fmt.Errorf("wait %q: not %s after %v (still %s)", name, state, waitTimeout, v.State)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -357,16 +443,16 @@ func (r *runner) wait(name, state string) error {
 
 func (r *runner) waitAll() error {
 	for _, sub := range r.subs {
-		if sub.submitErr != nil {
+		if sub.reject != "" {
 			continue
 		}
 		deadline := time.Now().Add(waitTimeout)
 		for {
-			st, err := r.tgt.status(sub.id)
+			v, err := r.status(sub.id)
 			if err != nil {
 				return fmt.Errorf("wait_all %q: %w", sub.name, err)
 			}
-			if st.terminal() {
+			if v.Terminal() {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -383,18 +469,18 @@ func (r *runner) cancel(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := r.tgt.cancel(sub.id); err != nil {
+	if _, err := r.cli.CancelRun(context.Background(), sub.id); err != nil {
 		return fmt.Errorf("cancel %q: %w", name, err)
 	}
 	return nil
 }
 
 func (r *runner) submitSweep(e *SubmitSweepEvent) error {
-	id, err := r.tgt.submitSweep(e)
+	res, err := r.cli.SubmitSweep(context.Background(), client.SubmitSweepRequest{SweepSpec: e.SweepSpec})
 	if err != nil {
 		return fmt.Errorf("submit_sweep %q: %w", e.Name, err)
 	}
-	sw := &sweepSub{name: e.Name, id: id, spec: e}
+	sw := &sweepSub{name: e.Name, id: res.ID, spec: e}
 	r.sweeps = append(r.sweeps, sw)
 	r.byNameSweep[e.Name] = sw
 	return nil
@@ -415,46 +501,29 @@ func (r *runner) waitSweep(e *WaitSweepEvent) error {
 	}
 	deadline := time.Now().Add(waitTimeout)
 	for {
-		st, err := r.tgt.sweepStatus(sw.id)
+		v, err := r.sweepStatus(sw.id)
 		if err != nil {
 			return fmt.Errorf("wait_sweep %q: %w", e.Sweep, err)
 		}
 		switch {
 		case e.Done > 0:
-			if st.done >= e.Done {
+			if v.Done >= e.Done {
 				return nil
 			}
-		case st.state == e.State:
+		case v.State == e.State:
 			return nil
-		case st.terminal():
-			return fmt.Errorf("wait_sweep %q: wanted %s, sweep settled as %s", e.Sweep, e.State, st.state)
+		case client.Terminal(v.State):
+			return fmt.Errorf("wait_sweep %q: wanted %s, sweep settled as %s", e.Sweep, e.State, v.State)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("wait_sweep %q: still %s (%d/%d done) after %v",
-				e.Sweep, st.state, st.done, st.total, waitTimeout)
+				e.Sweep, v.State, v.Done, v.Total, waitTimeout)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-func (r *runner) waitNode(e *WaitNodeEvent) error {
-	deadline := time.Now().Add(waitTimeout)
-	for {
-		st, err := r.tgt.nodeState(e.Node)
-		if err != nil {
-			return fmt.Errorf("wait_node %d: %w", e.Node, err)
-		}
-		if st == e.State {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("wait_node %d: not %s after %v (still %s)", e.Node, e.State, waitTimeout, st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// evaluate checks one assertion against the settled target.
+// evaluate checks one assertion against the settled run.
 func (r *runner) evaluate(a Assertion, baseline leakcheck.Baseline) AssertReport {
 	switch {
 	case a.State != nil:
@@ -472,7 +541,10 @@ func (r *runner) evaluate(a Assertion, baseline leakcheck.Baseline) AssertReport
 	case a.SameResult != nil:
 		return r.checkSameResult(a.SameResult)
 	case a.Injected != nil:
-		got := r.tgt.injected(*a.Injected.Site)
+		got := 0
+		for _, inj := range r.injs {
+			got += inj.Injected(*a.Injected.Site)
+		}
 		return AssertReport{
 			Kind:     "injected",
 			Detail:   fmt.Sprintf("site=%s count=%d", *a.Injected.Site, a.Injected.Count),
@@ -503,19 +575,16 @@ func (r *runner) evaluate(a Assertion, baseline leakcheck.Baseline) AssertReport
 }
 
 // statusFor resolves a run name to its settled status for an assertion.
-func (r *runner) statusFor(name string) (runStatus, string) {
-	sub, ok := r.byName[name]
-	if !ok {
-		return runStatus{}, fmt.Sprintf("run %q was never submitted", name)
-	}
-	if sub.submitErr != nil {
-		return runStatus{}, fmt.Sprintf("run %q was not admitted (%s)", name, sub.admission)
-	}
-	st, err := r.tgt.status(sub.id)
+func (r *runner) statusFor(name string) (client.RunView, string) {
+	sub, err := r.admitted(name)
 	if err != nil {
-		return runStatus{}, fmt.Sprintf("run %q: %v", name, err)
+		return client.RunView{}, err.Error()
 	}
-	return st, ""
+	v, err := r.status(sub.id)
+	if err != nil {
+		return client.RunView{}, fmt.Sprintf("run %q: %v", name, err)
+	}
+	return v, ""
 }
 
 func (r *runner) checkState(a *StateAssertion) AssertReport {
@@ -525,8 +594,8 @@ func (r *runner) checkState(a *StateAssertion) AssertReport {
 		ar.Observed = msg
 		return ar
 	}
-	ar.Observed = st.state
-	ar.Pass = st.state == a.Is
+	ar.Observed = st.State
+	ar.Pass = st.State == a.Is
 	return ar
 }
 
@@ -537,16 +606,16 @@ func (r *runner) checkStates(a *StatesAssertion) AssertReport {
 		if !strings.HasPrefix(sub.name, a.Prefix) {
 			continue
 		}
-		if sub.submitErr != nil {
+		if sub.reject != "" {
 			got = append(got, sub.admission)
 			continue
 		}
-		st, err := r.tgt.status(sub.id)
+		v, err := r.status(sub.id)
 		if err != nil {
 			got = append(got, "unknown")
 			continue
 		}
-		got = append(got, st.state)
+		got = append(got, v.State)
 	}
 	ar.Observed = strings.Join(got, ",")
 	if a.All != "" {
@@ -590,11 +659,11 @@ func (r *runner) checkErrorContains(a *ErrorContainsAssertion) AssertReport {
 		ar.Observed = fmt.Sprintf("run %q was never submitted", a.Run)
 		return ar
 	}
-	var msg string
-	if sub.submitErr != nil {
-		msg = sub.submitErr.Error()
-	} else if st, err := r.tgt.status(sub.id); err == nil {
-		msg = st.errMsg
+	msg := sub.reject
+	if msg == "" {
+		if v, err := r.status(sub.id); err == nil {
+			msg = v.Error
+		}
 	}
 	if msg == "" {
 		ar.Observed = "no error"
@@ -607,7 +676,7 @@ func (r *runner) checkErrorContains(a *ErrorContainsAssertion) AssertReport {
 
 func (r *runner) checkMetric(a *MetricAssertion) AssertReport {
 	ar := AssertReport{Kind: "metric", Detail: metricDetail(a)}
-	v, ok := r.tgt.metric(a.Name, a.Label)
+	v, ok := r.metric(a.Name, a.Label)
 	if !ok {
 		ar.Observed = "no such series"
 		return ar
@@ -654,12 +723,12 @@ func (r *runner) checkOutcome(a *OutcomeAssertion) AssertReport {
 		ar.Observed = msg
 		return ar
 	}
-	if len(st.result) == 0 {
-		ar.Observed = fmt.Sprintf("run %q has no result (state %s)", a.Run, st.state)
+	if len(st.Result) == 0 {
+		ar.Observed = fmt.Sprintf("run %q has no result (state %s)", a.Run, st.State)
 		return ar
 	}
 	var w outcomeWire
-	if err := json.Unmarshal(st.result, &w); err != nil {
+	if err := json.Unmarshal(st.Result, &w); err != nil {
 		ar.Observed = fmt.Sprintf("bad result JSON: %v", err)
 		return ar
 	}
@@ -702,13 +771,13 @@ func (r *runner) checkSameResult(a *SameResultAssertion) AssertReport {
 			ar.Observed = msg
 			return ar
 		}
-		if len(st.result) == 0 {
-			ar.Observed = fmt.Sprintf("run %q has no result (state %s)", name, st.state)
+		if len(st.Result) == 0 {
+			ar.Observed = fmt.Sprintf("run %q has no result (state %s)", name, st.State)
 			return ar
 		}
 		if i == 0 {
-			first = st.result
-		} else if !bytes.Equal(first, st.result) {
+			first = st.Result
+		} else if !bytes.Equal(first, st.Result) {
 			ar.Observed = fmt.Sprintf("run %q diverges from %q", name, a.Runs[0])
 			return ar
 		}
@@ -720,7 +789,7 @@ func (r *runner) checkSameResult(a *SameResultAssertion) AssertReport {
 
 func (r *runner) checkNodeStates(a *NodeStatesAssertion) AssertReport {
 	ar := AssertReport{Kind: "node_states", Detail: "are=" + strings.Join(a.Are, ",")}
-	got := r.tgt.nodeStates()
+	got := r.fleet.frozenNodes
 	ar.Observed = strings.Join(got, ",")
 	ar.Pass = len(got) == len(a.Are)
 	if ar.Pass {
@@ -733,16 +802,16 @@ func (r *runner) checkNodeStates(a *NodeStatesAssertion) AssertReport {
 	return ar
 }
 
-func (r *runner) sweepStatusFor(name string) (sweepStatus, string) {
-	sw, ok := r.byNameSweep[name]
-	if !ok {
-		return sweepStatus{}, fmt.Sprintf("sweep %q was never submitted", name)
-	}
-	st, err := r.tgt.sweepStatus(sw.id)
+func (r *runner) sweepStatusFor(name string) (client.SweepView, string) {
+	sw, err := r.sweepNamed(name)
 	if err != nil {
-		return sweepStatus{}, fmt.Sprintf("sweep %q: %v", name, err)
+		return client.SweepView{}, err.Error()
 	}
-	return st, ""
+	v, err := r.sweepStatus(sw.id)
+	if err != nil {
+		return client.SweepView{}, fmt.Sprintf("sweep %q: %v", name, err)
+	}
+	return v, ""
 }
 
 func (r *runner) checkSweepState(a *SweepStateAssertion) AssertReport {
@@ -752,13 +821,13 @@ func (r *runner) checkSweepState(a *SweepStateAssertion) AssertReport {
 		ar.Observed = msg
 		return ar
 	}
-	ar.Observed = fmt.Sprintf("%s (%d/%d done)", st.state, st.done, st.total)
-	ar.Pass = st.state == a.Is
+	ar.Observed = fmt.Sprintf("%s (%d/%d done)", st.State, st.Done, st.Total)
+	ar.Pass = st.State == a.Is
 	return ar
 }
 
 // checkSweepOracle replays the sweep's grid on a fresh standalone
-// single-worker daemon — no faults, no fleet — and requires the target's
+// single-worker daemon — no faults, no fleet — and requires the sweep's
 // reassembled cells to match the oracle's byte for byte.
 func (r *runner) checkSweepOracle(a *SweepOracleAssertion) AssertReport {
 	ar := AssertReport{Kind: "sweep_cells_match_oracle", Detail: "sweep=" + a.Sweep}
@@ -767,8 +836,8 @@ func (r *runner) checkSweepOracle(a *SweepOracleAssertion) AssertReport {
 		ar.Observed = msg
 		return ar
 	}
-	if len(st.cells) == 0 {
-		ar.Observed = fmt.Sprintf("sweep has no cells (state %s, %d/%d done)", st.state, st.done, st.total)
+	if len(st.Cells) == 0 {
+		ar.Observed = fmt.Sprintf("sweep has no cells (state %s, %d/%d done)", st.State, st.Done, st.Total)
 		return ar
 	}
 	want, err := r.oracleCells(r.byNameSweep[a.Sweep].spec)
@@ -776,21 +845,21 @@ func (r *runner) checkSweepOracle(a *SweepOracleAssertion) AssertReport {
 		ar.Observed = fmt.Sprintf("oracle: %v", err)
 		return ar
 	}
-	if !bytes.Equal(st.cells, want) {
-		ar.Observed = fmt.Sprintf("cells diverge from the standalone oracle (%d vs %d bytes)", len(st.cells), len(want))
+	if !bytes.Equal(st.Cells, want) {
+		ar.Observed = fmt.Sprintf("cells diverge from the standalone oracle (%d vs %d bytes)", len(st.Cells), len(want))
 		return ar
 	}
-	ar.Observed = fmt.Sprintf("%d cell bytes byte-identical to the standalone oracle", len(st.cells))
+	ar.Observed = fmt.Sprintf("%d cell bytes byte-identical to the standalone oracle", len(st.Cells))
 	ar.Pass = true
 	return ar
 }
 
-// oracleCells runs the grid on a clean standalone daemon and returns its
+// oracleCells runs the grid on a clean standalone daemon (a pool started
+// like a scenario's, at zero PoolParams and without faults) and returns its
 // cells JSON. The oracle pool shares the runner's Simulate hook, so its
 // attempts are invariant-checked like every other simulation.
 func (r *runner) oracleCells(spec *SubmitSweepEvent) ([]byte, error) {
-	pool := runqueue.New(runqueue.Config{Simulate: r.simulate})
-	srv := httptest.NewServer(server.New(pool))
+	pool, srv := r.servePool(PoolParams{}, nil)
 	cli := client.New(srv.URL)
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
@@ -813,6 +882,24 @@ func (r *runner) oracleCells(spec *SubmitSweepEvent) ([]byte, error) {
 		return nil, fmt.Errorf("oracle sweep settled as %s (errors %v)", v.State, v.Errors)
 	}
 	return v.Cells, nil
+}
+
+// metric reads a series from the backend's registry or, failing that, sums
+// it over the pools' registries: a coordinator's own series, else its
+// nodes' pool series; a pool scenario's backend is its only pool.
+func (r *runner) metric(name, label string) (float64, bool) {
+	if v, ok := r.backend.Metrics().Value(name, label); ok {
+		return v, true
+	}
+	var sum float64
+	found := false
+	for _, p := range r.pools {
+		if v, ok := p.Metrics().Value(name, label); ok {
+			sum += v
+			found = true
+		}
+	}
+	return sum, found
 }
 
 // checkCounter evaluates a recovery-counter assertion by bounding its metric

@@ -170,3 +170,25 @@ assertions:
 		t.Fatalf("submissions %v / %v", a, b)
 	}
 }
+
+// TestRunHTTPRequestFaultOnPool: a pool scenario is served over the v1 wire
+// like a fleet's, so http_request rules fire on it too. The delay hits the
+// first request (the submit) and the run still completes.
+func TestRunHTTPRequestFaultOnPool(t *testing.T) {
+	leakcheck.Check(t)
+	mustRun(t, `
+name: http-delay
+defaults:
+  workload: {mix: w1, load: 0.6, ncpu: 32, window_s: 60, seed: 5}
+  options: {policy: equip}
+faults:
+  - "http_request:delay delay=20ms count=1"
+events:
+  - submit: {name: a}
+  - wait: {run: a, state: done}
+assertions:
+  - state: {run: a, is: done}
+  - injected: {site: http_request, count: 1}
+  - no_leaks:
+`)
+}

@@ -6,9 +6,15 @@
 // assertions on the outcome (exact terminal run states, admission verdicts,
 // metric bounds read from the obs registry, byte-identical-result checks,
 // invariant-checker verdicts, goroutine-leak checks). The runner executes
-// the scenario deterministically against an in-process runqueue.Pool or
-// fleet — same seed, same report, byte for byte — and renders a pass/fail
-// report as text or JSON.
+// the scenario deterministically — same seed, same report, byte for byte —
+// and renders a pass/fail report as text or JSON.
+//
+// There is one runner and one path: a client.Client drives the v1 wire of
+// an in-process server.New(backend), where the backend is the scenario's
+// runqueue.Pool or, with a fleet: stanza, a coordinator that node daemons
+// join. Submit, status, cancel, sweeps and the final drain-and-freeze are
+// written once; the node and coordinator events are the fleet-only part
+// (fleet.go).
 //
 // The schema is the Go types below, keyed by their json tags: the
 // workload:, options: and submit_sweep: bodies are the v1 wire types
@@ -38,10 +44,10 @@ type Scenario struct {
 	// survive a seed override.
 	Seed int64      `json:"seed"`
 	Pool PoolParams `json:"pool"`
-	// Fleet, when set, runs the scenario against an in-process coordinator
-	// plus node fleet (each node an independent pool sized by Pool) instead
-	// of a bare pool; events and assertions then flow through the v1 HTTP
-	// surface exactly as a remote client's would.
+	// Fleet, when set, serves an in-process coordinator plus node fleet
+	// (each node an independent pool sized by Pool) instead of a bare
+	// pool; events and assertions flow through the same v1 HTTP surface
+	// either way.
 	Fleet *FleetParams `json:"fleet"`
 	// Defaults is the spec template events submit; per-event overrides merge
 	// onto it field by field.
@@ -153,8 +159,8 @@ type Event struct {
 	KillNode   *NodeEvent `json:"kill_node"`
 	CordonNode *NodeEvent `json:"cordon_node"`
 	DrainNode  *NodeEvent `json:"drain_node"`
-	// SubmitSweep submits a named sweep grid (fleet scenarios only).
-	// WaitSweep blocks on its progress or terminal state.
+	// SubmitSweep submits a named sweep grid. WaitSweep blocks on its
+	// progress or terminal state.
 	SubmitSweep *SubmitSweepEvent `json:"submit_sweep"`
 	WaitSweep   *WaitSweepEvent   `json:"wait_sweep"`
 	// WaitNode blocks until a node reaches a state — how elasticity
@@ -297,9 +303,9 @@ type SweepStateAssertion struct {
 }
 
 // SweepOracleAssertion re-runs the named sweep's grid on a fresh standalone
-// single-worker daemon and requires the fleet's reassembled cells JSON to be
-// byte-identical to the oracle's — the determinism contract a coordinator
-// crash and recovery must not dent.
+// single-worker daemon and requires the sweep's cells JSON to be
+// byte-identical to the oracle's — the determinism contract that faults,
+// sharding, and a coordinator crash and recovery must not dent.
 type SweepOracleAssertion struct {
 	Sweep string `json:"sweep"`
 }
@@ -347,8 +353,9 @@ type ErrorContainsAssertion struct {
 	Substr string `json:"substr"`
 }
 
-// MetricAssertion bounds one series of the pool's metric registry (the same
-// numbers /metrics exposes).
+// MetricAssertion bounds one series of the backend's metric registry (the
+// same numbers /metrics exposes); a coordinator without the series falls
+// back to the sum over its nodes' pools.
 type MetricAssertion struct {
 	Name  string `json:"name"`
 	Label string `json:"label"`

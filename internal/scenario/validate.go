@@ -8,6 +8,13 @@ import (
 	"pdpasim/internal/runqueue"
 )
 
+// maxArrivals bounds the runs a scenario's arrivals events generate in
+// total. Each arrival is a real in-process simulation that the runner must
+// drain within waitTimeout, and Validate names every one of them to catch
+// collisions, so a larger count is a wedged scenario and a slow parse, not
+// a bigger test.
+const maxArrivals = 10000
+
 // Validate checks what the decoder cannot: required and enumerated values,
 // ranges, and references across the timeline. It fills the defaults a rule
 // implies (a wait's state "terminal", the "burst" arrivals pattern, a
@@ -79,6 +86,7 @@ func (s *Scenario) Validate() error {
 		return nil
 	}
 	coordDown := false
+	arrivals := 0
 	for i, e := range s.Events {
 		where := fmt.Sprintf("events[%d]", i)
 		var err error
@@ -95,6 +103,11 @@ func (s *Scenario) Validate() error {
 			if err := e.Arrivals.validate(where + ".arrivals"); err != nil {
 				return err
 			}
+			if e.Arrivals.Count > maxArrivals-arrivals {
+				return failf("%s.arrivals: count %d takes the scenario past %d generated arrivals",
+					where, e.Arrivals.Count, maxArrivals)
+			}
+			arrivals += e.Arrivals.Count
 			for j := 0; j < e.Arrivals.Count; j++ {
 				n := fmt.Sprintf("%s%d", e.Arrivals.Prefix, j)
 				if named[n] {
@@ -131,8 +144,6 @@ func (s *Scenario) Validate() error {
 				return failf("%s.submit_sweep needs a name", where)
 			case len(sw.Policies) == 0 || len(sw.Mixes) == 0:
 				return failf("%s.submit_sweep needs at least one policy and one mix", where)
-			case s.Fleet == nil:
-				return failf("%s.submit_sweep needs a fleet: stanza", where)
 			case sweeps[sw.Name]:
 				return failf("%s: duplicate sweep name %q", where, sw.Name)
 			}

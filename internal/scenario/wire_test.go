@@ -100,7 +100,7 @@ func TestWireCoverage(t *testing.T) {
 	subOText := g.fill(t, reflect.ValueOf(&subO).Elem())
 	sweepText := g.fill(t, reflect.ValueOf(&sweep).Elem())
 
-	src := "name: wire\nfleet: {nodes: 1}\n" +
+	src := "name: wire\n" +
 		"defaults: {workload: " + defWText + ", options: " + defOText + "}\n" +
 		"events:\n" +
 		"  - submit: {name: a, workload: " + subWText + ", options: " + subOText + "}\n" +
