@@ -256,7 +256,7 @@ type Options struct {
 	Throughput int
 	// Observer, when set, receives every decision-trace event live as the
 	// simulation produces it — the streaming counterpart of DecisionTrace,
-	// and the same hook Sweep and the pdpad daemon accept. Calls are
+	// and the same hook Sweep accepts. Calls are
 	// synchronous and strictly ordered within the run. An Observer alone
 	// (DecisionTrace == 0) streams without retaining.
 	Observer Observer `json:"-"`

@@ -80,11 +80,11 @@
 // the per-experiment index and EXPERIMENTS.md for measured-versus-paper
 // results.
 //
-// Every layer shares one observability hook: an Observer receives the
+// Runs and sweeps share one observability hook: an Observer receives the
 // unified TraceEvent stream — a run's decision trace (every PDPA state
 // transition with its measured efficiency, every admission decision with
-// its reason, every reallocation), a sweep's per-run completions, and the
-// daemon's run lifecycle are three adapters over the same schema. Set
+// its reason, every reallocation) and a sweep's per-run completions are two
+// adapters over the same schema. Set
 // Options.DecisionTrace to retain a run's trace and read it back through
 // Outcome.DecisionTrace; with no observer and no trace limit the hooks
 // compile down to nil checks and the simulation allocates nothing extra
@@ -108,7 +108,10 @@
 //     State "cell_done" marks a cell's last replicate).
 //
 // scripts/depcheck.sh (run in CI) keeps the removed symbols removed and
-// rejects new Deprecated: markers without a recorded removal plan.
+// rejects new Deprecated: markers without a recorded removal plan. It also
+// keeps the run queue to one lifecycle-event path (Pool.FollowRun):
+// runqueue.Event, Pool.Subscribe, Pool.Done and the Config fields Observer,
+// ObserverBuffer and EventBuffer stay deleted.
 //
 // In the same cleanup, the pdpad daemon's HTTP API settled its v1 error
 // contract: every non-2xx response carries one envelope,

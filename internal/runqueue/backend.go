@@ -2,7 +2,8 @@ package runqueue
 
 // The pool's v1 face: the run calls internal/server's Backend interface
 // makes, in the client wire types. They are thin renderings of the
-// snapshot-level API in runqueue.go (Submit, Get, Cancel, Subscribe). The
+// snapshot-level API in runqueue.go (Submit, Get, Cancel) and of each run's
+// lifecycle event chain (FollowRun). The
 // sweep calls are promoted from the pool's embedded SweepIndex (sweep.go),
 // the one the fleet coordinator embeds too.
 
@@ -91,39 +92,33 @@ func (p *Pool) ListRuns(ctx context.Context) []client.RunView {
 	return views
 }
 
-// FollowRun calls emit with each lifecycle event of a run, from its current
-// state through the terminal one; it returns before emitting anything when
-// the run is unknown, and early with ctx's error when ctx ends.
+// FollowRun calls emit with each lifecycle event of a run, from the one
+// that put it in its current state through the terminal one; it returns
+// before emitting anything when the run is unknown, and early with ctx's
+// error when ctx ends. The pool lock is taken once, to find the run's
+// newest event; the rest of the chain is walked without it, so a slow emit
+// delays only its own follower.
 func (p *Pool) FollowRun(ctx context.Context, id string, emit func(client.Event)) error {
-	events, unsub, err := p.Subscribe(id)
-	if err != nil {
-		return err
+	p.mu.Lock()
+	r := p.runs.Get(id)
+	var ev *event
+	if r != nil {
+		ev = r.events
 	}
-	defer unsub()
-	send := func(ev Event) bool {
-		emit(client.Event{RunID: ev.RunID, State: string(ev.State), At: ev.At, Message: ev.Message})
-		return !ev.State.Terminal()
+	p.mu.Unlock()
+	if ev == nil {
+		return ErrNotFound
 	}
 	for {
+		emit(ev.Event)
+		if client.Terminal(ev.State) {
+			return nil
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case ev, ok := <-events:
-			if !ok {
-				// Channel closed: make sure the follower saw the terminal
-				// state even if an intermediate send was dropped.
-				if snap, err := p.Get(id); err == nil && snap.State.Terminal() {
-					msg := ""
-					if snap.Err != nil {
-						msg = snap.Err.Error()
-					}
-					send(Event{RunID: id, State: snap.State, At: snap.Finished, Message: msg})
-				}
-				return nil
-			}
-			if !send(ev) {
-				return nil
-			}
+		case <-ev.ready:
+			ev = ev.next
 		}
 	}
 }

@@ -9,6 +9,7 @@ package runqueue
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -425,17 +426,15 @@ func TestChaosInvariantsHoldUnderRetry(t *testing.T) {
 	drainPool(t, p)
 }
 
-// TestSSESlowSubscriberDrops: a subscriber that never reads loses
-// intermediate events — counted, never blocking the pool — while the run
-// itself completes and its terminal state stays readable.
-func TestSSESlowSubscriberDrops(t *testing.T) {
+// TestFollowRunSlowFollower: a follower whose emit blocks on its first event
+// delays neither the run it follows nor any other: both reach done while it
+// is wedged. Released, it receives every transition through the terminal
+// one, and the pool winds down without leaking goroutines.
+func TestFollowRunSlowFollower(t *testing.T) {
 	leakcheck.Check(t)
 	var calls atomic.Int64
 	release := make(chan struct{})
-	p := New(Config{
-		BaseWorkers: 1, MaxWorkers: 1, EventBuffer: 1,
-		Simulate: blockingSim(t, &calls, release),
-	})
+	p := New(Config{BaseWorkers: 1, MaxWorkers: 1, Simulate: blockingSim(t, &calls, release)})
 	blocker, err := p.Submit(tinySpec(1), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -444,56 +443,26 @@ func TestSSESlowSubscriberDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, unsub, err := p.Subscribe(queued.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer unsub()
-	// The initial "queued" event fills the 1-slot buffer; with the
-	// subscriber never reading, the running and done transitions must drop.
+	gate := make(chan struct{})
+	wedged, followed := followAsync(t, p, queued.ID, gate)
+	<-wedged
 	close(release)
 	waitState(t, p, blocker.ID, Done)
 	waitState(t, p, queued.ID, Done)
-	if got := p.met.sseDropped.Value(); got < 1 {
-		t.Fatalf("sse dropped %d events, want ≥ 1", got)
+	later, err := p.Submit(tinySpec(3), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ev, ok := <-ch
-	if !ok || ev.State != Queued {
-		t.Fatalf("buffered event %+v ok=%v, want the initial queued state", ev, ok)
-	}
-	if _, ok := <-ch; ok {
-		t.Fatal("subscriber channel not closed after terminal state")
-	}
-	drainPool(t, p)
-}
+	waitState(t, p, later.ID, Done)
 
-// TestObserverLagDrops: a blocked Config.Observer overflows its buffer —
-// events drop and are counted, and the scheduler never stalls behind it.
-func TestObserverLagDrops(t *testing.T) {
-	leakcheck.Check(t)
-	gate := make(chan struct{})
-	var delivered atomic.Int64
-	p := New(Config{
-		ObserverBuffer: 1, Simulate: instantSim,
-		Observer: pdpasim.ObserverFunc(func(e pdpasim.TraceEvent) {
-			if delivered.Add(1) == 1 {
-				<-gate // wedge the forwarder on the first event
-			}
-		}),
-	})
-	for seed := int64(1); seed <= 2; seed++ {
-		r, err := p.Submit(tinySpec(seed), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The pool progresses to Done while the observer is wedged: delivery
-		// is fully decoupled from the scheduler.
-		waitState(t, p, r.ID, Done)
+	close(gate)
+	var states []string
+	for _, ev := range <-followed {
+		states = append(states, ev.State)
 	}
-	if got := p.met.observerDropped.Value(); got < 1 {
-		t.Fatalf("observer dropped %d events, want ≥ 1", got)
+	if want := []string{"queued", "running", "done"}; !slices.Equal(states, want) {
+		t.Fatalf("wedged follower saw %v, want %v", states, want)
 	}
-	close(gate) // release the forwarder so Drain can flush and exit
 	drainPool(t, p)
 }
 
@@ -507,6 +476,7 @@ func TestChaosDeterministicAcrossReplays(t *testing.T) {
 		retries float64
 		panics  float64
 	}
+	wantStates := []State{Failed, Done, Done}
 	replay := func() outcome {
 		inj := faults.New(42,
 			faults.Rule{Site: faults.SiteWorkerStart, Kind: faults.KindPanic, Count: 1},
@@ -518,22 +488,12 @@ func TestChaosDeterministicAcrossReplays(t *testing.T) {
 			Simulate: instantSim, Faults: inj,
 		})
 		var out outcome
-		for seed := int64(1); seed <= 3; seed++ {
-			r, err := p.Submit(tinySpec(seed), 0)
+		for i, want := range wantStates {
+			r, err := p.Submit(tinySpec(int64(i+1)), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			done, err := p.Done(r.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			<-done
-			snap, err := p.Get(r.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.states = append(out.states, snap.State)
-			_ = snap
+			out.states = append(out.states, waitState(t, p, r.ID, want).State)
 		}
 		out.retries = metric(p, "pdpad_run_retries_total", "")
 		out.panics = metric(p, "pdpad_recovered_panics_total", "worker")
@@ -541,7 +501,7 @@ func TestChaosDeterministicAcrossReplays(t *testing.T) {
 		return out
 	}
 	first := replay()
-	want := outcome{states: []State{Failed, Done, Done}, retries: 1, panics: 1}
+	want := outcome{states: wantStates, retries: 1, panics: 1}
 	for i, got := range []outcome{first, replay()} {
 		if len(got.states) != 3 || got.states[0] != want.states[0] ||
 			got.states[1] != want.states[1] || got.states[2] != want.states[2] ||

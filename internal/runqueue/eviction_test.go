@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pdpasim"
+	"pdpasim/client"
 )
 
 // evictionScript is the bounded-history script both backends replay: the
@@ -118,11 +119,9 @@ func BenchmarkPoolSubmitAtFullHistory(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		done, err := p.Done(res.ID)
-		if err != nil {
+		if err := p.FollowRun(context.Background(), res.ID, func(client.Event) {}); err != nil {
 			b.Fatal(err)
 		}
-		<-done
 		return res
 	}
 	full := func() *Pool {

@@ -57,7 +57,7 @@ func (r *run) record() any {
 
 // decodeRun rebuilds a terminal run from its journal record.
 func decodeRun(payload []byte) (id, key string, r *run, err error) {
-	r = &run{done: closedChan}
+	r = &run{}
 	if err := json.Unmarshal(payload, &r.runRecord); err != nil {
 		return "", "", nil, err
 	}
@@ -67,6 +67,7 @@ func decodeRun(payload []byte) (id, key string, r *run, err error) {
 	if r.Error != "" {
 		r.err = errors.New(r.Error)
 	}
+	r.advanceLocked(r.Finished)
 	return r.ID, r.Key, r, nil
 }
 
@@ -89,10 +90,3 @@ func (p *Pool) rehydrate(recs []store.Record) {
 		}
 	})
 }
-
-// closedChan is the pre-closed done channel recovered terminal runs share.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()

@@ -84,14 +84,9 @@ func TestRestartByteIdenticalResults(t *testing.T) {
 			!got.Finished.Equal(want.Finished) {
 			t.Fatalf("run %s: timestamps drifted across restart", id)
 		}
-		done, err := p2.Done(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-done:
-		default:
-			t.Fatalf("run %s: done channel open after recovery", id)
+		// A recovered run's event chain is its terminal event alone.
+		if evs := follow(t, p2, id); len(evs) != 1 || evs[0].State != string(Done) || !evs[0].At.Equal(want.Finished) {
+			t.Fatalf("run %s: recovered events %+v, want one done event at %v", id, evs, want.Finished)
 		}
 	}
 	if got := len(p2.Runs()); got != len(ids) {

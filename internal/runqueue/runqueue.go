@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pdpasim"
+	"pdpasim/client"
 	"pdpasim/internal/faults"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/store"
@@ -91,12 +92,6 @@ type Config struct {
 	// history entry) and served at GET /v1/runs/{id}/trace. 0 means the
 	// default 2000; negative disables per-run decision tracing.
 	TraceLimit int
-	// Observer, when set, receives one "run_state" TraceEvent per run
-	// lifecycle transition (ID is the run ID, State the new state, Reason
-	// the error message if any). Delivery is asynchronous through a bounded
-	// buffer so a slow observer never blocks the pool; overflow is dropped
-	// and counted in pdpad_observer_dropped_total.
-	Observer pdpasim.Observer
 	// Simulate overrides the simulation function (default: the real
 	// simulator via pdpasim.RunContext, with decision tracing per
 	// TraceLimit).
@@ -121,10 +116,6 @@ type Config struct {
 	// Retry-After estimate, before the hard QueueLimit is ever reached.
 	// 0 disables shedding.
 	ShedDepth int
-	// EventBuffer is each SSE subscriber channel's capacity (default 16).
-	EventBuffer int
-	// ObserverBuffer bounds undelivered Config.Observer events (default 256).
-	ObserverBuffer int
 	// Faults, when set, is consulted at the pool's fault-injection sites
 	// (attempt start and finish, cache-hit serving) — chaos-test tooling.
 	// Nil, the production value, costs one nil check per site.
@@ -182,12 +173,6 @@ func (c Config) withDefaults() Config {
 	if c.ShedDepth < 0 {
 		c.ShedDepth = 0
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 16
-	}
-	if c.ObserverBuffer <= 0 {
-		c.ObserverBuffer = observerBuffer
-	}
 	if c.historyLimit <= 0 {
 		c.historyLimit = DefaultHistoryLimit
 	}
@@ -207,15 +192,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Event is one lifecycle transition, streamed to subscribers (the daemon's
-// SSE endpoint).
-type Event struct {
-	RunID   string    `json:"run_id"`
-	State   State     `json:"state"`
-	At      time.Time `json:"at"`
-	Message string    `json:"message,omitempty"`
-}
-
 // run is the pool's record of one submission. All mutable fields are
 // guarded by the pool mutex.
 type run struct {
@@ -227,8 +203,37 @@ type run struct {
 
 	cancel          context.CancelFunc
 	cancelRequested bool
-	subs            []chan Event
-	done            chan struct{}
+	// events is the newest node of the run's lifecycle chain.
+	events *event
+}
+
+// event is one node of a run's lifecycle chain: queued → running →
+// terminal, at most three nodes. A node never changes once appended except
+// that next is set, under the pool mutex, just before ready is closed;
+// followers read next only after ready is closed, so they walk the chain
+// without the lock. A terminal node has no successor and a nil ready.
+type event struct {
+	client.Event
+	next  *event
+	ready chan struct{}
+}
+
+// advanceLocked appends the run's current state to its event chain,
+// stamped at, and wakes the followers waiting on the previous node. A
+// terminal event carries the run's error text.
+func (r *run) advanceLocked(at time.Time) {
+	ev := &event{Event: client.Event{RunID: r.ID, State: string(r.State), At: at}}
+	if r.err != nil {
+		ev.Message = r.err.Error()
+	}
+	if !r.State.Terminal() {
+		ev.ready = make(chan struct{})
+	}
+	if prev := r.events; prev != nil {
+		prev.next = ev
+		close(prev.ready)
+	}
+	r.events = ev
 }
 
 // Snapshot is a consistent copy of a run's externally visible state.
@@ -290,16 +295,13 @@ type poolMetrics struct {
 	allocProcs  *obs.Histogram // time-averaged processors per finished job
 	attempts    *obs.Histogram // simulation attempts per run
 
-	cacheEvictions  *obs.Counter // Done results evicted from the LRU cache
-	sseDropped      *obs.Counter // events dropped on slow SSE subscribers
-	observerDropped *obs.Counter // events dropped on a slow Config.Observer
-	retries         *obs.Counter // attempts retried after transient failures
-	timeouts        *obs.Counter // attempts cancelled by RunTimeout
-	panics          *obs.Counter // worker panics recovered
-	sheds           *obs.Counter // submissions rejected by load shedding
-	degraded        *obs.Counter // SSE events suppressed under overload
-	storeErrors     *obs.Counter // store writes/records that failed or were unreadable
-	storeEvicted    *obs.Counter // recovered runs dropped to respect the history bound
+	cacheEvictions *obs.Counter // Done results evicted from the LRU cache
+	retries        *obs.Counter // attempts retried after transient failures
+	timeouts       *obs.Counter // attempts cancelled by RunTimeout
+	panics         *obs.Counter // worker panics recovered
+	sheds          *obs.Counter // submissions rejected by load shedding
+	storeErrors    *obs.Counter // store writes/records that failed or were unreadable
+	storeEvicted   *obs.Counter // recovered runs dropped to respect the history bound
 }
 
 func (p *Pool) initMetrics() {
@@ -361,10 +363,6 @@ func (p *Pool) initMetrics() {
 
 	m.cacheEvictions = reg.Counter("pdpad_cache_evictions_total",
 		"Completed results evicted from the LRU cache to respect Config.CacheSize.")
-	m.sseDropped = reg.Counter("pdpad_sse_dropped_total",
-		"Lifecycle events dropped on slow SSE subscribers.")
-	m.observerDropped = reg.Counter("pdpad_observer_dropped_total",
-		"Lifecycle events dropped because the configured observer lagged.")
 	m.retries = reg.Counter("pdpad_run_retries_total",
 		"Simulation attempts retried after a transient failure.")
 	m.timeouts = reg.Counter("pdpad_run_timeouts_total",
@@ -373,12 +371,10 @@ func (p *Pool) initMetrics() {
 		panicsHelp, "where", "worker")
 	m.sheds = reg.Counter("pdpad_sheds_total",
 		"Submissions shed with an overload rejection because the queue exceeded the shed depth.")
-	m.degraded = reg.Counter("pdpad_sse_degraded_total",
-		"Intermediate SSE events suppressed while the pool was overloaded.")
 	m.storeErrors = reg.Counter("pdpad_store_errors_total",
 		"Store operations that failed or recovered records that could not be decoded; the pool keeps serving from memory.")
 	m.storeEvicted = reg.Counter("pdpad_store_evicted_runs_total",
-		"Recovered runs dropped at boot to respect Config.HistoryLimit.")
+		"Recovered runs dropped at boot to respect the history bound (DefaultHistoryLimit).")
 
 	if st := p.cfg.Store; st != nil {
 		reg.CounterFunc("pdpad_store_appended_entries_total",
@@ -443,22 +439,10 @@ type Pool struct {
 	stats lifecycle
 	met   *poolMetrics
 
-	// observerCh decouples Config.Observer from the pool lock: lifecycle
-	// events are enqueued non-blockingly and a dedicated goroutine delivers
-	// them, so a slow observer drops events instead of stalling the pool.
-	// Drain closes it once the pool is idle so a drained pool leaves no
-	// goroutine behind.
-	observerCh     chan pdpasim.TraceEvent
-	observerClosed bool
-	obsSeq         int
-
 	// retryRNG jitters retry backoff (guarded by mu). Fixed-seeded: jitter
 	// decorrelates concurrent retries, determinism keeps tests honest.
 	retryRNG *rand.Rand
 }
-
-// observerBuffer bounds how many undelivered observer events may be pending.
-const observerBuffer = 256
 
 // New returns a ready pool.
 func New(cfg Config) *Pool {
@@ -490,20 +474,7 @@ func New(cfg Config) *Pool {
 	if p.cfg.Store != nil {
 		p.rehydrate(p.cfg.Store.TakeRecovered())
 	}
-	if p.cfg.Observer != nil {
-		p.observerCh = make(chan pdpasim.TraceEvent, p.cfg.ObserverBuffer)
-		go p.forwardObserver()
-	}
 	return p
-}
-
-// forwardObserver delivers queued lifecycle events to Config.Observer. It
-// lives until Drain settles and closes the channel (after draining any
-// buffered events).
-func (p *Pool) forwardObserver() {
-	for e := range p.observerCh {
-		p.cfg.Observer.Observe(e)
-	}
 }
 
 // Metrics returns the pool's metric registry — every pdpad_* series the
@@ -567,11 +538,10 @@ func (p *Pool) submitLocked(spec Spec, deadline time.Duration) (SubmitResult, er
 		return &run{
 			runRecord: runRecord{ID: id, Key: key, Spec: spec, State: Queued, Submitted: time.Now()},
 			deadline:  deadline,
-			done:      make(chan struct{}),
 		}
 	})
 	p.queue = append(p.queue, r)
-	p.broadcastLocked(r, "")
+	r.advanceLocked(r.Submitted)
 	return SubmitResult{ID: r.ID, State: r.State}, nil
 }
 
@@ -596,12 +566,6 @@ func (p *Pool) retryAfterLocked() time.Duration {
 		est = time.Second
 	}
 	return est
-}
-
-// overloadedLocked reports whether the pool is past its shed depth — the
-// regime where submissions are rejected and SSE fan-out degrades.
-func (p *Pool) overloadedLocked() bool {
-	return p.cfg.ShedDepth > 0 && len(p.queue) >= p.cfg.ShedDepth
 }
 
 // canStartLocked is the PDPA admission rule applied to the pool: below the
@@ -667,7 +631,7 @@ func (p *Pool) startLocked(r *run) {
 			r.State = Failed
 			r.err = fmt.Errorf("runqueue: deadline %v expired while queued: %w",
 				r.deadline, context.DeadlineExceeded)
-			p.finishLocked(r, "")
+			p.finishLocked(r)
 			return
 		}
 		ctx, cancel = context.WithTimeout(ctx, remaining)
@@ -678,7 +642,7 @@ func (p *Pool) startLocked(r *run) {
 	p.running[r] = struct{}{}
 	p.stats.Started++
 	p.met.queueWait.Observe(now.Sub(r.Submitted).Seconds())
-	p.broadcastLocked(r, "")
+	r.advanceLocked(now)
 	go p.execute(ctx, cancel, r)
 }
 
@@ -806,19 +770,15 @@ func (p *Pool) execute(ctx context.Context, cancel context.CancelFunc, r *run) {
 		r.State = Failed
 		r.err = err
 	}
-	msg := ""
-	if r.err != nil {
-		msg = r.err.Error()
-	}
-	p.finishLocked(r, msg)
+	p.finishLocked(r)
 	p.admitLocked()
 }
 
-// finishLocked settles a terminal run: cache bookkeeping, subscriber
-// notification, the ledger's history and journal, drain signalling.
+// finishLocked settles a terminal run: cache bookkeeping, its terminal
+// event, the ledger's history and journal, drain signalling.
 // Timestamps are wall-normalized (monotonic reading stripped) so a run's
 // externally visible timings survive a store round trip byte-identically.
-func (p *Pool) finishLocked(r *run, msg string) {
+func (p *Pool) finishLocked(r *run) {
 	r.Finished = time.Now().Round(0)
 	r.Submitted = r.Submitted.Round(0)
 	r.Started = r.Started.Round(0)
@@ -835,12 +795,7 @@ func (p *Pool) finishLocked(r *run, msg string) {
 		// Failed and cancelled runs must not satisfy future submissions.
 		p.runs.Release(r.ID)
 	}
-	p.broadcastLocked(r, msg)
-	close(r.done)
-	for _, ch := range r.subs {
-		close(ch)
-	}
-	r.subs = nil
+	r.advanceLocked(r.Finished)
 	p.runs.Settle(r.ID)
 	p.signalIdleLocked()
 }
@@ -880,86 +835,6 @@ func (p *Pool) signalIdleLocked() {
 	}
 }
 
-// broadcastLocked fans the run's current state out to subscribers and the
-// pool observer. Sends never block: a slow subscriber drops intermediate
-// events — counted in pdpad_sse_dropped_total — and the SSE handler re-reads
-// the final state via Get, so the terminal transition is never lost.
-func (p *Pool) broadcastLocked(r *run, msg string) {
-	p.notifyObserverLocked(r, msg)
-	if len(r.subs) == 0 {
-		return
-	}
-	// Graceful degradation: past the shed depth, intermediate fan-out is
-	// suppressed wholesale — terminal transitions still flow, and the SSE
-	// handler re-reads the final state on channel close, so no client
-	// misses an outcome while the pool sheds per-subscriber work.
-	if !r.State.Terminal() && p.overloadedLocked() {
-		p.met.degraded.Add(uint64(len(r.subs)))
-		return
-	}
-	ev := Event{RunID: r.ID, State: r.State, At: time.Now(), Message: msg}
-	for _, ch := range r.subs {
-		select {
-		case ch <- ev:
-		default:
-			p.met.sseDropped.Inc()
-		}
-	}
-}
-
-// notifyObserverLocked enqueues one "run_state" TraceEvent for the pool
-// observer without blocking: overflow is dropped and counted.
-func (p *Pool) notifyObserverLocked(r *run, msg string) {
-	if p.observerCh == nil || p.observerClosed {
-		return
-	}
-	e := pdpasim.TraceEvent{
-		Seq:    p.obsSeq,
-		Kind:   "run_state",
-		Job:    -1,
-		ID:     r.ID,
-		State:  string(r.State),
-		Reason: msg,
-	}
-	p.obsSeq++
-	select {
-	case p.observerCh <- e:
-	default:
-		p.met.observerDropped.Inc()
-	}
-}
-
-// Subscribe returns a channel of lifecycle events for a run, beginning with
-// its current state. The channel closes once the run is terminal (or when
-// the returned cancel function is called).
-func (p *Pool) Subscribe(id string) (<-chan Event, func(), error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r := p.runs.Get(id)
-	if r == nil {
-		return nil, nil, ErrNotFound
-	}
-	ch := make(chan Event, p.cfg.EventBuffer)
-	ch <- Event{RunID: r.ID, State: r.State, At: time.Now()}
-	if r.State.Terminal() {
-		close(ch)
-		return ch, func() {}, nil
-	}
-	r.subs = append(r.subs, ch)
-	unsub := func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		for i, c := range r.subs {
-			if c == ch {
-				r.subs = append(r.subs[:i], r.subs[i+1:]...)
-				close(ch)
-				return
-			}
-		}
-	}
-	return ch, unsub, nil
-}
-
 func (r *run) snapshotLocked() Snapshot {
 	return Snapshot{
 		ID:         r.ID,
@@ -995,17 +870,6 @@ func (p *Pool) Runs() []Snapshot {
 	return out
 }
 
-// Done returns a channel closed when the run reaches a terminal state.
-func (p *Pool) Done(id string) (<-chan struct{}, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r := p.runs.Get(id)
-	if r == nil {
-		return nil, ErrNotFound
-	}
-	return r.done, nil
-}
-
 // Cancel aborts a run: a queued run is removed immediately, a running one
 // has its context cancelled and the simulation aborts at its next interrupt
 // check. Cancelling a terminal run is a no-op. The returned snapshot
@@ -1027,7 +891,7 @@ func (p *Pool) Cancel(id string) (Snapshot, error) {
 		}
 		r.State = Canceled
 		r.err = context.Canceled
-		p.finishLocked(r, "cancelled while queued")
+		p.finishLocked(r)
 	case Running:
 		r.cancelRequested = true
 		r.cancel()
@@ -1040,6 +904,7 @@ func (p *Pool) Cancel(id string) (Snapshot, error) {
 // ctx expires first, all remaining work is cancelled and ctx's error is
 // returned.
 func (p *Pool) Drain(ctx context.Context) error {
+	defer p.stopRecheck()
 	p.mu.Lock()
 	p.draining = true
 	p.signalIdleLocked()
@@ -1048,7 +913,6 @@ func (p *Pool) Drain(ctx context.Context) error {
 
 	select {
 	case <-idle:
-		p.stopBackground()
 		return nil
 	case <-ctx.Done():
 	}
@@ -1059,7 +923,7 @@ func (p *Pool) Drain(ctx context.Context) error {
 	for _, r := range p.queue {
 		r.State = Canceled
 		r.err = context.Canceled
-		p.finishLocked(r, "cancelled at shutdown")
+		p.finishLocked(r)
 	}
 	p.queue = nil
 	for r := range p.running {
@@ -1068,22 +932,16 @@ func (p *Pool) Drain(ctx context.Context) error {
 	}
 	p.mu.Unlock()
 	<-idle
-	p.stopBackground()
 	return ctx.Err()
 }
 
-// stopBackground ends the pool's housekeeping once a drain has settled: the
-// warm-up recheck timer and the observer forwarding goroutine (which drains
-// its buffer and exits), so a drained pool leaves no goroutines behind.
-func (p *Pool) stopBackground() {
+// stopRecheck disarms a pending warm-up re-evaluation once a drain has
+// settled, so a drained pool leaves no timer behind.
+func (p *Pool) stopRecheck() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.recheck != nil {
 		p.recheck.Stop()
 		p.recheck = nil
-	}
-	if p.observerCh != nil && !p.observerClosed {
-		p.observerClosed = true
-		close(p.observerCh)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pdpasim"
+	"pdpasim/client"
 	"pdpasim/internal/leakcheck"
 )
 
@@ -137,11 +138,7 @@ func TestCacheHitIdenticalSpec(t *testing.T) {
 	if first.CacheHit || first.Deduped {
 		t.Fatalf("first submit misclassified: %+v", first)
 	}
-	done, err := p.Done(first.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
+	waitState(t, p, first.ID, Done)
 
 	second, err := p.Submit(tinySpec(1), 0)
 	if err != nil {
@@ -203,11 +200,7 @@ func TestSingleflightConcurrentSubmits(t *testing.T) {
 	if deduped != n-1 {
 		t.Fatalf("%d of %d submissions deduped, want %d", deduped, n, n-1)
 	}
-	done, err := p.Done(results[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
+	waitState(t, p, results[0].ID, Done)
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("simulated %d times, want 1", got)
 	}
@@ -222,18 +215,7 @@ func TestRealSimulationCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := p.Done(res.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	snap, err := p.Get(res.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != Done {
-		t.Fatalf("state %s (err %v), want done", snap.State, snap.Err)
-	}
+	snap := waitState(t, p, res.ID, Done)
 	ws, opts := tinySpec(3).Facade()
 	direct, err := pdpasim.RunContext(context.Background(), ws, opts)
 	if err != nil {
@@ -267,19 +249,8 @@ func TestCancellationAbortsRealSimulation(t *testing.T) {
 	if _, err := p.Cancel(res.ID); err != nil {
 		t.Fatal(err)
 	}
-	done, err := p.Done(res.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
+	snap := waitState(t, p, res.ID, Canceled)
 	latency := time.Since(start)
-	snap, err := p.Get(res.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != Canceled {
-		t.Fatalf("state %s, want canceled", snap.State)
-	}
 	if !errors.Is(snap.Err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", snap.Err)
 	}
@@ -323,11 +294,7 @@ func TestCancelQueuedRun(t *testing.T) {
 	if _, err := p.Cancel(blocker.ID); err != nil {
 		t.Fatal(err)
 	}
-	done, err := p.Done(blocker.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
+	waitState(t, p, blocker.ID, Canceled)
 	if got := calls.Load(); got > 1 {
 		t.Fatalf("queued run simulated despite cancellation (%d calls)", got)
 	}
@@ -406,17 +373,9 @@ func TestDeadlineWhileRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := p.Done(res.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	snap, err := p.Get(res.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != Failed || !errors.Is(snap.Err, context.DeadlineExceeded) {
-		t.Fatalf("state %s err %v, want failed/deadline", snap.State, snap.Err)
+	snap := waitState(t, p, res.ID, Failed)
+	if !errors.Is(snap.Err, context.DeadlineExceeded) {
+		t.Fatalf("err %v, want deadline", snap.Err)
 	}
 }
 
@@ -491,7 +450,39 @@ func TestForcedDrain(t *testing.T) {
 	}
 }
 
-// TestEventsLifecycle: subscribers see queued → running → done in order.
+// followAsync follows a run in the background. first closes once the first
+// event is emitted; when hold is non-nil, that emit then waits for hold to
+// close, wedging the follower. The events arrive on evs when FollowRun
+// returns.
+func followAsync(t *testing.T, p *Pool, id string, hold <-chan struct{}) (first <-chan struct{}, evs <-chan []client.Event) {
+	firstc, evsc := make(chan struct{}), make(chan []client.Event, 1)
+	go func() {
+		var got []client.Event
+		err := p.FollowRun(context.Background(), id, func(ev client.Event) {
+			if got = append(got, ev); len(got) == 1 {
+				close(firstc)
+				if hold != nil {
+					<-hold
+				}
+			}
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		evsc <- got
+	}()
+	return firstc, evsc
+}
+
+// follow collects a run's lifecycle events through FollowRun.
+func follow(t *testing.T, p *Pool, id string) []client.Event {
+	_, evs := followAsync(t, p, id, nil)
+	return <-evs
+}
+
+// TestEventsLifecycle: a follower sees queued → running → done in order,
+// each stamped when the run entered that state; a late follower gets the
+// terminal event alone, stamped at the finish; an unknown run is an error.
 func TestEventsLifecycle(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
@@ -504,49 +495,63 @@ func TestEventsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, unsub, err := p.Subscribe(res.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer unsub()
+	first, followed := followAsync(t, p, res.ID, nil)
+	<-first
 	close(release)
+	evs := <-followed
 
-	var states []State
-	for ev := range ch {
-		if ev.RunID != res.ID {
-			t.Fatalf("event for wrong run %s", ev.RunID)
-		}
-		states = append(states, ev.State)
-		if ev.State.Terminal() {
-			break
-		}
+	snap := waitState(t, p, res.ID, Done)
+	want := []struct {
+		state string
+		at    time.Time
+	}{{"queued", snap.Submitted}, {"running", snap.Started}, {"done", snap.Finished}}
+	if len(evs) != len(want) {
+		t.Fatalf("events %+v, want states queued, running, done", evs)
 	}
-	want := []State{Queued, Running, Done}
-	if len(states) != len(want) {
-		t.Fatalf("states %v, want %v", states, want)
-	}
-	for i := range want {
-		if states[i] != want[i] {
-			t.Fatalf("states %v, want %v", states, want)
+	for i, w := range want {
+		if ev := evs[i]; ev.RunID != res.ID || ev.State != w.state || !ev.At.Equal(w.at) || ev.Message != "" {
+			t.Fatalf("event %d = %+v, want %s for %s at %v", i, ev, w.state, res.ID, w.at)
 		}
 	}
-	done, err := p.Done(blocker.ID)
+
+	late := waitState(t, p, blocker.ID, Done)
+	if evs := follow(t, p, blocker.ID); len(evs) != 1 || evs[0].State != "done" || !evs[0].At.Equal(late.Finished) {
+		t.Fatalf("late follow %+v, want one done event at %v", evs, late.Finished)
+	}
+	if err := p.FollowRun(context.Background(), "run-999999", func(client.Event) {
+		t.Error("event emitted for an unknown run")
+	}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("unknown run: err %v, want ErrNotFound", err)
+	}
+}
+
+// TestFollowTerminalMessage: a terminal event carries the run's error text,
+// the same for a follower that watched the run end and one that came late.
+func TestFollowTerminalMessage(t *testing.T) {
+	var calls atomic.Int64
+	release := make(chan struct{})
+	defer close(release)
+	p := New(Config{BaseWorkers: 1, MaxWorkers: 1, Simulate: blockingSim(t, &calls, release)})
+	if _, err := p.Submit(tinySpec(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	queued, err := p.Submit(tinySpec(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-done
-	// Subscribing to a finished run yields its terminal state immediately.
-	ch2, unsub2, err := p.Subscribe(blocker.ID)
-	if err != nil {
+	first, followed := followAsync(t, p, queued.ID, nil)
+	<-first
+	if _, err := p.Cancel(queued.ID); err != nil {
 		t.Fatal(err)
 	}
-	defer unsub2()
-	ev, ok := <-ch2
-	if !ok || ev.State != Done {
-		t.Fatalf("late subscription: %+v ok=%v", ev, ok)
-	}
-	if _, ok := <-ch2; ok {
-		t.Fatal("late subscription channel not closed")
+	live := <-followed
+	snap := waitState(t, p, queued.ID, Canceled)
+	late := follow(t, p, queued.ID)
+	for name, evs := range map[string][]client.Event{"live": live, "late": late} {
+		last := evs[len(evs)-1]
+		if last.State != "canceled" || last.Message != snap.Err.Error() || last.Message == "" {
+			t.Fatalf("%s terminal event %+v, want canceled with message %q", name, last, snap.Err)
+		}
 	}
 }
 
@@ -561,11 +566,7 @@ func TestCacheEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done, err := p.Done(r.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-done
+		waitState(t, p, r.ID, Done)
 	}
 	if got := metric(p, "pdpad_cached_results", ""); got != 2 {
 		t.Fatalf("cache holds %v entries, want 2", got)
@@ -578,8 +579,7 @@ func TestCacheEviction(t *testing.T) {
 	if r.CacheHit {
 		t.Fatal("evicted entry served a cache hit")
 	}
-	done, _ := p.Done(r.ID)
-	<-done
+	waitState(t, p, r.ID, Done)
 	if got := calls.Load(); got != 4 {
 		t.Fatalf("simulated %d times, want 4", got)
 	}
@@ -608,7 +608,6 @@ func TestQueueLimit(t *testing.T) {
 	}
 }
 
-// TestStatsWallHistogram: completed runs land in the wall-time histogram.
 // TestRunTraceStored: a done run retains its serialized decision trace
 // (PDPA policy decisions with reasons), and TraceLimit < 0 disables it.
 func TestRunTraceStored(t *testing.T) {
@@ -619,15 +618,7 @@ func TestRunTraceStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, _ := p.Done(r.ID)
-	<-done
-	snap, err := p.Get(r.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != Done {
-		t.Fatalf("run ended %s (err %v)", snap.State, snap.Err)
-	}
+	snap := waitState(t, p, r.ID, Done)
 	if len(snap.TraceJSON) == 0 {
 		t.Fatal("done run has no stored decision trace")
 	}
@@ -642,69 +633,20 @@ func TestRunTraceStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done2, _ := off.Done(r2.ID)
-	<-done2
-	snap2, _ := off.Get(r2.ID)
+	snap2 := waitState(t, off, r2.ID, Done)
 	if len(snap2.TraceJSON) != 0 {
 		t.Fatal("tracing disabled but a trace was stored")
 	}
 }
 
-// TestPoolObserverStream: Config.Observer receives the queued → running →
-// done lifecycle as run_state TraceEvents, delivered off the pool lock.
-func TestPoolObserverStream(t *testing.T) {
-	var mu sync.Mutex
-	events := map[string][]string{}
-	seen := make(chan struct{}, 16)
-	p := New(Config{Observer: pdpasim.ObserverFunc(func(e pdpasim.TraceEvent) {
-		if e.Kind != "run_state" {
-			t.Errorf("unexpected kind %q", e.Kind)
-		}
-		mu.Lock()
-		events[e.ID] = append(events[e.ID], e.State)
-		mu.Unlock()
-		seen <- struct{}{}
-	})})
-	r, err := p.Submit(tinySpec(12), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, _ := p.Done(r.ID)
-	<-done
-	// Delivery is asynchronous; wait for the terminal event to arrive.
-	deadline := time.After(5 * time.Second)
-	for {
-		mu.Lock()
-		states := append([]string(nil), events[r.ID]...)
-		mu.Unlock()
-		if len(states) >= 3 {
-			want := []string{"queued", "running", "done"}
-			for i, s := range states {
-				if s != want[i] {
-					t.Fatalf("lifecycle %v, want %v", states, want)
-				}
-			}
-			return
-		}
-		select {
-		case <-seen:
-		case <-deadline:
-			t.Fatalf("observer saw only %v", states)
-		}
-	}
-}
-
+// TestStatsWallHistogram: completed runs land in the wall-time histogram.
 func TestStatsWallHistogram(t *testing.T) {
 	p := New(Config{})
 	r, err := p.Submit(tinySpec(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := p.Done(r.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
+	waitState(t, p, r.ID, Done)
 	count, sum := metric(p, "pdpad_run_wall_seconds_count", ""), metric(p, "pdpad_run_wall_seconds_sum", "")
 	if count != 1 || sum <= 0 {
 		t.Fatalf("wall histogram count %v sum %v", count, sum)

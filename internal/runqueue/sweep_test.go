@@ -112,7 +112,7 @@ func TestSweepSharesCacheWithRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-mustDone(t, p, sub.ID)
+	waitState(t, p, sub.ID, Done)
 
 	res, err := p.SubmitSweep(context.Background(), tinySweepSpec())
 	if err != nil {
@@ -128,15 +128,6 @@ func TestSweepSharesCacheWithRuns(t *testing.T) {
 	if n := len(sweepCells(t, st)); n != 2 {
 		t.Fatalf("expected 2 cells, got %d", n)
 	}
-}
-
-func mustDone(t *testing.T, p *Pool, id string) <-chan struct{} {
-	t.Helper()
-	ch, err := p.Done(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ch
 }
 
 // TestSweepAtomicRejection: an invalid or oversized sweep leaves the pool

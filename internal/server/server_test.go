@@ -224,7 +224,7 @@ func TestSSEStreamsLifecycle(t *testing.T) {
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var ev runqueue.Event
+		var ev client.Event
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 			t.Fatalf("bad event %q: %v", line, err)
 		}

@@ -201,6 +201,7 @@ var wireScript = []wireStep{
 	{name: "submit Q2 (queued)", method: "POST", path: "/v1/runs", body: runQ2, want: 202, capture: "Q2"},
 	{name: "submit over the queue limit", method: "POST", path: "/v1/runs", body: runOver, want: 429},
 	{name: "cancel Q1", method: "DELETE", path: "/v1/runs/{Q1}", want: 200},
+	{name: "events Q1 (canceled)", method: "GET", path: "/v1/runs/{Q1}/events", want: 200, sse: true},
 	{action: func(t *testing.T, tg *wireTarget, vars map[string]string) {
 		closeOnce(tg.release)
 		waitState(t, tg.url+"/v1/runs/"+vars["X"], "done")

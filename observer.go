@@ -9,21 +9,21 @@ import (
 // TraceEvent is one event of the unified observability stream: the schema of
 // decision traces (Outcome.DecisionTrace), live observer callbacks
 // (Options.Observer, SweepSpec.Observer), and the pdpad daemon's
-// /v1/runs/{id}/trace endpoint and /events stream. Field use depends on
-// Kind; see the obs package for the per-kind contract.
+// /v1/runs/{id}/trace endpoint. (The daemon's /v1/runs/{id}/events stream
+// carries run lifecycle transitions as client.Event, not TraceEvents.)
+// Field use depends on Kind; see the obs package for the per-kind contract.
 type TraceEvent = obs.ExportEvent
 
-// Observer receives observability events. It is the one hook every layer
-// accepts: RunContext streams a run's decision trace through it, Sweep
-// streams per-run completions, and the pdpad run queue streams run lifecycle
-// changes — three adapters over the same event schema.
+// Observer receives observability events. RunContext streams a run's
+// decision trace through it and Sweep streams per-run completions — two
+// adapters over the same event schema.
 //
 // Observe is called synchronously from the producing loop (the simulation
-// event loop for runs, the completion path for sweeps and the daemon):
-// implementations must be fast and must not call back into the producer.
-// An Observer used with Sweep or the daemon is called from multiple
-// goroutines and must be safe for concurrent use; within one simulation run
-// calls are strictly sequential and deterministic.
+// event loop for runs, the completion path for sweeps): implementations
+// must be fast and must not call back into the producer. An Observer used
+// with Sweep is called from multiple goroutines and must be safe for
+// concurrent use; within one simulation run calls are strictly sequential
+// and deterministic.
 type Observer interface {
 	Observe(TraceEvent)
 }

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Removed-API gate. The v1 cleanup deleted the deprecated facade symbols —
 # Run and RunSWF (use RunContext/RunSWFContext) and SweepSpec.Progress /
-# SweepProgress (use SweepSpec.Observer). This check keeps them deleted:
+# SweepProgress (use SweepSpec.Observer). The run queue's lifecycle events
+# later went down to one path, each run's event chain read by
+# Pool.FollowRun, deleting runqueue.Event, Pool.Subscribe, Pool.Done and the
+# Config fields Observer, ObserverBuffer and EventBuffer. This check keeps
+# them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
@@ -25,6 +29,18 @@ fi
 hits=$(grep -rn --include='*.go' -E 'Progress func\(SweepProgress\)|type SweepProgress ' . || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: removed SweepSpec.Progress/SweepProgress reintroduced (keep SweepSpec.Observer):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+rq=internal/runqueue
+hits=$({
+    grep -n -E '^type Event\b|^func \([a-z]+ \*Pool\) (Subscribe|Done)\(' "$rq"/*.go
+    grep -n -E '^\s+(Observer|ObserverBuffer|EventBuffer)\s+[^:[:space:]]' \
+        $(ls "$rq"/*.go | grep -v '_test\.go$')
+} || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: removed run-queue event paths reintroduced (keep Pool.FollowRun over each run's event chain):" >&2
     echo "$hits" >&2
     fail=1
 fi

@@ -56,8 +56,8 @@ type SweepSpec struct {
 	Throughput int
 
 	// Observer, when set, receives one "sweep_run" TraceEvent after every
-	// completed run — the same Observer interface RunContext and the pdpad
-	// daemon accept. The event's ID identifies the finished grid point
+	// completed run — the same Observer interface RunContext accepts. The
+	// event's ID identifies the finished grid point
 	// ("policy/mix/load/seed"), Done/Total report progress, and State is
 	// "cell_done" when the run completed its cell's last replicate. Calls
 	// are serialized but arrive in completion order.
