@@ -171,7 +171,17 @@ func TestNodePlaneWireDrift(t *testing.T) {
 	}
 	health := strictDecode[client.Health](t, "Health", rawCall(ctx, t, cli, http.MethodGet, "/healthz", nil))
 	if health.Nodes == nil || *health.Nodes != 1 || health.Healthy == nil || *health.Healthy != 1 {
-		t.Errorf("coordinator health = %+v, want node counts of 1", health)
+		t.Fatalf("coordinator health = %+v, want node counts of 1", health)
+	}
+	// The node gauges count what /healthz counts: a node draining its own
+	// pool is healthy (it only gets no placements).
+	met, err := cli.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met["pdpad_fleet_nodes_healthy"] != float64(*health.Healthy) || met["pdpad_fleet_nodes"] != float64(*health.Nodes) {
+		t.Errorf("node gauges = %v/%v, /healthz = %d/%d", met["pdpad_fleet_nodes_healthy"], met["pdpad_fleet_nodes"],
+			*health.Healthy, *health.Nodes)
 	}
 
 	v := strictDecode[client.NodeView](t, "NodeView", rawCall(ctx, t, cli, http.MethodPost, "/v1/nodes/"+reg.ID+"/cordon", nil))

@@ -215,7 +215,8 @@ type VersionInfo struct {
 // counts; the standalone and node roles leave them nil. Fields are declared
 // in key order, which is the order the body has always been rendered in.
 type Health struct {
-	// Healthy counts the nodes currently eligible for placements.
+	// Healthy counts the nodes whose state is healthy. A node whose own
+	// pool is draining still counts, but gets no placements.
 	Healthy *int `json:"healthy,omitempty"`
 	// Inflight and Queue are the runs executing and waiting (fleet-wide on
 	// a coordinator, from the nodes' last heartbeats).

@@ -73,17 +73,14 @@ type node struct {
 	inflight     int
 	nodeDraining bool
 
-	// pendingReconcile marks a node rehydrated from the store that has not
-	// re-registered since the coordinator restarted: no placements, no
-	// refreshes, heartbeats answer 404 so its agent re-registers and the
-	// reconcile protocol runs. Liveness still applies — a recovered node
-	// that never returns is declared dead and its runs requeue.
+	// pendingReconcile marks a node whose runs are not settled yet: one
+	// rehydrated from the store that has not re-registered since the
+	// coordinator restarted (heartbeats answer 404 so its agent re-registers),
+	// or the new incarnation that inherited its runs, until reconcile
+	// commits. Such a node is unhealthy: no placements, no refreshes.
+	// Liveness still applies — a recovered node that never returns is
+	// declared dead and its runs requeue.
 	pendingReconcile bool
-
-	// assigned and costSum are the coordinator-local placement ledgers:
-	// non-terminal runs placed here, and their summed LPT cost estimate.
-	assigned int
-	costSum  float64
 }
 
 // crun is the coordinator's record of one run it has placed somewhere.
@@ -93,10 +90,9 @@ type crun struct {
 	// exactly once when the run reaches a terminal state, which survives
 	// the serving node's death.
 	crunRecord
-	// gen increments on every re-placement so stale refreshes cannot
-	// commit; reserved marks a placement counted in its node's ledger.
-	gen      int
-	reserved bool
+	// gen increments on every placement change so stale refreshes and
+	// dispatches cannot commit.
+	gen int
 	// lastView is the latest full view fetched from the serving node (ID
 	// rewritten).
 	lastView *client.RunView
@@ -208,22 +204,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c.reg.GaugeFunc("pdpad_goroutines", "Live goroutines in the serving process (leak smoke-checks read this).",
 		func() float64 { return float64(runtime.NumGoroutine()) })
-	c.reg.GaugeFunc("pdpad_fleet_nodes", "Registered nodes not yet drained.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		n := 0
-		for _, nd := range c.order {
-			if !nd.Drained {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	c.reg.GaugeFunc("pdpad_fleet_nodes_healthy", "Nodes currently eligible for placements.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.eligibleLocked(nil)))
-	})
+	c.reg.GaugeFunc("pdpad_fleet_nodes", "Registered nodes not yet drained.",
+		func() float64 { return float64(*c.Health().Nodes) })
+	c.reg.GaugeFunc("pdpad_fleet_nodes_healthy",
+		"Nodes whose state is healthy; one whose own pool is draining still counts but gets no placements.",
+		func() float64 { return float64(*c.Health().Healthy) })
 
 	c.srv = server.New(c, server.WithRole(server.RoleCoordinator), server.WithFaults(cfg.Faults))
 	c.srv.HandleFunc("POST /v1/nodes/register", c.handleRegister)
@@ -308,6 +293,19 @@ func (c *Coordinator) pendingRuns() []*crun {
 	return out
 }
 
+// pendingLocked groups the non-terminal runs by the node their NodeID
+// names, oldest first: a node's load is exactly its slice. It is the one
+// place node load is counted, always from the run ledger.
+func (c *Coordinator) pendingLocked() map[string][]*crun {
+	out := map[string][]*crun{}
+	c.runs.Each(false, func(cr *crun) {
+		if cr.Final == nil && cr.NodeID != "" {
+			out[cr.NodeID] = append(out[cr.NodeID], cr)
+		}
+	})
+	return out
+}
+
 // ---------------------------------------------------------------------------
 // Node liveness and the monitor goroutine.
 
@@ -349,13 +347,13 @@ func (c *Coordinator) tick() {
 		c.persistNodeLocked(n)
 		delete(c.idleSince, n.ID)
 		c.logf("fleet: node %s (%s) declared dead after %v of silence", n.ID, n.Addr, now.Sub(n.lastBeat))
-		orphans = append(orphans, c.runsOnLocked(n.ID)...)
+		orphans = append(orphans, c.pendingLocked()[n.ID]...)
 	}
 	c.scaleDownLocked(now)
 	c.scaleUpLocked()
 	c.mu.Unlock()
 	for _, cr := range orphans {
-		c.requeue(context.Background(), cr, "node died")
+		c.requeue(context.Background(), cr, "node died", true)
 	}
 }
 
@@ -371,10 +369,11 @@ func (c *Coordinator) scaleDownLocked(now time.Time) {
 		min = 1
 	}
 	eligible := c.eligibleLocked(nil)
+	pending := c.pendingLocked()
 	var victim *node
 	var victimSince time.Time
 	for _, n := range eligible {
-		idle := n.assigned == 0 && n.queueDepth == 0 && n.inflight == 0
+		idle := len(pending[n.ID]) == 0 && n.queueDepth == 0 && n.inflight == 0
 		if !idle {
 			delete(c.idleSince, n.ID)
 			continue
@@ -428,66 +427,42 @@ func (c *Coordinator) scaleUpLocked() {
 	c.backlogActive = false
 }
 
-// runsOnLocked returns the non-terminal runs currently placed on a node.
-func (c *Coordinator) runsOnLocked(nodeID string) []*crun {
-	var out []*crun
-	c.runs.Each(false, func(cr *crun) {
-		if cr.Final == nil && cr.NodeID == nodeID {
-			out = append(out, cr)
-		}
-	})
-	return out
+// stateLocked is a node's state, decided here and nowhere else: liveness
+// from its heartbeat clock, then drain and cordon (CombineState). A node
+// whose runs await reconcile is never healthy, whatever its clock says.
+// GET /v1/nodes, /healthz and placement all read it.
+func (c *Coordinator) stateLocked(n *node, now time.Time) NodeState {
+	live := c.health.Liveness(now.Sub(n.lastBeat))
+	if n.pendingReconcile {
+		live = StateUnhealthy
+	}
+	return CombineState(live, n.Cordoned, n.Drained)
 }
 
 // eligibleLocked returns the nodes placements may target, in registration
-// order: live heartbeats, not cordoned, not drained, not self-draining,
-// and not awaiting post-restart reconciliation.
+// order: healthy, and not draining their own pool.
 func (c *Coordinator) eligibleLocked(exclude map[string]bool) []*node {
 	now := time.Now()
 	var out []*node
 	for _, n := range c.order {
-		if n.Drained || n.Cordoned || n.nodeDraining || n.pendingReconcile || exclude[n.ID] {
-			continue
+		if !n.nodeDraining && !exclude[n.ID] && c.stateLocked(n, now) == StateHealthy {
+			out = append(out, n)
 		}
-		if c.health.Liveness(now.Sub(n.lastBeat)) != StateHealthy {
-			continue
-		}
-		out = append(out, n)
 	}
 	return out
 }
 
-func (c *Coordinator) reserveLocked(cr *crun, n *node) {
-	n.assigned++
-	n.costSum += estCost(cr.Spec)
-	cr.NodeID = n.ID
-	cr.RemoteID = ""
-	cr.gen++
-	cr.reserved = true
-}
-
-func (c *Coordinator) releaseLocked(cr *crun) {
-	if !cr.reserved {
-		return
+// assignLocked places cr on n, or unplaces it when n is nil. The placement
+// is the run's NodeID (with the node's address, for recovery), so the run
+// counts toward n's load from here until it settles or moves. The remote ID
+// is the caller's: a dispatch clears it, a transfer to a returning node
+// keeps it for reconcile to ask about.
+func (c *Coordinator) assignLocked(cr *crun, n *node) {
+	cr.NodeID, cr.NodeAddr = "", ""
+	if n != nil {
+		cr.NodeID, cr.NodeAddr = n.ID, n.Addr
 	}
-	cr.reserved = false
-	if n := c.nodes[cr.NodeID]; n != nil {
-		n.assigned--
-		n.costSum -= estCost(cr.Spec)
-	}
-}
-
-// transferLocked moves a recovered run's placement onto a returning node's
-// new incarnation. Unlike reserveLocked it keeps remoteID: the node still
-// holds the run under that ID, and reconcile is about to ask it for the
-// authoritative state.
-func (c *Coordinator) transferLocked(cr *crun, n *node) {
-	c.releaseLocked(cr)
-	n.assigned++
-	n.costSum += estCost(cr.Spec)
-	cr.NodeID = n.ID
 	cr.gen++
-	cr.reserved = true
 }
 
 // ---------------------------------------------------------------------------
@@ -522,8 +497,9 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 			}
 			return errNoHealthy
 		}
-		n := c.pickLocked(cands, estCost(cr.Spec))
-		c.reserveLocked(cr, n)
+		n := c.pickLocked(cands)
+		c.assignLocked(cr, n)
+		cr.RemoteID = ""
 		gen := cr.gen
 		cli := n.cli
 		c.mu.Unlock()
@@ -551,7 +527,7 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 		lastErr = err
 		c.mu.Lock()
 		if cr.gen == gen {
-			c.releaseLocked(cr)
+			c.assignLocked(cr, nil)
 		}
 		c.mu.Unlock()
 		var api *client.APIError
@@ -568,20 +544,15 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 
 // requeue re-places a run after its node died or was drained, failing it
 // deterministically once the requeue budget is spent or no node remains.
-func (c *Coordinator) requeue(ctx context.Context, cr *crun, reason string) {
-	c.requeueEx(ctx, cr, reason, true)
-}
-
-// requeueEx is requeue with the losing node's exclusion made optional:
-// reconcile re-places runs a returning node has no record of, and that node
-// is a legitimate target again.
-func (c *Coordinator) requeueEx(ctx context.Context, cr *crun, reason string, excludeFrom bool) {
+// exclude keeps the run off the node it lost; reconcile passes false when it
+// re-places runs a returning node has no record of, since that node is a
+// legitimate target again.
+func (c *Coordinator) requeue(ctx context.Context, cr *crun, reason string, exclude bool) {
 	c.mu.Lock()
 	if cr.Final != nil {
 		c.mu.Unlock()
 		return
 	}
-	c.releaseLocked(cr)
 	cr.Requeues++
 	c.met.requeues.Inc()
 	from := cr.NodeID
@@ -591,12 +562,13 @@ func (c *Coordinator) requeueEx(ctx context.Context, cr *crun, reason string, ex
 		c.mu.Unlock()
 		return
 	}
+	c.assignLocked(cr, nil)
 	c.mu.Unlock()
-	exclude := map[string]bool{}
-	if excludeFrom {
-		exclude[from] = true
+	excluded := map[string]bool{}
+	if exclude {
+		excluded[from] = true
 	}
-	if err := c.place(ctx, cr, exclude); err != nil {
+	if err := c.place(ctx, cr, excluded); err != nil {
 		c.met.requeueFailures.Inc()
 		c.mu.Lock()
 		c.failLocked(cr, fmt.Sprintf("%s (node %s); re-placement failed: %v", reason, from, err))
@@ -625,15 +597,14 @@ func (c *Coordinator) failLocked(cr *crun, msg string) {
 	c.logf("fleet: run %s failed: %s", cr.ID, msg)
 }
 
-// settleLocked commits a run's terminal view: the placement is released,
-// and the ledger journals the run and keeps the registry within its bound,
-// so every scan and compaction over it stays bounded. A sweep whose member
-// is evicted reads failed ("evicted from history"), as on a pool.
+// settleLocked commits a run's terminal view, which ends its load on its
+// node, and the ledger journals the run and keeps the registry within its
+// bound, so every scan and compaction over it stays bounded. A sweep whose
+// member is evicted reads failed ("evicted from history"), as on a pool.
 func (c *Coordinator) settleLocked(cr *crun, v *client.RunView) {
 	cr.Final = v
 	cr.lastView = v
 	cr.State = v.State
-	c.releaseLocked(cr)
 	c.runs.Settle(cr.ID)
 }
 
@@ -747,7 +718,6 @@ func (c *Coordinator) submitOne(ctx context.Context, spec runqueue.Spec, deadlin
 func (c *Coordinator) remove(cr *crun) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.releaseLocked(cr)
 	c.runs.Forget(cr.ID)
 }
 
@@ -1030,8 +1000,7 @@ func (c *Coordinator) Health() client.Health {
 		total++
 		h.Queue += n.queueDepth
 		h.Inflight += n.inflight
-		if !n.pendingReconcile &&
-			CombineState(c.health.Liveness(now.Sub(n.lastBeat)), n.Cordoned, n.Drained) == StateHealthy {
+		if c.stateLocked(n, now) == StateHealthy {
 			healthy++
 		}
 	}
@@ -1062,6 +1031,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var orphans, adoptees []*crun
 	inheritCordon := false
 	c.mu.Lock()
+	pending := c.pendingLocked()
 	for _, old := range c.order {
 		if old.Drained || old.Addr != req.Addr {
 			continue
@@ -1085,7 +1055,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		// A re-registration from a restarted node: its old incarnation's
 		// runs are gone with the old process, so drain the stale record.
-		orphans = append(orphans, c.runsOnLocked(old.ID)...)
+		orphans = append(orphans, pending[old.ID]...)
 		c.logf("fleet: node %s re-registered from %s; draining stale record", old.ID, old.Addr)
 	}
 	c.nodeSeq++
@@ -1102,22 +1072,23 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		},
 		cli:      client.New(req.Addr, client.WithHTTPClient(c.hc)),
 		lastBeat: now,
+		// Inherited runs are unsettled until reconcile commits: no
+		// placements here and no healthy report before then.
+		pendingReconcile: len(adoptees) > 0,
 	}
 	c.nodes[n.ID] = n
 	c.order = append(c.order, n)
 	for _, cr := range adoptees {
-		if cr.Final == nil {
-			c.transferLocked(cr, n)
-		} else {
-			cr.NodeID = n.ID
-		}
+		// The remote ID stays: the node still holds the run under it, and
+		// reconcile is about to ask for the authoritative state.
+		c.assignLocked(cr, n)
 		c.runs.Persist(cr.ID)
 	}
 	c.persistNodeLocked(n)
 	c.mu.Unlock()
 	c.logf("fleet: node %s registered from %s (%d cpus)", n.ID, n.Addr, n.CPUs)
 	for _, cr := range orphans {
-		c.requeue(r.Context(), cr, "node restarted")
+		c.requeue(r.Context(), cr, "node restarted", true)
 	}
 	c.reconcile(r.Context(), n, adoptees)
 	server.WriteJSON(w, http.StatusOK, client.NodeRegisterResponse{
@@ -1156,25 +1127,20 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	n.queueDepth = req.QueueDepth
 	n.inflight = req.Inflight
 	n.nodeDraining = req.Draining
-	state := CombineState(StateHealthy, n.Cordoned, n.Drained)
+	state := c.stateLocked(n, n.lastBeat)
 	c.mu.Unlock()
 	c.met.heartbeats.Inc()
 	server.WriteJSON(w, http.StatusOK, client.NodeHeartbeatResponse{State: string(state)})
 }
 
-// nodeViewLocked renders a node in its wire form.
-func (c *Coordinator) nodeViewLocked(n *node) client.NodeView {
-	live := c.health.Liveness(time.Now().Sub(n.lastBeat))
-	if n.pendingReconcile {
-		// Recovered from the store but not yet re-registered: never report
-		// it healthy, whatever the rehydrated heartbeat clock says.
-		live = StateUnhealthy
-	}
+// nodeViewLocked renders a node in its wire form; assigned is its pending
+// runs (pendingLocked).
+func (c *Coordinator) nodeViewLocked(n *node, assigned []*crun) client.NodeView {
 	return client.NodeView{
 		ID:              n.ID,
 		Name:            n.Name,
 		Addr:            n.Addr,
-		State:           string(CombineState(live, n.Cordoned, n.Drained)),
+		State:           string(c.stateLocked(n, time.Now())),
 		Cordoned:        n.Cordoned,
 		CPUs:            n.CPUs,
 		BaseWorkers:     n.BaseWorkers,
@@ -1185,7 +1151,7 @@ func (c *Coordinator) nodeViewLocked(n *node) client.NodeView {
 		QueueDepth:      n.queueDepth,
 		Inflight:        n.inflight,
 		Draining:        n.nodeDraining,
-		Assigned:        n.assigned,
+		Assigned:        len(assigned),
 	}
 }
 
@@ -1197,9 +1163,11 @@ func (c *Coordinator) handleListNodes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
+	pending := c.pendingLocked()
 	views := make([]client.NodeView, 0, len(c.order))
 	for i := len(c.order) - 1; i >= 0; i-- { // newest first
-		views = append(views, c.nodeViewLocked(c.order[i]))
+		n := c.order[i]
+		views = append(views, c.nodeViewLocked(n, pending[n.ID]))
 	}
 	c.mu.Unlock()
 	page, next := server.Paginate(views, p,
@@ -1227,7 +1195,7 @@ func (c *Coordinator) handleCordon(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	n.Cordoned = true
 	c.persistNodeLocked(n)
-	v := c.nodeViewLocked(n)
+	v := c.nodeViewLocked(n, c.pendingLocked()[n.ID])
 	c.mu.Unlock()
 	c.logf("fleet: node %s cordoned", n.ID)
 	server.WriteJSON(w, http.StatusOK, v)
@@ -1241,7 +1209,7 @@ func (c *Coordinator) handleUncordon(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	n.Cordoned = false
 	c.persistNodeLocked(n)
-	v := c.nodeViewLocked(n)
+	v := c.nodeViewLocked(n, c.pendingLocked()[n.ID])
 	c.mu.Unlock()
 	c.logf("fleet: node %s uncordoned", n.ID)
 	server.WriteJSON(w, http.StatusOK, v)
@@ -1259,7 +1227,7 @@ func (c *Coordinator) handleDrainNode(w http.ResponseWriter, r *http.Request) {
 	n.Cordoned = true
 	n.Drained = true
 	c.persistNodeLocked(n)
-	evicted := c.runsOnLocked(n.ID)
+	evicted := c.pendingLocked()[n.ID]
 	c.mu.Unlock()
 	c.logf("fleet: node %s draining, evicting %d runs", n.ID, len(evicted))
 	for _, cr := range evicted {
@@ -1271,10 +1239,10 @@ func (c *Coordinator) handleDrainNode(w http.ResponseWriter, r *http.Request) {
 			continue // finished before eviction: keep the result
 		}
 		c.cancelOnNode(r.Context(), cr) // best effort: free the node
-		c.requeue(r.Context(), cr, "node drained")
+		c.requeue(r.Context(), cr, "node drained", true)
 	}
 	c.mu.Lock()
-	v := c.nodeViewLocked(n)
+	v := c.nodeViewLocked(n, c.pendingLocked()[n.ID])
 	c.mu.Unlock()
 	server.WriteJSON(w, http.StatusOK, v)
 }

@@ -23,8 +23,17 @@
 // Run bookkeeping — run IDs, the affinity (spec-key) index, the bounded
 // registry of finished runs, the crun/cdel journal and its recovery — lives
 // in a runqueue.Ledger, the same one a pool keeps its runs in; the
-// coordinator adds placement, requeue, refresh and reconcile. Sweeps live
-// in runqueue.SweepIndex, the same index a pool serves its sweeps from: the coordinator supplies only the fleet-specific steps —
+// coordinator adds placement, requeue, refresh and reconcile. A run's
+// placement is its NodeID, and a node's load is derived from the ledger,
+// never booked beside it: the runs not yet terminal whose NodeID names the
+// node. That one count drives least_loaded and lpt placement, the node
+// list's assigned field, the idle-drain check, and the runs a dead or
+// drained node hands back. Likewise a node's state is decided in one place
+// (liveness, pending reconcile, cordon, drain), and /healthz, the node
+// gauges, the node list and placement all read it.
+//
+// Sweeps live in runqueue.SweepIndex, the same index a pool serves its
+// sweeps from: the coordinator supplies only the fleet-specific steps —
 // sharding a grid's members across healthy nodes as one atomic batch,
 // refreshing member states, and cancelling a member on its node. Cells
 // aggregate in grid order by index exactly as on a single node, so a fleet
@@ -41,13 +50,15 @@ type NodeState string
 
 // Node states, from the coordinator's point of view.
 const (
-	// StateHealthy: heartbeats current, placements allowed.
+	// StateHealthy: heartbeats current, placements allowed unless the
+	// node's own pool is draining.
 	StateHealthy NodeState = "healthy"
 	// StateCordoned: placements stopped by hand; running and queued work
 	// on the node proceeds, heartbeats keep flowing.
 	StateCordoned NodeState = "cordoned"
-	// StateUnhealthy: heartbeats missed past UnhealthyAfter; no new
-	// placements, existing work left alone pending recovery or death.
+	// StateUnhealthy: heartbeats missed past UnhealthyAfter, or runs
+	// awaiting reconcile after a coordinator restart; no new placements,
+	// existing work left alone pending recovery or death.
 	StateUnhealthy NodeState = "unhealthy"
 	// StateDrained: the node is out of the fleet — heartbeats missed past
 	// DeadAfter (its runs were requeued), or a manual drain evicted its

@@ -433,6 +433,96 @@ func TestCordonStopsPlacements(t *testing.T) {
 	}
 }
 
+// assignedByName sums NodeView.Assigned over the nodes still in the fleet,
+// keyed by node name (a name outlives a node's re-registrations).
+func assignedByName(ctx context.Context, t *testing.T, cli *client.Client) map[string]int {
+	t.Helper()
+	page, err := cli.Nodes(ctx, client.ListOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int{}
+	for _, nv := range page.Nodes {
+		if nv.State != string(StateDrained) {
+			out[nv.Name] += nv.Assigned
+		}
+	}
+	return out
+}
+
+// TestPlacementCountsPendingRuns pins load-based placement: a node's load
+// is its runs that are not terminal yet. Node 0 stalls every run, so the
+// runs it holds stay pending while node 1's are not refreshed.
+func TestPlacementCountsPendingRuns(t *testing.T) {
+	submit := func(ctx context.Context, t *testing.T, cli *client.Client, seed int64, windowS float64) string {
+		t.Helper()
+		sub, err := cli.SubmitRun(ctx, client.SubmitRunRequest{
+			Workload: client.Workload{Mix: "w1", Seed: seed, WindowS: windowS},
+			Options:  client.RunOptions{Policy: "equip"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub.ID
+	}
+	expect := func(ctx context.Context, t *testing.T, cli *client.Client, n0, n1 int) {
+		t.Helper()
+		if got := assignedByName(ctx, t, cli); got["n0"] != n0 || got["n1"] != n1 {
+			t.Fatalf("assigned = %v, want n0:%d n1:%d", got, n0, n1)
+		}
+	}
+
+	t.Run("least_loaded", func(t *testing.T) {
+		f := startFleet(t, 2, PlaceLeastLoaded, stalledFirstNodeConfig())
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		// Tied at zero, the first run goes to node 0; the second goes to
+		// node 1, which holds fewer pending runs.
+		ids := []string{submit(ctx, t, f.cli, 1, 0), submit(ctx, t, f.cli, 2, 0)}
+		expect(ctx, t, f.cli, 1, 1)
+		for _, id := range ids {
+			if v, err := f.cli.WaitRun(ctx, id, 0); err != nil || v.State != "done" {
+				t.Fatalf("run %s: view %+v err %v", id, v, err)
+			}
+		}
+		expect(ctx, t, f.cli, 0, 0)
+	})
+
+	t.Run("lpt", func(t *testing.T) {
+		f := startFleet(t, 2, PlaceLPT, stalledFirstNodeConfig())
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		// Estimated costs 600 on node 0, then 60 on node 1. The heavier
+		// third run goes to node 1, whose pending cost is smaller, though
+		// both nodes hold one run (least_loaded and round_robin would pick
+		// node 0).
+		submit(ctx, t, f.cli, 1, 600)
+		submit(ctx, t, f.cli, 2, 60)
+		expect(ctx, t, f.cli, 1, 1)
+		submit(ctx, t, f.cli, 3, 1200)
+		expect(ctx, t, f.cli, 1, 2)
+	})
+
+	t.Run("after_restart", func(t *testing.T) {
+		f := startDurableFleet(t, 1, stalledFirstNodeConfig())
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		id := submit(ctx, t, f.cli, 1, 0)
+		expect(ctx, t, f.cli, 1, 0)
+		f.killCoordinator()
+		f.restartCoordinator()
+		// Rebuilt from the recovered ledger: first on the recovered node,
+		// then on the incarnation that inherits the run.
+		expect(ctx, t, f.cli, 1, 0)
+		f.waitHealthy(ctx, 1)
+		expect(ctx, t, f.cli, 1, 0)
+		if v, err := f.cli.WaitRun(ctx, id, 0); err != nil || v.State != "done" {
+			t.Fatalf("run %s: view %+v err %v", id, v, err)
+		}
+		expect(ctx, t, f.cli, 0, 0)
+	})
+}
+
 // TestDrainNodeRequeues drains a busy node by hand: its in-flight run moves
 // to the other node and completes.
 func TestDrainNodeRequeues(t *testing.T) {

@@ -59,10 +59,10 @@ type nodeRecord struct {
 	ScaleDrained bool `json:"scale_drained,omitempty"`
 }
 
-// crunRecord is the durable form of one coordinated run. NodeAddr lets
-// recovery synthesize a pending-reconcile placeholder when the owning
-// node's own record was lost; Final carries the terminal view verbatim,
-// result bytes included.
+// crunRecord is the durable form of one coordinated run. NodeAddr, stamped
+// with NodeID by every placement, lets recovery synthesize a
+// pending-reconcile placeholder when the owning node's own record was lost;
+// Final carries the terminal view verbatim, result bytes included.
 type crunRecord struct {
 	ID        string          `json:"id"`
 	Key       string          `json:"key"`
@@ -89,7 +89,7 @@ func newRunLedger(c *Coordinator) *runqueue.Ledger[*crun] {
 		Sweeps:       c.SweepIndex,
 		CompactBytes: storeCompactBytes,
 		StoreErrors:  c.met.storeErrors,
-		Record:       func(cr *crun) any { return c.runRecordLocked(cr) },
+		Record:       func(cr *crun) any { return cr.crunRecord },
 		Decode:       decodeRun,
 		Settled: func(cr *crun) (time.Time, bool) {
 			if cr.Final == nil || cr.Final.FinishedAt == nil {
@@ -101,8 +101,8 @@ func newRunLedger(c *Coordinator) *runqueue.Ledger[*crun] {
 	})
 }
 
-// decodeRun rebuilds a coordinated run from its journal record. Placement
-// reservations are re-attached by rehydrate, once the nodes are back.
+// decodeRun rebuilds a coordinated run from its journal record; its
+// placement is its NodeID, which rehydrate resolves once the nodes are back.
 func decodeRun(payload []byte) (id, key string, cr *crun, err error) {
 	cr = &crun{}
 	if err := json.Unmarshal(payload, &cr.crunRecord); err != nil {
@@ -150,17 +150,6 @@ func recoverFleet(sweeps *runqueue.SweepIndex, runs *runqueue.Ledger[*crun], rec
 	return out
 }
 
-// runRecordLocked snapshots a run for the journal, with its node's
-// address.
-func (c *Coordinator) runRecordLocked(cr *crun) crunRecord {
-	rec := cr.crunRecord
-	rec.NodeAddr = ""
-	if n := c.nodes[cr.NodeID]; n != nil {
-		rec.NodeAddr = n.Addr
-	}
-	return rec
-}
-
 func (c *Coordinator) persistNodeLocked(n *node) {
 	c.runs.Append(kindCoordNode, n.nodeRecord)
 }
@@ -170,15 +159,10 @@ func (c *Coordinator) persistNodeLocked(n *node) {
 // nothing pending are dropped here — that is how old incarnations expire
 // from disk.
 func (c *Coordinator) nodeRecordsLocked() []store.Record {
-	pendingOn := map[string]bool{}
-	c.runs.Each(false, func(cr *crun) {
-		if cr.Final == nil {
-			pendingOn[cr.NodeID] = true
-		}
-	})
+	pending := c.pendingLocked()
 	var out []store.Record
 	for _, n := range c.order {
-		if n.Drained && !pendingOn[n.ID] {
+		if n.Drained && len(pending[n.ID]) == 0 {
 			continue
 		}
 		if payload, err := json.Marshal(n.nodeRecord); err == nil {
@@ -217,34 +201,26 @@ func (c *Coordinator) rehydrate(rec fleetRecovery) {
 		})
 		c.met.recoveredNodes.Inc()
 	}
-	// A pending run re-attaches to its node with full reservation
-	// accounting; a missing node record becomes a pending-reconcile
-	// placeholder so the daemon at that address can still return and be
-	// reconciled.
+	// A pending run's NodeID is its placement; a missing node record
+	// becomes a pending-reconcile placeholder so the daemon at that address
+	// can still return and be reconciled.
 	var orphans []*crun
 	c.runs.Each(false, func(cr *crun) {
-		if cr.Final != nil {
+		if cr.Final != nil || c.nodes[cr.NodeID] != nil {
 			return
 		}
-		n := c.nodes[cr.NodeID]
-		if n == nil && cr.NodeID != "" && cr.NodeAddr != "" {
-			n = &node{
-				nodeRecord:       nodeRecord{ID: cr.NodeID, Addr: cr.NodeAddr, RegisteredAt: now},
-				cli:              client.New(cr.NodeAddr, client.WithHTTPClient(c.hc)),
-				lastBeat:         now,
-				pendingReconcile: true,
-			}
-			addNode(n)
-		}
-		if n != nil {
-			n.assigned++
-			n.costSum += estCost(cr.Spec)
-			cr.reserved = true
-		} else {
+		if cr.NodeID == "" || cr.NodeAddr == "" {
 			// No node and no address to wait for: the placement is
 			// unrecoverable, so fail deterministically rather than hang.
 			orphans = append(orphans, cr)
+			return
 		}
+		addNode(&node{
+			nodeRecord:       nodeRecord{ID: cr.NodeID, Addr: cr.NodeAddr, RegisteredAt: now},
+			cli:              client.New(cr.NodeAddr, client.WithHTTPClient(c.hc)),
+			lastBeat:         now,
+			pendingReconcile: true,
+		})
 	})
 	for _, cr := range orphans {
 		c.failLocked(cr, "recovered without a reachable placement")

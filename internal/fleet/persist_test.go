@@ -54,7 +54,7 @@ func recoverAll(recs []store.Record) (recovered, []string) {
 	runs := newRunLedger(c)
 	fr := recoverFleet(x, runs, recs)
 	rec := recovered{nodes: fr.nodes, dropped: fr.dropped}
-	runs.Each(false, func(cr *crun) { rec.runs = append(rec.runs, c.runRecordLocked(cr)) })
+	runs.Each(false, func(cr *crun) { rec.runs = append(rec.runs, cr.crunRecord) })
 	var ids []string
 	for _, v := range x.Sweeps(context.Background()) {
 		ids = append([]string{v.ID}, ids...)
@@ -230,21 +230,24 @@ type durableFleet struct {
 	dir    string
 	addr   string
 	health HealthConfig
-	st     *store.Store
-	coord  *Coordinator
-	cts    *httptest.Server
-	cli    *client.Client
-	nodes  []*testNode
-	killed bool
+	// reconcileDelay holds back every node's POST /v1/runs/reconcile
+	// answer (nodeHandler).
+	reconcileDelay time.Duration
+	st             *store.Store
+	coord          *Coordinator
+	cts            *httptest.Server
+	cli            *client.Client
+	nodes          []*testNode
+	killed         bool
 }
 
 func startDurableFleet(t *testing.T, n int, cfgFor func(i int) runqueue.Config) *durableFleet {
-	return startDurableFleetH(t, n, fastHealth, cfgFor)
+	return startDurableFleetH(t, n, fastHealth, 0, cfgFor)
 }
 
-func startDurableFleetH(t *testing.T, n int, health HealthConfig, cfgFor func(i int) runqueue.Config) *durableFleet {
+func startDurableFleetH(t *testing.T, n int, health HealthConfig, reconcileDelay time.Duration, cfgFor func(i int) runqueue.Config) *durableFleet {
 	t.Helper()
-	f := &durableFleet{t: t, dir: t.TempDir(), health: health}
+	f := &durableFleet{t: t, dir: t.TempDir(), health: health, reconcileDelay: reconcileDelay}
 	st, err := store.Open(f.dir, store.Options{SyncInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +267,7 @@ func startDurableFleetH(t *testing.T, n int, health HealthConfig, cfgFor func(i 
 			cfg = cfgFor(i)
 		}
 		pool := runqueue.New(cfg)
-		ts := httptest.NewServer(server.New(pool))
+		ts := httptest.NewServer(f.nodeHandler(pool))
 		agent := StartAgent(AgentConfig{
 			Coordinator:   f.cts.URL,
 			Advertise:     ts.URL,
@@ -282,6 +285,21 @@ func startDurableFleetH(t *testing.T, n int, health HealthConfig, cfgFor func(i 
 	}
 	t.Cleanup(f.shutdown)
 	return f
+}
+
+// nodeHandler serves a node daemon's v1 surface over pool, answering POST
+// /v1/runs/reconcile only after the fleet's reconcileDelay.
+func (f *durableFleet) nodeHandler(pool *runqueue.Pool) http.Handler {
+	h := server.New(pool)
+	if f.reconcileDelay <= 0 {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/runs/reconcile" {
+			time.Sleep(f.reconcileDelay)
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // killCoordinator simulates the coordinator process dying: HTTP surface

@@ -16,16 +16,17 @@ const (
 	// PlaceRoundRobin cycles through eligible nodes in registration order
 	// regardless of load.
 	PlaceRoundRobin Placement = "round_robin"
-	// PlaceLeastLoaded picks the eligible node with the fewest
-	// coordinator-placed non-terminal runs (ties to registration order).
-	// Deliberately counted from the coordinator's own ledger, not from
-	// heartbeat snapshots: the ledger moves synchronously with placement,
-	// so the choice is deterministic regardless of heartbeat timing.
+	// PlaceLeastLoaded picks the eligible node with the fewest pending
+	// runs (ties to registration order). A run is pending on a node while
+	// it is not terminal and its placement names that node; the count is
+	// read from the coordinator's run ledger, not from heartbeat snapshots:
+	// the ledger moves synchronously with placement, so the choice is
+	// deterministic regardless of heartbeat timing.
 	PlaceLeastLoaded Placement = "least_loaded"
 	// PlaceLPT orders a batch's members by estimated cost (simulated window
 	// × load), longest first, and greedily assigns each to the eligible
-	// node with the smallest total estimated cost — the makespan heuristic.
-	// Single runs place like least-loaded-by-cost.
+	// node whose pending runs sum to the smallest estimated cost — the
+	// makespan heuristic. Single runs place like least-loaded-by-cost.
 	PlaceLPT Placement = "lpt"
 )
 
@@ -55,31 +56,33 @@ func estCost(spec runqueue.Spec) float64 {
 }
 
 // pickLocked chooses the node for one run among the eligible candidates
-// (non-empty, registration order). Caller holds c.mu; the choice reads and
-// updates only coordinator-local counters, never the network.
-func (c *Coordinator) pickLocked(cands []*node, cost float64) *node {
-	switch c.placement {
-	case PlaceLeastLoaded:
-		best := cands[0]
-		for _, n := range cands[1:] {
-			if n.assigned < best.assigned {
-				best = n
-			}
-		}
-		return best
-	case PlaceLPT:
-		best := cands[0]
-		for _, n := range cands[1:] {
-			if n.costSum < best.costSum {
-				best = n
-			}
-		}
-		return best
-	default: // PlaceRoundRobin
+// (non-empty, registration order). Caller holds c.mu; the choice reads the
+// run ledger (load-based placements) or the round-robin cursor, never the
+// network.
+func (c *Coordinator) pickLocked(cands []*node) *node {
+	if c.placement == PlaceRoundRobin {
 		n := cands[c.rrNext%len(cands)]
 		c.rrNext++
 		return n
 	}
+	pending := c.pendingLocked()
+	load := func(n *node) float64 {
+		if c.placement == PlaceLeastLoaded {
+			return float64(len(pending[n.ID]))
+		}
+		sum := 0.0
+		for _, cr := range pending[n.ID] {
+			sum += estCost(cr.Spec)
+		}
+		return sum
+	}
+	best, bestLoad := cands[0], load(cands[0])
+	for _, n := range cands[1:] {
+		if l := load(n); l < bestLoad {
+			best, bestLoad = n, l
+		}
+	}
+	return best
 }
 
 // lptOrder returns member indexes in LPT dispatch order: descending

@@ -11,6 +11,7 @@ package fleet
 
 import (
 	"context"
+	"time"
 
 	"pdpasim/client"
 )
@@ -54,11 +55,14 @@ func reconcileVerdictFor(view *client.RunView) reconcileVerdict {
 }
 
 // reconcile settles the fate of every run attributed to a returning node.
-// runs were already transferred to n under the register handler's lock; the
-// HTTP probe happens outside the lock and each commit re-checks the run's
-// generation, so placements that moved meanwhile are left alone. A probe
-// failure leaves the runs attached: the monitor's liveness machinery and
-// the ordinary refresh path settle them later.
+// runs were already transferred to n under the register handler's lock,
+// and n stays pending-reconcile (unhealthy, unplaceable) until the verdicts
+// commit here. The HTTP probe happens outside the lock and each commit
+// re-checks the run's generation, so placements that moved meanwhile are
+// left alone. The node's heartbeat clock restarts when it answers, since
+// its agent cannot beat while it waits on registration. A probe failure
+// leaves the runs attached: the monitor's liveness machinery and the
+// ordinary refresh path settle them later.
 func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 	if len(runs) == 0 {
 		return
@@ -87,6 +91,9 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 		var err error
 		res, err = n.cli.ReconcileRuns(ctx, ids)
 		if err != nil {
+			c.mu.Lock()
+			n.pendingReconcile = false
+			c.mu.Unlock()
 			c.logf("fleet: reconcile with node %s failed: %v", n.ID, err)
 			return
 		}
@@ -99,6 +106,9 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 	adopted, resumed := 0, 0
 	requeues := append([]*crun(nil), unplaced...)
 	c.mu.Lock()
+	if len(ids) > 0 {
+		n.lastBeat = time.Now()
+	}
 	for _, remoteID := range ids {
 		cr := byRemote[remoteID]
 		var view *client.RunView
@@ -130,10 +140,11 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 			requeues = append(requeues, cr)
 		}
 	}
+	n.pendingReconcile = false
 	c.mu.Unlock()
 	for _, cr := range requeues {
 		// The returning node is a legitimate target again — no exclusion.
-		c.requeueEx(ctx, cr, "lost across coordinator restart", false)
+		c.requeue(ctx, cr, "lost across coordinator restart", false)
 	}
 	c.logf("fleet: reconciled %d runs with node %s (%d adopted, %d resumed, %d requeued)",
 		len(runs), n.ID, adopted, resumed, len(requeues))

@@ -85,10 +85,28 @@ func stalledFirstNodeConfig() func(i int) runqueue.Config {
 // coordinator is killed with a run in a known state, restarted, and the
 // run's exact terminal outcome asserted.
 
+// eachReconcileDelay runs test twice: with the returning node answering
+// reconcile at once, and with its answer held back 100 ms — past
+// fastHealth's UnhealthyAfter (90 ms), short of its DeadAfter (180 ms). A
+// returning node must not report healthy before its reconcile commits, and
+// must not go unhealthy while its agent waits on registration.
+func eachReconcileDelay(t *testing.T, test func(t *testing.T, delay time.Duration)) {
+	for _, tc := range []struct {
+		name  string
+		delay time.Duration
+	}{{"prompt", 0}, {"slow_answer", 100 * time.Millisecond}} {
+		t.Run(tc.name, func(t *testing.T) { test(t, tc.delay) })
+	}
+}
+
 // TestReconcileAdoptsCompleted: node returns holding a terminal result →
 // the coordinator adopts it verbatim, byte for byte, with no re-placement.
 func TestReconcileAdoptsCompleted(t *testing.T) {
-	f := startDurableFleet(t, 1, fastNodeConfig)
+	eachReconcileDelay(t, testReconcileAdoptsCompleted)
+}
+
+func testReconcileAdoptsCompleted(t *testing.T, delay time.Duration) {
+	f := startDurableFleetH(t, 1, fastHealth, delay, fastNodeConfig)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -167,7 +185,11 @@ func TestReconcileResumesRunning(t *testing.T) {
 // run (its process restarted across the outage) → requeue, which may land
 // on the very node that forgot it, and the run still completes.
 func TestReconcileRequeuesUnknown(t *testing.T) {
-	f := startDurableFleet(t, 1, stalledFirstNodeConfig())
+	eachReconcileDelay(t, testReconcileRequeuesUnknown)
+}
+
+func testReconcileRequeuesUnknown(t *testing.T, delay time.Duration) {
+	f := startDurableFleetH(t, 1, fastHealth, delay, stalledFirstNodeConfig())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -192,7 +214,7 @@ func TestReconcileRequeuesUnknown(t *testing.T) {
 	cancelDrain()
 
 	pool := runqueue.New(fastNodeConfig(0))
-	ts := serveAt(t, nodeAddr, server.New(pool))
+	ts := serveAt(t, nodeAddr, f.nodeHandler(pool))
 	f.restartCoordinator()
 	agent := StartAgent(AgentConfig{
 		Coordinator:   f.cli.Base(),
@@ -218,7 +240,7 @@ func TestReconcileRequeuesUnknown(t *testing.T) {
 // TestReconcileRequeuesNeverReturning: the owning node never comes back →
 // liveness declares it dead and the run requeues onto the survivor.
 func TestReconcileRequeuesNeverReturning(t *testing.T) {
-	f := startDurableFleetH(t, 2, patientHealth, stalledFirstNodeConfig())
+	f := startDurableFleetH(t, 2, patientHealth, 0, stalledFirstNodeConfig())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -254,7 +276,7 @@ func TestReconcileRequeuesNeverReturning(t *testing.T) {
 // revision → registration is refused with the typed code, it can never
 // rejoin, and liveness eventually requeues its runs to the survivor.
 func TestReconcileStaleRevision(t *testing.T) {
-	f := startDurableFleetH(t, 2, patientHealth, stalledFirstNodeConfig())
+	f := startDurableFleetH(t, 2, patientHealth, 0, stalledFirstNodeConfig())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -300,7 +322,7 @@ func TestReconcileStaleRevision(t *testing.T) {
 // address until the node re-registers and reconciles.
 func TestRestartedCoordinatorLeavesUnreturnedNodesAlone(t *testing.T) {
 	slow := HealthConfig{HeartbeatInterval: 30 * time.Millisecond, UnhealthyAfter: 10 * time.Second, DeadAfter: 20 * time.Second}
-	f := startDurableFleetH(t, 1, slow, stalledFirstNodeConfig())
+	f := startDurableFleetH(t, 1, slow, 0, stalledFirstNodeConfig())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 

@@ -284,10 +284,20 @@ const panicsHelp = "Panics recovered without taking the daemon down, by origin."
 
 // poolMetrics is the pool's obs.Registry plus the instruments it owns. The
 // registry renders every pdpad_* series for the daemon's /metrics endpoint;
-// gauges and the lifecycle counters read pool state through closures at
-// exposition time, so there is no double bookkeeping.
+// gauges read pool state through closures at exposition time, and counters
+// count as the pool moves, so a scrape takes the pool lock only for the
+// gauges.
 type poolMetrics struct {
 	reg *obs.Registry
+
+	submitted   *obs.Counter // submissions, cache and dedup hits included
+	started     *obs.Counter // simulations started
+	cacheHits   *obs.Counter // submissions served from the result cache
+	cacheMisses *obs.Counter // submissions that needed a fresh simulation
+	dedupHits   *obs.Counter // submissions that joined an in-flight run
+	done        *obs.Counter // runs finished, by terminal state
+	failed      *obs.Counter
+	canceled    *obs.Counter
 
 	wall        *obs.Histogram // simulation wall time per run
 	queueWait   *obs.Histogram // queue wait per started run
@@ -311,9 +321,6 @@ func (p *Pool) initMetrics() {
 	locked := func(f func() float64) func() float64 {
 		return func() float64 { p.mu.Lock(); defer p.mu.Unlock(); return f() }
 	}
-	lockedU := func(f func() uint64) func() uint64 {
-		return func() uint64 { p.mu.Lock(); defer p.mu.Unlock(); return f() }
-	}
 	reg.GaugeFunc("pdpad_queue_depth", "Runs waiting in the FIFO queue.",
 		locked(func() float64 { return float64(len(p.queue)) }))
 	reg.GaugeFunc("pdpad_inflight_runs", "Simulations currently executing.",
@@ -330,24 +337,16 @@ func (p *Pool) initMetrics() {
 			return 0
 		}))
 
-	reg.CounterFunc("pdpad_runs_submitted_total", "Submissions received, including cache and dedup hits.",
-		lockedU(func() uint64 { return p.stats.Submitted }))
-	reg.CounterFunc("pdpad_runs_started_total", "Simulations started.",
-		lockedU(func() uint64 { return p.stats.Started }))
-	reg.CounterFunc("pdpad_cache_hits_total", "Submissions served from the result cache.",
-		lockedU(func() uint64 { return p.stats.CacheHits }))
-	reg.CounterFunc("pdpad_cache_misses_total", "Submissions that required a fresh simulation.",
-		lockedU(func() uint64 { return p.stats.CacheMisses }))
-	reg.CounterFunc("pdpad_dedup_hits_total", "Submissions that joined an identical in-flight run (singleflight).",
-		lockedU(func() uint64 { return p.stats.DedupHits }))
+	m.submitted = reg.Counter("pdpad_runs_submitted_total", "Submissions received, including cache and dedup hits.")
+	m.started = reg.Counter("pdpad_runs_started_total", "Simulations started.")
+	m.cacheHits = reg.Counter("pdpad_cache_hits_total", "Submissions served from the result cache.")
+	m.cacheMisses = reg.Counter("pdpad_cache_misses_total", "Submissions that required a fresh simulation.")
+	m.dedupHits = reg.Counter("pdpad_dedup_hits_total", "Submissions that joined an identical in-flight run (singleflight).")
 	const finished = "pdpad_runs_finished_total"
 	const finishedHelp = "Runs finished, by terminal state."
-	reg.LabeledCounterFunc(finished, finishedHelp, "state", "done",
-		lockedU(func() uint64 { return p.stats.Done }))
-	reg.LabeledCounterFunc(finished, finishedHelp, "state", "failed",
-		lockedU(func() uint64 { return p.stats.Failed }))
-	reg.LabeledCounterFunc(finished, finishedHelp, "state", "canceled",
-		lockedU(func() uint64 { return p.stats.Canceled }))
+	m.done = reg.LabeledCounter(finished, finishedHelp, "state", "done")
+	m.failed = reg.LabeledCounter(finished, finishedHelp, "state", "failed")
+	m.canceled = reg.LabeledCounter(finished, finishedHelp, "state", "canceled")
 
 	m.wall = reg.Histogram("pdpad_run_wall_seconds",
 		"Per-run simulation wall time.", wallBuckets)
@@ -406,19 +405,6 @@ func (p *Pool) initMetrics() {
 	p.met = m
 }
 
-// lifecycle counts runs through the pool's states; the registry's counter
-// funcs read it under the pool lock.
-type lifecycle struct {
-	Submitted   uint64
-	Started     uint64
-	Done        uint64
-	Failed      uint64
-	Canceled    uint64
-	CacheHits   uint64
-	CacheMisses uint64
-	DedupHits   uint64
-}
-
 // Pool is the simulation worker pool. Create with New; all methods are safe
 // for concurrent use.
 type Pool struct {
@@ -436,8 +422,7 @@ type Pool struct {
 	idle     chan struct{} // closed when draining and no work remains
 	recheck  *time.Timer   // pending warm-up re-evaluation
 
-	stats lifecycle
-	met   *poolMetrics
+	met *poolMetrics
 
 	// retryRNG jitters retry backoff (guarded by mu). Fixed-seeded: jitter
 	// decorrelates concurrent retries, determinism keeps tests honest.
@@ -509,15 +494,15 @@ func (p *Pool) Submit(spec Spec, deadline time.Duration) (SubmitResult, error) {
 // admission pass once after the whole batch is queued.
 func (p *Pool) submitLocked(spec Spec, deadline time.Duration) (SubmitResult, error) {
 	key := spec.Key()
-	p.stats.Submitted++
+	p.met.submitted.Inc()
 	if existing := p.runs.Owner(key); existing != nil {
 		if existing.State == Done {
-			p.stats.CacheHits++
+			p.met.cacheHits.Inc()
 			p.touchCacheLocked(existing)
 			p.runs.Touch(existing.ID)
 			return SubmitResult{ID: existing.ID, State: Done, CacheHit: true}, nil
 		}
-		p.stats.DedupHits++
+		p.met.dedupHits.Inc()
 		return SubmitResult{ID: existing.ID, State: existing.State, Deduped: true}, nil
 	}
 	if p.draining {
@@ -530,7 +515,7 @@ func (p *Pool) submitLocked(spec Spec, deadline time.Duration) (SubmitResult, er
 		p.met.sheds.Inc()
 		return SubmitResult{}, &OverloadError{Depth: len(p.queue), RetryAfter: p.retryAfterLocked()}
 	}
-	p.stats.CacheMisses++
+	p.met.cacheMisses.Inc()
 	if deadline <= 0 {
 		deadline = p.cfg.DefaultDeadline
 	}
@@ -640,7 +625,7 @@ func (p *Pool) startLocked(r *run) {
 	r.Started = now
 	r.cancel = cancel
 	p.running[r] = struct{}{}
-	p.stats.Started++
+	p.met.started.Inc()
 	p.met.queueWait.Observe(now.Sub(r.Submitted).Seconds())
 	r.advanceLocked(now)
 	go p.execute(ctx, cancel, r)
@@ -784,12 +769,12 @@ func (p *Pool) finishLocked(r *run) {
 	r.Started = r.Started.Round(0)
 	switch r.State {
 	case Done:
-		p.stats.Done++
+		p.met.done.Inc()
 		p.insertCacheLocked(r)
 	case Failed:
-		p.stats.Failed++
+		p.met.failed.Inc()
 	case Canceled:
-		p.stats.Canceled++
+		p.met.canceled.Inc()
 	}
 	if r.State != Done {
 		// Failed and cancelled runs must not satisfy future submissions.
