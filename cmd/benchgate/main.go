@@ -36,6 +36,9 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	Samples     int     `json:"samples"`
+	// Metrics holds the median of each custom b.ReportMetric column, by
+	// unit (e.g. "jobs", "compactions/op").
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Phase is one labeled set of results (e.g. "pre" and "post" around an
@@ -237,25 +240,25 @@ func openInput(path string) io.Reader {
 	return f
 }
 
-// The name and each unit are matched independently so custom b.ReportMetric
-// columns (e.g. "1051636 jobs") anywhere in the line don't detach the
-// -benchmem columns that follow them.
-var (
-	benchName   = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+\S+ ns/op`)
-	benchNs     = regexp.MustCompile(`\s(\S+) ns/op`)
-	benchBytes  = regexp.MustCompile(`\s(\S+) B/op`)
-	benchAllocs = regexp.MustCompile(`\s(\S+) allocs/op`)
-)
+// benchName matches a result line; its columns after the iteration count
+// are read as value-unit pairs, so custom b.ReportMetric columns (e.g.
+// "1051636 jobs") anywhere in the line don't detach the -benchmem columns
+// that follow them.
+var benchName = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+\S+ ns/op`)
 
 // parseBench reads `go test -bench` output and aggregates repeated runs of
 // each benchmark: median ns/op (robust to a noisy sample), max B/op and
-// allocs/op (deterministic; max catches a flaky extra allocation).
+// allocs/op (deterministic; max catches a flaky extra allocation), and the
+// median of each custom metric.
 func parseBench(r io.Reader) (map[string]Result, string, string) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		fatalf("read input: %v", err)
 	}
-	type samples struct{ ns, bytes, allocs []float64 }
+	type samples struct {
+		ns, bytes, allocs []float64
+		metrics           map[string][]float64
+	}
 	acc := map[string]*samples{}
 	var cpu, goos, goarch string
 	for _, line := range strings.Split(string(raw), "\n") {
@@ -279,25 +282,38 @@ func parseBench(r io.Reader) (map[string]Result, string, string) {
 		name := strings.TrimPrefix(mm[1], "Benchmark")
 		s := acc[name]
 		if s == nil {
-			s = &samples{}
+			s = &samples{metrics: map[string][]float64{}}
 			acc[name] = s
 		}
-		s.ns = append(s.ns, parseF(benchNs.FindStringSubmatch(line)[1]))
-		if m := benchBytes.FindStringSubmatch(line); m != nil {
-			s.bytes = append(s.bytes, parseF(m[1]))
-		}
-		if m := benchAllocs.FindStringSubmatch(line); m != nil {
-			s.allocs = append(s.allocs, parseF(m[1]))
+		cols := strings.Fields(line)
+		for i := 2; i+1 < len(cols); i += 2 {
+			switch v, unit := parseF(cols[i]), cols[i+1]; unit {
+			case "ns/op":
+				s.ns = append(s.ns, v)
+			case "B/op":
+				s.bytes = append(s.bytes, v)
+			case "allocs/op":
+				s.allocs = append(s.allocs, v)
+			default:
+				s.metrics[unit] = append(s.metrics[unit], v)
+			}
 		}
 	}
 	out := map[string]Result{}
 	for name, s := range acc {
-		out[name] = Result{
+		r := Result{
 			NsPerOp:     median(s.ns),
 			BytesPerOp:  maxOf(s.bytes),
 			AllocsPerOp: maxOf(s.allocs),
 			Samples:     len(s.ns),
 		}
+		for unit, v := range s.metrics {
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[unit] = median(v)
+		}
+		out[name] = r
 	}
 	goEnv := ""
 	if goos != "" || goarch != "" {

@@ -65,6 +65,13 @@ func TestParseBench(t *testing.T) {
 	if many.BytesPerOp != 1895701472 || many.AllocsPerOp != 1056122 {
 		t.Errorf("many = %+v, want B/op and allocs/op despite custom metric", many)
 	}
+	// Custom columns are kept by unit, as the median over samples.
+	if got := many.Metrics["jobs"]; got != 1051636 || len(many.Metrics) != 1 {
+		t.Errorf("many metrics = %v, want jobs 1051636", many.Metrics)
+	}
+	if pdpa.Metrics != nil {
+		t.Errorf("pdpa metrics = %v, want none", pdpa.Metrics)
+	}
 }
 
 func TestMedianEven(t *testing.T) {

@@ -50,8 +50,9 @@ func seedJournal(f *testing.F) []byte {
 // wreckage: the bytes are laid down both as a bare journal and as a
 // mixed-generation snapshot+journal pair, opened through the real store,
 // and folded by the sweep index and the run ledger. Whatever the input: no panic, no error from
-// Open (corruption is truncated and counted, never fatal), and every
-// recovered entity carries a usable ID.
+// Open (corruption is truncated and counted, never fatal), every recovered
+// entity carries a usable ID, and the ledger's live and dead bytes are not
+// negative.
 func FuzzRecoverState(f *testing.F) {
 	valid := seedJournal(f)
 	f.Add(valid)
@@ -66,6 +67,9 @@ func FuzzRecoverState(f *testing.F) {
 		rec, sweeps := recoverAll(st.TakeRecovered())
 		if rec.dropped < 0 {
 			t.Fatalf("negative drop count %d", rec.dropped)
+		}
+		if rec.live < 0 || rec.dead < 0 {
+			t.Fatalf("negative ledger bytes: live %d, dead %d", rec.live, rec.dead)
 		}
 		for _, n := range rec.nodes {
 			if n.ID == "" {

@@ -37,9 +37,6 @@ const (
 	kindCoordDel   = "cdel"
 )
 
-// storeCompactBytes bounds journal growth between compactions.
-const storeCompactBytes = 4 << 20
-
 // nodeRecord is the durable form of one node-ledger entry. The latest
 // record for an ID wins, so state flips (cordon, drain, death) are plain
 // re-appends.
@@ -83,14 +80,13 @@ type crunRecord struct {
 // erasures, the node ledger compacted beside the runs.
 func newRunLedger(c *Coordinator) *runqueue.Ledger[*crun] {
 	return runqueue.NewLedger(runqueue.LedgerConfig[*crun]{
-		Kind:         kindCoordRun,
-		DelKind:      kindCoordDel,
-		Store:        c.store,
-		Sweeps:       c.SweepIndex,
-		CompactBytes: storeCompactBytes,
-		StoreErrors:  c.met.storeErrors,
-		Record:       func(cr *crun) any { return cr.crunRecord },
-		Decode:       decodeRun,
+		Kind:        kindCoordRun,
+		DelKind:     kindCoordDel,
+		Store:       c.store,
+		Sweeps:      c.SweepIndex,
+		StoreErrors: c.met.storeErrors,
+		Record:      func(cr *crun) any { return cr.crunRecord },
+		Decode:      decodeRun,
 		Settled: func(cr *crun) (time.Time, bool) {
 			if cr.Final == nil || cr.Final.FinishedAt == nil {
 				return cr.Submitted, cr.Final != nil // a record written without a finish time
@@ -154,10 +150,10 @@ func (c *Coordinator) persistNodeLocked(n *node) {
 	c.runs.Append(kindCoordNode, n.nodeRecord)
 }
 
-// nodeRecordsLocked serializes the node ledger for compaction: every node
-// still in the fleet or still owed pending runs. Drained tombstones with
-// nothing pending are dropped here — that is how old incarnations expire
-// from disk.
+// nodeRecordsLocked serializes the node ledger for compaction, which the
+// run ledger triggers from run garbage alone: every node still in the
+// fleet or still owed pending runs. Drained tombstones with nothing pending
+// are dropped here — that is how old incarnations expire from disk.
 func (c *Coordinator) nodeRecordsLocked() []store.Record {
 	pending := c.pendingLocked()
 	var out []store.Record

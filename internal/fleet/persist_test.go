@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,12 +34,13 @@ func mustRecord(t *testing.T, kind string, v any) store.Record {
 }
 
 // recovered is what a coordinator restarted on a record stream rehydrates:
-// its nodes, its runs in their journal form, and how many records it
-// dropped.
+// its nodes, its runs in their journal form, how many records it dropped,
+// and the run ledger's live and dead bytes.
 type recovered struct {
-	nodes   []nodeRecord
-	runs    []crunRecord
-	dropped int
+	nodes      []nodeRecord
+	runs       []crunRecord
+	dropped    int
+	live, dead int64
 }
 
 // recoverAll folds a recovered record stream through recoverFleet, into a
@@ -54,6 +56,7 @@ func recoverAll(recs []store.Record) (recovered, []string) {
 	runs := newRunLedger(c)
 	fr := recoverFleet(x, runs, recs)
 	rec := recovered{nodes: fr.nodes, dropped: fr.dropped}
+	rec.live, rec.dead = runs.Bytes()
 	runs.Each(false, func(cr *crun) { rec.runs = append(rec.runs, cr.crunRecord) })
 	var ids []string
 	for _, v := range x.Sweeps(context.Background()) {
@@ -98,6 +101,16 @@ func TestRecoverStateLastWins(t *testing.T) {
 	if len(sweeps) != 1 || sweeps[0] != "sweep-000001" {
 		t.Fatalf("sweeps = %+v", sweeps)
 	}
+	// Only run records count: the superseded one is dead, the latest live.
+	wantBytes(t, rec, len(recs[4].Payload), len(recs[3].Payload))
+}
+
+// wantBytes checks the run ledger's recovered live and dead bytes.
+func wantBytes(t *testing.T, rec recovered, live, dead int) {
+	t.Helper()
+	if rec.live != int64(live) || rec.dead != int64(dead) {
+		t.Errorf("ledger bytes live %d, dead %d; want %d and %d", rec.live, rec.dead, live, dead)
+	}
 }
 
 func TestRecoverStateDeletes(t *testing.T) {
@@ -110,6 +123,9 @@ func TestRecoverStateDeletes(t *testing.T) {
 	if len(rec.runs) != 1 || rec.runs[0].ID != "run-000002" {
 		t.Fatalf("runs = %+v, want run-000001 erased", rec.runs)
 	}
+	// The erased run's record and the delete record are both dead.
+	dead := len(recs[0].Payload) + len(recs[2].Payload)
+	wantBytes(t, rec, len(recs[1].Payload), dead)
 
 	// Erased then recreated: the ID appears twice in first-seen order but
 	// must come back exactly once, in its latest state.
@@ -130,6 +146,7 @@ func TestRecoverStateDeletes(t *testing.T) {
 	if seen != 1 {
 		t.Fatalf("run-000001 appears %d times, want once", seen)
 	}
+	wantBytes(t, rec, len(recs[1].Payload)+len(recs[3].Payload), dead)
 }
 
 func TestRecoverStateDropsWreckage(t *testing.T) {
@@ -788,4 +805,96 @@ func TestRegistryEvictsLeastRecentlyUsed(t *testing.T) {
 	evicted(long)
 	evicted(s7)
 	sweepState("failed")
+}
+
+// TestCoordinatorCompactionOfForgottenRuns: the coordinator's run ledger
+// compacts once the runs its registry forgot outweigh the ones it holds.
+// The compaction rewrites the node ledger too, dropping a drained node with
+// nothing pending, and a restarted coordinator answers every retained run
+// byte for byte and brings the live node back pending-reconcile.
+func TestCoordinatorCompactionOfForgottenRuns(t *testing.T) {
+	const limit = 2
+	f := startDurableFleet(t, 2, fastNodeConfig)
+	f.coord.mu.Lock()
+	f.coord.runs.Limit = limit
+	f.coord.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	live, gone := f.nodes[0].agent.ID(), f.nodes[1].agent.ID()
+	f.nodes[1].agent.Stop()
+	f.nodes[1].agent = nil
+	if nv, err := f.cli.DrainNode(ctx, gone); err != nil || nv.State != string(StateDrained) {
+		t.Fatalf("drain %s = %+v, %v; want drained", gone, nv, err)
+	}
+	nodeIDs := func() []string {
+		t.Helper()
+		page, err := f.cli.Nodes(ctx, client.ListOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, nv := range page.Nodes {
+			ids = append(ids, nv.ID)
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	if got, want := nodeIDs(), []string{live, gone}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("nodes before compaction %v, want %v", got, want)
+	}
+
+	var ids []string
+	for seed := int64(1); f.st.Stats().Compactions == 0; seed++ {
+		if seed > 20 {
+			t.Fatalf("no compaction after %d runs against a registry bound of %d", seed-1, limit)
+		}
+		sub, err := f.cli.SubmitRun(ctx, client.SubmitRunRequest{
+			Workload: client.Workload{Mix: "w1", Seed: seed},
+			Options:  client.RunOptions{Policy: "equip"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := f.cli.WaitRun(ctx, sub.ID, 0); err != nil || v.State != "done" {
+			t.Fatalf("run %s = %+v, %v; want done", sub.ID, v, err)
+		}
+		ids = append(ids, sub.ID)
+	}
+	getRaw := func(id string) string {
+		t.Helper()
+		resp, err := http.Get(f.cts.URL + "/v1/runs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET run %s: %d, %v", id, resp.StatusCode, err)
+		}
+		return body.String()
+	}
+	retained := ids[len(ids)-limit:]
+	before := map[string]string{}
+	for _, id := range retained {
+		before[id] = getRaw(id)
+	}
+
+	f.nodes[0].agent.Stop() // the live node stays away, so it stays pending
+	f.nodes[0].agent = nil
+	f.killCoordinator()
+	f.restartCoordinator()
+	f.coord.mu.Lock()
+	pending := f.coord.nodes[live] != nil && f.coord.nodes[live].pendingReconcile
+	f.coord.mu.Unlock()
+	if !pending {
+		t.Errorf("live node %s not recovered pending-reconcile", live)
+	}
+	if got, want := nodeIDs(), []string{live}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("nodes after compaction and restart %v, want %v (drained %s dropped)", got, want, gone)
+	}
+	for _, id := range retained {
+		if got := getRaw(id); got != before[id] {
+			t.Errorf("run %s after restart:\n%s\nwant\n%s", id, got, before[id])
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"pdpasim"
 	"pdpasim/client"
+	"pdpasim/internal/store"
 )
 
 // evictionScript is the bounded-history script both backends replay: the
@@ -112,7 +113,9 @@ func TestHistoryEvictionScript(t *testing.T) {
 // whose history is full (DefaultHistoryLimit finished runs): "fresh" submits
 // a new spec and waits for it, so every op settles a run and evicts one;
 // "hit" resubmits a cached spec, so every op serves a cache hit and renews
-// its run.
+// its run; "durable" is "fresh" on a pool with a store, so every op also
+// journals the settled run and erases the forgotten one, and the
+// compactions that garbage triggers are reported per op.
 func BenchmarkPoolSubmitAtFullHistory(b *testing.B) {
 	wait := func(p *Pool, seed int64) SubmitResult {
 		res, err := p.Submit(tinySpec(seed), 0)
@@ -124,15 +127,15 @@ func BenchmarkPoolSubmitAtFullHistory(b *testing.B) {
 		}
 		return res
 	}
-	full := func() *Pool {
-		p := New(Config{Simulate: instantSim})
+	full := func(st *store.Store) *Pool {
+		p := New(Config{Simulate: instantSim, Store: st})
 		for seed := int64(1); seed <= DefaultHistoryLimit; seed++ {
 			wait(p, seed)
 		}
 		return p
 	}
 	b.Run("fresh", func(b *testing.B) {
-		p := full()
+		p := full(nil)
 		defer p.Drain(context.Background())
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -141,7 +144,7 @@ func BenchmarkPoolSubmitAtFullHistory(b *testing.B) {
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		p := full()
+		p := full(nil)
 		defer p.Drain(context.Background())
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -151,5 +154,22 @@ func BenchmarkPoolSubmitAtFullHistory(b *testing.B) {
 				b.Fatalf("op %d: %+v, want a cache hit", i, res)
 			}
 		}
+	})
+	b.Run("durable", func(b *testing.B) {
+		st, err := store.Open(b.TempDir(), store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		p := full(st)
+		defer p.Drain(context.Background())
+		before := st.Stats().Compactions
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			wait(p, int64(DefaultHistoryLimit+1+i))
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(st.Stats().Compactions-before)/float64(b.N), "compactions/op")
 	})
 }

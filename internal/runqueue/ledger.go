@@ -20,12 +20,12 @@ type LedgerConfig[R any] struct {
 	// forgotten run; both are required, so recovery never brings back a run
 	// the live ledger forgot.
 	Kind, DelKind string
-	// Store (nil: in memory only) is compacted with Sweeps once its journal
-	// passes CompactBytes; failures count in StoreErrors.
-	Store        *store.Store
-	Sweeps       *SweepIndex
-	CompactBytes int64
-	StoreErrors  *obs.Counter
+	// Store (nil: in memory only) is compacted with Sweeps when the run
+	// records it holds are at least half garbage (see Ledger); failures
+	// count in StoreErrors.
+	Store       *store.Store
+	Sweeps      *SweepIndex
+	StoreErrors *obs.Counter
 
 	// The hooks: Record returns a run's journal record (nil while it is not
 	// durable); Decode rebuilds one from a recovered record (an error drops
@@ -44,6 +44,19 @@ type LedgerConfig[R any] struct {
 // spec-key index, the bounded history of terminal runs, the run journal
 // with its compaction, and recovery. It has no lock of its own: the
 // backend's mutex guards it, so the lock order stays backend → sweep index.
+//
+// Compaction is decided from what the ledger measures, not from a fixed
+// size. It counts the payload bytes of the run records it journals: live
+// bytes are the last record of every run it still holds; dead bytes are the
+// records a later record for the same ID superseded, the last record of
+// every run it forgot, and every delete record. Persist compacts once dead
+// ≥ live (live is positive right after an append, so dead is too), so a
+// compaction reclaims at least as many bytes as it rewrites and the
+// journal's write amplification stays within 2×. Recover rebuilds both
+// counts from the recovered stream, so a restart keeps its debt. The
+// backend's own records (the coordinator's nodes) and the sweeps are
+// counted neither way: they are rewritten, and drained node tombstones
+// dropped, whenever run garbage triggers a compaction.
 type Ledger[R any] struct {
 	// Limit bounds the terminal runs kept (default DefaultHistoryLimit,
 	// which only tests lower); past it the least recently used is forgotten.
@@ -57,12 +70,16 @@ type Ledger[R any] struct {
 	// history holds the terminal runs, least recently used first: settling
 	// a run or serving a cache hit from it moves it to the back.
 	history list.List
+	// live and dead are the journaled run-record payload bytes still
+	// current and already garbage; live is the sum of the entries' bytes.
+	live, dead int64
 }
 
 type entry[R any] struct {
 	run       R
 	id, key   string
 	sub, hist *list.Element
+	bytes     int64 // payload length of the run's last journaled record
 }
 
 // NewLedger returns an empty ledger bounded at DefaultHistoryLimit.
@@ -108,6 +125,10 @@ func (l *Ledger[R]) Release(id string) {
 		delete(l.byKey, e.key)
 	}
 }
+
+// Bytes reports the journaled run-record payload bytes still live and
+// already dead, the two counts that decide compaction.
+func (l *Ledger[R]) Bytes() (live, dead int64) { return l.live, l.dead }
 
 // Len is the number of runs recorded.
 func (l *Ledger[R]) Len() int { return l.order.Len() }
@@ -167,7 +188,8 @@ func (l *Ledger[R]) Forget(id string) {
 	if e == nil {
 		return
 	}
-	l.Append(l.cfg.DelKind, delRecord{ID: id})
+	l.dead += e.bytes + int64(l.Append(l.cfg.DelKind, delRecord{ID: id}))
+	l.live -= e.bytes
 	l.Release(id)
 	delete(l.byID, id)
 	l.order.Remove(e.sub)
@@ -185,21 +207,34 @@ type delRecord struct {
 	ID string `json:"id"`
 }
 
-// Persist journals a run's record, encoded once, and compacts the store
-// past its bound. Store failures are counted, never fatal.
+// Persist journals a run's record, encoded once, superseding its previous
+// one, and compacts the store once dead ≥ live. Store failures are counted,
+// never fatal.
 func (l *Ledger[R]) Persist(id string) {
-	if e := l.byID[id]; e != nil && l.cfg.Store != nil {
-		if rec := l.cfg.Record(e.run); rec != nil && l.Append(l.cfg.Kind, rec) {
-			l.maybeCompact()
+	e := l.byID[id]
+	if e == nil || l.cfg.Store == nil {
+		return
+	}
+	rec := l.cfg.Record(e.run)
+	if rec == nil {
+		return
+	}
+	if n := int64(l.Append(l.cfg.Kind, rec)); n > 0 {
+		l.dead += e.bytes
+		l.live += n - e.bytes
+		e.bytes = n
+		if l.dead >= l.live {
+			l.compact()
 		}
 	}
 }
 
-// Append journals a record, the ledger's or the backend's own, and
-// reports whether it landed; without a store it does nothing.
-func (l *Ledger[R]) Append(kind string, v any) bool {
+// Append journals a record, the ledger's or the backend's own, and returns
+// its payload length, or 0 when it did not land; without a store it does
+// nothing.
+func (l *Ledger[R]) Append(kind string, v any) int {
 	if l.cfg.Store == nil {
-		return false
+		return 0
 	}
 	payload, err := json.Marshal(v)
 	if err == nil {
@@ -207,58 +242,73 @@ func (l *Ledger[R]) Append(kind string, v any) bool {
 	}
 	if err != nil {
 		l.cfg.StoreErrors.Inc()
+		return 0
 	}
-	return err == nil
+	return len(payload)
 }
 
-// maybeCompact rewrites the store down to the backend's extra records, the
-// durable runs in submission order and the sweeps, once the journal has
-// passed CompactBytes.
-func (l *Ledger[R]) maybeCompact() {
-	if l.cfg.Store.JournalBytes() < l.cfg.CompactBytes {
-		return
-	}
+// compact rewrites the store down to the backend's extra records, the
+// durable runs in submission order and the sweeps; the rewritten records
+// are then all the live bytes, and no byte is dead.
+func (l *Ledger[R]) compact() {
 	var live []store.Record
 	if l.cfg.Extra != nil {
 		live = l.cfg.Extra()
 	}
-	l.Each(false, func(r R) {
-		if rec := l.cfg.Record(r); rec != nil {
+	l.live = 0
+	for el := l.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry[R])
+		e.bytes = 0
+		if rec := l.cfg.Record(e.run); rec != nil {
 			if payload, err := json.Marshal(rec); err == nil {
 				live = append(live, store.Record{Kind: l.cfg.Kind, Payload: payload})
+				e.bytes = int64(len(payload))
 			}
 		}
-	})
+		l.live += e.bytes
+	}
 	if err := CompactStore(l.cfg.Sweeps, live); err != nil {
 		l.cfg.StoreErrors.Inc()
+		return
 	}
+	l.dead = 0
 }
 
 // Recover takes the ledger's records out of a store's recovered stream,
 // before the backend serves: the last record per ID wins, delete records
 // are honoured, runs list in ID order, the ID sequence continues, each key
 // goes to its newest run, and the history is rebuilt in finish order under
-// the live bound. It returns the records left for the backend and how many
-// runs it recovered, records it could not decode, and runs the bound forgot.
+// the live bound. Undecodable records count as dead bytes too. It never
+// compacts: the coordinator rebuilds its node table only afterwards, so a
+// compaction here would drop its node records. It returns the records left
+// for the backend and how many runs it recovered, records it could not
+// decode, and runs the bound forgot.
 func (l *Ledger[R]) Recover(recs []store.Record) (rest []store.Record, recovered, dropped, evicted int) {
 	found := map[string]*entry[R]{}
 	var runs []*entry[R] // first-seen order, erased runs included
 	for _, rec := range recs {
+		n := int64(len(rec.Payload))
 		switch rec.Kind {
 		case l.cfg.Kind:
 			id, key, r, err := l.cfg.Decode(rec.Payload)
 			if err != nil || id == "" {
 				dropped++
+				l.dead += n
 			} else if e := found[id]; e != nil {
-				e.key, e.run = key, r
+				l.dead += e.bytes
+				e.key, e.run, e.bytes = key, r, n
 			} else {
-				found[id] = &entry[R]{run: r, id: id, key: key}
+				found[id] = &entry[R]{run: r, id: id, key: key, bytes: n}
 				runs = append(runs, found[id])
 			}
 		case l.cfg.DelKind:
 			var dr delRecord
 			if err := json.Unmarshal(rec.Payload, &dr); err != nil || dr.ID == "" {
 				dropped++
+			}
+			l.dead += n
+			if e := found[dr.ID]; e != nil {
+				l.dead += e.bytes
 			}
 			delete(found, dr.ID)
 		default:
@@ -273,6 +323,7 @@ func (l *Ledger[R]) Recover(recs []store.Record) (rest []store.Record, recovered
 	var settled []*entry[R]
 	for _, e := range runs {
 		l.insert(e)
+		l.live += e.bytes
 		if n, ok := SeqOf(e.id, "run-"); ok {
 			l.seq = max(l.seq, n)
 		}

@@ -3,6 +3,7 @@ package runqueue
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -234,15 +235,17 @@ func TestRehydrateRespectsHistoryLimit(t *testing.T) {
 	}
 }
 
-// TestCompactionUnderPool: with a one-byte compaction bound every finished
-// run triggers a compaction, and the store still recovers the full live set
-// from a single snapshot generation.
+// TestCompactionUnderPool: a pool whose history forgets runs compacts once
+// the forgotten records outweigh the held ones, and the store still
+// recovers every run it holds, and none it forgot, from a single snapshot
+// generation.
 func TestCompactionUnderPool(t *testing.T) {
+	const limit = 2
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	p := New(Config{Store: st, storeCompactBytes: 1})
+	p := New(Config{Store: st, historyLimit: limit})
 	var ids []string
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 5; seed++ {
 		res, err := p.Submit(tinySpec(seed), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +254,7 @@ func TestCompactionUnderPool(t *testing.T) {
 		ids = append(ids, res.ID)
 	}
 	if st.Stats().Compactions == 0 {
-		t.Fatal("no compaction despite 1-byte bound")
+		t.Fatal("no compaction after the history forgot three runs")
 	}
 	drainClose(t, p, st)
 
@@ -269,13 +272,80 @@ func TestCompactionUnderPool(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	p2 := New(Config{Store: st2})
+	p2 := New(Config{Store: st2, historyLimit: limit})
 	defer p2.Drain(context.Background())
-	for _, id := range ids {
-		if _, err := p2.Get(id); err != nil {
+	for i, id := range ids {
+		_, err := p2.Get(id)
+		if held := i >= len(ids)-limit; held && err != nil {
 			t.Fatalf("run %s lost after compaction: %v", id, err)
+		} else if !held && err == nil {
+			t.Fatalf("forgotten run %s came back after compaction", id)
 		}
 	}
+}
+
+// TestNoCompactionOfLiveJournal: real runs whose records add up to more than
+// 8 MiB, none superseded or forgotten, leave nothing to reclaim, so the
+// store is never compacted, and every run recovers byte for byte.
+func TestNoCompactionOfLiveJournal(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	p := New(Config{Store: st})
+	var snaps []Snapshot
+	for seed := int64(1); st.Stats().AppendedBytes <= 8<<20; seed++ {
+		if seed > 100 {
+			t.Fatalf("%d runs journaled only %d bytes", seed-1, st.Stats().AppendedBytes)
+		}
+		spec := tinySpec(seed)
+		spec.Workload.Mix = "w4" // about 250 KB a record
+		res, err := p.Submit(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, waitState(t, p, res.ID, Done))
+	}
+	drainClose(t, p, st)
+	wantCompactions(t, st, 0, fmt.Sprintf("%d live runs", len(snaps)))
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	p2 := New(Config{Store: st2})
+	defer p2.Drain(context.Background())
+	for _, want := range snaps {
+		got, err := p2.Get(want.ID)
+		if err != nil || !bytes.Equal(got.ResultJSON, want.ResultJSON) || !bytes.Equal(got.TraceJSON, want.TraceJSON) {
+			t.Fatalf("run %s after restart differs (err %v)", want.ID, err)
+		}
+	}
+}
+
+// TestRestartCompactionAtFirstSettle: a pool reopened under a lower
+// history bound forgets runs during recovery without compacting, and the
+// dead bytes that leaves compact the store at its first settled run.
+func TestRestartCompactionAtFirstSettle(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	p := New(Config{Store: st})
+	for seed := int64(1); seed <= 4; seed++ {
+		res, err := p.Submit(tinySpec(seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, p, res.ID, Done)
+	}
+	drainClose(t, p, st)
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	p2 := New(Config{Store: st2, historyLimit: 1})
+	defer p2.Drain(context.Background())
+	wantCompactions(t, st2, 0, "recovery forgot three of four runs")
+	res, err := p2.Submit(tinySpec(5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, p2, res.ID, Done)
+	wantCompactions(t, st2, 1, "first settled run after the restart")
 }
 
 // TestStoreErrorsDoNotFailRuns: persistence failures (store closed under

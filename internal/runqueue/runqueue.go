@@ -130,11 +130,8 @@ type Config struct {
 	Store *store.Store
 
 	// historyLimit bounds the finished runs kept addressable by ID (default
-	// DefaultHistoryLimit); storeCompactBytes is the journal size past which
-	// the store is compacted to its live records (default 8 MiB). Only
-	// tests lower them.
-	historyLimit      int
-	storeCompactBytes int64
+	// DefaultHistoryLimit). Only tests lower it.
+	historyLimit int
 }
 
 // DefaultHistoryLimit bounds the finished runs kept addressable by ID — by
@@ -175,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.historyLimit <= 0 {
 		c.historyLimit = DefaultHistoryLimit
-	}
-	if c.storeCompactBytes <= 0 {
-		c.storeCompactBytes = 8 << 20
 	}
 	if c.Simulate == nil {
 		limit := c.TraceLimit
@@ -444,16 +438,15 @@ func New(cfg Config) *Pool {
 		Cancel:  func(ctx context.Context, id string) { p.Cancel(id) },
 	})
 	p.runs = NewLedger(LedgerConfig[*run]{
-		Kind:         kindRun,
-		DelKind:      kindDel,
-		Store:        p.cfg.Store,
-		Sweeps:       p.SweepIndex,
-		CompactBytes: p.cfg.storeCompactBytes,
-		StoreErrors:  p.met.storeErrors,
-		Record:       (*run).record,
-		Decode:       decodeRun,
-		Settled:      func(r *run) (time.Time, bool) { return r.Finished, r.State.Terminal() },
-		Forget:       p.dropCacheLocked,
+		Kind:        kindRun,
+		DelKind:     kindDel,
+		Store:       p.cfg.Store,
+		Sweeps:      p.SweepIndex,
+		StoreErrors: p.met.storeErrors,
+		Record:      (*run).record,
+		Decode:      decodeRun,
+		Settled:     func(r *run) (time.Time, bool) { return r.Finished, r.State.Terminal() },
+		Forget:      p.dropCacheLocked,
 	})
 	p.runs.Limit = p.cfg.historyLimit
 	if p.cfg.Store != nil {

@@ -256,13 +256,15 @@ func TestSweepIndexRecoverAndCompact(t *testing.T) {
 }
 
 // TestConcurrentSweepsSurviveCompaction submits sweeps from several
-// goroutines while every finished member compacts the store (a one-byte
-// bound), so sweep journaling and compaction interleave. Every accepted
-// sweep must get its own ID and survive a restart.
+// goroutines to a pool whose history holds two of their members, so
+// forgotten members compact the store every few runs while sweeps are
+// journaled. Every accepted sweep must get its own ID and survive a
+// restart as it was.
 func TestConcurrentSweepsSurviveCompaction(t *testing.T) {
+	const limit = 2
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	p := New(Config{Store: st, storeCompactBytes: 1, Simulate: instantSim})
+	p := New(Config{Store: st, historyLimit: limit, Simulate: instantSim})
 	ctx := context.Background()
 	const workers, perWorker = 4, 5
 	ids := make(chan string, workers*perWorker)
@@ -297,18 +299,41 @@ func TestConcurrentSweepsSurviveCompaction(t *testing.T) {
 	if len(want) != workers*perWorker {
 		t.Fatalf("%d sweeps accepted, want %d", len(want), workers*perWorker)
 	}
-	drainClose(t, p, st)
+	if err := p.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]client.SweepView{}
+	done := 0
+	for id := range want {
+		v, err := p.Sweep(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[id] = v
+		if v.State == string(Done) {
+			done++
+		}
+	}
+	if done != limit {
+		t.Fatalf("%d sweeps done before the restart, want the %d whose members the history holds", done, limit)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if st.Stats().Compactions == 0 {
-		t.Fatal("no compaction despite a one-byte bound")
+		t.Fatal("no compaction after the history forgot most members")
 	}
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	p2 := New(Config{Store: st2, Simulate: instantSim})
+	p2 := New(Config{Store: st2, historyLimit: limit, Simulate: instantSim})
 	defer p2.Drain(ctx)
 	for id := range want {
-		if v, err := p2.Sweep(ctx, id); err != nil || v.State != string(Done) {
-			t.Errorf("sweep %s after restart: %+v, %v; want done", id, v.State, err)
+		v, err := p2.Sweep(ctx, id)
+		got, _ := json.Marshal(v)
+		was, _ := json.Marshal(before[id])
+		if err != nil || string(got) != string(was) {
+			t.Errorf("sweep %s after restart: %s, %v; want %s", id, got, err, was)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package store is the daemon's durability layer: an append-only journal of
-// opaque records with periodic snapshots, so a restarted pdpad recovers every
-// completed run byte for byte.
+// opaque records with a snapshot written at each compaction, so a restarted
+// pdpad recovers every completed run byte for byte.
 //
 // The on-disk model is the classic log-plus-snapshot pair:
 //
@@ -21,6 +21,9 @@
 // payload with a Kind and interpret recovered records themselves (the pool's
 // schema lives in runqueue/persist.go). Compact rewrites the files from the
 // caller-supplied live set, which is how superseded records are dropped.
+// The store keeps no compaction bound of its own: the caller decides when,
+// from what it knows is garbage (the run ledger, runqueue/ledger.go,
+// compacts once the journaled bytes it knows are dead reach the live ones).
 package store
 
 import (
@@ -67,9 +70,8 @@ type Stats struct {
 	AppendedBytes   uint64
 	// Fsyncs counts batched journal fsyncs.
 	Fsyncs uint64
-	// Snapshots counts snapshots written; Compactions counts completed
-	// compactions (snapshot installed, journal reset, old generation gone).
-	Snapshots   uint64
+	// Compactions counts completed compactions (snapshot installed,
+	// journal reset, old generation gone).
 	Compactions uint64
 	// RecoveredEntries and RecoveredBytes describe what Open read back.
 	RecoveredEntries uint64
@@ -102,7 +104,6 @@ type Store struct {
 	appended   atomic.Uint64
 	appendedB  atomic.Uint64
 	fsyncs     atomic.Uint64
-	snapshots  atomic.Uint64
 	compacts   atomic.Uint64
 	recEntries uint64
 	recBytes   uint64
@@ -295,8 +296,7 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// JournalBytes reports the current journal size — the caller's compaction
-// trigger.
+// JournalBytes reports the current journal size.
 func (s *Store) JournalBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -304,10 +304,11 @@ func (s *Store) JournalBytes() int64 {
 }
 
 // Compact replaces the store's contents with live: the records are written
-// to a fresh snapshot (fsynced, atomically renamed into place), a new empty
-// journal generation starts, and the previous generation's files are
-// removed. Records not in live are thereby dropped — that is how the caller
-// expires superseded entries.
+// to a fresh snapshot (fsynced), a new empty journal generation is created,
+// the snapshot is atomically renamed into place, and the previous
+// generation's files are removed. Records not in live are thereby dropped —
+// that is how the caller expires superseded entries. On error nothing is
+// installed and appends keep landing in the current generation.
 func (s *Store) Compact(live []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -337,20 +338,26 @@ func (s *Store) Compact(live []Record) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: closing snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, snapPath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	s.snapshots.Add(1)
-
-	// The snapshot now owns everything; retire the old generation. A crash
-	// from here on recovers from the new snapshot (its journal simply does
-	// not exist yet, which Open treats as empty).
+	// The new journal exists before the snapshot is installed, so install
+	// and switch cannot come apart: a failure up to the rename leaves the
+	// store appending to its current generation, and a stray empty journal
+	// of a generation never installed is never read (the next compaction
+	// truncates it).
 	jpath := filepath.Join(s.dir, journalName(newGen))
 	nj, err := os.OpenFile(jpath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("store: new journal: %w", err)
 	}
+	if err := os.Rename(tmp, snapPath); err != nil {
+		nj.Close()
+		os.Remove(jpath)
+		os.Remove(tmp)
+		return fmt.Errorf("store: installing snapshot: %w", err)
+	}
+
+	// The snapshot now owns everything; retire the old generation. A crash
+	// from here on recovers from the new snapshot and its empty journal.
 	s.syncLocked()
 	s.journal.Close()
 	os.Remove(filepath.Join(s.dir, journalName(s.gen)))
@@ -391,7 +398,6 @@ func (s *Store) Stats() Stats {
 		AppendedEntries:  s.appended.Load(),
 		AppendedBytes:    s.appendedB.Load(),
 		Fsyncs:           s.fsyncs.Load(),
-		Snapshots:        s.snapshots.Load(),
 		Compactions:      s.compacts.Load(),
 		RecoveredEntries: rec,
 		RecoveredBytes:   recB,

@@ -242,6 +242,36 @@ func TestCompactDropsDeadRecords(t *testing.T) {
 	}
 }
 
+// TestFailedCompactionKeepsAppends: a compaction that cannot open its new
+// journal installs nothing, so records appended after the failure land in
+// the generation recovery reads and survive a restart.
+func TestFailedCompactionKeepsAppends(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, syncEvery)
+	all := appendN(t, s, "run", 3)
+	squat := filepath.Join(dir, journalName(1))
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(all[1:]); err == nil {
+		t.Fatal("Compact succeeded with a directory squatting on its new journal")
+	}
+	if st := s.Stats(); st.Compactions != 0 {
+		t.Fatalf("%d compactions counted after a failed one", st.Compactions)
+	}
+	tail := rec("sweep", 100)
+	if err := s.Append(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(squat); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := mustOpen(t, dir, syncEvery)
+	wantRecords(t, s2.TakeRecovered(), append(all, tail))
+}
+
 // TestBatchedSyncFlushes: with a batching interval, appends become durable
 // without an explicit Sync once the flusher has run.
 func TestBatchedSyncFlushes(t *testing.T) {

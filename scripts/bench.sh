@@ -7,6 +7,7 @@
 #   BENCH_COUNT  -count repetitions per benchmark            (default 5)
 #   BENCH_TIME   -benchtime per repetition                   (default 1s)
 #   BENCH_MATCH  -bench regexp                               (default the gated suite)
+#   BENCH_PKG    the one package to benchmark                (default . , the facade)
 #   BENCH_PHASE  phase label recorded into the JSON          (default post)
 #   BENCH_JSON   trajectory file to create/merge             (default BENCH_<today>.json)
 #   BENCH_MANYJOBS  also run BenchmarkSweepManyJobs once     (default 1; 0 skips)
@@ -15,6 +16,9 @@
 #   BENCH_PHASE=pre  BENCH_JSON=BENCH_2026-08-05.json scripts/bench.sh   # before
 #   ... optimize ...
 #   BENCH_PHASE=post BENCH_JSON=BENCH_2026-08-05.json scripts/bench.sh   # after
+#
+# A serving-layer rung, e.g. the pool at a full history:
+#   BENCH_PKG=./internal/runqueue BENCH_MATCH=PoolSubmitAtFullHistory BENCH_MANYJOBS=0 scripts/bench.sh
 #   go tool pprof -top bench-artifacts/bench.test bench-artifacts/cpu.pprof
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,6 +27,7 @@ out_dir=${BENCH_DIR:-bench-artifacts}
 count=${BENCH_COUNT:-5}
 benchtime=${BENCH_TIME:-1s}
 match=${BENCH_MATCH:-'SingleRunPDPA|SingleRunIRIX|Sweep$'}
+pkg=${BENCH_PKG:-.}
 phase=${BENCH_PHASE:-post}
 json=${BENCH_JSON:-BENCH_$(date +%F).json}
 manyjobs=${BENCH_MANYJOBS:-1}
@@ -31,7 +36,7 @@ mkdir -p "$out_dir"
 
 go test -run '^$' -bench "$match" -benchmem -benchtime "$benchtime" -count "$count" \
   -cpuprofile "$out_dir/cpu.pprof" -memprofile "$out_dir/mem.pprof" \
-  -o "$out_dir/bench.test" . | tee "$out_dir/bench.txt"
+  -o "$out_dir/bench.test" "$pkg" | tee "$out_dir/bench.txt"
 
 # The million-job throughput-mode point rides along as a single iteration
 # (one pass already simulates >1M jobs; repeating a ~30 s benchmark would

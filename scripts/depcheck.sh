@@ -4,7 +4,9 @@
 # SweepProgress (use SweepSpec.Observer). The run queue's lifecycle events
 # later went down to one path, each run's event chain read by
 # Pool.FollowRun, deleting runqueue.Event, Pool.Subscribe, Pool.Done and the
-# Config fields Observer, ObserverBuffer and EventBuffer. This check keeps
+# Config fields Observer, ObserverBuffer and EventBuffer. Store compaction
+# went from fixed journal sizes to the run ledger's dead/live byte counts,
+# deleting the compaction bounds and Stats.Snapshots. This check keeps
 # them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
@@ -41,6 +43,22 @@ hits=$({
 } || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: removed run-queue event paths reintroduced (keep Pool.FollowRun over each run's event chain):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+# Store compaction is decided by the run ledger from the dead and live
+# record bytes it counts (runqueue/ledger.go): no byte-count compaction
+# bound (the pool's storeCompactBytes, the coordinator's constant of that
+# name, LedgerConfig.CompactBytes) may come back, nor Stats.Snapshots,
+# which always equalled Stats.Compactions.
+hits=$({
+    grep -rn --include='*.go' -E '\bstoreCompactBytes\b' internal
+    grep -rn --include='*.go' -E '^\s+CompactBytes\s+[^:[:space:]]' internal
+    grep -n -E '^\s+Snapshots\s+[^:[:space:]]' internal/store/*.go
+} || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: removed compaction bounds reintroduced (compaction follows the ledger's dead/live bytes):" >&2
     echo "$hits" >&2
     fail=1
 fi
