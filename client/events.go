@@ -16,7 +16,9 @@ import (
 // after the terminal event, when fn returns false, or when the server
 // closes the stream; the context cancels it early. Callers wanting the
 // final state should read it from the last event fn saw (or fall back to
-// WaitRun when the stream ends early, e.g. because the serving node died).
+// WaitRun when the stream ends early, e.g. because the daemon shut down).
+// A coordinator's stream outlives the serving node's death: it shows the
+// run queued again and goes on to the requeued run's terminal event.
 func (c *Client) FollowRun(ctx context.Context, id string, fn func(Event) bool) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/runs/"+url.PathEscape(id)+"/events", nil)

@@ -253,7 +253,7 @@ type NodeView struct {
 	Inflight        int       `json:"inflight"`
 	Draining        bool      `json:"draining,omitempty"`
 	// Assigned counts the coordinator-tracked runs currently placed on
-	// this node and not yet terminal.
+	// this node and not yet terminal there, whether read or not.
 	Assigned int `json:"assigned"`
 }
 

@@ -77,7 +77,7 @@ type node struct {
 	// rehydrated from the store that has not re-registered since the
 	// coordinator restarted (heartbeats answer 404 so its agent re-registers),
 	// or the new incarnation that inherited its runs, until reconcile
-	// commits. Such a node is unhealthy: no placements, no refreshes.
+	// commits. Such a node is unhealthy: no placements, no watchers.
 	// Liveness still applies — a recovered node that never returns is
 	// declared dead and its runs requeue.
 	pendingReconcile bool
@@ -90,12 +90,10 @@ type crun struct {
 	// exactly once when the run reaches a terminal state, which survives
 	// the serving node's death.
 	crunRecord
-	// gen increments on every placement change so stale refreshes and
-	// dispatches cannot commit.
-	gen int
-	// lastView is the latest full view fetched from the serving node (ID
-	// rewritten).
-	lastView *client.RunView
+	// gen increments on every placement change so stale watchers and
+	// dispatches cannot commit; unwatch stops the placement's watcher.
+	gen     int
+	unwatch context.CancelFunc
 }
 
 // Coordinator owns fleet admission and routing. It is a server.Backend —
@@ -131,8 +129,12 @@ type Coordinator struct {
 	reg *obs.Registry
 	met coordMetrics
 
-	stopMonitor chan struct{}
-	monitorDone chan struct{}
+	// ctx bounds the coordinator's own work, which outlives the request
+	// that started it (monitor, watchers, requeues, reconciles). Close
+	// cancels it under mu, so no watcher starts after, then waits for wg.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 type coordMetrics struct {
@@ -172,20 +174,19 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	c := &Coordinator{
-		placement:   pl,
-		health:      cfg.Health.withDefaults(),
-		maxReq:      cfg.MaxRequeues,
-		flts:        cfg.Faults,
-		hc:          cfg.HTTPClient,
-		logf:        cfg.Logf,
-		nodes:       map[string]*node{},
-		store:       cfg.Store,
-		elastic:     cfg.Elastic,
-		idleSince:   map[string]time.Time{},
-		reg:         obs.NewRegistry(),
-		stopMonitor: make(chan struct{}),
-		monitorDone: make(chan struct{}),
+		placement: pl,
+		health:    cfg.Health.withDefaults(),
+		maxReq:    cfg.MaxRequeues,
+		flts:      cfg.Faults,
+		hc:        cfg.HTTPClient,
+		logf:      cfg.Logf,
+		nodes:     map[string]*node{},
+		store:     cfg.Store,
+		elastic:   cfg.Elastic,
+		idleSince: map[string]time.Time{},
+		reg:       obs.NewRegistry(),
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.met = coordMetrics{
 		heartbeats:       c.reg.Counter("pdpad_fleet_heartbeats_total", "Heartbeats accepted from registered nodes."),
 		dispatches:       c.reg.Counter("pdpad_fleet_dispatches_total", "Runs successfully placed on a node."),
@@ -214,14 +215,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c.srv.HandleFunc("POST /v1/nodes/register", c.handleRegister)
 	c.srv.HandleFunc("POST /v1/nodes/{id}/heartbeat", c.handleHeartbeat)
 	c.srv.HandleFunc("GET /v1/nodes", c.handleListNodes)
-	c.srv.HandleFunc("POST /v1/nodes/{id}/cordon", c.handleCordon)
-	c.srv.HandleFunc("POST /v1/nodes/{id}/uncordon", c.handleUncordon)
+	c.srv.HandleFunc("POST /v1/nodes/{id}/cordon", c.handleCordon("cordon"))
+	c.srv.HandleFunc("POST /v1/nodes/{id}/uncordon", c.handleCordon("uncordon"))
 	c.srv.HandleFunc("POST /v1/nodes/{id}/drain", c.handleDrainNode)
 
 	c.SweepIndex = runqueue.NewSweepIndex(kindCoordSweep, c.store, c.met.storeErrors, runqueue.SweepHooks{
 		Admit:   c.admitSweep,
 		Members: c.sweepMembers,
-		Cancel:  c.cancelSweepMember,
+		Cancel:  func(ctx context.Context, id string) { c.CancelRun(ctx, id) },
 	})
 	c.runs = newRunLedger(c)
 	// Rehydrate the routing table from the store before serving a single
@@ -233,6 +234,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		c.rehydrate(rec)
 	}
 
+	c.wg.Add(1)
 	go c.monitor()
 	return c, nil
 }
@@ -248,49 +250,33 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // /metrics renders, readable in-process by tests and the scenario runner.
 func (c *Coordinator) Metrics() *obs.Registry { return c.reg }
 
-// Close stops the heartbeat monitor and drops pooled node connections.
+// Close stops the monitor and the run watchers and drops node connections.
 func (c *Coordinator) Close() {
-	select {
-	case <-c.stopMonitor:
-	default:
-		close(c.stopMonitor)
-	}
-	<-c.monitorDone
+	c.mu.Lock()
+	c.cancel()
+	c.mu.Unlock()
+	c.wg.Wait()
 	c.hc.CloseIdleConnections()
 }
 
 // Drain stops admissions and waits until every coordinated run is terminal
-// (or ctx expires).
+// (or ctx expires), following each pending run's events to its end.
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	c.draining = true
-	c.mu.Unlock()
-	for {
-		pending := c.pendingRuns()
-		if len(pending) == 0 {
-			return nil
-		}
-		for _, cr := range pending {
-			c.refresh(ctx, cr)
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("fleet: drain interrupted with %d runs pending: %w", len(c.pendingRuns()), ctx.Err())
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-}
-
-func (c *Coordinator) pendingRuns() []*crun {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*crun
+	var pending []string
 	c.runs.Each(false, func(cr *crun) {
 		if cr.Final == nil {
-			out = append(out, cr)
+			pending = append(pending, cr.ID)
 		}
 	})
-	return out
+	c.mu.Unlock()
+	for i, id := range pending {
+		if c.FollowRun(ctx, id, func(client.Event) {}); ctx.Err() != nil {
+			return fmt.Errorf("fleet: drain interrupted with up to %d runs pending: %w", len(pending)-i, ctx.Err())
+		}
+	}
+	return nil
 }
 
 // pendingLocked groups the non-terminal runs by the node their NodeID
@@ -312,7 +298,7 @@ func (c *Coordinator) pendingLocked() map[string][]*crun {
 // monitor periodically re-evaluates node liveness and requeues the runs of
 // nodes that crossed DeadAfter.
 func (c *Coordinator) monitor() {
-	defer close(c.monitorDone)
+	defer c.wg.Done()
 	interval := c.health.HeartbeatInterval / 2
 	if interval < 5*time.Millisecond {
 		interval = 5 * time.Millisecond
@@ -321,7 +307,7 @@ func (c *Coordinator) monitor() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.stopMonitor:
+		case <-c.ctx.Done():
 			return
 		case <-t.C:
 			c.tick()
@@ -353,7 +339,7 @@ func (c *Coordinator) tick() {
 	c.scaleUpLocked()
 	c.mu.Unlock()
 	for _, cr := range orphans {
-		c.requeue(context.Background(), cr, "node died", true)
+		c.requeue(cr, "node died", true)
 	}
 }
 
@@ -454,10 +440,12 @@ func (c *Coordinator) eligibleLocked(exclude map[string]bool) []*node {
 
 // assignLocked places cr on n, or unplaces it when n is nil. The placement
 // is the run's NodeID (with the node's address, for recovery), so the run
-// counts toward n's load from here until it settles or moves. The remote ID
-// is the caller's: a dispatch clears it, a transfer to a returning node
-// keeps it for reconcile to ask about.
+// counts toward n's load from here until it settles or moves; the watcher
+// of its old placement stops. The remote ID is the caller's: a dispatch
+// clears it, a transfer to a returning node keeps it for reconcile to ask
+// about.
 func (c *Coordinator) assignLocked(cr *crun, n *node) {
+	cr.stopWatch()
 	cr.NodeID, cr.NodeAddr = "", ""
 	if n != nil {
 		cr.NodeID, cr.NodeAddr = n.ID, n.Addr
@@ -475,9 +463,10 @@ var (
 )
 
 // place picks a node for cr and dispatches it, failing over across nodes
-// until one accepts or none remain. On success cr is committed (remoteID
-// set); on failure the reservation is released and the last error returned.
-func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bool) error {
+// until one accepts or none remain. On success cr is committed (remote ID
+// set, its watcher started) and the node's answer returned; on failure the
+// reservation is released and the last error returned.
+func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bool) (client.SubmitResult, error) {
 	if exclude == nil {
 		exclude = map[string]bool{}
 	}
@@ -493,9 +482,9 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 		if len(cands) == 0 {
 			c.mu.Unlock()
 			if lastErr != nil {
-				return lastErr
+				return client.SubmitResult{}, lastErr
 			}
-			return errNoHealthy
+			return client.SubmitResult{}, errNoHealthy
 		}
 		n := c.pickLocked(cands)
 		c.assignLocked(cr, n)
@@ -516,13 +505,14 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 			c.mu.Lock()
 			if cr.gen == gen {
 				cr.RemoteID = res.ID
-				cr.State = res.State
+				c.advanceLocked(cr, client.Event{State: res.State, At: time.Now()})
 				cr.CacheHit = res.CacheHit
 				cr.Deduped = res.Deduped
 				c.runs.Persist(cr.ID)
+				c.watchLocked(cr, n)
 			}
 			c.mu.Unlock()
-			return nil
+			return res, nil
 		}
 		lastErr = err
 		c.mu.Lock()
@@ -534,7 +524,7 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 		if errors.As(err, &api) && api.Status >= 400 && api.Status < 500 &&
 			api.Status != http.StatusTooManyRequests {
 			// The node judged the request itself bad; every node would.
-			return err
+			return client.SubmitResult{}, err
 		}
 		c.met.dispatchFailures.Inc()
 		c.logf("fleet: dispatch to node %s failed: %v", n.ID, err)
@@ -542,12 +532,12 @@ func (c *Coordinator) place(ctx context.Context, cr *crun, exclude map[string]bo
 	}
 }
 
-// requeue re-places a run after its node died or was drained, failing it
-// deterministically once the requeue budget is spent or no node remains.
-// exclude keeps the run off the node it lost; reconcile passes false when it
-// re-places runs a returning node has no record of, since that node is a
-// legitimate target again.
-func (c *Coordinator) requeue(ctx context.Context, cr *crun, reason string, exclude bool) {
+// requeue re-places a run after its node died or was drained, under the
+// coordinator's own context, failing it deterministically once the requeue
+// budget is spent or no node remains. exclude keeps the run off the node it
+// lost; reconcile passes false when it re-places runs a returning node has
+// no record of, since that node is a legitimate target again.
+func (c *Coordinator) requeue(cr *crun, reason string, exclude bool) {
 	c.mu.Lock()
 	if cr.Final != nil {
 		c.mu.Unlock()
@@ -563,12 +553,13 @@ func (c *Coordinator) requeue(ctx context.Context, cr *crun, reason string, excl
 		return
 	}
 	c.assignLocked(cr, nil)
+	c.advanceLocked(cr, client.Event{State: "queued", At: time.Now()})
 	c.mu.Unlock()
 	excluded := map[string]bool{}
 	if exclude {
 		excluded[from] = true
 	}
-	if err := c.place(ctx, cr, excluded); err != nil {
+	if _, err := c.place(c.ctx, cr, excluded); err != nil {
 		c.met.requeueFailures.Inc()
 		c.mu.Lock()
 		c.failLocked(cr, fmt.Sprintf("%s (node %s); re-placement failed: %v", reason, from, err))
@@ -598,14 +589,26 @@ func (c *Coordinator) failLocked(cr *crun, msg string) {
 }
 
 // settleLocked commits a run's terminal view, which ends its load on its
-// node, and the ledger journals the run and keeps the registry within its
-// bound, so every scan and compaction over it stays bounded. A sweep whose
-// member is evicted reads failed ("evicted from history"), as on a pool.
+// node and its watcher, publishes its terminal event, and the ledger
+// journals the run and keeps the registry within its bound, so every scan
+// and compaction over it stays bounded. A sweep whose member is evicted
+// reads failed ("evicted from history"), as on a pool.
 func (c *Coordinator) settleLocked(cr *crun, v *client.RunView) {
+	cr.stopWatch()
 	cr.Final = v
-	cr.lastView = v
 	cr.State = v.State
+	c.runs.Advance(cr.ID, cr.event())
 	c.runs.Settle(cr.ID)
+}
+
+// advanceLocked moves a pending run to a new non-terminal state, appending
+// ev to its event chain; a terminal state comes only with settleLocked.
+func (c *Coordinator) advanceLocked(cr *crun, ev client.Event) {
+	if ev.State == cr.State || client.Terminal(ev.State) {
+		return
+	}
+	cr.State = ev.State
+	c.runs.Advance(cr.ID, ev)
 }
 
 // placementLocked resolves where a run lives: its node and the node-side
@@ -622,49 +625,80 @@ func (c *Coordinator) placementLocked(cr *crun) (*node, string) {
 	return n, cr.RemoteID
 }
 
-// cancelOnNode asks a pending run's node to cancel it, best effort unless
-// the caller inspects the error.
-func (c *Coordinator) cancelOnNode(ctx context.Context, cr *crun) error {
+// cancelOnNode asks a pending run's node to cancel it and returns the
+// node's answer with the run ID rewritten; the view is nil when the run has
+// settled, has no node to ask, or the node did not answer with a view.
+func (c *Coordinator) cancelOnNode(ctx context.Context, cr *crun) (*client.RunView, error) {
 	c.mu.Lock()
 	n, remoteID := c.placementLocked(cr)
 	final := cr.Final
 	c.mu.Unlock()
 	if n == nil || final != nil {
-		return nil
+		return nil, nil
 	}
-	_, err := n.cli.CancelRun(ctx, remoteID)
-	return err
-}
-
-// refresh pulls a run's current view from its node, committing it unless
-// the run was re-placed meanwhile. Fetch errors leave the run as-is (the
-// monitor decides the node's fate, not a read path).
-func (c *Coordinator) refresh(ctx context.Context, cr *crun) {
-	c.mu.Lock()
-	if cr.Final != nil {
-		c.mu.Unlock()
-		return
-	}
-	n, remoteID := c.placementLocked(cr)
-	gen := cr.gen
-	c.mu.Unlock()
-	if n == nil {
-		return
-	}
-	v, err := n.cli.Run(ctx, remoteID)
+	v, err := n.cli.CancelRun(ctx, remoteID)
 	if err != nil {
-		return
+		return nil, err
 	}
 	v.ID = cr.ID
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cr.gen != gen || cr.Final != nil {
+	return &v, nil
+}
+
+// watchLocked starts the watcher of cr's new placement on n.
+func (c *Coordinator) watchLocked(cr *crun, n *node) {
+	if c.ctx.Err() != nil {
 		return
 	}
-	cr.lastView = &v
-	cr.State = v.State
-	if v.Terminal() {
-		c.settleLocked(cr, &v)
+	ctx, cancel := context.WithCancel(c.ctx)
+	cr.unwatch = cancel
+	c.wg.Add(1)
+	go c.watch(ctx, cr, n.cli, cr.RemoteID, cr.gen)
+}
+
+// stopWatch stops the run's watcher, if it has one.
+func (cr *crun) stopWatch() {
+	if cr.unwatch != nil {
+		cr.unwatch()
+		cr.unwatch = nil
+	}
+}
+
+// watch follows one placement of a run on its node's event stream: state
+// changes join the run's own event chain, and the terminal event settles
+// the run with one fetch of its final view, unless the run moved. A stream
+// that ends early is followed again each heartbeat interval until the run
+// settles or moves: the monitor decides a silent node's fate.
+func (c *Coordinator) watch(ctx context.Context, cr *crun, cli *client.Client, remoteID string, gen int) {
+	defer c.wg.Done()
+	for {
+		terminal := false
+		cli.FollowRun(ctx, remoteID, func(ev client.Event) bool {
+			if terminal = client.Terminal(ev.State); terminal {
+				return false
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if cr.gen == gen {
+				c.advanceLocked(cr, ev)
+			}
+			return cr.gen == gen
+		})
+		if terminal {
+			if v, err := cli.Run(ctx, remoteID); err == nil {
+				v.ID = cr.ID
+				c.mu.Lock()
+				if cr.gen == gen && cr.Final == nil {
+					c.settleLocked(cr, &v)
+				}
+				c.mu.Unlock()
+				return
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(c.health.HeartbeatInterval):
+		}
 	}
 }
 
@@ -703,21 +737,23 @@ func (c *Coordinator) submitOne(ctx context.Context, spec runqueue.Spec, deadlin
 		return &crun{crunRecord: crunRecord{ID: id, Key: key, Spec: spec, DeadlineS: deadlineS, Submitted: time.Now(), State: "queued"}}
 	})
 	c.mu.Unlock()
-	if err := c.place(ctx, cr, nil); err != nil {
-		c.remove(cr)
+	res, err := c.place(ctx, cr, nil)
+	if err != nil {
+		c.remove(cr, err)
 		return client.SubmitResult{}, nil, err
 	}
-	c.mu.Lock()
-	out := client.SubmitResult{ID: cr.ID, State: cr.State, CacheHit: cr.CacheHit, Deduped: cr.Deduped}
-	c.mu.Unlock()
-	return out, cr, nil
+	res.ID = cr.ID
+	return res, cr, nil
 }
 
 // remove erases a run that never committed (failed dispatch, sweep unwind)
-// from the registry and, with a cdel record, from the journal.
-func (c *Coordinator) remove(cr *crun) {
+// from the registry and, with a cdel record, from the journal; its event
+// chain ends with the failure, so no follower waits on a run that is gone.
+func (c *Coordinator) remove(cr *crun, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.assignLocked(cr, nil)
+	c.runs.Advance(cr.ID, client.Event{State: "failed", At: time.Now(), Message: err.Error()})
 	c.runs.Forget(cr.ID)
 }
 
@@ -745,21 +781,16 @@ func notFound(format string, args ...any) error {
 	return &client.APIError{Status: http.StatusNotFound, Code: server.CodeNotFound, Message: fmt.Sprintf(format, args...)}
 }
 
-// viewLocked renders a run for the wire: the serving node's latest view
-// with the run ID rewritten, so coordinator responses are shaped exactly
-// like standalone ones.
+// viewLocked renders a run for the wire: its final view, as the serving
+// node reported it with the run ID rewritten, or its pending state, so
+// coordinator responses are shaped exactly like standalone ones.
 func (c *Coordinator) viewLocked(cr *crun, includeResult bool) client.RunView {
-	var v client.RunView
-	switch {
-	case cr.Final != nil:
+	v := client.RunView{
+		ID: cr.ID, State: cr.State, SubmittedAt: cr.Submitted,
+		CacheKey: cr.Key, Spec: client.Spec(cr.Spec),
+	}
+	if cr.Final != nil {
 		v = *cr.Final
-	case cr.lastView != nil:
-		v = *cr.lastView
-	default:
-		v = client.RunView{
-			ID: cr.ID, State: cr.State, SubmittedAt: cr.Submitted,
-			CacheKey: cr.Key, Spec: client.Spec(cr.Spec),
-		}
 	}
 	if !includeResult {
 		v.Result = nil
@@ -791,43 +822,43 @@ func (c *Coordinator) SubmitRun(ctx context.Context, req client.SubmitRunRequest
 	return out, nil
 }
 
-// Run refreshes a run from its node and returns its view.
+// Run returns a run's view, its result included once done.
 func (c *Coordinator) Run(ctx context.Context, id string) (client.RunView, error) {
-	cr, err := c.lookupRun(id)
-	if err != nil {
-		return client.RunView{}, err
-	}
-	c.refresh(ctx, cr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.viewLocked(cr, true), nil
+	if cr := c.runs.Get(id); cr != nil {
+		return c.viewLocked(cr, true), nil
+	}
+	return client.RunView{}, notFound("fleet: no run %q", id)
 }
 
-// CancelRun cancels a run on its node and returns the refreshed view. A
-// node that does not answer fails the call; a node envelope (the run is
-// already gone there) does not.
+// CancelRun cancels a run on its node and returns the node's answer, as a
+// pool answers; a terminal answer waits for the run's watcher to settle it,
+// so the next read sees it. A node that does not answer fails the call; for
+// a run settled, unplaced, or gone on its node, its own view answers.
 func (c *Coordinator) CancelRun(ctx context.Context, id string) (client.RunView, error) {
 	cr, err := c.lookupRun(id)
 	if err != nil {
 		return client.RunView{}, err
 	}
-	if err := c.cancelOnNode(ctx, cr); err != nil {
-		var api *client.APIError
-		if !errors.As(err, &api) {
-			return client.RunView{}, wireError(err)
-		}
+	v, err := c.cancelOnNode(ctx, cr)
+	var api *client.APIError
+	switch {
+	case v != nil && v.Terminal():
+		c.FollowRun(ctx, id, func(client.Event) {})
+		return *v, nil
+	case v != nil:
+		return *v, nil
+	case err != nil && !errors.As(err, &api):
+		return client.RunView{}, wireError(err)
 	}
-	c.refresh(ctx, cr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.viewLocked(cr, false), nil
 }
 
-// ListRuns refreshes every pending run and returns all views, newest first.
+// ListRuns returns every run's view, newest first, without results.
 func (c *Coordinator) ListRuns(ctx context.Context) []client.RunView {
-	for _, cr := range c.pendingRuns() {
-		c.refresh(ctx, cr)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	views := make([]client.RunView, 0, c.runs.Len())
@@ -835,53 +866,17 @@ func (c *Coordinator) ListRuns(ctx context.Context) []client.RunView {
 	return views
 }
 
-// FollowRun proxies the serving node's event stream with the run ID
-// rewritten. If the serving node dies mid-stream, it follows the run to its
-// requeued placement (or its deterministic failure) instead of going
-// silent.
+// FollowRun walks the run's own event chain, as a pool's FollowRun does: a
+// follower outlives the serving node's death (queued again on requeue), and
+// the terminal event goes out once the final view is committed here.
 func (c *Coordinator) FollowRun(ctx context.Context, id string, emit func(client.Event)) error {
-	cr, err := c.lookupRun(id)
-	if err != nil {
-		return err
+	c.mu.Lock()
+	ev := c.runs.Events(id)
+	c.mu.Unlock()
+	if ev == nil {
+		return notFound("fleet: no run %q", id)
 	}
-	for {
-		c.mu.Lock()
-		final := cr.Final
-		n, remoteID := c.placementLocked(cr)
-		c.mu.Unlock()
-		if final != nil {
-			at := time.Now()
-			if final.FinishedAt != nil {
-				at = *final.FinishedAt
-			}
-			emit(client.Event{RunID: cr.ID, State: final.State, At: at, Message: final.Error})
-			return nil
-		}
-		sawTerminal := false
-		if n != nil {
-			err := n.cli.FollowRun(ctx, remoteID, func(ev client.Event) bool {
-				ev.RunID = cr.ID
-				emit(ev)
-				sawTerminal = client.Terminal(ev.State)
-				return true
-			})
-			if err != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if sawTerminal {
-				c.refresh(ctx, cr)
-				return nil
-			}
-		}
-		// Stream ended without a terminal state: the node is gone or the
-		// run moved. Wait for the monitor to settle the run's fate, then
-		// loop to follow its new placement (or emit its final state).
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
+	return ev.Follow(ctx, emit)
 }
 
 // Trace fetches a run's decision trace from its node.
@@ -904,8 +899,8 @@ func (c *Coordinator) Trace(ctx context.Context, id string) ([]byte, error) {
 }
 
 // The sweep calls are promoted from the embedded runqueue.SweepIndex, the
-// one a pool serves its sweeps from; the three hooks below are all that is
-// fleet-specific.
+// one a pool serves its sweeps from; its hooks (the two below, and
+// CancelRun) are all that is fleet-specific.
 
 // admitSweep shards a grid's members across the fleet one by one. Members
 // dispatch in placement order (LPT sorts by cost) but run IDs keep grid
@@ -919,7 +914,7 @@ func (c *Coordinator) admitSweep(ctx context.Context, members []runqueue.Spec, d
 		if err != nil {
 			for _, u := range created {
 				c.cancelOnNode(ctx, u)
-				c.remove(u)
+				c.remove(u, err)
 			}
 			return client.SweepSubmitResult{}, wireError(err)
 		}
@@ -937,49 +932,26 @@ func (c *Coordinator) admitSweep(ctx context.Context, members []runqueue.Spec, d
 	return res, nil
 }
 
-// sweepMembers refreshes each member from its node and reports it as a
-// sweep sees it. Aggregating those through runqueue.SweepSpec.View, as a
-// single pool does, is the byte-identity contract: fleet cells equal
-// standalone cells.
+// sweepMembers reports each member as a sweep sees it. Aggregating those
+// through runqueue.SweepSpec.View, as a single pool does, is the
+// byte-identity contract: fleet cells equal standalone cells.
 func (c *Coordinator) sweepMembers(ctx context.Context, runIDs []string) []runqueue.SweepMember {
 	c.mu.Lock()
-	runs := make([]*crun, len(runIDs))
-	for i, id := range runIDs {
-		runs[i] = c.runs.Get(id)
-	}
-	c.mu.Unlock()
-	for _, cr := range runs {
-		if cr != nil {
-			c.refresh(ctx, cr)
-		}
-	}
-
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	members := make([]runqueue.SweepMember, len(runs))
-	for i, cr := range runs {
+	members := make([]runqueue.SweepMember, len(runIDs))
+	for i, id := range runIDs {
+		cr := c.runs.Get(id)
 		switch {
 		case cr == nil:
-			members[i] = runqueue.SweepMember{ID: runIDs[i], Missing: true}
+			members[i] = runqueue.SweepMember{ID: id, Missing: true}
 		case cr.Final != nil:
 			members[i] = runqueue.SweepMember{ID: cr.ID, State: runqueue.State(cr.Final.State),
 				Err: cr.Final.Error, Result: cr.Final.Result}
-		case client.Terminal(cr.State):
-			// Terminal on the node but not yet fetched: still in flight here.
-			members[i] = runqueue.SweepMember{ID: cr.ID, State: runqueue.Running}
 		default:
 			members[i] = runqueue.SweepMember{ID: cr.ID, State: runqueue.State(cr.State)}
 		}
 	}
 	return members
-}
-
-// cancelSweepMember cancels a member on its node, best effort.
-func (c *Coordinator) cancelSweepMember(ctx context.Context, id string) {
-	if cr, err := c.lookupRun(id); err == nil {
-		c.cancelOnNode(ctx, cr)
-		c.refresh(ctx, cr)
-	}
 }
 
 // Health reports admission state and the fleet-wide queue from the nodes'
@@ -1088,9 +1060,9 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	c.logf("fleet: node %s registered from %s (%d cpus)", n.ID, n.Addr, n.CPUs)
 	for _, cr := range orphans {
-		c.requeue(r.Context(), cr, "node restarted", true)
+		c.requeue(cr, "node restarted", true)
 	}
-	c.reconcile(r.Context(), n, adoptees)
+	c.reconcile(n, adoptees)
 	server.WriteJSON(w, http.StatusOK, client.NodeRegisterResponse{
 		ID:                 n.ID,
 		HeartbeatIntervalS: c.health.HeartbeatInterval.Seconds(),
@@ -1187,37 +1159,27 @@ func (c *Coordinator) lookupNode(w http.ResponseWriter, id string) *node {
 	return n
 }
 
-func (c *Coordinator) handleCordon(w http.ResponseWriter, r *http.Request) {
-	n := c.lookupNode(w, r.PathValue("id"))
-	if n == nil {
-		return
+// handleCordon sets a node's manual placement stop (cordon) or clears it
+// (uncordon), as verb says.
+func (c *Coordinator) handleCordon(verb string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n := c.lookupNode(w, r.PathValue("id"))
+		if n == nil {
+			return
+		}
+		c.mu.Lock()
+		n.Cordoned = verb == "cordon"
+		c.persistNodeLocked(n)
+		v := c.nodeViewLocked(n, c.pendingLocked()[n.ID])
+		c.mu.Unlock()
+		c.logf("fleet: node %s %sed", n.ID, verb)
+		server.WriteJSON(w, http.StatusOK, v)
 	}
-	c.mu.Lock()
-	n.Cordoned = true
-	c.persistNodeLocked(n)
-	v := c.nodeViewLocked(n, c.pendingLocked()[n.ID])
-	c.mu.Unlock()
-	c.logf("fleet: node %s cordoned", n.ID)
-	server.WriteJSON(w, http.StatusOK, v)
 }
 
-func (c *Coordinator) handleUncordon(w http.ResponseWriter, r *http.Request) {
-	n := c.lookupNode(w, r.PathValue("id"))
-	if n == nil {
-		return
-	}
-	c.mu.Lock()
-	n.Cordoned = false
-	c.persistNodeLocked(n)
-	v := c.nodeViewLocked(n, c.pendingLocked()[n.ID])
-	c.mu.Unlock()
-	c.logf("fleet: node %s uncordoned", n.ID)
-	server.WriteJSON(w, http.StatusOK, v)
-}
-
-// handleDrainNode cordons the node, then evicts its placed runs: each one
-// is refreshed (finished work keeps its result), cancelled on the node
-// best-effort, and requeued elsewhere.
+// handleDrainNode cordons the node, then evicts its pending runs: each one
+// is requeued elsewhere, then cancelled on the node, best effort. Runs it
+// finished are settled already and keep their results.
 func (c *Coordinator) handleDrainNode(w http.ResponseWriter, r *http.Request) {
 	n := c.lookupNode(w, r.PathValue("id"))
 	if n == nil {
@@ -1231,15 +1193,13 @@ func (c *Coordinator) handleDrainNode(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	c.logf("fleet: node %s draining, evicting %d runs", n.ID, len(evicted))
 	for _, cr := range evicted {
-		c.refresh(r.Context(), cr)
 		c.mu.Lock()
-		final := cr.Final
+		old, remoteID := c.placementLocked(cr)
 		c.mu.Unlock()
-		if final != nil {
-			continue // finished before eviction: keep the result
+		c.requeue(cr, "node drained", true)
+		if old != nil {
+			old.cli.CancelRun(c.ctx, remoteID)
 		}
-		c.cancelOnNode(r.Context(), cr) // best effort: free the node
-		c.requeue(r.Context(), cr, "node drained", true)
 	}
 	c.mu.Lock()
 	v := c.nodeViewLocked(n, c.pendingLocked()[n.ID])

@@ -10,20 +10,22 @@
 // serves its v1 run and sweep surface — the same code path, envelope, and
 // pagination a standalone daemon's pool is served with, so existing clients
 // work unchanged — while the coordinator answers those calls from its
-// routing table: affinity dedup, placement with failover, refresh-on-read,
-// requeue, and sweep reassembly. Beside it, behind the same front door,
-// sits the node plane: nodes register over HTTP (POST /v1/nodes/register),
-// then send periodic heartbeats carrying capacity and queue-depth/MPL
-// snapshots; a node whose heartbeats stop is marked unhealthy (no new
-// placements) and then drained (its placed runs requeue onto surviving
-// nodes, or fail deterministically when no healthy node remains); operators
-// list and steer nodes with GET /v1/nodes and POST
-// /v1/nodes/{id}/cordon|uncordon|drain. Every body is a client wire type.
+// routing table: affinity dedup, placement with failover, requeue, and
+// sweep reassembly. A watcher on each placement's node event stream settles
+// the run the moment its node reports it terminal, so every read is local.
+// Beside it, behind the same front door, sits the node plane: nodes
+// register over HTTP (POST /v1/nodes/register), then send periodic
+// heartbeats carrying capacity and queue-depth/MPL snapshots; a node whose
+// heartbeats stop is marked unhealthy (no new placements) and then drained
+// (its placed runs requeue onto surviving nodes, or fail deterministically
+// when no healthy node remains); operators list and steer nodes with GET
+// /v1/nodes and POST /v1/nodes/{id}/cordon|uncordon|drain. Every body is a
+// client wire type.
 //
 // Run bookkeeping — run IDs, the affinity (spec-key) index, the bounded
 // registry of finished runs, the crun/cdel journal and its recovery — lives
 // in a runqueue.Ledger, the same one a pool keeps its runs in; the
-// coordinator adds placement, requeue, refresh and reconcile. A run's
+// coordinator adds placement, watchers, requeue and reconcile. A run's
 // placement is its NodeID, and a node's load is derived from the ledger,
 // never booked beside it: the runs not yet terminal whose NodeID names the
 // node. That one count drives least_loaded and lpt placement, the node
@@ -35,7 +37,7 @@
 // Sweeps live in runqueue.SweepIndex, the same index a pool serves its
 // sweeps from: the coordinator supplies only the fleet-specific steps —
 // sharding a grid's members across healthy nodes as one atomic batch,
-// refreshing member states, and cancelling a member on its node. Cells
+// reporting member states, and cancelling a member on its node. Cells
 // aggregate in grid order by index exactly as on a single node, so a fleet
 // sweep's cells are byte-identical to the same sweep on one daemon —
 // including after a node dies mid-sweep and survivors absorb its members.

@@ -451,8 +451,8 @@ func assignedByName(ctx context.Context, t *testing.T, cli *client.Client) map[s
 }
 
 // TestPlacementCountsPendingRuns pins load-based placement: a node's load
-// is its runs that are not terminal yet. Node 0 stalls every run, so the
-// runs it holds stay pending while node 1's are not refreshed.
+// is its runs that are not terminal yet. Every node stalls its runs, so the
+// runs each holds stay pending while the test places more.
 func TestPlacementCountsPendingRuns(t *testing.T) {
 	submit := func(ctx context.Context, t *testing.T, cli *client.Client, seed int64, windowS float64) string {
 		t.Helper()
@@ -473,7 +473,7 @@ func TestPlacementCountsPendingRuns(t *testing.T) {
 	}
 
 	t.Run("least_loaded", func(t *testing.T) {
-		f := startFleet(t, 2, PlaceLeastLoaded, stalledFirstNodeConfig())
+		f := startFleet(t, 2, PlaceLeastLoaded, stalledNodeConfig)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		// Tied at zero, the first run goes to node 0; the second goes to
@@ -489,7 +489,7 @@ func TestPlacementCountsPendingRuns(t *testing.T) {
 	})
 
 	t.Run("lpt", func(t *testing.T) {
-		f := startFleet(t, 2, PlaceLPT, stalledFirstNodeConfig())
+		f := startFleet(t, 2, PlaceLPT, stalledNodeConfig)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		// Estimated costs 600 on node 0, then 60 on node 1. The heavier

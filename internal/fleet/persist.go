@@ -87,26 +87,38 @@ func newRunLedger(c *Coordinator) *runqueue.Ledger[*crun] {
 		StoreErrors: c.met.storeErrors,
 		Record:      func(cr *crun) any { return cr.crunRecord },
 		Decode:      decodeRun,
-		Settled: func(cr *crun) (time.Time, bool) {
-			if cr.Final == nil || cr.Final.FinishedAt == nil {
-				return cr.Submitted, cr.Final != nil // a record written without a finish time
-			}
-			return *cr.Final.FinishedAt, true
-		},
-		Extra: c.nodeRecordsLocked,
+		Event:       (*crun).event,
+		Extra:       c.nodeRecordsLocked,
 	})
+}
+
+// event is the event of the run's current state, stamped at its finish
+// once final (at submission before, or for a final view without a finish).
+func (cr *crun) event() client.Event {
+	ev := client.Event{State: cr.State, At: cr.Submitted}
+	if f := cr.Final; f != nil {
+		ev.Message = f.Error
+		if f.FinishedAt != nil {
+			ev.At = *f.FinishedAt
+		}
+	}
+	return ev
 }
 
 // decodeRun rebuilds a coordinated run from its journal record; its
 // placement is its NodeID, which rehydrate resolves once the nodes are back.
+// A run is terminal only with its final view: a terminal state without one
+// (an older coordinator's journal) reads running until the run settles.
 func decodeRun(payload []byte) (id, key string, cr *crun, err error) {
 	cr = &crun{}
 	if err := json.Unmarshal(payload, &cr.crunRecord); err != nil {
 		return "", "", nil, err
 	}
-	if cr.Final != nil {
-		cr.lastView = cr.Final
+	switch {
+	case cr.Final != nil:
 		cr.State = cr.Final.State
+	case client.Terminal(cr.State):
+		cr.State = "running"
 	}
 	return cr.ID, cr.Key, cr, nil
 }
@@ -172,7 +184,7 @@ func (c *Coordinator) nodeRecordsLocked() []store.Record {
 // ledger has its runs back. It runs inside NewCoordinator before the
 // monitor starts and before any request is served, so no locking is
 // needed. Recovered non-drained nodes come back pending-reconcile:
-// unplaceable and unrefreshable until their daemon re-registers (or
+// unplaceable and unwatched until their daemon re-registers (or
 // liveness declares them dead — their heartbeat clock restarts at recovery
 // time, so a node that never returns is requeued after DeadAfter,
 // respecting the requeue budget).

@@ -250,12 +250,15 @@ type durableFleet struct {
 	// reconcileDelay holds back every node's POST /v1/runs/reconcile
 	// answer (nodeHandler).
 	reconcileDelay time.Duration
-	st             *store.Store
-	coord          *Coordinator
-	cts            *httptest.Server
-	cli            *client.Client
-	nodes          []*testNode
-	killed         bool
+	// holdSubmit, when set, runs before any node answers POST /v1/runs
+	// (nodeHandler): a test holds dispatches with it.
+	holdSubmit atomic.Pointer[func()]
+	st         *store.Store
+	coord      *Coordinator
+	cts        *httptest.Server
+	cli        *client.Client
+	nodes      []*testNode
+	killed     bool
 }
 
 func startDurableFleet(t *testing.T, n int, cfgFor func(i int) runqueue.Config) *durableFleet {
@@ -305,15 +308,20 @@ func startDurableFleetH(t *testing.T, n int, health HealthConfig, reconcileDelay
 }
 
 // nodeHandler serves a node daemon's v1 surface over pool, answering POST
-// /v1/runs/reconcile only after the fleet's reconcileDelay.
+// /v1/runs/reconcile only after the fleet's reconcileDelay, and POST
+// /v1/runs only after its holdSubmit hook returns.
 func (f *durableFleet) nodeHandler(pool *runqueue.Pool) http.Handler {
 	h := server.New(pool)
-	if f.reconcileDelay <= 0 {
-		return h
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/runs/reconcile" {
-			time.Sleep(f.reconcileDelay)
+		if r.Method == http.MethodPost {
+			switch r.URL.Path {
+			case "/v1/runs/reconcile":
+				time.Sleep(f.reconcileDelay)
+			case "/v1/runs":
+				if hold := f.holdSubmit.Load(); hold != nil {
+					(*hold)()
+				}
+			}
 		}
 		h.ServeHTTP(w, r)
 	})

@@ -10,7 +10,6 @@ package fleet
 // included, and still respecting the requeue budget).
 
 import (
-	"context"
 	"time"
 
 	"pdpasim/client"
@@ -59,11 +58,11 @@ func reconcileVerdictFor(view *client.RunView) reconcileVerdict {
 // and n stays pending-reconcile (unhealthy, unplaceable) until the verdicts
 // commit here. The HTTP probe happens outside the lock and each commit
 // re-checks the run's generation, so placements that moved meanwhile are
-// left alone. The node's heartbeat clock restarts when it answers, since
-// its agent cannot beat while it waits on registration. A probe failure
-// leaves the runs attached: the monitor's liveness machinery and the
-// ordinary refresh path settle them later.
-func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
+// left alone. Resumed runs get a watcher, as a dispatch does. The node's
+// heartbeat clock restarts when it answers, since its agent cannot beat
+// while it waits on registration. A probe failure leaves the runs attached
+// to their watchers, or for the monitor's liveness machinery to requeue.
+func (c *Coordinator) reconcile(n *node, runs []*crun) {
 	if len(runs) == 0 {
 		return
 	}
@@ -89,10 +88,15 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 	var res client.ReconcileResult
 	if len(ids) > 0 {
 		var err error
-		res, err = n.cli.ReconcileRuns(ctx, ids)
+		res, err = n.cli.ReconcileRuns(c.ctx, ids)
 		if err != nil {
 			c.mu.Lock()
 			n.pendingReconcile = false
+			for _, remoteID := range ids {
+				if cr := byRemote[remoteID]; cr.gen == gens[remoteID] && cr.Final == nil {
+					c.watchLocked(cr, n)
+				}
+			}
 			c.mu.Unlock()
 			c.logf("fleet: reconcile with node %s failed: %v", n.ID, err)
 			return
@@ -132,10 +136,8 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 			c.settleLocked(cr, &v)
 		case verdictResume:
 			resumed++
-			v := *view
-			v.ID = cr.ID
-			cr.lastView = &v
-			cr.State = v.State
+			c.advanceLocked(cr, client.Event{State: view.State, At: time.Now()})
+			c.watchLocked(cr, n)
 		case verdictRequeue:
 			requeues = append(requeues, cr)
 		}
@@ -144,7 +146,7 @@ func (c *Coordinator) reconcile(ctx context.Context, n *node, runs []*crun) {
 	c.mu.Unlock()
 	for _, cr := range requeues {
 		// The returning node is a legitimate target again — no exclusion.
-		c.requeue(ctx, cr, "lost across coordinator restart", false)
+		c.requeue(cr, "lost across coordinator restart", false)
 	}
 	c.logf("fleet: reconciled %d runs with node %s (%d adopted, %d resumed, %d requeued)",
 		len(runs), n.ID, adopted, resumed, len(requeues))

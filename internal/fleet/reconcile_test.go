@@ -62,21 +62,27 @@ var patientHealth = HealthConfig{
 // delegating to the instant test simulator; other nodes are instant.
 func stalledFirstNodeConfig() func(i int) runqueue.Config {
 	return func(i int) runqueue.Config {
-		cfg := fastNodeConfig(i)
 		if i != 0 {
-			return cfg
+			return fastNodeConfig(i)
 		}
-		inner := cfg.Simulate
-		cfg.Simulate = func(ctx context.Context, spec runqueue.Spec) (*pdpasim.Outcome, error) {
-			select {
-			case <-time.After(1500 * time.Millisecond):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			return inner(ctx, spec)
-		}
-		return cfg
+		return stalledNodeConfig(i)
 	}
+}
+
+// stalledNodeConfig gives a node a simulation that stalls 1.5 s before
+// delegating to the instant test simulator.
+func stalledNodeConfig(i int) runqueue.Config {
+	cfg := fastNodeConfig(i)
+	inner := cfg.Simulate
+	cfg.Simulate = func(ctx context.Context, spec runqueue.Spec) (*pdpasim.Outcome, error) {
+		select {
+		case <-time.After(1500 * time.Millisecond):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return inner(ctx, spec)
+	}
+	return cfg
 }
 
 // --- reconcile state machine, end to end --------------------------------

@@ -93,34 +93,17 @@ func (p *Pool) ListRuns(ctx context.Context) []client.RunView {
 }
 
 // FollowRun calls emit with each lifecycle event of a run, from the one
-// that put it in its current state through the terminal one; it returns
-// before emitting anything when the run is unknown, and early with ctx's
-// error when ctx ends. The pool lock is taken once, to find the run's
-// newest event; the rest of the chain is walked without it, so a slow emit
-// delays only its own follower.
+// that put it in its current state through the terminal one, or until ctx
+// ends; it fails before emitting anything when the run is unknown. The
+// chain is walked without the pool lock (RunEvent.Follow).
 func (p *Pool) FollowRun(ctx context.Context, id string, emit func(client.Event)) error {
 	p.mu.Lock()
-	r := p.runs.Get(id)
-	var ev *event
-	if r != nil {
-		ev = r.events
-	}
+	ev := p.runs.Events(id)
 	p.mu.Unlock()
 	if ev == nil {
 		return ErrNotFound
 	}
-	for {
-		emit(ev.Event)
-		if client.Terminal(ev.State) {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ev.ready:
-			ev = ev.next
-		}
-	}
+	return ev.Follow(ctx, emit)
 }
 
 // Trace returns a run's recorded decision trace ({"events": [...],

@@ -3,12 +3,13 @@ package runqueue
 import (
 	"cmp"
 	"container/list"
+	"context"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
+	"pdpasim/client"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/store"
 )
@@ -29,21 +30,23 @@ type LedgerConfig[R any] struct {
 
 	// The hooks: Record returns a run's journal record (nil while it is not
 	// durable); Decode rebuilds one from a recovered record (an error drops
-	// it); Settled reports when it reached its terminal state, if it has;
-	// Forget (optional) runs after a run is forgotten; Extra (optional)
-	// returns the backend's own live records, compacted before the runs.
-	Record  func(r R) any
-	Decode  func(payload []byte) (id, key string, r R, err error)
-	Settled func(r R) (time.Time, bool)
-	Forget  func(r R)
-	Extra   func() []store.Record
+	// it); Event is the event of its current state, which starts its event
+	// chain and whose time orders the recovered history; Forget (optional)
+	// runs after a run is forgotten; Extra (optional) returns the backend's
+	// own live records, compacted before the runs.
+	Record func(r R) any
+	Decode func(payload []byte) (id, key string, r R, err error)
+	Event  func(r R) client.Event
+	Forget func(r R)
+	Extra  func() []store.Record
 }
 
 // Ledger is the run half of a backend, written once for the pool and the
 // fleet coordinator: run IDs, lookup, listing in submission order, the
-// spec-key index, the bounded history of terminal runs, the run journal
-// with its compaction, and recovery. It has no lock of its own: the
-// backend's mutex guards it, so the lock order stays backend → sweep index.
+// spec-key index, the bounded history of terminal runs, each run's event
+// chain (RunEvent), the run journal with its compaction, and recovery. It
+// has no lock of its own: the backend's mutex guards it, so the lock order
+// stays backend → sweep index.
 //
 // Compaction is decided from what the ledger measures, not from a fixed
 // size. It counts the payload bytes of the run records it journals: live
@@ -79,7 +82,18 @@ type entry[R any] struct {
 	run       R
 	id, key   string
 	sub, hist *list.Element
-	bytes     int64 // payload length of the run's last journaled record
+	bytes     int64     // payload length of the run's last journaled record
+	events    *RunEvent // the newest event of the run's chain
+}
+
+// RunEvent is one event of a run's append-only chain (queued → running →
+// terminal; queued again on a coordinator's requeue). next is set under the
+// backend mutex just before ready is closed, and read only after, so
+// followers walk the chain without the lock. A terminal event's ready is nil.
+type RunEvent struct {
+	client.Event
+	next  *RunEvent
+	ready chan struct{}
 }
 
 // NewLedger returns an empty ledger bounded at DefaultHistoryLimit.
@@ -97,6 +111,7 @@ func (l *Ledger[R]) Add(key string, build func(id string) R) R {
 	id := fmt.Sprintf("run-%06d", l.seq)
 	e := &entry[R]{run: build(id), id: id, key: key}
 	l.insert(e)
+	l.Advance(id, l.cfg.Event(e.run))
 	return e.run
 }
 
@@ -123,6 +138,50 @@ func (e *entry[R]) value() (r R) {
 func (l *Ledger[R]) Release(id string) {
 	if e := l.byID[id]; e != nil && l.byKey[e.key] == e {
 		delete(l.byKey, e.key)
+	}
+}
+
+// Advance appends ev, stamped with the run's ID, to the run's event chain,
+// waking its followers; a chain that reached a terminal event takes no more.
+func (l *Ledger[R]) Advance(id string, ev client.Event) {
+	e := l.byID[id]
+	if e == nil || e.events != nil && e.events.ready == nil {
+		return
+	}
+	ev.RunID = id
+	next := &RunEvent{Event: ev}
+	if !client.Terminal(ev.State) {
+		next.ready = make(chan struct{})
+	}
+	if prev := e.events; prev != nil {
+		prev.next = next
+		close(prev.ready)
+	}
+	e.events = next
+}
+
+// Events returns the run's newest event, where a follower starts, or nil
+// when the run is unknown.
+func (l *Ledger[R]) Events(id string) *RunEvent {
+	if e := l.byID[id]; e != nil {
+		return e.events
+	}
+	return nil
+}
+
+// Follow calls emit with each event from this one through the terminal
+// one, or until ctx ends; a slow emit delays only its own follower.
+func (ev *RunEvent) Follow(ctx context.Context, emit func(client.Event)) error {
+	for ; ; ev = ev.next {
+		emit(ev.Event)
+		if ev.ready == nil {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-ev.ready:
+		}
 	}
 }
 
@@ -327,15 +386,12 @@ func (l *Ledger[R]) Recover(recs []store.Record) (rest []store.Record, recovered
 		if n, ok := SeqOf(e.id, "run-"); ok {
 			l.seq = max(l.seq, n)
 		}
-		if _, ok := l.cfg.Settled(e.run); ok {
+		l.Advance(e.id, l.cfg.Event(e.run))
+		if e.events.ready == nil {
 			settled = append(settled, e)
 		}
 	}
-	slices.SortStableFunc(settled, func(a, b *entry[R]) int {
-		at, _ := l.cfg.Settled(a.run)
-		bt, _ := l.cfg.Settled(b.run)
-		return at.Compare(bt)
-	})
+	slices.SortStableFunc(settled, func(a, b *entry[R]) int { return a.events.At.Compare(b.events.At) })
 	for _, e := range settled {
 		e.hist = l.history.PushBack(e)
 	}

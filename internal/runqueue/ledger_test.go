@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
+	"pdpasim/client"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/store"
 )
@@ -30,7 +30,7 @@ func padLedger(st *store.Store) *Ledger[*padRun] {
 			err := json.Unmarshal(payload, r)
 			return r.ID, r.ID, r, err
 		},
-		Settled: func(*padRun) (time.Time, bool) { return time.Time{}, true },
+		Event: func(*padRun) client.Event { return client.Event{State: "done"} },
 	})
 }
 

@@ -67,7 +67,6 @@ func decodeRun(payload []byte) (id, key string, r *run, err error) {
 	if r.Error != "" {
 		r.err = errors.New(r.Error)
 	}
-	r.advanceLocked(r.Finished)
 	return r.ID, r.Key, r, nil
 }
 

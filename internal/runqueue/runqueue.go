@@ -197,37 +197,22 @@ type run struct {
 
 	cancel          context.CancelFunc
 	cancelRequested bool
-	// events is the newest node of the run's lifecycle chain.
-	events *event
 }
 
-// event is one node of a run's lifecycle chain: queued → running →
-// terminal, at most three nodes. A node never changes once appended except
-// that next is set, under the pool mutex, just before ready is closed;
-// followers read next only after ready is closed, so they walk the chain
-// without the lock. A terminal node has no successor and a nil ready.
-type event struct {
-	client.Event
-	next  *event
-	ready chan struct{}
-}
-
-// advanceLocked appends the run's current state to its event chain,
-// stamped at, and wakes the followers waiting on the previous node. A
-// terminal event carries the run's error text.
-func (r *run) advanceLocked(at time.Time) {
-	ev := &event{Event: client.Event{RunID: r.ID, State: string(r.State), At: at}}
+// event is the lifecycle event of the run's current state, stamped when
+// the run entered it; a terminal event carries the run's error text.
+func (r *run) event() client.Event {
+	ev := client.Event{State: string(r.State), At: r.Submitted}
+	switch {
+	case r.State.Terminal():
+		ev.At = r.Finished
+	case r.State == Running:
+		ev.At = r.Started
+	}
 	if r.err != nil {
 		ev.Message = r.err.Error()
 	}
-	if !r.State.Terminal() {
-		ev.ready = make(chan struct{})
-	}
-	if prev := r.events; prev != nil {
-		prev.next = ev
-		close(prev.ready)
-	}
-	r.events = ev
+	return ev
 }
 
 // Snapshot is a consistent copy of a run's externally visible state.
@@ -445,7 +430,7 @@ func New(cfg Config) *Pool {
 		StoreErrors: p.met.storeErrors,
 		Record:      (*run).record,
 		Decode:      decodeRun,
-		Settled:     func(r *run) (time.Time, bool) { return r.Finished, r.State.Terminal() },
+		Event:       (*run).event,
 		Forget:      p.dropCacheLocked,
 	})
 	p.runs.Limit = p.cfg.historyLimit
@@ -519,7 +504,6 @@ func (p *Pool) submitLocked(spec Spec, deadline time.Duration) (SubmitResult, er
 		}
 	})
 	p.queue = append(p.queue, r)
-	r.advanceLocked(r.Submitted)
 	return SubmitResult{ID: r.ID, State: r.State}, nil
 }
 
@@ -620,7 +604,7 @@ func (p *Pool) startLocked(r *run) {
 	p.running[r] = struct{}{}
 	p.met.started.Inc()
 	p.met.queueWait.Observe(now.Sub(r.Submitted).Seconds())
-	r.advanceLocked(now)
+	p.runs.Advance(r.ID, r.event())
 	go p.execute(ctx, cancel, r)
 }
 
@@ -773,7 +757,7 @@ func (p *Pool) finishLocked(r *run) {
 		// Failed and cancelled runs must not satisfy future submissions.
 		p.runs.Release(r.ID)
 	}
-	r.advanceLocked(r.Finished)
+	p.runs.Advance(r.ID, r.event())
 	p.runs.Settle(r.ID)
 	p.signalIdleLocked()
 }

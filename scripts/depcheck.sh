@@ -6,8 +6,10 @@
 # Pool.FollowRun, deleting runqueue.Event, Pool.Subscribe, Pool.Done and the
 # Config fields Observer, ObserverBuffer and EventBuffer. Store compaction
 # went from fixed journal sizes to the run ledger's dead/live byte counts,
-# deleting the compaction bounds and Stats.Snapshots. This check keeps
-# them all deleted:
+# deleting the compaction bounds and Stats.Snapshots. The coordinator's
+# refresh-on-read gave way to run watchers on the nodes' event streams,
+# deleting refresh, crun.lastView and both 20 ms poll loops. This check
+# keeps them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
@@ -59,6 +61,18 @@ hits=$({
 } || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: removed compaction bounds reintroduced (compaction follows the ledger's dead/live bytes):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+# The coordinator learns that a run finished from its watcher on the
+# node's event stream (internal/fleet/coordinator.go), never by reading:
+# no refresh-on-read, no cached node view beside the final one, and no
+# 20 ms poll loop may come back.
+co=internal/fleet/coordinator.go
+hits=$(grep -n -E 'func \(c \*Coordinator\) refresh\(|^\s+lastView\s|time\.After\(20 \* time\.Millisecond\)' "$co" || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: coordinator refresh-on-read or its poll loops reintroduced (run watchers settle runs):" >&2
     echo "$hits" >&2
     fail=1
 fi
