@@ -2,7 +2,9 @@
 // server that accepts WorkloadSpec+Options payloads, executes them on a
 // bounded worker pool whose admission controller applies PDPA's coordinated
 // multiprogramming-level rule to the service itself, dedupes identical specs
-// through a canonical-config-hash result cache, streams per-run progress as
+// through a canonical-config-hash index into its run history (a done run
+// answers repeats for as long as the history holds it, so the history is the
+// result cache and has the only bound), streams per-run progress as
 // server-sent events, serves each run's recorded decision trace, and exposes
 // live Prometheus metrics.
 //
@@ -75,7 +77,6 @@ func main() {
 		max          = flag.Int("max", 0, "max concurrent simulations (0 = 2×base)")
 		warmup       = flag.Duration("warmup", 500*time.Millisecond, "how long a new run is considered settling; above base, admission waits for a stable running set")
 		queueLimit   = flag.Int("queue", 256, "maximum queued runs")
-		cacheSize    = flag.Int("cache", 128, "result cache entries")
 		deadline     = flag.Duration("deadline", 0, "default per-run deadline, queue wait included (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for runs to finish before cancelling them")
 		traceLimit   = flag.Int("trace-limit", 2000, "decision-trace events retained per run, served at /v1/runs/{id}/trace (negative disables tracing)")
@@ -115,7 +116,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pdpad: unexpected arguments: %v\n", flag.Args())
 		os.Exit(2)
 	}
-	if *base < 1 || *max < 0 || *queueLimit < 1 || *cacheSize < 1 || *warmup < 0 || *deadline < 0 || *drainTimeout <= 0 ||
+	if *base < 1 || *max < 0 || *queueLimit < 1 || *warmup < 0 || *deadline < 0 || *drainTimeout <= 0 ||
 		*runTimeout < 0 || *maxRetries < 0 || *maxQueue < 0 || *heartbeat <= 0 || *unhealthy < 0 || *deadAfter < 0 || *maxRequeues < 0 ||
 		*drainIdle < 0 || *minNodes < 0 || *joinBacklog < 0 {
 		fmt.Fprintln(os.Stderr, "pdpad: flag values must be positive")
@@ -192,7 +193,6 @@ func main() {
 			MaxWorkers:      *max,
 			Warmup:          *warmup,
 			QueueLimit:      *queueLimit,
-			CacheSize:       *cacheSize,
 			DefaultDeadline: *deadline,
 			TraceLimit:      *traceLimit,
 			RunTimeout:      *runTimeout,

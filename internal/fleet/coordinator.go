@@ -152,6 +152,8 @@ type coordMetrics struct {
 	adopted          *obs.Counter
 	scaleDown        *obs.Counter
 	scaleUp          *obs.Counter
+	cacheHits        *obs.Counter
+	dedupHits        *obs.Counter
 }
 
 // NewCoordinator returns a running coordinator (its heartbeat monitor is
@@ -202,6 +204,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		adopted:          c.reg.Counter("pdpad_fleet_adopted_results_total", "Terminal results returning nodes reported during reconcile."),
 		scaleDown:        c.reg.Counter("pdpad_fleet_scale_down_signals_total", "Nodes scale-drained by the drain-on-idle elasticity hook."),
 		scaleUp:          c.reg.Counter("pdpad_fleet_scale_up_signals_total", "Backlog episodes that signalled the join-on-backlog elasticity hook."),
+		// The series a pool counts its repeats in: a repeat the coordinator
+		// answers never reaches a node.
+		cacheHits: c.reg.Counter("pdpad_cache_hits_total", "Submissions served from a finished run in the coordinator's history."),
+		dedupHits: c.reg.Counter("pdpad_dedup_hits_total", "Submissions that joined an identical pending run (singleflight)."),
 	}
 	c.reg.GaugeFunc("pdpad_goroutines", "Live goroutines in the serving process (leak smoke-checks read this).",
 		func() float64 { return float64(runtime.NumGoroutine()) })
@@ -597,7 +603,6 @@ func (c *Coordinator) settleLocked(cr *crun, v *client.RunView) {
 	cr.stopWatch()
 	cr.Final = v
 	cr.State = v.State
-	c.runs.Advance(cr.ID, cr.event())
 	c.runs.Settle(cr.ID)
 }
 
@@ -705,14 +710,9 @@ func (c *Coordinator) watch(ctx context.Context, cr *crun, cli *client.Client, r
 // ---------------------------------------------------------------------------
 // Submission.
 
-// deadEnd reports whether an affinity entry is unusable for dedup: the run
-// ended in failure or cancellation, so a resubmission starts fresh.
-func deadEnd(cr *crun) bool {
-	return cr.Final != nil && cr.Final.State != "done"
-}
-
-// submitOne admits one spec: deduplicated against the fleet-wide affinity
-// index, or placed fresh. The returned crun is non-nil exactly when a new
+// submitOne admits one spec: answered by the run ledger (a cache hit or a
+// join of a pending run, counted here because the nodes never see the
+// repeat), or placed fresh. The returned crun is non-nil exactly when a new
 // run was created (the caller unwinds it on batch failure).
 func (c *Coordinator) submitOne(ctx context.Context, spec runqueue.Spec, deadlineS float64) (client.SubmitResult, *crun, error) {
 	key := spec.Key()
@@ -721,14 +721,12 @@ func (c *Coordinator) submitOne(ctx context.Context, spec runqueue.Spec, deadlin
 		c.mu.Unlock()
 		return client.SubmitResult{}, nil, errDraining
 	}
-	if ex := c.runs.Owner(key); ex != nil && !deadEnd(ex) {
-		out := client.SubmitResult{ID: ex.ID, State: ex.State}
-		if ex.Final != nil {
-			out.State = "done"
-			out.CacheHit = true
-			c.runs.Touch(ex.ID) // served: most recently used
+	if ex, hit := c.runs.Lookup(key); ex != nil {
+		out := client.SubmitResult{ID: ex.ID, State: ex.State, CacheHit: hit, Deduped: !hit}
+		if hit {
+			c.met.cacheHits.Inc()
 		} else {
-			out.Deduped = true
+			c.met.dedupHits.Inc()
 		}
 		c.mu.Unlock()
 		return out, nil, nil

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -16,7 +17,8 @@ import (
 // TestHistoryEvictionScript replays the bounded-history script the pool's
 // TestHistoryEvictionScript replays (internal/runqueue/testdata), against a
 // one-node coordinator: both backends must list the same run IDs in the
-// same order after every step, restart included.
+// same order after every step, restart included, and admit a failed seed
+// fresh every time.
 func TestHistoryEvictionScript(t *testing.T) {
 	raw, err := os.ReadFile("../runqueue/testdata/eviction-script.json")
 	if err != nil {
@@ -25,6 +27,7 @@ func TestHistoryEvictionScript(t *testing.T) {
 	var script struct {
 		Limit    int   `json:"limit"`
 		LongSeed int64 `json:"long_seed"`
+		FailSeed int64 `json:"fail_seed"`
 		Steps    []struct {
 			Do   string   `json:"do"`
 			Seed int64    `json:"seed"`
@@ -40,6 +43,9 @@ func TestHistoryEvictionScript(t *testing.T) {
 		cfg := fastNodeConfig(0)
 		fast := cfg.Simulate
 		cfg.Simulate = func(ctx context.Context, spec runqueue.Spec) (*pdpasim.Outcome, error) {
+			if spec.Workload.Seed == script.FailSeed {
+				return nil, errors.New("simulation failed")
+			}
 			if spec.Workload.Seed == script.LongSeed {
 				select {
 				case <-release:
@@ -88,6 +94,14 @@ func TestHistoryEvictionScript(t *testing.T) {
 			close(release)
 			if _, err := f.cli.WaitRun(ctx, long, 0); err != nil {
 				t.Fatal(err)
+			}
+		case "fail":
+			sub := submit(script.FailSeed)
+			if sub.CacheHit || sub.Deduped {
+				t.Fatalf("step %d: failed seed resubmitted got %+v, want a fresh run", i, sub)
+			}
+			if v, err := f.cli.WaitRun(ctx, sub.ID, 0); err != nil || v.State != "failed" {
+				t.Fatalf("step %d: failed seed ended %s (%v), want failed", i, v.State, err)
 			}
 		case "restart":
 			f.killCoordinator()

@@ -13,6 +13,7 @@ import (
 	"pdpasim"
 	"pdpasim/client"
 	"pdpasim/internal/leakcheck"
+	"pdpasim/internal/obs"
 	"pdpasim/internal/runqueue"
 	"pdpasim/internal/server"
 )
@@ -375,6 +376,58 @@ func TestFleetRunProxy(t *testing.T) {
 	}
 	if len(states) == 0 || states[len(states)-1] != "done" {
 		t.Errorf("event states = %v, want trailing done", states)
+	}
+}
+
+// TestCoordinatorCountsRepeats: the coordinator answers repeats from its
+// own run ledger, so it counts them in the pool's series — a join of a
+// pending run in pdpad_dedup_hits_total, a done run's cache hit in
+// pdpad_cache_hits_total — and the node, which never sees them, counts
+// none.
+func TestCoordinatorCountsRepeats(t *testing.T) {
+	release := make(chan struct{})
+	f := startFleet(t, 1, PlaceRoundRobin, func(i int) runqueue.Config {
+		cfg := fastNodeConfig(i)
+		fast := cfg.Simulate
+		cfg.Simulate = func(ctx context.Context, spec runqueue.Spec) (*pdpasim.Outcome, error) {
+			<-release
+			return fast(ctx, spec)
+		}
+		return cfg
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	req := client.SubmitRunRequest{
+		Workload: client.Workload{Mix: "w1", Seed: 7},
+		Options:  client.RunOptions{Policy: "equip"},
+	}
+	submit := func(want func(client.SubmitResult) bool) client.SubmitResult {
+		t.Helper()
+		res, err := f.cli.SubmitRun(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want(res) {
+			t.Fatalf("submit answered %+v", res)
+		}
+		return res
+	}
+	first := submit(func(r client.SubmitResult) bool { return !r.CacheHit && !r.Deduped })
+	submit(func(r client.SubmitResult) bool { return r.Deduped && r.ID == first.ID })
+	close(release)
+	if v, err := f.cli.WaitRun(ctx, first.ID, 0); err != nil || v.State != "done" {
+		t.Fatalf("run %s: view %+v err %v", first.ID, v, err)
+	}
+	submit(func(r client.SubmitResult) bool { return r.CacheHit && r.ID == first.ID && r.State == "done" })
+	for _, c := range []struct {
+		reg          *obs.Registry
+		hits, dedups float64
+	}{{f.coord.Metrics(), 1, 1}, {f.nodes[0].pool.Metrics(), 0, 0}} {
+		hits, _ := c.reg.Value("pdpad_cache_hits_total", "")
+		dedups, _ := c.reg.Value("pdpad_dedup_hits_total", "")
+		if hits != c.hits || dedups != c.dedups {
+			t.Errorf("cache hits %v, dedup hits %v; want %v and %v", hits, dedups, c.hits, c.dedups)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package runqueue
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -19,10 +20,13 @@ import (
 type evictionScript struct {
 	Limit    int   `json:"limit"`
 	LongSeed int64 `json:"long_seed"`
+	FailSeed int64 `json:"fail_seed"`
 	Steps    []struct {
 		// Do is submit (a fresh spec, waited for), resubmit (a cache hit on
 		// an earlier seed), start_long (the long run, not waited for),
-		// finish_long (release it and wait), or restart (on the same store).
+		// finish_long (release it and wait), fail (the seed whose simulation
+		// fails, admitted fresh each time and waited for), or restart (on
+		// the same store).
 		Do   string   `json:"do"`
 		Seed int64    `json:"seed"`
 		Want []string `json:"want"`
@@ -45,11 +49,15 @@ func loadEvictionScript(t *testing.T) evictionScript {
 // TestHistoryEvictionScript replays the shared eviction script against a
 // pool: past the bound the least recently used terminal run is forgotten,
 // a cache hit renews a run, a long run settling last outlives shorter ones,
-// and a restart rebuilds the same history in finish order.
+// a failed run answers no resubmission, live or recovered, and a restart
+// rebuilds the same history in finish order.
 func TestHistoryEvictionScript(t *testing.T) {
 	script := loadEvictionScript(t)
 	release := make(chan struct{})
 	sim := func(ctx context.Context, spec Spec) (*pdpasim.Outcome, error) {
+		if spec.Workload.Seed == script.FailSeed {
+			return nil, errors.New("simulation failed")
+		}
 		if spec.Workload.Seed == script.LongSeed {
 			select {
 			case <-release:
@@ -85,6 +93,15 @@ func TestHistoryEvictionScript(t *testing.T) {
 		case "finish_long":
 			close(release)
 			waitState(t, p, long, Done)
+		case "fail":
+			res, err := p.Submit(tinySpec(script.FailSeed), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHit || res.Deduped {
+				t.Fatalf("step %d: failed seed resubmitted got %+v, want a fresh run", i, res)
+			}
+			waitState(t, p, res.ID, Failed)
 		case "restart":
 			drainClose(t, p, st)
 			st = openStore(t, dir)
@@ -149,7 +166,8 @@ func BenchmarkPoolSubmitAtFullHistory(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// The newest 64 runs stay within the default 128-entry cache.
+			// Any run the history holds answers a hit; the newest 64 keep
+			// the rung comparable with earlier recordings.
 			if res := wait(p, DefaultHistoryLimit-int64(i%64)); !res.CacheHit {
 				b.Fatalf("op %d: %+v, want a cache hit", i, res)
 			}

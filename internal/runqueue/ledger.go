@@ -31,13 +31,13 @@ type LedgerConfig[R any] struct {
 	// The hooks: Record returns a run's journal record (nil while it is not
 	// durable); Decode rebuilds one from a recovered record (an error drops
 	// it); Event is the event of its current state, which starts its event
-	// chain and whose time orders the recovered history; Forget (optional)
-	// runs after a run is forgotten; Extra (optional) returns the backend's
-	// own live records, compacted before the runs.
+	// chain, ends it when the run settles (its state decides whether the run
+	// keeps answering its spec key) and whose time orders the recovered
+	// history; Extra (optional) returns the backend's own live records,
+	// compacted before the runs.
 	Record func(r R) any
 	Decode func(payload []byte) (id, key string, r R, err error)
 	Event  func(r R) client.Event
-	Forget func(r R)
 	Extra  func() []store.Record
 }
 
@@ -47,6 +47,12 @@ type LedgerConfig[R any] struct {
 // chain (RunEvent), the run journal with its compaction, and recovery. It
 // has no lock of its own: the backend's mutex guards it, so the lock order
 // stays backend → sweep index.
+//
+// The ledger alone decides which run answers a spec key, so the result
+// cache is the history itself: a pending run (a resubmission joins it) or a
+// done one (a cache hit, served for as long as the history holds the run).
+// A run that did not succeed gives up its key when it settles and when it
+// is recovered, so a resubmission simulates afresh.
 //
 // Compaction is decided from what the ledger measures, not from a fixed
 // size. It counts the payload bytes of the run records it journals: live
@@ -71,7 +77,8 @@ type Ledger[R any] struct {
 	byKey map[string]*entry[R]
 	order list.List // every run, in submission order
 	// history holds the terminal runs, least recently used first: settling
-	// a run or serving a cache hit from it moves it to the back.
+	// a run or serving a cache hit from it moves it to the back. It is the
+	// result cache, and Limit its only bound.
 	history list.List
 	// live and dead are the journaled run-record payload bytes still
 	// current and already garbage; live is the sum of the entries' bytes.
@@ -124,8 +131,23 @@ func (l *Ledger[R]) insert(e *entry[R]) {
 // Get returns the run with the given ID, or the zero R.
 func (l *Ledger[R]) Get(id string) R { return l.byID[id].value() }
 
-// Owner returns the run owning a spec key, or the zero R.
+// Owner returns the run answering a spec key, or the zero R, without
+// renewing it.
 func (l *Ledger[R]) Owner(key string) R { return l.byKey[key].value() }
+
+// Lookup returns the run answering a spec key, or the zero R. hit reports a
+// cache hit: the run is terminal, hence done, and is renewed as the
+// history's most recently used; otherwise the run is still pending.
+func (l *Ledger[R]) Lookup(key string) (r R, hit bool) {
+	e := l.byKey[key]
+	if e == nil {
+		return r, false
+	}
+	if e.hist != nil {
+		l.history.MoveToBack(e.hist)
+	}
+	return e.run, e.hist != nil
+}
 
 func (e *entry[R]) value() (r R) {
 	if e != nil {
@@ -134,9 +156,9 @@ func (e *entry[R]) value() (r R) {
 	return r
 }
 
-// Release drops a run's spec-key entry, if the run still owns it.
-func (l *Ledger[R]) Release(id string) {
-	if e := l.byID[id]; e != nil && l.byKey[e.key] == e {
+// release drops a run's spec-key entry, if the run still owns it.
+func (l *Ledger[R]) release(e *entry[R]) {
+	if l.byKey[e.key] == e {
 		delete(l.byKey, e.key)
 	}
 }
@@ -195,9 +217,6 @@ func (l *Ledger[R]) Len() int { return l.order.Len() }
 // Each calls fn for every run in submission order, or newest first.
 func (l *Ledger[R]) Each(newestFirst bool, fn func(R)) { walk(&l.order, newestFirst, fn) }
 
-// EachSettled calls fn for every terminal run, least recently used first.
-func (l *Ledger[R]) EachSettled(fn func(R)) { walk(&l.history, false, fn) }
-
 func walk[R any](ls *list.List, backwards bool, fn func(R)) {
 	el, next := ls.Front(), (*list.Element).Next
 	if backwards {
@@ -208,27 +227,31 @@ func walk[R any](ls *list.List, backwards bool, fn func(R)) {
 	}
 }
 
-// Touch renews the terminal run a cache hit was served from.
-func (l *Ledger[R]) Touch(id string) {
-	if e := l.byID[id]; e != nil && e.hist != nil {
-		l.history.MoveToBack(e.hist)
-	}
-}
-
-// Settle puts a run that reached its terminal state at the back of the
-// history, forgets the least recently used runs past Limit, and journals
-// the run.
+// Settle ends the event chain of a run that reached its terminal state with
+// the event of that state, files the run in the history, forgets the least
+// recently used runs past Limit, and journals the run.
 func (l *Ledger[R]) Settle(id string) {
 	e := l.byID[id]
 	if e == nil {
 		return
 	}
+	l.Advance(id, l.cfg.Event(e.run))
+	l.file(e)
+	l.evict()
+	l.Persist(id)
+}
+
+// file puts a terminal run at the back of the history. This is the one
+// place that decides whether a terminal run answers its spec key: only a
+// done run does, so a failed or cancelled one gives up its key.
+func (l *Ledger[R]) file(e *entry[R]) {
 	if e.hist == nil {
 		e.hist = l.history.PushBack(e)
 	}
 	l.history.MoveToBack(e.hist)
-	l.evict()
-	l.Persist(id)
+	if e.events.State != string(Done) {
+		l.release(e)
+	}
 }
 
 // evict forgets terminal runs past Limit, least recently used first, and
@@ -249,14 +272,11 @@ func (l *Ledger[R]) Forget(id string) {
 	}
 	l.dead += e.bytes + int64(l.Append(l.cfg.DelKind, delRecord{ID: id}))
 	l.live -= e.bytes
-	l.Release(id)
+	l.release(e)
 	delete(l.byID, id)
 	l.order.Remove(e.sub)
 	if e.hist != nil {
 		l.history.Remove(e.hist)
-	}
-	if l.cfg.Forget != nil {
-		l.cfg.Forget(e.run)
 	}
 }
 
@@ -337,7 +357,8 @@ func (l *Ledger[R]) compact() {
 // before the backend serves: the last record per ID wins, delete records
 // are honoured, runs list in ID order, the ID sequence continues, each key
 // goes to its newest run, and the history is rebuilt in finish order under
-// the live bound. Undecodable records count as dead bytes too. It never
+// the live bound, where a run that did not succeed gives up its key as it
+// does when it settles. Undecodable records count as dead bytes too. It never
 // compacts: the coordinator rebuilds its node table only afterwards, so a
 // compaction here would drop its node records. It returns the records left
 // for the backend and how many runs it recovered, records it could not
@@ -393,7 +414,7 @@ func (l *Ledger[R]) Recover(recs []store.Record) (rest []store.Record, recovered
 	}
 	slices.SortStableFunc(settled, func(a, b *entry[R]) int { return a.events.At.Compare(b.events.At) })
 	for _, e := range settled {
-		e.hist = l.history.PushBack(e)
+		l.file(e)
 	}
 	return rest, len(runs), dropped, l.evict()
 }

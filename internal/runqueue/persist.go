@@ -5,8 +5,9 @@ package runqueue
 // as one runRecord, erases a run its bounded history forgets with a "del"
 // record, and compacts and recovers them; the sweep index journals accepted
 // sweeps as "sweep" records beside them. A restarted pool rebuilds
-// its run history, result cache and sweep index from the recovered records,
-// so a kill -9 loses at most the in-flight work, never a completed result.
+// its run history, which is its result cache, and its sweep index from the
+// recovered records, so a kill -9 loses at most the in-flight work, never a
+// completed result.
 // Result and trace bytes are carried as []byte (base64 on the wire), which
 // keeps the recovered outcome JSON byte-identical to what the pool served
 // before the crash — the property that makes recovered results
@@ -71,21 +72,13 @@ func decodeRun(payload []byte) (id, key string, r *run, err error) {
 }
 
 // rehydrate rebuilds the pool from recovered records: the sweep index and
-// the run ledger take theirs, then the Done runs that own their key
-// re-enter the result cache in finish order, under the same bound as live
-// ones. It runs inside New, before the pool accepts work, so no locking is
-// needed. Undecodable records count as store errors, runs the history
-// bound drops as store evictions.
+// the run ledger take theirs, and the recovered done runs answer repeats as
+// live ones do. It runs inside New, before the pool accepts work, so no
+// locking is needed. Undecodable records count as store errors, runs the
+// history bound drops as store evictions.
 func (p *Pool) rehydrate(recs []store.Record) {
 	recs, _, sweepsDropped := RecoverSweeps(p.SweepIndex, recs)
 	_, _, dropped, evicted := p.runs.Recover(recs)
 	p.met.storeErrors.Add(uint64(sweepsDropped + dropped))
 	p.met.storeEvicted.Add(uint64(evicted))
-	p.runs.EachSettled(func(r *run) {
-		if p.runs.Owner(r.Key) == r && r.State == Done {
-			p.insertCacheLocked(r)
-		} else {
-			p.runs.Release(r.ID)
-		}
-	})
 }

@@ -193,10 +193,9 @@ func TestRestartRecoversSweeps(t *testing.T) {
 	}
 }
 
-// TestRehydrateRespectsHistoryLimit: a pool restarted with smaller bounds
-// keeps only the newest recovered runs (cached runs are spared from history
-// eviction, so the cache must shrink too) and counts the rest as store
-// evictions.
+// TestRehydrateRespectsHistoryLimit: a pool restarted with a smaller
+// history bound keeps only the newest recovered runs and counts the rest as
+// store evictions.
 func TestRehydrateRespectsHistoryLimit(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
@@ -214,7 +213,7 @@ func TestRehydrateRespectsHistoryLimit(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	p2 := New(Config{Store: st2, historyLimit: 2, CacheSize: 1})
+	p2 := New(Config{Store: st2, historyLimit: 2})
 	defer p2.Drain(context.Background())
 	if got := len(p2.Runs()); got != 2 {
 		t.Fatalf("recovered pool lists %d runs, want HistoryLimit 2", got)

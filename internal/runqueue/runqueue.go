@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -81,8 +80,10 @@ type Config struct {
 	// QueueLimit bounds the FIFO queue; Submit fails with ErrQueueFull
 	// beyond it (default 256).
 	QueueLimit int
-	// CacheSize bounds the completed-result cache (default 128 entries,
-	// LRU eviction).
+	// CacheSize is ignored: a done run answers repeats of its spec for as
+	// long as the run history holds it (DefaultHistoryLimit).
+	//
+	// Deprecated: the run history is the only result cache; leave it unset.
 	CacheSize int
 	// DefaultDeadline bounds each run's total latency (queue wait plus
 	// simulation) when the submitter sets none; 0 means no deadline.
@@ -123,10 +124,10 @@ type Config struct {
 
 	// Store, when set, makes terminal runs and accepted sweeps durable: the
 	// pool appends them to the store's journal as they settle and rehydrates
-	// its result cache, run history, and sweep index from the recovered
-	// records in New. The pool takes over the opened store's recovered
-	// records but not its lifecycle — the owner still calls Store.Close
-	// after Drain.
+	// its run history (which is its result cache) and sweep index from the
+	// recovered records in New. The pool takes over the opened store's
+	// recovered records but not its lifecycle — the owner still calls
+	// Store.Close after Drain.
 	Store *store.Store
 
 	// historyLimit bounds the finished runs kept addressable by ID (default
@@ -154,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 256
-	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 128
 	}
 	if c.TraceLimit == 0 {
 		c.TraceLimit = 2000
@@ -284,13 +282,12 @@ type poolMetrics struct {
 	allocProcs  *obs.Histogram // time-averaged processors per finished job
 	attempts    *obs.Histogram // simulation attempts per run
 
-	cacheEvictions *obs.Counter // Done results evicted from the LRU cache
-	retries        *obs.Counter // attempts retried after transient failures
-	timeouts       *obs.Counter // attempts cancelled by RunTimeout
-	panics         *obs.Counter // worker panics recovered
-	sheds          *obs.Counter // submissions rejected by load shedding
-	storeErrors    *obs.Counter // store writes/records that failed or were unreadable
-	storeEvicted   *obs.Counter // recovered runs dropped to respect the history bound
+	retries      *obs.Counter // attempts retried after transient failures
+	timeouts     *obs.Counter // attempts cancelled by RunTimeout
+	panics       *obs.Counter // worker panics recovered
+	sheds        *obs.Counter // submissions rejected by load shedding
+	storeErrors  *obs.Counter // store writes/records that failed or were unreadable
+	storeEvicted *obs.Counter // recovered runs dropped to respect the history bound
 }
 
 func (p *Pool) initMetrics() {
@@ -304,8 +301,6 @@ func (p *Pool) initMetrics() {
 		locked(func() float64 { return float64(len(p.queue)) }))
 	reg.GaugeFunc("pdpad_inflight_runs", "Simulations currently executing.",
 		locked(func() float64 { return float64(len(p.running)) }))
-	reg.GaugeFunc("pdpad_cached_results", "Completed results held in the LRU cache.",
-		locked(func() float64 { return float64(len(p.cacheLRU)) }))
 	reg.GaugeFunc("pdpad_goroutines", "Live goroutines in the serving process (leak smoke-checks read this).",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("pdpad_draining", "1 while the pool is draining for shutdown.",
@@ -339,8 +334,6 @@ func (p *Pool) initMetrics() {
 	m.attempts = reg.Histogram("pdpad_run_attempts",
 		"Simulation attempts per run (1 = no retry).", attemptBuckets)
 
-	m.cacheEvictions = reg.Counter("pdpad_cache_evictions_total",
-		"Completed results evicted from the LRU cache to respect Config.CacheSize.")
 	m.retries = reg.Counter("pdpad_run_retries_total",
 		"Simulation attempts retried after a transient failure.")
 	m.timeouts = reg.Counter("pdpad_run_timeouts_total",
@@ -395,7 +388,6 @@ type Pool struct {
 	// result cache's, and the bounded history of finished runs.
 	runs     *Ledger[*run]
 	queue    []*run
-	cacheLRU []*run // Done runs serving cache hits, oldest first
 	running  map[*run]struct{}
 	draining bool
 	idle     chan struct{} // closed when draining and no work remains
@@ -431,7 +423,6 @@ func New(cfg Config) *Pool {
 		Record:      (*run).record,
 		Decode:      decodeRun,
 		Event:       (*run).event,
-		Forget:      p.dropCacheLocked,
 	})
 	p.runs.Limit = p.cfg.historyLimit
 	if p.cfg.Store != nil {
@@ -473,11 +464,9 @@ func (p *Pool) Submit(spec Spec, deadline time.Duration) (SubmitResult, error) {
 func (p *Pool) submitLocked(spec Spec, deadline time.Duration) (SubmitResult, error) {
 	key := spec.Key()
 	p.met.submitted.Inc()
-	if existing := p.runs.Owner(key); existing != nil {
-		if existing.State == Done {
+	if existing, hit := p.runs.Lookup(key); existing != nil {
+		if hit {
 			p.met.cacheHits.Inc()
-			p.touchCacheLocked(existing)
-			p.runs.Touch(existing.ID)
 			return SubmitResult{ID: existing.ID, State: Done, CacheHit: true}, nil
 		}
 		p.met.dedupHits.Inc()
@@ -736,8 +725,8 @@ func (p *Pool) execute(ctx context.Context, cancel context.CancelFunc, r *run) {
 	p.admitLocked()
 }
 
-// finishLocked settles a terminal run: cache bookkeeping, its terminal
-// event, the ledger's history and journal, drain signalling.
+// finishLocked settles a terminal run: its counter, then the ledger's
+// terminal event, history and journal, then drain signalling.
 // Timestamps are wall-normalized (monotonic reading stripped) so a run's
 // externally visible timings survive a store round trip byte-identically.
 func (p *Pool) finishLocked(r *run) {
@@ -747,44 +736,13 @@ func (p *Pool) finishLocked(r *run) {
 	switch r.State {
 	case Done:
 		p.met.done.Inc()
-		p.insertCacheLocked(r)
 	case Failed:
 		p.met.failed.Inc()
 	case Canceled:
 		p.met.canceled.Inc()
 	}
-	if r.State != Done {
-		// Failed and cancelled runs must not satisfy future submissions.
-		p.runs.Release(r.ID)
-	}
-	p.runs.Advance(r.ID, r.event())
 	p.runs.Settle(r.ID)
 	p.signalIdleLocked()
-}
-
-// insertCacheLocked records a completed run in the LRU result cache; the
-// runs it pushes out stop serving cache hits.
-func (p *Pool) insertCacheLocked(r *run) {
-	p.cacheLRU = append(p.cacheLRU, r)
-	for len(p.cacheLRU) > p.cfg.CacheSize {
-		p.runs.Release(p.cacheLRU[0].ID)
-		p.cacheLRU = p.cacheLRU[1:]
-		p.met.cacheEvictions.Inc()
-	}
-}
-
-// touchCacheLocked moves r to the LRU's fresh end.
-func (p *Pool) touchCacheLocked(r *run) {
-	if i := slices.Index(p.cacheLRU, r); i >= 0 {
-		p.cacheLRU = append(slices.Delete(p.cacheLRU, i, i+1), r)
-	}
-}
-
-// dropCacheLocked takes a run the history forgot out of the result cache.
-func (p *Pool) dropCacheLocked(r *run) {
-	if i := slices.Index(p.cacheLRU, r); i >= 0 {
-		p.cacheLRU = slices.Delete(p.cacheLRU, i, i+1)
-	}
 }
 
 func (p *Pool) signalIdleLocked() {

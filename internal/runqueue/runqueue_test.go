@@ -555,36 +555,6 @@ func TestFollowTerminalMessage(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: the LRU bound holds and evicted keys re-simulate.
-func TestCacheEviction(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
-	close(release)
-	p := New(Config{CacheSize: 2, Simulate: blockingSim(t, &calls, release)})
-	for seed := int64(1); seed <= 3; seed++ {
-		r, err := p.Submit(tinySpec(seed), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitState(t, p, r.ID, Done)
-	}
-	if got := metric(p, "pdpad_cached_results", ""); got != 2 {
-		t.Fatalf("cache holds %v entries, want 2", got)
-	}
-	// Seed 1 was evicted (oldest): resubmitting simulates again.
-	r, err := p.Submit(tinySpec(1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheHit {
-		t.Fatal("evicted entry served a cache hit")
-	}
-	waitState(t, p, r.ID, Done)
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("simulated %d times, want 4", got)
-	}
-}
-
 // TestQueueLimit: the FIFO bound is enforced.
 func TestQueueLimit(t *testing.T) {
 	var calls atomic.Int64

@@ -2,9 +2,9 @@
 // work: a bounded worker pool whose admission controller dogfoods PDPA's
 // coordinated multiprogramming-level rule (admit below a base concurrency
 // unconditionally; above it, only when a slot is free and every in-flight
-// run is past warm-up), a canonical-config-hash result cache with
-// singleflight deduplication so identical specs never simulate twice, a FIFO
-// queue with per-run deadlines, and graceful drain for shutdown.
+// run is past warm-up), a canonical-config-hash index with singleflight
+// deduplication so identical specs never simulate twice, a FIFO queue with
+// per-run deadlines, and graceful drain for shutdown.
 //
 // Sweeps live here for every backend: SweepIndex (sweep.go) expands a grid,
 // allocates sweep IDs, journals and recovers sweeps, and serves their views
@@ -14,7 +14,9 @@
 // spec-key index, the bounded history of finished runs (least recently
 // used forgotten first), the run journal with its compaction and the
 // delete records erasing forgotten runs, and recovery; a backend supplies
-// its record's encoding as hooks.
+// its record's encoding as hooks. The history is the result cache of both
+// backends: the ledger alone decides which run answers a spec key (a
+// pending one, or a done one it still holds), live and after recovery.
 //
 // The admission rule is the paper's Section 4.3 insight applied to the
 // service itself: starting new work while the running set is still settling

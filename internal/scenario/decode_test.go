@@ -18,7 +18,6 @@ pool:
   max_workers: 2
   warmup: 1ms
   queue_limit: 8
-  cache_size: 2
   shed_depth: 3
   run_timeout: 50ms
   max_retries: 2
@@ -58,7 +57,7 @@ func TestParseFullSchema(t *testing.T) {
 	if s.Name != "full" || s.Seed != 9 {
 		t.Fatalf("header %q/%d", s.Name, s.Seed)
 	}
-	if s.Pool.RunTimeout != 50*time.Millisecond || s.Pool.CacheSize != 2 {
+	if s.Pool.RunTimeout != 50*time.Millisecond || s.Pool.QueueLimit != 8 {
 		t.Fatalf("pool %+v", s.Pool)
 	}
 	if s.Defaults.Workload.Mix != "w2" || s.Defaults.Options.TargetEff != 0.6 {
@@ -178,6 +177,7 @@ func TestParseSchemaErrors(t *testing.T) {
 		"name: x\n":                               "no events",
 		base + "bogus: 1\n":                       "unknown key",
 		base + "pool: {workers: 2}\n":             "unknown key",
+		base + "pool: {cache_size: 2}\n":          "unknown key",
 		base + "pool: {warmup: fast}\n":           "bad duration",
 		base + "seed: many\n":                     "must be an integer",
 		base + "faults:\n  - \"nowhere:panic\"\n": "unknown site",
@@ -207,7 +207,7 @@ func TestParseSchemaErrors(t *testing.T) {
 		spec + "  - submit: {name: b, options: {policy: pdpa, target_eff: 2}}\n":                   "target_eff 2 out of range",
 		"name: x\ndefaults: {workload: {mix: w1}}\nevents:\n  - arrivals: {prefix: p, count: 2}\n": "unknown policy",
 		spec + "pool: {base_workers: -1}\n":                                                        "pool.base_workers must not be negative",
-		spec + "pool: {cache_size: -4}\n":                                                          "pool.cache_size must not be negative",
+		spec + "pool: {queue_limit: -4}\n":                                                         "pool.queue_limit must not be negative",
 		spec + "assertions:\n  - metric: {name: m, min: 3, max: 1}\n":                              "min 3 > max 1",
 		spec + "assertions:\n  - outcome: {run: a, makespan_min_s: 9, makespan_max_s: 1}\n":        "makespan_min_s 9 > makespan_max_s 1",
 	}

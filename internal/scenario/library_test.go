@@ -64,10 +64,6 @@ func TestBundledScenarioLibrary(t *testing.T) {
 // again behind a one-node fleet: both go through the same runner over the v1
 // wire, so the two must record the same submissions and assertion verdicts.
 func TestPoolFleetDifferential(t *testing.T) {
-	// cache-evictions differs by design: a coordinator answers cache_hit
-	// from any finished run in its ledger, a pool only from its CacheSize
-	// LRU, so c1-again is fresh on the pool and a cache hit on the fleet.
-	skip := map[string]bool{"cache-evictions.yaml": true}
 	ran := 0
 	for _, file := range bundledScenarios(t) {
 		src, err := os.ReadFile(file)
@@ -78,7 +74,7 @@ func TestPoolFleetDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		if pool.Fleet != nil || skip[filepath.Base(file)] {
+		if pool.Fleet != nil {
 			continue
 		}
 		fleet, err := Parse(src)

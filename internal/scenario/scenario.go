@@ -67,7 +67,6 @@ type PoolParams struct {
 	MaxWorkers   int           `json:"max_workers"`
 	Warmup       time.Duration `json:"warmup"`
 	QueueLimit   int           `json:"queue_limit"`
-	CacheSize    int           `json:"cache_size"`
 	ShedDepth    int           `json:"shed_depth"`
 	RunTimeout   time.Duration `json:"run_timeout"`
 	MaxRetries   int           `json:"max_retries"`
@@ -96,7 +95,6 @@ func (p PoolParams) config() runqueue.Config {
 		MaxWorkers:   max,
 		Warmup:       warmup,
 		QueueLimit:   p.QueueLimit,
-		CacheSize:    p.CacheSize,
 		ShedDepth:    p.ShedDepth,
 		RunTimeout:   p.RunTimeout,
 		MaxRetries:   p.MaxRetries,

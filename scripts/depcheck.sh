@@ -8,8 +8,11 @@
 # went from fixed journal sizes to the run ledger's dead/live byte counts,
 # deleting the compaction bounds and Stats.Snapshots. The coordinator's
 # refresh-on-read gave way to run watchers on the nodes' event streams,
-# deleting refresh, crun.lastView and both 20 ms poll loops. This check
-# keeps them all deleted:
+# deleting refresh, crun.lastView and both 20 ms poll loops. The pool's
+# second result cache gave way to the run ledger's history, deleting
+# cacheLRU with its three helpers, LedgerConfig.Forget, the coordinator's
+# deadEnd, pdpad's -cache flag and the scenario pool's cache_size. This
+# check keeps them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
@@ -77,9 +80,28 @@ if [[ -n "$hits" ]]; then
     fail=1
 fi
 
+# The run ledger alone decides which run answers a spec key
+# (runqueue/ledger.go), and its history is the only result cache: no
+# second LRU beside it, no per-backend key filter, no cache-size option.
+hits=$({
+    grep -rn --include='*.go' -E '\bcacheLRU\b|\b(insert|touch|drop)CacheLocked\b|\bdeadEnd\b' internal cmd
+    grep -n -E '^\s+Forget\s+func\(' internal/runqueue/ledger.go
+    grep -n -E 'flag\.[A-Za-z]+\("cache"' cmd/pdpad/main.go
+    grep -n -E '^\s+CacheSize\s+[^:[:space:]]' internal/scenario/*.go
+} || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: second result cache or its options reintroduced (the run ledger's history answers repeats):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
 # Match only real deprecation markers (a doc-comment line starting with
-# "// Deprecated:"), not prose that merely mentions the convention.
-hits=$(grep -rn --include='*.go' -E '^\s*// Deprecated:' . || true)
+# "// Deprecated:"), not prose that merely mentions the convention. The
+# registered ones, each with its removal plan:
+#   - runqueue.Config.CacheSize (ignored; cmd/pdpabench still sets it):
+#     delete with the benchmark change that drops poolCache.
+registered='^internal/runqueue/runqueue\.go:[0-9]+:\s*// Deprecated: the run history is the only result cache'
+hits=$(grep -rn --include='*.go' -E '^\s*// Deprecated:' . | sed 's#^\./##' | grep -v -E "$registered" || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: new Deprecated: markers — remove the symbol or register its removal plan here:" >&2
     echo "$hits" >&2
