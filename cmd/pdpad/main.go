@@ -48,6 +48,10 @@
 // On SIGINT/SIGTERM the daemon stops accepting work, drains in-flight and
 // queued runs, and exits; a second signal (or -drain-timeout) cancels the
 // stragglers.
+//
+// main turns flags into a fleet.DaemonConfig and runs the signal loop:
+// fleet.StartDaemon assembles every role, the scenario runner's and the
+// fleet tests' too, whose kill -9 stand-in is the Daemon's Kill and Restart.
 package main
 
 import (
@@ -56,7 +60,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -65,201 +68,117 @@ import (
 
 	"pdpasim/internal/faults"
 	"pdpasim/internal/fleet"
-	"pdpasim/internal/runqueue"
-	"pdpasim/internal/server"
-	"pdpasim/internal/store"
 )
 
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		base         = flag.Int("base", 4, "base worker concurrency: below it admission is unconditional (PDPA's base MPL)")
-		max          = flag.Int("max", 0, "max concurrent simulations (0 = 2×base)")
-		warmup       = flag.Duration("warmup", 500*time.Millisecond, "how long a new run is considered settling; above base, admission waits for a stable running set")
-		queueLimit   = flag.Int("queue", 256, "maximum queued runs")
-		deadline     = flag.Duration("deadline", 0, "default per-run deadline, queue wait included (0 = none)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for runs to finish before cancelling them")
-		traceLimit   = flag.Int("trace-limit", 2000, "decision-trace events retained per run, served at /v1/runs/{id}/trace (negative disables tracing)")
-		runTimeout   = flag.Duration("run-timeout", 0, "per-attempt wall-clock limit for a simulation; exceeded runs fail with a timeout error (0 = none)")
-		maxRetries   = flag.Int("max-retries", 0, "retries for transiently failed runs, with exponential backoff (0 = none)")
-		maxQueue     = flag.Int("max-queue", 0, "queue depth past which submissions are shed with 429 + Retry-After (0 = shed only at -queue)")
-		injectSeed   = flag.Int64("inject-seed", 1, "seed for probabilistic -inject rules")
-		storeDir     = flag.String("store", "", "directory for the durable run store; completed runs survive restarts (empty = in-memory only)")
-		storeSync    = flag.Duration("store-sync", 50*time.Millisecond, "fsync batching interval for the run store (negative = fsync every append)")
-
-		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator: admission and routing only, no local simulations")
-		nodeMode    = flag.Bool("node", false, "run as a fleet node: an ordinary daemon that joins a coordinator")
-		join        = flag.String("join", "", "coordinator base URL to join (requires -node)")
-		advertise   = flag.String("advertise", "", "base URL the coordinator should reach this node at (default derived from -addr)")
-		nodeName    = flag.String("node-name", "", "human label for this node in the coordinator's node list")
-		placement   = flag.String("placement", "round_robin", "coordinator placement strategy: round_robin, least_loaded, or lpt")
-		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "coordinator-directed node heartbeat interval")
-		unhealthy   = flag.Duration("unhealthy-after", 0, "heartbeat silence before a node stops receiving placements (0 = 3×heartbeat)")
-		deadAfter   = flag.Duration("dead-after", 0, "heartbeat silence before a node is drained and its runs requeued (0 = 2×unhealthy-after)")
-		maxRequeues = flag.Int("max-requeues", 3, "re-placements one run may survive after node deaths before failing")
-		drainIdle   = flag.Duration("drain-idle-after", 0, "coordinator: scale-drain a node idle this long, never below -min-nodes (0 = disabled)")
-		minNodes    = flag.Int("min-nodes", 0, "coordinator: floor of ready nodes the idle-drain rule preserves (0 = 1)")
-		joinBacklog = flag.Int("join-backlog", 0, "coordinator: queue depth that fires a scale-up signal, once per backlog episode (0 = disabled)")
-	)
-	var injectRules []faults.Rule
-	flag.Func("inject", "fault-injection rule \"<site>:<kind> [after=N] [count=N] [prob=F] [delay=DUR] [transient] [err=MSG]\" (repeatable; chaos testing — same syntax as scenario files)",
-		func(s string) error {
-			rules, err := faults.ParseRules(s)
-			if err != nil {
-				return err
-			}
-			injectRules = append(injectRules, rules...)
-			return nil
-		})
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "pdpad: unexpected arguments: %v\n", flag.Args())
+	cfg, drainTimeout, role, err := config(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pdpad: %v\n", err)
 		os.Exit(2)
 	}
-	if *base < 1 || *max < 0 || *queueLimit < 1 || *warmup < 0 || *deadline < 0 || *drainTimeout <= 0 ||
-		*runTimeout < 0 || *maxRetries < 0 || *maxQueue < 0 || *heartbeat <= 0 || *unhealthy < 0 || *deadAfter < 0 || *maxRequeues < 0 ||
-		*drainIdle < 0 || *minNodes < 0 || *joinBacklog < 0 {
-		fmt.Fprintln(os.Stderr, "pdpad: flag values must be positive")
-		os.Exit(2)
+	d, err := fleet.StartDaemon(cfg)
+	if err != nil {
+		log.Fatalf("pdpad: %v", err)
 	}
-	if *coordinator && *nodeMode {
-		fmt.Fprintln(os.Stderr, "pdpad: -coordinator and -node are mutually exclusive")
-		os.Exit(2)
-	}
-	if *nodeMode && *join == "" {
-		fmt.Fprintln(os.Stderr, "pdpad: -node requires -join <coordinator URL>")
-		os.Exit(2)
-	}
-	if *join != "" && !*nodeMode {
-		fmt.Fprintln(os.Stderr, "pdpad: -join requires -node")
-		os.Exit(2)
-	}
-	if *max == 0 {
-		*max = 2 * *base
-	}
-
-	var inj *faults.Injector
-	if len(injectRules) > 0 {
-		inj = faults.New(*injectSeed, injectRules...)
-		log.Printf("pdpad: fault injection armed: %d rule(s), seed %d", len(injectRules), *injectSeed)
-	}
-
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		st, err = store.Open(*storeDir, store.Options{SyncInterval: *storeSync})
-		if err != nil {
-			log.Fatalf("pdpad: open store %s: %v", *storeDir, err)
-		}
-		stats := st.Stats()
-		log.Printf("pdpad: store %s: recovered %d record(s) (%d truncated tail(s), %d corrupt frame(s))",
-			*storeDir, stats.RecoveredEntries, stats.TruncatedTails, stats.CorruptFrames)
-	}
-
-	// Every role runs the same lifecycle; only the backend differs — a
-	// coordinator, or a pool (with an agent when it is a fleet node).
-	var (
-		handler http.Handler
-		drain   func(context.Context) error
-		stop    = func() {}
-		role    string
-	)
-	if *coordinator {
-		coord, err := fleet.NewCoordinator(fleet.Config{
-			Placement: fleet.Placement(*placement),
-			Health: fleet.HealthConfig{
-				HeartbeatInterval: *heartbeat,
-				UnhealthyAfter:    *unhealthy,
-				DeadAfter:         *deadAfter,
-			},
-			MaxRequeues: *maxRequeues,
-			Store:       st,
-			Elastic: fleet.ElasticConfig{
-				DrainIdleAfter:   *drainIdle,
-				MinNodes:         *minNodes,
-				JoinBacklogDepth: *joinBacklog,
-			},
-			Faults: inj,
-			Logf:   log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("pdpad: %v", err)
-		}
-		handler, drain, stop = coord, coord.Drain, coord.Close
-		role = fmt.Sprintf("coordinator (placement %s, heartbeat %v)", *placement, *heartbeat)
-	} else {
-		pool := runqueue.New(runqueue.Config{
-			BaseWorkers:     *base,
-			MaxWorkers:      *max,
-			Warmup:          *warmup,
-			QueueLimit:      *queueLimit,
-			DefaultDeadline: *deadline,
-			TraceLimit:      *traceLimit,
-			RunTimeout:      *runTimeout,
-			MaxRetries:      *maxRetries,
-			ShedDepth:       *maxQueue,
-			Faults:          inj,
-			Store:           st,
-		})
-		serverOpts := []server.Option{server.WithFaults(inj)}
-		if *nodeMode {
-			serverOpts = append(serverOpts, server.WithRole(server.RoleNode))
-			agent := fleet.StartAgent(fleet.AgentConfig{
-				Coordinator: strings.TrimRight(*join, "/"),
-				Advertise:   deriveAdvertise(*advertise, *addr),
-				Name:        *nodeName,
-				CPUs:        *base, // capacity hint: the pool's admission floor
-				BaseWorkers: *base,
-				MaxWorkers:  *max,
-				Faults:      inj,
-				Logf:        log.Printf,
-			}, pool)
-			stop = agent.Stop
-			log.Printf("pdpad: joining fleet at %s as %s", *join, deriveAdvertise(*advertise, *addr))
-		}
-		handler, drain = server.New(pool, serverOpts...), pool.Drain
-		role = fmt.Sprintf("pool (base %d, max %d, warmup %v)", *base, *max, *warmup)
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	log.Printf("pdpad: serving on %s as %s", *addr, role)
-
-	select {
-	case err := <-serveErr:
-		log.Fatalf("pdpad: serve: %v", err)
-	case sig := <-sigs:
-		log.Printf("pdpad: %v: draining (accepted runs complete; again to force)", sig)
-	}
-
-	// Drain before stopping the role's background work: a node's agent keeps
-	// heartbeating while its pool drains, and the pool's draining flag rides
-	// the heartbeats, so the coordinator stops placing there first.
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Printf("pdpad: serving on %s as %s", cfg.Addr, role)
+	log.Printf("pdpad: %v: draining (accepted runs complete; again to force)", <-sigs)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	go func() {
 		<-sigs
 		log.Print("pdpad: second signal: cutting the drain short")
 		cancel()
 	}()
-	if err := drain(drainCtx); err != nil {
+	if err := d.Drain(drainCtx); err != nil {
 		log.Printf("pdpad: drain cut short: %v", err)
 	}
 	cancel()
-	stop()
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("pdpad: http shutdown: %v", err)
-	}
-	if st != nil {
-		if err := st.Close(); err != nil {
-			log.Printf("pdpad: store close: %v", err)
-		}
+	if err := d.Close(); err != nil {
+		log.Printf("pdpad: %v", err)
 	}
 	log.Print("pdpad: bye")
+}
+
+// config turns pdpad's command line into the daemon it runs, the drain
+// timeout, and the role its start-up line names. Flags bind straight into
+// the daemon's pool and coordinator configs; the role picks which is used.
+func config(args []string) (cfg fleet.DaemonConfig, drainTimeout time.Duration, role string, err error) {
+	fs := flag.NewFlagSet("pdpad", flag.ExitOnError)
+	pool, coord := &cfg.Pool, &fleet.Config{}
+	fs.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
+	fs.IntVar(&pool.BaseWorkers, "base", 4, "base worker concurrency: below it admission is unconditional (PDPA's base MPL)")
+	fs.IntVar(&pool.MaxWorkers, "max", 0, "max concurrent simulations, at least -base (0 = 2×base)")
+	fs.DurationVar(&pool.Warmup, "warmup", 500*time.Millisecond, "how long a new run is considered settling; above base, admission waits for a stable running set")
+	fs.IntVar(&pool.QueueLimit, "queue", 256, "maximum queued runs")
+	fs.DurationVar(&pool.DefaultDeadline, "deadline", 0, "default per-run deadline, queue wait included (0 = none)")
+	fs.DurationVar(&drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for runs to finish before cancelling them")
+	fs.IntVar(&pool.TraceLimit, "trace-limit", 2000, "decision-trace events retained per run, served at /v1/runs/{id}/trace (negative disables tracing)")
+	fs.DurationVar(&pool.RunTimeout, "run-timeout", 0, "per-attempt wall-clock limit for a simulation; exceeded runs fail with a timeout error (0 = none)")
+	fs.IntVar(&pool.MaxRetries, "max-retries", 0, "retries for transiently failed runs, with exponential backoff (0 = none)")
+	fs.IntVar(&pool.ShedDepth, "max-queue", 0, "queue depth past which submissions are shed with 429 + Retry-After (0 = shed only at -queue)")
+	injectSeed := fs.Int64("inject-seed", 1, "seed for probabilistic -inject rules")
+	fs.StringVar(&cfg.StoreDir, "store", "", "directory for the durable run store; completed runs survive restarts (empty = in-memory only)")
+	fs.DurationVar(&cfg.StoreSync, "store-sync", 50*time.Millisecond, "fsync batching interval for the run store (negative = fsync every append)")
+
+	coordinator := fs.Bool("coordinator", false, "run as a fleet coordinator: admission and routing only, no local simulations")
+	nodeMode := fs.Bool("node", false, "run as a fleet node: an ordinary daemon that joins a coordinator")
+	fs.StringVar(&cfg.Join, "join", "", "coordinator base URL to join (requires -node)")
+	advertise := fs.String("advertise", "", "base URL the coordinator should reach this node at (default derived from -addr)")
+	fs.StringVar(&cfg.Name, "node-name", "", "human label for this node in the coordinator's node list")
+	fs.StringVar((*string)(&coord.Placement), "placement", "round_robin", "coordinator placement strategy: round_robin, least_loaded, or lpt")
+	h, el := &coord.Health, &coord.Elastic
+	fs.DurationVar(&h.HeartbeatInterval, "heartbeat", 2*time.Second, "coordinator-directed node heartbeat interval")
+	fs.DurationVar(&h.UnhealthyAfter, "unhealthy-after", 0, "heartbeat silence before a node stops receiving placements (0 = 3×heartbeat)")
+	fs.DurationVar(&h.DeadAfter, "dead-after", 0, "heartbeat silence before a node is drained and its runs requeued (0 = 2×unhealthy-after)")
+	fs.IntVar(&coord.MaxRequeues, "max-requeues", 3, "re-placements one run may survive after node deaths before failing")
+	fs.DurationVar(&el.DrainIdleAfter, "drain-idle-after", 0, "coordinator: scale-drain a node idle this long, never below -min-nodes (0 = disabled)")
+	fs.IntVar(&el.MinNodes, "min-nodes", 0, "coordinator: floor of ready nodes the idle-drain rule preserves (0 = 1)")
+	fs.IntVar(&el.JoinBacklogDepth, "join-backlog", 0, "coordinator: queue depth that fires a scale-up signal, once per backlog episode (0 = disabled)")
+	var injectRules []faults.Rule
+	fs.Func("inject", "fault-injection rule \"<site>:<kind> [after=N] [count=N] [prob=F] [delay=DUR] [transient] [err=MSG]\" (repeatable; chaos testing — same syntax as scenario files)",
+		func(s string) error {
+			rules, err := faults.ParseRules(s)
+			injectRules = append(injectRules, rules...)
+			return err
+		})
+	fs.Parse(args)
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
+	case pool.BaseWorkers < 1 || pool.MaxWorkers < 0 || pool.QueueLimit < 1 || pool.Warmup < 0 || pool.DefaultDeadline < 0 || drainTimeout <= 0 ||
+		pool.RunTimeout < 0 || pool.MaxRetries < 0 || pool.ShedDepth < 0 || h.HeartbeatInterval <= 0 || h.UnhealthyAfter < 0 || h.DeadAfter < 0 ||
+		coord.MaxRequeues < 0 || el.DrainIdleAfter < 0 || el.MinNodes < 0 || el.JoinBacklogDepth < 0:
+		err = errors.New("flag values must be positive")
+	case pool.MaxWorkers != 0 && pool.MaxWorkers < pool.BaseWorkers:
+		err = errors.New("-max must not be below -base")
+	case *coordinator && *nodeMode:
+		err = errors.New("-coordinator and -node are mutually exclusive")
+	case *nodeMode && cfg.Join == "":
+		err = errors.New("-node requires -join <coordinator URL>")
+	case cfg.Join != "" && !*nodeMode:
+		err = errors.New("-join requires -node")
+	}
+	if err != nil {
+		return cfg, 0, "", err
+	}
+	if pool.MaxWorkers == 0 {
+		pool.MaxWorkers = 2 * pool.BaseWorkers
+	}
+	if len(injectRules) > 0 {
+		pool.Faults = faults.New(*injectSeed, injectRules...)
+		coord.Faults = pool.Faults
+		log.Printf("pdpad: fault injection armed: %d rule(s), seed %d", len(injectRules), *injectSeed)
+	}
+	cfg.Logf, coord.Logf = log.Printf, log.Printf
+	if *coordinator {
+		cfg.Coordinator = coord
+		return cfg, drainTimeout, fmt.Sprintf("coordinator (placement %s, heartbeat %v)", coord.Placement, h.HeartbeatInterval), nil
+	}
+	if *nodeMode {
+		cfg.Join, cfg.Advertise = strings.TrimRight(cfg.Join, "/"), deriveAdvertise(*advertise, cfg.Addr)
+	}
+	return cfg, drainTimeout, fmt.Sprintf("pool (base %d, max %d, warmup %v)", pool.BaseWorkers, pool.MaxWorkers, pool.Warmup), nil
 }
 
 // deriveAdvertise fills a missing -advertise from the listen address: a

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -14,14 +13,15 @@ import (
 // recovers into the same response bodies, byte for byte. The node never
 // re-registers and the heartbeat clock is an hour, so nothing moves.
 func TestStoreCompatRecovery(t *testing.T) {
-	st := storetest.Replay(t, "testdata/store-compat.jsonl")
-	c, err := NewCoordinator(Config{Store: st, Health: HealthConfig{HeartbeatInterval: time.Hour}, Logf: t.Logf})
+	d, err := StartDaemon(DaemonConfig{
+		Addr:        "127.0.0.1:0",
+		StoreDir:    storetest.Replay(t, "testdata/store-compat.jsonl"),
+		Coordinator: &Config{Health: HealthConfig{HeartbeatInterval: time.Hour}, Logf: t.Logf},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	ts := httptest.NewServer(c)
-	defer ts.Close()
-	storetest.CheckTranscript(t, "testdata/store-compat.golden", ts.URL,
+	defer d.Close()
+	storetest.CheckTranscript(t, "testdata/store-compat.golden", d.URL(),
 		"/v1/runs", "/v1/runs/run-000001", "/v1/runs/run-000002", "/v1/runs/run-000003", "/v1/sweeps/sweep-000001")
 }

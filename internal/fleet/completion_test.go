@@ -82,8 +82,8 @@ func TestSettleUnreadRun(t *testing.T) {
 		t.Fatalf("node n0 reports assigned: %d after finishing the run, want 0", got)
 	}
 
-	f.killCoordinator()
-	st, err := store.Open(f.dir, store.Options{SyncInterval: -1})
+	f.c.Kill()
+	st, err := store.Open(f.c.cfg.StoreDir, store.Options{SyncInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,7 @@ func TestSettleBeforeNodeDeath(t *testing.T) {
 	waitAssigned(ctx, t, f.cli, "n0", 0, 2*time.Second)
 
 	dead := f.nodes[0].agent.ID()
-	f.nodes[0].kill()
-	f.nodes[0].agent = nil
+	f.nodes[0].Kill()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		page, err := f.cli.Nodes(ctx, client.ListOptions{State: string(StateDrained)})
@@ -318,8 +317,7 @@ func TestFollowRunAcrossNodeDeath(t *testing.T) {
 	waitState(ctx, t, f.cli, id, "running")
 	first, done := follow(ctx, f.cli, id)
 	<-first
-	f.nodes[0].kill()
-	f.nodes[0].agent = nil
+	f.nodes[0].Kill()
 
 	r := <-done
 	if r.err != nil {
@@ -353,7 +351,7 @@ func TestCloseStopsWatchers(t *testing.T) {
 	if watchers() == 0 {
 		t.Fatal("no watcher follows the runs in flight")
 	}
-	f.coord.Close()
+	f.c.coord.Close()
 	if n := watchers(); n != 0 {
 		t.Errorf("%d watchers outlive Close", n)
 	}

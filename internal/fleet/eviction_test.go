@@ -58,9 +58,9 @@ func TestHistoryEvictionScript(t *testing.T) {
 		return cfg
 	})
 	setLimit := func() {
-		f.coord.mu.Lock()
-		f.coord.runs.Limit = script.Limit
-		f.coord.mu.Unlock()
+		f.c.coord.mu.Lock()
+		f.c.coord.runs.Limit = script.Limit
+		f.c.coord.mu.Unlock()
 	}
 	setLimit()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -104,7 +104,7 @@ func TestHistoryEvictionScript(t *testing.T) {
 				t.Fatalf("step %d: failed seed ended %s (%v), want failed", i, v.State, err)
 			}
 		case "restart":
-			f.killCoordinator()
+			f.c.Kill()
 			f.restartCoordinator()
 			setLimit()
 			f.waitHealthy(ctx, 1)

@@ -41,11 +41,15 @@
 // aggregate in grid order by index exactly as on a single node, so a fleet
 // sweep's cells are byte-identical to the same sweep on one daemon —
 // including after a node dies mid-sweep and survivors absorb its members.
+//
+// Every pdpad role is assembled in one place, StartDaemon (daemon.go): store
+// → pool → server → agent for a standalone daemon or a node, store →
+// coordinator → server for a coordinator. pdpad, the scenario runner and the
+// fleet tests all build their stacks through it, and Daemon.Kill and
+// Daemon.Restart are the one kill -9 stand-in.
 package fleet
 
-import (
-	"time"
-)
+import "time"
 
 // NodeState is a node's lifecycle state as the coordinator reports it.
 type NodeState string

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,81 +97,152 @@ func TestParsePlacement(t *testing.T) {
 // fastHealth keeps fleet tests snappy: unhealthy after 90ms, dead at 180ms.
 var fastHealth = HealthConfig{HeartbeatInterval: 30 * time.Millisecond}
 
-type testNode struct {
-	pool  *runqueue.Pool
-	ts    *httptest.Server
-	agent *Agent
-}
-
-// kill simulates node death: the HTTP surface vanishes and heartbeats stop.
-func (n *testNode) kill() {
-	n.agent.Stop()
-	n.ts.CloseClientConnections()
-	n.ts.Close()
-}
-
+// testFleet is a coordinator daemon c and its node daemons, each assembled
+// by StartDaemon as pdpad assembles them. A durable fleet's coordinator can
+// be killed (c.Kill) and restarted on the same store and address with the
+// nodes surviving the outage: the in-process double of the fleetsmoke kill
+// -9 leg.
 type testFleet struct {
 	t     *testing.T
-	coord *Coordinator
-	cts   *httptest.Server
+	c     *Daemon
 	cli   *client.Client
-	nodes []*testNode
+	nodes []*Daemon
+	// reconcileDelay holds back every node's POST /v1/runs/reconcile
+	// answer (nodeHandler).
+	reconcileDelay time.Duration
+	// holdSubmit, when set, runs before any node answers POST /v1/runs;
+	// intercept, when set, answers every node request in the pool's place
+	// (nodeHandler).
+	holdSubmit atomic.Pointer[func()]
+	intercept  atomic.Pointer[http.HandlerFunc]
 }
 
 // startFleet boots a coordinator plus n nodes and waits for every node to
 // register. cfgFor customizes each node's pool (nil = defaults).
 func startFleet(t *testing.T, n int, placement Placement, cfgFor func(i int) runqueue.Config) *testFleet {
+	return launchFleet(t, Config{Placement: placement, Health: fastHealth}, "", 0, n, cfgFor)
+}
+
+func startDurableFleet(t *testing.T, n int, cfgFor func(i int) runqueue.Config) *testFleet {
+	return startDurableFleetH(t, n, fastHealth, 0, cfgFor)
+}
+
+func startDurableFleetH(t *testing.T, n int, health HealthConfig, reconcileDelay time.Duration, cfgFor func(i int) runqueue.Config) *testFleet {
+	return launchFleet(t, Config{Health: health}, t.TempDir(), reconcileDelay, n, cfgFor)
+}
+
+// launchFleet starts a coordinator from coord, journaling to storeDir when
+// it is set, then n nodes one at a time, each registered before the next.
+func launchFleet(t *testing.T, coord Config, storeDir string, reconcileDelay time.Duration, n int, cfgFor func(i int) runqueue.Config) *testFleet {
 	t.Helper()
-	coord, err := NewCoordinator(Config{Placement: placement, Health: fastHealth, Logf: t.Logf})
+	coord.Logf = t.Logf
+	c, err := StartDaemon(DaemonConfig{Addr: "127.0.0.1:0", StoreDir: storeDir, StoreSync: -1, Coordinator: &coord})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &testFleet{t: t, coord: coord}
-	f.cts = httptest.NewServer(coord)
-	f.cli = client.New(f.cts.URL)
+	f := &testFleet{t: t, c: c, cli: client.New(c.URL()), reconcileDelay: reconcileDelay}
+	t.Cleanup(f.shutdown)
 	for i := 0; i < n; i++ {
 		cfg := runqueue.Config{}
 		if cfgFor != nil {
 			cfg = cfgFor(i)
 		}
-		pool := runqueue.New(cfg)
-		ts := httptest.NewServer(server.New(pool))
-		agent := StartAgent(AgentConfig{
-			Coordinator: f.cts.URL,
-			Advertise:   ts.URL,
-			Name:        fmt.Sprintf("n%d", i),
-			CPUs:        60,
-			Logf:        t.Logf,
-		}, pool)
+		d, err := StartDaemon(DaemonConfig{
+			Addr: "127.0.0.1:0", Pool: cfg, Join: c.URL(), Name: fmt.Sprintf("n%d", i), Logf: t.Logf, Wrap: f.nodeHandler,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.nodes = append(f.nodes, d)
 		select {
-		case <-agent.Registered():
+		case <-d.agent.Registered():
 		case <-time.After(10 * time.Second):
 			t.Fatalf("node %d never registered", i)
 		}
-		f.nodes = append(f.nodes, &testNode{pool: pool, ts: ts, agent: agent})
 	}
-	t.Cleanup(f.shutdown)
 	return f
 }
 
+// nodeHandler wraps a node daemon's v1 surface with the fleet's test
+// hooks: intercept, reconcileDelay and holdSubmit.
+func (f *testFleet) nodeHandler(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if answer := f.intercept.Load(); answer != nil {
+			(*answer)(w, r)
+			return
+		}
+		if r.Method == http.MethodPost {
+			switch r.URL.Path {
+			case "/v1/runs/reconcile":
+				time.Sleep(f.reconcileDelay)
+			case "/v1/runs":
+				if hold := f.holdSubmit.Load(); hold != nil {
+					(*hold)()
+				}
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// restartCoordinator brings the killed coordinator back from the same
+// store at the same address, as a supervisor would after a crash.
+func (f *testFleet) restartCoordinator() {
+	f.t.Helper()
+	if err := f.c.Restart(); err != nil {
+		f.t.Fatal(err)
+	}
+	f.cli.CloseIdleConnections()
+}
+
+// waitHealthy polls until want nodes report healthy (agents re-registered
+// and reconciled after a restart).
+func (f *testFleet) waitHealthy(ctx context.Context, want int) {
+	f.t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		page, err := f.cli.Nodes(ctx, client.ListOptions{})
+		healthy := 0
+		if err == nil {
+			for _, nv := range page.Nodes {
+				if nv.State == string(StateHealthy) {
+					healthy++
+				}
+			}
+			if healthy >= want {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			f.t.Fatalf("fleet never reached %d healthy nodes (last: %d, err %v)", want, healthy, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func (f *testFleet) metric(ctx context.Context, name string) float64 {
+	f.t.Helper()
+	met, err := f.cli.Metrics(ctx)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	return met[name]
+}
+
+// shutdown stops the traffic sources first (every agent, then the
+// coordinator), then drains and closes each node, where a killed node's
+// work finishes.
 func (f *testFleet) shutdown() {
 	for _, n := range f.nodes {
-		if n.agent != nil {
-			n.agent.Stop()
-			n.agent = nil
-		}
+		n.agent.Stop()
 	}
-	f.coord.Close()
+	f.c.Kill()
 	for _, n := range f.nodes {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		n.pool.Drain(ctx)
+		n.Drain(ctx)
 		cancel()
-		if n.ts != nil {
-			n.ts.Close()
-			n.ts = nil
-		}
+		n.Close()
 	}
-	f.cts.Close()
 	f.cli.CloseIdleConnections()
 }
 
@@ -193,14 +263,16 @@ func testSweep() client.SubmitSweepRequest {
 // the cells JSON — the reference bytes fleets must reproduce.
 func standaloneCells(t *testing.T) []byte {
 	t.Helper()
-	pool := runqueue.New(runqueue.Config{})
-	ts := httptest.NewServer(server.New(pool))
-	cli := client.New(ts.URL)
+	d, err := StartDaemon(DaemonConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := client.New(d.URL())
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		pool.Drain(ctx)
+		d.Drain(ctx)
 		cancel()
-		ts.Close()
+		d.Close()
 		cli.CloseIdleConnections()
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -296,7 +368,7 @@ func TestFleetNodeDeathMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round-robin over two nodes put half the members on the doomed node.
-	f.nodes[0].kill()
+	f.nodes[0].Kill()
 	v, err := f.cli.WaitSweep(ctx, sub.ID, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +494,7 @@ func TestCoordinatorCountsRepeats(t *testing.T) {
 	for _, c := range []struct {
 		reg          *obs.Registry
 		hits, dedups float64
-	}{{f.coord.Metrics(), 1, 1}, {f.nodes[0].pool.Metrics(), 0, 0}} {
+	}{{f.c.coord.Metrics(), 1, 1}, {f.nodes[0].pool.Metrics(), 0, 0}} {
 		hits, _ := c.reg.Value("pdpad_cache_hits_total", "")
 		dedups, _ := c.reg.Value("pdpad_dedup_hits_total", "")
 		if hits != c.hits || dedups != c.dedups {
@@ -562,7 +634,7 @@ func TestPlacementCountsPendingRuns(t *testing.T) {
 		defer cancel()
 		id := submit(ctx, t, f.cli, 1, 0)
 		expect(ctx, t, f.cli, 1, 0)
-		f.killCoordinator()
+		f.c.Kill()
 		f.restartCoordinator()
 		// Rebuilt from the recovered ledger: first on the recovered node,
 		// then on the incarnation that inherits the run.

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -32,11 +31,12 @@ type AgentConfig struct {
 	Faults *faults.Injector
 	// HTTPClient carries node → coordinator traffic (default fresh).
 	HTTPClient *http.Client
-	// RetryInterval paces registration retries (default 250ms).
-	RetryInterval time.Duration
 	// Logf receives operational log lines (default: discarded).
 	Logf func(format string, args ...any)
 }
+
+// registerRetry paces registration retries.
+const registerRetry = 250 * time.Millisecond
 
 // Agent keeps one node registered with its coordinator: it registers (with
 // retry), then heartbeats at the coordinator-directed cadence, re-registering
@@ -51,7 +51,6 @@ type Agent struct {
 
 	mu         sync.Mutex
 	id         string
-	fatal      error
 	registered chan struct{} // closed after the first successful registration
 }
 
@@ -60,9 +59,6 @@ type Agent struct {
 func StartAgent(cfg AgentConfig, pool *runqueue.Pool) *Agent {
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = &http.Client{}
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 250 * time.Millisecond
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -97,14 +93,6 @@ func (a *Agent) ID() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.id
-}
-
-// Err returns the fatal error that stopped the agent for good (an
-// incompatible API revision), or nil.
-func (a *Agent) Err() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.fatal
 }
 
 func (a *Agent) loop(ctx context.Context) {
@@ -155,9 +143,6 @@ func (a *Agent) register(ctx context.Context) (time.Duration, bool) {
 		}
 		var api *client.APIError
 		if errors.As(err, &api) && api.Code == server.CodeIncompatibleRevision {
-			a.mu.Lock()
-			a.fatal = fmt.Errorf("fleet: coordinator refused registration: %w", err)
-			a.mu.Unlock()
 			a.cfg.Logf("fleet: fatal: %v", err)
 			return 0, false
 		}
@@ -165,7 +150,7 @@ func (a *Agent) register(ctx context.Context) (time.Duration, bool) {
 		select {
 		case <-ctx.Done():
 			return 0, false
-		case <-time.After(a.cfg.RetryInterval):
+		case <-time.After(registerRetry):
 		}
 	}
 }

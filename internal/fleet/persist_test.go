@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -211,208 +209,6 @@ func TestRecoverStateAcrossCompaction(t *testing.T) {
 	}
 }
 
-// --- durable fleet harness ----------------------------------------------
-
-// serveAt serves h on a specific address, retrying while a previous
-// listener's port frees up; addr "" picks a fresh ephemeral port. This is
-// what lets a test coordinator restart at the same URL its agents hold.
-func serveAt(t *testing.T, addr string, h http.Handler) *httptest.Server {
-	t.Helper()
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var l net.Listener
-	var err error
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		l, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("binding %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	ts := &httptest.Server{Listener: l, Config: &http.Server{Handler: h}}
-	ts.Start()
-	return ts
-}
-
-// durableFleet is a fleet whose coordinator persists to a store and can be
-// killed and restarted at the same address, with node daemons surviving the
-// outage — the in-process double of the fleetsmoke kill -9 leg.
-type durableFleet struct {
-	t      *testing.T
-	dir    string
-	addr   string
-	health HealthConfig
-	// reconcileDelay holds back every node's POST /v1/runs/reconcile
-	// answer (nodeHandler).
-	reconcileDelay time.Duration
-	// holdSubmit, when set, runs before any node answers POST /v1/runs
-	// (nodeHandler): a test holds dispatches with it.
-	holdSubmit atomic.Pointer[func()]
-	st         *store.Store
-	coord      *Coordinator
-	cts        *httptest.Server
-	cli        *client.Client
-	nodes      []*testNode
-	killed     bool
-}
-
-func startDurableFleet(t *testing.T, n int, cfgFor func(i int) runqueue.Config) *durableFleet {
-	return startDurableFleetH(t, n, fastHealth, 0, cfgFor)
-}
-
-func startDurableFleetH(t *testing.T, n int, health HealthConfig, reconcileDelay time.Duration, cfgFor func(i int) runqueue.Config) *durableFleet {
-	t.Helper()
-	f := &durableFleet{t: t, dir: t.TempDir(), health: health, reconcileDelay: reconcileDelay}
-	st, err := store.Open(f.dir, store.Options{SyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.st = st
-	coord, err := NewCoordinator(Config{Health: f.health, Logf: t.Logf, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.coord = coord
-	f.cts = serveAt(t, "", coord)
-	f.addr = f.cts.Listener.Addr().String()
-	f.cli = client.New(f.cts.URL)
-	for i := 0; i < n; i++ {
-		cfg := runqueue.Config{}
-		if cfgFor != nil {
-			cfg = cfgFor(i)
-		}
-		pool := runqueue.New(cfg)
-		ts := httptest.NewServer(f.nodeHandler(pool))
-		agent := StartAgent(AgentConfig{
-			Coordinator:   f.cts.URL,
-			Advertise:     ts.URL,
-			Name:          fmt.Sprintf("n%d", i),
-			CPUs:          60,
-			RetryInterval: 20 * time.Millisecond,
-			Logf:          t.Logf,
-		}, pool)
-		select {
-		case <-agent.Registered():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("node %d never registered", i)
-		}
-		f.nodes = append(f.nodes, &testNode{pool: pool, ts: ts, agent: agent})
-	}
-	t.Cleanup(f.shutdown)
-	return f
-}
-
-// nodeHandler serves a node daemon's v1 surface over pool, answering POST
-// /v1/runs/reconcile only after the fleet's reconcileDelay, and POST
-// /v1/runs only after its holdSubmit hook returns.
-func (f *durableFleet) nodeHandler(pool *runqueue.Pool) http.Handler {
-	h := server.New(pool)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			switch r.URL.Path {
-			case "/v1/runs/reconcile":
-				time.Sleep(f.reconcileDelay)
-			case "/v1/runs":
-				if hold := f.holdSubmit.Load(); hold != nil {
-					(*hold)()
-				}
-			}
-		}
-		h.ServeHTTP(w, r)
-	})
-}
-
-// killCoordinator simulates the coordinator process dying: HTTP surface
-// gone, monitor stopped, store handle released. Node daemons keep running.
-func (f *durableFleet) killCoordinator() {
-	f.cts.CloseClientConnections()
-	f.cts.Close()
-	f.coord.Close()
-	f.st.Close()
-	f.killed = true
-}
-
-// restartCoordinator brings a fresh coordinator up from the same store at
-// the same address, as a supervisor would after a crash.
-func (f *durableFleet) restartCoordinator() {
-	f.t.Helper()
-	st, err := store.Open(f.dir, store.Options{SyncInterval: -1})
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	f.st = st
-	coord, err := NewCoordinator(Config{Health: f.health, Logf: f.t.Logf, Store: st})
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	f.coord = coord
-	f.cts = serveAt(f.t, f.addr, coord)
-	f.cli.CloseIdleConnections()
-	f.cli = client.New(f.cts.URL)
-	f.killed = false
-}
-
-// waitHealthy polls until want nodes report healthy (agents re-registered
-// and reconciled after a restart).
-func (f *durableFleet) waitHealthy(ctx context.Context, want int) {
-	f.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		page, err := f.cli.Nodes(ctx, client.ListOptions{})
-		healthy := 0
-		if err == nil {
-			for _, nv := range page.Nodes {
-				if nv.State == string(StateHealthy) {
-					healthy++
-				}
-			}
-			if healthy >= want {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			f.t.Fatalf("fleet never reached %d healthy nodes (last: %d, err %v)", want, healthy, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func (f *durableFleet) shutdown() {
-	for _, n := range f.nodes {
-		if n.agent != nil {
-			n.agent.Stop()
-			n.agent = nil
-		}
-	}
-	if !f.killed {
-		f.killCoordinator()
-	}
-	for _, n := range f.nodes {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		n.pool.Drain(ctx)
-		cancel()
-		if n.ts != nil {
-			n.ts.Close()
-			n.ts = nil
-		}
-	}
-	f.cli.CloseIdleConnections()
-}
-
-func (f *durableFleet) metric(ctx context.Context, name string) float64 {
-	f.t.Helper()
-	met, err := f.cli.Metrics(ctx)
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	return met[name]
-}
-
 // TestCoordinatorRestartRecoversSweep is the tentpole contract in-process:
 // a sweep interrupted by a coordinator kill mid-flight completes after a
 // restart with cells byte-identical to a standalone daemon's, with the
@@ -470,7 +266,7 @@ func TestCoordinatorRestartRecoversSweep(t *testing.T) {
 		}
 	}
 
-	f.killCoordinator()
+	f.c.Kill()
 	stall.Store(false)
 	f.restartCoordinator()
 	f.waitHealthy(ctx, 2)
@@ -517,7 +313,7 @@ func TestCoordinatorRestartKeepsIDSequences(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f.killCoordinator()
+	f.c.Kill()
 	f.restartCoordinator()
 	f.waitHealthy(ctx, 1)
 
@@ -549,46 +345,15 @@ func TestCoordinatorRestartKeepsIDSequences(t *testing.T) {
 func TestSweepAdmissionUnwindsOnDispatchFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{SyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Dispatch attempts 0 and 1 succeed; every later one fails. The grid's
 	// first two members in dispatch order land, the third fails over across
 	// both nodes and finds no taker.
 	inj := faults.New(1, faults.Rule{Site: faults.SiteNodeDispatch, Kind: faults.KindError, After: 2})
-	coord, err := NewCoordinator(Config{Health: fastHealth, Logf: t.Logf, Store: st, Faults: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cts := httptest.NewServer(coord)
-	cli := client.New(cts.URL)
-	var nodes []*testNode
-	for i := 0; i < 2; i++ {
-		pool := runqueue.New(fastNodeConfig(i))
-		ts := httptest.NewServer(server.New(pool))
-		agent := StartAgent(AgentConfig{
-			Coordinator: cts.URL, Advertise: ts.URL, Name: fmt.Sprintf("n%d", i), CPUs: 60, Logf: t.Logf,
-		}, pool)
-		select {
-		case <-agent.Registered():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("node %d never registered", i)
-		}
-		nodes = append(nodes, &testNode{pool: pool, ts: ts, agent: agent})
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.agent.Stop()
-			n.pool.Drain(ctx)
-			n.ts.Close()
-		}
-	}()
+	f := launchFleet(t, Config{Health: fastHealth, Faults: inj}, t.TempDir(), 0, 2, fastNodeConfig)
 
 	req := testSweep()
 	req.Seeds = []int64{1, 2, 3} // six members: the failing one sits mid-batch
-	_, err = cli.SubmitSweep(ctx, req)
+	_, err := f.cli.SubmitSweep(ctx, req)
 	var api *client.APIError
 	if !errors.As(err, &api) || api.Status != http.StatusBadGateway || api.Code != server.CodeNodeUnreachable {
 		t.Fatalf("sweep submit error = %v, want 502 %s", err, server.CodeNodeUnreachable)
@@ -597,16 +362,16 @@ func TestSweepAdmissionUnwindsOnDispatchFailure(t *testing.T) {
 		t.Errorf("injected dispatch faults = %d, want 2 (one per node for the failing member)", got)
 	}
 
-	assertNothingListed := func(cli *client.Client, when string) {
+	assertNothingListed := func(when string) {
 		t.Helper()
-		runs, err := cli.Runs(ctx, client.ListOptions{})
+		runs, err := f.cli.Runs(ctx, client.ListOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(runs.Runs) != 0 {
 			t.Errorf("%s: %d runs listed, want none: %+v", when, len(runs.Runs), runs.Runs)
 		}
-		sweeps, err := cli.Sweeps(ctx, client.ListOptions{})
+		sweeps, err := f.cli.Sweeps(ctx, client.ListOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -614,28 +379,11 @@ func TestSweepAdmissionUnwindsOnDispatchFailure(t *testing.T) {
 			t.Errorf("%s: %d sweeps listed, want none: %+v", when, len(sweeps.Sweeps), sweeps.Sweeps)
 		}
 	}
-	assertNothingListed(cli, "after the refused sweep")
+	assertNothingListed("after the refused sweep")
 
-	cts.Close()
-	coord.Close()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := store.Open(dir, store.Options{SyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	coord2, err := NewCoordinator(Config{Health: fastHealth, Logf: t.Logf, Store: st2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord2.Close()
-	cts2 := httptest.NewServer(coord2)
-	defer cts2.Close()
-	cli2 := client.New(cts2.URL)
-	defer cli2.CloseIdleConnections()
-	assertNothingListed(cli2, "after a restart on the same store")
+	f.c.Kill()
+	f.restartCoordinator()
+	assertNothingListed("after a restart on the same store")
 }
 
 // TestRegistryEvictsOldestTerminalRuns: the coordinator bounds its run
@@ -644,9 +392,9 @@ func TestSweepAdmissionUnwindsOnDispatchFailure(t *testing.T) {
 // and a sweep that lost a member reads failed "evicted from history".
 func TestRegistryEvictsOldestTerminalRuns(t *testing.T) {
 	f := startDurableFleet(t, 1, fastNodeConfig)
-	f.coord.mu.Lock()
-	f.coord.runs.Limit = 2
-	f.coord.mu.Unlock()
+	f.c.coord.mu.Lock()
+	f.c.coord.runs.Limit = 2
+	f.c.coord.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -702,7 +450,7 @@ func TestRegistryEvictsOldestTerminalRuns(t *testing.T) {
 		}
 	}
 	check("live")
-	f.killCoordinator()
+	f.c.Kill()
 	f.restartCoordinator()
 	check("after a restart on the same store")
 }
@@ -731,9 +479,9 @@ func TestRegistryEvictsLeastRecentlyUsed(t *testing.T) {
 		return cfg
 	})
 	setLimit := func() {
-		f.coord.mu.Lock()
-		f.coord.runs.Limit = 2
-		f.coord.mu.Unlock()
+		f.c.coord.mu.Lock()
+		f.c.coord.runs.Limit = 2
+		f.c.coord.mu.Unlock()
 	}
 	setLimit()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -794,7 +542,7 @@ func TestRegistryEvictsLeastRecentlyUsed(t *testing.T) {
 	sweepState("done")
 
 	// Recovery rebuilds the finish order: s5 goes before the long run.
-	f.killCoordinator()
+	f.c.Kill()
 	f.restartCoordinator()
 	setLimit()
 	f.waitHealthy(ctx, 1)
@@ -823,14 +571,13 @@ func TestRegistryEvictsLeastRecentlyUsed(t *testing.T) {
 func TestCoordinatorCompactionOfForgottenRuns(t *testing.T) {
 	const limit = 2
 	f := startDurableFleet(t, 2, fastNodeConfig)
-	f.coord.mu.Lock()
-	f.coord.runs.Limit = limit
-	f.coord.mu.Unlock()
+	f.c.coord.mu.Lock()
+	f.c.coord.runs.Limit = limit
+	f.c.coord.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	live, gone := f.nodes[0].agent.ID(), f.nodes[1].agent.ID()
 	f.nodes[1].agent.Stop()
-	f.nodes[1].agent = nil
 	if nv, err := f.cli.DrainNode(ctx, gone); err != nil || nv.State != string(StateDrained) {
 		t.Fatalf("drain %s = %+v, %v; want drained", gone, nv, err)
 	}
@@ -852,7 +599,7 @@ func TestCoordinatorCompactionOfForgottenRuns(t *testing.T) {
 	}
 
 	var ids []string
-	for seed := int64(1); f.st.Stats().Compactions == 0; seed++ {
+	for seed := int64(1); f.c.store.Stats().Compactions == 0; seed++ {
 		if seed > 20 {
 			t.Fatalf("no compaction after %d runs against a registry bound of %d", seed-1, limit)
 		}
@@ -870,7 +617,7 @@ func TestCoordinatorCompactionOfForgottenRuns(t *testing.T) {
 	}
 	getRaw := func(id string) string {
 		t.Helper()
-		resp, err := http.Get(f.cts.URL + "/v1/runs/" + id)
+		resp, err := http.Get(f.c.URL() + "/v1/runs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -888,12 +635,11 @@ func TestCoordinatorCompactionOfForgottenRuns(t *testing.T) {
 	}
 
 	f.nodes[0].agent.Stop() // the live node stays away, so it stays pending
-	f.nodes[0].agent = nil
-	f.killCoordinator()
+	f.c.Kill()
 	f.restartCoordinator()
-	f.coord.mu.Lock()
-	pending := f.coord.nodes[live] != nil && f.coord.nodes[live].pendingReconcile
-	f.coord.mu.Unlock()
+	f.c.coord.mu.Lock()
+	pending := f.c.coord.nodes[live] != nil && f.c.coord.nodes[live].pendingReconcile
+	f.c.coord.mu.Unlock()
 	if !pending {
 		t.Errorf("live node %s not recovered pending-reconcile", live)
 	}

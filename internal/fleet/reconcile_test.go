@@ -128,7 +128,7 @@ func testReconcileAdoptsCompleted(t *testing.T, delay time.Duration) {
 		t.Fatal(err)
 	}
 
-	f.killCoordinator()
+	f.c.Kill()
 	f.restartCoordinator()
 	f.waitHealthy(ctx, 1)
 
@@ -168,7 +168,7 @@ func TestReconcileResumesRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f.killCoordinator()
+	f.c.Kill()
 	f.restartCoordinator()
 	f.waitHealthy(ctx, 1)
 
@@ -209,26 +209,12 @@ func testReconcileRequeuesUnknown(t *testing.T, delay time.Duration) {
 
 	// Kill the coordinator AND restart the node with a fresh pool at the
 	// same address: the new node process has no record of the run.
-	f.killCoordinator()
-	old := f.nodes[0]
-	old.agent.Stop()
-	nodeAddr := old.ts.Listener.Addr().String()
-	old.ts.CloseClientConnections()
-	old.ts.Close()
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 30*time.Second)
-	old.pool.Drain(drainCtx)
-	cancelDrain()
-
-	pool := runqueue.New(fastNodeConfig(0))
-	ts := serveAt(t, nodeAddr, f.nodeHandler(pool))
+	f.c.Kill()
+	f.nodes[0].Kill()
 	f.restartCoordinator()
-	agent := StartAgent(AgentConfig{
-		Coordinator:   f.cli.Base(),
-		Advertise:     "http://" + nodeAddr,
-		RetryInterval: 20 * time.Millisecond,
-		Logf:          t.Logf,
-	}, pool)
-	f.nodes[0] = &testNode{pool: pool, ts: ts, agent: agent}
+	if err := f.nodes[0].Restart(); err != nil {
+		t.Fatal(err)
+	}
 	f.waitHealthy(ctx, 1)
 
 	v, err := f.cli.WaitRun(ctx, sub.ID, 0)
@@ -259,8 +245,8 @@ func TestReconcileRequeuesNeverReturning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f.killCoordinator()
-	f.nodes[0].kill() // gone for good
+	f.c.Kill()
+	f.nodes[0].Kill() // gone for good
 	f.restartCoordinator()
 
 	v, err := f.cli.WaitRun(ctx, sub.ID, 0)
@@ -294,14 +280,14 @@ func TestReconcileStaleRevision(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f.killCoordinator()
+	f.c.Kill()
 	// Stop node 0's real agent: the only "return" it makes is a stale one.
 	f.nodes[0].agent.Stop()
 	f.restartCoordinator()
 
 	var resp client.NodeRegisterResponse
 	err = f.cli.Do(ctx, http.MethodPost, "/v1/nodes/register", client.NodeRegisterRequest{
-		Addr:        f.nodes[0].ts.URL,
+		Addr:        f.nodes[0].URL(),
 		APIRevision: server.APIRevision + 1,
 	}, &resp)
 	apiErr, ok := err.(*client.APIError)
@@ -339,19 +325,15 @@ func TestRestartedCoordinatorLeavesUnreturnedNodesAlone(t *testing.T) {
 
 	// The coordinator dies; the node stops heartbeating, and whatever now
 	// answers at its address counts every request it gets.
-	f.killCoordinator()
-	old := f.nodes[0]
-	old.agent.Stop()
-	old.agent = nil
-	nodeAddr := old.ts.Listener.Addr().String()
-	old.ts.CloseClientConnections()
-	old.ts.Close()
+	f.c.Kill()
+	f.nodes[0].agent.Stop()
 	var hits atomic.Int64
-	old.ts = serveAt(t, nodeAddr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	answer := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		t.Logf("old node address got %s %s", r.Method, r.URL.Path)
 		server.WriteError(w, http.StatusNotFound, server.CodeNotFound, errors.New("no such run"))
-	}))
+	})
+	f.intercept.Store(&answer)
 	f.restartCoordinator()
 
 	if _, err := f.cli.CancelSweep(ctx, sub.ID); err != nil {

@@ -96,9 +96,12 @@ func TestHybridPDPAConverges(t *testing.T) {
 	pdpa := core.MustNew(core.DefaultParams())
 	mgr := NewSpaceManager(e.eng, e.mach, pdpa, e.rec)
 	rt := startGranular(e, mgr, 0, app.Hydro2D, 28, 4, nil)
-	e.eng.Run(80 * sim.Second)
-	if rt.Done() {
-		t.Skip("finished before convergence check")
+	// Step to PDPA's transition to Stable, which must come before the job
+	// finishes.
+	for pdpa.StateOf(0) != core.Stable {
+		if rt.Done() || !e.eng.Step() {
+			t.Fatalf("hybrid hydro2d finished at %v before PDPA reached Stable (state %v)", e.eng.Now(), pdpa.StateOf(0))
+		}
 	}
 	got := rt.Allocated()
 	if got%4 != 0 {

@@ -2,12 +2,10 @@ package runqueue_test
 
 import (
 	"context"
-	"net/http/httptest"
 	"testing"
 	"time"
 
-	"pdpasim/internal/runqueue"
-	"pdpasim/internal/server"
+	"pdpasim/internal/fleet"
 	"pdpasim/internal/store/storetest"
 )
 
@@ -16,15 +14,16 @@ import (
 // trace, a failed run, a sweep) recovers into the same response bodies,
 // byte for byte.
 func TestStoreCompatRecovery(t *testing.T) {
-	st := storetest.Replay(t, "testdata/store-compat.jsonl")
-	p := runqueue.New(runqueue.Config{Store: st})
+	d, err := fleet.StartDaemon(fleet.DaemonConfig{Addr: "127.0.0.1:0", StoreDir: storetest.Replay(t, "testdata/store-compat.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		p.Drain(ctx)
+		d.Drain(ctx)
+		d.Close()
 	}()
-	ts := httptest.NewServer(server.New(p))
-	defer ts.Close()
-	storetest.CheckTranscript(t, "testdata/store-compat.golden", ts.URL,
+	storetest.CheckTranscript(t, "testdata/store-compat.golden", d.URL(),
 		"/v1/runs", "/v1/runs/run-000001", "/v1/runs/run-000001/trace", "/v1/runs/run-000002", "/v1/sweeps/sweep-000001")
 }

@@ -431,6 +431,9 @@ func New(cfg Config) *Pool {
 	return p
 }
 
+// Workers reports the base and max workers the pool runs with, after defaults.
+func (p *Pool) Workers() (base, max int) { return p.cfg.BaseWorkers, p.cfg.MaxWorkers }
+
 // Metrics returns the pool's metric registry — every pdpad_* series the
 // daemon exposes at /metrics, in Prometheus text exposition via
 // WritePrometheus.

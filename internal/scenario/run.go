@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +17,7 @@ import (
 	"pdpasim"
 	"pdpasim/client"
 	"pdpasim/internal/faults"
+	"pdpasim/internal/fleet"
 	"pdpasim/internal/invariant"
 	"pdpasim/internal/leakcheck"
 	"pdpasim/internal/runqueue"
@@ -62,30 +63,24 @@ type sweepSub struct {
 	spec *SubmitSweepEvent
 }
 
-// backend is what the runner's server serves: the scenario's pool, or the
-// fleet's coordinator.
-type backend interface {
-	server.Backend
-	Drain(ctx context.Context) error
-}
-
 // runner holds one scenario execution's mutable state. Every run and sweep
-// goes through cli, over the v1 wire, to srv serving backend; fleet (nil
-// without a fleet: stanza) adds the nodes and the node and coordinator
-// events.
+// goes through cli, over the v1 wire, to the daemon d: the scenario's pool,
+// or the fleet's coordinator.
 type runner struct {
 	s *Scenario
 
-	hc      *http.Client
-	cli     *client.Client
-	srv     *httptest.Server
-	backend backend
-	// pools are the pools that simulate (the scenario's pool, or each
-	// node's) and injs every armed injector (the pool's, or the
-	// coordinator's and each node's).
-	pools []*runqueue.Pool
+	hc  *http.Client
+	cli *client.Client
+	d   *fleet.Daemon
+	// nodes are a fleet's node daemons, in registration order, and injs
+	// every armed injector (the pool's, or the coordinator's and each
+	// node's).
+	nodes []*fleet.Daemon
 	injs  []*faults.Injector
-	fleet *fleetRig
+	// storeDir holds a durable coordinator's journal; frozenNodes are the
+	// node states settle froze.
+	storeDir    string
+	frozenNodes []string
 
 	mu       sync.Mutex
 	checkers []*invariant.Checker
@@ -124,14 +119,13 @@ func (r *runner) simulate(ctx context.Context, spec runqueue.Spec) (*pdpasim.Out
 	return pdpasim.RunContext(ctx, ws, opts)
 }
 
-// servePool starts a pool sized by p behind the v1 server, with inj armed
-// at the pool's fault sites and at http_request.
-func (r *runner) servePool(p PoolParams, inj *faults.Injector, opts ...server.Option) (*runqueue.Pool, *httptest.Server) {
+// startPool serves a pool sized by p, with inj armed at its fault sites and
+// at http_request; join, when set, makes it a fleet node named name.
+func (r *runner) startPool(p PoolParams, inj *faults.Injector, join, name string) (*fleet.Daemon, error) {
 	cfg := p.config()
 	cfg.Faults = inj
 	cfg.Simulate = r.simulate
-	pool := runqueue.New(cfg)
-	return pool, httptest.NewServer(server.New(pool, append(opts, server.WithFaults(inj))...))
+	return fleet.StartDaemon(fleet.DaemonConfig{Addr: "127.0.0.1:0", Pool: cfg, Join: join, Name: name})
 }
 
 // start serves the scenario's backend — its pool, or a coordinator with its
@@ -144,11 +138,13 @@ func (r *runner) start() error {
 		}
 	} else {
 		inj := faults.New(r.s.Seed, r.s.Faults...)
-		pool, srv := r.servePool(r.s.Pool, inj)
-		r.backend, r.srv = pool, srv
-		r.pools, r.injs = []*runqueue.Pool{pool}, []*faults.Injector{inj}
+		d, err := r.startPool(r.s.Pool, inj, "", "")
+		if err != nil {
+			return err
+		}
+		r.d, r.injs = d, []*faults.Injector{inj}
 	}
-	r.cli = client.New(r.srv.URL, client.WithHTTPClient(r.hc))
+	r.cli = client.New(r.d.URL(), client.WithHTTPClient(r.hc))
 	return nil
 }
 
@@ -230,7 +226,7 @@ func Run(s *Scenario) *Report {
 // which cancels what it could not finish.
 func (r *runner) settle() error {
 	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
-	err := r.backend.Drain(ctx)
+	err := r.d.Drain(ctx)
 	cancel()
 	ctx, cancel = context.WithTimeout(context.Background(), waitTimeout)
 	defer cancel()
@@ -252,7 +248,7 @@ func (r *runner) settle() error {
 			}
 			r.frozenSweeps[sw.id] = v
 		}
-		if r.fleet != nil {
+		if r.s.Fleet != nil {
 			return r.freezeNodes(ctx)
 		}
 		return nil
@@ -265,18 +261,16 @@ func (r *runner) settle() error {
 	return err
 }
 
-// teardown releases everything start-up started: a fleet's agents,
-// coordinator and node servers first (the traffic sources), or the pool's
-// server; then every pool, where a killed node's abandoned work finishes.
+// teardown releases everything start-up started: the served daemon first
+// (the pool, or the coordinator, the nodes' traffic source), then each node,
+// whose drain lets a killed node's abandoned work finish.
 func (r *runner) teardown(ctx context.Context) {
-	if r.fleet != nil {
-		r.stopFleet()
-	} else {
-		r.srv.Close()
+	r.d.Close()
+	for _, n := range r.nodes {
+		n.Drain(ctx)
+		n.Close()
 	}
-	for _, p := range r.pools {
-		p.Drain(ctx)
-	}
+	os.RemoveAll(r.storeDir)
 	r.hc.CloseIdleConnections()
 }
 
@@ -299,11 +293,15 @@ func (r *runner) events() error {
 		case e.Cancel != nil:
 			err = r.cancel(e.Cancel.Run)
 		case e.KillNode != nil:
-			r.killNode(e.KillNode.Node)
+			r.nodes[e.KillNode.Node].Kill()
 		case e.CordonNode != nil:
-			err = r.cordonNode(e.CordonNode.Node)
+			_, err = r.cli.CordonNode(context.Background(), r.nodes[e.CordonNode.Node].Agent().ID())
 		case e.DrainNode != nil:
-			err = r.drainNode(e.DrainNode.Node)
+			// The agent stops first: a drained node that keeps heartbeating
+			// gets 404 and re-registers under a fresh ID.
+			n := r.nodes[e.DrainNode.Node]
+			n.Agent().Stop()
+			_, err = r.cli.DrainNode(context.Background(), n.Agent().ID())
 		case e.SubmitSweep != nil:
 			err = r.submitSweep(e.SubmitSweep)
 		case e.WaitSweep != nil:
@@ -311,9 +309,10 @@ func (r *runner) events() error {
 		case e.WaitNode != nil:
 			err = r.waitNode(e.WaitNode)
 		case e.KillCoordinator:
-			err = r.killCoordinator()
+			err = r.d.Kill()
+			r.hc.CloseIdleConnections()
 		case e.RestartCoordinator:
-			err = r.restartCoordinator()
+			err = r.d.Restart()
 		}
 		if err != nil {
 			return fmt.Errorf("events[%d]: %w", i, err)
@@ -789,7 +788,7 @@ func (r *runner) checkSameResult(a *SameResultAssertion) AssertReport {
 
 func (r *runner) checkNodeStates(a *NodeStatesAssertion) AssertReport {
 	ar := AssertReport{Kind: "node_states", Detail: "are=" + strings.Join(a.Are, ",")}
-	got := r.fleet.frozenNodes
+	got := r.frozenNodes
 	ar.Observed = strings.Join(got, ",")
 	ar.Pass = len(got) == len(a.Are)
 	if ar.Pass {
@@ -859,13 +858,16 @@ func (r *runner) checkSweepOracle(a *SweepOracleAssertion) AssertReport {
 // cells JSON. The oracle pool shares the runner's Simulate hook, so its
 // attempts are invariant-checked like every other simulation.
 func (r *runner) oracleCells(spec *SubmitSweepEvent) ([]byte, error) {
-	pool, srv := r.servePool(PoolParams{}, nil)
-	cli := client.New(srv.URL)
+	d, err := r.startPool(PoolParams{}, nil, "", "")
+	if err != nil {
+		return nil, err
+	}
+	cli := client.New(d.URL())
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
-		pool.Drain(ctx)
+		d.Drain(ctx)
 		cancel()
-		srv.Close()
+		d.Close()
 		cli.CloseIdleConnections()
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
@@ -884,17 +886,17 @@ func (r *runner) oracleCells(spec *SubmitSweepEvent) ([]byte, error) {
 	return v.Cells, nil
 }
 
-// metric reads a series from the backend's registry or, failing that, sums
-// it over the pools' registries: a coordinator's own series, else its
-// nodes' pool series; a pool scenario's backend is its only pool.
+// metric reads a series from the served daemon's registry or, failing
+// that, sums it over a fleet's node pools: a coordinator's own series, else
+// its nodes' pool series; a pool scenario's daemon is its only pool.
 func (r *runner) metric(name, label string) (float64, bool) {
-	if v, ok := r.backend.Metrics().Value(name, label); ok {
+	if v, ok := r.d.Metrics().Value(name, label); ok {
 		return v, true
 	}
 	var sum float64
 	found := false
-	for _, p := range r.pools {
-		if v, ok := p.Metrics().Value(name, label); ok {
+	for _, n := range r.nodes {
+		if v, ok := n.Metrics().Value(name, label); ok {
 			sum += v
 			found = true
 		}

@@ -192,3 +192,28 @@ assertions:
   - no_leaks:
 `)
 }
+
+// TestRunNodeHeartbeatFault: a node_heartbeat rule reaches the node's agent,
+// which swallows the beat; the node stays healthy through one lost beat. The
+// worker_start delay keeps the run in flight for ten heartbeat intervals.
+func TestRunNodeHeartbeatFault(t *testing.T) {
+	mustRun(t, `
+name: lost-beat
+seed: 1
+fleet:
+  nodes: 1
+  heartbeat: 10ms
+  node_faults:
+    - {node: 0, rule: "node_heartbeat:error count=1"}
+    - {node: 0, rule: "worker_start:delay delay=100ms count=1"}
+defaults:
+  workload: {mix: w1, load: 0.6, ncpu: 32, window_s: 60, seed: 1}
+  options: {policy: equip}
+events:
+  - submit: {name: r}
+  - wait: {run: r, state: done}
+assertions:
+  - injected: {site: node_heartbeat, count: 1}
+  - node_states: {are: [healthy]}
+`)
+}

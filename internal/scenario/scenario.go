@@ -10,8 +10,8 @@
 // and renders a pass/fail report as text or JSON.
 //
 // There is one runner and one path: a client.Client drives the v1 wire of
-// an in-process server.New(backend), where the backend is the scenario's
-// runqueue.Pool or, with a fleet: stanza, a coordinator that node daemons
+// an in-process daemon built by fleet.StartDaemon, as pdpad builds it: the
+// scenario's pool or, with a fleet: stanza, a coordinator that node daemons
 // join. Submit, status, cancel, sweeps and the final drain-and-freeze are
 // written once; the node and coordinator events are the fleet-only part
 // (fleet.go).

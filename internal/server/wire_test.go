@@ -83,41 +83,38 @@ func standaloneTarget(t *testing.T) *wireTarget {
 
 func coordinatorTarget(t *testing.T) *wireTarget {
 	release := make(chan struct{})
-	pool := runqueue.New(wirePoolConfig(release))
-	node := httptest.NewServer(server.New(pool, server.WithRole(server.RoleNode)))
 	hc := &http.Client{}
-	coord, err := fleet.NewCoordinator(fleet.Config{
+	coord, err := fleet.StartDaemon(fleet.DaemonConfig{Addr: "127.0.0.1:0", Coordinator: &fleet.Config{
 		Health: fleet.HealthConfig{
 			HeartbeatInterval: 50 * time.Millisecond,
 			UnhealthyAfter:    10 * time.Second,
 			DeadAfter:         20 * time.Second,
 		},
 		HTTPClient: hc,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := httptest.NewServer(coord)
-	agent := fleet.StartAgent(fleet.AgentConfig{
-		Coordinator: cs.URL, Advertise: node.URL, HTTPClient: hc,
-	}, pool)
+	node, err := fleet.StartDaemon(fleet.DaemonConfig{Addr: "127.0.0.1:0", Pool: wirePoolConfig(release), Join: coord.URL()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		closeOnce(release)
-		agent.Stop()
-		cs.Close()
-		coord.Close()
-		node.Close()
+		node.Agent().Stop()
+		coord.Kill()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		pool.Drain(ctx)
+		node.Drain(ctx)
+		node.Close()
 		hc.CloseIdleConnections()
 	})
 	select {
-	case <-agent.Registered():
+	case <-node.Agent().Registered():
 	case <-time.After(10 * time.Second):
 		t.Fatal("node never registered")
 	}
-	return &wireTarget{url: cs.URL, release: release, drain: coord.Drain}
+	return &wireTarget{url: coord.URL(), release: release, drain: coord.Drain}
 }
 
 func closeOnce(ch chan struct{}) {

@@ -11,8 +11,10 @@
 # deleting refresh, crun.lastView and both 20 ms poll loops. The pool's
 # second result cache gave way to the run ledger's history, deleting
 # cacheLRU with its three helpers, LedgerConfig.Forget, the coordinator's
-# deadEnd, pdpad's -cache flag and the scenario pool's cache_size. This
-# check keeps them all deleted:
+# deadEnd, pdpad's -cache flag and the scenario pool's cache_size. Every
+# pdpad stack went to one assembly, fleet.StartDaemon, deleting the
+# scenario's listenAt and the fleet tests' serveAt. This check keeps them all
+# deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
@@ -91,6 +93,21 @@ hits=$({
 } || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: second result cache or its options reintroduced (the run ledger's history answers repeats):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+# Every pdpad stack is assembled in one place, fleet.StartDaemon
+# (internal/fleet/daemon.go), with one Kill and one Restart: pdpad and the
+# scenario runner must not build a pool, coordinator, agent or store by hand,
+# and the hand-rolled rebind helpers listenAt and serveAt must not come back.
+hits=$({
+    grep -n -E '\b(runqueue\.New|fleet\.NewCoordinator|fleet\.StartAgent|store\.Open)\(' \
+        $(ls cmd/pdpad/*.go internal/scenario/*.go | grep -v '_test\.go$')
+    grep -rn --include='*.go' -E '\b(listenAt|serveAt)\b' internal cmd
+} || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: daemon wiring forked from fleet.StartDaemon (build, kill and restart stacks through the one assembly):" >&2
     echo "$hits" >&2
     fail=1
 fi
