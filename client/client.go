@@ -71,7 +71,7 @@ type APIError struct {
 	// Status is the HTTP status code.
 	Status int
 	// Code is the envelope's stable machine-readable discriminator
-	// ("overloaded", "queue_full", "draining", "not_found", ...).
+	// ("overloaded", "draining", "not_found", ...).
 	Code string
 	// Message is the envelope's free-form message.
 	Message string

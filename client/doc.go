@@ -15,9 +15,8 @@
 // that violate the v1 contract — a non-envelope error body, or a 429 whose
 // Retry-After header disagrees with its envelope hint — surface as a
 // *ContractError, which is how load generators count contract violations.
-// With WithRetries(n), retryable rejections (429 overloaded/queue_full,
-// 503 with a retry hint) are retried automatically after honoring the
-// advertised hint.
+// With WithRetries(n), retryable rejections (429 overloaded, 503 with a
+// retry hint) are retried automatically after honoring the advertised hint.
 //
 // # Migrating from hand-rolled v1 HTTP
 //
@@ -26,8 +25,8 @@
 // The mapping is mechanical:
 //
 //   - POST /v1/runs + status switch  →  SubmitRun; errors.As on *APIError
-//     replaces switching on the raw status code (err.Code "overloaded" or
-//     "queue_full" is a shed, err.RetryAfterSeconds the hint).
+//     replaces switching on the raw status code (err.Code "overloaded" is
+//     a shed, err.RetryAfterSeconds the hint).
 //   - GET /v1/runs/{id} poll loops   →  WaitRun (or Run for one probe).
 //   - hand-parsed SSE "data:" lines  →  FollowRun with a callback.
 //   - cursor-walking list loops      →  Runs / Sweeps (one page) or the

@@ -25,12 +25,11 @@
 // be restarted on the same store and resume where it left off: nodes
 // re-register, completed results are adopted verbatim, in-flight runs are
 // resumed, and interrupted sweeps finish with byte-identical cells.
-// -drain-idle-after and -join-backlog arm the elasticity hooks that retire
-// idle nodes (never below -min-nodes) and signal for more when the queue
-// backs up:
+// -drain-idle-after arms the elasticity hook that retires idle nodes, never
+// below -min-nodes:
 //
 //	pdpad -coordinator -addr :8080 -store /var/lib/pdpad/coord \
-//	      -drain-idle-after 5m -min-nodes 2 -join-backlog 16
+//	      -drain-idle-after 5m -min-nodes 2
 //
 // For chaos testing, -inject arms seeded fault rules at the daemon's
 // injection sites using the same rule syntax scenario files use:
@@ -110,13 +109,11 @@ func config(args []string) (cfg fleet.DaemonConfig, drainTimeout time.Duration, 
 	fs.IntVar(&pool.BaseWorkers, "base", 4, "base worker concurrency: below it admission is unconditional (PDPA's base MPL)")
 	fs.IntVar(&pool.MaxWorkers, "max", 0, "max concurrent simulations, at least -base (0 = 2×base)")
 	fs.DurationVar(&pool.Warmup, "warmup", 500*time.Millisecond, "how long a new run is considered settling; above base, admission waits for a stable running set")
-	fs.IntVar(&pool.QueueLimit, "queue", 256, "maximum queued runs")
-	fs.DurationVar(&pool.DefaultDeadline, "deadline", 0, "default per-run deadline, queue wait included (0 = none)")
+	fs.IntVar(&pool.QueueLimit, "queue", 256, "maximum queued runs; a submission finding the queue full is shed with 429 + Retry-After")
 	fs.DurationVar(&drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for runs to finish before cancelling them")
 	fs.IntVar(&pool.TraceLimit, "trace-limit", 2000, "decision-trace events retained per run, served at /v1/runs/{id}/trace (negative disables tracing)")
 	fs.DurationVar(&pool.RunTimeout, "run-timeout", 0, "per-attempt wall-clock limit for a simulation; exceeded runs fail with a timeout error (0 = none)")
 	fs.IntVar(&pool.MaxRetries, "max-retries", 0, "retries for transiently failed runs, with exponential backoff (0 = none)")
-	fs.IntVar(&pool.ShedDepth, "max-queue", 0, "queue depth past which submissions are shed with 429 + Retry-After (0 = shed only at -queue)")
 	injectSeed := fs.Int64("inject-seed", 1, "seed for probabilistic -inject rules")
 	fs.StringVar(&cfg.StoreDir, "store", "", "directory for the durable run store; completed runs survive restarts (empty = in-memory only)")
 	fs.DurationVar(&cfg.StoreSync, "store-sync", 50*time.Millisecond, "fsync batching interval for the run store (negative = fsync every append)")
@@ -134,7 +131,6 @@ func config(args []string) (cfg fleet.DaemonConfig, drainTimeout time.Duration, 
 	fs.IntVar(&coord.MaxRequeues, "max-requeues", 3, "re-placements one run may survive after node deaths before failing")
 	fs.DurationVar(&el.DrainIdleAfter, "drain-idle-after", 0, "coordinator: scale-drain a node idle this long, never below -min-nodes (0 = disabled)")
 	fs.IntVar(&el.MinNodes, "min-nodes", 0, "coordinator: floor of ready nodes the idle-drain rule preserves (0 = 1)")
-	fs.IntVar(&el.JoinBacklogDepth, "join-backlog", 0, "coordinator: queue depth that fires a scale-up signal, once per backlog episode (0 = disabled)")
 	var injectRules []faults.Rule
 	fs.Func("inject", "fault-injection rule \"<site>:<kind> [after=N] [count=N] [prob=F] [delay=DUR] [transient] [err=MSG]\" (repeatable; chaos testing — same syntax as scenario files)",
 		func(s string) error {
@@ -146,9 +142,9 @@ func config(args []string) (cfg fleet.DaemonConfig, drainTimeout time.Duration, 
 	switch {
 	case fs.NArg() > 0:
 		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
-	case pool.BaseWorkers < 1 || pool.MaxWorkers < 0 || pool.QueueLimit < 1 || pool.Warmup < 0 || pool.DefaultDeadline < 0 || drainTimeout <= 0 ||
-		pool.RunTimeout < 0 || pool.MaxRetries < 0 || pool.ShedDepth < 0 || h.HeartbeatInterval <= 0 || h.UnhealthyAfter < 0 || h.DeadAfter < 0 ||
-		coord.MaxRequeues < 0 || el.DrainIdleAfter < 0 || el.MinNodes < 0 || el.JoinBacklogDepth < 0:
+	case pool.BaseWorkers < 1 || pool.MaxWorkers < 0 || pool.QueueLimit < 1 || pool.Warmup < 0 || drainTimeout <= 0 ||
+		pool.RunTimeout < 0 || pool.MaxRetries < 0 || h.HeartbeatInterval <= 0 || h.UnhealthyAfter < 0 || h.DeadAfter < 0 ||
+		coord.MaxRequeues < 0 || el.DrainIdleAfter < 0 || el.MinNodes < 0:
 		err = errors.New("flag values must be positive")
 	case pool.MaxWorkers != 0 && pool.MaxWorkers < pool.BaseWorkers:
 		err = errors.New("-max must not be below -base")
@@ -170,7 +166,7 @@ func config(args []string) (cfg fleet.DaemonConfig, drainTimeout time.Duration, 
 		coord.Faults = pool.Faults
 		log.Printf("pdpad: fault injection armed: %d rule(s), seed %d", len(injectRules), *injectSeed)
 	}
-	cfg.Logf, coord.Logf = log.Printf, log.Printf
+	cfg.Logf = log.Printf
 	if *coordinator {
 		cfg.Coordinator = coord
 		return cfg, drainTimeout, fmt.Sprintf("coordinator (placement %s, heartbeat %v)", coord.Placement, h.HeartbeatInterval), nil

@@ -35,7 +35,7 @@ func TestRunLoadSoak(t *testing.T) {
 	pool := runqueue.New(runqueue.Config{
 		BaseWorkers: 1,
 		MaxWorkers:  1,
-		ShedDepth:   2,
+		QueueLimit:  2,
 		Warmup:      time.Millisecond,
 		Simulate:    slowStubSim,
 	})
@@ -67,7 +67,7 @@ func TestRunLoadSoak(t *testing.T) {
 		t.Errorf("submitted %d < completed %d", report.Submitted, report.Completed)
 	}
 	if report.Shed == 0 {
-		t.Error("8 workers against a 1-worker shed-depth-2 pool never shed")
+		t.Error("8 workers against a 1-worker pool with a 2-run queue never shed")
 	}
 	if report.RetryHintsSeen != report.Shed {
 		t.Errorf("%d sheds but only %d coherent retry hints", report.Shed, report.RetryHintsSeen)

@@ -16,7 +16,8 @@ func TestStoreCompatRecovery(t *testing.T) {
 	d, err := StartDaemon(DaemonConfig{
 		Addr:        "127.0.0.1:0",
 		StoreDir:    storetest.Replay(t, "testdata/store-compat.jsonl"),
-		Coordinator: &Config{Health: HealthConfig{HeartbeatInterval: time.Hour}, Logf: t.Logf},
+		Coordinator: &Config{Health: HealthConfig{HeartbeatInterval: time.Hour}},
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

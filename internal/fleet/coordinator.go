@@ -41,14 +41,13 @@ type Config struct {
 	// rehydrates its routing table before serving (see persist.go). The
 	// caller owns the store's lifecycle; Close does not close it.
 	Store *store.Store
-	// Elastic configures the queue-depth-driven autoscaling hooks.
+	// Elastic configures the drain-on-idle elasticity hook.
 	Elastic ElasticConfig
 }
 
-// ElasticConfig drives the coordinator's elasticity hooks off the
-// queue-depth heartbeats: drain-on-idle retires surplus nodes, and
-// join-on-backlog signals that the fleet wants another one. Both surface
-// as pdpad_fleet_scale_* metrics and Logf lines.
+// ElasticConfig drives the coordinator's elasticity hook off the
+// queue-depth heartbeats: drain-on-idle retires surplus nodes, surfacing as
+// pdpad_fleet_scale_down_signals_total and a Logf line.
 type ElasticConfig struct {
 	// DrainIdleAfter: a healthy node with no placements, an empty queue,
 	// and nothing inflight for this long is scale-drained — at most one
@@ -56,10 +55,6 @@ type ElasticConfig struct {
 	DrainIdleAfter time.Duration
 	// MinNodes is the floor drain-on-idle respects (0 means 1).
 	MinNodes int
-	// JoinBacklogDepth: when the fleet-wide queued backlog reaches this
-	// depth, one scale-up signal fires per backlog episode (the flag
-	// rearms when the backlog falls back below the threshold). 0 disables.
-	JoinBacklogDepth int
 }
 
 // node is the coordinator's record of one registered node.
@@ -121,10 +116,9 @@ type Coordinator struct {
 
 	*runqueue.SweepIndex // the v1 sweep calls
 
-	store         *store.Store
-	elastic       ElasticConfig
-	idleSince     map[string]time.Time // node ID → first tick observed idle
-	backlogActive bool                 // one scale-up signal per backlog episode
+	store     *store.Store
+	elastic   ElasticConfig
+	idleSince map[string]time.Time // node ID → first tick observed idle
 
 	reg *obs.Registry
 	met coordMetrics
@@ -151,7 +145,6 @@ type coordMetrics struct {
 	reconciled       *obs.Counter
 	adopted          *obs.Counter
 	scaleDown        *obs.Counter
-	scaleUp          *obs.Counter
 	cacheHits        *obs.Counter
 	dedupHits        *obs.Counter
 }
@@ -203,7 +196,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		reconciled:       c.reg.Counter("pdpad_fleet_reconciled_runs_total", "Runs whose state was settled with a returning node after a coordinator restart."),
 		adopted:          c.reg.Counter("pdpad_fleet_adopted_results_total", "Terminal results returning nodes reported during reconcile."),
 		scaleDown:        c.reg.Counter("pdpad_fleet_scale_down_signals_total", "Nodes scale-drained by the drain-on-idle elasticity hook."),
-		scaleUp:          c.reg.Counter("pdpad_fleet_scale_up_signals_total", "Backlog episodes that signalled the join-on-backlog elasticity hook."),
 		// The series a pool counts its repeats in: a repeat the coordinator
 		// answers never reaches a node.
 		cacheHits: c.reg.Counter("pdpad_cache_hits_total", "Submissions served from a finished run in the coordinator's history."),
@@ -322,7 +314,7 @@ func (c *Coordinator) monitor() {
 }
 
 // tick is one monitor pass: declare dead nodes drained, requeue their
-// non-terminal runs, and evaluate the elasticity hooks.
+// non-terminal runs, and evaluate the drain-on-idle hook.
 func (c *Coordinator) tick() {
 	now := time.Now()
 	var orphans []*crun
@@ -342,7 +334,6 @@ func (c *Coordinator) tick() {
 		orphans = append(orphans, c.pendingLocked()[n.ID]...)
 	}
 	c.scaleDownLocked(now)
-	c.scaleUpLocked()
 	c.mu.Unlock()
 	for _, cr := range orphans {
 		c.requeue(cr, "node died", true)
@@ -392,31 +383,6 @@ func (c *Coordinator) scaleDownLocked(now time.Time) {
 	c.persistNodeLocked(victim)
 	c.logf("fleet: node %s idle for %v, scale-drained (fleet has %d eligible nodes, floor %d)",
 		victim.ID, now.Sub(victimSince), len(eligible), min)
-}
-
-// scaleUpLocked implements join-on-backlog: when the fleet-wide queued
-// depth reaches JoinBacklogDepth, one signal fires per backlog episode.
-func (c *Coordinator) scaleUpLocked() {
-	if c.elastic.JoinBacklogDepth <= 0 {
-		return
-	}
-	backlog := 0
-	for _, n := range c.order {
-		if n.Drained {
-			continue
-		}
-		backlog += n.queueDepth
-	}
-	if backlog >= c.elastic.JoinBacklogDepth {
-		if c.backlogActive {
-			return
-		}
-		c.backlogActive = true
-		c.met.scaleUp.Inc()
-		c.logf("fleet: queued backlog reached %d (threshold %d); signalling scale-up", backlog, c.elastic.JoinBacklogDepth)
-		return
-	}
-	c.backlogActive = false
 }
 
 // stateLocked is a node's state, decided here and nowhere else: liveness

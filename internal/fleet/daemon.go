@@ -37,8 +37,8 @@ type DaemonConfig struct {
 	// (default: the bound address); Name labels it. The node registers its
 	// pool's base and max workers after defaults, with base as its CPUs.
 	Join, Advertise, Name string
-	// Logf receives the daemon's and its agent's log lines (default:
-	// discarded).
+	// Logf receives the daemon's, its agent's and, unless Coordinator sets
+	// its own, its coordinator's log lines (default: discarded).
 	Logf func(format string, args ...any)
 	// Wrap, when set, wraps the served handler: tests hold, delay or answer
 	// requests with it.
@@ -91,6 +91,9 @@ func (d *Daemon) start(rebind bool) error {
 	if cfg.Coordinator != nil {
 		cc := *cfg.Coordinator
 		cc.Store = d.store
+		if cc.Logf == nil {
+			cc.Logf = cfg.Logf
+		}
 		coord, err := NewCoordinator(cc)
 		if err != nil {
 			d.dropStore()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,6 +116,9 @@ type testFleet struct {
 	// (nodeHandler).
 	holdSubmit atomic.Pointer[func()]
 	intercept  atomic.Pointer[http.HandlerFunc]
+	// follows counts the run event streams (GET /v1/runs/{id}/events) the
+	// nodes have been asked for, intercepted or not (nodeHandler).
+	follows atomic.Int64
 }
 
 // startFleet boots a coordinator plus n nodes and waits for every node to
@@ -167,6 +171,9 @@ func launchFleet(t *testing.T, coord Config, storeDir string, reconcileDelay tim
 // hooks: intercept, reconcileDelay and holdSubmit.
 func (f *testFleet) nodeHandler(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events") {
+			f.follows.Add(1)
+		}
 		if answer := f.intercept.Load(); answer != nil {
 			(*answer)(w, r)
 			return

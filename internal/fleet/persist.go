@@ -50,7 +50,7 @@ type nodeRecord struct {
 	RegisteredAt time.Time `json:"registered_at"`
 	Cordoned     bool      `json:"cordoned,omitempty"`
 	Drained      bool      `json:"drained,omitempty"`
-	// ScaleDrained marks a drain decided by the elasticity hooks; its
+	// ScaleDrained marks a drain decided by drain-on-idle; its
 	// heartbeats answer "drained" (the agent leaves the fleet) instead of
 	// the 404 that would make it re-register.
 	ScaleDrained bool `json:"scale_drained,omitempty"`

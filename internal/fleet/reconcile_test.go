@@ -322,6 +322,16 @@ func TestRestartedCoordinatorLeavesUnreturnedNodesAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Let the node take every event stream the first coordinator opened: a
+	// request it sent before dying but the node reads only later is not the
+	// restarted coordinator's, and must not be counted against it.
+	deadline := time.Now().Add(10 * time.Second)
+	for f.follows.Load() < int64(len(sub.RunIDs)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node got %d event streams, want %d", f.follows.Load(), len(sub.RunIDs))
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// The coordinator dies; the node stops heartbeating, and whatever now
 	// answers at its address counts every request it gets.

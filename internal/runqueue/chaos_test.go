@@ -223,14 +223,14 @@ func TestChaosSlowCacheHit(t *testing.T) {
 	drainPool(t, clean)
 }
 
-// TestChaosBurstOverloadSheds: past ShedDepth, submissions are rejected with
+// TestChaosBurstOverloadSheds: at QueueLimit, submissions are rejected with
 // an OverloadError carrying a Retry-After estimate; accepted runs complete.
 func TestChaosBurstOverloadSheds(t *testing.T) {
 	leakcheck.Check(t)
 	var calls atomic.Int64
 	release := make(chan struct{})
 	p := New(Config{
-		BaseWorkers: 1, MaxWorkers: 1, ShedDepth: 2,
+		BaseWorkers: 1, MaxWorkers: 1, QueueLimit: 2,
 		Simulate: blockingSim(t, &calls, release),
 	})
 	running, err := p.Submit(tinySpec(1), 0)
@@ -239,14 +239,14 @@ func TestChaosBurstOverloadSheds(t *testing.T) {
 	}
 	waitState(t, p, running.ID, Running)
 	var accepted []string
-	for seed := int64(2); seed <= 3; seed++ { // fills the queue to ShedDepth
+	for seed := int64(2); seed <= 3; seed++ { // fills the queue to QueueLimit
 		r, err := p.Submit(tinySpec(seed), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		accepted = append(accepted, r.ID)
 	}
-	for seed := int64(4); seed <= 5; seed++ { // burst past the shed depth
+	for seed := int64(4); seed <= 5; seed++ { // burst past the queue limit
 		_, err := p.Submit(tinySpec(seed), 0)
 		var overload *OverloadError
 		if !errors.As(err, &overload) {

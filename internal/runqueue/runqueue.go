@@ -44,11 +44,10 @@ var (
 	ErrRunTimeout = errors.New("runqueue: run timeout")
 )
 
-// OverloadError is the load-shedding rejection: the queue is past the
-// configured shed depth and the submission was turned away before consuming
-// resources. RetryAfter estimates when capacity frees up, sized for an HTTP
-// Retry-After header. errors.Is(err, ErrQueueFull) matches, so callers
-// treating shedding like a full queue keep working.
+// OverloadError is the load-shedding rejection: the queue is at QueueLimit
+// and the submission was turned away before consuming resources. RetryAfter
+// estimates when capacity frees up, sized for an HTTP Retry-After header.
+// errors.Is(err, ErrQueueFull) matches.
 type OverloadError struct {
 	// Depth is the queue depth at rejection.
 	Depth int
@@ -77,17 +76,14 @@ type Config struct {
 	// Above BaseWorkers, a queued run is admitted only when every in-flight
 	// run is past warm-up — PDPA's stability condition (default 250 ms).
 	Warmup time.Duration
-	// QueueLimit bounds the FIFO queue; Submit fails with ErrQueueFull
-	// beyond it (default 256).
+	// QueueLimit bounds the FIFO queue: a submission finding it full is shed
+	// with an *OverloadError carrying a Retry-After estimate (default 256).
 	QueueLimit int
 	// CacheSize is ignored: a done run answers repeats of its spec for as
 	// long as the run history holds it (DefaultHistoryLimit).
 	//
 	// Deprecated: the run history is the only result cache; leave it unset.
 	CacheSize int
-	// DefaultDeadline bounds each run's total latency (queue wait plus
-	// simulation) when the submitter sets none; 0 means no deadline.
-	DefaultDeadline time.Duration
 	// TraceLimit bounds the decision-trace events retained per run; the
 	// recorded trace is stored alongside the result (evicted with the run's
 	// history entry) and served at GET /v1/runs/{id}/trace. 0 means the
@@ -99,9 +95,10 @@ type Config struct {
 	Simulate SimulateFunc
 
 	// RunTimeout bounds each simulation attempt's wall clock, measured from
-	// attempt start (queue wait is DefaultDeadline's business). The attempt's
-	// context is cancelled, the engine aborts at its next interrupt check,
-	// and the run fails with an error matching ErrRunTimeout. 0 disables.
+	// attempt start (queue wait is bounded only by the deadline a submitter
+	// sets). The attempt's context is cancelled, the engine aborts at its
+	// next interrupt check, and the run fails with an error matching
+	// ErrRunTimeout. 0 disables.
 	RunTimeout time.Duration
 	// MaxRetries is how many times a failed attempt is retried (total
 	// attempts = MaxRetries+1). Only errors that expose Transient() bool ==
@@ -112,11 +109,6 @@ type Config struct {
 	// RetryBackoff is the base of the exponential retry backoff (default
 	// 50 ms, capped at 5 s per pause).
 	RetryBackoff time.Duration
-	// ShedDepth enables load shedding: a submission finding this many runs
-	// already queued is rejected with an *OverloadError carrying a
-	// Retry-After estimate, before the hard QueueLimit is ever reached.
-	// 0 disables shedding.
-	ShedDepth int
 	// Faults, when set, is consulted at the pool's fault-injection sites
 	// (attempt start and finish, cache-hit serving) — chaos-test tooling.
 	// Nil, the production value, costs one nil check per site.
@@ -164,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.ShedDepth < 0 {
-		c.ShedDepth = 0
 	}
 	if c.historyLimit <= 0 {
 		c.historyLimit = DefaultHistoryLimit
@@ -341,7 +330,7 @@ func (p *Pool) initMetrics() {
 	m.panics = reg.LabeledCounter("pdpad_recovered_panics_total",
 		panicsHelp, "where", "worker")
 	m.sheds = reg.Counter("pdpad_sheds_total",
-		"Submissions shed with an overload rejection because the queue exceeded the shed depth.")
+		"Submissions (a sweep counts once) shed with an overload rejection because the queue was full.")
 	m.storeErrors = reg.Counter("pdpad_store_errors_total",
 		"Store operations that failed or recovered records that could not be decoded; the pool keeps serving from memory.")
 	m.storeEvicted = reg.Counter("pdpad_store_evicted_runs_total",
@@ -441,7 +430,7 @@ func (p *Pool) Metrics() *obs.Registry { return p.met.reg }
 
 // Submit enqueues a spec. An identical spec already queued, running, or
 // completed is joined instead of re-simulated (singleflight / cache hit).
-// deadline bounds the run's total latency; 0 uses the pool default.
+// deadline bounds the run's total latency; 0 means none.
 func (p *Pool) Submit(spec Spec, deadline time.Duration) (SubmitResult, error) {
 	if err := spec.Validate(); err != nil {
 		return SubmitResult{}, err
@@ -479,16 +468,9 @@ func (p *Pool) submitLocked(spec Spec, deadline time.Duration) (SubmitResult, er
 		return SubmitResult{}, ErrDraining
 	}
 	if len(p.queue) >= p.cfg.QueueLimit {
-		return SubmitResult{}, ErrQueueFull
-	}
-	if p.cfg.ShedDepth > 0 && len(p.queue) >= p.cfg.ShedDepth {
-		p.met.sheds.Inc()
-		return SubmitResult{}, &OverloadError{Depth: len(p.queue), RetryAfter: p.retryAfterLocked()}
+		return SubmitResult{}, p.shedLocked()
 	}
 	p.met.cacheMisses.Inc()
-	if deadline <= 0 {
-		deadline = p.cfg.DefaultDeadline
-	}
 	r := p.runs.Add(key, func(id string) *run {
 		return &run{
 			runRecord: runRecord{ID: id, Key: key, Spec: spec, State: Queued, Submitted: time.Now()},
@@ -497,6 +479,12 @@ func (p *Pool) submitLocked(spec Spec, deadline time.Duration) (SubmitResult, er
 	})
 	p.queue = append(p.queue, r)
 	return SubmitResult{ID: r.ID, State: r.State}, nil
+}
+
+// shedLocked counts a shed submission and builds its rejection.
+func (p *Pool) shedLocked() error {
+	p.met.sheds.Inc()
+	return &OverloadError{Depth: len(p.queue), RetryAfter: p.retryAfterLocked()}
 }
 
 // retryAfterLocked estimates when a shed client should retry: the queue

@@ -555,7 +555,7 @@ func TestFollowTerminalMessage(t *testing.T) {
 	}
 }
 
-// TestQueueLimit: the FIFO bound is enforced.
+// TestQueueLimit: the FIFO bound is enforced by shedding.
 func TestQueueLimit(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
@@ -573,8 +573,10 @@ func TestQueueLimit(t *testing.T) {
 	if _, err := p.Submit(tinySpec(2), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Submit(tinySpec(3), 0); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err %v, want ErrQueueFull", err)
+	_, err := p.Submit(tinySpec(3), 0)
+	var overload *OverloadError
+	if !errors.As(err, &overload) || !errors.Is(err, ErrQueueFull) || overload.Depth != 1 {
+		t.Fatalf("err %v, want an OverloadError at depth 1 matching ErrQueueFull", err)
 	}
 }
 

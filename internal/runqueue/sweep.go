@@ -273,7 +273,7 @@ func (p *Pool) admitSweep(ctx context.Context, members []Spec, deadlineS float64
 	if p.draining {
 		return client.SweepSubmitResult{}, ErrDraining
 	}
-	// Capacity pre-check so a too-large sweep fails atomically instead of
+	// Capacity pre-check so a too-large sweep is shed whole instead of
 	// enqueueing a truncated grid. Members already cached, deduplicated, or
 	// duplicated inside the sweep need no queue slot; counting every
 	// remaining member as fresh over-estimates, never under-estimates.
@@ -290,14 +290,7 @@ func (p *Pool) admitSweep(ctx context.Context, members []Spec, deadlineS float64
 		}
 	}
 	if len(p.queue)+fresh > p.cfg.QueueLimit {
-		return client.SweepSubmitResult{}, ErrQueueFull
-	}
-	// Load shedding applies to the batch as a whole: were any member going
-	// to land past the shed depth, submitLocked would reject it mid-batch —
-	// shed the sweep up front instead, keeping batch admission atomic.
-	if p.cfg.ShedDepth > 0 && len(p.queue)+fresh > p.cfg.ShedDepth {
-		p.met.sheds.Inc()
-		return client.SweepSubmitResult{}, &OverloadError{Depth: len(p.queue), RetryAfter: p.retryAfterLocked()}
+		return client.SweepSubmitResult{}, p.shedLocked()
 	}
 
 	res := client.SweepSubmitResult{RunIDs: make([]string, 0, len(members))}

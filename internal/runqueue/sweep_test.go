@@ -143,9 +143,17 @@ func TestSweepAtomicRejection(t *testing.T) {
 	})); err == nil {
 		t.Fatal("sweep with unknown policy accepted")
 	}
-	// 4 distinct members > QueueLimit 3: rejected atomically.
-	if _, err := p.SubmitSweep(ctx, tinySweepSpec()); err != ErrQueueFull {
-		t.Fatalf("oversized sweep: got %v, want ErrQueueFull", err)
+	// 4 distinct members > QueueLimit 3: shed whole, counted once.
+	_, err := p.SubmitSweep(ctx, tinySweepSpec())
+	var overload *OverloadError
+	if !errors.As(err, &overload) || !errors.Is(err, ErrQueueFull) || overload.RetryAfter < time.Second {
+		t.Fatalf("oversized sweep: got %v, want an OverloadError matching ErrQueueFull with Retry-After ≥ 1s", err)
+	}
+	if got := metric(p, "pdpad_sheds_total", ""); got != 1 {
+		t.Fatalf("shed sweep counted %v times in pdpad_sheds_total, want 1", got)
+	}
+	if got := metric(p, "pdpad_queue_depth", ""); got != 0 {
+		t.Fatalf("shed sweep left %v runs queued", got)
 	}
 	if got := len(p.Runs()); got != 0 {
 		t.Fatalf("rejected sweep leaked %d runs into the pool", got)

@@ -18,10 +18,8 @@ pool:
   max_workers: 2
   warmup: 1ms
   queue_limit: 8
-  shed_depth: 3
   run_timeout: 50ms
   max_retries: 2
-  retry_backoff: 1ms
 defaults:
   workload: {mix: w2, load: 0.7, ncpu: 16, window_s: 30, seed: 4, uniform_request: 8}
   options: {policy: pdpa, target_eff: 0.6, step: 2}
@@ -154,7 +152,6 @@ func TestParseFleetSchemaErrors(t *testing.T) {
 		fleetSpec + "  - submit_sweep: {name: s, policies: [psychic], mixes: [w1]}\n":           "unknown policy",
 		fleetSpec + "  - submit_sweep: {name: s, policies: [pdpa], mixes: [w1], loads: [-1]}\n": "negative load",
 		strings.Replace(fleetSpec, "nodes: 2", "nodes: 2, min_nodes: -1", 1):                    "must not be negative",
-		strings.Replace(fleetSpec, "nodes: 2", "nodes: 2, join_backlog: -3", 1):                 "must not be negative",
 		fleetSpec + "assertions:\n  - reconciled_runs: {min: 2, max: 1}\n":                      "min 2 > max 1",
 	}
 	for src, wantSub := range cases {
@@ -173,17 +170,20 @@ func TestParseSchemaErrors(t *testing.T) {
 	base := "name: x\nevents:\n  - submit: {name: a}\n"
 	spec := "name: x\ndefaults:\n  workload: {mix: w1}\n  options: {policy: equip}\nevents:\n  - submit: {name: a}\n"
 	cases := map[string]string{
-		"events:\n  - submit: {name: a}\n":        "needs a name",
-		"name: x\n":                               "no events",
-		base + "bogus: 1\n":                       "unknown key",
-		base + "pool: {workers: 2}\n":             "unknown key",
-		base + "pool: {cache_size: 2}\n":          "unknown key",
-		base + "pool: {warmup: fast}\n":           "bad duration",
-		base + "seed: many\n":                     "must be an integer",
-		base + "faults:\n  - \"nowhere:panic\"\n": "unknown site",
-		base + "faults:\n  - 7\n":                 "rule string",
-		"name: x\nevents:\n  - submit: {name: a}\n  - submit: {name: a}\n":               "duplicate run name",
-		"name: x\nevents:\n  - wait: {run: ghost}\n":                                     "before any event names it",
+		"events:\n  - submit: {name: a}\n":                                 "needs a name",
+		"name: x\n":                                                        "no events",
+		base + "bogus: 1\n":                                                "unknown key",
+		base + "pool: {workers: 2}\n":                                      "unknown key",
+		base + "pool: {cache_size: 2}\n":                                   "unknown key",
+		base + "pool: {shed_depth: 2}\n":                                   "unknown key",
+		base + "pool: {retry_backoff: 1ms}\n":                              "unknown key",
+		base + "fleet: {nodes: 1, join_backlog: 1}\n":                      "unknown key",
+		base + "pool: {warmup: fast}\n":                                    "bad duration",
+		base + "seed: many\n":                                              "must be an integer",
+		base + "faults:\n  - \"nowhere:panic\"\n":                          "unknown site",
+		base + "faults:\n  - 7\n":                                          "rule string",
+		"name: x\nevents:\n  - submit: {name: a}\n  - submit: {name: a}\n": "duplicate run name",
+		"name: x\nevents:\n  - wait: {run: ghost}\n":                       "before any event names it",
 		"name: x\nevents:\n  - submit: {name: a}\n  - wait: {run: a, state: sideways}\n": "invalid",
 		"name: x\nevents:\n  - submit: {name: a, nonsense: 1}\n":                         "unknown key",
 		"name: x\nevents:\n  - arrivals: {prefix: p}\n":                                  "positive count",

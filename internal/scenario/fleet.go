@@ -36,9 +36,8 @@ func (r *runner) startFleet() error {
 				DeadAfter:         f.DeadAfter,
 			},
 			Elastic: fleet.ElasticConfig{
-				DrainIdleAfter:   f.DrainIdleAfter,
-				MinNodes:         f.MinNodes,
-				JoinBacklogDepth: f.JoinBacklog,
+				DrainIdleAfter: f.DrainIdleAfter,
+				MinNodes:       f.MinNodes,
 			},
 			Faults:     coordInj,
 			HTTPClient: r.hc,

@@ -43,7 +43,7 @@ type SubReport struct {
 	Name string `json:"name"`
 	// ID is the pool run ID; empty when the submission was rejected.
 	ID string `json:"id,omitempty"`
-	// Admission is fresh, cache_hit, dedup, shed, or queue_full.
+	// Admission is fresh, cache_hit, dedup, or shed.
 	Admission string `json:"admission"`
 	// State is the run's state at report time (terminal after the drain).
 	State string `json:"state,omitempty"`

@@ -26,19 +26,11 @@ import (
 
 // Admission verdicts recorded per submission and checkable by assertions.
 const (
-	admFresh     = "fresh"
-	admCacheHit  = "cache_hit"
-	admDedup     = "dedup"
-	admShed      = "shed"
-	admQueueFull = "queue_full"
+	admFresh    = "fresh"
+	admCacheHit = "cache_hit"
+	admDedup    = "dedup"
+	admShed     = "shed"
 )
-
-// rejections maps the error codes of the submissions admission turns away
-// onto their verdicts; any other failed submit aborts the scenario.
-var rejections = map[string]string{
-	server.CodeOverloaded: admShed,
-	server.CodeQueueFull:  admQueueFull,
-}
 
 // waitTimeout bounds each wait event and the final drain. Scenarios run
 // in-process simulations that finish in milliseconds; a scenario that needs
@@ -321,8 +313,8 @@ func (r *runner) events() error {
 	return nil
 }
 
-// submit posts one run and records how admission resolved it. A rejection
-// (shed, queue full) is a recorded verdict carrying the envelope's message,
+// submit posts one run and records how admission resolved it. A shed
+// submission is a recorded verdict carrying the envelope's message,
 // not a fatal error.
 func (r *runner) submit(name string, spec runqueue.Spec) error {
 	res, err := r.cli.SubmitRun(context.Background(),
@@ -335,8 +327,8 @@ func (r *runner) submit(name string, spec runqueue.Spec) error {
 	case err == nil && res.Deduped:
 		sub.admission = admDedup
 	case err == nil:
-	case errors.As(err, &ae) && rejections[ae.Code] != "":
-		sub.admission, sub.reject = rejections[ae.Code], ae.Message
+	case errors.As(err, &ae) && ae.Code == server.CodeOverloaded:
+		sub.admission, sub.reject = admShed, ae.Message
 	default:
 		return fmt.Errorf("submit %q: %w", name, err)
 	}

@@ -61,16 +61,14 @@ type Scenario struct {
 // PoolParams sizes the in-process pool a scenario runs against. The zero
 // value means a deterministic single-worker pool (base=max=1) with a 1 ms
 // warm-up — the configuration under which occurrence-indexed fault rules
-// fire in submission order.
+// fire in submission order. Retries back off from a fixed 1 ms base.
 type PoolParams struct {
-	BaseWorkers  int           `json:"base_workers"`
-	MaxWorkers   int           `json:"max_workers"`
-	Warmup       time.Duration `json:"warmup"`
-	QueueLimit   int           `json:"queue_limit"`
-	ShedDepth    int           `json:"shed_depth"`
-	RunTimeout   time.Duration `json:"run_timeout"`
-	MaxRetries   int           `json:"max_retries"`
-	RetryBackoff time.Duration `json:"retry_backoff"`
+	BaseWorkers int           `json:"base_workers"`
+	MaxWorkers  int           `json:"max_workers"`
+	Warmup      time.Duration `json:"warmup"`
+	QueueLimit  int           `json:"queue_limit"`
+	RunTimeout  time.Duration `json:"run_timeout"`
+	MaxRetries  int           `json:"max_retries"`
 }
 
 func (p PoolParams) config() runqueue.Config {
@@ -86,19 +84,14 @@ func (p PoolParams) config() runqueue.Config {
 	if warmup <= 0 {
 		warmup = time.Millisecond
 	}
-	backoff := p.RetryBackoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
 	return runqueue.Config{
 		BaseWorkers:  base,
 		MaxWorkers:   max,
 		Warmup:       warmup,
 		QueueLimit:   p.QueueLimit,
-		ShedDepth:    p.ShedDepth,
 		RunTimeout:   p.RunTimeout,
 		MaxRetries:   p.MaxRetries,
-		RetryBackoff: backoff,
+		RetryBackoff: time.Millisecond,
 		TraceLimit:   -1, // runs carry their own Observer; no retained traces
 	}
 }
@@ -121,11 +114,10 @@ type FleetParams struct {
 	// which is what makes kill_coordinator / restart_coordinator events
 	// meaningful: the restarted coordinator rehydrates and reconciles.
 	Durable bool `json:"durable"`
-	// DrainIdleAfter, MinNodes, and JoinBacklog configure the elasticity
-	// hooks (drain-on-idle, join-on-backlog); zeros disable them.
+	// DrainIdleAfter and MinNodes configure drain-on-idle; a zero
+	// DrainIdleAfter disables it.
 	DrainIdleAfter time.Duration `json:"drain_idle_after"`
 	MinNodes       int           `json:"min_nodes"`
-	JoinBacklog    int           `json:"join_backlog"`
 	// NodeFaults arms extra injection rules on a single node. The
 	// scenario's global fault rules are armed on every node independently
 	// (each node owns a seeded injector), so a global occurrence-indexed
@@ -338,7 +330,7 @@ type StatesAssertion struct {
 }
 
 // AdmissionAssertion pins how a submission was admitted: "fresh",
-// "cache_hit", "dedup", "shed", or "queue_full".
+// "cache_hit", "dedup", or "shed".
 type AdmissionAssertion struct {
 	Run string `json:"run"`
 	Is  string `json:"is"`

@@ -207,9 +207,9 @@ func (s *Scenario) Validate() error {
 			err = a.States.validate(where + ".states")
 		case a.Admission != nil:
 			switch a.Admission.Is {
-			case admFresh, admCacheHit, admDedup, admShed, admQueueFull:
+			case admFresh, admCacheHit, admDedup, admShed:
 			default:
-				return failf("%s.admission.is %q invalid (fresh, cache_hit, dedup, shed, queue_full)", where, a.Admission.Is)
+				return failf("%s.admission.is %q invalid (fresh, cache_hit, dedup, shed)", where, a.Admission.Is)
 			}
 			check = []string{a.Admission.Run}
 		case a.ErrorContains != nil:
@@ -342,7 +342,7 @@ func (a *StatesAssertion) validate(where string) error {
 	for j, st := range a.Are {
 		// Rejected submissions never reach a run state; they report their
 		// rejection verdict in the state's place.
-		if st != admShed && st != admQueueFull {
+		if st != admShed {
 			if err := terminalState(st, fmt.Sprintf("%s.are[%d]", where, j)); err != nil {
 				return err
 			}

@@ -142,7 +142,7 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 			}
 		}
 		ts, pool := newTestServer(t, runqueue.Config{
-			BaseWorkers: 1, MaxWorkers: 1, ShedDepth: 1, Simulate: blocking,
+			BaseWorkers: 1, MaxWorkers: 1, QueueLimit: 1, Simulate: blocking,
 		})
 		postRun(t, ts, submitBody("w1", 1, "equip"))
 		deadline := time.Now().Add(5 * time.Second)
@@ -164,6 +164,8 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 		}
 	})
 
+	// A sweep that does not fit the queue is shed as a whole, with the same
+	// 429 overloaded envelope as a single run.
 	t.Run("429 queue_full", func(t *testing.T) {
 		release := make(chan struct{})
 		defer close(release)
@@ -176,21 +178,27 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 			}
 		}
 		ts, pool := newTestServer(t, runqueue.Config{
-			BaseWorkers: 1, MaxWorkers: 1, QueueLimit: 1, Simulate: blocking,
+			BaseWorkers: 1, MaxWorkers: 1, QueueLimit: 2, Simulate: blocking,
 		})
 		postRun(t, ts, submitBody("w1", 1, "equip"))
 		deadline := time.Now().Add(5 * time.Second)
 		for inflight(pool) == 0 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
-		postRun(t, ts, submitBody("w1", 2, "equip"))
-		resp := postRaw(t, ts.URL+"/v1/runs", submitBody("w1", 3, "equip"))
+		resp := postRaw(t, ts.URL+"/v1/sweeps", sweepBody) // four runs, two free slots
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("status %d, want 429", resp.StatusCode)
 		}
 		env := decodeEnvelope(t, resp)
-		if env.Code != CodeQueueFull || env.RetryAfterSeconds != 1 {
-			t.Fatalf("envelope %+v, want code %s with retry_after_seconds 1", env, CodeQueueFull)
+		if env.Code != CodeOverloaded || env.RetryAfterSeconds < 1 {
+			t.Fatalf("envelope %+v, want code %s with a retry hint", env, CodeOverloaded)
+		}
+		if header, _ := strconv.Atoi(resp.Header.Get("Retry-After")); header != env.RetryAfterSeconds {
+			t.Fatalf("Retry-After header %q disagrees with body %d",
+				resp.Header.Get("Retry-After"), env.RetryAfterSeconds)
+		}
+		if depth := metricValue(t, ts, "pdpad_queue_depth"); depth != 0 {
+			t.Fatalf("queue depth %v after a shed sweep, want 0", depth)
 		}
 	})
 

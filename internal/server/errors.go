@@ -27,11 +27,9 @@ const (
 	// CodePayloadTooLarge: the request body exceeded the submission size
 	// cap (413).
 	CodePayloadTooLarge = "payload_too_large"
-	// CodeOverloaded: the submission was shed by the admission controller's
-	// backlog estimate; retry_after_seconds carries its estimate (429).
+	// CodeOverloaded: the queue was full and the submission was shed;
+	// retry_after_seconds carries the pool's backlog estimate (429).
 	CodeOverloaded = "overloaded"
-	// CodeQueueFull: the hard queue bound rejected the submission (429).
-	CodeQueueFull = "queue_full"
 	// CodeDraining: the daemon is shutting down and not accepting work (503).
 	CodeDraining = "draining"
 	// CodeUnavailable: an injected fault or other transient server-side

@@ -148,7 +148,7 @@ func TestOverloadRetryAfterHeader(t *testing.T) {
 		}
 	}
 	ts, _ := newTestServer(t, runqueue.Config{
-		BaseWorkers: 1, MaxWorkers: 1, ShedDepth: 1, Simulate: blocking,
+		BaseWorkers: 1, MaxWorkers: 1, QueueLimit: 1, Simulate: blocking,
 	})
 	if _, status := postRun(t, ts, submitBody("w1", 1, "equip")); status != http.StatusAccepted {
 		t.Fatalf("first submit: status %d", status)
@@ -177,7 +177,8 @@ func TestOverloadRetryAfterHeader(t *testing.T) {
 	}
 }
 
-// TestQueueFullRetryAfterHeader: the hard queue limit also advises a retry.
+// TestQueueFullRetryAfterHeader: the queue admits exactly QueueLimit waiting
+// runs; the next submission is shed with a Retry-After header.
 func TestQueueFullRetryAfterHeader(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -189,8 +190,9 @@ func TestQueueFullRetryAfterHeader(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
+	const limit = 3
 	ts, pool := newTestServer(t, runqueue.Config{
-		BaseWorkers: 1, MaxWorkers: 1, QueueLimit: 1, Simulate: blocking,
+		BaseWorkers: 1, MaxWorkers: 1, QueueLimit: limit, Simulate: blocking,
 	})
 	if _, status := postRun(t, ts, submitBody("w1", 1, "equip")); status != http.StatusAccepted {
 		t.Fatalf("first submit: status %d", status)
@@ -199,10 +201,12 @@ func TestQueueFullRetryAfterHeader(t *testing.T) {
 	for inflight(pool) == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if _, status := postRun(t, ts, submitBody("w1", 2, "equip")); status != http.StatusAccepted {
-		t.Fatalf("second submit: status %d", status)
+	for seed := int64(2); seed < 2+limit; seed++ {
+		if _, status := postRun(t, ts, submitBody("w1", seed, "equip")); status != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d, want 202 below the queue limit", seed, status)
+		}
 	}
-	resp := postRaw(t, ts.URL+"/v1/runs", submitBody("w1", 3, "equip"))
+	resp := postRaw(t, ts.URL+"/v1/runs", submitBody("w1", 2+limit, "equip"))
 	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("full-queue submit: status %d Retry-After %q, want 429 with header",
 			resp.StatusCode, resp.Header.Get("Retry-After"))

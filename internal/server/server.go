@@ -58,8 +58,8 @@ const maxRequestBody = 1 << 20
 // verbatim (status, code, message, retry hint) — the coordinator's own
 // rejections and the node envelopes it relays take this form; the pool's
 // sentinels map to their codes (OverloadError → 429 overloaded,
-// ErrQueueFull → 429 queue_full, ErrDraining → 503 draining, ErrNotFound
-// → 404); anything else is the caller's fault, 400 invalid_request.
+// ErrDraining → 503 draining, ErrNotFound → 404); anything else is the
+// caller's fault, 400 invalid_request.
 type Backend interface {
 	SubmitRun(ctx context.Context, req client.SubmitRunRequest) (client.SubmitResult, error)
 	// Run returns a run's view, its result included once done.
@@ -175,8 +175,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // writeBackendError maps a backend failure onto the envelope (see Backend).
 // Overload sheds carry the pool's backlog estimate as a retry hint (header
-// and envelope body); plain queue-full rejections suggest retrying in a
-// second.
+// and envelope body).
 func writeBackendError(w http.ResponseWriter, err error) {
 	var api *client.APIError
 	var overload *runqueue.OverloadError
@@ -187,15 +186,13 @@ func writeBackendError(w http.ResponseWriter, err error) {
 		} else {
 			WriteError(w, api.Status, api.Code, errors.New(api.Message))
 		}
-	case errors.As(err, &overload): // before ErrQueueFull: OverloadError matches both
+	case errors.As(err, &overload):
 		WriteRetryError(w, http.StatusTooManyRequests, CodeOverloaded, err,
 			int(overload.RetryAfter/time.Second))
 	case errors.Is(err, runqueue.ErrNotFound):
 		WriteError(w, http.StatusNotFound, CodeNotFound, err)
 	case errors.Is(err, runqueue.ErrDraining):
 		WriteError(w, http.StatusServiceUnavailable, CodeDraining, err)
-	case errors.Is(err, runqueue.ErrQueueFull):
-		WriteRetryError(w, http.StatusTooManyRequests, CodeQueueFull, err, 1)
 	default:
 		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 	}

@@ -5,8 +5,8 @@ package server_test
 // over one node. The standalone transcript is golden-compared byte for byte
 // (timestamps, durations, uptime and build strings masked); the coordinator
 // must answer every step with the same status, the same error code and the
-// same body shape. Only the role string and the health node counts may
-// differ between the two.
+// same body shape, and relay the node's shed (429) verbatim. Only the role
+// string and the health node counts may differ between the two.
 
 import (
 	"bufio"
@@ -449,6 +449,11 @@ func TestWireContract(t *testing.T) {
 		}
 		if a, b := bodyShape(t, s), bodyShape(t, c); !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: coordinator body shape differs\ncoordinator: %s\nstandalone:  %s", s.name, c.body, s.body)
+		}
+		// A node's shed reaches the client as the node wrote it, retry
+		// hint included.
+		if s.status == http.StatusTooManyRequests && c.body != s.body {
+			t.Errorf("%s: coordinator altered the node's shed\ncoordinator: %s\nstandalone:  %s", s.name, c.body, s.body)
 		}
 	}
 }

@@ -92,10 +92,11 @@ type Store struct {
 
 	mu        sync.Mutex
 	gen       uint64
-	journal   *os.File
+	journal   journalFile
 	jbytes    int64 // current journal size, frames included
 	dirty     bool  // appended since the last fsync
 	closed    bool
+	failed    error // a torn frame could not be cut off; appends refused
 	recovered []Record
 
 	flushWake chan struct{}
@@ -110,6 +111,15 @@ type Store struct {
 	truncTails uint64
 	truncBytes uint64
 	corrupt    uint64
+}
+
+// journalFile is what the store does with its open journal; *os.File in
+// production, a failing stand-in in tests.
+type journalFile interface {
+	Write(b []byte) (int, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 func snapshotName(gen uint64) string { return fmt.Sprintf("snapshot-%06d.pdps", gen) }
@@ -234,6 +244,13 @@ func (s *Store) TakeRecovered() []Record {
 
 // Append writes one record to the journal. The write reaches the OS before
 // Append returns; the fsync is batched (see Options.SyncInterval).
+//
+// A failed write may leave part of a frame in the journal, which recovery
+// would stop at, dropping every later record. Append therefore cuts the
+// journal back to its last frame edge before returning the error, so the
+// next append starts clean. If that cut fails too, the store is failed: it
+// refuses every later append until it is reopened, whose recovery cuts the
+// torn tail off.
 func (s *Store) Append(rec Record) error {
 	frame := encodeFrame(rec)
 	s.mu.Lock()
@@ -241,7 +258,13 @@ func (s *Store) Append(rec Record) error {
 	if s.closed {
 		return fmt.Errorf("store: append after close")
 	}
+	if s.failed != nil {
+		return s.failed
+	}
 	if _, err := s.journal.Write(frame); err != nil {
+		if terr := s.journal.Truncate(s.jbytes); terr != nil {
+			s.failed = fmt.Errorf("store: failed until reopened: cutting a torn append back: %w", terr)
+		}
 		return fmt.Errorf("store: appending: %w", err)
 	}
 	s.jbytes += int64(len(frame))

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -270,6 +272,96 @@ func TestFailedCompactionKeepsAppends(t *testing.T) {
 
 	s2 := mustOpen(t, dir, syncEvery)
 	wantRecords(t, s2.TakeRecovered(), append(all, tail))
+}
+
+// tornJournal stands in for the journal: each write lands half the frame
+// on disk and then fails, as a full disk would; truncErr, when set, fails
+// the cut back too.
+type tornJournal struct {
+	*os.File
+	truncErr error
+}
+
+func (j *tornJournal) Write(b []byte) (int, error) {
+	n, _ := j.File.Write(b[:len(b)/2])
+	return n, errors.New("no space left on device")
+}
+
+func (j *tornJournal) Truncate(size int64) error {
+	if j.truncErr != nil {
+		return j.truncErr
+	}
+	return j.File.Truncate(size)
+}
+
+// tearAppends makes s's appends write half a frame and fail until the
+// returned func puts the real journal back.
+func tearAppends(s *Store, truncErr error) (restore func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.journal.(*os.File)
+	s.journal = &tornJournal{File: f, truncErr: truncErr}
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.journal = f
+	}
+}
+
+// TestFailedAppendKeepsLaterAppends: an append that leaves half a frame
+// behind is cut back to the last frame edge, so an append after it is
+// recovered and recovery finds no torn frame.
+func TestFailedAppendKeepsLaterAppends(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, syncEvery)
+	a := appendN(t, s, "run", 1)
+	restore := tearAppends(s, nil)
+	if err := s.Append(rec("run", 1)); err == nil {
+		t.Fatal("torn append reported success")
+	}
+	restore()
+	b := rec("run", 2)
+	if err := s.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := mustOpen(t, dir, syncEvery)
+	wantRecords(t, s2.TakeRecovered(), append(a, b))
+	if st := s2.Stats(); st.TruncatedTails != 0 || st.CorruptFrames != 0 {
+		t.Fatalf("recovery found %d torn tail(s), %d corrupt frame(s); want none", st.TruncatedTails, st.CorruptFrames)
+	}
+}
+
+// TestUncutAppendFailsStore: when the torn frame cannot be cut off, the
+// store refuses every later append until it is reopened, and the reopened
+// store recovers what came before the failure and appends again.
+func TestUncutAppendFailsStore(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, syncEvery)
+	a := appendN(t, s, "run", 1)
+	restore := tearAppends(s, errors.New("read-only file system"))
+	if err := s.Append(rec("run", 1)); err == nil {
+		t.Fatal("torn append reported success")
+	}
+	restore()
+	if err := s.Append(rec("run", 2)); err == nil || !strings.Contains(err.Error(), "failed until reopened") {
+		t.Fatalf("append on a failed store: err %v, want a refusal", err)
+	}
+	s.Close()
+
+	s2 := mustOpen(t, dir, syncEvery)
+	wantRecords(t, s2.TakeRecovered(), a)
+	if st := s2.Stats(); st.TruncatedTails != 1 {
+		t.Fatalf("recovery cut %d torn tail(s), want 1", st.TruncatedTails)
+	}
+	b := rec("run", 3)
+	if err := s2.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3 := mustOpen(t, dir, syncEvery)
+	wantRecords(t, s3.TakeRecovered(), append(a, b))
 }
 
 // TestBatchedSyncFlushes: with a batching interval, appends become durable

@@ -13,8 +13,12 @@
 # cacheLRU with its three helpers, LedgerConfig.Forget, the coordinator's
 # deadEnd, pdpad's -cache flag and the scenario pool's cache_size. Every
 # pdpad stack went to one assembly, fleet.StartDaemon, deleting the
-# scenario's listenAt and the fleet tests' serveAt. This check keeps them all
-# deleted:
+# scenario's listenAt and the fleet tests' serveAt. The options audit
+# removed the second queue bound (ShedDepth, -max-queue, shed_depth and the
+# queue_full code), the default deadline (DefaultDeadline, -deadline), the
+# consumerless scale-up signal (JoinBacklogDepth, scaleUpLocked,
+# -join-backlog, join_backlog and its series) and the scenario key
+# retry_backoff. This check keeps them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
@@ -108,6 +112,22 @@ hits=$({
 } || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: daemon wiring forked from fleet.StartDaemon (build, kill and restart stacks through the one assembly):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+# Every option earns its place: one queue bound, QueueLimit, sheds with a
+# Retry-After (429 overloaded); a run's total deadline comes only from its
+# request; and no scale-up signal fires until a launcher consumes it. None
+# of the removed options, codes or series may come back.
+hits=$({
+    grep -rn --include='*.go' -E '\b(ShedDepth|DefaultDeadline|JoinBacklogDepth|CodeQueueFull|scaleUpLocked)\b' internal cmd client
+    grep -n -E '"(max-queue|deadline|join-backlog)",' $(ls cmd/pdpad/*.go | grep -v '_test\.go$')
+    grep -n -E 'json:"(shed_depth|join_backlog|retry_backoff)"' internal/scenario/*.go
+    grep -rn -E 'pdpad_fleet_scale_up_signals_total' internal cmd scenarios
+} || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: removed option reintroduced (one queue bound that sheds, request deadlines only, no scale-up signal without a consumer):" >&2
     echo "$hits" >&2
     fail=1
 fi

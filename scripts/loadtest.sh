@@ -6,7 +6,7 @@
 #      same store directory, and require the paginated run list to return
 #      every previously completed run with a byte-identical status body.
 #   2. Load: a pdpaload soak with more closed-loop workers than the daemon's
-#      shed depth, asserting completions, observed 429+Retry-After shedding,
+#      queue bound, asserting completions, observed 429+Retry-After shedding,
 #      a p99 bound, and zero contract violations or leaked goroutines.
 #   3. Shutdown: SIGTERM must drain and exit cleanly.
 #
@@ -35,12 +35,12 @@ go build -o "$work/pdpad" ./cmd/pdpad
 go build -o "$work/pdpaload" ./cmd/pdpaload
 
 start_daemon() {
-    # A deliberately small pool (-max-queue 4, a fraction of the soak's
+    # A deliberately small pool (-queue 4, a fraction of the soak's
     # worker count) so phase 2's closed-loop soak reliably drives the shed
     # path; -store-sync 10ms keeps the durability window short for phase 1's
     # sleep.
     "$work/pdpad" -addr "127.0.0.1:$port" -store "$work/store" -store-sync 10ms \
-        -base 2 -max 4 -warmup 10ms -max-queue 4 >>"$work/pdpad.log" 2>&1 &
+        -base 2 -max 4 -warmup 10ms -queue 4 >>"$work/pdpad.log" 2>&1 &
     daemon_pid=$!
     for _ in $(seq 1 100); do
         if curl -fsS "$addr/healthz" >/dev/null 2>&1; then return 0; fi
