@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -168,23 +169,32 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return fmt.Errorf("pdpad: %s %s: %w", method, path, err)
 	}
-	data, readErr := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
+	_, readErr := buf.ReadFrom(io.LimitReader(resp.Body, maxErrorBody))
 	resp.Body.Close()
 	if readErr != nil {
 		return fmt.Errorf("pdpad: reading response: %w", readErr)
 	}
+	// json.Unmarshal copies what it keeps; an error keeps a copy of the body.
+	data := buf.Bytes()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if out == nil {
 			return nil
 		}
 		if err := json.Unmarshal(data, out); err != nil {
 			return &ContractError{Status: resp.StatusCode,
-				Detail: fmt.Sprintf("undecodable success body: %v", err), Body: data}
+				Detail: fmt.Sprintf("undecodable success body: %v", err), Body: bytes.Clone(data)}
 		}
 		return nil
 	}
-	return decodeAPIError(resp, data)
+	return decodeAPIError(resp, bytes.Clone(data))
 }
+
+// bodyBufs recycles response-body buffers: reading each body into a fresh
+// one is most of what a cache-hit GET allocates.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // decodeAPIError turns a non-2xx response into *APIError, or *ContractError
 // when the response violates the envelope contract.
@@ -249,7 +259,9 @@ func (c *Client) CancelRun(ctx context.Context, id string) (RunView, error) {
 	return v, err
 }
 
-// Trace fetches a run's recorded decision trace JSON.
+// Trace fetches a done run's decision trace JSON. The daemon derives it on
+// read by re-simulating the run's spec with tracing on, so it is the trace
+// the run records, at the daemon's -trace-limit.
 func (c *Client) Trace(ctx context.Context, id string) (json.RawMessage, error) {
 	var raw json.RawMessage
 	err := c.Do(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(id)+"/trace", nil, &raw)

@@ -406,3 +406,30 @@ func TestContractErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestContractErrorKeepsBody: the body a ContractError carries is its own
+// copy; reading later responses does not change it.
+func TestContractErrorKeepsBody(t *testing.T) {
+	var n atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintf(w, "not json %d", n.Add(1))
+	}))
+	defer ts.Close()
+	cli := client.New(ts.URL)
+	defer cli.CloseIdleConnections()
+	var first *client.ContractError
+	for i := 0; i < 2; i++ {
+		_, err := cli.SubmitRun(context.Background(), client.SubmitRunRequest{})
+		var contract *client.ContractError
+		if !errors.As(err, &contract) {
+			t.Fatalf("err = %v (%T), want *ContractError", err, err)
+		}
+		if first == nil {
+			first = contract
+		}
+	}
+	if got := string(first.Body); got != "not json 1" {
+		t.Fatalf("first error's body reads %q after a second response, want %q", got, "not json 1")
+	}
+}

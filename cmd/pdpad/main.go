@@ -5,8 +5,9 @@
 // through a canonical-config-hash index into its run history (a done run
 // answers repeats for as long as the history holds it, so the history is the
 // result cache and has the only bound), streams per-run progress as
-// server-sent events, serves each run's recorded decision trace, and exposes
-// live Prometheus metrics.
+// server-sent events, serves each done run's decision trace (derived on read
+// by re-simulating its spec with tracing on), and exposes live Prometheus
+// metrics.
 //
 // Usage:
 //
@@ -111,7 +112,7 @@ func config(args []string) (cfg fleet.DaemonConfig, drainTimeout time.Duration, 
 	fs.DurationVar(&pool.Warmup, "warmup", 500*time.Millisecond, "how long a new run is considered settling; above base, admission waits for a stable running set")
 	fs.IntVar(&pool.QueueLimit, "queue", 256, "maximum queued runs; a submission finding the queue full is shed with 429 + Retry-After")
 	fs.DurationVar(&drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for runs to finish before cancelling them")
-	fs.IntVar(&pool.TraceLimit, "trace-limit", 2000, "decision-trace events retained per run, served at /v1/runs/{id}/trace (negative disables tracing)")
+	fs.IntVar(&pool.TraceLimit, "trace-limit", 2000, "decision-trace events served per done run at /v1/runs/{id}/trace, derived on read by re-simulating its spec (negative disables the endpoint)")
 	fs.DurationVar(&pool.RunTimeout, "run-timeout", 0, "per-attempt wall-clock limit for a simulation; exceeded runs fail with a timeout error (0 = none)")
 	fs.IntVar(&pool.MaxRetries, "max-retries", 0, "retries for transiently failed runs, with exponential backoff (0 = none)")
 	injectSeed := fs.Int64("inject-seed", 1, "seed for probabilistic -inject rules")

@@ -88,3 +88,27 @@ func TestDeterministicWriteJSON(t *testing.T) {
 		})
 	}
 }
+
+// TestResultIndependentOfDecisionTrace: recording a decision trace never
+// changes a run's result. Over the paper's 48-cell grid (four policies ×
+// w1–w4 × loads 0.6/0.8/1.0) at one seed, the serialized outcome is
+// byte-identical untraced and at the daemon's 2000-event trace limit. This
+// is what lets the daemon simulate untraced and derive a trace only when
+// one is read.
+func TestResultIndependentOfDecisionTrace(t *testing.T) {
+	for _, policy := range []Policy{IRIX, Equipartition, EqualEfficiency, PDPA} {
+		for _, mix := range []string{"w1", "w2", "w3", "w4"} {
+			for _, load := range []float64{0.6, 0.8, 1.0} {
+				ws := WorkloadSpec{Mix: mix, Load: load, Window: 60 * time.Second, Seed: 1}
+				run := func(limit int) func() (*Outcome, error) {
+					return func() (*Outcome, error) {
+						return RunContext(context.Background(), ws, Options{Policy: policy, Seed: 1, DecisionTrace: limit})
+					}
+				}
+				if !bytes.Equal(runJSON(t, run(0)), runJSON(t, run(2000))) {
+					t.Errorf("%s %s load %.1f: result differs with a 2000-event decision trace", policy, mix, load)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pdpasim/internal/store"
@@ -102,8 +103,8 @@ func FuzzRecoverState(f *testing.F) {
 		st.Close()
 
 		// As a snapshot with the intact seed journaled on top: recovery
-		// must fold mixed generations without panicking, whatever the
-		// snapshot's condition.
+		// must fold mixed generations without panicking, or refuse a
+		// damaged snapshot with an error naming it.
 		dir2 := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir2, "snapshot-000001.pdps"), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -113,7 +114,10 @@ func FuzzRecoverState(f *testing.F) {
 		}
 		st2, err := store.Open(dir2, store.Options{SyncInterval: -1})
 		if err != nil {
-			t.Fatalf("Open on fuzzed snapshot: %v", err)
+			if !strings.Contains(err.Error(), "snapshot-000001.pdps") {
+				t.Fatalf("Open on fuzzed snapshot: %v does not name the snapshot", err)
+			}
+			return
 		}
 		check(t, st2)
 		st2.Close()

@@ -8,10 +8,13 @@ package runqueue
 // the one the fleet coordinator embeds too.
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
+	"pdpasim"
 	"pdpasim/client"
 )
 
@@ -106,19 +109,57 @@ func (p *Pool) FollowRun(ctx context.Context, id string, emit func(client.Event)
 	return ev.Follow(ctx, emit)
 }
 
-// Trace returns a run's recorded decision trace ({"events": [...],
-// "dropped": n}, the pdpasim.DecisionTrace JSON schema). It is available
-// once the run is done, unless the pool was configured with tracing
-// disabled.
+// Trace returns a done run's decision trace ({"events": [...], "dropped":
+// n}, the pdpasim.DecisionTrace JSON schema, at most TraceLimit events). It
+// is derived, not stored: the simulator is deterministic, so re-simulating
+// the run's spec with tracing on records the trace the run made. At most
+// BaseWorkers traces are derived at once; the wait for a slot ends with ctx,
+// and the derivation itself is bounded by ctx and RunTimeout, like an attempt.
+// A run recovered from a store record that still carries its trace serves
+// those bytes as recorded. A run that is not done, or a pool with tracing
+// disabled, has none (ErrNotFound).
 func (p *Pool) Trace(ctx context.Context, id string) ([]byte, error) {
-	snap, err := p.Get(id)
+	p.mu.Lock()
+	r := p.runs.Get(id)
+	var rec runRecord
+	if r != nil {
+		rec = r.runRecord
+	}
+	p.mu.Unlock()
+	switch {
+	case r == nil:
+		return nil, ErrNotFound
+	case len(rec.Trace) > 0:
+		return rec.Trace, nil
+	case rec.State != Done || p.cfg.TraceLimit < 0:
+		return nil, &notFoundError{fmt.Sprintf("run %s has no decision trace (state %s; tracing may be disabled)", rec.ID, rec.State)}
+	}
+	select {
+	case p.traceSlots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-p.traceSlots }()
+	sctx := ctx
+	if p.cfg.RunTimeout > 0 {
+		var cancel context.CancelFunc
+		sctx, cancel = context.WithTimeout(ctx, p.cfg.RunTimeout)
+		defer cancel()
+	}
+	ws, opts := rec.Spec.Facade()
+	opts.DecisionTrace = p.cfg.TraceLimit
+	out, err := pdpasim.RunContext(sctx, ws, opts)
 	if err != nil {
+		if ctx.Err() == nil && errors.Is(sctx.Err(), context.DeadlineExceeded) {
+			err = fmt.Errorf("no result within run timeout %v: %w", p.cfg.RunTimeout, ErrRunTimeout)
+		}
+		return nil, fmt.Errorf("runqueue: deriving the decision trace of run %s: %w", rec.ID, err)
+	}
+	var buf bytes.Buffer
+	if err := out.DecisionTrace().WriteJSON(&buf); err != nil {
 		return nil, err
 	}
-	if len(snap.TraceJSON) == 0 {
-		return nil, &notFoundError{fmt.Sprintf("run %s has no decision trace (state %s; tracing may be disabled)", snap.ID, snap.State)}
-	}
-	return snap.TraceJSON, nil
+	return buf.Bytes(), nil
 }
 
 // Health reports the pool's admission state: draining or ok, plus its

@@ -8,10 +8,13 @@ package runqueue
 // its run history, which is its result cache, and its sweep index from the
 // recovered records, so a kill -9 loses at most the in-flight work, never a
 // completed result.
-// Result and trace bytes are carried as []byte (base64 on the wire), which
-// keeps the recovered outcome JSON byte-identical to what the pool served
-// before the crash — the property that makes recovered results
-// cache-substitutable for fresh simulations.
+// A run's record holds its result, not its decision trace, which Pool.Trace
+// derives from the spec on read; records written when the trace was stored
+// still carry it, and a recovered run serves those bytes. Result and trace
+// bytes are carried as []byte (base64 on the wire), which keeps the
+// recovered outcome JSON byte-identical to what the pool served before the
+// crash — the property that makes recovered results cache-substitutable
+// for fresh simulations.
 
 import (
 	"encoding/json"
@@ -38,7 +41,9 @@ type runRecord struct {
 	Submitted time.Time `json:"submitted"`
 	Started   time.Time `json:"started,omitempty"`
 	Finished  time.Time `json:"finished"`
-	// Result and Trace hold the exact serialized bytes the run produced.
+	// Result holds the exact serialized bytes the run produced. Trace is
+	// set only on a run recovered from a record that stored its decision
+	// trace; new records leave it out.
 	Result []byte `json:"result,omitempty"`
 	Trace  []byte `json:"trace,omitempty"`
 }

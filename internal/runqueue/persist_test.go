@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,23 +42,29 @@ func drainClose(t *testing.T, p *Pool, s *store.Store) {
 
 // TestRestartByteIdenticalResults is the acceptance property: a completed
 // run recovered after a restart is indistinguishable from the original —
-// same state, same timestamps, and byte-identical result and trace JSON.
+// same state, same timestamps, byte-identical result JSON, and a served
+// decision trace equal to the one the run records when simulated traced.
 func TestRestartByteIdenticalResults(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	p := New(Config{Store: st})
 
 	var ids []string
+	specs := make(map[string]Spec)
 	for seed := int64(1); seed <= 3; seed++ {
-		res, err := p.Submit(tinySpec(seed), 0)
+		res, err := p.Submit(pdpaSpec(seed), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, res.ID)
+		specs[res.ID] = pdpaSpec(seed)
 	}
 	before := make(map[string]Snapshot, len(ids))
 	for _, id := range ids {
 		before[id] = waitState(t, p, id, Done)
+		if tr, err := p.Trace(context.Background(), id); err != nil || !bytes.Equal(tr, recordedTrace(t, specs[id])) {
+			t.Fatalf("run %s: served trace differs from the recorded one (err %v)", id, err)
+		}
 	}
 	drainClose(t, p, st)
 
@@ -78,8 +85,8 @@ func TestRestartByteIdenticalResults(t *testing.T) {
 		if !bytes.Equal(got.ResultJSON, want.ResultJSON) {
 			t.Fatalf("run %s: result JSON changed across restart", id)
 		}
-		if !bytes.Equal(got.TraceJSON, want.TraceJSON) {
-			t.Fatalf("run %s: trace JSON changed across restart", id)
+		if tr, err := p2.Trace(context.Background(), id); err != nil || !bytes.Equal(tr, recordedTrace(t, specs[id])) {
+			t.Fatalf("run %s: served trace changed across restart (err %v)", id, err)
 		}
 		if !got.Submitted.Equal(want.Submitted) || !got.Started.Equal(want.Started) ||
 			!got.Finished.Equal(want.Finished) {
@@ -283,21 +290,29 @@ func TestCompactionUnderPool(t *testing.T) {
 	}
 }
 
-// TestNoCompactionOfLiveJournal: real runs whose records add up to more than
+// largeOutcome is one real simulation with a long window, whose result of
+// about 290 KB journals as a record of about 390 KB.
+var largeOutcome = sync.OnceValues(func() (*pdpasim.Outcome, error) {
+	return pdpasim.RunContext(context.Background(),
+		pdpasim.WorkloadSpec{Mix: "w4", Load: 0.6, Window: 2 * time.Hour, Seed: 1},
+		pdpasim.Options{Policy: pdpasim.Equipartition},
+	)
+})
+
+// TestNoCompactionOfLiveJournal: runs whose records add up to more than
 // 8 MiB, none superseded or forgotten, leave nothing to reclaim, so the
 // store is never compacted, and every run recovers byte for byte.
 func TestNoCompactionOfLiveJournal(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	p := New(Config{Store: st})
+	sim := func(ctx context.Context, spec Spec) (*pdpasim.Outcome, error) { return largeOutcome() }
+	p := New(Config{Store: st, Simulate: sim})
 	var snaps []Snapshot
 	for seed := int64(1); st.Stats().AppendedBytes <= 8<<20; seed++ {
 		if seed > 100 {
 			t.Fatalf("%d runs journaled only %d bytes", seed-1, st.Stats().AppendedBytes)
 		}
-		spec := tinySpec(seed)
-		spec.Workload.Mix = "w4" // about 250 KB a record
-		res, err := p.Submit(spec, 0)
+		res, err := p.Submit(tinySpec(seed), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,11 +323,11 @@ func TestNoCompactionOfLiveJournal(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	p2 := New(Config{Store: st2})
+	p2 := New(Config{Store: st2, Simulate: sim})
 	defer p2.Drain(context.Background())
 	for _, want := range snaps {
 		got, err := p2.Get(want.ID)
-		if err != nil || !bytes.Equal(got.ResultJSON, want.ResultJSON) || !bytes.Equal(got.TraceJSON, want.TraceJSON) {
+		if err != nil || !bytes.Equal(got.ResultJSON, want.ResultJSON) {
 			t.Fatalf("run %s after restart differs (err %v)", want.ID, err)
 		}
 	}

@@ -62,7 +62,9 @@ func (e *OverloadError) Error() string {
 // Is makes errors.Is(err, ErrQueueFull) succeed for shed submissions.
 func (e *OverloadError) Is(target error) bool { return target == ErrQueueFull }
 
-// SimulateFunc executes one spec; tests substitute it to control timing.
+// SimulateFunc executes one spec; tests substitute it to control timing. It
+// produces the run's result only: a served decision trace is derived from
+// the spec by the real simulator (Pool.Trace), whatever Simulate returns.
 type SimulateFunc func(ctx context.Context, spec Spec) (*pdpasim.Outcome, error)
 
 // Config parameterizes a Pool. The zero value gets sensible defaults.
@@ -84,14 +86,14 @@ type Config struct {
 	//
 	// Deprecated: the run history is the only result cache; leave it unset.
 	CacheSize int
-	// TraceLimit bounds the decision-trace events retained per run; the
-	// recorded trace is stored alongside the result (evicted with the run's
-	// history entry) and served at GET /v1/runs/{id}/trace. 0 means the
-	// default 2000; negative disables per-run decision tracing.
+	// TraceLimit bounds the decision-trace events served per run at
+	// GET /v1/runs/{id}/trace. The trace is not stored: the simulator is
+	// deterministic, so Pool.Trace re-simulates a done run's spec with this
+	// many events traced. 0 means the default 2000; negative disables the
+	// endpoint.
 	TraceLimit int
 	// Simulate overrides the simulation function (default: the real
-	// simulator via pdpasim.RunContext, with decision tracing per
-	// TraceLimit).
+	// simulator via pdpasim.RunContext, untraced).
 	Simulate SimulateFunc
 
 	// RunTimeout bounds each simulation attempt's wall clock, measured from
@@ -161,12 +163,8 @@ func (c Config) withDefaults() Config {
 		c.historyLimit = DefaultHistoryLimit
 	}
 	if c.Simulate == nil {
-		limit := c.TraceLimit
 		c.Simulate = func(ctx context.Context, spec Spec) (*pdpasim.Outcome, error) {
 			ws, opts := spec.Facade()
-			if limit > 0 {
-				opts.DecisionTrace = limit
-			}
 			return pdpasim.RunContext(ctx, ws, opts)
 		}
 	}
@@ -214,9 +212,6 @@ type Snapshot struct {
 	Finished  time.Time
 	// ResultJSON is the full serialized result once the run is Done.
 	ResultJSON []byte
-	// TraceJSON is the run's serialized decision trace ({"events": [...],
-	// "dropped": n}) once Done, when tracing was enabled.
-	TraceJSON []byte
 }
 
 // SubmitResult reports how a submission was resolved.
@@ -235,13 +230,11 @@ type SubmitResult struct {
 // simulation wall time.
 var wallBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
-// traceEventBuckets bucket per-run decision-trace event totals;
 // allocBuckets bucket per-job time-averaged processor allocations;
 // attemptBuckets bucket simulation attempts per run (1 = no retry).
 var (
-	traceEventBuckets = []float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000}
-	allocBuckets      = []float64{1, 2, 4, 8, 12, 16, 24, 32, 48, 64}
-	attemptBuckets    = []float64{1, 2, 3, 4, 5, 8}
+	allocBuckets   = []float64{1, 2, 4, 8, 12, 16, 24, 32, 48, 64}
+	attemptBuckets = []float64{1, 2, 3, 4, 5, 8}
 )
 
 // panicsHelp is shared with the HTTP layer, which registers the "http"
@@ -265,11 +258,10 @@ type poolMetrics struct {
 	failed      *obs.Counter
 	canceled    *obs.Counter
 
-	wall        *obs.Histogram // simulation wall time per run
-	queueWait   *obs.Histogram // queue wait per started run
-	traceEvents *obs.Histogram // decision events recorded per run
-	allocProcs  *obs.Histogram // time-averaged processors per finished job
-	attempts    *obs.Histogram // simulation attempts per run
+	wall       *obs.Histogram // simulation wall time per run
+	queueWait  *obs.Histogram // queue wait per started run
+	allocProcs *obs.Histogram // time-averaged processors per finished job
+	attempts   *obs.Histogram // simulation attempts per run
 
 	retries      *obs.Counter // attempts retried after transient failures
 	timeouts     *obs.Counter // attempts cancelled by RunTimeout
@@ -315,8 +307,6 @@ func (p *Pool) initMetrics() {
 		"Per-run simulation wall time.", wallBuckets)
 	m.queueWait = reg.Histogram("pdpad_run_queue_wait_seconds",
 		"Time each started run spent queued before admission.", wallBuckets)
-	m.traceEvents = reg.Histogram("pdpad_run_trace_events",
-		"Decision-trace events recorded per run (retained plus dropped).", traceEventBuckets)
 	m.allocProcs = reg.Histogram("pdpad_job_alloc_processors",
 		"Time-averaged processor allocation per finished job.", allocBuckets)
 
@@ -387,6 +377,10 @@ type Pool struct {
 	// retryRNG jitters retry backoff (guarded by mu). Fixed-seeded: jitter
 	// decorrelates concurrent retries, determinism keeps tests honest.
 	retryRNG *rand.Rand
+
+	// traceSlots bounds the decision traces derived at once (Trace) to
+	// BaseWorkers simulations.
+	traceSlots chan struct{}
 }
 
 // New returns a ready pool.
@@ -397,6 +391,7 @@ func New(cfg Config) *Pool {
 		idle:     make(chan struct{}),
 		retryRNG: rand.New(rand.NewSource(1)),
 	}
+	p.traceSlots = make(chan struct{}, p.cfg.BaseWorkers)
 	p.initMetrics()
 	p.SweepIndex = NewSweepIndex(kindSweep, p.cfg.Store, p.met.storeErrors, SweepHooks{
 		Admit:   p.admitSweep,
@@ -678,19 +673,11 @@ func (p *Pool) execute(ctx context.Context, cancel context.CancelFunc, r *run) {
 	out, err := p.runAttempts(ctx, r)
 	span.End()
 	var buf bytes.Buffer
-	var traceJSON []byte
 	if err == nil {
 		if out == nil {
 			err = errors.New("runqueue: simulation returned no outcome")
 		} else {
 			err = out.WriteJSON(&buf)
-			if dt := out.DecisionTrace(); dt != nil {
-				var tb bytes.Buffer
-				if dt.WriteJSON(&tb) == nil {
-					traceJSON = tb.Bytes()
-				}
-				p.met.traceEvents.Observe(float64(dt.Len() + dt.Dropped()))
-			}
 			for _, j := range out.Jobs {
 				p.met.allocProcs.Observe(j.AvgProcessors)
 			}
@@ -704,7 +691,6 @@ func (p *Pool) execute(ctx context.Context, cancel context.CancelFunc, r *run) {
 	case err == nil:
 		r.State = Done
 		r.Result = buf.Bytes()
-		r.Trace = traceJSON
 	case r.cancelRequested || errors.Is(err, context.Canceled):
 		r.State = Canceled
 		r.err = err
@@ -757,7 +743,6 @@ func (r *run) snapshotLocked() Snapshot {
 		Started:    r.Started,
 		Finished:   r.Finished,
 		ResultJSON: r.Result,
-		TraceJSON:  r.Trace,
 	}
 }
 

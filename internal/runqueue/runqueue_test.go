@@ -580,37 +580,6 @@ func TestQueueLimit(t *testing.T) {
 	}
 }
 
-// TestRunTraceStored: a done run retains its serialized decision trace
-// (PDPA policy decisions with reasons), and TraceLimit < 0 disables it.
-func TestRunTraceStored(t *testing.T) {
-	p := New(Config{})
-	spec := tinySpec(11)
-	spec.Options.Policy = "pdpa"
-	r, err := p.Submit(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := waitState(t, p, r.ID, Done)
-	if len(snap.TraceJSON) == 0 {
-		t.Fatal("done run has no stored decision trace")
-	}
-	for _, want := range []string{`"kind": "policy_state"`, `"kind": "admit"`, `"reason"`} {
-		if !strings.Contains(string(snap.TraceJSON), want) {
-			t.Errorf("trace JSON missing %s", want)
-		}
-	}
-
-	off := New(Config{TraceLimit: -1})
-	r2, err := off.Submit(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap2 := waitState(t, off, r2.ID, Done)
-	if len(snap2.TraceJSON) != 0 {
-		t.Fatal("tracing disabled but a trace was stored")
-	}
-}
-
 // TestStatsWallHistogram: completed runs land in the wall-time histogram.
 func TestStatsWallHistogram(t *testing.T) {
 	p := New(Config{})

@@ -92,7 +92,7 @@ func (p PoolParams) config() runqueue.Config {
 		RunTimeout:   p.RunTimeout,
 		MaxRetries:   p.MaxRetries,
 		RetryBackoff: time.Millisecond,
-		TraceLimit:   -1, // runs carry their own Observer; no retained traces
+		TraceLimit:   -1, // runs carry their own Observer; no trace endpoint
 	}
 }
 

@@ -11,8 +11,10 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"pdpasim/client"
 )
@@ -72,7 +74,31 @@ func WriteRetryError(w http.ResponseWriter, status int, code string, err error, 
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	in := indenters.Get().(*indenter)
+	in.w = w
+	err := in.enc.Encode(v)
+	in.w = nil
+	// An Encoder that failed a write keeps failing every later Encode, so
+	// only an encoder that wrote its whole body goes back to the pool.
+	if err == nil {
+		indenters.Put(in)
+	}
 }
+
+// indenter is a reusable indenting encoder writing to w. A json.Encoder
+// keeps its indent buffer across calls, so pooling it spares each response
+// a fresh buffer the size of its body, garbage that on a cache-hit read
+// path otherwise drives most of the daemon's collections.
+type indenter struct {
+	w   io.Writer
+	enc *json.Encoder
+}
+
+func (in *indenter) Write(b []byte) (int, error) { return in.w.Write(b) }
+
+var indenters = sync.Pool{New: func() any {
+	in := &indenter{}
+	in.enc = json.NewEncoder(in)
+	in.enc.SetIndent("", "  ")
+	return in
+}}

@@ -10,7 +10,7 @@
 //	GET    /v1/runs/{id}        status, and the full result once done
 //	DELETE /v1/runs/{id}        cancel a queued or running simulation
 //	GET    /v1/runs/{id}/events server-sent lifecycle events
-//	GET    /v1/runs/{id}/trace  the run's recorded decision trace (JSON)
+//	GET    /v1/runs/{id}/trace  the done run's decision trace (JSON)
 //	GET    /v1/version          build info, API revision, and role
 //	POST   /v1/sweeps           submit a policy × mix × load × seed grid
 //	GET    /v1/sweeps           list sweeps, newest first (limit=, cursor=, state=)
@@ -305,13 +305,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTrace serves the run's recorded decision trace: the ordered event
-// stream explaining every scheduling decision ({"events": [...], "dropped":
-// n}, the pdpasim.DecisionTrace JSON schema).
+// handleTrace serves a done run's decision trace: the ordered event stream
+// explaining every scheduling decision ({"events": [...], "dropped": n},
+// the pdpasim.DecisionTrace JSON schema), which a pool derives on read.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	raw, err := s.b.Trace(r.Context(), r.PathValue("id"))
-	if err != nil {
+	var api *client.APIError
+	switch {
+	case err == nil:
+	case errors.As(err, &api) || errors.Is(err, runqueue.ErrNotFound):
 		writeBackendError(w, err)
+		return
+	default:
+		// The run is done and the request was valid: deriving its trace
+		// failed on this side (the run timeout, say).
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -510,5 +511,66 @@ func TestListRuns(t *testing.T) {
 	}
 	if len(list.Runs) != 2 || list.Runs[0].ID != b.ID || list.Runs[1].ID != a.ID {
 		t.Fatalf("listing wrong: %+v", list.Runs)
+	}
+}
+
+// failOnceWriter is a ResponseWriter whose first body write fails, as a
+// write to a client that has hung up does.
+type failOnceWriter struct {
+	*httptest.ResponseRecorder
+	failed bool
+}
+
+func (w *failOnceWriter) Write(b []byte) (int, error) {
+	if !w.failed {
+		w.failed = true
+		return 0, errors.New("write: broken pipe")
+	}
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestWriteJSONAfterFailedWrite: a response whose write fails leaves later
+// responses whole. (A json.Encoder that failed once fails every later
+// Encode, so a pooled one must not be reused after a failed write.)
+func TestWriteJSONAfterFailedWrite(t *testing.T) {
+	v := map[string]any{"id": "run-000001", "result": strings.Repeat("x", 64<<10)}
+	WriteJSON(&failOnceWriter{ResponseRecorder: httptest.NewRecorder()}, http.StatusOK, v)
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, http.StatusOK, v)
+		var got map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("write %d after a failed one: body of %d bytes does not decode: %v", i+1, rec.Body.Len(), err)
+		}
+		if got["result"] != v["result"] {
+			t.Fatalf("write %d after a failed one: result differs", i+1)
+		}
+	}
+}
+
+// TestTraceDerivationFailureIs503: a done run whose trace derivation hits
+// the run timeout answers 503 unavailable, not 400: the request was valid.
+func TestTraceDerivationFailureIs503(t *testing.T) {
+	instant := func(ctx context.Context, spec runqueue.Spec) (*pdpasim.Outcome, error) {
+		return pdpasim.RunContext(ctx, pdpasim.WorkloadSpec{Mix: "w1", Load: 0.4, Window: 30 * time.Second, Seed: 1},
+			pdpasim.Options{Policy: pdpasim.Equipartition})
+	}
+	ts, _ := newTestServer(t, runqueue.Config{RunTimeout: 200 * time.Millisecond, Simulate: instant})
+	sr, _ := postRun(t, ts, `{"workload":{"mix":"w2","load":1.0,"window_s":86400,"seed":5},"options":{"policy":"pdpa"}}`)
+	waitRunState(t, ts, sr.ID, "done")
+	resp, err := http.Get(ts.URL + "/v1/runs/" + sr.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env client.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != CodeUnavailable {
+		t.Fatalf("trace past the run timeout: status %d code %q, want 503 %q", resp.StatusCode, env.Error.Code, CodeUnavailable)
+	}
+	if resp.Header.Get("Retry-After") != "" {
+		t.Fatalf("trace past the run timeout carries Retry-After %q", resp.Header.Get("Retry-After"))
 	}
 }

@@ -13,9 +13,12 @@
 // Recovery loads the newest snapshot, then replays its journal; a torn or
 // corrupt journal tail — the expected wreckage of a kill -9 mid-append — is
 // detected by the frame CRCs, cut off at the last intact frame, and counted,
-// never fatal. Appends reach the OS immediately and are fsynced in batches
-// (SyncInterval), trading a bounded window of recent records against
-// per-append fsync latency; Sync forces the batch out.
+// never fatal. A newest snapshot that fails to decode is fatal: Open
+// returns an error naming it, since Compact has removed the journals that
+// would complete any older generation. Appends reach the OS immediately
+// and are fsynced in batches (SyncInterval), trading a bounded window of
+// recent records against per-append fsync latency; Sync forces the batch
+// out.
 //
 // The store knows nothing about what a record means: callers tag each
 // payload with a Kind and interpret recovered records themselves (the pool's
@@ -139,8 +142,9 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 }
 
 // Open opens (creating if needed) the store rooted at dir and recovers its
-// records: the newest intact snapshot, then that generation's journal, with
-// any torn tail cut off and counted. The recovered records are retrieved
+// records: the newest snapshot, then that generation's journal, with any
+// torn tail cut off and counted. A newest snapshot that fails to decode
+// fails Open with an error naming it. The recovered records are retrieved
 // once with TakeRecovered.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
@@ -160,8 +164,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recover loads the newest intact snapshot plus its journal and opens the
-// journal for appending.
+// recover loads the newest snapshot plus its journal and opens the journal
+// for appending.
 func (s *Store) recover() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -175,25 +179,25 @@ func (s *Store) recover() error {
 	}
 	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] > snapGens[j] })
 
-	// Newest snapshot first; a snapshot that fails to load wholesale (its
-	// rename was atomic, so this means later disk damage) falls back to the
-	// previous generation rather than losing everything.
+	// Only the newest snapshot counts: Compact removed every older
+	// generation's journal, so an older snapshot would silently drop
+	// everything journaled since it. A snapshot is written whole and
+	// renamed into place, so one that fails to load means the medium was
+	// damaged, and Open refuses the store rather than serve a stale one.
 	s.gen = 0
 	var recs []Record
-	for _, gen := range snapGens {
-		res, err := decodeFile(filepath.Join(s.dir, snapshotName(gen)))
+	if len(snapGens) > 0 {
+		s.gen = snapGens[0]
+		path := filepath.Join(s.dir, snapshotName(s.gen))
+		res, err := decodeFile(path)
+		if err == nil && (res.truncated || res.corrupt) {
+			err = fmt.Errorf("%d damaged byte(s) after %d intact", res.droppedBytes, res.goodBytes)
+		}
 		if err != nil {
-			continue
+			return fmt.Errorf("store: snapshot %s is damaged: %w", path, err)
 		}
-		if res.truncated || res.corrupt {
-			// A snapshot is written whole and renamed into place; framing
-			// damage means the medium, not a crash. Skip it.
-			continue
-		}
-		s.gen = gen
 		recs = res.records
 		s.recBytes += uint64(res.goodBytes)
-		break
 	}
 
 	jpath := filepath.Join(s.dir, journalName(s.gen))
@@ -378,6 +382,9 @@ func (s *Store) Compact(live []Record) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: installing snapshot: %w", err)
 	}
+	// The new journal's entry and the rename reach the disk before the old
+	// generation goes, so no crash can leave neither generation.
+	s.syncDir()
 
 	// The snapshot now owns everything; retire the old generation. A crash
 	// from here on recovers from the new snapshot and its empty journal.
@@ -385,12 +392,23 @@ func (s *Store) Compact(live []Record) error {
 	s.journal.Close()
 	os.Remove(filepath.Join(s.dir, journalName(s.gen)))
 	os.Remove(filepath.Join(s.dir, snapshotName(s.gen)))
+	s.syncDir()
 	s.journal = nj
 	s.jbytes = 0
 	s.dirty = false
 	s.gen = newGen
 	s.compacts.Add(1)
 	return nil
+}
+
+// syncDir fsyncs the store's directory, making the file creations,
+// renames and removals before it durable. It is best effort: a failure
+// leaves them as durable as the file system made them on its own.
+func (s *Store) syncDir() {
+	if d, err := os.Open(s.dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }
 
 // Close syncs and closes the journal and stops the background flusher. The

@@ -274,6 +274,39 @@ func TestFailedCompactionKeepsAppends(t *testing.T) {
 	wantRecords(t, s2.TakeRecovered(), append(all, tail))
 }
 
+// TestDamagedSnapshotFailsOpen: a newest snapshot that no longer decodes
+// fails Open with an error naming it. Compact removed the older
+// generations' journals, so no older state is complete enough to fall back
+// to.
+func TestDamagedSnapshotFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, syncEvery)
+	all := appendN(t, s, "run", 4)
+	for _, live := range [][]Record{all[1:], all[2:]} {
+		if err := s.Compact(live); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendN(t, s, "sweep", 1)
+	s.Close()
+
+	snap := filepath.Join(dir, snapshotName(2))
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := Open(dir, syncEvery); err == nil {
+		s2.Close()
+		t.Fatal("Open recovered a store whose newest snapshot is damaged")
+	} else if !strings.Contains(err.Error(), snapshotName(2)) {
+		t.Fatalf("Open error %q does not name the damaged snapshot", err)
+	}
+}
+
 // tornJournal stands in for the journal: each write lands half the frame
 // on disk and then fails, as a full disk would; truncErr, when set, fails
 // the cut back too.
