@@ -79,9 +79,12 @@ bench-throughput:
 bench-smoke:
 	cd cmd/pdpabench && go vet . && go test .
 
-# Compare a fresh run against the most recent committed trajectory point.
-# Fails on significant regression (loose on ns/op, tight on allocs/op and B/op).
-bench-gate: bench
-	go run ./cmd/benchgate compare \
-		-baseline $$(ls BENCH_*.json | sort | tail -n 1) \
+# Compare a fresh run against the committed trajectory points: each gated
+# benchmark against the newest point that records it. Fails on significant
+# regression (loose on ns/op, tight on allocs/op and B/op), and when a gated
+# benchmark is in no committed point. The fresh run records into
+# bench-artifacts/, so it never lands among the points it is compared with.
+bench-gate:
+	BENCH_JSON=bench-artifacts/BENCH_gate.json ./scripts/bench.sh
+	go run ./cmd/benchgate compare -baseline 'BENCH_*.json' \
 		bench-artifacts/bench.txt

@@ -234,6 +234,24 @@ func BenchmarkSingleRunPDPA(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleRunEqualEff is BenchmarkSingleRunPDPA under
+// Equal_efficiency, which reallocates on every performance report: the
+// space-sharing manager's replan path dominates its profile.
+func BenchmarkSingleRunEqualEff(b *testing.B) {
+	w, err := workload.Generate(workload.GenConfig{
+		Mix: workload.W4(), Load: 1.0, NCPU: 60, Window: 300 * sim.Second, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := system.Run(system.Config{Workload: w, Policy: system.EqualEfficiency, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSingleRunPDPAReuse is BenchmarkSingleRunPDPA on one reused
 // System: every run after the first recycles the engine heap, recorder,
 // machine, queuing slabs, and per-job runtime state, so allocs/op here is

@@ -106,8 +106,10 @@ func (e *ContractError) Error() string {
 
 // Do performs one JSON round trip against the v1 surface: method and path
 // (e.g. "GET", "/v1/runs/run-000001"), an optional request body in, an
-// optional response destination out. Non-2xx responses become *APIError or
-// *ContractError; retryable rejections honor the client's retry budget.
+// optional response destination out. An out of type *[]byte receives the
+// success body verbatim once it is checked to be well-formed JSON. Non-2xx
+// responses become *APIError or *ContractError; retryable rejections honor
+// the client's retry budget.
 // Do is exported as the escape hatch for endpoints without a typed method.
 func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
@@ -180,8 +182,14 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	// json.Unmarshal copies what it keeps; an error keeps a copy of the body.
 	data := buf.Bytes()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		if out == nil {
+		switch out := out.(type) {
+		case nil:
 			return nil
+		case *[]byte:
+			if json.Valid(data) {
+				*out = bytes.Clone(data)
+				return nil
+			}
 		}
 		if err := json.Unmarshal(data, out); err != nil {
 			return &ContractError{Status: resp.StatusCode,
@@ -259,11 +267,12 @@ func (c *Client) CancelRun(ctx context.Context, id string) (RunView, error) {
 	return v, err
 }
 
-// Trace fetches a done run's decision trace JSON. The daemon derives it on
-// read by re-simulating the run's spec with tracing on, so it is the trace
-// the run records, at the daemon's -trace-limit.
+// Trace fetches a done run's decision trace JSON, byte for byte as the
+// daemon served it. The daemon derives it on read by re-simulating the
+// run's spec with tracing on, so it is the trace the run records, at the
+// daemon's -trace-limit.
 func (c *Client) Trace(ctx context.Context, id string) (json.RawMessage, error) {
-	var raw json.RawMessage
+	var raw []byte
 	err := c.Do(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(id)+"/trace", nil, &raw)
 	return raw, err
 }

@@ -4,11 +4,11 @@
 // output of `go test -bench -benchmem` and stores a named phase (pre/post/...)
 // into a BENCH_<date>.json trajectory point; `compare` parses a fresh bench
 // run and fails when a gated benchmark regressed beyond tolerance against the
-// committed baseline.
+// newest committed point that records it, or when no point records it.
 //
 //	go test -run '^$' -bench 'SingleRun|Sweep$' -benchmem -count 5 . | tee bench.txt
 //	benchgate record -out BENCH_2026-08-05.json -phase post bench.txt
-//	benchgate compare -baseline BENCH_2026-08-05.json bench.txt
+//	benchgate compare -baseline 'BENCH_*.json' bench.txt
 //
 // Wall-clock per op is gated loosely (CI machines are noisy); allocs/op and
 // B/op are near-deterministic and gated tightly — allocs/op catches an
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -74,7 +75,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   benchgate record  -out BENCH_<date>.json [-phase post] [-note s] [bench.txt]
-  benchgate compare -baseline BENCH_<date>.json [-phase post]
+  benchgate compare -baseline 'BENCH_*.json' [-phase post]
                     [-match regexp] [-ns-tol 1.5] [-alloc-tol 1.1]
                     [-bytes-tol 1.2] [bench.txt]
 `)
@@ -127,12 +128,13 @@ func cmdRecord(args []string) {
 
 func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	baseline := fs.String("baseline", "", "baseline BENCH_<date>.json (required)")
+	baseline := fs.String("baseline", "", "baseline BENCH_<date>.json, or a glob of them (required)")
 	phase := fs.String("phase", "post", "baseline phase to compare against")
-	match := fs.String("match", "^(SingleRunPDPA|SingleRunIRIX|Sweep(/|$))", "regexp of benchmarks to gate")
-	nsTol := fs.Float64("ns-tol", 1.5, "fail when ns/op exceeds baseline by this factor")
-	allocTol := fs.Float64("alloc-tol", 1.1, "fail when allocs/op exceeds baseline by this factor")
-	bytesTol := fs.Float64("bytes-tol", 1.2, "fail when B/op exceeds baseline by this factor")
+	match := fs.String("match", "^(SingleRunPDPA|SingleRunEqualEff|SingleRunIRIX|Sweep(/|$))", "regexp of benchmarks to gate")
+	var tol tolerances
+	fs.Float64Var(&tol.ns, "ns-tol", 1.5, "fail when ns/op exceeds baseline by this factor")
+	fs.Float64Var(&tol.allocs, "alloc-tol", 1.1, "fail when allocs/op exceeds baseline by this factor")
+	fs.Float64Var(&tol.bytes, "bytes-tol", 1.2, "fail when B/op exceeds baseline by this factor")
 	fs.Parse(args)
 	if *baseline == "" {
 		usage()
@@ -141,23 +143,64 @@ func cmdCompare(args []string) {
 	if err != nil {
 		fatalf("bad -match: %v", err)
 	}
-	raw, err := os.ReadFile(*baseline)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var f File
-	if err := json.Unmarshal(raw, &f); err != nil {
-		fatalf("parse %s: %v", *baseline, err)
-	}
-	base, ok := f.Phases[*phase]
-	if !ok {
-		fatalf("%s has no phase %q (has: %s)", *baseline, *phase, strings.Join(phaseNames(f), ", "))
-	}
+	bases := loadBaselines(*baseline, *phase)
 	cur, _, _ := parseBench(openInput(fs.Arg(0)))
 	if len(cur) == 0 {
 		fatalf("no benchmark lines found in input")
 	}
+	if !compare(os.Stdout, bases, cur, re, tol) {
+		fmt.Println("\nbenchgate: FAIL against", *baseline)
+		os.Exit(1)
+	}
+	fmt.Println("\nbenchgate: no regression against", *baseline)
+}
 
+// baseline is one committed trajectory point's phase to gate against.
+type baseline struct {
+	path  string
+	phase Phase
+}
+
+// tolerances are compare's per-column regression factors.
+type tolerances struct{ ns, allocs, bytes float64 }
+
+// loadBaselines reads every file the pattern matches (a plain path matches
+// itself) and returns their phase, newest first: BENCH_<date>.json names
+// sort by date. Files without the phase are skipped.
+func loadBaselines(pattern, phase string) []baseline {
+	paths, err := filepath.Glob(pattern)
+	if err != nil {
+		fatalf("bad -baseline: %v", err)
+	}
+	if len(paths) == 0 {
+		fatalf("-baseline %q matches no file", pattern)
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(paths)))
+	var out []baseline
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		var f File
+		if err := json.Unmarshal(raw, &f); err != nil {
+			fatalf("parse %s: %v", path, err)
+		}
+		if p, ok := f.Phases[phase]; ok {
+			out = append(out, baseline{path: path, phase: p})
+		}
+	}
+	if len(out) == 0 {
+		fatalf("no file matching %q has a phase %q", pattern, phase)
+	}
+	return out
+}
+
+// compare gates every current benchmark the regexp matches against the
+// newest baseline that records it, prints one line per benchmark, and
+// reports whether all passed. A gated benchmark that no baseline records
+// fails: a gate with nothing to compare against checks nothing.
+func compare(w io.Writer, bases []baseline, cur map[string]Result, re *regexp.Regexp, tol tolerances) bool {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		if re.MatchString(name) {
@@ -166,56 +209,52 @@ func cmdCompare(args []string) {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fatalf("no current benchmark matches -match %q", *match)
+		fmt.Fprintf(w, "no current benchmark matches -match %q\n", re)
+		return false
 	}
 
-	failed := false
-	fmt.Printf("%-28s %14s %14s %8s   %s\n", "benchmark", "base", "current", "ratio", "gate")
+	ok := true
+	fmt.Fprintf(w, "%-28s %14s %14s %8s   %s\n", "benchmark", "base", "current", "ratio", "gate")
 	for _, name := range names {
-		b, ok := base.Benchmarks[name]
-		if !ok {
-			fmt.Printf("%-28s %14s %14s %8s   new (not in baseline)\n", name, "-",
-				fmtNs(cur[name].NsPerOp), "-")
+		c := cur[name]
+		var b Result
+		from := ""
+		for _, base := range bases {
+			if r, found := base.phase.Benchmarks[name]; found {
+				b, from = r, base.path
+				break
+			}
+		}
+		if from == "" {
+			fmt.Fprintf(w, "%-28s %14s %14s %8s   FAIL not in any baseline\n", name, "-",
+				fmtNs(c.NsPerOp), "-")
+			ok = false
 			continue
 		}
-		c := cur[name]
 		verdict := "ok"
-		if nsRatio := c.NsPerOp / b.NsPerOp; nsRatio > *nsTol {
-			verdict = fmt.Sprintf("FAIL ns/op %.2fx > %.2fx", nsRatio, *nsTol)
-			failed = true
+		if nsRatio := c.NsPerOp / b.NsPerOp; nsRatio > tol.ns {
+			verdict = fmt.Sprintf("FAIL ns/op %.2fx > %.2fx", nsRatio, tol.ns)
+			ok = false
 		}
 		if b.AllocsPerOp > 0 {
-			if allocRatio := c.AllocsPerOp / b.AllocsPerOp; allocRatio > *allocTol {
+			if allocRatio := c.AllocsPerOp / b.AllocsPerOp; allocRatio > tol.allocs {
 				verdict = fmt.Sprintf("FAIL allocs/op %.0f vs %.0f (%.2fx > %.2fx)",
-					c.AllocsPerOp, b.AllocsPerOp, allocRatio, *allocTol)
-				failed = true
+					c.AllocsPerOp, b.AllocsPerOp, allocRatio, tol.allocs)
+				ok = false
 			}
 		}
 		if b.BytesPerOp > 0 {
-			if bytesRatio := c.BytesPerOp / b.BytesPerOp; bytesRatio > *bytesTol {
+			if bytesRatio := c.BytesPerOp / b.BytesPerOp; bytesRatio > tol.bytes {
 				verdict = fmt.Sprintf("FAIL B/op %.0f vs %.0f (%.2fx > %.2fx)",
-					c.BytesPerOp, b.BytesPerOp, bytesRatio, *bytesTol)
-				failed = true
+					c.BytesPerOp, b.BytesPerOp, bytesRatio, tol.bytes)
+				ok = false
 			}
 		}
-		fmt.Printf("%-28s %14s %14s %7.2fx   %s (allocs %.0f→%.0f)\n",
+		fmt.Fprintf(w, "%-28s %14s %14s %7.2fx   %s (allocs %.0f→%.0f, %s)\n",
 			name, fmtNs(b.NsPerOp), fmtNs(c.NsPerOp), c.NsPerOp/b.NsPerOp, verdict,
-			b.AllocsPerOp, c.AllocsPerOp)
+			b.AllocsPerOp, c.AllocsPerOp, from)
 	}
-	if failed {
-		fmt.Println("\nbenchgate: REGRESSION against", *baseline)
-		os.Exit(1)
-	}
-	fmt.Println("\nbenchgate: no regression against", *baseline)
-}
-
-func phaseNames(f File) []string {
-	var out []string
-	for k := range f.Phases {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return ok
 }
 
 func fmtNs(ns float64) string {

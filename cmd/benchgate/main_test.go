@@ -1,6 +1,7 @@
 package main
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -80,5 +81,48 @@ func TestMedianEven(t *testing.T) {
 	}
 	if got := median(nil); got != 0 {
 		t.Errorf("median(nil) = %v", got)
+	}
+}
+
+// TestCompareGatesAgainstNewestPointThatHasIt: each gated benchmark is
+// compared with the newest baseline that records it, so a newer point
+// holding other benchmarks does not switch the gate off, and a gated
+// benchmark that no baseline records fails the compare.
+func TestCompareGatesAgainstNewestPointThatHasIt(t *testing.T) {
+	cur, _, _ := parseBench(strings.NewReader(sampleOutput))
+	serving := baseline{path: "BENCH_new.json", phase: Phase{Benchmarks: map[string]Result{
+		"PoolSubmitAtFullHistory/hit": {NsPerOp: 4000, AllocsPerOp: 6},
+	}}}
+	sim := baseline{path: "BENCH_old.json", phase: Phase{Benchmarks: map[string]Result{
+		"SingleRunPDPA": {NsPerOp: 24e6, AllocsPerOp: 4784, BytesPerOp: 1282948},
+		"SingleRunIRIX": {NsPerOp: 37e6, AllocsPerOp: 1294, BytesPerOp: 769923},
+	}}}
+	tol := tolerances{ns: 1.5, allocs: 1.1, bytes: 1.2}
+	gated := regexp.MustCompile("^(SingleRunPDPA|SingleRunIRIX)$")
+
+	var out strings.Builder
+	if !compare(&out, []baseline{serving, sim}, cur, gated, tol) {
+		t.Fatalf("compare failed against the older point that records both:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BENCH_old.json") {
+		t.Errorf("output does not name the baseline used:\n%s", out.String())
+	}
+
+	out.Reset()
+	if compare(&out, []baseline{serving}, cur, gated, tol) {
+		t.Fatalf("compare passed with no baseline recording the gated benchmarks:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL not in any baseline") {
+		t.Errorf("output does not say why:\n%s", out.String())
+	}
+
+	// A regression against the newest point that has the benchmark fails,
+	// even when an older point would pass it.
+	newer := baseline{path: "BENCH_newer.json", phase: Phase{Benchmarks: map[string]Result{
+		"SingleRunPDPA": {NsPerOp: 10e6, AllocsPerOp: 4784, BytesPerOp: 1282948},
+	}}}
+	out.Reset()
+	if compare(&out, []baseline{newer, serving, sim}, cur, regexp.MustCompile("^SingleRunPDPA$"), tol) {
+		t.Fatalf("a 2.5x ns/op regression against the newest point passed:\n%s", out.String())
 	}
 }

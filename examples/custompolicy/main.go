@@ -38,10 +38,11 @@ func (fcfsGreedy) JobStarted(now sim.Time, job *sched.JobView)                  
 func (fcfsGreedy) JobFinished(now sim.Time, id sched.JobID)                         {}
 func (fcfsGreedy) ReportPerformance(now sim.Time, j *sched.JobView, r sched.Report) {}
 
-func (fcfsGreedy) Plan(v sched.View) map[sched.JobID]int {
-	plan := make(map[sched.JobID]int, len(v.Jobs))
+// Plan returns one entry per job, aligned with v.Jobs.
+func (fcfsGreedy) Plan(v sched.View) []int {
+	plan := make([]int, len(v.Jobs))
 	remaining := v.NCPU
-	for _, j := range v.Jobs { // sorted by arrival (ID)
+	for i, j := range v.Jobs { // sorted by arrival (ID)
 		grant := j.Request
 		if grant > remaining {
 			grant = remaining
@@ -49,7 +50,7 @@ func (fcfsGreedy) Plan(v sched.View) map[sched.JobID]int {
 		if grant < 1 && remaining > 0 {
 			grant = 1
 		}
-		plan[j.ID] = grant
+		plan[i] = grant
 		remaining -= grant
 		if remaining < 0 {
 			remaining = 0

@@ -77,7 +77,7 @@ func (a *Adaptive) targetFor(queued int) float64 {
 // depth, then delegate. Small drifts are ignored so the parameter epoch (and
 // with it every STABLE application's re-evaluation) only advances on real
 // load changes.
-func (a *Adaptive) Plan(v sched.View) map[sched.JobID]int {
+func (a *Adaptive) Plan(v sched.View) []int {
 	want := a.targetFor(v.Queued)
 	cur := a.Params()
 	if diff := want - cur.TargetEff; diff > 0.05 || diff < -0.05 {

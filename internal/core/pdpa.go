@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pdpasim/internal/obs"
 	"pdpasim/internal/sched"
@@ -157,9 +158,9 @@ type PDPA struct {
 	// history records transitions when enabled (see RecordHistory).
 	history       []Transition
 	recordHistory bool
-	// plan is the map returned by Plan, reused across calls; the manager
+	// plan is the slice returned by Plan, reused across calls; the manager
 	// consumes it before the next replan.
-	plan map[sched.JobID]int
+	plan []int
 	// tr, when non-nil, receives decision-trace events: every state
 	// transition and every admission decision with its reason.
 	tr *obs.Trace
@@ -245,8 +246,9 @@ func (p *PDPA) JobFinished(now sim.Time, id sched.JobID) {
 }
 
 // Reset reinitializes the policy to the state New(params) would produce,
-// recycling the per-job state structs and the plan map. History recording is
-// switched off and any attached trace detached, as on a fresh policy.
+// recycling the per-job state structs and the plan's storage. History
+// recording is switched off and any attached trace detached, as on a fresh
+// policy.
 func (p *PDPA) Reset(params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -263,9 +265,7 @@ func (p *PDPA) Reset(params Params) error {
 	p.transitions = 0
 	p.history = nil
 	p.recordHistory = false
-	if p.plan != nil {
-		clear(p.plan)
-	}
+	p.plan = p.plan[:0]
 	p.tr = nil
 	return nil
 }
@@ -433,17 +433,15 @@ func (p *PDPA) shrink(s *jobState, procs int) {
 // Plan implements sched.Policy. New applications receive the minimum of
 // their request and the free processors (at least one); applications with
 // performance knowledge receive their state machine's desired allocation.
-func (p *PDPA) Plan(v sched.View) map[sched.JobID]int {
-	if p.plan == nil {
-		p.plan = make(map[sched.JobID]int, len(v.Jobs))
-	} else {
-		clear(p.plan)
-	}
-	plan := p.plan
+// A job PDPA was never told about keeps its current allocation.
+func (p *PDPA) Plan(v sched.View) []int {
+	plan := slices.Grow(p.plan[:0], len(v.Jobs))[:len(v.Jobs)]
+	p.plan = plan
 	free := v.FreeCPUs()
-	for _, job := range v.Jobs {
+	for i, job := range v.Jobs {
 		s, ok := p.jobs[job.ID]
 		if !ok {
+			plan[i] = job.Allocated
 			continue
 		}
 		// Initial allocation (Section 4.2.1): the minimum of the request
@@ -468,7 +466,7 @@ func (p *PDPA) Plan(v sched.View) map[sched.JobID]int {
 				free = 0
 			}
 		}
-		plan[job.ID] = s.desired
+		plan[i] = s.desired
 	}
 	return plan
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"pdpasim/internal/app"
@@ -34,7 +36,7 @@ func (h *harness) start(id sched.JobID, request int, curve app.SpeedupModel) {
 	h.jobs[id] = jv
 	h.curve[id] = curve
 	h.view.Jobs = append(h.view.Jobs, jv)
-	h.view.SortJobs()
+	slices.SortFunc(h.view.Jobs, func(a, b *sched.JobView) int { return cmp.Compare(a.ID, b.ID) })
 	h.p.JobStarted(h.now, jv)
 	h.plan()
 }
@@ -56,14 +58,14 @@ func (h *harness) finish(id sched.JobID) {
 // first, then grows bounded by free processors.
 func (h *harness) plan() {
 	plan := h.p.Plan(h.view)
-	for id, want := range plan {
-		jv := h.jobs[id]
+	for i, want := range plan {
+		jv := h.view.Jobs[i]
 		if want < jv.Allocated {
 			jv.Allocated = want
 		}
 	}
-	for id, want := range plan {
-		jv := h.jobs[id]
+	for i, want := range plan {
+		jv := h.view.Jobs[i]
 		if want > jv.Allocated {
 			free := h.view.FreeCPUs()
 			grant := want - jv.Allocated
@@ -651,12 +653,11 @@ func TestAdaptiveAllocatesByLoad(t *testing.T) {
 		view := sched.View{NCPU: 60, Jobs: []*sched.JobView{jv}, Queued: queued}
 		apply := func() {
 			plan := a.Plan(view)
-			if want, ok := plan[1]; ok {
-				if want > 60 {
-					want = 60
-				}
-				jv.Allocated = want
+			want := plan[0]
+			if want > 60 {
+				want = 60
 			}
+			jv.Allocated = want
 		}
 		apply()
 		curve := hydroCurve()

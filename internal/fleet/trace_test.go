@@ -70,7 +70,7 @@ func getTrace(t *testing.T, base, id string) []byte {
 // TestServedTraceEqualsRecorded: the decision trace a daemon serves is the
 // one the run records when simulated traced, on a durable standalone
 // daemon before and after a kill and restart on its store, and through a
-// coordinator (less the final newline, see below).
+// coordinator, byte for byte.
 func TestServedTraceEqualsRecorded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -92,10 +92,8 @@ func TestServedTraceEqualsRecorded(t *testing.T) {
 		t.Fatal("standalone daemon after kill and restart: served trace differs from the recorded one")
 	}
 
-	// The coordinator relays the node's trace through client.Trace, whose
-	// JSON decoding drops the body's final newline.
 	f := startFleet(t, 1, PlaceRoundRobin, nil)
-	if _, got := servedTrace(ctx, t, f.c.URL()); !bytes.Equal(got, bytes.TrimSuffix(want, []byte("\n"))) {
+	if _, got := servedTrace(ctx, t, f.c.URL()); !bytes.Equal(got, want) {
 		t.Fatal("coordinator: served trace differs from the recorded one")
 	}
 }

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"pdpasim/internal/sched"
 	"pdpasim/internal/sim"
 )
@@ -22,6 +24,12 @@ type Dynamic struct {
 	// Window is how many recent reports the curve fit uses.
 	Window int
 	alpha  map[sched.JobID]float64
+	// plan, alphas and gains are Plan's result, each job's alpha and the
+	// fitted speedup its next processor adds, aligned with the view's jobs
+	// and reused across calls.
+	plan   []int
+	alphas []float64
+	gains  []float64
 }
 
 // NewDynamic returns a Dynamic policy.
@@ -68,12 +76,12 @@ func (d *Dynamic) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Re
 	}
 }
 
-// fitted returns the modeled speedup of job at p processors.
-func (d *Dynamic) fitted(id sched.JobID, p int) float64 {
+// fitted returns the modeled speedup at p processors of a job fitted with
+// serialization parameter a.
+func fitted(a float64, p int) float64 {
 	if p < 1 {
 		return 0
 	}
-	a := d.alpha[id]
 	den := 1 + a*float64(p-1)
 	if den < 0.05 {
 		den = 0.05
@@ -84,38 +92,38 @@ func (d *Dynamic) fitted(id sched.JobID, p int) float64 {
 // Plan implements sched.Policy: marginal-speedup water-filling. Each job
 // gets one processor (run-to-completion); each further processor goes to the
 // job with the largest fitted speedup gain.
-func (d *Dynamic) Plan(v sched.View) map[sched.JobID]int {
-	plan := make(map[sched.JobID]int, len(v.Jobs))
-	if len(v.Jobs) == 0 {
-		return plan
-	}
+func (d *Dynamic) Plan(v sched.View) []int {
 	jobs := v.Jobs // already sorted by ascending ID (View contract)
+	plan := slices.Grow(d.plan[:0], len(jobs))[:len(jobs)]
+	alphas := slices.Grow(d.alphas[:0], len(jobs))[:len(jobs)]
+	gains := slices.Grow(d.gains[:0], len(jobs))[:len(jobs)]
+	d.plan, d.alphas, d.gains = plan, alphas, gains
+	gain := func(i int) float64 { return fitted(alphas[i], plan[i]+1) - fitted(alphas[i], plan[i]) }
 
 	remaining := v.NCPU
-	for _, j := range jobs {
+	for i, j := range jobs {
+		alphas[i] = d.alpha[j.ID]
 		if remaining == 0 {
-			plan[j.ID] = 0
-			continue
+			plan[i] = 0
+		} else {
+			plan[i] = 1
+			remaining--
 		}
-		plan[j.ID] = 1
-		remaining--
+		gains[i] = gain(i)
 	}
 	for remaining > 0 {
-		var best *sched.JobView
+		best := -1
 		bestGain := 0.0
-		for _, j := range jobs {
-			if plan[j.ID] >= j.Request {
-				continue
-			}
-			gain := d.fitted(j.ID, plan[j.ID]+1) - d.fitted(j.ID, plan[j.ID])
-			if gain > bestGain {
-				best, bestGain = j, gain
+		for i, j := range jobs {
+			if plan[i] < j.Request && gains[i] > bestGain {
+				best, bestGain = i, gains[i]
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
-		plan[best.ID]++
+		plan[best]++
+		gains[best] = gain(best)
 		remaining--
 	}
 	return plan

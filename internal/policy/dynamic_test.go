@@ -20,13 +20,13 @@ func TestDynamicMarginalWaterfill(t *testing.T) {
 	plan := d.Plan(sched.View{NCPU: 20, Jobs: []*sched.JobView{scalable, flat}})
 	// Marginal speedup of the flat job is near zero: it keeps the
 	// run-to-completion single processor, the scalable job takes the rest.
-	if plan[2] > 3 {
-		t.Fatalf("flat job got %d processors", plan[2])
+	if plan[1] > 3 {
+		t.Fatalf("flat job got %d processors", plan[1])
 	}
-	if plan[1] < 17 {
-		t.Fatalf("scalable job got %d processors", plan[1])
+	if plan[0] < 17 {
+		t.Fatalf("scalable job got %d processors", plan[0])
 	}
-	if plan[1]+plan[2] != 20 {
+	if plan[0]+plan[1] != 20 {
 		t.Fatalf("plan wastes processors: %v", plan)
 	}
 }
@@ -36,8 +36,8 @@ func TestDynamicUnmeasuredOptimistic(t *testing.T) {
 	j := &sched.JobView{ID: 1, Request: 16}
 	d.JobStarted(0, j)
 	plan := d.Plan(sched.View{NCPU: 60, Jobs: []*sched.JobView{j}})
-	if plan[1] != 16 {
-		t.Fatalf("fresh job got %d, want its request (optimistic linear fit)", plan[1])
+	if plan[0] != 16 {
+		t.Fatalf("fresh job got %d, want its request (optimistic linear fit)", plan[0])
 	}
 }
 

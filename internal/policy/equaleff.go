@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"pdpasim/internal/obs"
 	"pdpasim/internal/sched"
 	"pdpasim/internal/sim"
@@ -25,6 +27,12 @@ type EqualEfficiency struct {
 	// alpha 0 = perfect scaling; negative = superlinear.
 	alpha map[sched.JobID]float64
 	tr    *obs.Trace
+	// plan, alphas and next are Plan's result, each job's alpha and its
+	// extrapolated efficiency at its next processor, aligned with the
+	// view's jobs and reused across calls.
+	plan   []int
+	alphas []float64
+	next   []float64
 }
 
 // SetTrace attaches a decision-trace recorder (nil detaches): every curve
@@ -96,11 +104,10 @@ func (e *EqualEfficiency) ReportPerformance(now sim.Time, job *sched.JobView, r 
 	}
 }
 
-// extrapolatedEff returns the fitted efficiency of the job at p processors.
-// The denominator is floored to keep superlinear (negative-alpha) fits from
-// diverging.
-func (e *EqualEfficiency) extrapolatedEff(id sched.JobID, p int) float64 {
-	a := e.alpha[id]
+// extrapolatedEff returns the efficiency at p processors of a job fitted
+// with serialization parameter a. The denominator is floored to keep
+// superlinear (negative-alpha) fits from diverging.
+func extrapolatedEff(a float64, p int) float64 {
 	den := 1 + a*float64(p-1)
 	if den < 0.05 {
 		den = 0.05
@@ -112,38 +119,37 @@ func (e *EqualEfficiency) extrapolatedEff(id sched.JobID, p int) float64 {
 // Every job gets one processor (run-to-completion); each remaining processor
 // goes to the job, below its request, with the highest extrapolated
 // efficiency at its next processor.
-func (e *EqualEfficiency) Plan(v sched.View) map[sched.JobID]int {
-	plan := make(map[sched.JobID]int, len(v.Jobs))
-	if len(v.Jobs) == 0 {
-		return plan
-	}
+func (e *EqualEfficiency) Plan(v sched.View) []int {
 	jobs := v.Jobs // already sorted by ascending ID (View contract)
+	plan := slices.Grow(e.plan[:0], len(jobs))[:len(jobs)]
+	alphas := slices.Grow(e.alphas[:0], len(jobs))[:len(jobs)]
+	next := slices.Grow(e.next[:0], len(jobs))[:len(jobs)]
+	e.plan, e.alphas, e.next = plan, alphas, next
 
 	remaining := v.NCPU
-	for _, j := range jobs {
+	for i, j := range jobs {
+		alphas[i] = e.alpha[j.ID]
 		if remaining == 0 {
-			plan[j.ID] = 0
-			continue
+			plan[i] = 0
+		} else {
+			plan[i] = 1
+			remaining--
 		}
-		plan[j.ID] = 1
-		remaining--
+		next[i] = extrapolatedEff(alphas[i], plan[i]+1)
 	}
 	for remaining > 0 {
-		var best *sched.JobView
+		best := -1
 		bestEff := -1.0
-		for _, j := range jobs {
-			if plan[j.ID] >= j.Request {
-				continue
-			}
-			eff := e.extrapolatedEff(j.ID, plan[j.ID]+1)
-			if eff > bestEff {
-				best, bestEff = j, eff
+		for i, j := range jobs {
+			if plan[i] < j.Request && next[i] > bestEff {
+				best, bestEff = i, next[i]
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
-		plan[best.ID]++
+		plan[best]++
+		next[best] = extrapolatedEff(alphas[best], plan[best]+1)
 		remaining--
 	}
 	return plan

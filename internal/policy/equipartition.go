@@ -17,25 +17,19 @@ import (
 // only at job arrival and completion (Section 3.3), which keeps the
 // schedule stable but ignores how well applications use their processors.
 type Equipartition struct {
-	// plan is the current allocation, recomputed only when the job set
-	// changes.
-	plan  map[sched.JobID]int
+	// plan is the current allocation, aligned with the job set it was
+	// computed for and recomputed only when that set changes.
+	plan  []int
 	dirty bool
 }
 
 // NewEquipartition returns an Equipartition policy.
-func NewEquipartition() *Equipartition {
-	return &Equipartition{plan: map[sched.JobID]int{}, dirty: true}
-}
+func NewEquipartition() *Equipartition { return &Equipartition{dirty: true} }
 
 // Reset reinitializes the policy to its freshly constructed state, keeping
-// the plan map's storage.
+// the plan's storage.
 func (e *Equipartition) Reset() {
-	if e.plan == nil {
-		e.plan = map[sched.JobID]int{}
-	} else {
-		clear(e.plan)
-	}
+	e.plan = e.plan[:0]
 	e.dirty = true
 }
 
@@ -46,22 +40,20 @@ func (e *Equipartition) Name() string { return "Equip" }
 func (e *Equipartition) JobStarted(now sim.Time, job *sched.JobView) { e.dirty = true }
 
 // JobFinished implements sched.Policy: completion triggers reallocation.
-func (e *Equipartition) JobFinished(now sim.Time, id sched.JobID) {
-	delete(e.plan, id)
-	e.dirty = true
-}
+func (e *Equipartition) JobFinished(now sim.Time, id sched.JobID) { e.dirty = true }
 
 // ReportPerformance implements sched.Policy. Equipartition ignores
 // application performance.
 func (e *Equipartition) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Report) {}
 
-// Plan implements sched.Policy.
-func (e *Equipartition) Plan(v sched.View) map[sched.JobID]int {
-	if !e.dirty {
-		return e.plan
+// Plan implements sched.Policy. The cached plan stays aligned with v.Jobs
+// because only JobStarted and JobFinished change the job set, and both
+// mark it dirty.
+func (e *Equipartition) Plan(v sched.View) []int {
+	if e.dirty {
+		e.dirty = false
+		e.plan = Equipartitioned(e.plan, v.NCPU, v.Jobs)
 	}
-	e.dirty = false
-	e.plan = Equipartitioned(v.NCPU, v.Jobs)
 	return e.plan
 }
 
@@ -72,64 +64,61 @@ func (e *Equipartition) WantsNewJob(v sched.View) bool { return true }
 // Equipartitioned computes an equal division of ncpu processors among jobs,
 // capping each at its request: repeatedly give every unsatisfied job an
 // equal share of what remains, with ties broken toward earlier arrivals
-// (lower IDs). Every job receives at least one processor when possible.
-func Equipartitioned(ncpu int, jobs []*sched.JobView) map[sched.JobID]int {
-	out := make(map[sched.JobID]int, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	type item struct {
-		id  sched.JobID
-		req int
-	}
-	items := make([]item, 0, len(jobs))
-	for _, j := range jobs {
-		req := j.Request
-		if req < 1 {
-			req = 1
-		}
-		items = append(items, item{id: j.ID, req: req})
-		out[j.ID] = 0
-	}
-	slices.SortFunc(items, func(a, b item) int { return int(a.id - b.id) })
+// (lower IDs; jobs are sorted by ascending ID, as in a View). Every job
+// receives at least one processor when possible. The result is aligned
+// with jobs and reuses plan's storage.
+func Equipartitioned(plan []int, ncpu int, jobs []*sched.JobView) []int {
+	out := slices.Grow(plan[:0], len(jobs))[:len(jobs)]
+	clear(out)
+	// req is job i's request, at least one processor; job i is unsatisfied
+	// while out[i] < req(i).
+	req := func(i int) int { return max(jobs[i].Request, 1) }
 
 	remaining := ncpu
-	unsat := items
-	for remaining > 0 && len(unsat) > 0 {
-		share := remaining / len(unsat)
+	for remaining > 0 {
+		unsat := 0
+		for i := range jobs {
+			if out[i] < req(i) {
+				unsat++
+			}
+		}
+		if unsat == 0 {
+			break
+		}
+		share := remaining / unsat
 		if share == 0 {
 			// Fewer processors than jobs: one each to the earliest until
 			// exhausted.
-			for i := 0; i < remaining; i++ {
-				out[unsat[i].id]++
+			for i := range jobs {
+				if remaining > 0 && out[i] < req(i) {
+					out[i]++
+					remaining--
+				}
 			}
-			remaining = 0
 			break
 		}
 		progressed := false
-		next := unsat[:0]
-		for _, it := range unsat {
-			if it.req-out[it.id] <= share {
+		for i := range jobs {
+			if r := req(i); out[i] < r && r-out[i] <= share {
 				// Fully satisfiable within the fair share.
-				remaining -= it.req - out[it.id]
-				out[it.id] = it.req
+				remaining -= r - out[i]
+				out[i] = r
 				progressed = true
-			} else {
-				next = append(next, it)
 			}
 		}
-		unsat = next
 		if !progressed {
 			// Everyone wants more than the share: split evenly, leftovers
 			// to the earliest jobs.
-			extra := remaining % len(unsat)
-			for i, it := range unsat {
-				out[it.id] += share
-				if i < extra {
-					out[it.id]++
+			extra := remaining % unsat
+			for i := range jobs {
+				if out[i] < req(i) {
+					out[i] += share
+					if extra > 0 {
+						out[i]++
+						extra--
+					}
 				}
 			}
-			remaining = 0
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,16 +17,16 @@ func views(reqs ...int) []*sched.JobView {
 }
 
 func TestEquipartitionedEvenSplit(t *testing.T) {
-	got := Equipartitioned(60, views(30, 30, 30, 30))
-	for id, n := range got {
+	got := Equipartitioned(nil, 60, views(30, 30, 30, 30))
+	for i, n := range got {
 		if n != 15 {
-			t.Fatalf("job %d got %d, want 15", id, n)
+			t.Fatalf("job %d got %d, want 15", i, n)
 		}
 	}
 }
 
 func TestEquipartitionedCapsAtRequest(t *testing.T) {
-	got := Equipartitioned(60, views(2, 30, 30))
+	got := Equipartitioned(nil, 60, views(2, 30, 30))
 	if got[0] != 2 {
 		t.Fatalf("small job got %d, want its request 2", got[0])
 	}
@@ -35,14 +36,14 @@ func TestEquipartitionedCapsAtRequest(t *testing.T) {
 }
 
 func TestEquipartitionedLeftoverToEarliest(t *testing.T) {
-	got := Equipartitioned(10, views(30, 30, 30))
+	got := Equipartitioned(nil, 10, views(30, 30, 30))
 	if got[0] != 4 || got[1] != 3 || got[2] != 3 {
 		t.Fatalf("split = %v", got)
 	}
 }
 
 func TestEquipartitionedMoreJobsThanCPUs(t *testing.T) {
-	got := Equipartitioned(2, views(5, 5, 5))
+	got := Equipartitioned(nil, 2, views(5, 5, 5))
 	total := got[0] + got[1] + got[2]
 	if total != 2 {
 		t.Fatalf("allocated %d of 2", total)
@@ -53,7 +54,7 @@ func TestEquipartitionedMoreJobsThanCPUs(t *testing.T) {
 }
 
 func TestEquipartitionedEmpty(t *testing.T) {
-	if got := Equipartitioned(60, nil); len(got) != 0 {
+	if got := Equipartitioned(nil, 60, nil); len(got) != 0 {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -68,22 +69,15 @@ func TestEquipartitionPolicyReallocOnlyOnChange(t *testing.T) {
 	// A performance report must not change the plan object (no realloc).
 	e.ReportPerformance(0, jobs[0], sched.Report{Procs: 30, Speedup: 20, Efficiency: 0.66})
 	p2 := e.Plan(v)
-	if &p1 == &p2 {
-		// maps compare by identity via pointer-ish trick; instead check
-		// contents stay identical.
-		t.Log("same map returned (ok)")
-	}
-	for id := range p1 {
-		if p1[id] != p2[id] {
-			t.Fatal("plan changed without arrival/completion")
-		}
+	if !slices.Equal(p1, p2) {
+		t.Fatal("plan changed without arrival/completion")
 	}
 	// Completion triggers recompute.
 	e.JobFinished(0, jobs[1].ID)
 	v.Jobs = jobs[:1]
 	p3 := e.Plan(v)
-	if p3[jobs[0].ID] != 30 {
-		t.Fatalf("after completion job0 got %d, want 30", p3[jobs[0].ID])
+	if p3[0] != 30 {
+		t.Fatalf("after completion job0 got %d, want 30", p3[0])
 	}
 }
 
@@ -113,10 +107,10 @@ func TestEquipartitionedProperties(t *testing.T) {
 			reqs[i] = int(r)%40 + 1
 		}
 		jobs := views(reqs...)
-		got := Equipartitioned(ncpu, jobs)
+		got := Equipartitioned(nil, ncpu, jobs)
 		total := 0
-		for _, j := range jobs {
-			n := got[j.ID]
+		for i, j := range jobs {
+			n := got[i]
 			if n < 0 || n > j.Request {
 				return false
 			}
@@ -126,10 +120,10 @@ func TestEquipartitionedProperties(t *testing.T) {
 			return false
 		}
 		// Fairness among unsatisfied equals.
-		for _, a := range jobs {
-			for _, b := range jobs {
-				if a.Request == b.Request && got[a.ID] < a.Request && got[b.ID] < b.Request {
-					d := got[a.ID] - got[b.ID]
+		for ia, a := range jobs {
+			for ib, b := range jobs {
+				if a.Request == b.Request && got[ia] < a.Request && got[ib] < b.Request {
+					d := got[ia] - got[ib]
 					if d < -1 || d > 1 {
 						return false
 					}
@@ -178,11 +172,11 @@ func TestEqualEfficiencyFavorsEfficientJob(t *testing.T) {
 	e.ReportPerformance(0, good, good.Reports[0])
 	e.ReportPerformance(0, bad, bad.Reports[0])
 	plan := e.Plan(sched.View{NCPU: 40, Jobs: []*sched.JobView{good, bad}})
-	if plan[1] <= plan[2] {
+	if plan[0] <= plan[1] {
 		t.Fatalf("plan = %v, efficient job should dominate", plan)
 	}
-	if plan[1]+plan[2] != 40 {
-		t.Fatalf("plan total = %d, want full machine use", plan[1]+plan[2])
+	if plan[0]+plan[1] != 40 {
+		t.Fatalf("plan total = %d, want full machine use", plan[0]+plan[1])
 	}
 }
 
@@ -200,11 +194,11 @@ func TestEqualEfficiencySuperlinearCapture(t *testing.T) {
 	e.ReportPerformance(0, super, super.Reports[0])
 	e.ReportPerformance(0, normal, normal.Reports[0])
 	plan := e.Plan(sched.View{NCPU: 30, Jobs: []*sched.JobView{super, normal}})
-	if plan[1] != 28 {
-		t.Fatalf("superlinear job got %d, want its full request 28", plan[1])
+	if plan[0] != 28 {
+		t.Fatalf("superlinear job got %d, want its full request 28", plan[0])
 	}
-	if plan[2] != 2 {
-		t.Fatalf("normal job got %d, want leftovers 2", plan[2])
+	if plan[1] != 2 {
+		t.Fatalf("normal job got %d, want leftovers 2", plan[1])
 	}
 }
 
@@ -235,7 +229,7 @@ func TestEqualEfficiencyUnknownJobOptimistic(t *testing.T) {
 	known.Reports = []sched.Report{{Procs: 10, Speedup: 4}} // poor
 	e.ReportPerformance(0, known, known.Reports[0])
 	plan := e.Plan(sched.View{NCPU: 30, Jobs: []*sched.JobView{known, fresh}})
-	if plan[2] <= plan[1] {
+	if plan[1] <= plan[0] {
 		t.Fatalf("plan = %v, unmeasured job should win on optimism", plan)
 	}
 }

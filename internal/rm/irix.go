@@ -66,6 +66,8 @@ type irixJob struct {
 	lastK int32
 }
 
+func (j *irixJob) jobID() sched.JobID { return j.id }
+
 // IRIXManager models the native IRIX scheduler with the SGI-MP runtime:
 // applications create as many kernel threads as processors they request, and
 // every quantum the scheduler assigns threads to CPUs preferring affinity
@@ -141,21 +143,6 @@ func (m *IRIXManager) Reset(rec *trace.Recorder, cfg IRIXConfig) {
 	m.admission = nil
 }
 
-// orderIndex returns the position of id in the id-sorted running set, or
-// len(order) if absent (callers verify the id at the returned slot).
-func (m *IRIXManager) orderIndex(id sched.JobID) int {
-	lo, hi := 0, len(m.order)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if m.order[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Name implements Manager.
 func (m *IRIXManager) Name() string { return "IRIX" }
 
@@ -188,20 +175,15 @@ func (m *IRIXManager) StartJob(id sched.JobID, rt *nthlib.Runtime) {
 		j = &irixJob{}
 	}
 	j.id, j.rt, j.threads = id, rt, rt.Request()
-	// Insert into the id-sorted running set. Ids mostly arrive in increasing
-	// order, so the common case is a plain append.
-	m.order = append(m.order, j)
-	for i := len(m.order) - 1; i > 0 && m.order[i-1].id > id; i-- {
-		m.order[i-1], m.order[i] = m.order[i], m.order[i-1]
-	}
+	m.order = insertByID(m.order, j)
 	m.place()
 	m.ensureTick()
 }
 
 // JobFinished implements Manager.
 func (m *IRIXManager) JobFinished(id sched.JobID) {
-	i := m.orderIndex(id)
-	if i >= len(m.order) || m.order[i].id != id {
+	i := indexByID(m.order, id)
+	if i < 0 {
 		return
 	}
 	j := m.order[i]

@@ -13,6 +13,9 @@
 package rm
 
 import (
+	"cmp"
+	"slices"
+
 	"pdpasim/internal/nthlib"
 	"pdpasim/internal/sched"
 	"pdpasim/internal/selfanalyzer"
@@ -38,4 +41,27 @@ type Manager interface {
 	// SetAdmissionChanged registers a callback invoked whenever admission
 	// conditions may have improved (allocations settled, jobs finished).
 	SetAdmissionChanged(func())
+}
+
+// jobRecord is a manager's per-job record; both managers keep their running
+// set as a slice of them sorted by ascending id.
+type jobRecord interface{ jobID() sched.JobID }
+
+// insertByID adds j to the id-sorted set s. Ids mostly arrive in increasing
+// order, so the common case is a plain append.
+func insertByID[T jobRecord](s []T, j T) []T {
+	s = append(s, j)
+	for i := len(s) - 1; i > 0 && s[i-1].jobID() > j.jobID(); i-- {
+		s[i-1], s[i] = s[i], s[i-1]
+	}
+	return s
+}
+
+// indexByID returns the position of id in the id-sorted set s, or -1.
+func indexByID[T jobRecord](s []T, id sched.JobID) int {
+	i, ok := slices.BinarySearchFunc(s, id, func(j T, id sched.JobID) int { return cmp.Compare(j.jobID(), id) })
+	if !ok {
+		return -1
+	}
+	return i
 }

@@ -1,6 +1,7 @@
 package rm
 
 import (
+	"slices"
 	"testing"
 
 	"pdpasim/internal/app"
@@ -63,6 +64,51 @@ func TestSpaceManagerEquipartitionSplit(t *testing.T) {
 	if mgr.Running() != 3 || mgr.Name() != "Equip" {
 		t.Fatalf("running=%d name=%s", mgr.Running(), mgr.Name())
 	}
+}
+
+// idPlusOne plans ID+1 processors for every job and records the job order
+// of the last view it saw.
+type idPlusOne struct{ order []sched.JobID }
+
+func (*idPlusOne) Name() string                                                     { return "id+1" }
+func (*idPlusOne) JobStarted(now sim.Time, job *sched.JobView)                      {}
+func (*idPlusOne) JobFinished(now sim.Time, id sched.JobID)                         {}
+func (*idPlusOne) ReportPerformance(now sim.Time, j *sched.JobView, r sched.Report) {}
+func (*idPlusOne) WantsNewJob(v sched.View) bool                                    { return true }
+func (p *idPlusOne) Plan(v sched.View) []int {
+	p.order = p.order[:0]
+	plan := make([]int, len(v.Jobs))
+	for i, j := range v.Jobs {
+		p.order = append(p.order, j.ID)
+		plan[i] = int(j.ID) + 1
+	}
+	return plan
+}
+
+// TestSpaceManagerAppliesPlanByPosition: jobs started out of id order reach
+// the policy sorted by id, and entry i of the plan goes to v.Jobs[i].
+func TestSpaceManagerAppliesPlanByPosition(t *testing.T) {
+	e := newEnv(60)
+	pol := &idPlusOne{}
+	mgr := NewSpaceManager(e.eng, e.mach, pol, e.rec)
+	rts := map[sched.JobID]*nthlib.Runtime{}
+	for _, id := range []sched.JobID{7, 3, 5} {
+		rts[id] = startJob(e, mgr, id, app.BT, 30, nil)
+	}
+	check := func(ids ...sched.JobID) {
+		t.Helper()
+		if !slices.Equal(pol.order, ids) {
+			t.Fatalf("policy saw jobs %v, want %v", pol.order, ids)
+		}
+		for _, id := range ids {
+			if got := rts[id].Allocated(); got != int(id)+1 {
+				t.Fatalf("job %d holds %d processors, want %d", id, got, id+1)
+			}
+		}
+	}
+	check(3, 5, 7)
+	mgr.JobFinished(5)
+	check(3, 7)
 }
 
 func TestSpaceManagerRunToCompletionMinimum(t *testing.T) {

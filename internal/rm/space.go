@@ -1,6 +1,8 @@
 package rm
 
 import (
+	"slices"
+
 	"pdpasim/internal/machine"
 	"pdpasim/internal/nthlib"
 	"pdpasim/internal/obs"
@@ -15,6 +17,8 @@ type managedJob struct {
 	rt   *nthlib.Runtime
 }
 
+func (j *managedJob) jobID() sched.JobID { return j.view.ID }
+
 // SpaceManager enforces a dynamic space-sharing policy: each running job
 // owns a disjoint CPU partition, resized whenever the policy replans (job
 // arrival, job completion, or a performance report — the activations
@@ -25,7 +29,9 @@ type SpaceManager struct {
 	pol  sched.Policy
 	rec  *trace.Recorder
 
-	jobs             map[sched.JobID]*managedJob
+	// jobs is the running set sorted by ascending id, so it lines up with
+	// the policy's View.Jobs and plan without any lookup by id.
+	jobs             []*managedJob
 	admissionChanged func()
 	queued           func() int
 	replanning       bool
@@ -33,10 +39,10 @@ type SpaceManager struct {
 	tr               *obs.Trace
 
 	// Snapshot scratch buffers, reused across calls because snapshot runs on
-	// every replan and admission check and the allocations dominate the GC
-	// profile. Two buffers, not one: an admission check (CanAdmit) can fire
-	// while replanOnce is still iterating its own snapshot, and must not
-	// clobber it. Policies never retain View.Jobs past the call.
+	// every replan and admission check. Two buffers, not one: an admission
+	// check (CanAdmit) can fire while replanOnce is still iterating its own
+	// snapshot, and must not clobber it. Policies never retain View.Jobs
+	// past the call.
 	admitScratch []*sched.JobView
 	planScratch  []*sched.JobView
 
@@ -65,7 +71,6 @@ func NewSpaceManager(eng *sim.Engine, mach *machine.Machine, pol sched.Policy, r
 		mach: mach,
 		pol:  pol,
 		rec:  rec,
-		jobs: make(map[sched.JobID]*managedJob),
 	}
 }
 
@@ -111,7 +116,7 @@ func (m *SpaceManager) StartJob(id sched.JobID, rt *nthlib.Runtime) {
 		j = new(managedJob)
 	}
 	*j = managedJob{view: view, rt: rt}
-	m.jobs[id] = j
+	m.jobs = insertByID(m.jobs, j)
 	m.pol.JobStarted(m.eng.Now(), view)
 	m.replan()
 }
@@ -130,10 +135,11 @@ func (m *SpaceManager) recycleJob(j *managedJob) {
 
 // ReportPerformance implements Manager.
 func (m *SpaceManager) ReportPerformance(id sched.JobID, meas selfanalyzer.Measurement) {
-	j, ok := m.jobs[id]
-	if !ok {
+	i := indexByID(m.jobs, id)
+	if i < 0 {
 		return
 	}
+	j := m.jobs[i]
 	r := sched.Report{
 		At:         m.eng.Now(),
 		Procs:      meas.Procs,
@@ -154,13 +160,14 @@ func (m *SpaceManager) ReportPerformance(id sched.JobID, meas selfanalyzer.Measu
 
 // JobFinished implements Manager.
 func (m *SpaceManager) JobFinished(id sched.JobID) {
-	j, ok := m.jobs[id]
-	if !ok {
+	i := indexByID(m.jobs, id)
+	if i < 0 {
 		return
 	}
+	j := m.jobs[i]
 	m.mach.Release(m.eng.Now(), int(id))
 	m.pol.JobFinished(m.eng.Now(), id)
-	delete(m.jobs, id)
+	m.jobs = slices.Delete(m.jobs, i, i+1)
 	m.recycleJob(j)
 	m.replan()
 }
@@ -170,13 +177,11 @@ func (m *SpaceManager) JobFinished(id sched.JobID) {
 // machine, and policy stay attached (callers reset those separately); any
 // queued-func, admission hook, and trace are detached.
 func (m *SpaceManager) Reset(rec *trace.Recorder) {
-	for id, j := range m.jobs {
-		delete(m.jobs, id)
+	for _, j := range m.jobs {
 		m.recycleJob(j)
 	}
-	if m.jobs == nil {
-		m.jobs = make(map[sched.JobID]*managedJob)
-	}
+	clear(m.jobs)
+	m.jobs = m.jobs[:0]
 	m.rec = rec
 	m.admissionChanged = nil
 	m.queued = nil
@@ -203,7 +208,6 @@ func (m *SpaceManager) snapshot(scratch *[]*sched.JobView) sched.View {
 	if m.queued != nil {
 		v.Queued = m.queued()
 	}
-	v.SortJobs()
 	*scratch = v.Jobs
 	return v
 }
@@ -240,33 +244,19 @@ func (m *SpaceManager) replanOnce() {
 		return
 	}
 	now := m.eng.Now()
-	view := m.snapshot(&m.planScratch)
-	plan := m.pol.Plan(view)
-
-	// view.Jobs is already sorted by ascending ID; iterate it directly
-	// instead of materialising a separate id list.
-	ids := view.Jobs
+	// plan[i] is the policy's want for m.jobs[i]: the snapshot lists the
+	// views in the running set's order, and nothing below adds or removes
+	// a job.
+	plan := m.pol.Plan(m.snapshot(&m.planScratch))
 
 	// Shrinks release processors before any growth claims them.
-	for _, jv := range ids {
-		j := m.jobs[jv.ID]
-		want, ok := plan[jv.ID]
-		if !ok {
-			continue
-		}
-		want = m.roundToGranularity(j, want)
-		if want < j.view.Allocated {
+	for i, j := range m.jobs {
+		if want := m.roundToGranularity(j, plan[i]); want < j.view.Allocated {
 			m.apply(now, j, want)
 		}
 	}
-	for _, jv := range ids {
-		j := m.jobs[jv.ID]
-		want, ok := plan[jv.ID]
-		if !ok {
-			continue
-		}
-		want = m.roundToGranularity(j, want)
-		if want > j.view.Allocated {
+	for i, j := range m.jobs {
+		if want := m.roundToGranularity(j, plan[i]); want > j.view.Allocated {
 			m.applyGrow(now, j, want)
 		}
 	}
@@ -277,8 +267,7 @@ func (m *SpaceManager) replanOnce() {
 	// forever on a machine whose policy plans in smaller units. (A policy
 	// that plans below a rigid job's request can never run it; the paper's
 	// Section 4.3 calls this the fragmentation cost of rigidity.)
-	for _, jv := range ids {
-		j := m.jobs[jv.ID]
+	for _, j := range m.jobs {
 		g := j.rt.Granularity()
 		if g <= 1 || j.view.Allocated >= g {
 			continue
@@ -296,13 +285,12 @@ func (m *SpaceManager) replanOnce() {
 	// processor from the largest partition. Granular (MPI) jobs instead
 	// wait for a whole multiple of their process count — the fragmentation
 	// cost of rigidity (Section 4.3).
-	for _, jv := range ids {
-		starving := m.jobs[jv.ID]
+	for i, starving := range m.jobs {
 		if starving.rt.Granularity() > 1 {
 			continue
 		}
 		for starving.view.Allocated < 1 {
-			victim := m.largestPartition(jv.ID)
+			victim := m.largestPartition(i)
 			if victim == nil || victim.view.Allocated <= 1 {
 				break
 			}
@@ -351,17 +339,13 @@ func (m *SpaceManager) applyGrow(now sim.Time, j *managedJob, want int) {
 	m.apply(now, j, want)
 }
 
-func (m *SpaceManager) largestPartition(excluding sched.JobID) *managedJob {
+// largestPartition returns the running job with the most processors other
+// than m.jobs[excluding], the lowest id among equals, or nil.
+func (m *SpaceManager) largestPartition(excluding int) *managedJob {
 	var best *managedJob
-	bestID := sched.JobID(-1)
-	for id, j := range m.jobs {
-		if id == excluding {
-			continue
-		}
-		if best == nil || j.view.Allocated > best.view.Allocated ||
-			(j.view.Allocated == best.view.Allocated && id < bestID) {
+	for i, j := range m.jobs {
+		if i != excluding && (best == nil || j.view.Allocated > best.view.Allocated) {
 			best = j
-			bestID = id
 		}
 	}
 	return best

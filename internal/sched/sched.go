@@ -8,11 +8,7 @@
 // a priori information is unavailable or untrustworthy.
 package sched
 
-import (
-	"slices"
-
-	"pdpasim/internal/sim"
-)
+import "pdpasim/internal/sim"
 
 // JobID identifies one running job within a simulation.
 type JobID int
@@ -86,14 +82,6 @@ func (v *View) FreeCPUs() int {
 	return v.NCPU - used
 }
 
-// SortJobs orders the job list by ascending ID (the resource manager
-// guarantees this before handing the view to a policy).
-func (v *View) SortJobs() {
-	// slices.SortFunc, not sort.Slice: this runs on every replan and the
-	// reflection-based swapper allocates.
-	slices.SortFunc(v.Jobs, func(a, b *JobView) int { return int(a.ID - b.ID) })
-}
-
 // Policy is a dynamic space-sharing processor allocation policy. The
 // resource manager invokes the event hooks as things happen and then calls
 // Plan to obtain the desired allocation for every running job; it applies
@@ -112,10 +100,12 @@ type Policy interface {
 	// ReportPerformance delivers a new measurement for job. The JobView
 	// already includes it as the last element of Reports.
 	ReportPerformance(now sim.Time, job *JobView, r Report)
-	// Plan returns the desired allocation per running job. Jobs absent from
-	// the map keep their current allocation. The manager clamps the plan to
-	// machine capacity.
-	Plan(v View) map[JobID]int
+	// Plan returns the desired allocation of every running job, aligned
+	// with v.Jobs: entry i is the plan for v.Jobs[i]. A policy with no
+	// opinion on a job returns its Allocated. The slice may be reused by
+	// the next Plan call, so the caller consumes it before then. The
+	// manager clamps the plan to machine capacity.
+	Plan(v View) []int
 	// WantsNewJob reports whether the queuing system may launch another job
 	// now — the coordination between processor scheduling and job
 	// scheduling that Section 4.3 describes. Fixed-multiprogramming

@@ -31,16 +31,6 @@ func TestViewFreeCPUs(t *testing.T) {
 	}
 }
 
-func TestViewSortJobs(t *testing.T) {
-	v := View{Jobs: []*JobView{{ID: 3}, {ID: 1}, {ID: 2}}}
-	v.SortJobs()
-	for i, want := range []JobID{1, 2, 3} {
-		if v.Jobs[i].ID != want {
-			t.Fatalf("order = %v %v %v", v.Jobs[0].ID, v.Jobs[1].ID, v.Jobs[2].ID)
-		}
-	}
-}
-
 func TestReportFields(t *testing.T) {
 	r := Report{At: sim.Second, Procs: 8, Speedup: 6, Efficiency: 0.75}
 	if r.Efficiency != r.Speedup/float64(r.Procs) {
