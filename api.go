@@ -372,9 +372,11 @@ func RunSWFContext(ctx context.Context, in io.Reader, opts Options) (*Outcome, e
 
 // Runner executes runs back to back while recycling the simulation's
 // internal arenas — the event heap, trace recorder, machine model, queuing
-// slabs, and per-job runtime state — so steady-state runs allocate almost
-// nothing. Results are byte-identical to the package-level RunContext: every
-// recycled component reinitializes to exactly the state a fresh run builds.
+// slabs, per-job runtime state, and the manager and policy of every
+// regime it has run — so steady-state runs allocate almost nothing. Results
+// are byte-identical to the package-level RunContext, which runs on a new
+// Runner: every simulator component is initialized only by its Reset, the
+// same call a fresh component is built with.
 //
 // A Runner is NOT safe for concurrent use. Callers that fan runs out across
 // goroutines should give each its own Runner (Sweep does this internally,

@@ -15,7 +15,8 @@ import (
 	"time"
 )
 
-// maxErrorBody bounds how much of an error response the client reads.
+// maxErrorBody bounds how much of an error response (and of a /metrics
+// scrape) the client reads; success bodies are read in full.
 const maxErrorBody = 1 << 20
 
 // Client talks to one pdpad daemon (standalone, node, or coordinator).
@@ -171,17 +172,24 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return fmt.Errorf("pdpad: %s %s: %w", method, path, err)
 	}
+	ok := resp.StatusCode >= 200 && resp.StatusCode < 300
+	// A success body is read in full: a run view, result or trace has no
+	// size bound. Only error bodies are capped.
+	var src io.Reader = resp.Body
+	if !ok {
+		src = io.LimitReader(resp.Body, maxErrorBody)
+	}
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer bodyBufs.Put(buf)
 	buf.Reset()
-	_, readErr := buf.ReadFrom(io.LimitReader(resp.Body, maxErrorBody))
+	_, readErr := buf.ReadFrom(src)
 	resp.Body.Close()
 	if readErr != nil {
 		return fmt.Errorf("pdpad: reading response: %w", readErr)
 	}
 	// json.Unmarshal copies what it keeps; an error keeps a copy of the body.
 	data := buf.Bytes()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+	if ok {
 		switch out := out.(type) {
 		case nil:
 			return nil

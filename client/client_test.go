@@ -433,3 +433,30 @@ func TestContractErrorKeepsBody(t *testing.T) {
 		t.Fatalf("first error's body reads %q after a second response, want %q", got, "not json 1")
 	}
 }
+
+// TestLargeSuccessBody: a success body over the 1 MiB error-body bound (a
+// long run's view, result or trace) is read in full and decodes.
+func TestLargeSuccessBody(t *testing.T) {
+	result := fmt.Sprintf(`{"pad":%q}`, bytes.Repeat([]byte("x"), 3<<20/2))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(client.RunView{ID: "run-000001", State: "done", Result: json.RawMessage(result)})
+	}))
+	defer ts.Close()
+	cli := client.New(ts.URL)
+	defer cli.CloseIdleConnections()
+	for name, get := range map[string]func() (client.RunView, error){
+		"Run": func() (client.RunView, error) { return cli.Run(context.Background(), "run-000001") },
+		"WaitRun": func() (client.RunView, error) {
+			return cli.WaitRun(context.Background(), "run-000001", time.Millisecond)
+		},
+	} {
+		v, err := get()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if v.State != "done" || string(v.Result) != result {
+			t.Fatalf("%s: state %q, result of %d bytes, want done and %d bytes", name, v.State, len(v.Result), len(result))
+		}
+	}
+}

@@ -37,8 +37,10 @@ type ExperimentOptions struct {
 	Loads []float64
 	// Quick reduces seeds and loads for fast smoke runs.
 	Quick bool
-	// Workers bounds the worker pool the experiment grids fan out on
-	// (0 = one worker per CPU). Results are identical at any setting.
+	// Workers bounds the worker pool the policy × load × seed grids of
+	// Figs. 4, 6, 9 and 10 (and their SVG charts) fan out on; every other
+	// experiment runs serially. 0 = one worker per CPU; results are
+	// identical at any setting.
 	Workers int
 }
 

@@ -31,22 +31,31 @@ type Adaptive struct {
 // minTarget and maxTarget as the queue grows to queueHigh. The embedded
 // PDPA starts from base (its TargetEff is overridden immediately).
 func NewAdaptive(base Params, minTarget, maxTarget float64, queueHigh int) (*Adaptive, error) {
-	switch {
-	case minTarget <= 0 || maxTarget > 1.5 || minTarget > maxTarget:
-		return nil, fmt.Errorf("core: adaptive target range [%v, %v] invalid", minTarget, maxTarget)
-	case queueHigh < 1:
-		return nil, fmt.Errorf("core: queueHigh %d < 1", queueHigh)
-	}
-	p, err := New(base)
-	if err != nil {
+	a := new(Adaptive)
+	if err := a.Reset(base, minTarget, maxTarget, queueHigh); err != nil {
 		return nil, err
 	}
-	return &Adaptive{
-		PDPA:      p,
-		MinTarget: minTarget,
-		MaxTarget: maxTarget,
-		QueueHigh: queueHigh,
-	}, nil
+	return a, nil
+}
+
+// Reset initializes the adaptive policy as NewAdaptive describes, resetting
+// the embedded PDPA to base. It is the policy's only initializer: NewAdaptive
+// calls it on a zero value, and a reused policy recycles the embedded PDPA.
+func (a *Adaptive) Reset(base Params, minTarget, maxTarget float64, queueHigh int) error {
+	switch {
+	case minTarget <= 0 || maxTarget > 1.5 || minTarget > maxTarget:
+		return fmt.Errorf("core: adaptive target range [%v, %v] invalid", minTarget, maxTarget)
+	case queueHigh < 1:
+		return fmt.Errorf("core: queueHigh %d < 1", queueHigh)
+	}
+	if a.PDPA == nil {
+		a.PDPA = new(PDPA)
+	}
+	if err := a.PDPA.Reset(base); err != nil {
+		return err
+	}
+	a.MinTarget, a.MaxTarget, a.QueueHigh = minTarget, maxTarget, queueHigh
+	return nil
 }
 
 // MustNewAdaptive is NewAdaptive that panics on error.

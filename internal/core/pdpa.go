@@ -148,7 +148,8 @@ type Transition struct {
 	Efficiency float64
 }
 
-// PDPA implements sched.Policy. Create with New.
+// PDPA implements sched.Policy. Create with New, or initialize in place
+// with Reset.
 type PDPA struct {
 	params Params
 	jobs   map[sched.JobID]*jobState
@@ -181,10 +182,11 @@ func (p *PDPA) History() []Transition { return p.history }
 
 // New returns a PDPA policy with the given parameters.
 func New(params Params) (*PDPA, error) {
-	if err := params.Validate(); err != nil {
+	p := new(PDPA)
+	if err := p.Reset(params); err != nil {
 		return nil, err
 	}
-	return &PDPA{params: params, jobs: make(map[sched.JobID]*jobState)}, nil
+	return p, nil
 }
 
 // MustNew is New that panics on error.
@@ -245,10 +247,10 @@ func (p *PDPA) JobFinished(now sim.Time, id sched.JobID) {
 	}
 }
 
-// Reset reinitializes the policy to the state New(params) would produce,
-// recycling the per-job state structs and the plan's storage. History
-// recording is switched off and any attached trace detached, as on a fresh
-// policy.
+// Reset initializes the policy with params and no running job, history
+// recording off and no trace attached. It is the policy's only initializer:
+// New calls it on a zero value, and a reused policy recycles its per-job
+// state structs and the plan's storage.
 func (p *PDPA) Reset(params Params) error {
 	if err := params.Validate(); err != nil {
 		return err

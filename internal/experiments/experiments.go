@@ -31,8 +31,10 @@ type Options struct {
 	Loads []float64
 	// KeepBursts enables trace retention where an experiment needs it.
 	KeepBursts bool
-	// Workers bounds the worker pool the policy × load × seed grids run on
-	// (0 = one worker per CPU). Results are identical at any setting.
+	// Workers bounds the worker pool of the experiments that run a policy ×
+	// load × seed grid through runMatrix: Figs. 4, 6, 9 and 10 and their
+	// charts (Charts). Every other experiment runs serially. 0 = one
+	// worker per CPU; results are identical at any setting.
 	Workers int
 }
 

@@ -177,8 +177,8 @@ func Table4(o Options) (Result, error) {
 	return Result{ID: "tab4", Title: "Workload 4 not tuned (Table 4)", Text: text}, nil
 }
 
-// trimmedMakespan is a helper for ablations: the makespan averaged over
-// seeds for one config.
+// averagedRuns is a helper for ablations: it runs one config per seed and
+// returns the last run's result and the makespan averaged over the seeds.
 func averagedRuns(o Options, mix workload.Mix, load float64, mk func(w *workload.Workload, seed int64) system.Config) (*metrics.RunResult, float64, error) {
 	var last *metrics.RunResult
 	total := 0.0

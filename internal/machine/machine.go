@@ -46,7 +46,8 @@ type ThreadID struct {
 	Thread int
 }
 
-// Machine is the multiprocessor model. Create with New.
+// Machine is the multiprocessor model. Create with New, or initialize in
+// place with Reset.
 type Machine struct {
 	ncpu  int
 	owner []int // job owning each CPU (space sharing), Free if none
@@ -95,36 +96,17 @@ type Machine struct {
 // New returns a machine with ncpu processors, all free. The recorder may be
 // nil, in which case no trace is kept (migration counts are then unavailable).
 func New(ncpu int, rec *trace.Recorder) *Machine {
-	if ncpu <= 0 {
-		panic("machine: ncpu must be positive")
-	}
-	if rec != nil && rec.NCPU() != ncpu {
-		panic("machine: recorder CPU count mismatch")
-	}
-	m := &Machine{
-		ncpu:     ncpu,
-		owner:    make([]int, ncpu),
-		nfree:    ncpu,
-		freeMask: make([]uint64, (ncpu+63)/64),
-		rec:      rec,
-	}
-	for i := range m.owner {
-		m.owner[i] = Free
-	}
-	for i := range m.freeMask {
-		m.freeMask[i] = ^uint64(0)
-	}
-	if tail := ncpu % 64; tail != 0 {
-		m.freeMask[len(m.freeMask)-1] = (uint64(1) << tail) - 1
-	}
+	m := new(Machine)
+	m.Reset(ncpu, rec)
 	return m
 }
 
-// Reset returns the machine to the state New(ncpu, rec) would produce, in
-// place — callers that cached the *Machine keep a valid pointer — while
-// recycling every per-job table into the pools and keeping the dense per-CPU
-// arrays. The NUMA node size resets to flat; callers re-apply SetNodeSize per
-// run.
+// Reset initializes the machine with ncpu processors, all free, recording
+// into rec (nil keeps no trace), as a flat SMP; callers re-apply SetNodeSize
+// per run. It is the machine's only initializer: New calls it on a zero
+// value, and a reused machine is reset in place — callers that cached the
+// *Machine keep a valid pointer — recycling every per-job table into the
+// pools and keeping the dense per-CPU arrays.
 func (m *Machine) Reset(ncpu int, rec *trace.Recorder) {
 	if ncpu <= 0 {
 		panic("machine: ncpu must be positive")

@@ -34,11 +34,14 @@ type Dynamic struct {
 
 // NewDynamic returns a Dynamic policy.
 func NewDynamic() *Dynamic {
-	return &Dynamic{Window: 3, alpha: map[sched.JobID]float64{}}
+	d := new(Dynamic)
+	d.Reset()
+	return d
 }
 
-// Reset reinitializes the policy to the state NewDynamic would produce,
-// keeping the alpha map's storage.
+// Reset initializes the policy with Window 3 and no fits. It is the policy's
+// only initializer: NewDynamic calls it on a zero value, and a reused policy
+// keeps the alpha map's and the plan's storage.
 func (d *Dynamic) Reset() {
 	d.Window = 3
 	if d.alpha == nil {
@@ -59,20 +62,8 @@ func (d *Dynamic) JobFinished(now sim.Time, id sched.JobID) { delete(d.alpha, id
 
 // ReportPerformance implements sched.Policy.
 func (d *Dynamic) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Report) {
-	reports := job.Reports
-	if len(reports) > d.Window {
-		reports = reports[len(reports)-d.Window:]
-	}
-	sum, n := 0.0, 0
-	for _, rep := range reports {
-		if rep.Procs <= 1 || rep.Speedup <= 0 {
-			continue
-		}
-		sum += (float64(rep.Procs)/rep.Speedup - 1) / float64(rep.Procs-1)
-		n++
-	}
-	if n > 0 {
-		d.alpha[job.ID] = sum / float64(n)
+	if a, ok := fitAlpha(job.Reports, d.Window); ok {
+		d.alpha[job.ID] = a
 	}
 }
 
@@ -82,11 +73,7 @@ func fitted(a float64, p int) float64 {
 	if p < 1 {
 		return 0
 	}
-	den := 1 + a*float64(p-1)
-	if den < 0.05 {
-		den = 0.05
-	}
-	return float64(p) / den
+	return float64(p) / modelDen(a, p)
 }
 
 // Plan implements sched.Policy: marginal-speedup water-filling. Each job

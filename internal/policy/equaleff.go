@@ -44,12 +44,14 @@ func (e *EqualEfficiency) SetTrace(tr *obs.Trace) { e.tr = tr }
 // criticizes ('too sensitive to small changes in the efficiency
 // measurements'). Raise Window to damp it.
 func NewEqualEfficiency() *EqualEfficiency {
-	return &EqualEfficiency{Window: 1, alpha: map[sched.JobID]float64{}}
+	e := new(EqualEfficiency)
+	e.Reset()
+	return e
 }
 
-// Reset reinitializes the policy to the state NewEqualEfficiency would
-// produce (Window 1, no fits, trace detached), keeping the alpha map's
-// storage.
+// Reset initializes the policy with Window 1, no fits and no trace attached.
+// It is the policy's only initializer: NewEqualEfficiency calls it on a zero
+// value, and a reused policy keeps the alpha map's and the plan's storage.
 func (e *EqualEfficiency) Reset() {
 	e.Window = 1
 	if e.alpha == nil {
@@ -78,42 +80,51 @@ func (e *EqualEfficiency) JobFinished(now sim.Time, id sched.JobID) {
 // ReportPerformance implements sched.Policy: refit the job's efficiency
 // curve from its recent reports.
 func (e *EqualEfficiency) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Report) {
-	reports := job.Reports
-	if len(reports) > e.Window {
-		reports = reports[len(reports)-e.Window:]
+	a, ok := fitAlpha(job.Reports, e.Window)
+	if !ok {
+		return
+	}
+	e.alpha[job.ID] = a
+	if e.tr != nil {
+		e.tr.Record(obs.Event{
+			At: now, Kind: obs.KindExtrapolate, Job: int32(job.ID),
+			Procs: int32(r.Procs), Eff: r.Efficiency, Speedup: a,
+		})
+	}
+}
+
+// fitAlpha fits the serialization parameter alpha of the model
+// S(p) = p / (1 + alpha·(p-1)) to the last window reports: the model
+// inverted at each sample, alpha = (p/S - 1) / (p - 1), averaged over the
+// samples taken on more than one processor. ok is false when there is no
+// such sample. Equal_efficiency and Dynamic share the fit.
+func fitAlpha(reports []sched.Report, window int) (alpha float64, ok bool) {
+	if len(reports) > window {
+		reports = reports[len(reports)-window:]
 	}
 	sum, n := 0.0, 0
 	for _, rep := range reports {
 		if rep.Procs <= 1 || rep.Speedup <= 0 {
 			continue
 		}
-		// Invert the model at the sample: alpha = (p/S - 1) / (p - 1).
-		a := (float64(rep.Procs)/rep.Speedup - 1) / float64(rep.Procs-1)
-		sum += a
+		sum += (float64(rep.Procs)/rep.Speedup - 1) / float64(rep.Procs-1)
 		n++
 	}
 	if n == 0 {
-		return
+		return 0, false
 	}
-	e.alpha[job.ID] = sum / float64(n)
-	if e.tr != nil {
-		e.tr.Record(obs.Event{
-			At: now, Kind: obs.KindExtrapolate, Job: int32(job.ID),
-			Procs: int32(r.Procs), Eff: r.Efficiency, Speedup: e.alpha[job.ID],
-		})
-	}
+	return sum / float64(n), true
+}
+
+// modelDen is the fitted model's denominator 1 + a·(p-1), floored to keep
+// superlinear (negative-alpha) fits from diverging.
+func modelDen(a float64, p int) float64 {
+	return max(1+a*float64(p-1), 0.05)
 }
 
 // extrapolatedEff returns the efficiency at p processors of a job fitted
-// with serialization parameter a. The denominator is floored to keep
-// superlinear (negative-alpha) fits from diverging.
-func extrapolatedEff(a float64, p int) float64 {
-	den := 1 + a*float64(p-1)
-	if den < 0.05 {
-		den = 0.05
-	}
-	return 1 / den
-}
+// with serialization parameter a.
+func extrapolatedEff(a float64, p int) float64 { return 1 / modelDen(a, p) }
 
 // Plan implements sched.Policy: water-filling by extrapolated efficiency.
 // Every job gets one processor (run-to-completion); each remaining processor

@@ -24,10 +24,15 @@ type Equipartition struct {
 }
 
 // NewEquipartition returns an Equipartition policy.
-func NewEquipartition() *Equipartition { return &Equipartition{dirty: true} }
+func NewEquipartition() *Equipartition {
+	e := new(Equipartition)
+	e.Reset()
+	return e
+}
 
-// Reset reinitializes the policy to its freshly constructed state, keeping
-// the plan's storage.
+// Reset initializes the policy with no plan computed. It is the policy's
+// only initializer: NewEquipartition calls it on a zero value, and a reused
+// policy keeps the plan's storage.
 func (e *Equipartition) Reset() {
 	e.plan = e.plan[:0]
 	e.dirty = true

@@ -48,6 +48,8 @@ type gangJob struct {
 	wasRunning bool
 }
 
+func (j *gangJob) jobID() sched.JobID { return j.id }
+
 // GangManager implements classic gang scheduling (Ousterhout matrix): jobs
 // are packed into rows first-fit by their full processor request; time is
 // sliced into slots and rows run round-robin, each job running with all of
@@ -62,27 +64,41 @@ type GangManager struct {
 	rec  *trace.Recorder
 	cfg  GangConfig
 
-	jobs          map[sched.JobID]*gangJob
-	rows          [][]sched.JobID
+	// jobs is the running set sorted by ascending id; rows holds the same
+	// jobs by row of the matrix.
+	jobs          []*gangJob
+	rows          [][]*gangJob
 	activeRow     int
 	tickScheduled bool
 	admission     func()
 
 	// applySlot scratch, reused across slots.
 	placedBuf []machine.Placement
-	idsBuf    []sched.JobID
 }
 
 // NewGangManager returns a gang scheduler over mach.
 func NewGangManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder, cfg GangConfig) *GangManager {
+	m := new(GangManager)
+	m.Reset(eng, mach, rec, cfg)
+	return m
+}
+
+// Reset initializes the gang scheduler over mach with an empty matrix and
+// no admission hook. It is the manager's only initializer: NewGangManager
+// calls it on a zero value, and a reused manager keeps its scratch buffers.
+func (m *GangManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder, cfg GangConfig) {
 	cfg.applyDefaults()
-	return &GangManager{
-		eng:  eng,
-		mach: mach,
-		rec:  rec,
-		cfg:  cfg,
-		jobs: make(map[sched.JobID]*gangJob),
-	}
+	clear(m.jobs)
+	m.jobs = m.jobs[:0]
+	clear(m.rows)
+	m.rows = m.rows[:0]
+	m.eng = eng
+	m.mach = mach
+	m.rec = rec
+	m.cfg = cfg
+	m.activeRow = 0
+	m.tickScheduled = false
+	m.admission = nil
 }
 
 // Name implements Manager.
@@ -105,48 +121,39 @@ func (m *GangManager) ReportPerformance(id sched.JobID, meas selfanalyzer.Measur
 // spare capacity, or open a new row.
 func (m *GangManager) StartJob(id sched.JobID, rt *nthlib.Runtime) {
 	j := &gangJob{id: id, rt: rt}
-	request := rt.Request()
-	if request > m.mach.NCPU() {
-		request = m.mach.NCPU()
-	}
-	j.row = m.placeInRow(id, request)
-	m.jobs[id] = j
+	request := min(rt.Request(), m.mach.NCPU())
+	m.placeInRow(j, request)
+	m.jobs = insertByID(m.jobs, j)
 	m.assignCPUs(j, request)
 	m.applySlot()
 	m.ensureTick()
 }
 
-// placeInRow finds the first row whose occupancy leaves room for request.
-func (m *GangManager) placeInRow(id sched.JobID, request int) int {
-	for r := range m.rows {
-		if m.rowOccupancy(r)+request <= m.mach.NCPU() {
-			m.rows[r] = append(m.rows[r], id)
-			return r
+// placeInRow puts j in the first row whose occupancy leaves room for
+// request.
+func (m *GangManager) placeInRow(j *gangJob, request int) {
+	for r, row := range m.rows {
+		occupied := 0
+		for _, other := range row {
+			occupied += len(other.cpus)
+		}
+		if occupied+request <= m.mach.NCPU() {
+			m.rows[r] = append(row, j)
+			j.row = r
+			return
 		}
 	}
-	m.rows = append(m.rows, []sched.JobID{id})
-	return len(m.rows) - 1
-}
-
-func (m *GangManager) rowOccupancy(row int) int {
-	total := 0
-	for _, id := range m.rows[row] {
-		if j, ok := m.jobs[id]; ok {
-			total += len(j.cpus)
-		}
-	}
-	return total
+	m.rows = append(m.rows, []*gangJob{j})
+	j.row = len(m.rows) - 1
 }
 
 // assignCPUs fixes the CPU set a gang occupies within its row (disjoint from
 // its row-mates).
 func (m *GangManager) assignCPUs(j *gangJob, request int) {
 	used := make([]bool, m.mach.NCPU())
-	for _, id := range m.rows[j.row] {
-		if other, ok := m.jobs[id]; ok && other != j {
-			for _, cpu := range other.cpus {
-				used[cpu] = true
-			}
+	for _, other := range m.rows[j.row] {
+		for _, cpu := range other.cpus {
+			used[cpu] = true
 		}
 	}
 	for cpu := 0; cpu < len(used) && len(j.cpus) < request; cpu++ {
@@ -158,18 +165,15 @@ func (m *GangManager) assignCPUs(j *gangJob, request int) {
 
 // JobFinished implements Manager.
 func (m *GangManager) JobFinished(id sched.JobID) {
-	j, ok := m.jobs[id]
-	if !ok {
+	i := indexByID(m.jobs, id)
+	if i < 0 {
 		return
 	}
-	delete(m.jobs, id)
+	j := m.jobs[i]
+	m.jobs = slices.Delete(m.jobs, i, i+1)
 	row := m.rows[j.row]
-	for i, rid := range row {
-		if rid == id {
-			m.rows[j.row] = append(row[:i], row[i+1:]...)
-			break
-		}
-	}
+	k := slices.Index(row, j)
+	m.rows[j.row] = slices.Delete(row, k, k+1)
 	m.compactRows()
 	m.mach.ForgetThreads(int(id))
 	m.applySlot()
@@ -189,10 +193,8 @@ func (m *GangManager) compactRows() {
 	}
 	m.rows = rows
 	for r, row := range m.rows {
-		for _, id := range row {
-			if j, ok := m.jobs[id]; ok {
-				j.row = r
-			}
+		for _, j := range row {
+			j.row = r
 		}
 	}
 	if len(m.rows) > 0 {
@@ -227,28 +229,20 @@ func (m *GangManager) tick() {
 func (m *GangManager) applySlot() {
 	now := m.eng.Now()
 	placements := m.placedBuf[:0]
-	ids := m.idsBuf[:0]
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	m.idsBuf = ids
-
-	for _, id := range ids {
-		j := m.jobs[id]
+	for _, j := range m.jobs {
 		active := len(m.rows) > 0 && j.row == m.activeRow
 		if !active {
 			j.rt.SetRawRate(0, 0)
 			j.wasRunning = false
 			if m.rec != nil {
-				m.rec.ObserveAllocation(now, int(id), 0)
+				m.rec.ObserveAllocation(now, int(j.id), 0)
 			}
 			continue
 		}
 		for i, cpu := range j.cpus {
 			placements = append(placements, machine.Placement{
 				CPU:    cpu,
-				Thread: machine.ThreadID{Job: int(id), Thread: i},
+				Thread: machine.ThreadID{Job: int(j.id), Thread: i},
 			})
 		}
 		procs := len(j.cpus)
@@ -264,7 +258,7 @@ func (m *GangManager) applySlot() {
 		j.rt.SetRawRate(speedup, procs)
 		j.wasRunning = true
 		if m.rec != nil {
-			m.rec.ObserveAllocation(now, int(id), procs)
+			m.rec.ObserveAllocation(now, int(j.id), procs)
 		}
 	}
 	m.placedBuf = placements

@@ -111,29 +111,27 @@ type IRIXManager struct {
 
 // NewIRIXManager returns the native-scheduler model over mach.
 func NewIRIXManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder, cfg IRIXConfig) *IRIXManager {
-	cfg.applyDefaults()
-	m := &IRIXManager{
-		eng:  eng,
-		mach: mach,
-		rec:  rec,
-		cfg:  cfg,
-	}
-	m.tickFn = m.tick
+	m := new(IRIXManager)
+	m.Reset(eng, mach, rec, cfg)
 	return m
 }
 
-// Reset returns the manager to the state NewIRIXManager(eng, mach, rec, cfg)
-// would produce while keeping the free list and per-quantum scratch buffers.
-// The quantum-tick event struct is kept for reuse: a reused manager's engine
-// has been Reset (or drained), which detaches the old arming, and
-// ScheduleInto re-arms a detached struct in place.
-func (m *IRIXManager) Reset(rec *trace.Recorder, cfg IRIXConfig) {
+// Reset initializes the native-scheduler model over mach with no job running
+// and no admission hook or trace attached. It is the manager's only
+// initializer: NewIRIXManager calls it on a zero value, and a reused manager
+// keeps its free list and per-quantum scratch buffers. The quantum-tick
+// event struct is kept for reuse too: a reused manager's engine has been
+// Reset (or drained), which detaches the old arming, and ScheduleInto
+// re-arms a detached struct in place.
+func (m *IRIXManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder, cfg IRIXConfig) {
 	cfg.applyDefaults()
 	for _, j := range m.order {
 		j.rt = nil
 		m.freeJobs = append(m.freeJobs, j)
 	}
 	m.order = m.order[:0]
+	m.eng = eng
+	m.mach = mach
 	m.rec = rec
 	m.cfg = cfg
 	m.tr = nil
@@ -141,6 +139,9 @@ func (m *IRIXManager) Reset(rec *trace.Recorder, cfg IRIXConfig) {
 	m.quantumCount = 0
 	m.tickScheduled = false
 	m.admission = nil
+	if m.tickFn == nil {
+		m.tickFn = m.tick
+	}
 }
 
 // Name implements Manager.

@@ -2,14 +2,19 @@
 // user-level processor scheduler that decides how many processors each
 // application receives and enforces the decision on the machine.
 //
-// Two managers exist:
+// Three managers exist:
 //
 //   - SpaceManager drives a sched.Policy (PDPA, Equipartition,
-//     Equal_efficiency): disjoint per-job CPU partitions, resized when the
-//     policy replans.
+//     Equal_efficiency, Dynamic): disjoint per-job CPU partitions, resized
+//     when the policy replans.
 //   - IRIXManager models the native IRIX scheduler: every job runs as many
 //     kernel threads as it requested and a per-quantum, affinity-preferring
 //     time-sharing placement assigns threads to CPUs.
+//   - GangManager is classic gang scheduling: jobs packed into the rows of
+//     an Ousterhout matrix, rows run round-robin one time slot each.
+//
+// Each manager has one initializer, its Reset; its New constructor is Reset
+// on a zero value, so a reused manager is a fresh one by construction.
 package rm
 
 import (
@@ -43,7 +48,7 @@ type Manager interface {
 	SetAdmissionChanged(func())
 }
 
-// jobRecord is a manager's per-job record; both managers keep their running
+// jobRecord is a manager's per-job record; every manager keeps its running
 // set as a slice of them sorted by ascending id.
 type jobRecord interface{ jobID() sched.JobID }
 

@@ -66,12 +66,9 @@ func (m *SpaceManager) SetTrace(tr *obs.Trace) { m.tr = tr }
 
 // NewSpaceManager returns a manager driving pol over mach. rec may be nil.
 func NewSpaceManager(eng *sim.Engine, mach *machine.Machine, pol sched.Policy, rec *trace.Recorder) *SpaceManager {
-	return &SpaceManager{
-		eng:  eng,
-		mach: mach,
-		pol:  pol,
-		rec:  rec,
-	}
+	m := new(SpaceManager)
+	m.Reset(eng, mach, pol, rec)
+	return m
 }
 
 // Name implements Manager.
@@ -172,16 +169,20 @@ func (m *SpaceManager) JobFinished(id sched.JobID) {
 	m.replan()
 }
 
-// Reset returns the manager to the state NewSpaceManager(eng, mach, pol, rec)
-// would produce while keeping the free lists and scratch buffers. The engine,
-// machine, and policy stay attached (callers reset those separately); any
-// queued-func, admission hook, and trace are detached.
-func (m *SpaceManager) Reset(rec *trace.Recorder) {
+// Reset initializes the manager to drive pol over mach with no job running
+// and no queued-func, admission hook or trace attached; rec may be nil. It is
+// the manager's only initializer: NewSpaceManager calls it on a zero value,
+// and a reused manager keeps its free lists and scratch buffers. The engine,
+// machine and policy are not reset here; callers reset those themselves.
+func (m *SpaceManager) Reset(eng *sim.Engine, mach *machine.Machine, pol sched.Policy, rec *trace.Recorder) {
 	for _, j := range m.jobs {
 		m.recycleJob(j)
 	}
 	clear(m.jobs)
 	m.jobs = m.jobs[:0]
+	m.eng = eng
+	m.mach = mach
+	m.pol = pol
 	m.rec = rec
 	m.admissionChanged = nil
 	m.queued = nil

@@ -7,10 +7,12 @@
 // 2000 running the NANOS QS/RM with IRIX, Equipartition, Equal_efficiency,
 // or PDPA (Section 5).
 //
-// Two entry points exist. Run/RunContext build a fresh environment per call.
-// A System built with NewSystem keeps every arena — engine heap, trace
-// recorder, machine, queuing slabs, per-job runtimes, manager free lists —
-// alive across calls, so steady-state runs allocate almost nothing. Both
+// Two entry points exist. Run/RunContext run on a new System per call. A
+// System built with NewSystem keeps every arena — engine heap, trace
+// recorder, machine, queuing slabs, per-job runtimes, each regime's manager
+// and policy — alive across calls, so steady-state runs allocate almost
+// nothing. Every component has one initializer, its Reset (or Init), and
+// its New constructor is that call on a zero value, so both entry points
 // produce byte-identical results for the same Config.
 package system
 
@@ -277,30 +279,28 @@ func noopJob(id int) {}
 // System is a reusable simulation environment. Each call to Run or
 // RunContext resets and recycles the previous run's arenas — the engine's
 // event heap, the trace recorder, the machine, the queuing system's slabs,
-// per-job runtimes/analyzers/noise streams, and each manager's free lists —
-// so steady-state runs allocate almost nothing. Results are byte-identical
-// to the package-level Run: every recycled component reinitializes to
-// exactly the state a fresh construction would produce, and the engine's
-// event ordering depends only on the call sequence, which is preserved.
+// per-job runtimes/analyzers/noise streams, and the manager and policy of
+// every regime run so far — so steady-state runs allocate almost nothing.
+// Results are byte-identical to the package-level Run: each component is
+// initialized only by its Reset (or Init), the same call its constructor
+// makes on a zero value, so a recycled component is a fresh one by
+// construction; and the engine's event ordering depends only on the call
+// sequence, which is preserved.
 //
 // A System is NOT safe for concurrent use; give each goroutine its own
 // (the sweep runner keeps one per worker). The zero value is ready to use.
 type System struct {
-	eng  *sim.Engine
-	rec  *trace.Recorder
-	mach *machine.Machine
+	eng  sim.Engine
+	rec  *trace.Recorder // nil after a KeepBursts run hands it to its result
+	mach machine.Machine
 
 	parent stats.RNG // root seed stream, reseeded per run
 	noise  stats.RNG // "selfanalyzer-noise" substream, reseeded per run
 
-	// Cached policies and managers, one per PolicyKind actually used. The
-	// short-lived ones (AdaptivePDPA's wrapper, Gang) are rebuilt per run.
-	pdpa     *core.PDPA
-	equip    *policy.Equipartition
-	equalEff *policy.EqualEfficiency
-	dynamic  *policy.Dynamic
-	space    map[PolicyKind]*rm.SpaceManager
-	irix     *rm.IRIXManager
+	// managers holds one resource manager per PolicyKind run so far, each
+	// built as a zero value on first use and reset, with its policy, on
+	// every run of its kind.
+	managers map[PolicyKind]rm.Manager
 
 	queue    qs.QueuingSystem
 	tryStart func() // queue.TryStart method value, built once
@@ -321,12 +321,7 @@ func NewSystem() *System {
 // EventsExecuted returns the number of engine events the most recent run on
 // this System executed — the diagnostic that makes throughput mode's event
 // reduction observable to benchmarks and tests.
-func (s *System) EventsExecuted() uint64 {
-	if s.eng == nil {
-		return 0
-	}
-	return s.eng.Executed
-}
+func (s *System) EventsExecuted() uint64 { return s.eng.Executed }
 
 // releaseSlot recycles a completed job's runtime bundle.
 func (s *System) releaseSlot(t *jobTrack) {
@@ -348,84 +343,83 @@ func (s *System) takeSlot() *jobSlot {
 	return new(jobSlot)
 }
 
-// spaceManager returns the cached space-sharing manager for kind (resetting
-// it), or builds and caches one driving pol.
-func (s *System) spaceManager(kind PolicyKind, pol sched.Policy) *rm.SpaceManager {
-	if m := s.space[kind]; m != nil {
-		m.Reset(s.rec)
-		return m
-	}
-	if s.space == nil {
-		s.space = make(map[PolicyKind]*rm.SpaceManager, 4)
-	}
-	m := rm.NewSpaceManager(s.eng, s.mach, pol, s.rec)
-	s.space[kind] = m
-	return m
-}
-
-// manager builds or recycles the resource manager for the run's policy.
-// Must be called after the engine, machine, and recorder are ready.
+// manager resets and returns the run's resource manager, building it on the
+// first run of its kind, and attaches the run's decision trace to every
+// layer that records one. Must be called after the engine, machine, and
+// recorder are reset.
 func (s *System) manager(c *Config) (rm.Manager, error) {
-	switch c.Policy {
-	case PDPA, AdaptivePDPA:
-		params := core.DefaultParams()
-		if c.PDPAParams != nil {
-			params = *c.PDPAParams
+	m := s.managers[c.Policy]
+	if m == nil {
+		m = newManager(c.Policy)
+		if s.managers == nil {
+			s.managers = make(map[PolicyKind]rm.Manager)
 		}
-		if c.Policy == AdaptivePDPA {
-			// The adaptive wrapper is cheap and rarely benched; rebuild it.
-			pol, err := core.NewAdaptive(params, 0.5, 0.85, 10)
-			if err != nil {
-				return nil, err
-			}
-			return rm.NewSpaceManager(s.eng, s.mach, pol, s.rec), nil
-		}
-		if s.pdpa == nil {
-			pol, err := core.New(params)
-			if err != nil {
-				return nil, err
-			}
-			s.pdpa = pol
-		} else if err := s.pdpa.Reset(params); err != nil {
+		s.managers[c.Policy] = m
+	}
+	switch m := m.(type) {
+	case *rm.SpaceManager:
+		if err := resetPolicy(m.Policy(), c); err != nil {
 			return nil, err
 		}
-		return s.spaceManager(PDPA, s.pdpa), nil
-	case Equipartition:
-		if s.equip == nil {
-			s.equip = policy.NewEquipartition()
-		} else {
-			s.equip.Reset()
-		}
-		return s.spaceManager(Equipartition, s.equip), nil
-	case EqualEfficiency:
-		if s.equalEff == nil {
-			s.equalEff = policy.NewEqualEfficiency()
-		} else {
-			s.equalEff.Reset()
-		}
-		return s.spaceManager(EqualEfficiency, s.equalEff), nil
-	case Dynamic:
-		if s.dynamic == nil {
-			s.dynamic = policy.NewDynamic()
-		} else {
-			s.dynamic.Reset()
-		}
-		return s.spaceManager(Dynamic, s.dynamic), nil
-	case Gang:
-		return rm.NewGangManager(s.eng, s.mach, s.rec, rm.GangConfig{}), nil
-	case IRIX:
-		irixCfg := rm.IRIXConfig{}
+		m.Reset(&s.eng, &s.mach, m.Policy(), s.rec)
+		m.SetTrace(c.Trace)
+	case *rm.IRIXManager:
+		var cfg rm.IRIXConfig
 		if c.IRIXConfig != nil {
-			irixCfg = *c.IRIXConfig
+			cfg = *c.IRIXConfig
 		}
-		if s.irix == nil {
-			s.irix = rm.NewIRIXManager(s.eng, s.mach, s.rec, irixCfg)
-		} else {
-			s.irix.Reset(s.rec, irixCfg)
-		}
-		return s.irix, nil
+		m.Reset(&s.eng, &s.mach, s.rec, cfg)
+		m.SetTrace(c.Trace)
+	case *rm.GangManager:
+		m.Reset(&s.eng, &s.mach, s.rec, rm.GangConfig{})
 	}
-	return nil, fmt.Errorf("system: unknown policy %q", c.Policy)
+	return m, nil
+}
+
+// newManager builds kind's manager and policy as zero values, for manager
+// to reset.
+func newManager(kind PolicyKind) rm.Manager {
+	var pol sched.Policy
+	switch kind {
+	case IRIX:
+		return new(rm.IRIXManager)
+	case Gang:
+		return new(rm.GangManager)
+	case PDPA:
+		pol = new(core.PDPA)
+	case AdaptivePDPA:
+		pol = new(core.Adaptive)
+	case Equipartition:
+		pol = new(policy.Equipartition)
+	case EqualEfficiency:
+		pol = new(policy.EqualEfficiency)
+	case Dynamic:
+		pol = new(policy.Dynamic)
+	}
+	return rm.NewSpaceManager(nil, nil, pol, nil)
+}
+
+// resetPolicy resets a space-sharing policy for the run c configures and
+// attaches the run's trace if the policy records one (PDPA and
+// Equal_efficiency do; Adaptive promotes PDPA's SetTrace).
+func resetPolicy(pol sched.Policy, c *Config) error {
+	params := core.DefaultParams()
+	if c.PDPAParams != nil {
+		params = *c.PDPAParams
+	}
+	var err error
+	switch pol := pol.(type) {
+	case *core.Adaptive:
+		err = pol.Reset(params, 0.5, 0.85, 10)
+	case *core.PDPA:
+		err = pol.Reset(params)
+	case interface{ Reset() }: // Equipartition, Equal_efficiency, Dynamic
+		pol.Reset()
+	}
+	if tp, ok := pol.(interface{ SetTrace(*obs.Trace) }); ok {
+		tp.SetTrace(c.Trace)
+	}
+	return err
 }
 
 // Run executes one workload, recycling this System's arenas. See RunContext.
@@ -444,25 +438,16 @@ func (s *System) RunContext(ctx context.Context, cfg Config) (*metrics.RunResult
 	}
 	w := c.Workload
 
-	if s.eng == nil {
-		s.eng = sim.NewEngine()
-	} else {
-		s.eng.Reset()
-	}
-	eng := s.eng
+	eng := &s.eng
+	eng.Reset()
 	if s.rec == nil {
-		s.rec = trace.NewRecorder(w.NCPU)
-	} else {
-		s.rec.Reset(w.NCPU)
+		s.rec = new(trace.Recorder)
 	}
 	rec := s.rec
+	rec.Reset(w.NCPU)
 	rec.KeepBursts = c.KeepBursts
-	if s.mach == nil {
-		s.mach = machine.New(w.NCPU, rec)
-	} else {
-		s.mach.Reset(w.NCPU, rec)
-	}
-	mach := s.mach
+	mach := &s.mach
+	mach.Reset(w.NCPU, rec)
 	if c.NUMANodeSize > 1 {
 		mach.SetNodeSize(c.NUMANodeSize)
 	}
@@ -502,19 +487,6 @@ func (s *System) RunContext(ctx context.Context, cfg Config) (*metrics.RunResult
 			At: 0, Kind: obs.KindRunStart, Job: -1,
 			Procs: int32(w.NCPU), Want: int32(len(w.Jobs)),
 		})
-		// Fan the recorder out to every layer that traces decisions. The
-		// space manager's policy is reached through the optional SetTrace
-		// interface (PDPA and Equal_efficiency implement it; Adaptive
-		// promotes PDPA's).
-		switch mg := mgr.(type) {
-		case *rm.SpaceManager:
-			mg.SetTrace(c.Trace)
-			if tp, ok := mg.Policy().(interface{ SetTrace(*obs.Trace) }); ok {
-				tp.SetTrace(c.Trace)
-			}
-		case *rm.IRIXManager:
-			mg.SetTrace(c.Trace)
-		}
 	}
 
 	// Optional CC-NUMA memory model (space sharing only; the IRIX model's

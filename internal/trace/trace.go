@@ -43,7 +43,7 @@ type TimePoint struct {
 }
 
 // Recorder accumulates the execution history of one simulation run. The zero
-// value is unusable; call NewRecorder.
+// value is unusable; call NewRecorder, or Reset to initialize it in place.
 type Recorder struct {
 	ncpu       int
 	current    []int      // job per CPU, NoJob when idle
@@ -68,35 +68,26 @@ type Recorder struct {
 // NewRecorder returns a recorder for a machine with ncpu CPUs, all idle at
 // time zero.
 func NewRecorder(ncpu int) *Recorder {
-	r := &Recorder{
-		ncpu:          ncpu,
-		current:       make([]int, ncpu),
-		burstStart:    make([]sim.Time, ncpu),
-		KeepBursts:    true,
-		burstCount:    make([]int, ncpu),
-		burstDuration: make([]sim.Time, ncpu),
-	}
-	for i := range r.current {
-		r.current[i] = NoJob
-	}
+	r := new(Recorder)
+	r.Reset(ncpu)
 	return r
 }
 
 // NCPU returns the number of CPUs being recorded.
 func (r *Recorder) NCPU() int { return r.ncpu }
 
-// Reset returns the recorder to the state NewRecorder(ncpu) would produce
-// while keeping every backing array — the per-CPU tables, the burst and MPL
-// series, and each job's allocation history — so a reused recorder appends
-// its next run without reallocating. KeepBursts is preserved.
+// Reset initializes the recorder for a machine with ncpu CPUs, all idle at
+// time zero, with KeepBursts on. It is the recorder's only initializer:
+// NewRecorder calls it on a zero value, and a reused recorder keeps every
+// backing array — the per-CPU tables, the burst and MPL series, and each
+// job's allocation history — so it appends its next run without
+// reallocating.
 func (r *Recorder) Reset(ncpu int) {
-	if ncpu != r.ncpu {
-		r.ncpu = ncpu
-		r.current = resizeInts(r.current, ncpu)
-		r.burstStart = resizeTimes(r.burstStart, ncpu)
-		r.burstCount = resizeInts(r.burstCount, ncpu)
-		r.burstDuration = resizeTimes(r.burstDuration, ncpu)
-	}
+	r.ncpu = ncpu
+	r.current = resizeInts(r.current, ncpu)
+	r.burstStart = resizeTimes(r.burstStart, ncpu)
+	r.burstCount = resizeInts(r.burstCount, ncpu)
+	r.burstDuration = resizeTimes(r.burstDuration, ncpu)
 	for i := range r.current {
 		r.current[i] = NoJob
 		r.burstStart[i] = 0
@@ -118,6 +109,7 @@ func (r *Recorder) Reset(ncpu int) {
 	}
 	r.closed = false
 	r.end = 0
+	r.KeepBursts = true
 }
 
 func resizeInts(s []int, n int) []int {

@@ -18,7 +18,10 @@
 # queue_full code), the default deadline (DefaultDeadline, -deadline), the
 # consumerless scale-up signal (JoinBacklogDepth, scaleUpLocked,
 # -join-backlog, join_backlog and its series) and the scenario key
-# retry_backoff. This check keeps them all deleted:
+# retry_backoff. The simulator's per-regime caches in system.System gave way
+# to one table of managers, deleting the pdpa/equip/equalEff/dynamic/space/
+# irix fields, the spaceManager helper and the gang manager's job map. This
+# check keeps them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
@@ -128,6 +131,23 @@ hits=$({
 } || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: removed option reintroduced (one queue bound that sheds, request deadlines only, no scale-up signal without a consumer):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+# Every simulator component has one initializer, its Reset, and
+# system.System recycles all seven regimes through one table of managers
+# (internal/system/system.go). No System field may hold a concrete policy
+# or manager again (the per-regime pdpa, equip, equalEff, dynamic, space and
+# irix caches), the spaceManager helper must not come back, and the gang
+# manager keeps its running set in the id-sorted slice, not a job map.
+hits=$({
+    grep -n -E '^\s+[a-z][A-Za-z]*\s+(map\[PolicyKind\])?\*(core|policy|rm)\.[A-Za-z]+\s*(//.*)?$' internal/system/system.go
+    grep -rn --include='*.go' -E '\bspaceManager\(' internal/system
+    grep -n -E 'map\[sched\.JobID\]' internal/rm/gang.go
+} || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: per-regime System cache or gang job map reintroduced (one manager table, reset every run; id-sorted running sets):" >&2
     echo "$hits" >&2
     fail=1
 fi
