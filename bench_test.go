@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"pdpasim/internal/app"
-	"pdpasim/internal/cluster"
 	"pdpasim/internal/experiments"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/sim"
@@ -374,24 +373,6 @@ func BenchmarkScorecard(b *testing.B) {
 		out := Scorecard(ExperimentOptions{Quick: true})
 		if !strings.Contains(out, "claims reproduced") {
 			b.Fatal("scorecard incomplete")
-		}
-	}
-}
-
-// BenchmarkClusterRun times a 4-node coordinated cluster run.
-func BenchmarkClusterRun(b *testing.B) {
-	w, err := workload.Generate(workload.GenConfig{
-		Mix: workload.W4(), Load: 0.8, NCPU: 64, Window: 300 * sim.Second, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Run(cluster.Config{
-			Nodes: 4, CPUsPerNode: 16, Workload: w, Seed: 1,
-		}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

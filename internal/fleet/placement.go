@@ -6,9 +6,9 @@ import (
 	"pdpasim/internal/runqueue"
 )
 
-// Placement names a coordinator routing strategy. The first two transplant
-// internal/cluster's in-process dispatcher strategies to the fleet; LPT is
-// the classic longest-processing-time-first greedy for sweep sharding.
+// Placement names a coordinator routing strategy. The first two are the
+// classic dispatcher strategies; LPT is the classic
+// longest-processing-time-first greedy for sweep sharding.
 type Placement string
 
 // Placement strategies.

@@ -20,8 +20,11 @@
 # -join-backlog, join_backlog and its series) and the scenario key
 # retry_backoff. The simulator's per-regime caches in system.System gave way
 # to one table of managers, deleting the pdpa/equip/equalEff/dynamic/space/
-# irix fields, the spaceManager helper and the gang manager's job map. This
-# check keeps them all deleted:
+# irix fields, the spaceManager helper and the gang manager's job map. The
+# simulator has one assembly, system.System, so the second one that wired
+# its own engines, machines and managers for clusters of SMPs went with its
+# command and example (internal/cluster, cmd/clustersim,
+# examples/clustersched). This check keeps them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
@@ -148,6 +151,21 @@ hits=$({
 } || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: per-regime System cache or gang job map reintroduced (one manager table, reset every run; id-sorted running sets):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+# One simulator assembly: system.System is the only place an engine,
+# machine, recorder, manager and policy are wired together for a run. The
+# cluster-of-SMPs simulator, its command and its example must not come back.
+hits=$({
+    for d in internal/cluster cmd/clustersim examples/clustersched; do
+        [[ -e "$d" ]] && echo "$d"
+    done
+    grep -rn --include='*.go' -E '"pdpasim/internal/cluster"' .
+} || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: second simulator assembly reintroduced (build every simulated run through system.System):" >&2
     echo "$hits" >&2
     fail=1
 fi
