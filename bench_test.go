@@ -330,6 +330,26 @@ func BenchmarkSingleRunIRIX(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleRunIRIXSettled is BenchmarkSingleRunIRIX on a workload whose
+// quanta are never oversubscribed (workload 3 at 100% load): every quantum
+// after a start, a finish or a thread-count change repeats the previous
+// placement, the case IRIX place skips. BenchmarkSingleRunIRIX (workload 1)
+// is mostly oversubscribed and places every quantum in full.
+func BenchmarkSingleRunIRIXSettled(b *testing.B) {
+	w, err := workload.Generate(workload.GenConfig{
+		Mix: workload.W3(), Load: 1.0, NCPU: 60, Window: 300 * sim.Second, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := system.Run(system.Config{Workload: w, Policy: system.IRIX, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkObservedRunPDPA is BenchmarkSingleRunPDPA with decision tracing
 // enabled in stream-only mode: the delta against SingleRunPDPA is the cost
 // of the observability hooks when a trace is attached. The gated SingleRun*

@@ -130,7 +130,7 @@ func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	baseline := fs.String("baseline", "", "baseline BENCH_<date>.json, or a glob of them (required)")
 	phase := fs.String("phase", "post", "baseline phase to compare against")
-	match := fs.String("match", "^(SingleRunPDPA|SingleRunEqualEff|SingleRunIRIX|Sweep(/|$))", "regexp of benchmarks to gate")
+	match := fs.String("match", "^(SingleRunPDPA|SingleRunEqualEff|SingleRunIRIX|SingleRunIRIXSettled|Sweep(/|$))", "regexp of benchmarks to gate")
 	var tol tolerances
 	fs.Float64Var(&tol.ns, "ns-tol", 1.5, "fail when ns/op exceeds baseline by this factor")
 	fs.Float64Var(&tol.allocs, "alloc-tol", 1.1, "fail when allocs/op exceeds baseline by this factor")

@@ -218,10 +218,10 @@ func compareState(t *testing.T, step int, m *Machine, ref *refMachine, maxJob, m
 		}
 		for th := 0; th < maxThreads; th++ {
 			tid := ThreadID{Job: job, Thread: th}
-			gotCPU, gotOK := m.LastCPU(tid)
+			gotCPU, gotOK := lastCPU(m, tid)
 			wantCPU, wantOK := ref.lastCPU[tid]
 			if gotOK != wantOK || (gotOK && gotCPU != wantCPU) {
-				t.Fatalf("step %d: LastCPU(%v) = %d,%v, reference %d,%v",
+				t.Fatalf("step %d: last CPU of %v = %d,%v, reference %d,%v",
 					step, tid, gotCPU, gotOK, wantCPU, wantOK)
 			}
 		}
@@ -326,13 +326,27 @@ func TestFuzzTimeSharingMatchesReference(t *testing.T) {
 			const maxJob = 11
 			maxThreads := tc.ncpu + 1
 			now := sim.Time(0)
+			// prev is the latest placement; repeatable records that
+			// RepeatQuantum's precondition holds for it.
+			var prev []Placement
+			repeatable, repeats := false, 0
 			for step := 0; step < 600; step++ {
 				now += sim.Time(1+rng.Intn(200)) * sim.Millisecond
+				if repeatable && rng.Intn(3) == 0 {
+					m.RepeatQuantum()
+					ref.placeQuantum(now, prev)
+					compareState(t, step, m, ref, maxJob, maxThreads)
+					repeats++
+					continue
+				}
 				if rng.Intn(8) == 0 {
 					job := rng.Intn(maxJob + 1)
 					m.ForgetThreads(job)
 					ref.forgetThreads(job)
 					compareState(t, step, m, ref, maxJob, maxThreads)
+					for _, p := range prev {
+						repeatable = repeatable && p.Thread.Job != job
+					}
 					continue
 				}
 				// A random partial placement: some CPUs idle, each used CPU
@@ -358,6 +372,10 @@ func TestFuzzTimeSharingMatchesReference(t *testing.T) {
 				m.PlaceQuantum(now, placements)
 				ref.placeQuantum(now, placements)
 				compareState(t, step, m, ref, maxJob, maxThreads)
+				prev, repeatable = placements, true
+			}
+			if repeats == 0 {
+				t.Fatal("no step repeated a placement")
 			}
 			now += sim.Second
 			rec.Close(now)

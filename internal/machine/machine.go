@@ -128,10 +128,7 @@ func (m *Machine) Reset(ncpu int, rec *trace.Recorder) {
 	// Counters left from the final quantum clear through the touched list,
 	// exactly as the next PlaceQuantum would; the dense array keeps its
 	// length so ensureJob never regrows it.
-	for _, job := range m.migTouched {
-		m.migCount[job] = 0
-	}
-	m.migTouched = m.migTouched[:0]
+	m.clearMigrations()
 	if ncpu != m.ncpu {
 		m.ncpu = ncpu
 		if cap(m.owner) < ncpu {
@@ -203,11 +200,11 @@ func (m *Machine) ensureJob(job int) {
 	}
 }
 
-// affSlot returns a pointer to the affinity entry for tid, growing the job's
-// table as threads appear. New tables come from the pool when possible and
-// carry at least ncpu capacity, so a job's table is allocated (or recycled)
-// once regardless of how its thread count evolves.
-func (m *Machine) affSlot(tid ThreadID) *int32 {
+// affTable returns job tid.Job's affinity table, grown to cover tid.Thread.
+// New tables come from the pool when possible and carry at least ncpu
+// capacity, so a job's table is allocated (or recycled) once regardless of
+// how its thread count evolves.
+func (m *Machine) affTable(tid ThreadID) []int32 {
 	m.ensureJob(tid.Job)
 	table := m.aff[tid.Job]
 	if cap(table) <= tid.Thread {
@@ -232,7 +229,7 @@ func (m *Machine) affSlot(tid ThreadID) *int32 {
 		table = append(table, noCPU)
 	}
 	m.aff[tid.Job] = table
-	return &table[tid.Thread]
+	return table
 }
 
 // recycleAff detaches job's affinity table into the pool.
@@ -340,7 +337,7 @@ func (m *Machine) grow(t sim.Time, job, want int) {
 		cur = append(grown, cur...)
 	}
 	for _, cpu := range m.pickFreeCPUs(job, want-len(cur)) {
-		slot := m.affSlot(ThreadID{Job: job, Thread: len(cur)})
+		slot := &m.affTable(ThreadID{Job: job, Thread: len(cur)})[len(cur)]
 		m.setOwner(cpu, job)
 		if last := *slot; last != noCPU && int(last) != cpu {
 			if m.rec != nil {
@@ -393,11 +390,10 @@ func (m *Machine) PlaceQuantum(t sim.Time, placements []Placement) {
 	}
 	seen := m.quantumSeen
 	clear(seen)
-	// Reset only the migration counters the previous quantum touched.
-	for _, job := range m.migTouched {
-		m.migCount[job] = 0
-	}
-	m.migTouched = m.migTouched[:0]
+	m.clearMigrations()
+	// Placements come grouped by job, so the affinity table of the job
+	// placed last is kept at hand rather than looked up per placement.
+	tableJob, table := -1, []int32(nil)
 	for _, p := range placements {
 		if p.CPU < 0 || p.CPU >= m.ncpu {
 			panic(fmt.Sprintf("machine: placement CPU %d out of range", p.CPU))
@@ -410,7 +406,10 @@ func (m *Machine) PlaceQuantum(t sim.Time, placements []Placement) {
 			panic(fmt.Sprintf("machine: CPU %d placed twice in one quantum", p.CPU))
 		}
 		seen[w] |= b
-		slot := m.affSlot(p.Thread)
+		if p.Thread.Job != tableJob || p.Thread.Thread >= len(table) {
+			tableJob, table = p.Thread.Job, m.affTable(p.Thread)
+		}
+		slot := &table[p.Thread.Thread]
 		if last := *slot; last != noCPU && int(last) != p.CPU {
 			if m.migCount[p.Thread.Job] == 0 {
 				m.migTouched = append(m.migTouched, int32(p.Thread.Job))
@@ -448,6 +447,28 @@ func (m *Machine) PlaceQuantum(t sim.Time, placements []Placement) {
 	}
 }
 
+// RepeatQuantum applies, for a new quantum, the placement the most recent
+// PlaceQuantum call applied. Repeating a placement moves no thread, changes
+// no owner and idles no CPU, so all PlaceQuantum would do is clear the
+// previous quantum's migration counts; RepeatQuantum does just that, in
+// time proportional to the jobs that migrated, not to the placement.
+//
+// Precondition, which the machine does not check: since that call nothing
+// has changed ownership or affinity — no Resize or Release, and no
+// ForgetThreads of a job the placement names. Under it, RepeatQuantum
+// leaves the machine and its recorder exactly as PlaceQuantum with the same
+// placements would.
+func (m *Machine) RepeatQuantum() { m.clearMigrations() }
+
+// clearMigrations resets only the migration counters the previous quantum
+// touched.
+func (m *Machine) clearMigrations() {
+	for _, job := range m.migTouched {
+		m.migCount[job] = 0
+	}
+	m.migTouched = m.migTouched[:0]
+}
+
 // QuantumMigrations returns how many thread migrations job suffered in the
 // placement applied by the most recent PlaceQuantum call.
 func (m *Machine) QuantumMigrations(job int) int {
@@ -466,14 +487,16 @@ func (m *Machine) ForgetThreads(job int) {
 	m.recycleAff(job)
 }
 
-// LastCPU returns the CPU thread last ran on and whether it has run.
-func (m *Machine) LastCPU(tid ThreadID) (int, bool) {
-	if tid.Job < 0 || tid.Job >= len(m.aff) {
-		return 0, false
+// LastCPUsView returns job's per-thread affinity table WITHOUT copying:
+// entry i is the CPU thread i last ran on, or negative if it has not run,
+// and threads past the end have not run either. The slice aliases the
+// machine's internal state and is valid only until the next Resize,
+// Release, PlaceQuantum or ForgetThreads call; callers must not modify or
+// retain it. The time-sharing scheduler's per-quantum affinity pass reads
+// it once per job, not once per thread.
+func (m *Machine) LastCPUsView(job int) []int32 {
+	if job < 0 || job >= len(m.aff) {
+		return nil
 	}
-	table := m.aff[tid.Job]
-	if tid.Thread < 0 || tid.Thread >= len(table) || table[tid.Thread] == noCPU {
-		return 0, false
-	}
-	return int(table[tid.Thread]), true
+	return m.aff[job]
 }

@@ -81,7 +81,7 @@ func TestReleaseFreesEverything(t *testing.T) {
 	if m.Allocated(7) != 0 {
 		t.Fatalf("allocated = %d", m.Allocated(7))
 	}
-	if _, ok := m.LastCPU(ThreadID{Job: 7, Thread: 0}); ok {
+	if _, ok := lastCPU(m, ThreadID{Job: 7, Thread: 0}); ok {
 		t.Fatal("thread memory not cleared on release")
 	}
 }
@@ -182,11 +182,20 @@ func TestPlaceQuantumOutOfRangePanics(t *testing.T) {
 	m.PlaceQuantum(0, []Placement{{CPU: 5, Thread: ThreadID{}}})
 }
 
+// lastCPU returns the CPU tid last ran on and whether it has run.
+func lastCPU(m *Machine, tid ThreadID) (int, bool) {
+	table := m.LastCPUsView(tid.Job)
+	if tid.Thread >= len(table) || table[tid.Thread] == noCPU {
+		return 0, false
+	}
+	return int(table[tid.Thread]), true
+}
+
 func TestForgetThreads(t *testing.T) {
 	m := New(2, nil)
 	m.PlaceQuantum(0, []Placement{{CPU: 0, Thread: ThreadID{Job: 3, Thread: 0}}})
 	m.ForgetThreads(3)
-	if _, ok := m.LastCPU(ThreadID{Job: 3, Thread: 0}); ok {
+	if _, ok := lastCPU(m, ThreadID{Job: 3, Thread: 0}); ok {
 		t.Fatal("thread memory survived ForgetThreads")
 	}
 }

@@ -223,6 +223,10 @@ func (r *Runtime) IterationsDone() int { return r.exec.IterationsDone() }
 // RemainingWork returns serial work left.
 func (r *Runtime) RemainingWork() sim.Time { return r.exec.RemainingWork() }
 
+// Rate returns the execution's current effective speedup; in raw mode, the
+// rate last passed to SetRawRate.
+func (r *Runtime) Rate() float64 { return r.exec.Rate() }
+
 // SetAllocation applies an RM grant of procs processors at the current
 // engine time. Changing the effective parallelism of a running application
 // charges the profile's reallocation penalty.

@@ -80,6 +80,16 @@ func (j *irixJob) jobID() sched.JobID { return j.id }
 // maintained id-sorted slice (no per-quantum map iteration or sort), reuses
 // finished irixJob structs through a free list, and reads per-quantum
 // migration counts from the machine's dense counters.
+//
+// The global thread list is cached with each thread's index in the running
+// set, and rebuilt only when a start, a finish, an OMP_DYNAMIC thread-count
+// change or Reset marked it stale; place counts each job's running threads
+// through that index as it places them. A quantum is settled when the last
+// full placement was not oversubscribed and the thread list has not changed
+// since: then every thread sits on its last CPU, all distinct, so the next
+// placement would be the same one — no owner change, no migration — and
+// place repeats it through machine.RepeatQuantum instead of recomputing it.
+// Rates are still pushed every quantum (see the end of place).
 type IRIXManager struct {
 	eng  *sim.Engine
 	mach *machine.Machine
@@ -96,17 +106,26 @@ type IRIXManager struct {
 	tickScheduled bool
 	admission     func()
 
+	// threads is the global thread list in stable (job, thread) order and
+	// threadJob each thread's index in order. stale marks them out of date
+	// with the running set; settled marks a quantum whose placement repeats
+	// the previous one.
+	threads   []machine.ThreadID
+	threadJob []int32
+	stale     bool
+	settled   bool
+
 	// Per-quantum scratch state, reused across ticks: place runs every
 	// quantum (thousands of times per simulated run) and its transient
 	// slices would otherwise dominate the allocation profile.
-	tickFn   func()
-	tickEv   *sim.Event
-	threads  []machine.ThreadID
-	selected []machine.ThreadID
-	claimed  []bool
-	placed   []machine.Placement
-	homeless []machine.ThreadID
-	running  []int32 // per-order-index thread-on-CPU counts this quantum
+	tickFn      func()
+	tickEv      *sim.Event
+	selected    []machine.ThreadID
+	selectedJob []int32
+	claimed     []bool
+	placed      []machine.Placement
+	homeless    []int32 // indexes into selected
+	running     []int32 // per-order-index thread-on-CPU counts this quantum
 }
 
 // NewIRIXManager returns the native-scheduler model over mach.
@@ -139,6 +158,8 @@ func (m *IRIXManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.R
 	m.quantumCount = 0
 	m.tickScheduled = false
 	m.admission = nil
+	m.stale = true
+	m.settled = false
 	if m.tickFn == nil {
 		m.tickFn = m.tick
 	}
@@ -177,6 +198,7 @@ func (m *IRIXManager) StartJob(id sched.JobID, rt *nthlib.Runtime) {
 	}
 	j.id, j.rt, j.threads = id, rt, rt.Request()
 	m.order = insertByID(m.order, j)
+	m.stale = true
 	m.place()
 	m.ensureTick()
 }
@@ -192,6 +214,7 @@ func (m *IRIXManager) JobFinished(id sched.JobID) {
 	j.rt = nil
 	m.freeJobs = append(m.freeJobs, j)
 	m.mach.ForgetThreads(int(id))
+	m.stale = true
 	m.place()
 	if m.admission != nil {
 		m.admission()
@@ -240,6 +263,7 @@ func (m *IRIXManager) adjustThreads() {
 		}
 		if victim != nil {
 			victim.threads--
+			m.stale = true
 		}
 	case total < ncpu:
 		var beneficiary *irixJob
@@ -250,8 +274,34 @@ func (m *IRIXManager) adjustThreads() {
 		}
 		if beneficiary != nil {
 			beneficiary.threads++
+			m.stale = true
 		}
 	}
+}
+
+// rebuildThreads rebuilds the cached thread list from the running set.
+func (m *IRIXManager) rebuildThreads() {
+	total := 0
+	for _, j := range m.order {
+		total += j.threads
+	}
+	if cap(m.threads) < total {
+		m.threads = make([]machine.ThreadID, 0, 2*total)
+		m.threadJob = make([]int32, 0, 2*total)
+	}
+	threads, threadJob := m.threads[:0], m.threadJob[:0]
+	for idx, j := range m.order {
+		for i := 0; i < j.threads; i++ {
+			threads = append(threads, machine.ThreadID{Job: int(j.id), Thread: i})
+			threadJob = append(threadJob, int32(idx))
+		}
+	}
+	m.threads, m.threadJob = threads, threadJob
+	if cap(m.running) < len(m.order) {
+		m.running = make([]int32, len(m.order)*2)
+	}
+	m.stale = false
+	m.settled = false
 }
 
 // place computes this quantum's thread-to-CPU assignment and the resulting
@@ -263,83 +313,21 @@ func (m *IRIXManager) place() {
 		m.mach.PlaceQuantum(now, nil)
 		return
 	}
-	// Global thread list in stable (job, thread) order.
-	threads := m.threads[:0]
-	for _, j := range jobs {
-		for i := 0; i < j.threads; i++ {
-			threads = append(threads, machine.ThreadID{Job: int(j.id), Thread: i})
-		}
+	if m.stale {
+		m.rebuildThreads()
 	}
-	m.threads = threads
 	ncpu := m.mach.NCPU()
-	selected := threads
-	if len(threads) > ncpu {
-		// Round-robin rotation across quanta: each quantum runs the next
-		// window of runnable threads.
-		if m.cursor >= len(threads) {
-			m.cursor %= len(threads)
-		}
-		selected = m.selected[:0]
-		for i := 0; i < ncpu; i++ {
-			selected = append(selected, threads[(m.cursor+i)%len(threads)])
-		}
-		m.selected = selected
-		m.cursor = (m.cursor + ncpu) % len(threads)
-	}
-
-	// Affinity pass: threads keep their previous CPU when possible.
-	if len(m.claimed) < ncpu {
-		m.claimed = make([]bool, ncpu)
-	}
-	claimed := m.claimed[:ncpu]
-	clear(claimed)
-	placements := m.placed[:0]
-	homeless := m.homeless[:0]
-	for _, tid := range selected {
-		if cpu, ok := m.mach.LastCPU(tid); ok && !claimed[cpu] {
-			claimed[cpu] = true
-			placements = append(placements, machine.Placement{CPU: cpu, Thread: tid})
-			continue
-		}
-		homeless = append(homeless, tid)
-	}
-	cpu := 0
-	for _, tid := range homeless {
-		for cpu < ncpu && claimed[cpu] {
-			cpu++
-		}
-		if cpu >= ncpu {
-			break
-		}
-		claimed[cpu] = true
-		placements = append(placements, machine.Placement{CPU: cpu, Thread: tid})
-	}
-	m.placed = placements
-	m.homeless = homeless
-	m.mach.PlaceQuantum(now, placements)
-
-	// Per-application thread-on-CPU counts for the coming quantum, indexed
-	// like the sorted running set.
-	if cap(m.running) < len(jobs) {
-		m.running = make([]int32, len(jobs)*2)
-	}
+	oversubscribed := len(m.threads) > ncpu
+	// A settled quantum keeps the previous placement and its per-job
+	// running counts.
 	running := m.running[:len(jobs)]
-	clear(running)
-	for _, p := range placements {
-		// Placements reference running jobs only; find the job's slot by
-		// binary search over the id-sorted set.
-		lo, hi := 0, len(jobs)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if int(jobs[mid].id) < p.Thread.Job {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		running[lo]++
+	if m.settled {
+		m.mach.RepeatQuantum()
+	} else {
+		m.placeThreads(now, running)
+		m.settled = !oversubscribed
 	}
-	oversubscribed := len(threads) > ncpu
+
 	for idx, j := range jobs {
 		k := int(running[idx])
 		if m.rec != nil {
@@ -374,4 +362,75 @@ func (m *IRIXManager) place() {
 		// enough to change reported digits.
 		j.rt.SetRawRate(rate, k)
 	}
+}
+
+// placeThreads selects this quantum's threads, assigns them to CPUs
+// preferring affinity, applies the placement to the machine, and counts
+// each job's placed threads into running (indexed like the running set).
+func (m *IRIXManager) placeThreads(now sim.Time, running []int32) {
+	threads, threadJob := m.threads, m.threadJob
+	ncpu := m.mach.NCPU()
+	// No scratch slice outgrows the machine: at most ncpu threads are
+	// selected, placed or left homeless.
+	if len(m.claimed) < ncpu {
+		m.claimed = make([]bool, ncpu)
+		m.selected = make([]machine.ThreadID, 0, ncpu)
+		m.selectedJob = make([]int32, 0, ncpu)
+		m.placed = make([]machine.Placement, 0, ncpu)
+		m.homeless = make([]int32, 0, ncpu)
+	}
+	selected, selectedJob := threads, threadJob
+	if n := len(threads); n > ncpu {
+		// Round-robin rotation across quanta: each quantum runs the next
+		// window of runnable threads, copied in at most two pieces.
+		if m.cursor >= n {
+			m.cursor %= n
+		}
+		end := min(m.cursor+ncpu, n)
+		wrap := m.cursor + ncpu - end
+		selected = append(append(m.selected[:0], threads[m.cursor:end]...), threads[:wrap]...)
+		selectedJob = append(append(m.selectedJob[:0], threadJob[m.cursor:end]...), threadJob[:wrap]...)
+		m.selected, m.selectedJob = selected, selectedJob
+		m.cursor = (m.cursor + ncpu) % n
+	}
+
+	// Affinity pass: threads keep their previous CPU when possible.
+	claimed := m.claimed[:ncpu]
+	clear(claimed)
+	clear(running)
+	placements := m.placed[:0]
+	homeless := m.homeless[:0]
+	// Selected threads come grouped by job: read each job's affinity table
+	// once, not each thread's entry through the machine.
+	var last []int32
+	lastJob := int32(-1)
+	for i, tid := range selected {
+		if j := selectedJob[i]; j != lastJob {
+			lastJob, last = j, m.mach.LastCPUsView(tid.Job)
+		}
+		if tid.Thread < len(last) {
+			if cpu := last[tid.Thread]; cpu >= 0 && !claimed[cpu] {
+				claimed[cpu] = true
+				placements = append(placements, machine.Placement{CPU: int(cpu), Thread: tid})
+				running[lastJob]++
+				continue
+			}
+		}
+		homeless = append(homeless, int32(i))
+	}
+	cpu := 0
+	for _, i := range homeless {
+		for cpu < ncpu && claimed[cpu] {
+			cpu++
+		}
+		if cpu >= ncpu {
+			break
+		}
+		claimed[cpu] = true
+		placements = append(placements, machine.Placement{CPU: cpu, Thread: selected[i]})
+		running[selectedJob[i]]++
+	}
+	m.placed = placements
+	m.homeless = homeless
+	m.mach.PlaceQuantum(now, placements)
 }

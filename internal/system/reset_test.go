@@ -31,7 +31,7 @@ var recycled = map[reflect.Type][]string{
 	reflect.TypeOf(rm.SpaceManager{}): {"admitScratch", "planScratch", "viewFree", "jobFree", "reportsPool"},
 	reflect.TypeOf(rm.IRIXManager{}): {
 		"freeJobs", "tickEv",
-		"threads", "selected", "claimed", "placed", "homeless", "running",
+		"threads", "threadJob", "selected", "selectedJob", "claimed", "placed", "homeless", "running",
 	},
 	reflect.TypeOf(rm.GangManager{}):         {"placedBuf"},
 	reflect.TypeOf(core.PDPA{}):              {"free"},

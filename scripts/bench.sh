@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 out_dir=${BENCH_DIR:-bench-artifacts}
 count=${BENCH_COUNT:-5}
 benchtime=${BENCH_TIME:-1s}
-match=${BENCH_MATCH:-'SingleRunPDPA|SingleRunEqualEff|SingleRunIRIX|Sweep$'}
+match=${BENCH_MATCH:-'SingleRunPDPA|SingleRunEqualEff|SingleRunIRIX|SingleRunIRIXSettled|Sweep$'}
 pkg=${BENCH_PKG:-.}
 phase=${BENCH_PHASE:-post}
 json=${BENCH_JSON:-BENCH_$(date +%F).json}
