@@ -185,15 +185,15 @@ func (s WorkloadSpec) build() (*workload.Workload, error) {
 	}
 	load := s.Load
 	if load == 0 {
-		load = 1.0
+		load = workload.DefaultLoad
 	}
 	ncpu := s.NCPU
 	if ncpu == 0 {
-		ncpu = 60
+		ncpu = workload.DefaultNCPU
 	}
 	window := sim.FromSeconds(s.Window.Seconds())
 	if s.Window == 0 {
-		window = 300 * sim.Second
+		window = workload.DefaultWindow
 	}
 	w, err := workload.Generate(workload.GenConfig{
 		Mix: mix, Load: load, NCPU: ncpu, Window: window, Seed: s.Seed,

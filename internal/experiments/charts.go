@@ -54,7 +54,7 @@ func Charts(o Options) ([]FigureChart, error) {
 		{"fig10", workload.W4(), app.AllClasses()},
 	}
 	for _, fig := range figures {
-		m, err := runMatrix(o, fig.mix, system.PolicyKinds(), nil)
+		m, err := runMatrix(o, fig.mix, system.PolicyKinds())
 		if err != nil {
 			return nil, err
 		}

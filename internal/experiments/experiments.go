@@ -29,8 +29,6 @@ type Options struct {
 	Window sim.Time
 	// Loads are the demand levels (default 60%, 80%, 100%).
 	Loads []float64
-	// KeepBursts enables trace retention where an experiment needs it.
-	KeepBursts bool
 	// Workers bounds the worker pool of the experiments that run a policy ×
 	// load × seed grid through runMatrix: Figs. 4, 6, 9 and 10 and their
 	// charts (Charts). Every other experiment runs serially. 0 = one
@@ -43,10 +41,10 @@ func (o Options) withDefaults() Options {
 		o.Seeds = []int64{1, 2, 3}
 	}
 	if o.NCPU == 0 {
-		o.NCPU = 60
+		o.NCPU = workload.DefaultNCPU
 	}
 	if o.Window == 0 {
-		o.Window = 300 * sim.Second
+		o.Window = workload.DefaultWindow
 	}
 	if len(o.Loads) == 0 {
 		o.Loads = []float64{0.6, 0.8, 1.0}
@@ -188,7 +186,7 @@ func (m *matrix) mean(store map[system.PolicyKind]map[float64]map[app.Class]*cel
 // runMatrix executes the mix under every policy × load × seed on the
 // parallel sweep engine: each (load, seed) workload is generated once and
 // shared by every policy, and the grid fans out across Options.Workers.
-func runMatrix(o Options, mix workload.Mix, policies []system.PolicyKind, tweak func(*system.Config)) (*matrix, error) {
+func runMatrix(o Options, mix workload.Mix, policies []system.PolicyKind) (*matrix, error) {
 	m := newMatrix(o, mix, policies)
 	res, err := sweep.Run(context.Background(), sweep.Config{
 		Policies: policies,
@@ -198,7 +196,6 @@ func runMatrix(o Options, mix workload.Mix, policies []system.PolicyKind, tweak 
 		NCPU:     o.NCPU,
 		Window:   o.Window,
 		Workers:  o.Workers,
-		Tweak:    tweak,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -11,10 +16,35 @@ import (
 
 func quick() Options { return Quick() }
 
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// quickGolden holds one line per experiment: its id and the sha256 of its
+// Result.Text at Quick(). The experiments reach parts of the simulator the
+// policy-grid golden does not (the memory model, bursty arrivals,
+// binary-only monitoring, the ablations), so an output-preserving simulator
+// change must leave every digest here unchanged. Regenerate only for a
+// deliberate change of results, with:
+//
+//	go test ./internal/experiments -run TestAllSpecsRun -update
+//
+// An -update filtered to some subtests rewrites only their lines.
+const quickGolden = "testdata/quick.golden"
+
 func TestAllSpecsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
+	want := map[string]string{}
+	data, err := os.ReadFile(quickGolden)
+	if err != nil && !(*update && os.IsNotExist(err)) {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if id, sum, ok := strings.Cut(line, " "); ok {
+			want[id] = sum
+		}
+	}
+	got := map[string]string{}
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
@@ -28,7 +58,28 @@ func TestAllSpecsRun(t *testing.T) {
 			if len(res.Text) < 50 {
 				t.Fatalf("suspiciously short report: %q", res.Text)
 			}
+			h := sha256.Sum256([]byte(res.Text))
+			sum := hex.EncodeToString(h[:])
+			got[spec.ID] = sum
+			if !*update && want[spec.ID] != sum {
+				t.Errorf("%s text digest %s, golden %s", spec.ID, sum, want[spec.ID])
+			}
 		})
+	}
+	if *update {
+		var out strings.Builder
+		for _, spec := range All() {
+			sum, ok := got[spec.ID]
+			if !ok {
+				sum, ok = want[spec.ID]
+			}
+			if ok {
+				fmt.Fprintf(&out, "%s %s\n", spec.ID, sum)
+			}
+		}
+		if err := os.WriteFile(quickGolden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

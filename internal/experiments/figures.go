@@ -42,7 +42,7 @@ func Fig3(o Options) (Result, error) {
 // Fig4 reproduces workload 1: 50% swim + 50% bt under the four policies.
 func Fig4(o Options) (Result, error) {
 	o = o.withDefaults()
-	m, err := runMatrix(o, workload.W1(), system.PolicyKinds(), nil)
+	m, err := runMatrix(o, workload.W1(), system.PolicyKinds())
 	if err != nil {
 		return Result{}, err
 	}
@@ -89,7 +89,7 @@ func Fig5(o Options) (Result, error) {
 // Fig6 reproduces workload 2: 50% bt + 50% hydro2d.
 func Fig6(o Options) (Result, error) {
 	o = o.withDefaults()
-	m, err := runMatrix(o, workload.W2(), system.PolicyKinds(), nil)
+	m, err := runMatrix(o, workload.W2(), system.PolicyKinds())
 	if err != nil {
 		return Result{}, err
 	}
@@ -197,7 +197,7 @@ func Fig8(o Options) (Result, error) {
 // Fig9 reproduces workload 3: 50% bt + 50% apsi.
 func Fig9(o Options) (Result, error) {
 	o = o.withDefaults()
-	m, err := runMatrix(o, workload.W3(), system.PolicyKinds(), nil)
+	m, err := runMatrix(o, workload.W3(), system.PolicyKinds())
 	if err != nil {
 		return Result{}, err
 	}
@@ -216,7 +216,7 @@ func Fig9(o Options) (Result, error) {
 // Fig10 reproduces workload 4: 25% of each application.
 func Fig10(o Options) (Result, error) {
 	o = o.withDefaults()
-	m, err := runMatrix(o, workload.W4(), system.PolicyKinds(), nil)
+	m, err := runMatrix(o, workload.W4(), system.PolicyKinds())
 	if err != nil {
 		return Result{}, err
 	}

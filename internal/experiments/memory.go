@@ -18,7 +18,6 @@ import (
 func MemoryStability(o Options) (Result, error) {
 	o = o.withDefaults()
 	var sb strings.Builder
-	mem := &system.MemoryConfig{}
 	fmt.Fprintf(&sb, "w1 at 100%% load, 4-CPU NUMA nodes, remote penalty 1.3x, daemon 20%%/s\n\n")
 	fmt.Fprintf(&sb, "%-10s %14s %14s %10s %12s\n",
 		"policy", "makespan flat", "makespan NUMA", "slowdown", "migrations")
@@ -39,7 +38,7 @@ func MemoryStability(o Options) (Result, error) {
 				return Result{}, err
 			}
 			withMem, err := system.Run(system.Config{
-				Workload: w, Policy: pk, Seed: seed, NUMANodeSize: 4, Memory: mem,
+				Workload: w, Policy: pk, Seed: seed, NUMANodeSize: 4, Memory: true,
 			})
 			if err != nil {
 				return Result{}, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pdpasim/internal/runqueue"
+	"pdpasim/internal/workload"
 )
 
 // Placement names a coordinator routing strategy. The first two are the
@@ -42,15 +43,15 @@ func ParsePlacement(s string) (Placement, error) {
 }
 
 // estCost is a member's LPT weight: how much simulated work it asks for.
-// The defaults mirror the workload generator's (300 s window, load 1.0).
+// An unset window or load takes the workload generator's default.
 func estCost(spec runqueue.Spec) float64 {
 	w := spec.Workload.WindowS
 	if w <= 0 {
-		w = 300
+		w = workload.DefaultWindow.Seconds()
 	}
 	l := spec.Workload.Load
 	if l <= 0 {
-		l = 1.0
+		l = workload.DefaultLoad
 	}
 	return w * l
 }

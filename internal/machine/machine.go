@@ -15,15 +15,16 @@
 //     placement and does the same burst/migration bookkeeping.
 //
 // All bookkeeping flows into a trace.Recorder, from which Table 2's
-// stability metrics and Fig. 5's execution views are derived.
+// stability metrics and Fig. 5's execution views are derived. The machine
+// counts migrations but charges nothing for them: no model slows a job
+// down for a thread that moved.
 //
 // The machine sits on the per-quantum hot path of every simulated run
 // (~3000 quanta × 60 CPUs for a 300-second IRIX run), so its state is held
 // in dense, profile-chosen structures rather than maps: per-job slice-backed
 // thread-affinity tables (job ids are dense small integers assigned by the
-// workload generator), a uint64 bitset of free CPUs with an incrementally
-// maintained free count, and per-job quantum migration counters cleared via
-// a touched list.
+// workload generator) and a uint64 bitset of free CPUs with an
+// incrementally maintained free count.
 package machine
 
 import (
@@ -78,11 +79,8 @@ type Machine struct {
 	numaNodeSize int
 
 	// quantumSeen is PlaceQuantum scratch: a bitset of CPUs mentioned this
-	// quantum. migCount/migTouched hold this quantum's per-job migration
-	// counts, cleared via the touched list so an idle quantum clears nothing.
+	// quantum.
 	quantumSeen []uint64
-	migCount    []int32
-	migTouched  []int32
 
 	// pickScratch buffers for the NUMA pickFreeCPUs path, reused across
 	// calls.
@@ -125,10 +123,6 @@ func (m *Machine) Reset(ncpu int, rec *trace.Recorder) {
 		m.recycleAff(j)
 	}
 	m.aff = m.aff[:0]
-	// Counters left from the final quantum clear through the touched list,
-	// exactly as the next PlaceQuantum would; the dense array keeps its
-	// length so ensureJob never regrows it.
-	m.clearMigrations()
 	if ncpu != m.ncpu {
 		m.ncpu = ncpu
 		if cap(m.owner) < ncpu {
@@ -194,9 +188,6 @@ func (m *Machine) ensureJob(job int) {
 	}
 	for len(m.aff) <= job {
 		m.aff = append(m.aff, nil)
-	}
-	for len(m.migCount) <= job {
-		m.migCount = append(m.migCount, 0)
 	}
 }
 
@@ -375,10 +366,9 @@ type Placement struct {
 
 // PlaceQuantum applies a full time-sharing placement for the quantum starting
 // at t. CPUs not mentioned become idle. Placing a thread on a CPU different
-// from its previous one counts a migration; the per-job counts for the
-// quantum are readable through QuantumMigrations until the next PlaceQuantum
-// call. PlaceQuantum must not be mixed with Resize ownership on the same
-// machine instance. Job ids must be non-negative.
+// from its previous one counts a migration in the recorder. PlaceQuantum
+// must not be mixed with Resize ownership on the same machine instance. Job
+// ids must be non-negative.
 //
 // Unchanged ownership does not reach the trace recorder at all: the owner
 // array acts as the run-length encoder for the per-CPU assignment stream, so
@@ -390,7 +380,6 @@ func (m *Machine) PlaceQuantum(t sim.Time, placements []Placement) {
 	}
 	seen := m.quantumSeen
 	clear(seen)
-	m.clearMigrations()
 	// Placements come grouped by job, so the affinity table of the job
 	// placed last is kept at hand rather than looked up per placement.
 	tableJob, table := -1, []int32(nil)
@@ -410,14 +399,8 @@ func (m *Machine) PlaceQuantum(t sim.Time, placements []Placement) {
 			tableJob, table = p.Thread.Job, m.affTable(p.Thread)
 		}
 		slot := &table[p.Thread.Thread]
-		if last := *slot; last != noCPU && int(last) != p.CPU {
-			if m.migCount[p.Thread.Job] == 0 {
-				m.migTouched = append(m.migTouched, int32(p.Thread.Job))
-			}
-			m.migCount[p.Thread.Job]++
-			if m.rec != nil {
-				m.rec.Migration()
-			}
+		if last := *slot; last != noCPU && int(last) != p.CPU && m.rec != nil {
+			m.rec.Migration()
 		}
 		*slot = int32(p.CPU)
 		if m.owner[p.CPU] != p.Thread.Job {
@@ -445,37 +428,6 @@ func (m *Machine) PlaceQuantum(t sim.Time, placements []Placement) {
 			}
 		}
 	}
-}
-
-// RepeatQuantum applies, for a new quantum, the placement the most recent
-// PlaceQuantum call applied. Repeating a placement moves no thread, changes
-// no owner and idles no CPU, so all PlaceQuantum would do is clear the
-// previous quantum's migration counts; RepeatQuantum does just that, in
-// time proportional to the jobs that migrated, not to the placement.
-//
-// Precondition, which the machine does not check: since that call nothing
-// has changed ownership or affinity — no Resize or Release, and no
-// ForgetThreads of a job the placement names. Under it, RepeatQuantum
-// leaves the machine and its recorder exactly as PlaceQuantum with the same
-// placements would.
-func (m *Machine) RepeatQuantum() { m.clearMigrations() }
-
-// clearMigrations resets only the migration counters the previous quantum
-// touched.
-func (m *Machine) clearMigrations() {
-	for _, job := range m.migTouched {
-		m.migCount[job] = 0
-	}
-	m.migTouched = m.migTouched[:0]
-}
-
-// QuantumMigrations returns how many thread migrations job suffered in the
-// placement applied by the most recent PlaceQuantum call.
-func (m *Machine) QuantumMigrations(job int) int {
-	if job < 0 || job >= len(m.migCount) {
-		return 0
-	}
-	return int(m.migCount[job])
 }
 
 // ForgetThreads drops thread-affinity memory for job (used when a job exits

@@ -5,15 +5,13 @@
 // and Equal_efficiency run under) or the resource manager's coordinated
 // admission decision (PDPA).
 //
-// The queuing system selects *which* job to start (FIFO); the processor
-// scheduling policy decides *when* a new job may start — the split of
+// The queuing system selects *which* job to start — always the oldest
+// waiting one: FIFO is the NANOS QS's only discipline — and the processor
+// scheduling policy decides *when* a new job may start, the split of
 // responsibilities Section 4.3 proposes.
 package qs
 
 import (
-	"sort"
-
-	"pdpasim/internal/app"
 	"pdpasim/internal/obs"
 	"pdpasim/internal/sim"
 	"pdpasim/internal/trace"
@@ -36,7 +34,6 @@ type QueuingSystem struct {
 	// instead would defeat append's amortization and reallocate steadily.
 	queue   []workload.Job
 	head    int
-	less    func(a, b workload.Job) bool
 	running int
 	maxMPL  int
 	started int
@@ -73,9 +70,9 @@ func New(eng *sim.Engine, fixedMPL int, canAdmit func() bool, start func(job wor
 
 // Init reinitializes q in place — the variant of New for drivers that reuse
 // one QueuingSystem across runs. The queue and the arrival-event slab keep
-// their backing arrays; any installed trace and queue order are detached
-// (re-apply SetTrace/SetOrder after Init). The previous run must have
-// drained (or its engine been Reset) so no slab event is still pending.
+// their backing arrays; any installed trace is detached (re-apply SetTrace
+// after Init). The previous run must have drained (or its engine been
+// Reset) so no slab event is still pending.
 func Init(q *QueuingSystem, eng *sim.Engine, fixedMPL int, canAdmit func() bool, start func(job workload.Job), rec *trace.Recorder) {
 	if start == nil {
 		panic("qs: nil start function")
@@ -91,7 +88,6 @@ func Init(q *QueuingSystem, eng *sim.Engine, fixedMPL int, canAdmit func() bool,
 	q.tr = nil
 	q.queue = q.queue[:0]
 	q.head = 0
-	q.less = nil
 	q.running = 0
 	q.maxMPL = 0
 	q.started = 0
@@ -148,26 +144,6 @@ func (q *QueuingSystem) subNext() {
 // records its own decisions with richer reasons).
 func (q *QueuingSystem) SetTrace(tr *obs.Trace) { q.tr = tr }
 
-// SetOrder installs a queue discipline: less reports whether a should start
-// before b. Nil (the default) keeps FIFO submission order. The discipline
-// re-sorts the queue at every enqueue; the paper's NANOS QS is FIFO, but
-// shortest-job-first variants are a classic alternative (see SJFByWork).
-func (q *QueuingSystem) SetOrder(less func(a, b workload.Job) bool) {
-	q.less = less
-}
-
-// SJFByWork orders the queue by each job's estimated serial work — the
-// shortest-job-first discipline, using the same per-class knowledge a site's
-// historical accounting would provide.
-func SJFByWork(a, b workload.Job) bool {
-	wa := app.ProfileFor(a.Class).TotalSerialWork()
-	wb := app.ProfileFor(b.Class).TotalSerialWork()
-	if wa != wb {
-		return wa < wb
-	}
-	return a.ID < b.ID // stable tie-break: submission order
-}
-
 // Enqueue adds one job to the queue (at its submission time) and attempts to
 // start jobs.
 func (q *QueuingSystem) Enqueue(job workload.Job) {
@@ -181,10 +157,6 @@ func (q *QueuingSystem) Enqueue(job workload.Job) {
 			At: q.eng.Now(), Kind: obs.KindJobArrive,
 			Job: int32(job.ID), Procs: int32(job.Request),
 		})
-	}
-	if q.less != nil {
-		waiting := q.queue[q.head:]
-		sort.SliceStable(waiting, func(i, j int) bool { return q.less(waiting[i], waiting[j]) })
 	}
 	q.TryStart()
 }

@@ -132,30 +132,3 @@ func TestNegativeMPLTreatedUnlimited(t *testing.T) {
 		t.Fatalf("started = %d", started)
 	}
 }
-
-func TestSJFOrdering(t *testing.T) {
-	eng := sim.NewEngine()
-	var started []app.Class
-	q := New(eng, 1, nil, func(j workload.Job) { started = append(started, j.Class) }, nil)
-	q.SetOrder(SJFByWork)
-	// Fill one slot, then queue a long bt before a short swim.
-	q.Enqueue(workload.Job{ID: 0, Class: app.Hydro2D})
-	q.Enqueue(workload.Job{ID: 1, Class: app.BT})
-	q.Enqueue(workload.Job{ID: 2, Class: app.Swim})
-	q.JobCompleted() // swim (short) must start before bt (long)
-	if len(started) != 2 || started[1] != app.Swim {
-		t.Fatalf("started = %v, want swim before bt", started)
-	}
-	q.JobCompleted()
-	if started[2] != app.BT {
-		t.Fatalf("started = %v", started)
-	}
-}
-
-func TestSJFTieBreakFIFO(t *testing.T) {
-	a := workload.Job{ID: 1, Class: app.Swim}
-	b := workload.Job{ID: 2, Class: app.Swim}
-	if !SJFByWork(a, b) || SJFByWork(b, a) {
-		t.Fatal("equal-work jobs must keep submission order")
-	}
-}

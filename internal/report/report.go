@@ -41,13 +41,13 @@ func window(o experiments.Options) sim.Time {
 	if o.Window > 0 {
 		return o.Window
 	}
-	return 300 * sim.Second
+	return workload.DefaultWindow
 }
 
 // run executes a workload/policy pair with default settings.
 func run(o experiments.Options, mix workload.Mix, load float64, seed int64, pk system.PolicyKind) (*metrics.RunResult, error) {
 	w, err := workload.Generate(workload.GenConfig{
-		Mix: mix, Load: load, NCPU: 60, Window: window(o), Seed: seed,
+		Mix: mix, Load: load, NCPU: workload.DefaultNCPU, Window: window(o), Seed: seed,
 	})
 	if err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func Claims() []Claim {
 			Statement: "Untuned submissions (apsi requesting 30) are where PDPA's robustness shows: far better response and workload time, far higher ML",
 			Check: func(o experiments.Options) (bool, string, error) {
 				w, err := workload.Generate(workload.GenConfig{
-					Mix: workload.W3(), Load: 0.6, NCPU: 60, Window: window(o), Seed: 1,
+					Mix: workload.W3(), Load: 0.6, NCPU: workload.DefaultNCPU, Window: window(o), Seed: 1,
 				})
 				if err != nil {
 					return false, "", err
@@ -254,17 +254,16 @@ func Claims() []Claim {
 			Check: func(o experiments.Options) (bool, string, error) {
 				slow := func(pk system.PolicyKind) (float64, error) {
 					w, err := workload.Generate(workload.GenConfig{
-						Mix: workload.W1(), Load: 1.0, NCPU: 60, Window: window(o), Seed: 1,
+						Mix: workload.W1(), Load: 1.0, NCPU: workload.DefaultNCPU, Window: window(o), Seed: 1,
 					})
 					if err != nil {
 						return 0, err
 					}
-					mem := &system.MemoryConfig{}
 					base, err := system.Run(system.Config{Workload: w, Policy: pk, Seed: 1, NUMANodeSize: 4})
 					if err != nil {
 						return 0, err
 					}
-					numa, err := system.Run(system.Config{Workload: w, Policy: pk, Seed: 1, NUMANodeSize: 4, Memory: mem})
+					numa, err := system.Run(system.Config{Workload: w, Policy: pk, Seed: 1, NUMANodeSize: 4, Memory: true})
 					if err != nil {
 						return 0, err
 					}

@@ -11,31 +11,9 @@ import (
 	"pdpasim/internal/trace"
 )
 
-// GangConfig parameterizes the gang-scheduling manager.
-type GangConfig struct {
-	// Slot is the time slice each row of the Ousterhout matrix runs
-	// (default 2 s — coarse enough to amortize the switch).
-	Slot sim.Time
-	// SwitchPenalty is the dead time an application pays when its gang is
-	// scheduled in after being switched out (cache/TLB refill on the
-	// CC-NUMA machine). Default 50 ms.
-	SwitchPenalty sim.Time
-}
-
-// DefaultGangConfig returns the standard configuration.
-func DefaultGangConfig() GangConfig {
-	return GangConfig{Slot: 2 * sim.Second, SwitchPenalty: 50 * sim.Millisecond}
-}
-
-func (c *GangConfig) applyDefaults() {
-	d := DefaultGangConfig()
-	if c.Slot <= 0 {
-		c.Slot = d.Slot
-	}
-	if c.SwitchPenalty < 0 {
-		c.SwitchPenalty = d.SwitchPenalty
-	}
-}
+// gangSlot is the time slice each row of the Ousterhout matrix runs, coarse
+// enough to amortize the switch.
+const gangSlot = 2 * sim.Second
 
 type gangJob struct {
 	id  sched.JobID
@@ -43,9 +21,6 @@ type gangJob struct {
 	row int
 	// cpus are the machine CPUs the gang occupies while its row runs.
 	cpus []int
-	// wasRunning tracks whether the job ran in the previous slot (to charge
-	// the switch penalty only on actual switches).
-	wasRunning bool
 }
 
 func (j *gangJob) jobID() sched.JobID { return j.id }
@@ -62,7 +37,6 @@ type GangManager struct {
 	eng  *sim.Engine
 	mach *machine.Machine
 	rec  *trace.Recorder
-	cfg  GangConfig
 
 	// jobs is the running set sorted by ascending id; rows holds the same
 	// jobs by row of the matrix.
@@ -77,17 +51,16 @@ type GangManager struct {
 }
 
 // NewGangManager returns a gang scheduler over mach.
-func NewGangManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder, cfg GangConfig) *GangManager {
+func NewGangManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder) *GangManager {
 	m := new(GangManager)
-	m.Reset(eng, mach, rec, cfg)
+	m.Reset(eng, mach, rec)
 	return m
 }
 
 // Reset initializes the gang scheduler over mach with an empty matrix and
 // no admission hook. It is the manager's only initializer: NewGangManager
 // calls it on a zero value, and a reused manager keeps its scratch buffers.
-func (m *GangManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder, cfg GangConfig) {
-	cfg.applyDefaults()
+func (m *GangManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder) {
 	clear(m.jobs)
 	m.jobs = m.jobs[:0]
 	clear(m.rows)
@@ -95,7 +68,6 @@ func (m *GangManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.R
 	m.eng = eng
 	m.mach = mach
 	m.rec = rec
-	m.cfg = cfg
 	m.activeRow = 0
 	m.tickScheduled = false
 	m.admission = nil
@@ -209,7 +181,7 @@ func (m *GangManager) ensureTick() {
 		return
 	}
 	m.tickScheduled = true
-	m.eng.After(m.cfg.Slot, "gang/slot", m.tick)
+	m.eng.After(gangSlot, "gang/slot", m.tick)
 }
 
 func (m *GangManager) tick() {
@@ -233,7 +205,6 @@ func (m *GangManager) applySlot() {
 		active := len(m.rows) > 0 && j.row == m.activeRow
 		if !active {
 			j.rt.SetRawRate(0, 0)
-			j.wasRunning = false
 			if m.rec != nil {
 				m.rec.ObserveAllocation(now, int(j.id), 0)
 			}
@@ -247,16 +218,7 @@ func (m *GangManager) applySlot() {
 		}
 		procs := len(j.cpus)
 		speedup := j.rt.Profile().SpeedupAt(j.rt.IterationsDone()).Speedup(procs)
-		if !j.wasRunning && m.cfg.SwitchPenalty > 0 {
-			// Charge the gang-switch cost as a rate reduction over the slot.
-			loss := float64(m.cfg.SwitchPenalty) / float64(m.cfg.Slot)
-			if loss > 0.9 {
-				loss = 0.9
-			}
-			speedup *= 1 - loss
-		}
 		j.rt.SetRawRate(speedup, procs)
-		j.wasRunning = true
 		if m.rec != nil {
 			m.rec.ObserveAllocation(now, int(j.id), procs)
 		}

@@ -15,7 +15,7 @@ func gangEnv(ncpu int) (*sim.Engine, *GangManager, *trace.Recorder) {
 	eng := sim.NewEngine()
 	rec := trace.NewRecorder(ncpu)
 	mach := machine.New(ncpu, rec)
-	return eng, NewGangManager(eng, mach, rec, GangConfig{}), rec
+	return eng, NewGangManager(eng, mach, rec), rec
 }
 
 func gangJobOn(eng *sim.Engine, mgr *GangManager, id sched.JobID, class app.Class, request int, done *int) *nthlib.Runtime {

@@ -10,51 +10,20 @@ import (
 	"pdpasim/internal/trace"
 )
 
-// IRIXConfig parameterizes the native-scheduler model.
-type IRIXConfig struct {
-	// Quantum is the time-sharing quantum (default 100 ms).
-	Quantum sim.Time
-	// BusyWaitFactor is the efficiency multiplier applied while the machine
+// The native-scheduler model's parameters: the evaluation's IRIX testbed.
+const (
+	// irixQuantum is the time-sharing quantum.
+	irixQuantum = 100 * sim.Millisecond
+	// irixBusyWait is the efficiency multiplier applied while the machine
 	// is oversubscribed: preempted OpenMP threads leave their siblings
 	// spinning at barriers (MP_BLOCKTIME) and holding pages the runs need.
-	// Default 0.7.
-	BusyWaitFactor float64
-	// MigrationCost is the dead time one thread migration costs its
-	// application (cache/page locality loss on the CC-NUMA machine).
-	// Default 2 ms.
-	MigrationCost sim.Time
-	// AdjustEvery is how often the SGI-MP runtime's OMP_DYNAMIC adaptation
-	// runs, in quanta — deliberately slow ("unresponsiveness of the native
-	// runtime to changes in the system load", Section 5.1.1). Default 100
-	// (10 s per single-thread adjustment).
-	AdjustEvery int
-}
-
-// DefaultIRIXConfig returns the configuration used by the evaluation.
-func DefaultIRIXConfig() IRIXConfig {
-	return IRIXConfig{
-		Quantum:        100 * sim.Millisecond,
-		BusyWaitFactor: 0.7,
-		MigrationCost:  2 * sim.Millisecond,
-		AdjustEvery:    100,
-	}
-}
-
-func (c *IRIXConfig) applyDefaults() {
-	d := DefaultIRIXConfig()
-	if c.Quantum <= 0 {
-		c.Quantum = d.Quantum
-	}
-	if c.BusyWaitFactor <= 0 || c.BusyWaitFactor > 1 {
-		c.BusyWaitFactor = d.BusyWaitFactor
-	}
-	if c.MigrationCost < 0 {
-		c.MigrationCost = d.MigrationCost
-	}
-	if c.AdjustEvery <= 0 {
-		c.AdjustEvery = d.AdjustEvery
-	}
-}
+	irixBusyWait = 0.7
+	// irixAdjustEvery is how often the SGI-MP runtime's OMP_DYNAMIC
+	// adaptation runs, in quanta — deliberately slow ("unresponsiveness of
+	// the native runtime to changes in the system load", Section 5.1.1):
+	// 10 s per single-thread adjustment.
+	irixAdjustEvery = 100
+)
 
 type irixJob struct {
 	id      sched.JobID
@@ -77,9 +46,8 @@ func (j *irixJob) jobID() sched.JobID { return j.id }
 //
 // place runs every quantum — it is the single hottest function of an IRIX
 // simulation — so the manager keeps its running set in an incrementally
-// maintained id-sorted slice (no per-quantum map iteration or sort), reuses
-// finished irixJob structs through a free list, and reads per-quantum
-// migration counts from the machine's dense counters.
+// maintained id-sorted slice (no per-quantum map iteration or sort) and
+// reuses finished irixJob structs through a free list.
 //
 // The global thread list is cached with each thread's index in the running
 // set, and rebuilt only when a start, a finish, an OMP_DYNAMIC thread-count
@@ -88,13 +56,12 @@ func (j *irixJob) jobID() sched.JobID { return j.id }
 // full placement was not oversubscribed and the thread list has not changed
 // since: then every thread sits on its last CPU, all distinct, so the next
 // placement would be the same one — no owner change, no migration — and
-// place repeats it through machine.RepeatQuantum instead of recomputing it.
-// Rates are still pushed every quantum (see the end of place).
+// place keeps it without a machine call. Rates are still pushed every
+// quantum (see the end of place).
 type IRIXManager struct {
 	eng  *sim.Engine
 	mach *machine.Machine
 	rec  *trace.Recorder
-	cfg  IRIXConfig
 	tr   *obs.Trace
 
 	// order is the running set sorted by ascending id, maintained on
@@ -129,9 +96,9 @@ type IRIXManager struct {
 }
 
 // NewIRIXManager returns the native-scheduler model over mach.
-func NewIRIXManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder, cfg IRIXConfig) *IRIXManager {
+func NewIRIXManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder) *IRIXManager {
 	m := new(IRIXManager)
-	m.Reset(eng, mach, rec, cfg)
+	m.Reset(eng, mach, rec)
 	return m
 }
 
@@ -142,8 +109,7 @@ func NewIRIXManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder,
 // event struct is kept for reuse too: a reused manager's engine has been
 // Reset (or drained), which detaches the old arming, and ScheduleInto
 // re-arms a detached struct in place.
-func (m *IRIXManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder, cfg IRIXConfig) {
-	cfg.applyDefaults()
+func (m *IRIXManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder) {
 	for _, j := range m.order {
 		j.rt = nil
 		m.freeJobs = append(m.freeJobs, j)
@@ -152,7 +118,6 @@ func (m *IRIXManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.R
 	m.eng = eng
 	m.mach = mach
 	m.rec = rec
-	m.cfg = cfg
 	m.tr = nil
 	m.cursor = 0
 	m.quantumCount = 0
@@ -226,7 +191,7 @@ func (m *IRIXManager) ensureTick() {
 		return
 	}
 	m.tickScheduled = true
-	m.tickEv = m.eng.ScheduleInto(m.tickEv, m.eng.Now()+m.cfg.Quantum, "irix/quantum", m.tickFn)
+	m.tickEv = m.eng.ScheduleInto(m.tickEv, m.eng.Now()+irixQuantum, "irix/quantum", m.tickFn)
 }
 
 func (m *IRIXManager) tick() {
@@ -235,7 +200,7 @@ func (m *IRIXManager) tick() {
 		return
 	}
 	m.quantumCount++
-	if m.quantumCount%m.cfg.AdjustEvery == 0 {
+	if m.quantumCount%irixAdjustEvery == 0 {
 		m.adjustThreads()
 	}
 	m.place()
@@ -321,9 +286,7 @@ func (m *IRIXManager) place() {
 	// A settled quantum keeps the previous placement and its per-job
 	// running counts.
 	running := m.running[:len(jobs)]
-	if m.settled {
-		m.mach.RepeatQuantum()
-	} else {
+	if !m.settled {
 		m.placeThreads(now, running)
 		m.settled = !oversubscribed
 	}
@@ -347,14 +310,7 @@ func (m *IRIXManager) place() {
 		s := j.rt.Profile().SpeedupAt(j.rt.IterationsDone()).Speedup(j.threads)
 		rate := s * float64(k) / float64(j.threads)
 		if oversubscribed {
-			rate *= m.cfg.BusyWaitFactor
-		}
-		if mg := m.mach.QuantumMigrations(int(j.id)); mg > 0 && m.cfg.MigrationCost > 0 {
-			loss := float64(mg) * float64(m.cfg.MigrationCost) / float64(m.cfg.Quantum)
-			if loss > 0.9 {
-				loss = 0.9
-			}
-			rate *= 1 - loss
+			rate *= irixBusyWait
 		}
 		// Always push the rate, even when unchanged since the previous
 		// quantum: SetRate advances the progress integral in per-quantum

@@ -23,7 +23,6 @@ import (
 // computes, but does not push, each job's rate.
 type refIRIX struct {
 	mach    *machine.Machine
-	cfg     IRIXConfig
 	cursor  int
 	placed  []machine.Placement
 	running []int
@@ -103,14 +102,7 @@ func (r *refIRIX) place(now sim.Time, jobs []*irixJob) {
 		s := j.rt.Profile().SpeedupAt(j.rt.IterationsDone()).Speedup(j.threads)
 		rate := s * float64(k) / float64(j.threads)
 		if r.over {
-			rate *= r.cfg.BusyWaitFactor
-		}
-		if mg := r.mach.QuantumMigrations(int(j.id)); mg > 0 && r.cfg.MigrationCost > 0 {
-			loss := float64(mg) * float64(r.cfg.MigrationCost) / float64(r.cfg.Quantum)
-			if loss > 0.9 {
-				loss = 0.9
-			}
-			rate *= 1 - loss
+			rate *= irixBusyWait
 		}
 		r.rates[idx] = rate
 	}
@@ -130,7 +122,8 @@ func byCPU(p []machine.Placement) []machine.Placement {
 // refIRIX through seeded random job starts, finishes and OMP_DYNAMIC
 // thread-count changes. After every placement — a start's, a finish's or a
 // quantum's — both must agree on the placement, each job's running-thread
-// count, its migrations in the quantum and the rate pushed to its runtime.
+// count and the rate pushed to its runtime, and their recorders on the
+// migrations so far.
 // The machine sizes straddle the 64-CPU word of the machine's bitsets, and
 // each run must see both settled and oversubscribed quanta.
 func TestIRIXPlaceMatchesReference(t *testing.T) {
@@ -141,15 +134,14 @@ func TestIRIXPlaceMatchesReference(t *testing.T) {
 	}{{8, 1}, {60, 2}, {64, 3}, {70, 4}} {
 		t.Run(fmt.Sprintf("ncpu=%d", tc.ncpu), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
-			cfg := DefaultIRIXConfig()
 			eng := sim.NewEngine()
 			rec := trace.NewRecorder(tc.ncpu)
-			mgr := NewIRIXManager(eng, machine.New(tc.ncpu, rec), rec, cfg)
+			mgr := NewIRIXManager(eng, machine.New(tc.ncpu, rec), rec)
 			// The test owns the quantum clock: the manager never arms its
 			// own tick, and each quantum's place runs from the loop below.
 			mgr.tickScheduled = true
 			refRec := trace.NewRecorder(tc.ncpu)
-			ref := &refIRIX{mach: machine.New(tc.ncpu, refRec), cfg: cfg}
+			ref := &refIRIX{mach: machine.New(tc.ncpu, refRec)}
 
 			var completed []sched.JobID
 			nextID := sched.JobID(0)
@@ -165,13 +157,13 @@ func TestIRIXPlaceMatchesReference(t *testing.T) {
 						t.Fatalf("step %d (%s): CPU %d owner %d, reference %d", step, what, cpu, got, want)
 					}
 				}
+				if got, want := rec.Migrations(), refRec.Migrations(); got != want {
+					t.Fatalf("step %d (%s): %d migrations, reference %d", step, what, got, want)
+				}
 				for idx, j := range jobs {
 					if got, want := int(mgr.running[idx]), ref.running[idx]; got != want || j.rt.Allocated() != want {
 						t.Fatalf("step %d (%s): job %d runs %d threads (runtime told %d), reference %d",
 							step, what, j.id, got, j.rt.Allocated(), want)
-					}
-					if got, want := mgr.mach.QuantumMigrations(int(j.id)), ref.mach.QuantumMigrations(int(j.id)); got != want {
-						t.Fatalf("step %d (%s): job %d migrations %d, reference %d", step, what, j.id, got, want)
 					}
 					if got, want := j.rt.Rate(), ref.rates[idx]; !j.rt.Done() && got != want {
 						t.Fatalf("step %d (%s): job %d rate %v, reference %v", step, what, j.id, got, want)
@@ -187,7 +179,7 @@ func TestIRIXPlaceMatchesReference(t *testing.T) {
 
 			now := sim.Time(0)
 			for step := 0; step < 600; step++ {
-				now += cfg.Quantum
+				now += irixQuantum
 				eng.Run(now)
 				for _, id := range completed {
 					// A job finished at random earlier keeps its runtime

@@ -13,6 +13,12 @@
 //   - GangManager is classic gang scheduling: jobs packed into the rows of
 //     an Ousterhout matrix, rows run round-robin one time slot each.
 //
+// The two time-sharing models have no options: their parameters are
+// constants of the evaluation's testbed (a 100 ms IRIX quantum, a 0.7
+// busy-wait factor while oversubscribed, one OMP_DYNAMIC adjustment every
+// 100 quanta, a 2 s gang slot). Neither charges a cost per thread migration
+// or per gang switch; the recorder counts migrations for Table 2.
+//
 // Each manager has one initializer, its Reset; its New constructor is Reset
 // on a zero value, so a reused manager is a fresh one by construction.
 package rm

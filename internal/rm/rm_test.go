@@ -194,7 +194,7 @@ func TestSpaceManagerUnknownJobIgnored(t *testing.T) {
 
 func TestIRIXManagerBasicRun(t *testing.T) {
 	e := newEnv(8)
-	mgr := NewIRIXManager(e.eng, e.mach, e.rec, IRIXConfig{})
+	mgr := NewIRIXManager(e.eng, e.mach, e.rec)
 	prof := app.ProfileFor(app.Apsi)
 	done := false
 	var rt *nthlib.Runtime
@@ -222,7 +222,7 @@ func TestIRIXManagerBasicRun(t *testing.T) {
 func TestIRIXOversubscriptionSlowsJobs(t *testing.T) {
 	runOne := func(extraJobs int) sim.Time {
 		e := newEnv(8)
-		mgr := NewIRIXManager(e.eng, e.mach, e.rec, IRIXConfig{})
+		mgr := NewIRIXManager(e.eng, e.mach, e.rec)
 		prof := app.ProfileFor(app.Apsi)
 		var finished sim.Time
 		rt := nthlib.New(e.eng, prof, 2, nil, nthlib.Hooks{
@@ -249,7 +249,7 @@ func TestIRIXOversubscriptionSlowsJobs(t *testing.T) {
 
 func TestIRIXGeneratesMigrationsAndShortBursts(t *testing.T) {
 	e := newEnv(8)
-	mgr := NewIRIXManager(e.eng, e.mach, e.rec, IRIXConfig{})
+	mgr := NewIRIXManager(e.eng, e.mach, e.rec)
 	for i := 0; i < 3; i++ {
 		id := sched.JobID(i)
 		prof := app.ProfileFor(app.Hydro2D)
@@ -271,8 +271,7 @@ func TestIRIXGeneratesMigrationsAndShortBursts(t *testing.T) {
 
 func TestIRIXThreadAdjustment(t *testing.T) {
 	e := newEnv(8)
-	cfg := IRIXConfig{AdjustEvery: 5}
-	mgr := NewIRIXManager(e.eng, e.mach, e.rec, cfg)
+	mgr := NewIRIXManager(e.eng, e.mach, e.rec)
 	ids := []sched.JobID{0, 1}
 	for _, id := range ids {
 		id := id
@@ -282,7 +281,8 @@ func TestIRIXThreadAdjustment(t *testing.T) {
 		})
 		mgr.StartJob(id, rt)
 	}
-	// 16 threads on 8 CPUs; OMP_DYNAMIC should shed threads over time.
+	// 16 threads on 8 CPUs; OMP_DYNAMIC should shed threads over time, one
+	// every irixAdjustEvery quanta (10 s).
 	e.eng.Run(30 * sim.Second)
 	total := 0
 	for _, j := range mgr.order {
@@ -316,7 +316,7 @@ func TestIRIXSpaceSharingStability(t *testing.T) {
 		e.rec.Close(e.eng.Now())
 		return e.rec.Stats()
 	}
-	irix := run(func(e *env) Manager { return NewIRIXManager(e.eng, e.mach, e.rec, IRIXConfig{}) })
+	irix := run(func(e *env) Manager { return NewIRIXManager(e.eng, e.mach, e.rec) })
 	equip := run(func(e *env) Manager { return NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec) })
 	if irix.Migrations < 20*(equip.Migrations+1) {
 		t.Fatalf("IRIX %d migrations vs Equip %d: stability gap too small",

@@ -33,6 +33,8 @@ import (
 
 	"pdpasim"
 	"pdpasim/client"
+	"pdpasim/internal/system"
+	"pdpasim/internal/workload"
 )
 
 // WorkloadSpec is what workload to generate: the v1 wire type itself, so a
@@ -116,16 +118,16 @@ func (s Spec) Validate() error {
 func (s Spec) canonical() Spec {
 	c := s
 	if c.Workload.Load == 0 {
-		c.Workload.Load = 1.0
+		c.Workload.Load = workload.DefaultLoad
 	}
 	if c.Workload.NCPU == 0 {
-		c.Workload.NCPU = 60
+		c.Workload.NCPU = workload.DefaultNCPU
 	}
 	if c.Workload.WindowS == 0 {
-		c.Workload.WindowS = 300
+		c.Workload.WindowS = workload.DefaultWindow.Seconds()
 	}
 	if c.Options.NoiseSigma == 0 {
-		c.Options.NoiseSigma = 0.01
+		c.Options.NoiseSigma = system.DefaultNoise
 	}
 	if c.Options.NoiseSigma < 0 {
 		c.Options.NoiseSigma = -1
@@ -160,7 +162,7 @@ func (s Spec) canonical() Spec {
 		c.Options.BaseMPL = 0
 		c.Options.MaxStableTransitions = 0
 		if c.Options.FixedMPL == 0 {
-			c.Options.FixedMPL = 4
+			c.Options.FixedMPL = system.DefaultMPL
 		}
 	}
 	return c

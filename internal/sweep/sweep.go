@@ -64,12 +64,6 @@ type Config struct {
 	// deterministic, but not byte-equal to exact mode — measurements.
 	Throughput int
 
-	// Tweak, when set, adjusts each run's configuration after the standard
-	// fields are filled (the experiment harness uses it for per-artifact
-	// variations). It must be safe for concurrent calls and must leave the
-	// shared Workload untouched.
-	Tweak func(*system.Config)
-
 	// Progress, when set, is called after every completed run. Calls are
 	// serialized but arrive in completion order, which depends on
 	// scheduling.
@@ -160,16 +154,16 @@ func (r *Result) Run(policy system.PolicyKind, mix string, load float64, seed in
 
 func (c Config) withDefaults() Config {
 	if len(c.Loads) == 0 {
-		c.Loads = []float64{1.0}
+		c.Loads = []float64{workload.DefaultLoad}
 	}
 	if len(c.Seeds) == 0 {
 		c.Seeds = []int64{0}
 	}
 	if c.NCPU == 0 {
-		c.NCPU = 60
+		c.NCPU = workload.DefaultNCPU
 	}
 	if c.Window == 0 {
-		c.Window = 300 * sim.Second
+		c.Window = workload.DefaultWindow
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
@@ -345,9 +339,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			Seed:         t.Seed,
 			NUMANodeSize: cfg.NUMANodeSize,
 			Throughput:   cfg.Throughput,
-		}
-		if cfg.Tweak != nil {
-			cfg.Tweak(&sc)
 		}
 		res, err := sys.RunContext(runCtx, sc)
 		if err != nil {

@@ -26,7 +26,7 @@ var recycled = map[reflect.Type][]string{
 	reflect.TypeOf(trace.Recorder{}): {"allocs", "jobBusy"},
 	reflect.TypeOf(machine.Machine{}): {
 		"affPool", "cpuPool",
-		"quantumSeen", "migCount", "pickOut", "nodeFree", "nodeFreeMem", "nodeOrder", "nodeOwned",
+		"quantumSeen", "pickOut", "nodeFree", "nodeFreeMem", "nodeOrder", "nodeOwned",
 	},
 	reflect.TypeOf(rm.SpaceManager{}): {"admitScratch", "planScratch", "viewFree", "jobFree", "reportsPool"},
 	reflect.TypeOf(rm.IRIXManager{}): {
@@ -224,14 +224,14 @@ func TestResetEqualsFresh(t *testing.T) {
 				fm.Reset(&s.eng, &s.mach, pol, s.rec)
 				check(pol.Name()+" manager", m, fm)
 			case *rm.IRIXManager:
-				m.Reset(&s.eng, &s.mach, s.rec, rm.IRIXConfig{})
+				m.Reset(&s.eng, &s.mach, s.rec)
 				fm := new(rm.IRIXManager)
-				fm.Reset(&s.eng, &s.mach, s.rec, rm.IRIXConfig{})
+				fm.Reset(&s.eng, &s.mach, s.rec)
 				check("IRIX manager", m, fm)
 			case *rm.GangManager:
-				m.Reset(&s.eng, &s.mach, s.rec, rm.GangConfig{})
+				m.Reset(&s.eng, &s.mach, s.rec)
 				fm := new(rm.GangManager)
-				fm.Reset(&s.eng, &s.mach, s.rec, rm.GangConfig{})
+				fm.Reset(&s.eng, &s.mach, s.rec)
 				check("Gang manager", m, fm)
 			default:
 				t.Fatalf("%s: no manager in the System's table (%T)", kind, m)

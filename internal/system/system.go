@@ -60,6 +60,13 @@ const (
 	AdaptivePDPA PolicyKind = "pdpa_adaptive"
 )
 
+// The run defaults a zero Config gets: the paper's fixed multiprogramming
+// level and the SelfAnalyzer's measurement noise.
+const (
+	DefaultMPL   = 4
+	DefaultNoise = 0.01
+)
+
 // PolicyKinds lists the paper's four regimes in presentation order.
 func PolicyKinds() []PolicyKind {
 	return []PolicyKind{IRIX, Equipartition, EqualEfficiency, PDPA}
@@ -92,8 +99,6 @@ type Config struct {
 	// KeepBursts stores the full burst history for trace rendering (Fig. 5).
 	// Aggregate stability statistics are collected regardless.
 	KeepBursts bool
-	// IRIXConfig overrides the native-scheduler model parameters.
-	IRIXConfig *rm.IRIXConfig
 	// MaxSimTime aborts runs that fail to drain (default: the last job's
 	// submission time plus 50000 s, so multi-month throughput-mode windows
 	// get proportionally long deadlines).
@@ -108,16 +113,13 @@ type Config struct {
 	// NUMANodeSize > 1 and a space-sharing policy): applications slow down
 	// while their pages are remote, and the migration daemon heals
 	// placement over time — the paper's Section 5.1.1 stability argument.
-	Memory *MemoryConfig
+	Memory bool
 	// BinaryOnly runs every application through the binary-only monitoring
 	// path (Section 3.1): the outer-loop structure must first be discovered
 	// by the Dynamic Periodicity Detector, so measurements — and the
 	// policy's knowledge — arrive later than with compiler-inserted
 	// instrumentation.
 	BinaryOnly bool
-	// QueueOrder selects the queuing discipline: "" or "fifo" (the paper's
-	// NANOS QS), or "sjf" (shortest job first by estimated work).
-	QueueOrder string
 	// Throughput > 1 enables coarse throughput mode: each application fuses
 	// up to Throughput undisturbed iterations into one simulation event, so
 	// million-job sweeps process far fewer events. Scheduling decisions are
@@ -137,29 +139,17 @@ type Config struct {
 	Trace *obs.Trace
 }
 
-// MemoryConfig parameterizes the page-placement model.
-type MemoryConfig struct {
-	// RemotePenalty is the slowdown of a fully-remote working set
-	// (default 1.3, the Origin 2000's modest NUMA ratio).
-	RemotePenalty float64
-	// MigrationRate is the fraction of misplaced pages the daemon moves
-	// per second (default 0.2 — hot pages migrate within seconds).
-	MigrationRate float64
-	// Tick is how often locality is re-evaluated (default 1 s).
-	Tick sim.Time
-}
-
-func (m *MemoryConfig) applyDefaults() {
-	if m.RemotePenalty < 1 {
-		m.RemotePenalty = 1.3
-	}
-	if m.MigrationRate <= 0 || m.MigrationRate > 1 {
-		m.MigrationRate = 0.2
-	}
-	if m.Tick <= 0 {
-		m.Tick = sim.Second
-	}
-}
+// The CC-NUMA page-placement model's parameters (Config.Memory).
+const (
+	// memRemotePenalty is the slowdown of a fully remote working set, the
+	// Origin 2000's modest NUMA ratio.
+	memRemotePenalty = 1.3
+	// memMigrationRate is the fraction of misplaced pages the migration
+	// daemon moves per second: hot pages migrate within seconds.
+	memMigrationRate = 0.2
+	// memTick is how often locality is re-evaluated.
+	memTick = sim.Second
+)
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
@@ -172,10 +162,10 @@ func (c *Config) withDefaults() (Config, error) {
 		return out, fmt.Errorf("system: unknown policy %q", out.Policy)
 	}
 	if out.FixedMPL == 0 {
-		out.FixedMPL = 4
+		out.FixedMPL = DefaultMPL
 	}
 	if out.NoiseSigma == 0 {
-		out.NoiseSigma = 0.01
+		out.NoiseSigma = DefaultNoise
 	}
 	if out.NoiseSigma < 0 {
 		out.NoiseSigma = 0
@@ -364,14 +354,10 @@ func (s *System) manager(c *Config) (rm.Manager, error) {
 		m.Reset(&s.eng, &s.mach, m.Policy(), s.rec)
 		m.SetTrace(c.Trace)
 	case *rm.IRIXManager:
-		var cfg rm.IRIXConfig
-		if c.IRIXConfig != nil {
-			cfg = *c.IRIXConfig
-		}
-		m.Reset(&s.eng, &s.mach, s.rec, cfg)
+		m.Reset(&s.eng, &s.mach, s.rec)
 		m.SetTrace(c.Trace)
 	case *rm.GangManager:
-		m.Reset(&s.eng, &s.mach, s.rec, rm.GangConfig{})
+		m.Reset(&s.eng, &s.mach, s.rec)
 	}
 	return m, nil
 }
@@ -489,13 +475,11 @@ func (s *System) RunContext(ctx context.Context, cfg Config) (*metrics.RunResult
 		})
 	}
 
-	// Optional CC-NUMA memory model (space sharing only; the IRIX model's
-	// migration cost already folds locality loss in).
+	// Optional CC-NUMA memory model (space sharing only: the time-sharing
+	// models, IRIX and gang, charge no locality loss at all).
 	memStart := noopJob
-	if c.Memory != nil && c.NUMANodeSize > 1 && c.Policy != IRIX && c.Policy != Gang {
-		mc := *c.Memory
-		mc.applyDefaults()
-		mem, err := memory.New(mach.Nodes(), mc.RemotePenalty, mc.MigrationRate)
+	if c.Memory && c.NUMANodeSize > 1 && c.Policy != IRIX && c.Policy != Gang {
+		mem, err := memory.New(mach.Nodes(), memRemotePenalty, memMigrationRate)
 		if err != nil {
 			return nil, err
 		}
@@ -530,10 +514,10 @@ func (s *System) RunContext(ctx context.Context, cfg Config) (*metrics.RunResult
 				}
 			}
 			if rs.completed < len(w.Jobs) {
-				eng.After(mc.Tick, "memory/tick", tick)
+				eng.After(memTick, "memory/tick", tick)
 			}
 		}
-		eng.After(mc.Tick, "memory/tick", tick)
+		eng.After(memTick, "memory/tick", tick)
 		memStart = func(id int) { mem.JobStarted(eng.Now(), id, nodeShare(id)) }
 		rs.memDone = func(id int) { mem.JobFinished(id) }
 	}
@@ -575,13 +559,6 @@ func (s *System) RunContext(ctx context.Context, cfg Config) (*metrics.RunResult
 	rs.queue = queue
 	if sm, ok := mgr.(*rm.SpaceManager); ok {
 		sm.SetQueuedFunc(queue.Queued)
-	}
-	switch c.QueueOrder {
-	case "", "fifo":
-	case "sjf":
-		queue.SetOrder(qs.SJFByWork)
-	default:
-		return nil, fmt.Errorf("system: unknown queue order %q", c.QueueOrder)
 	}
 	if s.tryStart == nil {
 		s.tryStart = queue.TryStart

@@ -193,13 +193,12 @@ func TestMemoryModelBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := &MemoryConfig{}
 	slowdown := func(pk PolicyKind) float64 {
 		base, rerr := Run(Config{Workload: w, Policy: pk, Seed: 21, NUMANodeSize: 4})
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		numa, rerr := Run(Config{Workload: w, Policy: pk, Seed: 21, NUMANodeSize: 4, Memory: mem})
+		numa, rerr := Run(Config{Workload: w, Policy: pk, Seed: 21, NUMANodeSize: 4, Memory: true})
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
@@ -224,8 +223,8 @@ func TestMemoryModelNeutralWithoutNUMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Memory config without NUMA topology is ignored.
-	b, err := Run(Config{Workload: w, Policy: PDPA, Seed: 22, Memory: &MemoryConfig{}})
+	// The memory model without NUMA topology is ignored.
+	b, err := Run(Config{Workload: w, Policy: PDPA, Seed: 22, Memory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,27 +239,6 @@ func TestExtendedPolicyKindsComplete(t *testing.T) {
 		if _, err := Run(Config{Workload: w, Policy: pk, Seed: 23}); err != nil {
 			t.Fatalf("%s: %v", pk, err)
 		}
-	}
-}
-
-func TestQueueOrderSJF(t *testing.T) {
-	w := smallWorkload(t, workload.W1(), 1.0, 24)
-	fifo, err := Run(Config{Workload: w, Policy: Equipartition, Seed: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sjf, err := Run(Config{Workload: w, Policy: Equipartition, Seed: 24, QueueOrder: "sjf"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SJF must not hurt the short swims' response (it helps once the queue
-	// congests; ordering behaviour itself is unit-tested in qs).
-	if sjf.ResponseByClass()[app.Swim] > fifo.ResponseByClass()[app.Swim]+1 {
-		t.Fatalf("SJF swim response %.1fs worse than FIFO %.1fs",
-			sjf.ResponseByClass()[app.Swim], fifo.ResponseByClass()[app.Swim])
-	}
-	if _, err := Run(Config{Workload: w, Policy: Equipartition, Seed: 24, QueueOrder: "bogus"}); err == nil {
-		t.Fatal("bogus queue order accepted")
 	}
 }
 

@@ -17,6 +17,16 @@ import (
 	"pdpasim/internal/stats"
 )
 
+// The evaluation's run defaults (Section 5): 60 processors of the Origin
+// 2000, a 300 s submission window, and a demand of 100% of the machine.
+// Every entry point that generates a workload fills an unset field with
+// these.
+const (
+	DefaultNCPU   = 60
+	DefaultWindow = 300 * sim.Second
+	DefaultLoad   = 1.0
+)
+
 // Job is one submission: an application instance arriving at Submit and
 // requesting Request processors.
 type Job struct {
@@ -118,28 +128,22 @@ type GenConfig struct {
 	Window sim.Time
 	// Seed drives the arrival process.
 	Seed int64
-	// Profiles optionally overrides the application profiles used to
-	// estimate per-job demand. Nil uses app.ProfileFor.
-	Profiles func(app.Class) *app.Profile
 	// Burstiness makes arrivals bursty: during burst periods the arrival
 	// intensity is Burstiness times the calm intensity, with the overall
 	// expected demand unchanged. 0 or 1 keeps the paper's homogeneous
 	// Poisson arrivals. (Modeled as a two-state modulated process: calm
-	// and burst periods alternate, exponentially distributed.)
+	// and burst periods alternate, exponentially distributed, burstFraction
+	// of the window in bursts of mean length meanBurst.)
 	Burstiness float64
-	// BurstFraction is the fraction of the window spent in the burst state
-	// (default 0.2 when Burstiness > 1).
-	BurstFraction float64
-	// MeanBurst is the mean burst-period length (default 20 s).
-	MeanBurst sim.Time
 }
 
-func (c *GenConfig) profile(cl app.Class) *app.Profile {
-	if c.Profiles != nil {
-		return c.Profiles(cl)
-	}
-	return app.ProfileFor(cl)
-}
+// The two-state arrival process's shape when GenConfig.Burstiness > 1.
+const (
+	// burstFraction is the fraction of the window spent in the burst state.
+	burstFraction = 0.2
+	// meanBurst is the mean burst-period length, in seconds.
+	meanBurst = 20.0
+)
 
 // Generate builds a workload: for each class with a positive share, arrivals
 // form a Poisson process over the window whose rate makes the class's
@@ -170,7 +174,7 @@ func Generate(cfg GenConfig) (*Workload, error) {
 		if share <= 0 {
 			continue
 		}
-		prof := cfg.profile(cl)
+		prof := app.ProfileFor(cl)
 		// The CPU-seconds of useful work one job carries (its serial work).
 		// Estimating demand from work rather than from request × runtime
 		// means a poorly-scaling application holding 30 processors
@@ -229,21 +233,13 @@ func Generate(cfg GenConfig) (*Workload, error) {
 // surges are.
 func mapThroughIntensity(times []float64, cfg GenConfig, rng *stats.RNG) {
 	window := cfg.Window.Seconds()
-	burstFrac := cfg.BurstFraction
-	if burstFrac <= 0 || burstFrac >= 1 {
-		burstFrac = 0.2
-	}
-	meanBurst := cfg.MeanBurst.Seconds()
-	if meanBurst <= 0 {
-		meanBurst = 20
-	}
-	meanCalm := meanBurst * (1 - burstFrac) / burstFrac
+	meanCalm := meanBurst * (1 - burstFraction) / burstFraction
 
 	// Build alternating calm/burst segments covering the window.
 	type segment struct{ start, length, intensity float64 }
 	var segs []segment
 	t := 0.0
-	inBurst := rng.Float64() < burstFrac
+	inBurst := rng.Float64() < burstFraction
 	for t < window {
 		mean := meanCalm
 		intensity := 1.0

@@ -24,7 +24,9 @@
 # simulator has one assembly, system.System, so the second one that wired
 # its own engines, machines and managers for clusters of SMPs went with its
 # command and example (internal/cluster, cmd/clustersim,
-# examples/clustersched). This check keeps them all deleted:
+# examples/clustersched). The simulator's options audit turned the model
+# parameters no caller set into constants and deleted the cost accounting
+# that only fed a zero cost. This check keeps them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
@@ -166,6 +168,24 @@ hits=$({
 } || true)
 if [[ -n "$hits" ]]; then
     echo "depcheck: second simulator assembly reintroduced (build every simulated run through system.System):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+# Every simulator option earns its place: the model parameters no caller
+# set are constants of the one testbed the paper evaluates (rm's IRIX
+# quantum, busy-wait factor and OMP_DYNAMIC cadence and the gang slot;
+# system's page-placement model; workload's burst shape), and the
+# migration and gang-switch costs, which were never charged, went with the
+# per-quantum migration counters and RepeatQuantum that only fed them. The
+# SJF queue order and the sweep's per-run Tweak hook had no caller either.
+# None of them may come back as a type, field, function or method.
+hits=$({
+    grep -rn --include='*.go' -E '\b(IRIXConfig|GangConfig|MemoryConfig|QueueOrder|SJFByWork|SetOrder|QuantumMigrations|RepeatQuantum|BurstFraction|MeanBurst)\b' internal
+    grep -rn --include='*.go' -E '^\s+Tweak\s+[^:[:space:]]' internal
+} || true)
+if [[ -n "$hits" ]]; then
+    echo "depcheck: removed simulator option reintroduced (the evaluation's testbed parameters are constants; charging migration or switch costs waits for an oracle):" >&2
     echo "$hits" >&2
     fail=1
 fi
