@@ -43,18 +43,8 @@ type Execution struct {
 	batch int
 }
 
-// NewExecution returns the execution state for prof, instrumented (paying
-// MeasurementOverhead) if instrumented is true, starting stopped (rate 0) at
-// time start.
-func NewExecution(prof *Profile, instrumented bool, start sim.Time) *Execution {
-	e := new(Execution)
-	InitExecution(e, prof, instrumented, start)
-	return e
-}
-
-// InitExecution initializes e in place — the allocation-free variant of
-// NewExecution for callers that embed an Execution by value. Any previous
-// state of e is discarded.
+// InitExecution initializes e in place, for callers that embed an
+// Execution by value. Any previous state of e is discarded.
 func InitExecution(e *Execution, prof *Profile, instrumented bool, start sim.Time) {
 	if err := prof.Validate(); err != nil {
 		panic(err)
@@ -70,9 +60,6 @@ func InitExecution(e *Execution, prof *Profile, instrumented bool, start sim.Tim
 		iterStart: start,
 	}
 }
-
-// Profile returns the static application description.
-func (e *Execution) Profile() *Profile { return e.prof }
 
 // Rate returns the current effective speedup.
 func (e *Execution) Rate() float64 { return e.rate }
@@ -275,18 +262,4 @@ func (e *Execution) CompleteIteration(t sim.Time) IterationSample {
 	e.iterDirty = false
 	e.iterStartRate = e.rate
 	return s
-}
-
-// RemainingWork returns the serial work left, across all iterations.
-func (e *Execution) RemainingWork() sim.Time {
-	if e.Done() {
-		return 0
-	}
-	n := 1
-	if e.batch > 1 {
-		n = e.batch
-	}
-	left := e.curWork() - e.progress
-	left += e.iterWork * sim.Time(e.prof.Iterations-e.iterationsDone-n)
-	return left
 }

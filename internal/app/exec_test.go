@@ -17,7 +17,7 @@ func tinyProfile() *Profile {
 }
 
 func TestExecutionBasicFlow(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	if e.Done() {
 		t.Fatal("fresh execution done")
 	}
@@ -36,7 +36,7 @@ func TestExecutionBasicFlow(t *testing.T) {
 }
 
 func TestExecutionRateChangeDirtiesIteration(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, 2)
 	e.SetRate(2*sim.Second, 5) // mid-iteration change
 	// Remaining work: 10 - 4 = 6 serial seconds at rate 5 => 1.2s more.
@@ -55,7 +55,7 @@ func TestExecutionRateChangeDirtiesIteration(t *testing.T) {
 }
 
 func TestExecutionSameRateSetNotDirty(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, 2)
 	e.SetRate(2*sim.Second, 2) // same rate: still clean
 	s := e.CompleteIteration(e.NextIterationEnd())
@@ -65,7 +65,7 @@ func TestExecutionSameRateSetNotDirty(t *testing.T) {
 }
 
 func TestExecutionPenaltyDelaysCompletion(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, 2)
 	e.AddPenalty(sim.Second, 3*sim.Second)
 	// 2 serial seconds done at t=1s; penalty 3s; remaining 8 serial at rate
@@ -80,7 +80,7 @@ func TestExecutionPenaltyDelaysCompletion(t *testing.T) {
 }
 
 func TestExecutionZeroRateStalls(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	if e.NextIterationEnd() != sim.Forever {
 		t.Fatal("stopped app should never finish")
 	}
@@ -96,7 +96,7 @@ func TestExecutionZeroRateStalls(t *testing.T) {
 }
 
 func TestExecutionStopMidIteration(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, 2)
 	e.SetRate(sim.Second, 0) // preempted entirely
 	if e.NextIterationEnd() != sim.Forever {
@@ -112,12 +112,12 @@ func TestExecutionStopMidIteration(t *testing.T) {
 func TestExecutionInstrumentationOverhead(t *testing.T) {
 	p := tinyProfile()
 	p.MeasurementOverhead = 0.1
-	e := NewExecution(p, true, 0)
+	e := newExecution(p, true, 0)
 	e.SetRate(0, 1)
 	if got := e.NextIterationEnd(); got != 11*sim.Second {
 		t.Fatalf("instrumented iteration end = %v", got)
 	}
-	e2 := NewExecution(p, false, 0)
+	e2 := newExecution(p, false, 0)
 	e2.SetRate(0, 1)
 	if got := e2.NextIterationEnd(); got != 10*sim.Second {
 		t.Fatalf("uninstrumented iteration end = %v", got)
@@ -125,7 +125,7 @@ func TestExecutionInstrumentationOverhead(t *testing.T) {
 }
 
 func TestExecutionCompletesAll(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, 10)
 	for i := 0; i < 3; i++ {
 		if e.Done() {
@@ -136,8 +136,8 @@ func TestExecutionCompletesAll(t *testing.T) {
 	if !e.Done() {
 		t.Fatal("not done after all iterations")
 	}
-	if e.RemainingWork() != 0 {
-		t.Fatalf("remaining = %v", e.RemainingWork())
+	if remainingWork(e) != 0 {
+		t.Fatalf("remaining = %v", remainingWork(e))
 	}
 	if e.NextIterationEnd() != sim.Forever {
 		t.Fatal("done app should report Forever")
@@ -145,19 +145,19 @@ func TestExecutionCompletesAll(t *testing.T) {
 }
 
 func TestExecutionRemainingWork(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
-	if e.RemainingWork() != 30*sim.Second {
-		t.Fatalf("initial remaining = %v", e.RemainingWork())
+	e := newExecution(tinyProfile(), false, 0)
+	if remainingWork(e) != 30*sim.Second {
+		t.Fatalf("initial remaining = %v", remainingWork(e))
 	}
 	e.SetRate(0, 2)
 	e.Advance(sim.Second)
-	if e.RemainingWork() != 28*sim.Second {
-		t.Fatalf("after 1s at rate 2: %v", e.RemainingWork())
+	if remainingWork(e) != 28*sim.Second {
+		t.Fatalf("after 1s at rate 2: %v", remainingWork(e))
 	}
 }
 
 func TestExecutionEarlyCompletePanics(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, 1)
 	defer func() {
 		if recover() == nil {
@@ -168,7 +168,7 @@ func TestExecutionEarlyCompletePanics(t *testing.T) {
 }
 
 func TestExecutionBackwardsAdvancePanics(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.Advance(5 * sim.Second)
 	defer func() {
 		if recover() == nil {
@@ -179,7 +179,7 @@ func TestExecutionBackwardsAdvancePanics(t *testing.T) {
 }
 
 func TestExecutionOvershootPanics(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, 1)
 	defer func() {
 		if recover() == nil {
@@ -192,7 +192,7 @@ func TestExecutionOvershootPanics(t *testing.T) {
 }
 
 func TestExecutionNegativeRateClamps(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, -5)
 	if e.Rate() != 0 {
 		t.Fatalf("rate = %v", e.Rate())
@@ -200,11 +200,34 @@ func TestExecutionNegativeRateClamps(t *testing.T) {
 }
 
 func TestExecutionZeroPenaltyIgnored(t *testing.T) {
-	e := NewExecution(tinyProfile(), false, 0)
+	e := newExecution(tinyProfile(), false, 0)
 	e.SetRate(0, 1)
 	e.AddPenalty(sim.Second, 0)
 	s := e.CompleteIteration(e.NextIterationEnd())
 	if !s.Clean {
 		t.Fatal("zero penalty dirtied iteration")
 	}
+}
+
+// newExecution returns the execution state for prof, instrumented (paying
+// MeasurementOverhead) if instrumented is true, starting stopped (rate 0) at
+// time start.
+func newExecution(prof *Profile, instrumented bool, start sim.Time) *Execution {
+	e := new(Execution)
+	InitExecution(e, prof, instrumented, start)
+	return e
+}
+
+// remainingWork returns the serial work left, across all iterations.
+func remainingWork(e *Execution) sim.Time {
+	if e.Done() {
+		return 0
+	}
+	n := 1
+	if e.batch > 1 {
+		n = e.batch
+	}
+	left := e.curWork() - e.progress
+	left += e.iterWork * sim.Time(e.prof.Iterations-e.iterationsDone-n)
+	return left
 }

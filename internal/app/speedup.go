@@ -135,13 +135,6 @@ func (t *Table) Speedup(p int) float64 {
 	return lo.Speedup + frac*(hi.Speedup-lo.Speedup)
 }
 
-// Points returns a copy of the curve's samples.
-func (t *Table) Points() []Point {
-	out := make([]Point, len(t.points))
-	copy(out, t.points)
-	return out
-}
-
 // Scaled wraps a model, multiplying its speedup by a constant factor > 0
 // (keeping S(1) = 1). It is used to derive perturbed curves in tests and
 // ablations.
@@ -157,18 +150,6 @@ func (s Scaled) Speedup(p int) float64 {
 	}
 	v := s.Model.Speedup(p) * s.Factor
 	return math.Max(v, 0.01)
-}
-
-// BestProcs returns the processor count in [1, maxProcs] with the highest
-// speedup (ties resolved toward fewer processors).
-func BestProcs(m SpeedupModel, maxProcs int) int {
-	best, bestS := 1, m.Speedup(1)
-	for p := 2; p <= maxProcs; p++ {
-		if s := m.Speedup(p); s > bestS {
-			best, bestS = p, s
-		}
-	}
-	return best
 }
 
 // MaxProcsAtEfficiency returns the largest processor count in [1, maxProcs]

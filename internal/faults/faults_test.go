@@ -13,7 +13,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 		t.Fatalf("nil injector returned %v", err)
 	}
 	inj.Sleep(SiteCacheHit)
-	if inj.Seen(SiteWorkerStart) != 0 || inj.Injected(SiteWorkerStart) != 0 {
+	if inj.Injected(SiteWorkerStart) != 0 {
 		t.Fatal("nil injector counted occurrences")
 	}
 }
@@ -30,11 +30,11 @@ func TestOccurrenceWindow(t *testing.T) {
 			t.Fatalf("occurrence %d: injected=%v, want %v (window After=1 Count=2)", i, got[i], want[i])
 		}
 	}
-	if inj.Seen(SiteWorkerStart) != 5 || inj.Injected(SiteWorkerStart) != 2 {
-		t.Fatalf("seen=%d injected=%d, want 5/2", inj.Seen(SiteWorkerStart), inj.Injected(SiteWorkerStart))
+	if inj.seen[SiteWorkerStart] != 5 || inj.Injected(SiteWorkerStart) != 2 {
+		t.Fatalf("seen=%d injected=%d, want 5/2", inj.seen[SiteWorkerStart], inj.Injected(SiteWorkerStart))
 	}
 	// Other sites are counted independently.
-	if inj.Seen(SiteHTTPRequest) != 0 {
+	if inj.seen[SiteHTTPRequest] != 0 {
 		t.Fatal("sites share occurrence counters")
 	}
 }
@@ -125,7 +125,7 @@ func TestDelayFault(t *testing.T) {
 func TestSleepIgnoresNonDelayRules(t *testing.T) {
 	inj := New(1, Rule{Site: SiteCacheHit, Kind: KindPanic})
 	inj.Sleep(SiteCacheHit) // must neither panic nor error
-	if inj.Seen(SiteCacheHit) != 1 {
+	if inj.seen[SiteCacheHit] != 1 {
 		t.Fatal("Sleep did not consume the occurrence")
 	}
 }

@@ -4,30 +4,22 @@
 // completes, multiprogramming-level accounting never goes negative, and job
 // lifecycles are well-ordered.
 //
-// Two complementary levels:
-//
-//   - Checker consumes the decision-trace event stream (obs.ExportEvent —
-//     the facade's TraceEvent is an alias, so a Checker plugs straight into
-//     an Observer) and verifies the invariants online as events arrive.
-//     Allocation invariants ride on realloc events, which only the
-//     space-sharing resource managers record; IRIX time-sharing runs are
-//     covered by lifecycle and MPL accounting here and by CheckResult below.
-//   - CheckResult inspects a completed run's recorded execution history
-//     (burst-level CPU ownership, per-job allocation series, MPL timeline)
-//     and applies the machine-level forms of the same invariants — including
-//     CPU conservation for time-sharing policies, which the event stream
-//     cannot see.
+// Checker consumes the decision-trace event stream (obs.ExportEvent — the
+// facade's TraceEvent is an alias, so a Checker plugs straight into an
+// Observer) and verifies the invariants online as events arrive.
+// Allocation invariants ride on realloc events, which only the
+// space-sharing resource managers record; IRIX time-sharing runs are
+// covered by lifecycle and MPL accounting here, and the package's grid
+// test applies the machine-level forms of the same invariants to each
+// run's recorded execution history, including CPU conservation for
+// time-sharing policies, which the event stream cannot see.
 package invariant
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
-	"pdpasim/internal/metrics"
 	"pdpasim/internal/obs"
-	"pdpasim/internal/sim"
-	"pdpasim/internal/trace"
 )
 
 // maxViolations bounds how many violations a checker retains; a broken run
@@ -53,7 +45,6 @@ type jobState struct {
 	arrived bool
 	started bool
 	done    bool
-	doneAt  int64 // event time (µs) of completion
 }
 
 // New returns an empty checker; the machine size is learned from the
@@ -123,14 +114,13 @@ func (c *Checker) Observe(e obs.ExportEvent) {
 			c.violate("job %d completed twice", e.Job)
 		}
 		js.done = true
-		js.doneAt = e.AtUS
 		c.running--
 		if c.running < 0 {
 			c.violate("MPL accounting negative (%d) at job %d completion", c.running, e.Job)
 		}
 		// The resource manager releases the job's partition at the same
 		// instant without tracing a realloc; mirror the implicit release so
-		// the conservation sum stays honest. CheckResult verifies from the
+		// the conservation sum stays honest. The grid test verifies from the
 		// burst history that the CPUs really were given back.
 		c.total -= js.alloc
 		js.alloc = 0
@@ -189,110 +179,4 @@ func (c *Checker) Err() error {
 		v = v[:5]
 	}
 	return fmt.Errorf("invariant: %d violation(s): %v", n, v)
-}
-
-// CheckResult verifies machine-level invariants over a completed run's
-// recorded execution history (the run must have kept bursts): per-CPU bursts
-// never overlap (no CPU has two owners), no burst outlives its job or
-// predates its start, the instantaneous total allocation never exceeds the
-// machine, every job ends holding zero processors, and the MPL timeline is
-// ordered and non-negative. It returns the violations found, nil when clean.
-func CheckResult(res *metrics.RunResult) []string {
-	var v []string
-	rec := res.Recorder
-	if rec == nil {
-		return []string{"run kept no recorder (Config.KeepBursts unset); burst invariants unverifiable"}
-	}
-	start := make(map[int]sim.Time, len(res.Jobs))
-	end := make(map[int]sim.Time, len(res.Jobs))
-	for _, j := range res.Jobs {
-		start[j.ID] = j.Start
-		end[j.ID] = j.End
-	}
-
-	byCPU := make(map[int][]trace.Burst)
-	for _, b := range rec.Bursts() {
-		if b.End < b.Start {
-			v = append(v, fmt.Sprintf("CPU %d: burst for job %d runs backwards (%v > %v)", b.CPU, b.Job, b.Start, b.End))
-		}
-		e, known := end[b.Job]
-		if !known {
-			v = append(v, fmt.Sprintf("CPU %d: burst for unknown job %d", b.CPU, b.Job))
-		} else {
-			if b.End > e {
-				v = append(v, fmt.Sprintf("CPU %d held by job %d until %v, after its completion at %v", b.CPU, b.Job, b.End, e))
-			}
-			if b.Start < start[b.Job] {
-				v = append(v, fmt.Sprintf("CPU %d ran job %d from %v, before its start at %v", b.CPU, b.Job, b.Start, start[b.Job]))
-			}
-		}
-		byCPU[b.CPU] = append(byCPU[b.CPU], b)
-	}
-	for cpu, bs := range byCPU {
-		sort.Slice(bs, func(i, j int) bool { return bs[i].Start < bs[j].Start })
-		for i := 1; i < len(bs); i++ {
-			if bs[i].Start < bs[i-1].End {
-				v = append(v, fmt.Sprintf("CPU %d double-owned: job %d until %v overlaps job %d from %v",
-					cpu, bs[i-1].Job, bs[i-1].End, bs[i].Job, bs[i].Start))
-			}
-		}
-	}
-
-	// CPU conservation from the per-job allocation series: at every instant
-	// the summed allocation must fit the machine, and every job's series
-	// must return to zero.
-	type step struct {
-		at    sim.Time
-		delta int
-	}
-	var steps []step
-	for _, j := range res.Jobs {
-		prev := 0
-		for _, p := range rec.AllocationHistory(j.ID) {
-			if p.At > j.End && p.Value > 0 {
-				v = append(v, fmt.Sprintf("job %d allocated %d processors at %v, after its completion at %v", j.ID, p.Value, p.At, j.End))
-			}
-			steps = append(steps, step{p.At, p.Value - prev})
-			prev = p.Value
-		}
-		// The manager releases the partition at completion without recording
-		// a zero sample; close the series at the job's end time.
-		if prev != 0 {
-			steps = append(steps, step{j.End, -prev})
-		}
-	}
-	sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
-	total := 0
-	for i := 0; i < len(steps); {
-		at := steps[i].at
-		// Apply every step of the instant before judging it, so a release
-		// and a grant at the same timestamp never look like a transient
-		// over-allocation.
-		for i < len(steps) && steps[i].at == at {
-			total += steps[i].delta
-			i++
-		}
-		if total > rec.NCPU() {
-			v = append(v, fmt.Sprintf("allocated %d CPUs at %v exceeds machine size %d", total, at, rec.NCPU()))
-		}
-		if total < 0 {
-			v = append(v, fmt.Sprintf("allocation accounting negative (%d) at %v", total, at))
-		}
-	}
-
-	prevAt := sim.Time(-1)
-	for _, p := range res.MPLTimeline {
-		if p.Value < 0 {
-			v = append(v, fmt.Sprintf("MPL negative (%d) at %v", p.Value, p.At))
-		}
-		if p.At < prevAt {
-			v = append(v, fmt.Sprintf("MPL timeline out of order at %v", p.At))
-		}
-		prevAt = p.At
-	}
-
-	if len(v) > maxViolations {
-		v = append(v[:maxViolations], fmt.Sprintf("... and %d more suppressed", len(v)-maxViolations))
-	}
-	return v
 }

@@ -22,8 +22,8 @@ func checkPartition(t *testing.T, step int, m *Machine, ncpu, maxJob int) {
 	allocated := 0
 	for job := 0; job <= maxJob; job++ {
 		cpus := m.CPUsView(job)
-		if m.Allocated(job) != len(cpus) {
-			t.Fatalf("step %d: job %d Allocated = %d but holds %d CPUs", step, job, m.Allocated(job), len(cpus))
+		if len(m.cpusOf(job)) != len(cpus) {
+			t.Fatalf("step %d: job %d Allocated = %d but holds %d CPUs", step, job, len(m.cpusOf(job)), len(cpus))
 		}
 		allocated += len(cpus)
 		for _, cpu := range cpus {
@@ -31,8 +31,8 @@ func checkPartition(t *testing.T, step int, m *Machine, ncpu, maxJob int) {
 				t.Fatalf("step %d: CPU %d double-owned by jobs %d and %d", step, cpu, owner[cpu], job)
 			}
 			owner[cpu] = job
-			if m.Owner(cpu) != job {
-				t.Fatalf("step %d: CPU %d in job %d's list but Owner says %d", step, cpu, job, m.Owner(cpu))
+			if m.owner[cpu] != job {
+				t.Fatalf("step %d: CPU %d in job %d's list but Owner says %d", step, cpu, job, m.owner[cpu])
 			}
 		}
 	}
@@ -40,8 +40,8 @@ func checkPartition(t *testing.T, step int, m *Machine, ncpu, maxJob int) {
 		t.Fatalf("step %d: %d allocated + %d free ≠ %d CPUs", step, allocated, m.FreeCPUs(), ncpu)
 	}
 	for cpu := 0; cpu < ncpu; cpu++ {
-		if owner[cpu] == Free && m.Owner(cpu) != Free {
-			t.Fatalf("step %d: CPU %d owned by %d but in no job's list", step, cpu, m.Owner(cpu))
+		if owner[cpu] == Free && m.owner[cpu] != Free {
+			t.Fatalf("step %d: CPU %d owned by %d but in no job's list", step, cpu, m.owner[cpu])
 		}
 	}
 }

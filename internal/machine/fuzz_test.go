@@ -190,12 +190,12 @@ func compareState(t *testing.T, step int, m *Machine, ref *refMachine, maxJob, m
 	if m.FreeCPUs() != ref.free() {
 		t.Fatalf("step %d: FreeCPUs = %d, reference %d", step, m.FreeCPUs(), ref.free())
 	}
-	if got := m.rec.Migrations(); got != ref.migTotal {
+	if got := m.rec.Stats().Migrations; got != ref.migTotal {
 		t.Fatalf("step %d: migrations = %d, reference %d", step, got, ref.migTotal)
 	}
 	for cpu := 0; cpu < ref.ncpu; cpu++ {
-		if m.Owner(cpu) != ref.owner[cpu] {
-			t.Fatalf("step %d: owner of CPU %d = %d, reference %d", step, cpu, m.Owner(cpu), ref.owner[cpu])
+		if m.owner[cpu] != ref.owner[cpu] {
+			t.Fatalf("step %d: owner of CPU %d = %d, reference %d", step, cpu, m.owner[cpu], ref.owner[cpu])
 		}
 	}
 	for job := 0; job <= maxJob; job++ {
@@ -209,8 +209,8 @@ func compareState(t *testing.T, step int, m *Machine, ref *refMachine, maxJob, m
 				t.Fatalf("step %d: job %d CPUs = %v, reference %v", step, job, got, want)
 			}
 		}
-		if m.Allocated(job) != len(want) {
-			t.Fatalf("step %d: job %d Allocated = %d, reference %d", step, job, m.Allocated(job), len(want))
+		if len(m.cpusOf(job)) != len(want) {
+			t.Fatalf("step %d: job %d Allocated = %d, reference %d", step, job, len(m.cpusOf(job)), len(want))
 		}
 		for th := 0; th < maxThreads; th++ {
 			tid := ThreadID{Job: job, Thread: th}
@@ -252,8 +252,8 @@ func compareBursts(t *testing.T, rec *trace.Recorder, ref *refMachine) {
 			t.Fatalf("burst %d: recorded %+v, reference %+v", i, got[i], want[i])
 		}
 	}
-	if rec.Migrations() != ref.migTotal {
-		t.Fatalf("migrations: recorded %d, reference %d", rec.Migrations(), ref.migTotal)
+	if rec.Stats().Migrations != ref.migTotal {
+		t.Fatalf("migrations: recorded %d, reference %d", rec.Stats().Migrations, ref.migTotal)
 	}
 }
 

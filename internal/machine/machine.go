@@ -158,9 +158,6 @@ func (m *Machine) NCPU() int { return m.ncpu }
 // FreeCPUs returns how many CPUs are currently unowned.
 func (m *Machine) FreeCPUs() int { return m.nfree }
 
-// Owner returns the job owning cpu, or Free.
-func (m *Machine) Owner(cpu int) int { return m.owner[cpu] }
-
 // setOwner records cpu's new owner (job or Free), keeping the free count and
 // the free bitset in sync with the owner array.
 func (m *Machine) setOwner(cpu, job int) {
@@ -231,28 +228,11 @@ func (m *Machine) recycleAff(job int) {
 	m.aff[job] = nil
 }
 
-// Allocated returns the number of CPUs job currently owns.
-func (m *Machine) Allocated(job int) int {
-	if job < 0 || job >= len(m.jobCPUs) {
-		return 0
-	}
-	return len(m.jobCPUs[job])
-}
-
-// CPUs returns a copy of the CPU list owned by job, in thread order. The
-// copy is the caller's to keep; use CPUsView on hot paths that only read.
-func (m *Machine) CPUs(job int) []int {
-	cur := m.cpusOf(job)
-	out := make([]int, len(cur))
-	copy(out, cur)
-	return out
-}
-
 // CPUsView returns the CPU list owned by job, in thread order, WITHOUT
 // copying: the returned slice aliases the machine's internal state and is
 // valid only until the next Resize/Release/PlaceQuantum call. Callers must
 // not modify or retain it. It exists for per-tick read-only loops (the
-// memory model's locality accounting); everything else should use CPUs.
+// memory model's locality accounting).
 func (m *Machine) CPUsView(job int) []int { return m.cpusOf(job) }
 
 func (m *Machine) cpusOf(job int) []int {
@@ -260,17 +240,6 @@ func (m *Machine) cpusOf(job int) []int {
 		return nil
 	}
 	return m.jobCPUs[job]
-}
-
-// Jobs returns the ids of all jobs owning at least one CPU, sorted.
-func (m *Machine) Jobs() []int {
-	var out []int
-	for j, cpus := range m.jobCPUs {
-		if len(cpus) > 0 {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // Resize changes job's allocation to want CPUs (clamped to what is free) and

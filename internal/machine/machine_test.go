@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,10 +34,10 @@ func TestResizeGrowShrink(t *testing.T) {
 func TestResizeAffinityKeepsCPUs(t *testing.T) {
 	m := New(8, nil)
 	m.Resize(0, 1, 4)
-	before := m.CPUs(1)
+	before := slices.Clone(m.cpusOf(1))
 	m.Resize(sim.Second, 1, 2)
 	m.Resize(2*sim.Second, 1, 4)
-	after := m.CPUs(1)
+	after := slices.Clone(m.cpusOf(1))
 	// The first two CPUs must be unchanged (kept across the shrink).
 	if after[0] != before[0] || after[1] != before[1] {
 		t.Fatalf("affinity lost: before=%v after=%v", before, after)
@@ -47,27 +48,27 @@ func TestResizeMigrationCounting(t *testing.T) {
 	rec := trace.NewRecorder(4)
 	m := New(4, rec)
 	m.Resize(0, 1, 2) // threads 0,1 created — no migrations
-	if rec.Migrations() != 0 {
-		t.Fatalf("creation counted as migration: %d", rec.Migrations())
+	if rec.Stats().Migrations != 0 {
+		t.Fatalf("creation counted as migration: %d", rec.Stats().Migrations)
 	}
 	m.Resize(sim.Second, 2, 2)   // job 2 on cpus 2,3
 	m.Resize(2*sim.Second, 1, 1) // job 1 shrinks, cpu1 free
 	m.Resize(3*sim.Second, 2, 3) // job 2 grows onto cpu1: thread 2 is new
-	if rec.Migrations() != 0 {
-		t.Fatalf("new thread counted as migration: %d", rec.Migrations())
+	if rec.Stats().Migrations != 0 {
+		t.Fatalf("new thread counted as migration: %d", rec.Stats().Migrations)
 	}
 	m.Resize(4*sim.Second, 2, 2) // job 2 back to 2: thread 2 suspended
 	m.Resize(5*sim.Second, 1, 2) // job 1 regrows onto cpu1: thread 1 moved 1->1? cpu1 was its original
 	// thread 1 of job 1 originally on cpu1, so regrowth onto cpu1 is not a move.
-	if rec.Migrations() != 0 {
-		t.Fatalf("same-cpu regrowth counted as migration: %d", rec.Migrations())
+	if rec.Stats().Migrations != 0 {
+		t.Fatalf("same-cpu regrowth counted as migration: %d", rec.Stats().Migrations)
 	}
 	m.Resize(6*sim.Second, 1, 1)
 	m.Resize(7*sim.Second, 3, 1) // job 3 takes cpu1
 	m.Resize(7500*sim.Millisecond, 2, 1)
 	m.Resize(8*sim.Second, 1, 2) // job 1 thread 1 must land on freed cpu3 => migration
-	if rec.Migrations() != 1 {
-		t.Fatalf("migrations = %d, want 1", rec.Migrations())
+	if rec.Stats().Migrations != 1 {
+		t.Fatalf("migrations = %d, want 1", rec.Stats().Migrations)
 	}
 }
 
@@ -78,8 +79,8 @@ func TestReleaseFreesEverything(t *testing.T) {
 	if m.FreeCPUs() != 4 {
 		t.Fatalf("free = %d", m.FreeCPUs())
 	}
-	if m.Allocated(7) != 0 {
-		t.Fatalf("allocated = %d", m.Allocated(7))
+	if len(m.cpusOf(7)) != 0 {
+		t.Fatalf("allocated = %d", len(m.cpusOf(7)))
 	}
 	if _, ok := lastCPU(m, ThreadID{Job: 7, Thread: 0}); ok {
 		t.Fatal("thread memory not cleared on release")
@@ -91,7 +92,7 @@ func TestJobsSorted(t *testing.T) {
 	m.Resize(0, 5, 1)
 	m.Resize(0, 2, 1)
 	m.Resize(0, 9, 1)
-	jobs := m.Jobs()
+	jobs := jobsOf(m)
 	if len(jobs) != 3 || jobs[0] != 2 || jobs[1] != 5 || jobs[2] != 9 {
 		t.Fatalf("jobs = %v", jobs)
 	}
@@ -138,8 +139,8 @@ func TestPlaceQuantum(t *testing.T) {
 		{CPU: 1, Thread: ThreadID{Job: 1, Thread: 1}},
 		{CPU: 2, Thread: ThreadID{Job: 2, Thread: 0}},
 	})
-	if rec.Migrations() != 0 {
-		t.Fatalf("first placement migrations = %d", rec.Migrations())
+	if rec.Stats().Migrations != 0 {
+		t.Fatalf("first placement migrations = %d", rec.Stats().Migrations)
 	}
 	// Swap two threads: two migrations.
 	m.PlaceQuantum(100*sim.Millisecond, []Placement{
@@ -147,15 +148,15 @@ func TestPlaceQuantum(t *testing.T) {
 		{CPU: 0, Thread: ThreadID{Job: 1, Thread: 1}},
 		{CPU: 2, Thread: ThreadID{Job: 2, Thread: 0}},
 	})
-	if rec.Migrations() != 2 {
-		t.Fatalf("migrations = %d, want 2", rec.Migrations())
+	if rec.Stats().Migrations != 2 {
+		t.Fatalf("migrations = %d, want 2", rec.Stats().Migrations)
 	}
 	// Unmentioned CPU goes idle.
 	m.PlaceQuantum(200*sim.Millisecond, []Placement{
 		{CPU: 0, Thread: ThreadID{Job: 1, Thread: 1}},
 	})
-	if m.Owner(2) != Free || m.Owner(1) != Free {
-		t.Fatalf("owners = %d,%d, want free", m.Owner(1), m.Owner(2))
+	if m.owner[2] != Free || m.owner[1] != Free {
+		t.Fatalf("owners = %d,%d, want free", m.owner[1], m.owner[2])
 	}
 }
 
@@ -215,14 +216,14 @@ func TestOwnershipPartitionProperty(t *testing.T) {
 		}
 		seen := map[int]int{} // cpu -> job
 		total := 0
-		for _, job := range m.Jobs() {
-			for i, cpu := range m.CPUs(job) {
+		for _, job := range jobsOf(m) {
+			for i, cpu := range m.cpusOf(job) {
 				if other, dup := seen[cpu]; dup {
 					t.Logf("cpu %d owned by %d and %d", cpu, other, job)
 					return false
 				}
 				seen[cpu] = job
-				if m.Owner(cpu) != job {
+				if m.owner[cpu] != job {
 					return false
 				}
 				_ = i
@@ -234,4 +235,15 @@ func TestOwnershipPartitionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// jobsOf returns the ids of all jobs owning at least one CPU, sorted.
+func jobsOf(m *Machine) []int {
+	var out []int
+	for j, cpus := range m.jobCPUs {
+		if len(cpus) > 0 {
+			out = append(out, j)
+		}
+	}
+	return out
 }

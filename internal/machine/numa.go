@@ -13,8 +13,8 @@ import (
 //
 // The machine model captures the placement side of this: processors are
 // grouped into nodes of NodeSize, Resize prefers to grow a job onto nodes
-// it already occupies (then onto the emptiest nodes), and NodeSpan/Locality
-// report how compact each job's partition is. Time-sharing placements (the
+// it already occupies (then onto the emptiest nodes), keeping each job's
+// partition compact. Time-sharing placements (the
 // IRIX model) bypass this logic — exactly the locality destruction the
 // paper attributes to the native scheduler.
 
@@ -46,33 +46,6 @@ func (m *Machine) NodeOf(cpu int) int { return cpu / m.nodeSize() }
 
 // Nodes returns the number of NUMA nodes.
 func (m *Machine) Nodes() int { return (m.ncpu + m.nodeSize() - 1) / m.nodeSize() }
-
-// NodeSpan returns how many NUMA nodes job's partition touches.
-func (m *Machine) NodeSpan(job int) int {
-	seen := map[int]bool{}
-	for _, cpu := range m.cpusOf(job) {
-		seen[m.NodeOf(cpu)] = true
-	}
-	return len(seen)
-}
-
-// Locality returns the compactness of job's partition: the minimal number
-// of nodes that could hold it divided by the number it actually spans
-// (1 = perfectly compact, smaller = fragmented). Jobs with no processors
-// score 1.
-func (m *Machine) Locality(job int) float64 {
-	n := len(m.cpusOf(job))
-	if n == 0 {
-		return 1
-	}
-	size := m.nodeSize()
-	minNodes := (n + size - 1) / size
-	span := m.NodeSpan(job)
-	if span == 0 {
-		return 1
-	}
-	return float64(minNodes) / float64(span)
-}
 
 // pickFreeCPUs returns want free CPUs for job, preferring nodes the job
 // already occupies, then the nodes with the most free processors (packing

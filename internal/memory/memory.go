@@ -62,15 +62,6 @@ func New(nodes int, remotePenalty, migrationRate float64) (*Model, error) {
 	}, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(nodes int, remotePenalty, migrationRate float64) *Model {
-	m, err := New(nodes, remotePenalty, migrationRate)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // JobStarted places a new job's working set uniformly over the nodes it
 // first runs on (first-touch allocation). nodeShare[n] is the fraction of
 // the job's processors on node n and must sum to ~1.
@@ -127,15 +118,6 @@ func (m *Model) Advance(t sim.Time, job int, nodeShare []float64) float64 {
 	return m.locality(p, ideal)
 }
 
-// Locality returns the job's current locality factor without advancing time.
-func (m *Model) Locality(job int, nodeShare []float64) float64 {
-	p, ok := m.jobs[job]
-	if !ok {
-		return 1
-	}
-	return m.locality(p, m.normalized(nodeShare))
-}
-
 // locality computes the speed multiplier: the fraction of accesses that are
 // local runs at full speed, the remote fraction at 1/remotePenalty.
 func (m *Model) locality(p *jobPages, ideal []float64) float64 {
@@ -178,6 +160,3 @@ func pow1m(rate, dt float64) float64 {
 	}
 	return out
 }
-
-// Jobs returns how many jobs the model tracks.
-func (m *Model) Jobs() int { return len(m.jobs) }

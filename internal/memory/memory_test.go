@@ -29,16 +29,16 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPerfectLocalityAtStart(t *testing.T) {
-	m := MustNew(4, 2.0, 0.1)
+	m := mustNew(4, 2.0, 0.1)
 	m.JobStarted(0, 1, []float64{1, 0, 0, 0})
 	// First-touch: pages where the job runs => locality 1.
-	if got := m.Locality(1, []float64{1, 0, 0, 0}); math.Abs(got-1) > 1e-9 {
+	if got := localityOf(m, 1, []float64{1, 0, 0, 0}); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("locality = %v, want 1", got)
 	}
 }
 
 func TestRelocationHurtsThenHeals(t *testing.T) {
-	m := MustNew(4, 2.0, 0.2)
+	m := mustNew(4, 2.0, 0.2)
 	m.JobStarted(0, 1, []float64{1, 0, 0, 0})
 	// The job moves entirely to node 1: all pages remote.
 	away := []float64{0, 1, 0, 0}
@@ -61,7 +61,7 @@ func TestRelocationHurtsThenHeals(t *testing.T) {
 }
 
 func TestStableScheduleKeepsLocality(t *testing.T) {
-	m := MustNew(4, 1.5, 0.1)
+	m := mustNew(4, 1.5, 0.1)
 	share := []float64{0.5, 0.5, 0, 0}
 	m.JobStarted(0, 1, share)
 	for i := 1; i <= 10; i++ {
@@ -74,7 +74,7 @@ func TestStableScheduleKeepsLocality(t *testing.T) {
 func TestChurnKeepsLocalityLow(t *testing.T) {
 	// A job bounced between nodes every second never converges — the
 	// instability cost of Section 5.1.1.
-	m := MustNew(2, 2.0, 0.1)
+	m := mustNew(2, 2.0, 0.1)
 	m.JobStarted(0, 1, []float64{1, 0})
 	var minLoc float64 = 1
 	for i := 1; i <= 20; i++ {
@@ -93,42 +93,42 @@ func TestChurnKeepsLocalityLow(t *testing.T) {
 }
 
 func TestUnknownJobNeutral(t *testing.T) {
-	m := MustNew(2, 2.0, 0.1)
+	m := mustNew(2, 2.0, 0.1)
 	if m.Advance(sim.Second, 42, []float64{1, 0}) != 1 {
 		t.Fatal("unknown job should run at full speed")
 	}
-	if m.Locality(42, nil) != 1 {
+	if localityOf(m, 42, nil) != 1 {
 		t.Fatal("unknown job locality should be 1")
 	}
 }
 
 func TestJobLifecycle(t *testing.T) {
-	m := MustNew(2, 2.0, 0.1)
+	m := mustNew(2, 2.0, 0.1)
 	m.JobStarted(0, 1, []float64{1, 0})
-	if m.Jobs() != 1 {
+	if len(m.jobs) != 1 {
 		t.Fatal("job not tracked")
 	}
 	m.JobFinished(1)
-	if m.Jobs() != 0 {
+	if len(m.jobs) != 0 {
 		t.Fatal("job not dropped")
 	}
 }
 
 func TestZeroShareDefaultsToNodeZero(t *testing.T) {
-	m := MustNew(2, 2.0, 0.1)
+	m := mustNew(2, 2.0, 0.1)
 	m.JobStarted(0, 1, nil)
 	// Pages on node 0; running on node 0 => locality 1.
-	if got := m.Locality(1, []float64{1, 0}); math.Abs(got-1) > 1e-9 {
+	if got := localityOf(m, 1, []float64{1, 0}); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("locality = %v", got)
 	}
 	// Running on node 1 => fully remote.
-	if got := m.Locality(1, []float64{0, 1}); math.Abs(got-0.5) > 1e-9 {
+	if got := localityOf(m, 1, []float64{0, 1}); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("remote locality = %v", got)
 	}
 }
 
 func TestLocalityBounds(t *testing.T) {
-	m := MustNew(4, 3.0, 0.5)
+	m := mustNew(4, 3.0, 0.5)
 	m.JobStarted(0, 1, []float64{0.25, 0.25, 0.25, 0.25})
 	shares := [][]float64{
 		{1, 0, 0, 0}, {0, 0, 0, 1}, {0.5, 0.5, 0, 0}, {0.25, 0.25, 0.25, 0.25},
@@ -139,4 +139,22 @@ func TestLocalityBounds(t *testing.T) {
 			t.Fatalf("locality %v out of [1/penalty, 1]", loc)
 		}
 	}
+}
+
+func mustNew(nodes int, remotePenalty, migrationRate float64) *Model {
+	m, err := New(nodes, remotePenalty, migrationRate)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// localityOf returns the job's current locality factor without advancing
+// time.
+func localityOf(m *Model, job int, nodeShare []float64) float64 {
+	p, ok := m.jobs[job]
+	if !ok {
+		return 1
+	}
+	return m.locality(p, m.normalized(nodeShare))
 }

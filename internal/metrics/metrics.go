@@ -103,22 +103,6 @@ func (r *RunResult) AvgAllocByClass() map[app.Class]float64 {
 	return r.byClass(func(j JobResult) float64 { return j.AvgAlloc })
 }
 
-// SlowdownByClass returns the mean slowdown per class.
-func (r *RunResult) SlowdownByClass() map[app.Class]float64 {
-	return r.byClass(func(j JobResult) float64 { return j.Slowdown })
-}
-
-// SlowdownStats returns the distribution of per-job slowdowns.
-func (r *RunResult) SlowdownStats() *stats.Summary {
-	var s stats.Summary
-	for _, j := range r.Jobs {
-		if j.Slowdown > 0 {
-			s.Add(j.Slowdown)
-		}
-	}
-	return &s
-}
-
 // CPUSecondsTotal returns the total CPU time consumed by all jobs.
 func (r *RunResult) CPUSecondsTotal() float64 {
 	total := 0.0

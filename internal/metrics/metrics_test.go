@@ -127,20 +127,3 @@ func TestSortJobs(t *testing.T) {
 		}
 	}
 }
-
-func TestSlowdownAggregation(t *testing.T) {
-	r := &RunResult{Jobs: []JobResult{
-		{Class: app.Swim, Slowdown: 2},
-		{Class: app.Swim, Slowdown: 4},
-		{Class: app.BT, Slowdown: 1.5},
-		{Class: app.Apsi}, // zero slowdown (unknown) excluded from stats
-	}}
-	by := r.SlowdownByClass()
-	if by[app.Swim] != 3 || by[app.BT] != 1.5 {
-		t.Fatalf("by class = %v", by)
-	}
-	s := r.SlowdownStats()
-	if s.N() != 3 || s.Max() != 4 {
-		t.Fatalf("stats = %v", s)
-	}
-}

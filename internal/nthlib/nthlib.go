@@ -210,18 +210,8 @@ func (r *Runtime) Request() int { return r.request }
 // Allocated returns the current RM grant.
 func (r *Runtime) Allocated() int { return r.allocated }
 
-// Effective returns the parallelism actually in use (grant clamped by the
-// request and, during the baseline phase, by the SelfAnalyzer cap).
-func (r *Runtime) Effective() int { return r.effective }
-
-// Done reports whether the application has completed.
-func (r *Runtime) Done() bool { return r.done }
-
 // IterationsDone returns completed iteration count.
 func (r *Runtime) IterationsDone() int { return r.exec.IterationsDone() }
-
-// RemainingWork returns serial work left.
-func (r *Runtime) RemainingWork() sim.Time { return r.exec.RemainingWork() }
 
 // Rate returns the execution's current effective speedup; in raw mode, the
 // rate last passed to SetRawRate.

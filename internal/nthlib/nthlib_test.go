@@ -35,11 +35,11 @@ func TestRuntimeLifecycle(t *testing.T) {
 	})
 	rt.SetAllocation(8)
 	// Baseline cap: effective must be 2 despite the grant of 8.
-	if rt.Effective() != 2 || rt.Allocated() != 8 {
-		t.Fatalf("effective=%d allocated=%d", rt.Effective(), rt.Allocated())
+	if rt.effective != 2 || rt.Allocated() != 8 {
+		t.Fatalf("effective=%d allocated=%d", rt.effective, rt.Allocated())
 	}
-	eng.RunUntilIdle()
-	if !rt.Done() {
+	eng.Run(sim.Forever)
+	if !rt.done {
 		t.Fatal("not done")
 	}
 	// Baseline: 2 iterations at 2 procs = 2 × 5s. Then 3 iterations at 8
@@ -68,12 +68,12 @@ func TestRuntimeReallocPenalty(t *testing.T) {
 	p.ReallocPenalty = sim.Second
 	rt := New(eng, p, p.Request, nil, Hooks{}) // uninstrumented: no baseline
 	rt.SetAllocation(4)
-	if rt.Effective() != 4 {
-		t.Fatalf("effective = %d", rt.Effective())
+	if rt.effective != 4 {
+		t.Fatalf("effective = %d", rt.effective)
 	}
 	// First iteration would end at 2.5s; change allocation at 1s.
 	eng.At(sim.Second, "realloc", func() { rt.SetAllocation(8) })
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	// Work: 1s at rate 4 = 4 serial done; penalty 1s; remaining 46 serial at
 	// rate 8 = 5.75s. Total = 1 + 1 + 5.75 = 7.75s.
 	if got := eng.Now(); got != 7750*sim.Millisecond {
@@ -88,7 +88,7 @@ func TestRuntimeSameAllocationNoPenalty(t *testing.T) {
 	rt := New(eng, p, p.Request, nil, Hooks{})
 	rt.SetAllocation(4)
 	eng.At(sim.Second, "same", func() { rt.SetAllocation(4) })
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	// 50 serial at rate 4 = 12.5s; any penalty would push past that.
 	if got := eng.Now(); got != 12500*sim.Millisecond {
 		t.Fatalf("finished at %v (penalty charged on no-op realloc?)", got)
@@ -100,8 +100,8 @@ func TestRuntimeGrantAboveRequestClamped(t *testing.T) {
 	p := prof4()
 	rt := New(eng, p, 4, nil, Hooks{})
 	rt.SetAllocation(50)
-	if rt.Effective() != 4 {
-		t.Fatalf("effective = %d, want request cap 4", rt.Effective())
+	if rt.effective != 4 {
+		t.Fatalf("effective = %d, want request cap 4", rt.effective)
 	}
 }
 
@@ -111,12 +111,12 @@ func TestRuntimeZeroAllocationStalls(t *testing.T) {
 	rt := New(eng, p, 8, nil, Hooks{})
 	rt.SetAllocation(0)
 	eng.Run(100 * sim.Second)
-	if rt.Done() || rt.IterationsDone() != 0 {
+	if rt.done || rt.IterationsDone() != 0 {
 		t.Fatal("app progressed with zero processors")
 	}
 	rt.SetAllocation(8)
-	eng.RunUntilIdle()
-	if !rt.Done() {
+	eng.Run(sim.Forever)
+	if !rt.done {
 		t.Fatal("app did not resume")
 	}
 }
@@ -136,7 +136,7 @@ func TestRuntimeDirtyIterationNotReported(t *testing.T) {
 	// request? Instead change after baseline: schedule a change mid
 	// iteration 1.
 	eng.At(6*sim.Second, "change", func() { rt.SetAllocation(6) })
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	// Iteration 1 (first post-baseline) is dirty, so the first post-baseline
 	// measurement comes from a later iteration at 6 procs.
 	if len(perf) < 2 {
@@ -155,7 +155,7 @@ func TestRuntimeRawMode(t *testing.T) {
 	var done bool
 	rt := New(eng, p, 8, nil, Hooks{OnDone: func() { done = true }})
 	rt.SetRawRate(5, 8)
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	if !done {
 		t.Fatal("raw mode app did not finish")
 	}
@@ -183,12 +183,12 @@ func TestRuntimeOnIterationHook(t *testing.T) {
 	count := 0
 	rt := New(eng, p, 8, nil, Hooks{OnIteration: func(app.IterationSample) { count++ }})
 	rt.SetAllocation(8)
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	if count != p.Iterations {
 		t.Fatalf("iteration hooks = %d, want %d", count, p.Iterations)
 	}
-	if rt.RemainingWork() != 0 {
-		t.Fatalf("remaining = %v", rt.RemainingWork())
+	if !rt.exec.Done() {
+		t.Fatalf("work remains after %d iterations", count)
 	}
 }
 
@@ -219,8 +219,8 @@ func TestRuntimeReallocDuringPerfCallback(t *testing.T) {
 		},
 	})
 	rt.SetAllocation(2)
-	eng.RunUntilIdle()
-	if !rt.Done() {
+	eng.Run(sim.Forever)
+	if !rt.done {
 		t.Fatal("did not finish")
 	}
 }
@@ -243,8 +243,8 @@ func TestBinaryOnlyDelaysMeasurements(t *testing.T) {
 		})
 		rt.SetBinaryOnly(binaryOnly)
 		rt.SetAllocation(30)
-		eng.RunUntilIdle()
-		if !rt.Done() {
+		eng.Run(sim.Forever)
+		if !rt.done {
 			t.Fatal("did not finish")
 		}
 		return firstReport
@@ -284,7 +284,7 @@ func TestSetRateFactor(t *testing.T) {
 	rt.SetAllocation(8)
 	// Halving the rate doubles the remaining time.
 	rt.SetRateFactor(0.5)
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	// 50 serial at rate 8*0.5=4 => 12.5s.
 	if got := eng.Now(); got != 12500*sim.Millisecond {
 		t.Fatalf("finished at %v", got)

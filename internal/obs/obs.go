@@ -152,9 +152,6 @@ func policyStateName(s int32) string {
 	return fmt.Sprintf("state(%d)", s)
 }
 
-// PolicyStateName returns the PDPA state name for a recorded From/To value.
-func PolicyStateName(s int) string { return policyStateName(int32(s)) }
-
 // Event is one decision-trace record. Field meaning depends on Kind (see the
 // Kind constants); unused fields are zero. The struct is flat and small so
 // recording is one slice append with no per-event allocation.
@@ -220,25 +217,11 @@ func (t *Trace) Events() []Event { return t.events }
 // Len returns the number of retained events.
 func (t *Trace) Len() int { return len(t.events) }
 
-// Total returns how many events were recorded, including dropped ones.
-func (t *Trace) Total() int { return t.seq }
-
 // Dropped returns how many events exceeded the retention limit.
 func (t *Trace) Dropped() int { return t.dropped }
 
 // Retains reports whether the trace keeps events (false for stream-only).
 func (t *Trace) Retains() bool { return t.limit >= 0 }
-
-// CountKind returns how many retained events have the given kind.
-func (t *Trace) CountKind(k Kind) int {
-	n := 0
-	for i := range t.events {
-		if t.events[i].Kind == k {
-			n++
-		}
-	}
-	return n
-}
 
 // ExportEvent is the wire form of one trace event: the schema of the JSON
 // and CSV exports, the facade's TraceEvent, and the pdpad daemon's

@@ -20,8 +20,8 @@ func TestTraceRetentionAndSink(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Record(Event{At: sim.Time(i), Kind: KindReport, Job: int32(i)})
 	}
-	if tr.Len() != 2 || tr.Dropped() != 3 || tr.Total() != 5 {
-		t.Fatalf("len=%d dropped=%d total=%d, want 2/3/5", tr.Len(), tr.Dropped(), tr.Total())
+	if tr.Len() != 2 || tr.Dropped() != 3 || tr.seq != 5 {
+		t.Fatalf("len=%d dropped=%d total=%d, want 2/3/5", tr.Len(), tr.Dropped(), tr.seq)
 	}
 	if len(seqs) != 5 || seqs[4] != 4 {
 		t.Fatalf("sink saw %v, want all five events", seqs)
@@ -29,7 +29,7 @@ func TestTraceRetentionAndSink(t *testing.T) {
 
 	streamOnly := NewTrace(-1)
 	streamOnly.Record(Event{Kind: KindReport})
-	if streamOnly.Retains() || streamOnly.Len() != 0 || streamOnly.Total() != 1 {
+	if streamOnly.Retains() || streamOnly.Len() != 0 || streamOnly.seq != 1 {
 		t.Fatalf("stream-only trace retained events")
 	}
 	unlimited := NewTrace(0)

@@ -19,7 +19,7 @@ func FuzzDetector(f *testing.F) {
 			if len(d.history) > 4*16 {
 				t.Fatalf("history grew to %d", len(d.history))
 			}
-			if d.Period() == 0 && d.Confirmations() != 0 {
+			if d.Period() == 0 && confirmations(d) != 0 {
 				t.Fatal("confirmations without a period")
 			}
 		}

@@ -106,12 +106,3 @@ func equalThirds(s []uint64) bool {
 	}
 	return true
 }
-
-// Confirmations returns how many consecutive repetitions of the current
-// period have been observed (0 when no period is confirmed).
-func (d *Detector) Confirmations() int {
-	if d.Period() == 0 {
-		return 0
-	}
-	return d.confirmed
-}

@@ -32,16 +32,9 @@ type Dynamic struct {
 	gains  []float64
 }
 
-// NewDynamic returns a Dynamic policy.
-func NewDynamic() *Dynamic {
-	d := new(Dynamic)
-	d.Reset()
-	return d
-}
-
 // Reset initializes the policy with Window 3 and no fits. It is the policy's
-// only initializer: NewDynamic calls it on a zero value, and a reused policy
-// keeps the alpha map's and the plan's storage.
+// only initializer: a new policy is Reset on a zero value, and a reused
+// policy keeps the alpha map's and the plan's storage.
 func (d *Dynamic) Reset() {
 	d.Window = 3
 	if d.alpha == nil {

@@ -7,7 +7,8 @@ import (
 )
 
 func TestDynamicMarginalWaterfill(t *testing.T) {
-	d := NewDynamic()
+	d := new(Dynamic)
+	d.Reset()
 	scalable := &sched.JobView{ID: 1, Request: 30}
 	flat := &sched.JobView{ID: 2, Request: 30}
 	d.JobStarted(0, scalable)
@@ -32,7 +33,8 @@ func TestDynamicMarginalWaterfill(t *testing.T) {
 }
 
 func TestDynamicUnmeasuredOptimistic(t *testing.T) {
-	d := NewDynamic()
+	d := new(Dynamic)
+	d.Reset()
 	j := &sched.JobView{ID: 1, Request: 16}
 	d.JobStarted(0, j)
 	plan := d.Plan(sched.View{NCPU: 60, Jobs: []*sched.JobView{j}})
@@ -42,7 +44,8 @@ func TestDynamicUnmeasuredOptimistic(t *testing.T) {
 }
 
 func TestDynamicRunToCompletionMinimum(t *testing.T) {
-	d := NewDynamic()
+	d := new(Dynamic)
+	d.Reset()
 	jobs := views(30, 30, 30)
 	for _, j := range jobs {
 		d.JobStarted(0, j)
@@ -58,7 +61,8 @@ func TestDynamicRunToCompletionMinimum(t *testing.T) {
 }
 
 func TestDynamicCleanup(t *testing.T) {
-	d := NewDynamic()
+	d := new(Dynamic)
+	d.Reset()
 	j := &sched.JobView{ID: 7, Request: 4}
 	d.JobStarted(0, j)
 	d.JobFinished(0, 7)
@@ -71,7 +75,8 @@ func TestDynamicCleanup(t *testing.T) {
 }
 
 func TestDynamicIgnoresBadSamples(t *testing.T) {
-	d := NewDynamic()
+	d := new(Dynamic)
+	d.Reset()
 	j := &sched.JobView{ID: 1, Request: 8}
 	d.JobStarted(0, j)
 	j.Reports = []sched.Report{{Procs: 1, Speedup: 1}}

@@ -39,19 +39,12 @@ type EqualEfficiency struct {
 // refit is recorded as an extrapolate event carrying the fitted alpha.
 func (e *EqualEfficiency) SetTrace(tr *obs.Trace) { e.tr = tr }
 
-// NewEqualEfficiency returns an Equal_efficiency policy extrapolating from
-// the most recent report — the per-measurement sensitivity the paper
-// criticizes ('too sensitive to small changes in the efficiency
-// measurements'). Raise Window to damp it.
-func NewEqualEfficiency() *EqualEfficiency {
-	e := new(EqualEfficiency)
-	e.Reset()
-	return e
-}
-
-// Reset initializes the policy with Window 1, no fits and no trace attached.
-// It is the policy's only initializer: NewEqualEfficiency calls it on a zero
-// value, and a reused policy keeps the alpha map's and the plan's storage.
+// Reset initializes the policy with Window 1, no fits and no trace attached:
+// it extrapolates from the most recent report — the per-measurement
+// sensitivity the paper criticizes ('too sensitive to small changes in the
+// efficiency measurements'). Raise Window to damp it. Reset is the policy's
+// only initializer: a new policy is Reset on a zero value, and a reused
+// policy keeps the alpha map's and the plan's storage.
 func (e *EqualEfficiency) Reset() {
 	e.Window = 1
 	if e.alpha == nil {
@@ -169,7 +162,3 @@ func (e *EqualEfficiency) Plan(v sched.View) []int {
 // WantsNewJob implements sched.Policy: Equal_efficiency runs under a fixed
 // multiprogramming level enforced by the queuing system.
 func (e *EqualEfficiency) WantsNewJob(v sched.View) bool { return true }
-
-// Alpha returns the fitted serialization parameter for a job (0 when
-// unknown) — exposed for tests and diagnostics.
-func (e *EqualEfficiency) Alpha(id sched.JobID) float64 { return e.alpha[id] }

@@ -23,15 +23,8 @@ type Equipartition struct {
 	dirty bool
 }
 
-// NewEquipartition returns an Equipartition policy.
-func NewEquipartition() *Equipartition {
-	e := new(Equipartition)
-	e.Reset()
-	return e
-}
-
 // Reset initializes the policy with no plan computed. It is the policy's
-// only initializer: NewEquipartition calls it on a zero value, and a reused
+// only initializer: a new policy is Reset on a zero value, and a reused
 // policy keeps the plan's storage.
 func (e *Equipartition) Reset() {
 	e.plan = e.plan[:0]

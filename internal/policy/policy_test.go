@@ -60,7 +60,8 @@ func TestEquipartitionedEmpty(t *testing.T) {
 }
 
 func TestEquipartitionPolicyReallocOnlyOnChange(t *testing.T) {
-	e := NewEquipartition()
+	e := new(Equipartition)
+	e.Reset()
 	jobs := views(30, 30)
 	v := sched.View{NCPU: 60, Jobs: jobs}
 	e.JobStarted(0, jobs[0])
@@ -82,10 +83,10 @@ func TestEquipartitionPolicyReallocOnlyOnChange(t *testing.T) {
 }
 
 func TestEquipartitionName(t *testing.T) {
-	if NewEquipartition().Name() != "Equip" {
+	if new(Equipartition).Name() != "Equip" {
 		t.Fatal("name")
 	}
-	if !NewEquipartition().WantsNewJob(sched.View{}) {
+	if !new(Equipartition).WantsNewJob(sched.View{}) {
 		t.Fatal("fixed-MPL policy must always allow admission")
 	}
 }
@@ -138,31 +139,33 @@ func TestEquipartitionedProperties(t *testing.T) {
 }
 
 func TestEqualEfficiencyFitsAlpha(t *testing.T) {
-	e := NewEqualEfficiency()
+	e := new(EqualEfficiency)
+	e.Reset()
 	j := &sched.JobView{ID: 1, Request: 30}
 	e.JobStarted(0, j)
 	// Perfect scaling: alpha 0.
 	j.Reports = append(j.Reports, sched.Report{Procs: 10, Speedup: 10})
 	e.ReportPerformance(0, j, j.Reports[len(j.Reports)-1])
-	if a := e.Alpha(1); a != 0 {
+	if a := e.alpha[1]; a != 0 {
 		t.Fatalf("alpha = %v, want 0", a)
 	}
 	// Amdahl-ish: S(10)=5 => alpha = (10/5-1)/9 = 1/9.
 	j.Reports = append(j.Reports, sched.Report{Procs: 10, Speedup: 5})
 	e.ReportPerformance(0, j, j.Reports[len(j.Reports)-1])
-	if a := e.Alpha(1); a < 0.05 || a > 0.12 {
+	if a := e.alpha[1]; a < 0.05 || a > 0.12 {
 		t.Fatalf("alpha = %v", a)
 	}
 	// Superlinear: S(10)=15 => negative alpha.
 	j.Reports = []sched.Report{{Procs: 10, Speedup: 15}}
 	e.ReportPerformance(0, j, j.Reports[0])
-	if a := e.Alpha(1); a >= 0 {
+	if a := e.alpha[1]; a >= 0 {
 		t.Fatalf("alpha = %v, want negative for superlinear", a)
 	}
 }
 
 func TestEqualEfficiencyFavorsEfficientJob(t *testing.T) {
-	e := NewEqualEfficiency()
+	e := new(EqualEfficiency)
+	e.Reset()
 	good := &sched.JobView{ID: 1, Request: 30}
 	bad := &sched.JobView{ID: 2, Request: 30}
 	e.JobStarted(0, good)
@@ -184,7 +187,8 @@ func TestEqualEfficiencySuperlinearCapture(t *testing.T) {
 	// A superlinear job (negative alpha) must capture nearly everything up
 	// to its request — the pathology the paper reports (2..28 CPUs for
 	// identical swims).
-	e := NewEqualEfficiency()
+	e := new(EqualEfficiency)
+	e.Reset()
 	super := &sched.JobView{ID: 1, Request: 28}
 	normal := &sched.JobView{ID: 2, Request: 30}
 	e.JobStarted(0, super)
@@ -203,7 +207,8 @@ func TestEqualEfficiencySuperlinearCapture(t *testing.T) {
 }
 
 func TestEqualEfficiencyRunToCompletionMinimum(t *testing.T) {
-	e := NewEqualEfficiency()
+	e := new(EqualEfficiency)
+	e.Reset()
 	jobs := views(30, 30, 30)
 	for _, j := range jobs {
 		e.JobStarted(0, j)
@@ -221,7 +226,8 @@ func TestEqualEfficiencyRunToCompletionMinimum(t *testing.T) {
 }
 
 func TestEqualEfficiencyUnknownJobOptimistic(t *testing.T) {
-	e := NewEqualEfficiency()
+	e := new(EqualEfficiency)
+	e.Reset()
 	known := &sched.JobView{ID: 1, Request: 30}
 	fresh := &sched.JobView{ID: 2, Request: 30}
 	e.JobStarted(0, known)
@@ -235,11 +241,12 @@ func TestEqualEfficiencyUnknownJobOptimistic(t *testing.T) {
 }
 
 func TestEqualEfficiencyCleanup(t *testing.T) {
-	e := NewEqualEfficiency()
+	e := new(EqualEfficiency)
+	e.Reset()
 	j := &sched.JobView{ID: 1, Request: 4}
 	e.JobStarted(0, j)
 	e.JobFinished(0, 1)
-	if e.Alpha(1) != 0 {
+	if e.alpha[1] != 0 {
 		t.Fatal("alpha retained after finish")
 	}
 	if e.Name() != "Equal_eff" {
@@ -248,12 +255,13 @@ func TestEqualEfficiencyCleanup(t *testing.T) {
 }
 
 func TestEqualEfficiencyIgnoresUnusableSamples(t *testing.T) {
-	e := NewEqualEfficiency()
+	e := new(EqualEfficiency)
+	e.Reset()
 	j := &sched.JobView{ID: 1, Request: 4}
 	e.JobStarted(0, j)
 	j.Reports = []sched.Report{{Procs: 1, Speedup: 1}, {Procs: 0, Speedup: 0}}
 	e.ReportPerformance(0, j, j.Reports[1])
-	if e.Alpha(1) != 0 {
-		t.Fatalf("alpha = %v from unusable samples", e.Alpha(1))
+	if e.alpha[1] != 0 {
+		t.Fatalf("alpha = %v from unusable samples", e.alpha[1])
 	}
 }

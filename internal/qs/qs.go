@@ -36,7 +36,6 @@ type QueuingSystem struct {
 	head    int
 	running int
 	maxMPL  int
-	started int
 
 	inTryStart bool
 
@@ -90,7 +89,6 @@ func Init(q *QueuingSystem, eng *sim.Engine, fixedMPL int, canAdmit func() bool,
 	q.head = 0
 	q.running = 0
 	q.maxMPL = 0
-	q.started = 0
 	q.inTryStart = false
 	q.subJobs = nil
 	q.subCursor = 0
@@ -195,7 +193,6 @@ func (q *QueuingSystem) TryStart() {
 		job := q.queue[q.head]
 		q.head++
 		q.running++
-		q.started++
 		if q.tr != nil {
 			if q.fixedMPL > 0 {
 				q.tr.Record(obs.Event{
@@ -227,9 +224,6 @@ func (q *QueuingSystem) Running() int { return q.running }
 
 // Queued returns the number of jobs waiting.
 func (q *QueuingSystem) Queued() int { return len(q.queue) - q.head }
-
-// Started returns how many jobs have been started in total.
-func (q *QueuingSystem) Started() int { return q.started }
 
 // MaxMPL returns the highest multiprogramming level reached.
 func (q *QueuingSystem) MaxMPL() int { return q.maxMPL }

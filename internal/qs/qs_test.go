@@ -72,7 +72,7 @@ func TestSubmitAllSchedulesArrivals(t *testing.T) {
 		job(0, 5*sim.Second), job(1, 10*sim.Second),
 	}}
 	q.SubmitAll(w)
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	if len(starts) != 2 || starts[0] != 5*sim.Second || starts[1] != 10*sim.Second {
 		t.Fatalf("starts = %v", starts)
 	}
@@ -98,7 +98,8 @@ func TestReentrantTryStart(t *testing.T) {
 
 func TestDrained(t *testing.T) {
 	eng := sim.NewEngine()
-	q := New(eng, 1, nil, func(workload.Job) {}, nil)
+	started := 0
+	q := New(eng, 1, nil, func(workload.Job) { started++ }, nil)
 	if !q.Drained() {
 		t.Fatal("empty queue should be drained")
 	}
@@ -107,8 +108,8 @@ func TestDrained(t *testing.T) {
 		t.Fatal("running job should block drained")
 	}
 	q.JobCompleted()
-	if !q.Drained() || q.Started() != 1 {
-		t.Fatalf("drained=%v started=%d", q.Drained(), q.Started())
+	if !q.Drained() || started != 1 {
+		t.Fatalf("drained=%v started=%d", q.Drained(), started)
 	}
 }
 

@@ -50,16 +50,9 @@ type GangManager struct {
 	placedBuf []machine.Placement
 }
 
-// NewGangManager returns a gang scheduler over mach.
-func NewGangManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder) *GangManager {
-	m := new(GangManager)
-	m.Reset(eng, mach, rec)
-	return m
-}
-
 // Reset initializes the gang scheduler over mach with an empty matrix and
-// no admission hook. It is the manager's only initializer: NewGangManager
-// calls it on a zero value, and a reused manager keeps its scratch buffers.
+// no admission hook. It is the manager's only initializer: a new manager is
+// Reset on a zero value, and a reused manager keeps its scratch buffers.
 func (m *GangManager) Reset(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder) {
 	clear(m.jobs)
 	m.jobs = m.jobs[:0]
@@ -226,6 +219,3 @@ func (m *GangManager) applySlot() {
 	m.placedBuf = placements
 	m.mach.PlaceQuantum(now, placements)
 }
-
-// Rows returns the current number of rows in the scheduling matrix.
-func (m *GangManager) Rows() int { return len(m.rows) }

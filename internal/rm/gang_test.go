@@ -14,8 +14,9 @@ import (
 func gangEnv(ncpu int) (*sim.Engine, *GangManager, *trace.Recorder) {
 	eng := sim.NewEngine()
 	rec := trace.NewRecorder(ncpu)
-	mach := machine.New(ncpu, rec)
-	return eng, NewGangManager(eng, mach, rec), rec
+	mgr := new(GangManager)
+	mgr.Reset(eng, machine.New(ncpu, rec), rec)
+	return eng, mgr, rec
 }
 
 func gangJobOn(eng *sim.Engine, mgr *GangManager, id sched.JobID, class app.Class, request int, done *int) *nthlib.Runtime {
@@ -36,7 +37,7 @@ func TestGangSingleJobRunsFullSpeed(t *testing.T) {
 	eng, mgr, _ := gangEnv(60)
 	done := 0
 	gangJobOn(eng, mgr, 0, app.Apsi, 2, &done)
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	if done != 1 {
 		t.Fatal("job did not finish")
 	}
@@ -46,8 +47,8 @@ func TestGangSingleJobRunsFullSpeed(t *testing.T) {
 	if got := eng.Now(); got < want || got > want+5*sim.Second {
 		t.Fatalf("finish at %v, want ~%v", got, want)
 	}
-	if mgr.Rows() != 0 {
-		t.Fatalf("rows = %d after completion", mgr.Rows())
+	if len(mgr.rows) != 0 {
+		t.Fatalf("rows = %d after completion", len(mgr.rows))
 	}
 }
 
@@ -55,12 +56,12 @@ func TestGangPacksRowsFirstFit(t *testing.T) {
 	eng, mgr, _ := gangEnv(60)
 	gangJobOn(eng, mgr, 0, app.BT, 30, nil)
 	gangJobOn(eng, mgr, 1, app.BT, 30, nil) // fits row 0 (30+30=60)
-	if mgr.Rows() != 1 {
-		t.Fatalf("rows = %d, want 1 (two 30s pack)", mgr.Rows())
+	if len(mgr.rows) != 1 {
+		t.Fatalf("rows = %d, want 1 (two 30s pack)", len(mgr.rows))
 	}
 	gangJobOn(eng, mgr, 2, app.BT, 30, nil) // opens row 1
-	if mgr.Rows() != 2 {
-		t.Fatalf("rows = %d, want 2", mgr.Rows())
+	if len(mgr.rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(mgr.rows))
 	}
 	_ = eng
 }
@@ -79,10 +80,10 @@ func TestGangTimeDilation(t *testing.T) {
 		})
 		mgr.StartJob(id, rt)
 	}
-	if mgr.Rows() != 2 {
-		t.Fatalf("rows = %d", mgr.Rows())
+	if len(mgr.rows) != 2 {
+		t.Fatalf("rows = %d", len(mgr.rows))
 	}
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	dedicated := app.ProfileFor(app.Apsi).DedicatedTime(8)
 	first := doneAt[0]
 	if doneAt[1] < first {
@@ -105,8 +106,8 @@ func TestGangNoMigrations(t *testing.T) {
 	}
 	eng.Run(120 * sim.Second)
 	// Gangs have fixed CPU sets: the whole point versus IRIX.
-	if rec.Migrations() > 0 {
-		t.Fatalf("migrations = %d, want 0", rec.Migrations())
+	if rec.Stats().Migrations > 0 {
+		t.Fatalf("migrations = %d, want 0", rec.Stats().Migrations)
 	}
 }
 
@@ -120,10 +121,10 @@ func TestGangRowCompaction(t *testing.T) {
 	if done != 1 {
 		t.Fatalf("done = %d, want the short job finished", done)
 	}
-	if mgr.Rows() != 1 {
-		t.Fatalf("rows = %d after compaction, want 1", mgr.Rows())
+	if len(mgr.rows) != 1 {
+		t.Fatalf("rows = %d after compaction, want 1", len(mgr.rows))
 	}
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	if done != 2 {
 		t.Fatal("bt did not finish")
 	}
@@ -133,7 +134,7 @@ func TestGangRequestAboveMachineClamped(t *testing.T) {
 	eng, mgr, _ := gangEnv(8)
 	done := 0
 	gangJobOn(eng, mgr, 0, app.Apsi, 64, &done)
-	eng.RunUntilIdle()
+	eng.Run(sim.Forever)
 	if done != 1 {
 		t.Fatal("oversized job did not finish")
 	}

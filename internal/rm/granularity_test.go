@@ -6,7 +6,6 @@ import (
 	"pdpasim/internal/app"
 	"pdpasim/internal/core"
 	"pdpasim/internal/nthlib"
-	"pdpasim/internal/policy"
 	"pdpasim/internal/sched"
 	"pdpasim/internal/selfanalyzer"
 	"pdpasim/internal/sim"
@@ -33,7 +32,7 @@ func startGranular(e *env, mgr Manager, id sched.JobID, class app.Class, request
 
 func TestRigidJobAllOrNothing(t *testing.T) {
 	e := newEnv(60)
-	mgr := NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec)
+	mgr := NewSpaceManager(e.eng, e.mach, equipartition(), e.rec)
 	// A malleable bt takes the whole machine first.
 	a := startJob(e, mgr, 0, app.BT, 40, nil)
 	if a.Allocated() != 40 {
@@ -56,15 +55,15 @@ func TestRigidJobAllOrNothing(t *testing.T) {
 
 func TestRigidJobWaitsForSpace(t *testing.T) {
 	e := newEnv(40)
-	mgr := NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec)
+	mgr := NewSpaceManager(e.eng, e.mach, equipartition(), e.rec)
 	startJob(e, mgr, 0, app.Swim, 30, nil) // short malleable job
 	rigid := startGranular(e, mgr, 1, app.BT, 30, 30, nil)
 	// Equipartition plans 20/20; the rigid job rounds to 0 — fragmentation.
 	if rigid.Allocated() != 0 {
 		t.Fatalf("rigid alloc = %d before space frees", rigid.Allocated())
 	}
-	if rigid.Effective() != 0 {
-		t.Fatalf("rigid effective = %d", rigid.Effective())
+	if n := len(e.mach.CPUsView(1)); n != 0 {
+		t.Fatalf("rigid job holds %d CPUs", n)
 	}
 	// When swim completes, the rigid job gets its 30 at once.
 	e.eng.Run(120 * sim.Second)
@@ -76,32 +75,41 @@ func TestRigidJobWaitsForSpace(t *testing.T) {
 func TestHybridGranularityMultiples(t *testing.T) {
 	e := newEnv(60)
 	mgr := NewSpaceManager(e.eng, e.mach, core.MustNew(core.DefaultParams()), e.rec)
-	// MPI+OpenMP hydro2d with 4 processes: allocations are multiples of 4.
-	rt := startGranular(e, mgr, 0, app.Hydro2D, 28, 4, nil)
-	for i := 0; i < 400; i++ {
-		if !e.eng.Step() {
-			break
-		}
-		if eff := rt.Effective(); eff%4 != 0 {
-			t.Fatalf("effective parallelism %d not a multiple of 4", eff)
-		}
-		if rt.Done() {
-			break
-		}
+	// MPI+OpenMP hydro2d with 4 processes: the runtime runs on multiples of
+	// 4, so every performance report it sends the RM was measured at one.
+	prof := app.ProfileFor(app.Hydro2D)
+	an := selfanalyzer.MustNew(selfanalyzer.ConfigFor(prof, 0), nil)
+	reports := 0
+	rt := nthlib.New(e.eng, prof, 28, an, nthlib.Hooks{
+		OnPerformance: func(m selfanalyzer.Measurement) {
+			reports++
+			if m.Procs%4 != 0 {
+				t.Fatalf("effective parallelism %d not a multiple of 4", m.Procs)
+			}
+			mgr.ReportPerformance(0, m)
+		},
+		OnDone: func() { mgr.JobFinished(0) },
+	})
+	rt.SetGranularity(4)
+	mgr.StartJob(0, rt)
+	e.eng.Run(sim.Forever)
+	if reports == 0 {
+		t.Fatal("no performance reports")
 	}
 }
 
 func TestHybridPDPAConverges(t *testing.T) {
 	e := newEnv(60)
-	pdpa := core.MustNew(core.DefaultParams())
+	pdpa := recordingPDPA()
 	mgr := NewSpaceManager(e.eng, e.mach, pdpa, e.rec)
-	rt := startGranular(e, mgr, 0, app.Hydro2D, 28, 4, nil)
-	// Step to PDPA's transition to Stable, which must come before the job
+	done := false
+	rt := startGranular(e, mgr, 0, app.Hydro2D, 28, 4, func() { done = true })
+	// Run to PDPA's transition to Stable, which must come before the job
 	// finishes.
-	for pdpa.StateOf(0) != core.Stable {
-		if rt.Done() || !e.eng.Step() {
-			t.Fatalf("hybrid hydro2d finished at %v before PDPA reached Stable (state %v)", e.eng.Now(), pdpa.StateOf(0))
-		}
+	stable := func() bool { return pdpaState(pdpa, 0) == core.Stable }
+	runUntil(e.eng, func() bool { return done || stable() })
+	if !stable() {
+		t.Fatalf("hybrid hydro2d finished at %v before PDPA reached Stable (state %v)", e.eng.Now(), pdpaState(pdpa, 0))
 	}
 	got := rt.Allocated()
 	if got%4 != 0 {
@@ -120,7 +128,7 @@ func TestGranularWaitingJobEventuallyStartsUnderPDPA(t *testing.T) {
 	startJob(e, mgr, 0, app.Swim, 30, nil) // occupies 30 of 32
 	done := false
 	startGranular(e, mgr, 1, app.BT, 24, 24, func() { done = true })
-	e.eng.RunUntilIdle()
+	e.eng.Run(sim.Forever)
 	if !done {
 		t.Fatal("rigid job starved forever despite processors freeing up")
 	}
@@ -142,9 +150,9 @@ func TestGranularityClamping(t *testing.T) {
 
 func TestGranularityFreesMachineOnCompletion(t *testing.T) {
 	e := newEnv(16)
-	mgr := NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec)
+	mgr := NewSpaceManager(e.eng, e.mach, equipartition(), e.rec)
 	startGranular(e, mgr, 0, app.Apsi, 8, 8, nil)
-	e.eng.RunUntilIdle()
+	e.eng.Run(sim.Forever)
 	if e.mach.FreeCPUs() != 16 {
 		t.Fatalf("free = %d after completion", e.mach.FreeCPUs())
 	}

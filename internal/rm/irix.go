@@ -95,16 +95,9 @@ type IRIXManager struct {
 	running     []int32 // per-order-index thread-on-CPU counts this quantum
 }
 
-// NewIRIXManager returns the native-scheduler model over mach.
-func NewIRIXManager(eng *sim.Engine, mach *machine.Machine, rec *trace.Recorder) *IRIXManager {
-	m := new(IRIXManager)
-	m.Reset(eng, mach, rec)
-	return m
-}
-
 // Reset initializes the native-scheduler model over mach with no job running
 // and no admission hook or trace attached. It is the manager's only
-// initializer: NewIRIXManager calls it on a zero value, and a reused manager
+// initializer: a new manager is Reset on a zero value, and a reused manager
 // keeps its free list and per-quantum scratch buffers. The quantum-tick
 // event struct is kept for reuse too: a reused manager's engine has been
 // Reset (or drained), which detaches the old arming, and ScheduleInto

@@ -136,7 +136,8 @@ func TestIRIXPlaceMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			eng := sim.NewEngine()
 			rec := trace.NewRecorder(tc.ncpu)
-			mgr := NewIRIXManager(eng, machine.New(tc.ncpu, rec), rec)
+			mgr := new(IRIXManager)
+			mgr.Reset(eng, machine.New(tc.ncpu, rec), rec)
 			// The test owns the quantum clock: the manager never arms its
 			// own tick, and each quantum's place runs from the loop below.
 			mgr.tickScheduled = true
@@ -152,12 +153,12 @@ func TestIRIXPlaceMatchesReference(t *testing.T) {
 				if len(jobs) > 0 && !slices.Equal(byCPU(mgr.placed), byCPU(ref.placed)) {
 					t.Fatalf("step %d (%s): placement\n%v\nreference\n%v", step, what, byCPU(mgr.placed), byCPU(ref.placed))
 				}
-				for cpu := 0; cpu < tc.ncpu; cpu++ {
-					if got, want := mgr.mach.Owner(cpu), ref.mach.Owner(cpu); got != want {
-						t.Fatalf("step %d (%s): CPU %d owner %d, reference %d", step, what, cpu, got, want)
+				for id := 0; id < int(nextID); id++ {
+					if got, want := mgr.mach.CPUsView(id), ref.mach.CPUsView(id); !slices.Equal(got, want) {
+						t.Fatalf("step %d (%s): job %d on CPUs %v, reference %v", step, what, id, got, want)
 					}
 				}
-				if got, want := rec.Migrations(), refRec.Migrations(); got != want {
+				if got, want := rec.Stats().Migrations, refRec.Stats().Migrations; got != want {
 					t.Fatalf("step %d (%s): %d migrations, reference %d", step, what, got, want)
 				}
 				for idx, j := range jobs {
@@ -165,7 +166,7 @@ func TestIRIXPlaceMatchesReference(t *testing.T) {
 						t.Fatalf("step %d (%s): job %d runs %d threads (runtime told %d), reference %d",
 							step, what, j.id, got, j.rt.Allocated(), want)
 					}
-					if got, want := j.rt.Rate(), ref.rates[idx]; !j.rt.Done() && got != want {
+					if got, want := j.rt.Rate(), ref.rates[idx]; !slices.Contains(completed, j.id) && got != want {
 						t.Fatalf("step %d (%s): job %d rate %v, reference %v", step, what, j.id, got, want)
 					}
 				}
@@ -222,9 +223,9 @@ func TestIRIXPlaceMatchesReference(t *testing.T) {
 			}
 			rec.Close(now)
 			refRec.Close(now)
-			if got, want := rec.Bursts(), refRec.Bursts(); !slices.Equal(got, want) || rec.Migrations() != refRec.Migrations() {
+			if got, want := rec.Bursts(), refRec.Bursts(); !slices.Equal(got, want) || rec.Stats().Migrations != refRec.Stats().Migrations {
 				t.Fatalf("recorded %d bursts and %d migrations, reference %d and %d",
-					len(got), rec.Migrations(), len(want), refRec.Migrations())
+					len(got), rec.Stats().Migrations, len(want), refRec.Stats().Migrations)
 			}
 			t.Logf("%d quanta: %d settled, %d oversubscribed", quanta, settled, over)
 		})

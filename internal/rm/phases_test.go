@@ -48,37 +48,34 @@ func TestPhasedProfileValidate(t *testing.T) {
 
 func TestPDPAAdaptsToPhaseCollapse(t *testing.T) {
 	e := newEnv(60)
-	pdpa := core.MustNew(core.DefaultParams())
+	pdpa := recordingPDPA()
 	mgr := NewSpaceManager(e.eng, e.mach, pdpa, e.rec)
 	prof := phasedProfile()
 	an := selfanalyzer.MustNew(selfanalyzer.ConfigFor(prof, 0), nil)
-	var rt *nthlib.Runtime
-	rt = nthlib.New(e.eng, prof, 30, an, nthlib.Hooks{
+	done := false
+	rt := nthlib.New(e.eng, prof, 30, an, nthlib.Hooks{
 		OnPerformance: func(m selfanalyzer.Measurement) { mgr.ReportPerformance(0, m) },
-		OnDone:        func() { mgr.JobFinished(0) },
+		OnDone:        func() { mgr.JobFinished(0); done = true },
 	})
 	mgr.StartJob(0, rt)
 
 	// Phase 1: the search grows the job to its request.
-	var allocDuringPhase1 int
-	for rt.IterationsDone() < 35 && e.eng.Step() {
-	}
-	allocDuringPhase1 = rt.Allocated()
+	runUntil(e.eng, func() bool { return done || rt.IterationsDone() >= 35 })
+	allocDuringPhase1 := rt.Allocated()
 	if allocDuringPhase1 < 24 {
 		t.Fatalf("phase-1 allocation = %d, want near the request", allocDuringPhase1)
 	}
 
 	// Phase 2: scalability collapses; the measured efficiency falls below
 	// the target and PDPA must walk the allocation down.
-	for !rt.Done() && rt.Allocated() > 4 && e.eng.Step() {
-	}
-	if rt.Done() {
+	runUntil(e.eng, func() bool { return done || rt.Allocated() <= 4 })
+	if done {
 		t.Fatalf("job finished before PDPA adapted (alloc still %d)", rt.Allocated())
 	}
 	if got := rt.Allocated(); got > 4 {
 		t.Fatalf("post-collapse allocation = %d, want <= 4", got)
 	}
-	if st := pdpa.StateOf(0); st != core.Dec && st != core.Stable {
+	if st := pdpaState(pdpa, 0); st != core.Dec && st != core.Stable {
 		t.Fatalf("state = %v", st)
 	}
 }
@@ -89,20 +86,19 @@ func TestPhaseChangeMidIterationRates(t *testing.T) {
 	eng := sim.NewEngine()
 	prof := phasedProfile()
 	prof.Iterations = 42
-	rt := nthlib.New(eng, prof, 30, nil, nthlib.Hooks{})
+	done := false
+	rt := nthlib.New(eng, prof, 30, nil, nthlib.Hooks{OnDone: func() { done = true }})
 	rt.SetAllocation(30)
-	for rt.IterationsDone() < 39 && eng.Step() {
-	}
+	runUntil(eng, func() bool { return done || rt.IterationsDone() >= 39 })
 	fastRate := rt.Profile().SpeedupAt(39).Speedup(30)
-	for rt.IterationsDone() < 41 && eng.Step() {
-	}
+	runUntil(eng, func() bool { return done || rt.IterationsDone() >= 41 })
 	// After iteration 40 the apsi-like curve governs: progress slows ~16x.
 	slowRate := rt.Profile().SpeedupAt(40).Speedup(30)
 	if slowRate >= fastRate/10 {
 		t.Fatalf("phase rates not distinct: %v vs %v", fastRate, slowRate)
 	}
-	eng.RunUntilIdle()
-	if !rt.Done() {
+	eng.Run(sim.Forever)
+	if !done {
 		t.Fatal("phased app did not finish")
 	}
 }

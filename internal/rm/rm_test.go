@@ -1,6 +1,7 @@
 package rm
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -27,6 +28,46 @@ func newEnv(ncpu int) *env {
 	return &env{eng: sim.NewEngine(), mach: machine.New(ncpu, rec), rec: rec}
 }
 
+func newIRIX(e *env) *IRIXManager {
+	m := new(IRIXManager)
+	m.Reset(e.eng, e.mach, e.rec)
+	return m
+}
+
+func equipartition() *policy.Equipartition {
+	p := new(policy.Equipartition)
+	p.Reset()
+	return p
+}
+
+// recordingPDPA returns a PDPA policy that records its transitions, so a
+// test can follow a job's state with pdpaState.
+func recordingPDPA() *core.PDPA {
+	p := core.MustNew(core.DefaultParams())
+	p.RecordHistory(true)
+	return p
+}
+
+// pdpaState returns the state job last entered in p's transition history,
+// NoRef before its first transition.
+func pdpaState(p *core.PDPA, job sched.JobID) core.State {
+	st := core.NoRef
+	for _, tr := range p.History() {
+		if tr.Job == job {
+			st = tr.To
+		}
+	}
+	return st
+}
+
+// runUntil advances eng a millisecond at a time until cond holds; cond
+// must turn true once the test's job finishes.
+func runUntil(eng *sim.Engine, cond func() bool) {
+	for !cond() {
+		eng.Run(eng.Now() + sim.Millisecond)
+	}
+}
+
 // startJob creates an instrumented runtime under mgr and returns it.
 func startJob(e *env, mgr Manager, id sched.JobID, class app.Class, request int, onDone func()) *nthlib.Runtime {
 	prof := app.ProfileFor(class)
@@ -47,7 +88,7 @@ func startJob(e *env, mgr Manager, id sched.JobID, class app.Class, request int,
 
 func TestSpaceManagerEquipartitionSplit(t *testing.T) {
 	e := newEnv(60)
-	mgr := NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec)
+	mgr := NewSpaceManager(e.eng, e.mach, equipartition(), e.rec)
 	a := startJob(e, mgr, 0, app.BT, 30, nil)
 	b := startJob(e, mgr, 1, app.BT, 30, nil)
 	if a.Allocated() != 30 {
@@ -113,7 +154,7 @@ func TestSpaceManagerAppliesPlanByPosition(t *testing.T) {
 
 func TestSpaceManagerRunToCompletionMinimum(t *testing.T) {
 	e := newEnv(4)
-	mgr := NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec)
+	mgr := NewSpaceManager(e.eng, e.mach, equipartition(), e.rec)
 	rts := make([]*nthlib.Runtime, 6)
 	for i := range rts {
 		rts[i] = startJob(e, mgr, sched.JobID(i), app.BT, 30, nil)
@@ -140,7 +181,7 @@ func TestSpaceManagerPDPAFullRun(t *testing.T) {
 	mgr := NewSpaceManager(e.eng, e.mach, core.MustNew(core.DefaultParams()), e.rec)
 	done := 0
 	startJob(e, mgr, 0, app.Apsi, 2, func() { done++ })
-	e.eng.RunUntilIdle()
+	e.eng.Run(sim.Forever)
 	if done != 1 {
 		t.Fatal("apsi did not finish under PDPA")
 	}
@@ -154,15 +195,16 @@ func TestSpaceManagerPDPAFullRun(t *testing.T) {
 
 func TestSpaceManagerPDPAConvergesHydro(t *testing.T) {
 	e := newEnv(60)
-	pdpa := core.MustNew(core.DefaultParams())
+	pdpa := recordingPDPA()
 	mgr := NewSpaceManager(e.eng, e.mach, pdpa, e.rec)
-	rt := startJob(e, mgr, 0, app.Hydro2D, 30, nil)
-	// Step until the search settles: the check is at PDPA's transition to
+	done := false
+	rt := startJob(e, mgr, 0, app.Hydro2D, 30, func() { done = true })
+	// Run until the search settles: the check is at PDPA's transition to
 	// Stable, which must come before the job finishes.
-	for pdpa.StateOf(0) != core.Stable {
-		if rt.Done() || !e.eng.Step() {
-			t.Fatalf("hydro2d finished at %v before PDPA reached Stable (state %v)", e.eng.Now(), pdpa.StateOf(0))
-		}
+	stable := func() bool { return pdpaState(pdpa, 0) == core.Stable }
+	runUntil(e.eng, func() bool { return done || stable() })
+	if !stable() {
+		t.Fatalf("hydro2d finished at %v before PDPA reached Stable (state %v)", e.eng.Now(), pdpaState(pdpa, 0))
 	}
 	got := rt.Allocated()
 	if got < 6 || got > 10 {
@@ -172,14 +214,14 @@ func TestSpaceManagerPDPAConvergesHydro(t *testing.T) {
 
 func TestSpaceManagerAdmissionCallback(t *testing.T) {
 	e := newEnv(60)
-	mgr := NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec)
+	mgr := NewSpaceManager(e.eng, e.mach, equipartition(), e.rec)
 	pokes := 0
 	mgr.SetAdmissionChanged(func() { pokes++ })
 	startJob(e, mgr, 0, app.Apsi, 2, nil)
 	if pokes == 0 {
 		t.Fatal("admission callback not invoked on start")
 	}
-	e.eng.RunUntilIdle()
+	e.eng.Run(sim.Forever)
 	if mgr.Running() != 0 {
 		t.Fatal("job not finished")
 	}
@@ -187,14 +229,14 @@ func TestSpaceManagerAdmissionCallback(t *testing.T) {
 
 func TestSpaceManagerUnknownJobIgnored(t *testing.T) {
 	e := newEnv(8)
-	mgr := NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec)
+	mgr := NewSpaceManager(e.eng, e.mach, equipartition(), e.rec)
 	mgr.ReportPerformance(99, selfanalyzer.Measurement{Procs: 4, Speedup: 3})
 	mgr.JobFinished(99) // must not panic
 }
 
 func TestIRIXManagerBasicRun(t *testing.T) {
 	e := newEnv(8)
-	mgr := NewIRIXManager(e.eng, e.mach, e.rec)
+	mgr := newIRIX(e)
 	prof := app.ProfileFor(app.Apsi)
 	done := false
 	var rt *nthlib.Runtime
@@ -202,27 +244,35 @@ func TestIRIXManagerBasicRun(t *testing.T) {
 		OnDone: func() { mgr.JobFinished(0); done = true },
 	})
 	mgr.StartJob(0, rt)
-	e.eng.RunUntilIdle()
-	if !done {
-		t.Fatal("job did not finish under IRIX")
-	}
 	// With 2 threads on 8 CPUs there is no oversubscription: rate is the
 	// full S(2), so the finish time matches the dedicated time closely.
 	want := prof.DedicatedTime(2)
+	// No events must remain (the quantum tick stops with no jobs): a tick
+	// that outlived the job would carry the clock past this bound.
+	limit := want + 60*sim.Second
+	e.eng.SetInterrupt(func() error {
+		if e.eng.Now() > limit {
+			return errors.New("events still pending")
+		}
+		return nil
+	})
+	e.eng.Run(sim.Forever)
+	if err := e.eng.InterruptErr(); err != nil {
+		t.Fatalf("pending events after completion: %v", err)
+	}
+	if !done {
+		t.Fatal("job did not finish under IRIX")
+	}
 	got := e.eng.Now()
 	if got < want || got > want+2*sim.Second {
 		t.Fatalf("finish at %v, want ~%v", got, want)
-	}
-	// No events must remain (the quantum tick stops with no jobs).
-	if e.eng.Pending() != 0 {
-		t.Fatalf("pending events after completion: %d", e.eng.Pending())
 	}
 }
 
 func TestIRIXOversubscriptionSlowsJobs(t *testing.T) {
 	runOne := func(extraJobs int) sim.Time {
 		e := newEnv(8)
-		mgr := NewIRIXManager(e.eng, e.mach, e.rec)
+		mgr := newIRIX(e)
 		prof := app.ProfileFor(app.Apsi)
 		var finished sim.Time
 		rt := nthlib.New(e.eng, prof, 2, nil, nthlib.Hooks{
@@ -249,7 +299,7 @@ func TestIRIXOversubscriptionSlowsJobs(t *testing.T) {
 
 func TestIRIXGeneratesMigrationsAndShortBursts(t *testing.T) {
 	e := newEnv(8)
-	mgr := NewIRIXManager(e.eng, e.mach, e.rec)
+	mgr := newIRIX(e)
 	for i := 0; i < 3; i++ {
 		id := sched.JobID(i)
 		prof := app.ProfileFor(app.Hydro2D)
@@ -271,7 +321,7 @@ func TestIRIXGeneratesMigrationsAndShortBursts(t *testing.T) {
 
 func TestIRIXThreadAdjustment(t *testing.T) {
 	e := newEnv(8)
-	mgr := NewIRIXManager(e.eng, e.mach, e.rec)
+	mgr := newIRIX(e)
 	ids := []sched.JobID{0, 1}
 	for _, id := range ids {
 		id := id
@@ -316,8 +366,8 @@ func TestIRIXSpaceSharingStability(t *testing.T) {
 		e.rec.Close(e.eng.Now())
 		return e.rec.Stats()
 	}
-	irix := run(func(e *env) Manager { return NewIRIXManager(e.eng, e.mach, e.rec) })
-	equip := run(func(e *env) Manager { return NewSpaceManager(e.eng, e.mach, policy.NewEquipartition(), e.rec) })
+	irix := run(func(e *env) Manager { return newIRIX(e) })
+	equip := run(func(e *env) Manager { return NewSpaceManager(e.eng, e.mach, equipartition(), e.rec) })
 	if irix.Migrations < 20*(equip.Migrations+1) {
 		t.Fatalf("IRIX %d migrations vs Equip %d: stability gap too small",
 			irix.Migrations, equip.Migrations)

@@ -161,7 +161,8 @@ func TestChaosTransientExhaustsRetries(t *testing.T) {
 	if got := metric(p, "pdpad_run_retries_total", ""); got != 2 {
 		t.Fatalf("retries %v, want 2 (MaxRetries exhausted)", got)
 	}
-	if got := inj.Seen(faults.SiteWorkerStart); got != 3 {
+	// The rule fires on every occurrence, so each attempt is one injection.
+	if got := inj.Injected(faults.SiteWorkerStart); got != 3 {
 		t.Fatalf("attempts %d, want 3", got)
 	}
 	drainPool(t, p)

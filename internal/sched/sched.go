@@ -47,14 +47,6 @@ type JobView struct {
 	Reports []Report
 }
 
-// LastReport returns the most recent report, or nil.
-func (j *JobView) LastReport() *Report {
-	if len(j.Reports) == 0 {
-		return nil
-	}
-	return &j.Reports[len(j.Reports)-1]
-}
-
 // HasPerformance reports whether the job has delivered any measurement yet.
 func (j *JobView) HasPerformance() bool { return len(j.Reports) > 0 }
 

@@ -6,15 +6,12 @@ import (
 	"pdpasim/internal/sim"
 )
 
-func TestJobViewLastReport(t *testing.T) {
+func TestJobViewHasPerformance(t *testing.T) {
 	j := &JobView{ID: 1}
-	if j.LastReport() != nil || j.HasPerformance() {
+	if j.HasPerformance() {
 		t.Fatal("fresh job should have no reports")
 	}
 	j.Reports = append(j.Reports, Report{Procs: 4}, Report{Procs: 8})
-	if got := j.LastReport(); got == nil || got.Procs != 8 {
-		t.Fatalf("LastReport = %+v", got)
-	}
 	if !j.HasPerformance() {
 		t.Fatal("HasPerformance false with reports")
 	}

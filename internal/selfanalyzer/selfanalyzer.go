@@ -136,10 +136,6 @@ func (a *Analyzer) InBaseline() bool { return !a.haveBaseline }
 // baseline phase.
 func (a *Analyzer) BaselineCap() int { return a.cfg.BaselineProcs }
 
-// BaselineTime returns the measured baseline iteration time (0 until the
-// baseline completes).
-func (a *Analyzer) BaselineTime() sim.Time { return a.baselineTime }
-
 func (a *Analyzer) noisy(t sim.Time) sim.Time {
 	if a.cfg.NoiseSigma <= 0 {
 		return t

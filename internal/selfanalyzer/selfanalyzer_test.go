@@ -41,8 +41,8 @@ func TestBaselineThenMeasure(t *testing.T) {
 	if a.InBaseline() {
 		t.Fatal("baseline should be done")
 	}
-	if a.BaselineTime() != 25*sim.Second {
-		t.Fatalf("baseline time = %v", a.BaselineTime())
+	if a.baselineTime != 25*sim.Second {
+		t.Fatalf("baseline time = %v", a.baselineTime)
 	}
 	// Iteration at 20 procs, perfectly parallel: wall = 25s * 4/20 = 5s.
 	m, ok := a.RecordIteration(clean(2, 5*sim.Second), 20)

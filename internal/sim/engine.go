@@ -24,15 +24,6 @@ type Event struct {
 	handler Handler
 }
 
-// When returns the time the event is scheduled for.
-func (e *Event) When() Time { return e.when }
-
-// Name returns the label given at scheduling time (for debugging).
-func (e *Event) Name() string { return e.name }
-
-// Scheduled reports whether the event is still pending.
-func (e *Event) Scheduled() bool { return e != nil && e.pos > 0 }
-
 // before is the heap order: earliest time first, scheduling order breaking
 // ties. (when, seq) is unique per scheduled event, so the pop order is a
 // total order — independent of the heap's internal arrangement.
@@ -57,10 +48,9 @@ const interruptStride = 64
 // inlining the (when, seq) comparison avoids the interface dispatch the
 // generic heap pays per element move.
 type Engine struct {
-	now     Time
-	queue   []*Event
-	seq     uint64
-	stopped bool
+	now   Time
+	queue []*Event
+	seq   uint64
 	// Executed counts events run so far (for diagnostics and tests).
 	Executed uint64
 
@@ -89,7 +79,6 @@ func (e *Engine) Reset() {
 	e.queue = e.queue[:0]
 	e.now = 0
 	e.seq = 0
-	e.stopped = false
 	e.Executed = 0
 	e.interrupt = nil
 	e.untilCheck = 0
@@ -275,12 +264,6 @@ func (e *Engine) Cancel(ev *Event) {
 	e.remove(ev.pos - 1)
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // SetInterrupt installs a check that Run consults between events, every
 // interruptStride events (and once on entry). When it returns a non-nil
 // error, Run stops immediately and InterruptErr reports the error. The
@@ -292,17 +275,16 @@ func (e *Engine) SetInterrupt(check func() error) {
 }
 
 // InterruptErr returns the error that stopped the last Run, or nil if the
-// run ended normally (queue drained, deadline passed, or Stop).
+// run ended normally (queue drained or deadline passed).
 func (e *Engine) InterruptErr() error { return e.interruptErr }
 
-// Run executes events in order until the queue empties, the clock passes
-// deadline, or Stop is called. It returns the final clock value. Events
-// scheduled exactly at the deadline still run.
+// Run executes events in order until the queue empties or the clock passes
+// deadline. It returns the final clock value. Events scheduled exactly at
+// the deadline still run.
 func (e *Engine) Run(deadline Time) Time {
-	e.stopped = false
 	e.interruptErr = nil
 	e.untilCheck = 0
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		if e.interrupt != nil {
 			if e.untilCheck--; e.untilCheck < 0 {
 				e.untilCheck = interruptStride - 1
@@ -325,20 +307,4 @@ func (e *Engine) Run(deadline Time) Time {
 		e.now = deadline
 	}
 	return e.now
-}
-
-// RunUntilIdle executes events until none remain or Stop is called.
-func (e *Engine) RunUntilIdle() Time { return e.Run(Forever) }
-
-// Step executes exactly one event if any is pending and reports whether one
-// ran.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
-	}
-	next := e.popMin()
-	e.now = next.when
-	e.Executed++
-	next.handler()
-	return true
 }

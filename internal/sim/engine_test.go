@@ -27,7 +27,7 @@ func TestEngineOrdering(t *testing.T) {
 	e.At(3*Second, "c", func() { order = append(order, 3) })
 	e.At(1*Second, "a", func() { order = append(order, 1) })
 	e.At(2*Second, "b", func() { order = append(order, 2) })
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
@@ -41,7 +41,7 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 	var order []string
 	e.At(Second, "first", func() { order = append(order, "first") })
 	e.At(Second, "second", func() { order = append(order, "second") })
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if order[0] != "first" || order[1] != "second" {
 		t.Fatalf("tie broken wrongly: %v", order)
 	}
@@ -60,8 +60,8 @@ func TestEngineDeadline(t *testing.T) {
 	if e.Now() != 2*Second {
 		t.Fatalf("Now = %v, want clock advanced to deadline", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("pending = %d", len(e.queue))
 	}
 }
 
@@ -69,16 +69,16 @@ func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	ev := e.At(Second, "x", func() { ran = true })
-	if !ev.Scheduled() {
+	if ev.pos == 0 {
 		t.Fatal("event should be scheduled")
 	}
 	e.Cancel(ev)
-	if ev.Scheduled() {
+	if ev.pos != 0 {
 		t.Fatal("event should be cancelled")
 	}
 	e.Cancel(ev) // double-cancel is a no-op
 	e.Cancel(nil)
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -94,7 +94,7 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	}
 	e.Cancel(evs[4])
 	e.Cancel(evs[7])
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if len(order) != 8 {
 		t.Fatalf("order = %v", order)
 	}
@@ -111,7 +111,7 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 	e.At(Second, "outer", func() {
 		e.After(Second, "inner", func() { hit = append(hit, e.Now()) })
 	})
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if len(hit) != 1 || hit[0] != 2*Second {
 		t.Fatalf("hit = %v", hit)
 	}
@@ -120,7 +120,7 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 func TestEnginePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(5*Second, "later", func() {})
-	e.Step()
+	e.Run(Forever)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -138,43 +138,13 @@ func TestEngineNilHandlerPanics(t *testing.T) {
 	NewEngine().At(0, "nil", nil)
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(1*Second, "a", func() { ran++; e.Stop() })
-	e.At(2*Second, "b", func() { ran++ })
-	e.RunUntilIdle()
-	if ran != 1 {
-		t.Fatalf("ran = %d after Stop", ran)
-	}
-	// Run can resume afterwards.
-	e.RunUntilIdle()
-	if ran != 2 {
-		t.Fatalf("ran = %d after resume", ran)
-	}
-}
-
 func TestEngineAfterClampsNegative(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	e.After(-5*Second, "neg", func() { ran = true })
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if !ran || e.Now() != 0 {
 		t.Fatalf("negative After mishandled: ran=%v now=%v", ran, e.Now())
-	}
-}
-
-func TestEngineStep(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("Step on empty queue should be false")
-	}
-	e.At(Second, "x", func() {})
-	if !e.Step() {
-		t.Fatal("Step should run the event")
-	}
-	if e.Executed != 1 {
-		t.Fatalf("Executed = %d", e.Executed)
 	}
 }
 
@@ -187,7 +157,7 @@ func TestEngineOrderProperty(t *testing.T) {
 			tt := Time(off) * Millisecond
 			e.At(tt, "p", func() { seen = append(seen, e.Now()) })
 		}
-		e.RunUntilIdle()
+		e.Run(Forever)
 		for i := 1; i < len(seen); i++ {
 			if seen[i] < seen[i-1] {
 				return false
@@ -216,7 +186,7 @@ func TestEngineInterruptStops(t *testing.T) {
 		}
 		return nil
 	})
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if e.InterruptErr() != stop {
 		t.Fatalf("InterruptErr = %v, want %v", e.InterruptErr(), stop)
 	}
@@ -232,7 +202,7 @@ func TestEngineInterruptImmediate(t *testing.T) {
 	e := NewEngine()
 	e.After(0, "x", func() { t.Fatal("event ran despite tripped interrupt") })
 	e.SetInterrupt(func() error { return errSentinel("dead") })
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if e.InterruptErr() == nil || e.Executed != 0 {
 		t.Fatalf("InterruptErr = %v, Executed = %d", e.InterruptErr(), e.Executed)
 	}
@@ -242,14 +212,14 @@ func TestEngineInterruptClearedBetweenRuns(t *testing.T) {
 	e := NewEngine()
 	e.SetInterrupt(func() error { return errSentinel("dead") })
 	e.After(0, "x", func() {})
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if e.InterruptErr() == nil {
 		t.Fatal("first run should be interrupted")
 	}
 	e.SetInterrupt(nil)
 	ran := false
 	e.After(0, "y", func() { ran = true })
-	e.RunUntilIdle()
+	e.Run(Forever)
 	if e.InterruptErr() != nil || !ran {
 		t.Fatalf("second run: err=%v ran=%v", e.InterruptErr(), ran)
 	}
@@ -274,7 +244,7 @@ func benchEngine(b *testing.B, interrupt func() error) {
 		}
 		e.After(Millisecond, "tick", tick)
 		e.SetInterrupt(interrupt)
-		e.RunUntilIdle()
+		e.Run(Forever)
 		if e.InterruptErr() != nil {
 			b.Fatal(e.InterruptErr())
 		}

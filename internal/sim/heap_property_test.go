@@ -49,7 +49,7 @@ func TestEngineHeapOrderUnderChurn(t *testing.T) {
 			victim := model[rng.Intn(payloads)]
 			if rng.Intn(2) == 0 {
 				e.At(at, "fault_cancel", func() {
-					if victim.ev.Scheduled() {
+					if victim.ev.pos > 0 {
 						e.Cancel(victim.ev)
 						victim.cancelled = true
 					}
@@ -63,7 +63,7 @@ func TestEngineHeapOrderUnderChurn(t *testing.T) {
 				})
 			}
 		}
-		e.RunUntilIdle()
+		e.Run(Forever)
 
 		for i, me := range model {
 			want := 1
@@ -87,8 +87,8 @@ func TestEngineHeapOrderUnderChurn(t *testing.T) {
 					seed, cur.at, cur.seq, prev.seq)
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: %d events still pending after RunUntilIdle", seed, e.Pending())
+		if len(e.queue) != 0 {
+			t.Fatalf("seed %d: %d events still pending after the run", seed, len(e.queue))
 		}
 	}
 }

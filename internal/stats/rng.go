@@ -15,9 +15,8 @@ import (
 )
 
 // RNG is a deterministic random stream. It wraps math/rand with the
-// distributions the simulator needs (exponential interarrivals, normally
-// distributed measurement noise) and supports deriving independent named
-// substreams.
+// distributions the simulator needs (exponential interarrivals, log-normal
+// measurement noise) and supports deriving independent named substreams.
 type RNG struct {
 	seed int64
 	src  *rand.Rand
@@ -96,17 +95,8 @@ func fnvBytes(name []byte) uint64 {
 	return h
 }
 
-// Seed returns the seed this stream was created with.
-func (r *RNG) Seed() int64 { return r.seed }
-
 // Float64 returns a uniform draw in [0, 1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
-
-// Intn returns a uniform draw in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Exp returns an exponential draw with the given mean. The mean must be
 // positive.
@@ -117,11 +107,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return r.src.ExpFloat64() * mean
 }
 
-// Normal returns a normal draw with the given mean and standard deviation.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	return r.src.NormFloat64()*stddev + mean
-}
-
 // LogNormalFactor returns a multiplicative noise factor with median 1 whose
 // log has standard deviation sigma. Used for measurement noise: multiplying
 // a duration by the factor keeps it positive regardless of sigma.
@@ -130,55 +115,4 @@ func (r *RNG) LogNormalFactor(sigma float64) float64 {
 		return 1
 	}
 	return math.Exp(r.src.NormFloat64() * sigma)
-}
-
-// Poisson returns a Poisson draw with the given mean, using inversion for
-// small means and a normal approximation for large ones.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.src.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Pick returns an index in [0, len(weights)) drawn proportionally to the
-// weights. Non-positive weights are treated as zero. If all weights are
-// zero it returns 0.
-func (r *RNG) Pick(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	x := r.src.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if x < w {
-			return i
-		}
-		x -= w
-	}
-	return len(weights) - 1
 }

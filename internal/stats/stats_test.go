@@ -66,28 +66,6 @@ func TestExpPanicsOnNonPositiveMean(t *testing.T) {
 	NewRNG(1).Exp(0)
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := NewRNG(2)
-	for _, mean := range []float64{0.5, 4, 20, 200} {
-		var s Summary
-		for i := 0; i < 20000; i++ {
-			s.Add(float64(r.Poisson(mean)))
-		}
-		if got := s.Mean(); math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%v) mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	if got := NewRNG(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-	if got := NewRNG(1).Poisson(-1); got != 0 {
-		t.Fatalf("Poisson(-1) = %d, want 0", got)
-	}
-}
-
 func TestLogNormalFactor(t *testing.T) {
 	r := NewRNG(3)
 	if f := r.LogNormalFactor(0); f != 1 {
@@ -109,32 +87,11 @@ func TestLogNormalFactor(t *testing.T) {
 	}
 }
 
-func TestPickProportional(t *testing.T) {
-	r := NewRNG(4)
-	counts := make([]int, 3)
-	for i := 0; i < 30000; i++ {
-		counts[r.Pick([]float64{1, 2, 1})]++
-	}
-	if frac := float64(counts[1]) / 30000; math.Abs(frac-0.5) > 0.03 {
-		t.Fatalf("middle weight picked %v of the time, want ~0.5", frac)
-	}
-}
-
-func TestPickDegenerate(t *testing.T) {
-	r := NewRNG(5)
-	if got := r.Pick([]float64{0, 0}); got != 0 {
-		t.Fatalf("all-zero weights pick = %d, want 0", got)
-	}
-	if got := r.Pick([]float64{-1, 0, 5}); got != 2 {
-		t.Fatalf("only positive weight pick = %d, want 2", got)
-	}
-}
-
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	s.AddAll([]float64{4, 1, 3, 2})
-	if s.N() != 4 || s.Sum() != 10 {
-		t.Fatalf("N=%d Sum=%v", s.N(), s.Sum())
+	addAll(&s, []float64{4, 1, 3, 2})
+	if s.N() != 4 {
+		t.Fatalf("N=%d", s.N())
 	}
 	if s.Mean() != 2.5 {
 		t.Fatalf("Mean=%v", s.Mean())
@@ -160,7 +117,7 @@ func TestSummaryEmpty(t *testing.T) {
 
 func TestSummaryPercentileBounds(t *testing.T) {
 	var s Summary
-	s.AddAll([]float64{10, 20, 30})
+	addAll(&s, []float64{10, 20, 30})
 	if s.Percentile(-5) != 10 || s.Percentile(0) != 10 {
 		t.Fatal("low percentile should clamp to min")
 	}
@@ -174,7 +131,7 @@ func TestSummaryPercentileBounds(t *testing.T) {
 
 func TestSummaryAddAfterSortedQuery(t *testing.T) {
 	var s Summary
-	s.AddAll([]float64{3, 1})
+	addAll(&s, []float64{3, 1})
 	_ = s.Min() // forces sort
 	s.Add(0)
 	if s.Min() != 0 {
@@ -191,12 +148,6 @@ func TestTimeWeightedMean(t *testing.T) {
 	// 2 for 10s, 4 for 10s, 0 for 10s => mean 2.
 	if got := tw.Mean(); got != 2 {
 		t.Fatalf("Mean=%v want 2", got)
-	}
-	if tw.Max() != 4 || tw.Min() != 0 {
-		t.Fatalf("Max=%v Min=%v", tw.Max(), tw.Min())
-	}
-	if tw.Duration() != 30 {
-		t.Fatalf("Duration=%v want 30", tw.Duration())
 	}
 }
 
@@ -235,7 +186,7 @@ func TestSummaryProperties(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		s.AddAll(clean)
+		addAll(&s, clean)
 		if s.Mean() < s.Min()-1e-9*math.Abs(s.Min())-1e-9 ||
 			s.Mean() > s.Max()+1e-9*math.Abs(s.Max())+1e-9 {
 			return false
@@ -251,19 +202,6 @@ func TestSummaryProperties(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Poisson draws are always non-negative and deterministic per seed.
-func TestPoissonProperties(t *testing.T) {
-	f := func(seed int64, mean float64) bool {
-		m := math.Mod(math.Abs(mean), 100)
-		a := NewRNG(seed).Poisson(m)
-		b := NewRNG(seed).Poisson(m)
-		return a >= 0 && a == b
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -288,7 +226,7 @@ func TestConfidenceInterval95(t *testing.T) {
 	var big Summary
 	r := NewRNG(9)
 	for i := 0; i < 400; i++ {
-		big.Add(r.Normal(10, 2))
+		big.Add(r.src.NormFloat64()*2 + 10)
 	}
 	approx := 1.96 * big.Stddev() / math.Sqrt(400)
 	if got := big.ConfidenceInterval95(); math.Abs(got-approx) > 1e-9 {
@@ -296,5 +234,12 @@ func TestConfidenceInterval95(t *testing.T) {
 	}
 	if big.ConfidenceInterval95() > 0.3 {
 		t.Fatalf("CI suspiciously wide: %v", big.ConfidenceInterval95())
+	}
+}
+
+// addAll records every observation in vs.
+func addAll(s *Summary, vs []float64) {
+	for _, v := range vs {
+		s.Add(v)
 	}
 }

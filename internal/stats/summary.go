@@ -21,18 +21,8 @@ func (s *Summary) Add(v float64) {
 	s.sorted = false
 }
 
-// AddAll records every observation in vs.
-func (s *Summary) AddAll(vs []float64) {
-	for _, v := range vs {
-		s.Add(v)
-	}
-}
-
 // N returns the number of observations.
 func (s *Summary) N() int { return len(s.values) }
-
-// Sum returns the sum of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Summary) Mean() float64 {
@@ -156,8 +146,6 @@ type TimeWeighted struct {
 	area      float64
 	total     float64
 	started   bool
-	max       float64
-	min       float64
 }
 
 // Observe records that the series took value v at time t. The previous value
@@ -168,8 +156,6 @@ func (tw *TimeWeighted) Observe(t, v float64) {
 		tw.started = true
 		tw.lastTime = t
 		tw.lastValue = v
-		tw.max = v
-		tw.min = v
 		return
 	}
 	if t < tw.lastTime {
@@ -180,12 +166,6 @@ func (tw *TimeWeighted) Observe(t, v float64) {
 	tw.total += dt
 	tw.lastTime = t
 	tw.lastValue = v
-	if v > tw.max {
-		tw.max = v
-	}
-	if v < tw.min {
-		tw.min = v
-	}
 }
 
 // Finish closes the series at time t without changing the value.
@@ -202,12 +182,3 @@ func (tw *TimeWeighted) Mean() float64 {
 	}
 	return tw.area / tw.total
 }
-
-// Max returns the largest observed value.
-func (tw *TimeWeighted) Max() float64 { return tw.max }
-
-// Min returns the smallest observed value.
-func (tw *TimeWeighted) Min() float64 { return tw.min }
-
-// Duration returns the total time covered by the series.
-func (tw *TimeWeighted) Duration() float64 { return tw.total }

@@ -23,7 +23,7 @@ import (
 // and so every field added later — must equal its value in a zero value
 // reset with the same arguments.
 var recycled = map[reflect.Type][]string{
-	reflect.TypeOf(trace.Recorder{}): {"allocs", "jobBusy"},
+	reflect.TypeOf(trace.Recorder{}): {"allocs"},
 	reflect.TypeOf(machine.Machine{}): {
 		"affPool", "cpuPool",
 		"quantumSeen", "pickOut", "nodeFree", "nodeFreeMem", "nodeOrder", "nodeOwned",

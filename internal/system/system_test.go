@@ -265,13 +265,15 @@ func TestSlowdownComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sum float64
 	for _, j := range res.Jobs {
 		if j.Slowdown < 0.9 {
 			t.Fatalf("job %d slowdown %v < ~1 (cannot beat a dedicated machine by much)", j.ID, j.Slowdown)
 		}
+		sum += j.Slowdown
 	}
-	if res.SlowdownStats().Mean() < 1 {
-		t.Fatalf("mean slowdown %v", res.SlowdownStats().Mean())
+	if mean := sum / float64(len(res.Jobs)); mean < 1 {
+		t.Fatalf("mean slowdown %v", mean)
 	}
 }
 

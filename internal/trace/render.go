@@ -132,16 +132,6 @@ func overlap(s1, e1, s2, e2 sim.Time) sim.Time {
 	return e - s
 }
 
-// RenderMPL draws the multiprogramming-level series as a compact step list,
-// the data behind Fig. 8.
-func (r *Recorder) RenderMPL() string {
-	var sb strings.Builder
-	for _, p := range r.mpl {
-		fmt.Fprintf(&sb, "%8.1fs  ml=%d\n", p.At.Seconds(), p.Value)
-	}
-	return sb.String()
-}
-
 // JobsSeen returns the sorted ids of all jobs that appear in the burst
 // history.
 func (r *Recorder) JobsSeen() []int {

@@ -11,10 +11,9 @@
 // Every stored series is run-length encoded: per-CPU assignment streams
 // collapse into bursts (one record per ownership change, not one per
 // quantum), and the MPL and per-job allocation series drop consecutive
-// duplicates. Per-job state (allocation histories, busy time) lives in dense
-// slices indexed by the workload's small integer job ids, keeping the
-// recorder off the map-hash path the per-quantum callers would otherwise
-// pay.
+// duplicates. Per-job allocation histories live in a dense slice indexed
+// by the workload's small integer job ids, keeping the recorder off the
+// map-hash path the per-quantum callers would otherwise pay.
 package trace
 
 import (
@@ -62,7 +61,6 @@ type Recorder struct {
 
 	burstCount    []int      // per CPU
 	burstDuration []sim.Time // per CPU, sum over closed bursts
-	jobBusy       []sim.Time // dense by job id
 }
 
 // NewRecorder returns a recorder for a machine with ncpu CPUs, all idle at
@@ -97,15 +95,12 @@ func (r *Recorder) Reset(ncpu int) {
 	r.bursts = r.bursts[:0]
 	r.migrations = 0
 	r.mpl = r.mpl[:0]
-	// The outer allocs and jobBusy tables keep their length: their grow loops
-	// extend by appending zero values, so emptied inner histories and zeroed
-	// busy counters are indistinguishable from a fresh recorder — and the
-	// per-job history arrays (the dominant trace allocation) are recycled.
+	// The outer allocs table keeps its length: its grow loop extends by
+	// appending nil, so emptied inner histories are indistinguishable from a
+	// fresh recorder — and the per-job history arrays (the dominant trace
+	// allocation) are recycled.
 	for i := range r.allocs {
 		r.allocs[i] = r.allocs[i][:0]
-	}
-	for i := range r.jobBusy {
-		r.jobBusy[i] = 0
 	}
 	r.closed = false
 	r.end = 0
@@ -154,48 +149,12 @@ func (r *Recorder) closeBurst(t sim.Time, cpu int) {
 		}
 		r.burstCount[cpu]++
 		r.burstDuration[cpu] += b.Duration()
-		for len(r.jobBusy) <= b.Job {
-			r.jobBusy = append(r.jobBusy, 0)
-		}
-		r.jobBusy[b.Job] += b.Duration()
 	}
-}
-
-// JobBusy returns the total CPU time (across all CPUs) recorded for job.
-func (r *Recorder) JobBusy(job int) sim.Time {
-	if job < 0 || job >= len(r.jobBusy) {
-		return 0
-	}
-	return r.jobBusy[job]
-}
-
-// BurstHistogram buckets the stored bursts by duration: counts[i] holds the
-// bursts with duration < bounds[i] (and the final element those >= the last
-// bound). Requires KeepBursts.
-func (r *Recorder) BurstHistogram(bounds []sim.Time) []int {
-	counts := make([]int, len(bounds)+1)
-	for _, b := range r.bursts {
-		placed := false
-		for i, bound := range bounds {
-			if b.Duration() < bound {
-				counts[i]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			counts[len(bounds)]++
-		}
-	}
-	return counts
 }
 
 // Migration records that a thread was scheduled on a different CPU than it
 // last ran on.
 func (r *Recorder) Migration() { r.migrations++ }
-
-// Migrations returns the total number of thread migrations recorded.
-func (r *Recorder) Migrations() int { return r.migrations }
 
 // ObserveMPL records the multiprogramming level (number of running jobs) at
 // time t. Consecutive duplicates are collapsed.
@@ -259,9 +218,6 @@ func (r *Recorder) Close(t sim.Time) {
 	r.end = t
 }
 
-// End returns the time the recording was closed (zero if still open).
-func (r *Recorder) End() sim.Time { return r.end }
-
 // Bursts returns all closed bursts (only if KeepBursts was true).
 func (r *Recorder) Bursts() []Burst { return r.bursts }
 
@@ -302,6 +258,3 @@ func (r *Recorder) Stats() Stats {
 	}
 	return s
 }
-
-// CPUBusy returns the busy time recorded for one CPU.
-func (r *Recorder) CPUBusy(cpu int) sim.Time { return r.burstDuration[cpu] }

@@ -76,8 +76,8 @@ func TestMigrations(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		r.Migration()
 	}
-	if r.Migrations() != 7 {
-		t.Fatalf("Migrations = %d", r.Migrations())
+	if got := r.Stats().Migrations; got != 7 {
+		t.Fatalf("Migrations = %d", got)
 	}
 }
 
@@ -89,10 +89,6 @@ func TestMPLTimelineCollapsesDuplicates(t *testing.T) {
 	tl := r.MPLTimeline()
 	if len(tl) != 2 || tl[1].Value != 3 {
 		t.Fatalf("timeline = %v", tl)
-	}
-	out := r.RenderMPL()
-	if !strings.Contains(out, "ml=3") {
-		t.Fatalf("RenderMPL missing level: %q", out)
 	}
 }
 
@@ -115,8 +111,8 @@ func TestCloseIdempotent(t *testing.T) {
 	r.Assign(0, 0, 1)
 	r.Close(sim.Second)
 	r.Close(2 * sim.Second)
-	if r.End() != sim.Second {
-		t.Fatalf("End = %v", r.End())
+	if r.end != sim.Second {
+		t.Fatalf("end = %v", r.end)
 	}
 	if len(r.Bursts()) != 1 {
 		t.Fatalf("bursts = %d", len(r.Bursts()))
@@ -216,35 +212,5 @@ func TestBurstInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestJobBusy(t *testing.T) {
-	r := NewRecorder(2)
-	r.Assign(0, 0, 1)
-	r.Assign(0, 1, 1)
-	r.Assign(5*sim.Second, 0, 2)
-	r.Close(10 * sim.Second)
-	if got := r.JobBusy(1); got != 15*sim.Second {
-		t.Fatalf("job 1 busy = %v, want 15s (5+10)", got)
-	}
-	if got := r.JobBusy(2); got != 5*sim.Second {
-		t.Fatalf("job 2 busy = %v", got)
-	}
-	if got := r.JobBusy(404); got != 0 {
-		t.Fatalf("unknown job busy = %v", got)
-	}
-}
-
-func TestBurstHistogram(t *testing.T) {
-	r := NewRecorder(1)
-	r.Assign(0, 0, 1)
-	r.Assign(100*sim.Millisecond, 0, 2) // 100ms burst
-	r.Assign(2*sim.Second, 0, 3)        // 1.9s burst
-	r.Close(30 * sim.Second)            // 28s burst
-	bounds := []sim.Time{sim.Second, 10 * sim.Second}
-	got := r.BurstHistogram(bounds)
-	if len(got) != 3 || got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("histogram = %v", got)
 	}
 }

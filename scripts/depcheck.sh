@@ -1,7 +1,17 @@
 #!/usr/bin/env bash
-# Removed-API gate. The v1 cleanup deleted the deprecated facade symbols —
-# Run and RunSWF (use RunContext/RunSWFContext) and SweepSpec.Progress /
-# SweepProgress (use SweepSpec.Observer). The run queue's lifecycle events
+# Removed-API gate, in two parts.
+#
+# First, scripts/deadapi: every exported identifier under internal/ needs a
+# reference from non-test code, or a line with its reason in
+# scripts/deadapi/allow.txt. Internal API that only its own tests call is
+# deleted (the engine's RunUntilIdle/Step/Stop, the New* wrappers beside
+# Reset, the recorder's JobBusy and BurstHistogram, ...) or moved into the
+# _test.go file that needs it, and this check keeps it from growing back.
+#
+# Second, greps that keep specific removals removed. The v1 cleanup deleted
+# the deprecated facade symbols — Run and RunSWF (use
+# RunContext/RunSWFContext) and SweepSpec.Progress / SweepProgress (use
+# SweepSpec.Observer). The run queue's lifecycle events
 # later went down to one path, each run's event chain read by
 # Pool.FollowRun, deleting runqueue.Event, Pool.Subscribe, Pool.Done and the
 # Config fields Observer, ObserverBuffer and EventBuffer. Store compaction
@@ -26,13 +36,13 @@
 # command and example (internal/cluster, cmd/clustersim,
 # examples/clustersched). The simulator's options audit turned the model
 # parameters no caller set into constants and deleted the cost accounting
-# that only fed a zero cost. This check keeps them all deleted:
+# that only fed a zero cost. These greps keep them all deleted:
 # no definition may reintroduce them, and no new `Deprecated:` marker may
 # accumulate without a removal plan recorded here.
 #
-# staticcheck would flag reintroductions through SA1019, but the repo is
-# stdlib-only; this grep is the dependency-free equivalent, run by CI next
-# to go vet.
+# staticcheck would flag reintroductions through SA1019 and unused code
+# through U1000, but the repo is stdlib-only; the checker and these greps
+# are the dependency-free equivalent, run by CI next to go vet.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -203,7 +213,15 @@ if [[ -n "$hits" ]]; then
     fail=1
 fi
 
+# Internal API only tests reach: scripts/deadapi type-checks both modules'
+# non-test code and lists each unreferenced exported identifier of
+# internal/ that its allow-list does not name with a reason.
+if ! go run ./scripts/deadapi; then
+    echo "depcheck: internal API reachable only from tests (delete it, move it into the _test.go file that needs it, or allow-list it in scripts/deadapi/allow.txt with a reason)" >&2
+    fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then
     exit 1
 fi
-echo "depcheck: removed APIs stayed removed, no stray deprecation markers"
+echo "depcheck: removed APIs stayed removed, no test-only internal API, no stray deprecation markers"

@@ -155,7 +155,7 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResult{Cells: res.Cells, Runs: res.Runs, res: res}, nil
+	return &SweepResult{Cells: res.Cells, Runs: res.Runs}, nil
 }
 
 // SweepResult is a completed sweep.
@@ -167,8 +167,6 @@ type SweepResult struct {
 	// replicates are contiguous), in the same OutcomeJSON schema WriteJSON
 	// and the daemon emit for single runs.
 	Runs []OutcomeJSON `json:"runs"`
-
-	res *sweep.Result
 }
 
 // Cell returns the aggregated cell for a (policy, mix, load) grid point, or
